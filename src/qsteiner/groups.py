@@ -32,6 +32,7 @@ from .gf2 import (
     row_action,
     rref_rows,
 )
+from .heap import release_free_heap
 from .singer import SingerEngine
 from .subspace import (
     Subspace,
@@ -223,10 +224,12 @@ class OrbitTable:
             return
         engine = self.group.engine() if self.group is not None else None
         if engine is not None:
-            labels = {}
-            for i, rep in enumerate(self.reps):
-                labels[engine.label_of(rep)] = i
-            self._label_index = labels
+            labels, _ = engine.labels_and_stabilizers(
+                engine.rows_to_exps(self.rep_rows())
+            )
+            self._label_index = {
+                tuple(label): i for i, label in enumerate(labels.tolist())
+            }
             return
         if self.group is None:
             raise StrategyError("orbit lookup needs the group to rebuild its index")
@@ -248,6 +251,11 @@ class OrbitTable:
         srt = np.argsort(keys)
         self._key_sorted = keys[srt]
         self._key_ids = ids[srt]
+
+    def rep_rows(self) -> np.ndarray:
+        """Representative bases as an (N, k) uint64 array of RREF rows."""
+        rows = np.array([rep.rows for rep in self.reps], dtype=np.uint64)
+        return rows.reshape(len(self.reps), self.k)
 
     def lookup(self, u: Subspace) -> int:
         """Orbit id of a subspace; raises for wrong shape or foreign subspace."""
@@ -272,15 +280,19 @@ class OrbitTable:
         self._ensure_index()
         if self._label_index is not None:
             engine = self.group.engine()
-            exps = engine.rows_to_exps(rows)
-            words = engine.labels_bulk(exps)
-            out = np.empty(words.shape[0], dtype=np.int64)
+            words = engine.labels_bulk(engine.rows_to_exps(rows))
             index = self._label_index
-            for i in range(words.shape[0]):
-                label = tuple(int(x) for x in words[i])
-                if label not in index:
-                    raise KeyError("subspace does not belong to any tabulated orbit")
-                out[i] = index[label]
+            known = np.array(list(index), dtype=np.uint64).reshape(len(index), -1)
+            # one sort over the tabulated labels and the queries together
+            _, inverse = np.unique(
+                np.concatenate([known, words]), axis=0, return_inverse=True
+            )
+            inverse = inverse.reshape(-1)
+            slot_ids = np.full(inverse.max() + 1, -1, dtype=np.int64)
+            slot_ids[inverse[: len(index)]] = list(index.values())
+            out = slot_ids[inverse[len(index) :]]
+            if np.any(out < 0):
+                raise KeyError("subspace does not belong to any tabulated orbit")
             return out
         from .subspace import pack_keys_bulk
 
@@ -317,18 +329,12 @@ class OrbitTable:
             fh.write("\n".join(lines))
 
     @classmethod
-    def load(
-        cls,
-        path: str,
-        group: MatrixGroup | None = None,
-        validate_lengths: bool | None = None,
-    ) -> "OrbitTable":
+    def load(cls, path: str, group: MatrixGroup | None = None) -> "OrbitTable":
         """Read a table; hash, order, and length-sum are always checked.
 
-        Per-orbit lengths are re-derived when validate_lengths is True,
-        or by default for tables of at most 2000 orbits; downstream
-        double counting in the incidence build rejects bad lengths in
-        any case.
+        When the group has a Singer engine, one bulk label pass over the
+        representatives re-derives every orbit length, checks that no two
+        representatives share an orbit, and becomes the lookup index.
         """
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -386,14 +392,25 @@ class OrbitTable:
                 f"orbit lengths sum to {total}, but GF(2)^{n} has {expect} "
                 f"{k}-subspaces"
             )
-        if validate_lengths is None:
-            validate_lengths = len(reps) <= 2000
-        if validate_lengths and group is not None:
-            engine = group.engine()
-            if engine is not None:
-                for i, (rep, length) in enumerate(zip(reps, lengths)):
-                    if engine.orbit_size(rep) != length:
-                        raise FormatError(f"orbit {i}: recorded length {length} is wrong")
+        engine = group.engine() if group is not None and k > 0 else None
+        if engine is not None:
+            labels, stab = engine.labels_and_stabilizers(
+                engine.rows_to_exps(table.rep_rows())
+            )
+            derived = (engine.order // stab).tolist()
+            index: dict[tuple[int, ...], int] = {}
+            for i, label in enumerate(labels.tolist()):
+                if derived[i] != lengths[i]:
+                    raise FormatError(
+                        f"orbit {i}: recorded length {lengths[i]} is wrong; "
+                        f"the representative's orbit has {derived[i]}"
+                    )
+                j = index.setdefault(tuple(label), i)
+                if j != i:
+                    raise FormatError(
+                        f"orbits {j} and {i}: representatives share an orbit"
+                    )
+            table._label_index = index
         return table
 
 
@@ -438,9 +455,14 @@ def _partition_engine(group: MatrixGroup, k: int) -> OrbitTable:
     engine = group.engine()
     assert engine is not None
     prev_reps: list[Subspace] = []
+    # each step's numpy temporaries are freed when it returns; hand their
+    # pages back so neither this partition nor the work after it runs on
+    # top of whatever earlier work left resident (see heap.py)
+    release_free_heap()
     for kk in range(k + 1):
         reps, lengths, label_index = engine.partition(kk, prev_reps)
         prev_reps = reps
+        release_free_heap()
     total = sum(lengths)
     expect = gaussian_binomial(group.n, k, 2)
     if total != expect:

@@ -11,14 +11,14 @@ exactly a t-(n, k, lambda) design over GF(2).
 
 from __future__ import annotations
 
-from collections import Counter
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gf2 import FormatError
 from .groups import OrbitTable
-from .subspace import gaussian_binomial, subspaces_of
+from .subspace import gaussian_binomial, subspaces_of_bulk
 
 CHECKSUM_MOD = 1 << 32
 
@@ -82,32 +82,31 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
     n, t, k = k_table.n, t_table.k, k_table.k
     per_col = gaussian_binomial(k, t, 2)
 
-    # gather every t-subspace of every representative, then label in bulk
-    all_rows = np.empty((k_table.num_orbits * per_col, t), dtype=np.uint64)
-    pos = 0
-    for rep in k_table.reps:
-        for sub in subspaces_of(rep, t):
-            all_rows[pos] = sub.rows
-            pos += 1
-    if pos != all_rows.shape[0]:
+    # lift every t-subspace of every representative, then label in bulk
+    all_rows = subspaces_of_bulk(k_table.rep_rows(), t).reshape(-1, t)
+    if all_rows.shape[0] != k_table.num_orbits * per_col:
         raise AssertionError("t-subspace count per representative is off")
     hit_ids = t_table.lookup_rows_bulk(all_rows)
 
-    entries: dict[tuple[int, int], int] = {}
-    for j in range(k_table.num_orbits):
-        counts = Counter(hit_ids[j * per_col : (j + 1) * per_col].tolist())
-        if sum(counts.values()) != per_col:
-            raise AssertionError("lost t-subspaces while counting")
-        for rid, b in sorted(counts.items()):
-            num = b * k_table.lengths[j]
-            den = t_table.lengths[rid]
-            if num % den:
-                raise ArithmeticError(
-                    "double counting identity failed: orbit lengths are "
-                    f"inconsistent at row {rid}, column {j} (b={b}); "
-                    "one of the orbit tables is corrupt"
-                )
-            entries[(rid, j)] = num // den
+    # b(K, T) for every (column, row) pair that occurs, ascending in (col, row)
+    col_of = np.repeat(np.arange(k_table.num_orbits, dtype=np.int64), per_col)
+    pairs, b = np.unique(
+        col_of * t_table.num_orbits + hit_ids, return_counts=True
+    )
+    cols, rids = np.divmod(pairs, t_table.num_orbits)
+    num = b * np.array(k_table.lengths, dtype=np.int64)[cols]
+    den = np.array(t_table.lengths, dtype=np.int64)[rids]
+    bad = np.nonzero(num % den)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ArithmeticError(
+            "double counting identity failed: orbit lengths are "
+            f"inconsistent at row {int(rids[i])}, column {int(cols[i])} "
+            f"(b={int(b[i])}); one of the orbit tables is corrupt"
+        )
+    entries: dict[tuple[int, int], int] = dict(
+        zip(zip(rids.tolist(), cols.tolist()), (num // den).tolist())
+    )
     return KMInstance(
         n=n,
         t=t,
@@ -201,7 +200,9 @@ def parse_km(text: str) -> KMInstance:
     cols: list[tuple[int, int]] = []
     entries: dict[tuple[int, int], int] = {}
     checksum = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # line by line: a list of all lines, one per entry, would take about
+    # as much memory as the entries dict being built from them
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -18,11 +18,15 @@ from math import gcd
 
 import numpy as np
 
-from .gf2 import BitMatrix, mat_mul, popcount_u64
+from .gf2 import BitMatrix, mat_mul, popcount_u64, rref_bulk
 from .subspace import Subspace, pack_keys_bulk, subspace_from_key
 
 MAX_ENGINE_WIDTH = 24
 MAX_SLOPE_GROUP = 1 << 16
+# Rows per batch of the partition's span pass and of the label pass; the
+# results do not depend on them, only the size of the temporaries does.
+SPAN_BATCH_ROWS = 1 << 16
+LABEL_BATCH_ROWS = 1 << 15
 
 
 def mat_vec_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
@@ -138,8 +142,6 @@ class SingerEngine:
 
     def exps_to_rows(self, exps: np.ndarray, k: int) -> np.ndarray:
         """(N, 2^k - 1) exponent sets -> (N, k) RREF basis rows."""
-        from .gf2 import rref_bulk
-
         vecs = self.exptable[exps]
         red, ranks = rref_bulk(vecs)
         if not np.all(ranks == k):
@@ -171,13 +173,35 @@ class SingerEngine:
         slopes t and base points d in D; the minimizing set starts with
         exponent 0, which is dropped before packing.
         """
+        return self.labels_and_stabilizers(exps)[0]
+
+    def labels_and_stabilizers(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Orbit labels (see labels_bulk) and stabilizer orders, (N,) int64.
+
+        The affine maps x -> t*x + c sending D onto its label form a coset
+        of the stabilizer of D, and each of them is x -> t*(x - d) for the
+        unique d in D mapped to exponent 0.  So the stabilizer order is
+        the number of (t, d) pairs that reach the minimum, counted in the
+        same pass that finds it.
+        """
         exps = np.ascontiguousarray(exps, dtype=np.int64)
+        parts = [
+            self._labels_batch(exps[i : i + LABEL_BATCH_ROWS])
+            for i in range(0, max(1, exps.shape[0]), LABEL_BATCH_ROWS)
+        ]
+        labels, stab = zip(*parts)
+        return np.concatenate(labels), np.concatenate(stab)
+
+    def _labels_batch(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         num, m = exps.shape
         best: list[np.ndarray] | None = None
+        stab = np.ones(num, dtype=np.int64)
         for t in self.slopes:
             scaled = (t * exps) % self.modulus
             for di in range(m):
-                shifted = (scaled - scaled[:, di : di + 1]) % self.modulus
+                # (scaled - d) mod modulus; an add is cheaper than numpy's %
+                shifted = scaled - scaled[:, di : di + 1]
+                shifted += (shifted < 0) * self.modulus
                 shifted.sort(axis=1)
                 words = self._pack_words(shifted)
                 if best is None:
@@ -188,18 +212,25 @@ class SingerEngine:
                 for w, b in zip(words, best):
                     lt |= eq & (w < b)
                     eq &= w == b
+                stab += eq
                 if lt.any():
+                    stab[lt] = 1
                     for w, b in zip(words, best):
                         b[lt] = w[lt]
         assert best is not None
-        return np.stack(best, axis=1)
+        return np.stack(best, axis=1), stab
 
     def label_of(self, u: Subspace) -> tuple[int, ...]:
         words = self.labels_bulk(self.subspace_exps(u)[None, :])
         return tuple(int(x) for x in words[0])
 
     def orbit_size(self, u: Subspace) -> int:
-        """|G| / |stabilizer|, counting affine maps that fix the exponent set."""
+        """|G| / |stabilizer|, counting affine maps that fix the exponent set.
+
+        One subspace at a time and independent of the label pass, whose
+        stabilizer counts give the partition's lengths; kept as their
+        oracle, not called by the pipeline.
+        """
         d = np.sort(self.subspace_exps(u))
         m = d.shape[0]
         stab = 0
@@ -228,41 +259,45 @@ class SingerEngine:
         if k == 0:
             zero = Subspace(self.n, ())
             return [zero], [1], {(): 0}
-        m = (1 << k) - 1
-        chunks = []
-        for t_rep in prev_reps:
-            t_vecs = [v for v in t_rep.vectors() if v]
-            universe = self.exptable  # all nonzero vectors, any order
-            keep = ~np.isin(universe, np.array(t_vecs, dtype=np.uint64)) if t_vecs else np.ones(
-                self.modulus, dtype=bool
-            )
-            v = universe[keep]
-            cols = [np.full(v.shape, w, dtype=np.uint64) for w in t_vecs]
-            cols += [v ^ np.uint64(w) for w in t_vecs]
-            cols.append(v)
-            chunks.append(np.stack(cols, axis=1))
-        vecsets = np.concatenate(chunks, axis=0)
-        exps = self.dlog[vecsets]
-        exps.sort(axis=1)
-        basis = self.exps_to_rows(exps, k)
-        keys = pack_keys_bulk(basis, self.n)
-        # dedupe identical subspaces before the label pass
-        keys, first = np.unique(keys, return_index=True)
-        exps = exps[first]
-        labels = self.labels_bulk(exps)
-        uniq, inverse = np.unique(labels, axis=0, return_inverse=True)
+        # the spans as (N, k) bases, deduped by key before the exponent
+        # sets and the label pass; a batch of representatives at a time,
+        # since each span turns up 2^(k-1) times within its own batch
+        per_batch = max(1, SPAN_BATCH_ROWS // self.modulus)
+        key_parts, basis_parts = [], []
+        for start in range(0, len(prev_reps), per_batch):
+            chunks = []
+            for t_rep in prev_reps[start : start + per_batch]:
+                t_vecs = np.array([v for v in t_rep.vectors() if v], dtype=np.uint64)
+                v = self.exptable[~np.isin(self.exptable, t_vecs)]
+                cols = [np.full(v.shape, r, dtype=np.uint64) for r in t_rep.rows]
+                chunks.append(np.stack(cols + [v], axis=1))
+            basis, ranks = rref_bulk(np.concatenate(chunks, axis=0))
+            if not np.all(ranks == k):
+                raise AssertionError("extension vector lies in the representative")
+            keys, first = np.unique(pack_keys_bulk(basis, self.n), return_index=True)
+            key_parts.append(keys)
+            basis_parts.append(basis[first])
+        keys, first = np.unique(np.concatenate(key_parts), return_index=True)
+        exps = self.rows_to_exps(np.concatenate(basis_parts)[first])
+        del key_parts, basis_parts
+        labels, stab = self.labels_and_stabilizers(exps)
+        uniq, orbit_first, inverse = np.unique(
+            labels, axis=0, return_index=True, return_inverse=True
+        )
         norb = uniq.shape[0]
+        orbit_stab = stab[orbit_first]
+        if not np.array_equal(stab, orbit_stab[inverse]):
+            raise AssertionError("orbit members disagree on the stabilizer order")
+        if np.any(self.order % orbit_stab):
+            raise AssertionError("stabilizer size does not divide the group order")
         minkeys = np.full(norb, np.iinfo(np.uint64).max, dtype=np.uint64)
         np.minimum.at(minkeys, inverse, keys)
         order_ids = np.argsort(minkeys, kind="stable")
-        reps = []
-        lengths = []
-        label_to_id = {}
-        for new_id, old in enumerate(order_ids):
-            rep = subspace_from_key(self.n, k, int(minkeys[old]))
-            reps.append(rep)
-            lengths.append(self.orbit_size(rep))
-            label_to_id[tuple(int(x) for x in uniq[old])] = new_id
+        reps = [subspace_from_key(self.n, k, int(minkeys[old])) for old in order_ids]
+        lengths = (self.order // orbit_stab[order_ids]).tolist()
+        label_to_id = {
+            tuple(label): i for i, label in enumerate(uniq[order_ids].tolist())
+        }
         return reps, lengths, label_to_id
 
     def expand_orbit(self, u: Subspace) -> np.ndarray:

@@ -14,7 +14,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import BitMatrix, FormatError, format_matrix, parse_matrix_text, popcount_u64, rref_rows
+from .gf2 import (
+    BitMatrix,
+    FormatError,
+    format_matrix,
+    parse_matrix_text,
+    popcount_u64,
+    rref_bulk,
+    rref_rows,
+)
 
 ENUMERATION_GUARD = 10**8
 
@@ -283,6 +291,32 @@ def subspaces_of(u: Subspace, t: int) -> Iterator[Subspace]:
                 x ^= low
             lifted.append(v)
         yield span(lifted, u.ambient)
+
+
+def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
+    """All t-dim subspaces of many subspaces at once, as RREF rows.
+
+    rows is (N, k) uint64, one RREF basis per subspace.  Returns
+    (N, [k t]_2, t) uint64: entry [i, j] is the j-th subspace that
+    subspaces_of yields for basis i.  Each coordinate subspace of
+    GF(2)^k is lifted by XOR of the selected basis rows, then all lifts
+    are reduced in one rref_bulk call.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    num, k = rows.shape
+    if not 0 <= t <= k:
+        raise ValueError(f"need 0 <= t <= {k}")
+    coords = list(enumerate_subspaces(k, t))
+    lifted = np.zeros((num, len(coords), t), dtype=np.uint64)
+    for c, w in enumerate(coords):
+        for i, wr in enumerate(w.rows):
+            for j in range(k):
+                if (wr >> j) & 1:
+                    lifted[:, c, i] ^= rows[:, j]
+    red, ranks = rref_bulk(lifted.reshape(-1, t))
+    if not np.all(ranks == t):
+        raise ValueError("basis rows are linearly dependent")
+    return red.reshape(num, len(coords), t)
 
 
 # ---------------------------------------------------------------------------

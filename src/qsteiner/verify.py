@@ -10,6 +10,7 @@ GF(2) passes exactly when every count equals lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,7 +45,9 @@ class BlockSet:
             raise ValueError("every block must have dimension k")
         if not np.array_equal(red, self.blocks):
             raise ValueError("block rows must be in reduced row echelon form")
-        if np.unique(self.blocks, axis=0).shape[0] != self.blocks.shape[0]:
+        # sort rows lexicographically; equal rows become neighbours
+        srt = self.blocks[np.lexsort(self.blocks.T)] if self.k else self.blocks
+        if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
             raise ValueError("blocks must be distinct")
 
     @property
@@ -183,9 +186,9 @@ def _point_keys(blocks: np.ndarray) -> np.ndarray:
     return np.concatenate(cols)
 
 
-def _pair_key_universe(n: int) -> np.ndarray:
-    """Keys of all 2-subspaces of GF(2)^n, chunked over the smaller vector."""
-    chunks = []
+def _pair_key_chunks(n: int) -> Iterator[np.ndarray]:
+    """Keys of all 2-subspaces of GF(2)^n in ascending order, one chunk
+    per smallest nonzero vector."""
     shift = np.uint64(n)
     top = 1 << n
     for u in range(1, top):
@@ -193,8 +196,26 @@ def _pair_key_universe(n: int) -> np.ndarray:
         uu = np.uint64(u)
         keep = (uu ^ v) > v
         if keep.any():
-            chunks.append((uu << shift) | v[keep])
-    return np.concatenate(chunks)
+            yield (uu << shift) | v[keep]
+
+
+def _first_absent(
+    chunks: Iterable[np.ndarray], present: np.ndarray, limit: int
+) -> list[int]:
+    """Up to limit keys of the ascending chunks that sorted present lacks.
+
+    Chunks are generated only until enough keys are found, so a sparse
+    block set never materializes the whole key universe.
+    """
+    found: list[int] = []
+    for chunk in chunks:
+        if len(found) >= limit:
+            break
+        if present.size:
+            idx = np.minimum(np.searchsorted(present, chunk), present.size - 1)
+            chunk = chunk[present[idx] != chunk]
+        found.extend(chunk[: limit - len(found)].tolist())
+    return found
 
 
 def _key_to_pair_subspace(key: int, n: int) -> tuple[int, ...]:
@@ -251,14 +272,12 @@ def verify_design(
             )
             shown.append((rows, int(bad_counts[i])))
         if missing and len(shown) < max_violations:
-            universe = (
-                _pair_key_universe(n)
+            chunks = (
+                _pair_key_chunks(n)
                 if t == 2
-                else np.arange(1, 1 << n, dtype=np.uint64)
+                else [np.arange(1, 1 << n, dtype=np.uint64)]
             )
-            absent = np.setdiff1d(universe, uniq, assume_unique=True)
-            for i in range(min(absent.size, max_violations - len(shown))):
-                key = int(absent[i])
+            for key in _first_absent(chunks, uniq, max_violations - len(shown)):
                 rows = (
                     _key_to_pair_subspace(key, n) if t == 2 else span([key], n).rows
                 )
@@ -433,7 +452,7 @@ def derived_steiner_sample_check(
     srt = np.argsort(keys)
     keys_sorted = keys[srt]
     block_sorted = block_of[srt]
-    if np.unique(keys_sorted).size != keys_sorted.size:
+    if np.any(keys_sorted[1:] == keys_sorted[:-1]):
         raise AssertionError("coverage index is not one-to-one; lambda != 1?")
 
     rng = np.random.default_rng(seed)

@@ -1,10 +1,13 @@
 """Exact cover solver against brute-force enumeration oracles."""
 
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
 
+from qsteiner import exact_cover
 from qsteiner.exact_cover import (
     CoverProblem,
     SolveConfig,
@@ -182,6 +185,26 @@ def test_forced_options_restrict_the_solution_set():
         solve(prob, SolveConfig(forced=[999]))
     with pytest.raises(ValueError):
         solve(prob, SolveConfig(forced=[lab, lab]))
+
+
+def test_solve_frees_its_links_on_return(monkeypatch):
+    # with the cyclic collector off, the links must still go when solve
+    # returns; repeated solves would otherwise pile up finished searches
+    made = []
+
+    class Tracked(exact_cover._Dlx):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(exact_cover, "_Dlx", Tracked)
+    gc.disable()
+    try:
+        sols, _ = solve(sts_problem(7), SolveConfig(max_solutions=None, forced=[0]))
+        assert sols and len(made) == 1
+        assert made[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_check_solution_rejects_bad_input():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from qsteiner.gf2 import BitMatrix, identity, mat_mul, mat_vec
+from qsteiner.gf2 import BitMatrix, FormatError, identity, mat_mul, mat_vec
 from qsteiner.groups import (
     MatrixGroup,
     OrbitTable,
@@ -16,6 +16,8 @@ from qsteiner.groups import (
     orbit_partition,
     singer_normalizer,
 )
+from qsteiner import singer
+from qsteiner.singer import SingerEngine
 from qsteiner.subspace import enumerate_subspaces, gaussian_binomial, span
 
 
@@ -162,3 +164,102 @@ def test_group_hash_is_generator_sensitive():
     g4b = MatrixGroup(n=4, generators=tuple(reversed(g4.generators)))
     assert group_hash(g4) != group_hash(g4b)
     assert group_hash(g4) == group_hash(singer_normalizer(4))
+
+
+def test_partition_lengths_match_orbit_size_oracle():
+    # the lengths come from stabilizer counts of the label pass;
+    # orbit_size recounts each stabilizer one subspace at a time
+    for n in range(5, 9):
+        engine = singer_normalizer(n).engine()
+        reps = []
+        for k in range(n + 1):
+            reps, lengths, _ = engine.partition(k, reps)
+            assert sum(lengths) == gaussian_binomial(n, k, 2)
+            if k == 0:
+                assert lengths == [1]  # orbit_size needs a nonzero vector
+            else:
+                assert lengths == [engine.orbit_size(r) for r in reps], (n, k)
+
+
+def test_partition_does_not_depend_on_batch_sizes(monkeypatch):
+    engine = singer_normalizer(7).engine()
+
+    def run():
+        reps, out = [], []
+        for k in range(4):
+            reps, lengths, label_index = engine.partition(k, reps)
+            out.append(([r.rows for r in reps], lengths, label_index))
+        return out
+
+    expect = run()
+    # one representative per span batch, and label batches that split
+    # every orbit's members apart
+    monkeypatch.setattr(singer, "SPAN_BATCH_ROWS", 1)
+    monkeypatch.setattr(singer, "LABEL_BATCH_ROWS", 7)
+    assert run() == expect
+
+
+def test_t3_lengths_match_orbit_size_on_a_sample(paper_group, t3_table):
+    engine = paper_group.engine()
+    rng = random.Random(2013)
+    for i in rng.sample(range(t3_table.num_orbits), 300):
+        assert t3_table.lengths[i] == engine.orbit_size(t3_table.reps[i]), i
+
+
+def test_partition_and_load_do_not_call_orbit_size(monkeypatch, tmp_path):
+    def refuse(self, u):
+        raise AssertionError("orbit_size is the oracle, not a pipeline step")
+
+    monkeypatch.setattr(SingerEngine, "orbit_size", refuse)
+    g = singer_normalizer(7)
+    table = orbit_partition(g, 3)
+    assert table.strategy == "singer"
+    assert sum(table.lengths) == gaussian_binomial(7, 3, 2)
+    path = tmp_path / "orbits.txt"
+    table.save(str(path))
+    assert OrbitTable.load(str(path), group=g).lengths == table.lengths
+
+
+def test_table_load_checks_every_length(tmp_path, paper_group, t3_table):
+    # two lengths far past the first 2000 orbits move by +-1, so the
+    # length sum still matches and only the per-orbit check can object
+    path = tmp_path / "orbits-k3.txt"
+    t3_table.save(str(path))
+    last = t3_table.num_orbits - 1
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) == 2 and parts[0] in (str(last - 1), str(last)):
+            delta = 1 if parts[0] == str(last) else -1
+            lines[i] = f"{parts[0]} {int(parts[1]) + delta}"
+    path.write_text("\n".join(lines))
+    with pytest.raises(FormatError, match=f"orbit {last - 1}: recorded length"):
+        OrbitTable.load(str(path), group=paper_group)
+
+
+def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
+    # swap rep 1 for a member of orbit 0 of equal length that keeps the
+    # key order; lengths and their sum stay plausible
+    g = singer_normalizer(7)
+    table = orbit_partition(g, 3)
+    assert table.lengths[0] == table.lengths[1]
+    lo, hi = table.reps[0].key, table.reps[2].key
+    twin = next(m for m in orbit(g, table.reps[0]) if lo < m.key < hi)
+    reps = [table.reps[0], twin] + table.reps[2:]
+    forged = OrbitTable(n=7, k=3, group=g, reps=reps, lengths=list(table.lengths))
+    path = tmp_path / "orbits.txt"
+    forged.save(str(path))
+    with pytest.raises(FormatError, match="orbits 0 and 1"):
+        OrbitTable.load(str(path), group=g)
+
+
+def test_lookup_rows_bulk_rejects_untabulated_orbits():
+    g = singer_normalizer(6)
+    table = orbit_partition(g, 2)
+    rows = np.array([rep.rows for rep in table.reps], dtype=np.uint64)
+    partial = OrbitTable(
+        n=6, k=2, group=g, reps=table.reps[:2], lengths=table.lengths[:2]
+    )
+    assert partial.lookup_rows_bulk(rows[:2]).tolist() == [0, 1]
+    with pytest.raises(KeyError):
+        partial.lookup_rows_bulk(rows)

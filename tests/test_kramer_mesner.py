@@ -96,6 +96,9 @@ def test_file_round_trip(tmp_path):
     assert loaded.row_ids == inst.row_ids
     assert loaded.col_ids == inst.col_ids
     assert loaded.entries == inst.entries
+    # CRLF line ends read the same
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert import_km(str(path)).entries == inst.entries
 
 
 def test_import_rejects_checksum_tamper(tmp_path):

@@ -23,6 +23,7 @@ from qsteiner.subspace import (
     spread_size,
     subspace_distance,
     subspaces_of,
+    subspaces_of_bulk,
 )
 
 
@@ -116,6 +117,26 @@ def test_subspaces_of_lists_all_inner_subspaces():
             vecs = set(outer.vectors())
             for s in inner:
                 assert set(s.vectors()) <= vecs
+
+
+def test_subspaces_of_bulk_matches_scalar():
+    rng = random.Random(7)
+    for n, k in ((5, 2), (7, 3), (9, 4)):
+        outers = []
+        while len(outers) < 12:
+            u = span([rng.getrandbits(n) for _ in range(k)], n)
+            if u.dim == k:
+                outers.append(u)
+        rows = np.array([u.rows for u in outers], dtype=np.uint64)
+        for t in range(1, k + 1):
+            bulk = subspaces_of_bulk(rows, t)
+            assert bulk.shape == (len(outers), gaussian_binomial(k, t, 2), t)
+            for u, lifted in zip(outers, bulk.tolist()):
+                assert [tuple(r) for r in lifted] == [
+                    s.rows for s in subspaces_of(u, t)
+                ]
+    with pytest.raises(ValueError, match="dependent"):
+        subspaces_of_bulk(np.array([[1, 1]], dtype=np.uint64), 1)
 
 
 def test_distance_and_containment():

@@ -61,8 +61,14 @@ def test_blockset_rejects_malformed_rows():
         BlockSet(4, 2, np.array([[1, 0]], dtype=np.uint64))
     # duplicate blocks
     row = [[1, 2], [1, 2]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct"):
         BlockSet(4, 2, np.array(row, dtype=np.uint64))
+    # duplicates that are not neighbours in input order
+    rows = [[1, 2], [1, 4], [2, 4], [1, 6], [1, 2], [2, 8]]
+    with pytest.raises(ValueError, match="distinct"):
+        BlockSet(4, 2, np.array(rows, dtype=np.uint64))
+    rows.pop(4)
+    assert BlockSet(4, 2, np.array(rows, dtype=np.uint64)).num_blocks == 5
 
 
 def test_expand_orbits_counts_and_rejects_mixed_dims():
@@ -117,6 +123,25 @@ def test_histogram_matches_dict_recount():
         assert not report.ok
 
 
+def test_uncovered_subspaces_shown_match_enumeration():
+    group = singer_normalizer(5)
+    blocks, _ = expand_orbits(group, list(orbit_partition(group, 2).reps))
+    some = BlockSet(5, 2, blocks.blocks[:7].copy())
+    for t in (1, 2):
+        covered = {
+            sub.rows
+            for i in range(some.num_blocks)
+            for sub in subspaces_of(some.subspace(i), t)
+        }
+        uncovered = {s.rows for s in enumerate_subspaces(5, t)} - covered
+        full = verify_design(some, t, 1, max_violations=10**6)
+        absent = [rows for rows, count in full.violations_shown if count == 0]
+        assert len(absent) == len(uncovered) and set(absent) == uncovered
+        for cap in (0, 1, 5):
+            shown = verify_design(some, t, 1, max_violations=cap).violations_shown
+            assert shown == full.violations_shown[:cap]
+
+
 def test_verify_rejects_bad_parameters():
     bs = make_spread()
     with pytest.raises(ValueError):
@@ -165,6 +190,9 @@ def test_deleting_one_block_uncovers_exactly_seven_pairs(paper_blocks):
     assert not report.ok
     assert report.histogram == {1: 11180708, 0: 7}
     assert report.violations_total == 7
+    # the uncovered pairs lie anywhere in key order; all seven are found
+    lost = {sub.rows for sub in subspaces_of(paper_blocks.subspace(-1), 2)}
+    assert {rows for rows, _ in report.violations_shown} == lost
 
 
 def test_paper_design_certificates(paper_blocks, paper_report):
