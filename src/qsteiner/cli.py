@@ -31,6 +31,7 @@ from .groups import (
     ClosureCapError,
     MatrixGroup,
     OrbitTable,
+    StrategyError,
     format_group,
     group_closure,
     load_generator_file,
@@ -109,15 +110,8 @@ class Settings:
         if flag is not None:
             return flag
         if name in self.file_values:
-            raw = self.file_values[name]
-            if cast is bool:
-                if raw.lower() in ("1", "true", "yes", "on"):
-                    return True
-                if raw.lower() in ("0", "false", "no", "off"):
-                    return False
-                raise UsageError(f"config key {name}: not a boolean: {raw}")
             try:
-                return cast(raw)
+                return cast(self.file_values[name])
             except ValueError as exc:
                 raise UsageError(f"config key {name}: {exc}") from exc
         return default
@@ -252,9 +246,8 @@ def cmd_orbits(settings: Settings) -> int:
     dim = settings.get("dim", cast=int)
     if dim is None:
         raise UsageError("--dim is required")
-    strategy = settings.get("strategy", default="auto")
     t0 = time.time()
-    table = orbit_partition(group, dim, strategy=strategy)
+    table = orbit_partition(group, dim)
     elapsed = time.time() - t0
     total = table.total_subspaces()
     expect = gaussian_binomial(group.n, dim, 2)
@@ -274,8 +267,7 @@ def _load_or_build_table(
     path = settings.get(file_key)
     if path is not None:
         return OrbitTable.load(path, group=group)
-    strategy = settings.get("strategy", default="auto")
-    return orbit_partition(group, dim, strategy=strategy)
+    return orbit_partition(group, dim)
 
 
 def cmd_km(settings: Settings) -> int:
@@ -450,6 +442,7 @@ def cmd_paper_check(settings: Settings) -> int:
     seed = settings.get("seed", default=0, cast=int)
     dist_samples = settings.get("distance-samples", default=10**6, cast=int)
     derived_samples = settings.get("derived-samples", default=10**5, cast=int)
+    paper = fixtures.PAPER
     rows: list[tuple[str, str, float, bool]] = []
 
     def stage(name: str, fn):
@@ -479,7 +472,7 @@ def cmd_paper_check(settings: Settings) -> int:
             )
             closed = group_closure(raw)
             state["group"] = closed
-            return f"order {closed.order}", closed.order == 106483
+            return f"order {closed.order}", closed.order == paper["group_order"]
 
         stage("group closure", s_group)
 
@@ -487,7 +480,10 @@ def cmd_paper_check(settings: Settings) -> int:
             table = orbit_partition(state["group"], 2)
             state["t2"] = table
             lengths = set(table.lengths)
-            ok = table.num_orbits == 105 and lengths == {106483}
+            ok = (
+                table.num_orbits == paper["orbits_k2"]
+                and lengths == {paper["group_order"]}
+            )
             return f"{table.num_orbits} orbits, lengths {sorted(lengths)}", ok
 
         stage("2-subspace orbits", s_2orbits)
@@ -499,7 +495,7 @@ def cmd_paper_check(settings: Settings) -> int:
                 state["t3"] = table
                 total = table.total_subspaces()
                 ok = (
-                    table.num_orbits == 30705
+                    table.num_orbits == paper["orbits_k3"]
                     and total == gaussian_binomial(13, 3, 2)
                 )
                 return f"{table.num_orbits} orbits, sum {total}", ok
@@ -512,8 +508,8 @@ def cmd_paper_check(settings: Settings) -> int:
                 pruned = prune(inst)
                 state["km"] = pruned
                 ok = (
-                    sums == {2047}
-                    and pruned.shape == (105, 25572)
+                    sums == {paper["km_row_sum"]}
+                    and pruned.shape == (paper["orbits_k2"], paper["km_columns"])
                     and all(v == 1 for v in pruned.entries.values())
                 )
                 return (
@@ -540,7 +536,10 @@ def cmd_paper_check(settings: Settings) -> int:
                 state["group"], fixtures.solution_representatives()
             )
             state["blocks"] = blocks
-            ok = blocks.num_blocks == 1597245 and set(lengths) == {106483}
+            ok = (
+                blocks.num_blocks == paper["blocks"]
+                and set(lengths) == {paper["group_order"]}
+            )
             return f"{blocks.num_blocks} distinct blocks", ok
 
         stage("orbit expansion", s_expand)
@@ -548,7 +547,7 @@ def cmd_paper_check(settings: Settings) -> int:
         def s_verify():
             report = verify_design(state["blocks"], 2, 1)
             state["report"] = report
-            ok = report.ok and report.histogram == {1: 11180715}
+            ok = report.ok and report.histogram == {1: paper["pairs"]}
             return (
                 f"histogram {report.histogram}, verdict "
                 f"{'pass' if report.ok else 'fail'}"
@@ -684,11 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="FILE", help="key = value defaults file")
     parser.add_argument("--seed", type=int, help="seed for randomized searches")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="reserved; results never depend on its value",
-    )
     parser.add_argument("--out-dir", help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -698,11 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="partition k-subspaces into orbits")
     add_group_flags(p)
     p.add_argument("--dim", type=int, help="subspace dimension to partition")
-    p.add_argument(
-        "--strategy",
-        choices=["auto", "full-enumeration", "extension"],
-        help="orbit partition algorithm",
-    )
 
     p = sub.add_parser("km", help="build the orbit incidence system")
     add_group_flags(p)
@@ -711,11 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=int, help="target coverage multiplicity")
     p.add_argument("--t-orbits", metavar="FILE", help="reuse a saved t-orbit table")
     p.add_argument("--k-orbits", metavar="FILE", help="reuse a saved k-orbit table")
-    p.add_argument(
-        "--strategy",
-        choices=["auto", "full-enumeration", "extension"],
-        help="orbit partition algorithm",
-    )
 
     p = sub.add_parser("solve", help="solve the incidence system as exact cover")
     p.add_argument("--km", metavar="FILE", help="incidence system file")
@@ -827,7 +811,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ClosureCapError, EnumerationGuardError) as exc:
+    except (ClosureCapError, EnumerationGuardError, StrategyError) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (AssertionError, VerificationFailure) as exc:

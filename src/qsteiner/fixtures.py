@@ -124,6 +124,20 @@ FIXTURE_SHA256 = {
 FIXTURE_N = 13
 FIXTURE_GROUP_ORDER = (2**13 - 1) * 13
 
+# The paper's numbers for the 2-(13,3,1)_2 design and its construction,
+# checked by `paper-check` and by the acceptance tests: group order (also
+# every orbit length), orbit counts of 2- and 3-subspaces, the KM row sum
+# and pruned column count, the block count and the 2-subspaces covered.
+PAPER = {
+    "group_order": 106483,
+    "orbits_k2": 105,
+    "orbits_k3": 30705,
+    "km_row_sum": 2047,
+    "km_columns": 25572,
+    "blocks": 1597245,
+    "pairs": 11180715,
+}
+
 
 class FixtureIntegrityError(RuntimeError):
     """The embedded dataset does not match its recorded checksum."""

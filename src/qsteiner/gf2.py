@@ -430,6 +430,26 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
     return (x * _H01) >> np.uint64(56)
 
 
+def span_vectors_bulk(rows: np.ndarray) -> np.ndarray:
+    """Every nonzero vector of many spans at once.
+
+    rows is (N, k) uint64.  Returns (N, 2^k - 1) uint64 whose column m-1
+    is the XOR of the rows at the set bits of m, the order of
+    Subspace.vectors()[1:].  Built by doubling: column 2^i - 1 is row i,
+    and the 2^i - 1 columns after it are the earlier columns XOR row i.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    num, k = rows.shape
+    out = np.empty((num, (1 << k) - 1), dtype=np.uint64)
+    for i in range(k):
+        lo = (1 << i) - 1
+        out[:, lo] = rows[:, i]
+        np.bitwise_xor(
+            out[:, :lo], rows[:, i : i + 1], out=out[:, lo + 1 : 2 * lo + 1]
+        )
+    return out
+
+
 def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-reduce many small bases at once.
 

@@ -1,19 +1,18 @@
 """Matrix groups over GF(2) and their orbits on subspaces.
 
 Groups act on column vectors from the left, so the image of a subspace
-applies the matrix to every basis row and recanonicalizes.  Orbit
-partitions come in three strategies: full enumeration walks every
-subspace key in ascending order, extension seeds orbits from the
-(k-1)-dim table, and both fall back to explicit breadth-first traversal;
-groups built on a Singer cycle get an exponent-arithmetic fast path that
-avoids traversal entirely (see singer).
+applies the matrix to every basis row and recanonicalizes.  Groups
+built on a Singer cycle partition subspaces into orbits by exponent
+arithmetic, without traversal (see singer); every other group takes the
+generic path, which walks the subspace keys in ascending order and
+collects each new orbit by breadth-first traversal.  The generic path is
+also the test oracle of the engine.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +50,7 @@ class ClosureCapError(RuntimeError):
 
 
 class StrategyError(RuntimeError):
-    """The requested orbit strategy is infeasible for this instance."""
+    """An orbit traversal or a lookup index rebuild exceeds its cap."""
 
 
 @dataclass
@@ -198,7 +197,6 @@ class OrbitTable:
     group: MatrixGroup | None
     reps: list[Subspace]
     lengths: list[int]
-    strategy: str = "unknown"
     _label_index: dict[tuple[int, ...], int] | None = field(default=None, repr=False)
     _key_sorted: np.ndarray | None = field(default=None, repr=False)
     _key_ids: np.ndarray | None = field(default=None, repr=False)
@@ -382,7 +380,7 @@ class OrbitTable:
                 i += 1
             reps.append(Subspace(n, tuple(rows)))
             lengths.append(length)
-        table = cls(n=n, k=k, group=group, reps=reps, lengths=lengths, strategy="file")
+        table = cls(n=n, k=k, group=group, reps=reps, lengths=lengths)
         if order and group is not None and group.order != order:
             raise FormatError("group order disagrees with the table header")
         total = sum(lengths)
@@ -414,41 +412,21 @@ class OrbitTable:
         return table
 
 
-def orbit_lookup(table: OrbitTable, u: Subspace) -> int:
-    return table.lookup(u)
-
-
 # ---------------------------------------------------------------------------
-# partition strategies
+# orbit partition
 
 
-def orbit_partition(
-    group: MatrixGroup,
-    k: int,
-    strategy: str = "auto",
-    guard: int = 10**8,
-    prev: OrbitTable | None = None,
-) -> OrbitTable:
+def orbit_partition(group: MatrixGroup, k: int) -> OrbitTable:
     """Partition all k-dim subspaces of GF(2)^n into orbits under group.
 
-    strategy: 'auto' picks the Singer engine when the group structure
-    certifies, then full enumeration under the guard, then extension;
-    'full-enumeration' and 'extension' force the generic algorithms.
+    Uses the Singer engine when the group structure certifies, else the
+    generic enumeration walk.
     """
     if not 0 <= k <= group.n:
         raise ValueError(f"k must be between 0 and {group.n}")
-    if strategy == "auto":
-        engine = group.engine()
-        if engine is not None:
-            return _partition_engine(group, k)
-        if gaussian_binomial(group.n, k, 2) <= guard:
-            return _partition_full(group, k, guard)
-        return _partition_extension(group, k, prev)
-    if strategy == "full-enumeration":
-        return _partition_full(group, k, guard)
-    if strategy == "extension":
-        return _partition_extension(group, k, prev)
-    raise ValueError(f"unknown orbit strategy: {strategy}")
+    if group.engine() is not None:
+        return _partition_engine(group, k)
+    return _partition_full(group, k)
 
 
 def _partition_engine(group: MatrixGroup, k: int) -> OrbitTable:
@@ -475,22 +453,20 @@ def _partition_engine(group: MatrixGroup, k: int) -> OrbitTable:
         group=group,
         reps=reps,
         lengths=lengths,
-        strategy="singer",
         _label_index=label_index,
     )
 
 
-def _partition_full(group: MatrixGroup, k: int, guard: int) -> OrbitTable:
-    keys = enumerate_keys_bulk(group.n, k, guard)
+def _partition_full(group: MatrixGroup, k: int) -> OrbitTable:
+    keys = enumerate_keys_bulk(group.n, k)
     assigned = np.full(keys.size, -1, dtype=np.int64)
-    acts = [column_action(g) for g in group.generators]
     reps: list[Subspace] = []
     lengths: list[int] = []
     for pos in range(keys.size):
         if assigned[pos] >= 0:
             continue
         seed = subspace_from_key(group.n, k, int(keys[pos]))
-        member_keys = _orbit_member_keys(seed, acts)
+        member_keys = np.array([m.key for m in orbit(group, seed)], dtype=np.uint64)
         idx = np.searchsorted(keys, member_keys)
         if not np.array_equal(keys[idx], member_keys):
             raise AssertionError("orbit member key missing from the enumeration")
@@ -505,93 +481,8 @@ def _partition_full(group: MatrixGroup, k: int, guard: int) -> OrbitTable:
         group=group,
         reps=reps,
         lengths=lengths,
-        strategy="full-enumeration",
         _key_sorted=keys,
         _key_ids=assigned,
-    )
-
-
-def _orbit_member_keys(seed: Subspace, acts) -> np.ndarray:
-    from .subspace import _pack_key
-
-    n = seed.ambient
-    seen = {seed.rows}
-    frontier = [seed.rows]
-    while frontier:
-        nxt = []
-        for rows in frontier:
-            for apply_g in acts:
-                red, _ = rref_rows([apply_g(r) for r in rows])
-                if red not in seen:
-                    seen.add(red)
-                    nxt.append(red)
-        frontier = nxt
-    out = np.empty(len(seen), dtype=np.uint64)
-    for i, rows in enumerate(seen):
-        pivots = tuple((r & -r).bit_length() - 1 for r in rows)
-        out[i] = _pack_key(n, rows, pivots)
-    out.sort()
-    return out
-
-
-def _partition_extension(
-    group: MatrixGroup, k: int, prev: OrbitTable | None
-) -> OrbitTable:
-    total = gaussian_binomial(group.n, k, 2)
-    if total > TRAVERSAL_CAP:
-        raise StrategyError(
-            f"extension traversal would visit {total} subspaces; "
-            "this group has no certified fast structure, so the instance "
-            "is out of reach for the generic strategy"
-        )
-    if k == 0:
-        return OrbitTable(
-            n=group.n, k=0, group=group, reps=[Subspace(group.n, ())], lengths=[1],
-            strategy="extension",
-        )
-    if prev is None:
-        prev = orbit_partition(group, k - 1, strategy="extension")
-    if prev.k != k - 1 or prev.n != group.n:
-        raise ValueError("previous table must hold (k-1)-dim orbits of the same space")
-    from .subspace import contains
-
-    acts = [column_action(g) for g in group.generators]
-    candidates: dict[int, Subspace] = {}
-    for rep in prev.reps:
-        for v in range(1, 1 << group.n):
-            if contains(rep, v):
-                continue
-            cand = span(rep.rows + (v,), group.n)
-            candidates.setdefault(cand.key, cand)
-    pending = sorted(candidates)
-    assigned: dict[int, int] = {}
-    entries: list[tuple[Subspace, int, np.ndarray]] = []
-    for key in pending:
-        if key in assigned:
-            continue
-        member_keys = _orbit_member_keys(candidates[key], acts)
-        rep = subspace_from_key(group.n, k, int(member_keys[0]))
-        for mk in member_keys:
-            if int(mk) in candidates:
-                assigned[int(mk)] = len(entries)
-        entries.append((rep, member_keys.size, member_keys))
-    entries.sort(key=lambda e: e[0].key)
-    if sum(e[1] for e in entries) != total:
-        raise AssertionError("extension orbits do not cover every subspace")
-    keys = np.concatenate([e[2] for e in entries])
-    ids = np.concatenate(
-        [np.full(e[2].size, i, dtype=np.int64) for i, e in enumerate(entries)]
-    )
-    srt = np.argsort(keys)
-    return OrbitTable(
-        n=group.n,
-        k=k,
-        group=group,
-        reps=[e[0] for e in entries],
-        lengths=[e[1] for e in entries],
-        strategy="extension",
-        _key_sorted=keys[srt],
-        _key_ids=ids[srt],
     )
 
 

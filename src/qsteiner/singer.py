@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf2 import BitMatrix, mat_mul, popcount_u64, rref_bulk
+from .gf2 import BitMatrix, mat_mul, popcount_u64, rref_bulk, span_vectors_bulk
 from .subspace import Subspace, pack_keys_bulk, subspace_from_key
 
 MAX_ENGINE_WIDTH = 24
@@ -126,17 +126,7 @@ class SingerEngine:
 
     def rows_to_exps(self, rows: np.ndarray) -> np.ndarray:
         """(N, k) basis rows -> (N, 2^k - 1) sorted exponent sets."""
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        num, k = rows.shape
-        m = (1 << k) - 1
-        vecs = np.zeros((num, m), dtype=np.uint64)
-        for mask in range(1, m + 1):
-            acc = np.zeros(num, dtype=np.uint64)
-            for i in range(k):
-                if (mask >> i) & 1:
-                    acc ^= rows[:, i]
-            vecs[:, mask - 1] = acc
-        exps = self.dlog[vecs]
+        exps = self.dlog[span_vectors_bulk(rows)]
         exps.sort(axis=1)
         return exps
 
@@ -233,6 +223,8 @@ class SingerEngine:
         """
         d = np.sort(self.subspace_exps(u))
         m = d.shape[0]
+        if m == 0:
+            return 1  # the zero subspace is fixed by every element
         stab = 0
         for t in self.slopes:
             scaled = (t * d) % self.modulus

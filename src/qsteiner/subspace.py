@@ -16,12 +16,12 @@ import numpy as np
 
 from .gf2 import (
     BitMatrix,
-    FormatError,
     format_matrix,
     parse_matrix_text,
     popcount_u64,
     rref_bulk,
     rref_rows,
+    span_vectors_bulk,
 )
 
 ENUMERATION_GUARD = 10**8
@@ -204,7 +204,7 @@ def enumerate_subspaces(n: int, k: int, guard: int = ENUMERATION_GUARD) -> Itera
     if total > guard:
         raise EnumerationGuardError(
             f"{total} subspaces exceed the enumeration guard {guard}; "
-            "use the extension strategy or raise the guard explicitly"
+            "raise the guard explicitly"
         )
     for pivmask in _pivot_masks(n, k):
         pivots = [j for j in range(n) if (pivmask >> j) & 1]
@@ -298,22 +298,17 @@ def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
 
     rows is (N, k) uint64, one RREF basis per subspace.  Returns
     (N, [k t]_2, t) uint64: entry [i, j] is the j-th subspace that
-    subspaces_of yields for basis i.  Each coordinate subspace of
-    GF(2)^k is lifted by XOR of the selected basis rows, then all lifts
-    are reduced in one rref_bulk call.
+    subspaces_of yields for basis i.  A coordinate row wr of a subspace
+    of GF(2)^k lifts to span vector wr - 1 of the basis (the XOR of the
+    rows it selects), then all lifts are reduced in one rref_bulk call.
     """
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     num, k = rows.shape
     if not 0 <= t <= k:
         raise ValueError(f"need 0 <= t <= {k}")
-    coords = list(enumerate_subspaces(k, t))
-    lifted = np.zeros((num, len(coords), t), dtype=np.uint64)
-    for c, w in enumerate(coords):
-        for i, wr in enumerate(w.rows):
-            for j in range(k):
-                if (wr >> j) & 1:
-                    lifted[:, c, i] ^= rows[:, j]
-    red, ranks = rref_bulk(lifted.reshape(-1, t))
+    coords = np.array([w.rows for w in enumerate_subspaces(k, t)], dtype=np.int64)
+    lifted = span_vectors_bulk(rows)[:, coords - 1]
+    red, ranks = rref_bulk(lifted.reshape(num * len(coords), t))
     if not np.all(ranks == t):
         raise ValueError("basis rows are linearly dependent")
     return red.reshape(num, len(coords), t)

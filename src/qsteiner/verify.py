@@ -9,12 +9,12 @@ GF(2) passes exactly when every count equals lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import FormatError, rref_bulk
+from .gf2 import rref_bulk, span_vectors_bulk
 from .groups import MatrixGroup, orbit
 from .subspace import (
     Subspace,
@@ -143,13 +143,7 @@ def _pair_keys(
     """
     num, k = blocks.shape
     m = (1 << k) - 1
-    vecs = np.zeros((num, m), dtype=np.uint64)
-    for mask in range(1, m + 1):
-        acc = np.zeros(num, dtype=np.uint64)
-        for i in range(k):
-            if (mask >> i) & 1:
-                acc ^= blocks[:, i]
-        vecs[:, mask - 1] = acc
+    vecs = span_vectors_bulk(blocks)
     keys = []
     owners = []
     shift = np.uint64(n)
@@ -174,16 +168,9 @@ def _pair_keys(
 
 
 def _point_keys(blocks: np.ndarray) -> np.ndarray:
-    num, k = blocks.shape
-    m = (1 << k) - 1
-    cols = []
-    for mask in range(1, m + 1):
-        acc = np.zeros(num, dtype=np.uint64)
-        for i in range(k):
-            if (mask >> i) & 1:
-                acc ^= blocks[:, i]
-        cols.append(acc)
-    return np.concatenate(cols)
+    """Every nonzero vector of every block, mask-major: key j belongs to
+    block j % num."""
+    return span_vectors_bulk(blocks).T.ravel()
 
 
 def _pair_key_chunks(n: int) -> Iterator[np.ndarray]:

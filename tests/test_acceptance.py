@@ -41,6 +41,8 @@ from qsteiner.verify import (
     verify_design,
 )
 
+PAPER = fixtures.PAPER
+
 
 def report(num, ok, detail, elapsed=None, target=None):
     mark = "PASS" if ok else "FAIL"
@@ -69,7 +71,7 @@ def test_criterion_01_group_closure():
     raw = MatrixGroup(n=13, generators=(fixtures.generator_f(), fixtures.generator_s()))
     closed = group_closure(raw)
     elapsed = time.monotonic() - t0
-    ok = closed.order == 106483 and len(closed.elements) == 106483
+    ok = closed.order == PAPER["group_order"] == len(closed.elements)
     report(1, ok and elapsed < 60, f"group closure order {closed.order}", elapsed, 60)
     assert ok
     assert elapsed < 60
@@ -80,11 +82,15 @@ def test_criterion_02_two_subspace_orbits():
     group = fixtures.fixture_group()
     table = orbit_partition(group, 2)
     elapsed = time.monotonic() - t0
-    ok = table.num_orbits == 105 and set(table.lengths) == {106483}
+    ok = (
+        table.num_orbits == PAPER["orbits_k2"]
+        and set(table.lengths) == {PAPER["group_order"]}
+    )
     report(
         2,
         ok and elapsed < 600,
-        f"105 expected, got {table.num_orbits} orbits, lengths {sorted(set(table.lengths))}",
+        f"{PAPER['orbits_k2']} expected, got {table.num_orbits} orbits, "
+        f"lengths {sorted(set(table.lengths))}",
         elapsed,
         600,
     )
@@ -100,9 +106,9 @@ def test_criterion_03_km_dimensions(km_state):
     n_cols = len(pruned.col_ids)
     entries_ok = set(pruned.entries.values()) <= {1}
     ok = (
-        row_sums == {2047}
-        and n_rows == 105
-        and n_cols == 25572
+        row_sums == {PAPER["km_row_sum"]}
+        and n_rows == PAPER["orbits_k2"]
+        and n_cols == PAPER["km_columns"]
         and entries_ok
         and elapsed < 7200
     )
@@ -113,8 +119,9 @@ def test_criterion_03_km_dimensions(km_state):
         elapsed,
         7200,
     )
-    assert row_sums == {2047}
-    assert (n_rows, n_cols) == (105, 25572)
+    assert row_sums == {PAPER["km_row_sum"]}
+    assert (n_rows, n_cols) == (PAPER["orbits_k2"], PAPER["km_columns"])
+    assert len(inst.col_ids) == km_state["t3"].num_orbits == PAPER["orbits_k3"]
     assert entries_ok
     assert elapsed < 7200
 
@@ -128,10 +135,10 @@ def test_criterion_04_design_certification_without_solver():
     rep = verify_design(blocks, 2, 1)
     elapsed = time.monotonic() - t0
     ok = (
-        blocks.num_blocks == 1597245
-        and lengths == [106483] * 15
+        blocks.num_blocks == PAPER["blocks"]
+        and lengths == [PAPER["group_order"]] * 15
         and rep.ok
-        and rep.histogram == {1: 11180715}
+        and rep.histogram == {1: PAPER["pairs"]}
     )
     report(
         4,
@@ -220,14 +227,14 @@ def test_criterion_07_bounds_and_min_distance(paper_blocks, paper_report):
     t0 = time.monotonic()
     dist = min_distance_certificate(paper_blocks, paper_report, samples=10**6, seed=0)
     elapsed = time.monotonic() - t0
-    ok = bound == 1597245 == paper_blocks.num_blocks and dist == 4
+    ok = bound == PAPER["blocks"] == paper_blocks.num_blocks and dist == 4
     report(
         7,
         ok,
         f"packing bound {bound}, min distance {dist} over 10^6 sampled pairs",
         elapsed,
     )
-    assert bound == 1597245
+    assert bound == PAPER["blocks"]
     assert paper_blocks.num_blocks == bound
     assert dist == 4
 

@@ -4,6 +4,7 @@ import pytest
 
 from qsteiner import cli
 from qsteiner.fixtures import FIXTURE_SHA256
+from qsteiner.groups import StrategyError
 
 
 def run(capsys, *argv):
@@ -28,7 +29,7 @@ def test_bounds_reports_non_integral_bound(capsys):
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     conf = tmp_path / "conf.txt"
-    conf.write_text("n = 5\nk = 3\nt = 2\n")
+    conf.write_text("n = 5\nk = 3\nt = 2\nthreads = 4\n")  # unknown keys are ignored
     code, out, _ = run(capsys, "--config", str(conf), "bounds")
     assert code == 0 and "[5 3]_2 = 155" in out
     code, out, _ = run(capsys, "--config", str(conf), "bounds", "--k", "2")
@@ -41,6 +42,20 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(conf), "bounds", "--n", "4", "--k", "2")
     assert code == 2
     assert "expected key = value" in err
+    conf.write_text("trivial-group = maybe\nn = 4\n")
+    code, _, err = run(capsys, "--config", str(conf), "orbits", "--dim", "2")
+    assert code == 2
+    assert "trivial-group: not a boolean: maybe" in err
+
+
+def test_strategy_error_is_a_resource_limit(monkeypatch, capsys):
+    def refuse(group, k):
+        raise StrategyError("orbit exceeded the traversal cap 1")
+
+    monkeypatch.setattr(cli, "orbit_partition", refuse)
+    code, _, err = run(capsys, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
+    assert code == 3
+    assert "limit: orbit exceeded the traversal cap 1" in err
 
 
 def test_spread_demo_counts_56(capsys):

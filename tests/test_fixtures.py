@@ -26,6 +26,21 @@ from qsteiner.gf2 import (
 )
 
 
+def test_paper_numbers_table():
+    # the one place the paper's numbers are written out as literals;
+    # paper-check and the acceptance tests read them from the table
+    assert fixtures.PAPER == {
+        "group_order": 106483,
+        "orbits_k2": 105,
+        "orbits_k3": 30705,
+        "km_row_sum": 2047,
+        "km_columns": 25572,
+        "blocks": 1597245,
+        "pairs": 11180715,
+    }
+    assert fixtures.PAPER["group_order"] == FIXTURE_GROUP_ORDER
+
+
 def test_checksums_match_embedded_text():
     for name, text in (
         ("generator_f", fixtures.GENERATOR_F_TEXT),

@@ -28,9 +28,11 @@ from qsteiner.gf2 import (
     rref,
     rref_bulk,
     rref_rows,
+    span_vectors_bulk,
     transpose,
 )
 from qsteiner.fixtures import generator_f, generator_s
+from qsteiner.subspace import span
 
 
 def naive_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -261,3 +263,31 @@ def test_popcount_and_rref_bulk_match_scalar():
         assert int(ranks[i]) == len(piv)
         padded = tuple(scalar_red) + (0,) * (3 - len(scalar_red))
         assert tuple(int(x) for x in red[i]) == padded
+
+
+def test_span_vectors_bulk_matches_subspace_vectors():
+    rng = random.Random(21)
+    for k in range(6):
+        subs = []
+        while len(subs) < 40:
+            u = span([rng.getrandbits(9) for _ in range(k)], 9)
+            if u.dim == k:
+                subs.append(u)
+        rows = np.array([u.rows for u in subs], dtype=np.uint64).reshape(40, k)
+        vecs = span_vectors_bulk(rows)
+        assert vecs.shape == (40, 2**k - 1) and vecs.dtype == np.uint64
+        for u, got in zip(subs, vecs.tolist()):
+            assert got == u.vectors()[1:], k
+        # any rows, reduced or not: column m-1 is the XOR of the rows at
+        # the set bits of m
+        raw = [[rng.getrandbits(13) for _ in range(k)] for _ in range(20)]
+        got = span_vectors_bulk(np.array(raw, dtype=np.uint64).reshape(20, k))
+        for r, g in zip(raw, got.tolist()):
+            expect = []
+            for m in range(1, 2**k):
+                v = 0
+                for i in range(k):
+                    if m >> i & 1:
+                        v ^= r[i]
+                expect.append(v)
+            assert g == expect

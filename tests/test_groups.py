@@ -16,7 +16,7 @@ from qsteiner.groups import (
     orbit_partition,
     singer_normalizer,
 )
-from qsteiner import singer
+from qsteiner import groups, singer
 from qsteiner.singer import SingerEngine
 from qsteiner.subspace import enumerate_subspaces, gaussian_binomial, span
 
@@ -75,23 +75,32 @@ def test_orbit_stabilizer_divisibility():
 
 
 def test_partition_strategies_agree():
-    for n, k in ((4, 2), (6, 2), (6, 3)):
+    # the Singer engine against the generic enumeration walk, whose
+    # representative is the key-minimal member of each orbit; the
+    # engine's is key-minimal among the spans it generates, so the two
+    # tables match orbit by orbit through lookup, not id by id
+    for n, k in ((4, 2), (5, 2), (6, 2), (6, 3)):
         g = singer_normalizer(n)
-        auto = orbit_partition(g, k)
-        full = orbit_partition(g, k, strategy="full-enumeration")
-        ext = orbit_partition(g, k, strategy="extension")
-        assert sorted(full.lengths) == sorted(ext.lengths) == sorted(auto.lengths)
-        assert [s.key for s in full.reps] == [s.key for s in ext.reps]
-        # same partition: every full rep is in exactly one auto orbit
-        for rep in full.reps:
-            auto.lookup(rep)
+        engine = orbit_partition(g, k)
+        full = groups._partition_full(g, k)
+        assert full.num_orbits == engine.num_orbits
+        ids = [engine.lookup(rep) for rep in full.reps]
+        assert sorted(ids) == list(range(engine.num_orbits))
+        assert [engine.lengths[j] for j in ids] == full.lengths
+        back = [full.lookup(engine.reps[j]) for j in ids]
+        assert back == list(range(full.num_orbits))
+        assert all(rep.key <= engine.reps[j].key for rep, j in zip(full.reps, ids))
+        if n < 6:  # small spaces, where the two choices coincide
+            assert [s.key for s in engine.reps] == [s.key for s in full.reps]
 
 
 def test_trivial_group_orbits_are_singletons():
     g = MatrixGroup(n=4, generators=(identity(4),), order=1)
+    assert g.engine() is None  # the generic path
     table = orbit_partition(g, 2)
     assert table.num_orbits == gaussian_binomial(4, 2, 2) == 35
     assert set(table.lengths) == {1}
+    assert [s.key for s in table.reps] == [s.key for s in enumerate_subspaces(4, 2)]
 
 
 def test_orbit_traversal_matches_partition():
@@ -175,10 +184,7 @@ def test_partition_lengths_match_orbit_size_oracle():
         for k in range(n + 1):
             reps, lengths, _ = engine.partition(k, reps)
             assert sum(lengths) == gaussian_binomial(n, k, 2)
-            if k == 0:
-                assert lengths == [1]  # orbit_size needs a nonzero vector
-            else:
-                assert lengths == [engine.orbit_size(r) for r in reps], (n, k)
+            assert lengths == [engine.orbit_size(r) for r in reps], (n, k)
 
 
 def test_partition_does_not_depend_on_batch_sizes(monkeypatch):
@@ -213,7 +219,7 @@ def test_partition_and_load_do_not_call_orbit_size(monkeypatch, tmp_path):
     monkeypatch.setattr(SingerEngine, "orbit_size", refuse)
     g = singer_normalizer(7)
     table = orbit_partition(g, 3)
-    assert table.strategy == "singer"
+    assert table._label_index is not None  # built by the engine
     assert sum(table.lengths) == gaussian_binomial(7, 3, 2)
     path = tmp_path / "orbits.txt"
     table.save(str(path))
