@@ -2,8 +2,9 @@
 
 The pipeline: build the Singer-cycle normalizer of GL(n,2), partition
 t- and k-subspaces into orbits, assemble the orbit incidence system,
-solve it as an exact cover with dancing links, expand a solution's
-orbits into blocks, and verify the design by independent recounting.
+solve it as an exact cover by a depth-first search over bitsets, expand
+a solution's orbits into blocks, and verify the design by independent
+recounting.
 """
 
 from .exact_cover import (

@@ -338,9 +338,11 @@ def cmd_solve(settings: Settings) -> int:
             raise AssertionError("solver returned a solution that fails recounting")
     path = out_path(settings, "solutions.txt")
     save_solutions(path, problem, config, stats, solutions)
+    rate = stats.nodes / stats.elapsed if stats.elapsed > 0 else 0.0
     print(
         f"{stats.solutions} solutions, {stats.nodes} nodes, "
-        f"max depth {stats.max_depth}, elapsed {stats.elapsed:.1f}s"
+        f"max depth {stats.max_depth}, elapsed {stats.elapsed:.1f}s, "
+        f"{rate:.0f} nodes/s"
     )
     print(f"wrote {path}")
     if stats.limit in ("nodes", "time") and not solutions:

@@ -1,13 +1,17 @@
-"""Exact cover with multiplicities, solved by dancing links.
+"""Exact cover with multiplicities, solved by a depth-first bitset search.
 
 Items must each be covered exactly lambda times by the chosen options.
-The solver is Knuth's dancing-links depth-first search extended with
-per-item multiplicity counters and a monotonicity watermark so that a
-multiset of options is enumerated once, not once per ordering.  Search
-is deterministic for a fixed problem and configuration: items are
-chosen by minimum branching degree with lowest id winning ties, and
-option order within an item is file order, or a seeded permutation when
-the randomized policy is selected.
+The search keeps one Python int per item whose bit j is set when option
+j covers that item, plus a mask of the options still live, so choosing
+an item is a popcount per active item and selecting an option is a few
+mask operations.  Per-item multiplicity counters and a monotonicity
+watermark make a set of options come up once, not once per ordering.
+Search is deterministic for a fixed problem and configuration: items are
+chosen by fewest live options with lowest position winning ties, and
+options within an item are tried in file order, or a seeded permutation
+when the randomized policy is selected.  This is the traversal of
+Knuth's dancing links (Knuth 2000) with the same multiplicity rules;
+the tests keep a dancing-links solver as its oracle.
 """
 
 from __future__ import annotations
@@ -80,128 +84,16 @@ class CoverSolution:
     labels: tuple[int, ...]
 
 
-class _Dlx:
-    """Dancing-links structure; item headers double as list heads."""
-
-    def __init__(self, problem: CoverProblem, option_order: list[int]):
-        nitems = len(problem.item_ids)
-        self.nitems = nitems
-        self.root = nitems
-        self.left = [(i - 1) % (nitems + 1) for i in range(nitems + 1)]
-        self.right = [(i + 1) % (nitems + 1) for i in range(nitems + 1)]
-        self.up = list(range(nitems))
-        self.down = list(range(nitems))
-        self.size = [0] * nitems
-        self.remaining = [problem.multiplicity] * nitems
-        self.item_of: list[int] = [-1] * nitems
-        self.opt_of: list[int] = [-1] * nitems
-        self.opt_nodes: list[list[int]] = []
-        self.opt_items: list[list[int]] = []
-        self.labels: list[int] = []
-        pos = {it: i for i, it in enumerate(problem.item_ids)}
-        for oi in option_order:
-            label, items = problem.options[oi]
-            nodes = []
-            ipos = sorted(pos[it] for it in items)
-            for it in ipos:
-                nd = len(self.up)
-                tail = self.up[it]
-                self.up.append(tail)
-                self.down.append(it)
-                self.down[tail] = nd
-                self.up[it] = nd
-                self.item_of.append(it)
-                self.opt_of.append(len(self.opt_nodes))
-                self.size[it] += 1
-                nodes.append(nd)
-            self.opt_nodes.append(nodes)
-            self.opt_items.append(ipos)
-            self.labels.append(label)
-
-    def fingerprint(self) -> tuple:
-        return (
-            tuple(self.left),
-            tuple(self.right),
-            tuple(self.up),
-            tuple(self.down),
-            tuple(self.size),
-            tuple(self.remaining),
-        )
-
-    def hide(self, oi: int, skip_item: int = -1) -> None:
-        """Unlink the option's nodes vertically; the covered item keeps its
-        own list intact (skip_item) so uncover can walk it back."""
-        for nd in self.opt_nodes[oi]:
-            if self.item_of[nd] == skip_item:
-                continue
-            self.down[self.up[nd]] = self.down[nd]
-            self.up[self.down[nd]] = self.up[nd]
-            self.size[self.item_of[nd]] -= 1
-
-    def unhide(self, oi: int, skip_item: int = -1) -> None:
-        for nd in reversed(self.opt_nodes[oi]):
-            if self.item_of[nd] == skip_item:
-                continue
-            self.down[self.up[nd]] = nd
-            self.up[self.down[nd]] = nd
-            self.size[self.item_of[nd]] += 1
-
-    def cover_item(self, it: int) -> None:
-        self.right[self.left[it]] = self.right[it]
-        self.left[self.right[it]] = self.left[it]
-        nd = self.down[it]
-        while nd != it:
-            self.hide(self.opt_of[nd], skip_item=it)
-            nd = self.down[nd]
-
-    def uncover_item(self, it: int) -> None:
-        nd = self.up[it]
-        while nd != it:
-            self.unhide(self.opt_of[nd], skip_item=it)
-            nd = self.up[nd]
-        self.right[self.left[it]] = it
-        self.left[self.right[it]] = it
-
-    def select(self, oi: int) -> None:
-        for it in self.opt_items[oi]:
-            if self.remaining[it] <= 0:
-                raise ValueError(
-                    f"option {self.labels[oi]} covers an already satisfied item"
-                )
-            self.remaining[it] -= 1
-        self.hide(oi)
-        for it in self.opt_items[oi]:
-            if self.remaining[it] == 0:
-                self.cover_item(it)
-
-    def deselect(self, oi: int) -> None:
-        for it in reversed(self.opt_items[oi]):
-            if self.remaining[it] == 0:
-                self.uncover_item(it)
-        self.unhide(oi)
-        for it in self.opt_items[oi]:
-            self.remaining[it] += 1
-
-    def choose_item(self) -> int | None:
-        best = None
-        best_size = None
-        it = self.right[self.root]
-        while it != self.root:
-            if best_size is None or self.size[it] < best_size:
-                best, best_size = it, self.size[it]
-            it = self.right[it]
-        return best
-
-
 def solve(problem: CoverProblem, config: SolveConfig | None = None):
     """Search for exact covers; returns (list of CoverSolution, SolveStats)."""
     config = config or SolveConfig()
     order = list(range(len(problem.options)))
     if config.order == "randomized":
         random.Random(config.seed).shuffle(order)
-    dlx = _Dlx(problem, order)
-    pristine = dlx.fingerprint()
-    label_to_opt = {lab: oi for oi, lab in enumerate(dlx.labels)}
+    pos = {it: i for i, it in enumerate(problem.item_ids)}
+    labels = [problem.options[oi][0] for oi in order]
+    opt_items = [[pos[it] for it in problem.options[oi][1]] for oi in order]
+    label_to_opt = {lab: oi for oi, lab in enumerate(labels)}
 
     forced: list[int] = []
     for lab in config.forced:
@@ -211,78 +103,122 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
         if oi in forced:
             raise ValueError(f"forced option {lab} appears twice")
         forced.append(oi)
+    nitems = len(problem.item_ids)
+    remaining = [problem.multiplicity] * nitems
+    for oi in forced:
+        for it in opt_items[oi]:
+            if remaining[it] <= 0:
+                raise ValueError(
+                    f"option {labels[oi]} covers an already satisfied item"
+                )
+            remaining[it] -= 1
+    forced_labels = [labels[oi] for oi in forced]
 
-    stats = SolveStats()
-    solutions: list[CoverSolution] = []
+    # renumber the options that can still be chosen, keeping their order,
+    # so the bitsets are only as wide as what is left of the problem
+    forced_set = set(forced)
+    keep = [
+        oi
+        for oi, items in enumerate(opt_items)
+        if oi not in forced_set and all(remaining[it] for it in items)
+    ]
+    labels = [labels[oi] for oi in keep]
+    opt_items = [opt_items[oi] for oi in keep]
+    # bit j of col[it] is set when option j covers item it
+    col_bytes = [bytearray(len(keep) // 8 + 1) for _ in range(nitems)]
+    for j, items in enumerate(opt_items):
+        for it in items:
+            col_bytes[it][j >> 3] |= 1 << (j & 7)
+    col = [int.from_bytes(b, "little") for b in col_bytes]
+    del col_bytes
+    every = (1 << len(keep)) - 1
+    not_col = [every ^ c for c in col]
+
+    after_forced = list(remaining)
+    watermark = [-1] * nitems
     chosen: list[int] = []
-    watermark = [-1] * dlx.nitems
-    stop: list[str | None] = [None]
+    solutions: list[CoverSolution] = []
+    max_solutions = config.max_solutions
+    node_limit = config.node_limit
+    time_limit = config.time_limit
+    nodes = max_depth = 0
+    stop: str | None = None
     t0 = time.monotonic()
 
-    def record() -> None:
-        labels = sorted(dlx.labels[oi] for oi in chosen + forced)
-        solutions.append(CoverSolution(tuple(labels)))
-        stats.solutions += 1
-        if (
-            config.max_solutions is not None
-            and stats.solutions >= config.max_solutions
-        ):
-            stop[0] = "solutions"
-
-    def search(depth: int) -> None:
-        stats.max_depth = max(stats.max_depth, depth)
-        if dlx.right[dlx.root] == dlx.root:
-            record()
+    def search(live: int, active: list[int], depth: int) -> None:
+        nonlocal nodes, max_depth, stop
+        if depth > max_depth:
+            max_depth = depth
+        if not active:
+            found = sorted([labels[oi] for oi in chosen] + forced_labels)
+            solutions.append(CoverSolution(tuple(found)))
+            if max_solutions is not None and len(solutions) >= max_solutions:
+                stop = "solutions"
             return
-        it = dlx.choose_item()
-        assert it is not None
-        saved = watermark[it]
-        nd = dlx.down[it]
-        while nd != it and stop[0] is None:
-            oi = dlx.opt_of[nd]
-            if oi > watermark[it]:
-                stats.nodes += 1
-                if config.node_limit is not None and stats.nodes > config.node_limit:
-                    stop[0] = "nodes"
-                    break
-                if (
-                    config.time_limit is not None
-                    and stats.nodes % 256 == 0
-                    and time.monotonic() - t0 > config.time_limit
-                ):
-                    stop[0] = "time"
-                    break
-                watermark[it] = oi
-                dlx.select(oi)
-                chosen.append(oi)
-                search(depth + 1)
-                chosen.pop()
-                dlx.deselect(oi)
-            nd = dlx.down[nd]
-        watermark[it] = saved
+        # the active item with the fewest live options, lowest position on
+        # ties; an item with none is a dead end whichever item is chosen
+        fewest = len(keep) + 1
+        for x in active:
+            n = (live & col[x]).bit_count()
+            if n < fewest:
+                if not n:
+                    return
+                fewest = n
+                it = x
+        mark = watermark[it]
+        # options at or below the watermark were tried higher up this
+        # branch; skipping them enumerates each option set once
+        cand = (live & col[it]) >> (mark + 1) << (mark + 1)
+        while cand and stop is None:
+            bit = cand & -cand
+            cand ^= bit
+            oi = bit.bit_length() - 1
+            nodes += 1
+            if node_limit is not None and nodes > node_limit:
+                stop = "nodes"
+                break
+            if (
+                time_limit is not None
+                and nodes % 256 == 0
+                and time.monotonic() - t0 > time_limit
+            ):
+                stop = "time"
+                break
+            watermark[it] = oi
+            sub_live = live ^ bit
+            sub_active = active
+            for x in opt_items[oi]:
+                remaining[x] -= 1
+                if not remaining[x]:
+                    sub_live &= not_col[x]
+                    sub_active = None
+            if sub_active is None:
+                sub_active = [x for x in active if remaining[x]]
+            chosen.append(oi)
+            search(sub_live, sub_active, depth + 1)
+            chosen.pop()
+            for x in opt_items[oi]:
+                remaining[x] += 1
+        watermark[it] = mark
 
-    applied: list[int] = []
     try:
-        for oi in forced:
-            dlx.select(oi)
-            applied.append(oi)
-        if all(r == 0 for r in dlx.remaining):
-            record()
-        elif stop[0] is None:
-            search(0)
+        search(every, [it for it in range(nitems) if remaining[it]], 0)
     finally:
-        for oi in reversed(applied):
-            dlx.deselect(oi)
         # search reaches itself through its closure; unbinding it breaks
-        # the cycle, so the links are freed when solve returns instead of
+        # the cycle, so its state is freed when solve returns instead of
         # at whatever later point the cyclic collector runs
         del search
 
-    stats.elapsed = time.monotonic() - t0
-    stats.limit = stop[0]
-    stats.restored = dlx.fingerprint() == pristine
+    stats = SolveStats(
+        solutions=len(solutions),
+        nodes=nodes,
+        max_depth=max_depth,
+        elapsed=time.monotonic() - t0,
+        limit=stop,
+        restored=remaining == after_forced and watermark == [-1] * nitems,
+    )
     if not stats.restored:
-        raise AssertionError("dancing links structure was not restored after search")
+        raise AssertionError("search did not restore its item counters")
     return solutions, stats
 
 

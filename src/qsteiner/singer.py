@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .gf2 import BitMatrix, mat_mul, popcount_u64, rref_bulk, span_vectors_bulk
-from .subspace import Subspace, pack_keys_bulk, subspace_from_key
+from .subspace import Subspace, pack_keys_bulk
 
 MAX_ENGINE_WIDTH = 24
 MAX_SLOPE_GROUP = 1 << 16
@@ -269,23 +269,25 @@ class SingerEngine:
             keys, first = np.unique(pack_keys_bulk(basis, self.n), return_index=True)
             key_parts.append(keys)
             basis_parts.append(basis[first])
-        keys, first = np.unique(np.concatenate(key_parts), return_index=True)
-        exps = self.rows_to_exps(np.concatenate(basis_parts)[first])
+        _, first = np.unique(np.concatenate(key_parts), return_index=True)
+        basis = np.concatenate(basis_parts)[first]
         del key_parts, basis_parts
+        exps = self.rows_to_exps(basis)
         labels, stab = self.labels_and_stabilizers(exps)
         uniq, orbit_first, inverse = np.unique(
             labels, axis=0, return_index=True, return_inverse=True
         )
-        norb = uniq.shape[0]
         orbit_stab = stab[orbit_first]
         if not np.array_equal(stab, orbit_stab[inverse]):
             raise AssertionError("orbit members disagree on the stabilizer order")
         if np.any(self.order % orbit_stab):
             raise AssertionError("stabilizer size does not divide the group order")
-        minkeys = np.full(norb, np.iinfo(np.uint64).max, dtype=np.uint64)
-        np.minimum.at(minkeys, inverse, keys)
-        order_ids = np.argsort(minkeys, kind="stable")
-        reps = [subspace_from_key(self.n, k, int(minkeys[old])) for old in order_ids]
+        # the spans are in ascending key order, so each orbit's first span
+        # is its key-minimal one; ordering orbits by that span orders them
+        # by rep key, and the reps come from the spans' reduced rows
+        order_ids = np.argsort(orbit_first, kind="stable")
+        rep_rows = basis[orbit_first[order_ids]].tolist()
+        reps = [Subspace(self.n, tuple(rows)) for rows in rep_rows]
         lengths = (self.order // orbit_stab[order_ids]).tolist()
         label_to_id = {
             tuple(label): i for i, label in enumerate(uniq[order_ids].tolist())

@@ -2,12 +2,11 @@
 
 import gc
 import random
-import weakref
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from qsteiner import exact_cover
+import dlx_reference
 from qsteiner.exact_cover import (
     CoverProblem,
     SolveConfig,
@@ -187,24 +186,76 @@ def test_forced_options_restrict_the_solution_set():
         solve(prob, SolveConfig(forced=[lab, lab]))
 
 
-def test_solve_frees_its_links_on_return(monkeypatch):
-    # with the cyclic collector off, the links must still go when solve
-    # returns; repeated solves would otherwise pile up finished searches
-    made = []
-
-    class Tracked(exact_cover._Dlx):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(weakref.ref(self))
-
-    monkeypatch.setattr(exact_cover, "_Dlx", Tracked)
+def test_solve_frees_its_links_on_return():
+    # with the cyclic collector off, the search state must still go when
+    # solve returns; repeated solves would otherwise pile up finished
+    # searches until the next collection
+    prob = sts_problem(7)
     gc.disable()
     try:
-        sols, _ = solve(sts_problem(7), SolveConfig(max_solutions=None, forced=[0]))
-        assert sols and len(made) == 1
-        assert made[0]() is None
+        gc.collect()
+        sols, _ = solve(prob, SolveConfig(max_solutions=None, forced=[0]))
+        assert sols
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _traversal(solver, prob, cfg):
+    sols, stats = solver(prob, cfg)
+    return (
+        [s.labels for s in sols],
+        stats.nodes,
+        stats.max_depth,
+        stats.limit,
+        stats.solutions,
+    )
+
+
+def test_bitset_search_matches_dlx_traversal():
+    # the bitset search must walk the dancing-links tree exactly: the
+    # same solutions in the same order, node count, depth and stop reason
+    cases = [
+        (
+            sts_problem(v),
+            SolveConfig(
+                max_solutions=max_solutions,
+                node_limit=node_limit,
+                seed=seed,
+                order=order,
+                forced=forced,
+            ),
+        )
+        for v, seed, order, forced, max_solutions, node_limit in product(
+            (7, 9), range(4), ("file", "randomized"), ([], [0]), (None, 1, 5),
+            (None, 5, 100),
+        )
+    ]
+    cases.append((sts_problem(9), SolveConfig(max_solutions=None, time_limit=0.0)))
+    cases.append((spread_problem(), SolveConfig(max_solutions=None)))
+    rng = random.Random(20261018)
+    for _ in range(400):
+        n_items = rng.randint(3, 9)
+        item_ids = list(range(n_items))
+        options = [
+            (lab, sorted(rng.sample(item_ids, rng.randint(1, n_items))))
+            for lab in range(rng.randint(3, 16))
+        ]
+        lam = rng.choice((1, 2, 3))
+        prob = CoverProblem(item_ids=item_ids, options=options, multiplicity=lam)
+        cases.append((prob, SolveConfig(max_solutions=None)))
+    group = singer_normalizer(7)
+    km = prune(build_km(orbit_partition(group, 2), orbit_partition(group, 3), lam=1))
+    for order in ("file", "randomized"):
+        cfg = SolveConfig(max_solutions=None, order=order, seed=3)
+        cases.append((from_km(km), cfg))
+
+    stopped = set()
+    for prob, cfg in cases:
+        got = _traversal(solve, prob, cfg)
+        assert got == _traversal(dlx_reference.solve, prob, cfg), cfg
+        stopped.add(got[3])
+    assert stopped == {None, "nodes", "time", "solutions"}
 
 
 def test_check_solution_rejects_bad_input():

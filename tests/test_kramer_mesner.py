@@ -4,7 +4,7 @@ import pytest
 
 from qsteiner.gf2 import FormatError, identity
 from qsteiner.groups import MatrixGroup, orbit_partition, singer_normalizer
-from qsteiner.kramer_mesner import build_km, export_km, import_km, prune
+from qsteiner.kramer_mesner import build_km, export_km, format_km, import_km, prune
 from qsteiner.subspace import (
     contains_subspace,
     enumerate_subspaces,
@@ -96,6 +96,8 @@ def test_file_round_trip(tmp_path):
     assert loaded.row_ids == inst.row_ids
     assert loaded.col_ids == inst.col_ids
     assert loaded.entries == inst.entries
+    # the file is written a line at a time; it is the text format_km gives
+    assert path.read_text(encoding="utf-8") == format_km(inst)
     # CRLF line ends read the same
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert import_km(str(path)).entries == inst.entries
