@@ -9,7 +9,7 @@ M @ v, and bit j of a text row is column j.  Widths up to 64 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -364,7 +364,8 @@ def frobenius_matrix(p: GF2Polynomial | int) -> BitMatrix:
 
 # ---------------------------------------------------------------------------
 # text format: one matrix = consecutive lines of 0/1 characters, leftmost
-# character is column 0; '#' starts a comment; a blank line ends a matrix
+# character is column 0; '#' starts a comment; a blank line ends a matrix.
+# Lines end as in str.splitlines and are stripped as by str.strip.
 
 
 def format_matrix(m: BitMatrix) -> str:
@@ -374,42 +375,151 @@ def format_matrix(m: BitMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Characters per slice of the bulk parse; every slice ends at a line end.
+# The result does not depend on it, only the size of the temporaries does.
+PARSE_CHUNK_CHARS = 1 << 20
+
+# ASCII character classes: line end (str.splitlines), space (str.strip), 0/1
+_BREAK, _SPACE, _BIT = 1, 2, 4
+_ASCII_CLASS = np.zeros(128, dtype=np.uint8)
+_ASCII_CLASS[[0x09, 0x1F, 0x20]] = _SPACE
+_ASCII_CLASS[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = _BREAK | _SPACE
+_ASCII_CLASS[[ord("0"), ord("1")]] = _BIT
+_UNICODE_BREAKS = (0x85, 0x2028, 0x2029)
+
+
+@dataclass(frozen=True)
+class MatrixRows:
+    """Every matrix of a text, as flat arrays.
+
+    Matrix i has the rows values[starts[i]:starts[i + 1]] (bit j = column
+    j), widths[i] columns, and its first row on 1-based line lines[i].
+    """
+
+    values: np.ndarray  # (R,) uint64
+    starts: np.ndarray  # (M + 1,) int64
+    widths: np.ndarray  # (M,) int64
+    lines: np.ndarray  # (M,) int64
+
+    def matrices(self) -> Iterator[tuple[list[int], int]]:
+        """(rows, width) of each matrix, in text order."""
+        values = self.values.tolist()
+        bounds = self.starts.tolist()
+        for i, width in enumerate(self.widths.tolist()):
+            yield values[bounds[i] : bounds[i + 1]], width
+
+
+def _char_classes(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """(code points, class bits) of every character of text."""
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        return codes, _ASCII_CLASS[codes]
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    classes = _ASCII_CLASS[np.minimum(codes, 0x7F)]  # DEL (0x7F) has no class
+    wide = np.unique(codes[codes > 0x7F]).tolist()
+    classes[np.isin(codes, [c for c in wide if chr(c).isspace()])] = _SPACE
+    classes[np.isin(codes, _UNICODE_BREAKS)] |= _BREAK
+    return codes, classes
+
+
+def _scan_lines(text: str) -> tuple:
+    """Classify the lines of text, which holds whole lines only.
+
+    A line's row is its text up to the first '#', stripped.  Returns the
+    number of lines; for the lines with a nonempty row, their 0-based
+    index, the row width, whether a row character is not 0/1, and the row
+    value (meaningful for valid rows of width <= MAX_WIDTH); and the
+    0-based index of each blank line without '#', which ends a matrix.
+    """
+    # "\r\n" is one line end; as "\n" every line end is one character
+    codes, classes = _char_classes(text.replace("\r\n", "\n"))
+    size = codes.size
+    ends = np.flatnonzero(classes & _BREAK)
+    starts = np.concatenate(([0], ends + 1))
+    if starts[-1] == size:
+        starts = starts[:-1]
+    else:  # text after the last line end is a line too
+        ends = np.append(ends, size)
+    hashes = np.flatnonzero(codes == ord("#"))
+    hash_at = np.append(hashes, size)[np.searchsorted(hashes, starts)]
+    cut = np.minimum(hash_at, ends)
+    solid = np.flatnonzero((classes & _SPACE) == 0)
+    solid_end = np.append(solid, size)
+    first = solid_end[np.searchsorted(solid, starts)]
+    has_row = first < cut
+    blank = np.flatnonzero(~has_row & (hash_at >= ends))
+    row = np.flatnonzero(has_row)
+    first = first[row]
+    last = solid_end[np.searchsorted(solid, cut[row]) - 1]
+    other = np.flatnonzero((classes & _BIT) == 0)
+    bad = np.append(other, size)[np.searchsorted(other, first)] <= last
+    width = last - first + 1
+    ones = codes == ord("1")
+    value = np.zeros(row.size, dtype=np.uint64)
+    for j in range(min(int(width.max(initial=0)), MAX_WIDTH)):
+        bit = ones[np.minimum(first + j, size - 1)] & (width > j)
+        value |= bit.astype(np.uint64) << np.uint64(j)
+    return starts.size, row, width, bad, value, blank
+
+
+def parse_matrix_rows(text: str) -> MatrixRows:
+    """Parse every matrix block in text at once; see parse_matrix_text.
+
+    The text is scanned in slices of about PARSE_CHUNK_CHARS characters,
+    so no per-line Python object is built.  FormatError names the first
+    bad line, with the message the per-line rules give it.
+    """
+    scans = []
+    base = 0  # 0-based index of the slice's first line
+    pos = 0
+    while True:
+        end = len(text)
+        if end - pos > PARSE_CHUNK_CHARS:
+            end = (
+                text.rfind("\n", pos, pos + PARSE_CHUNK_CHARS) + 1
+                or text.find("\n", pos + PARSE_CHUNK_CHARS) + 1
+                or end
+            )
+        num_lines, row, width, bad, value, blank = _scan_lines(text[pos:end])
+        scans.append((row + base + 1, width, bad, value, blank + base + 1))
+        base += num_lines
+        if end == len(text):
+            break
+        pos = end
+    line, width, bad, value, blank = (np.concatenate(parts) for parts in zip(*scans))
+    # a row opens a matrix when a blank line lies between it and the row before
+    gaps = np.searchsorted(blank, line)
+    opens = np.ones(line.size, dtype=bool)
+    opens[1:] = gaps[1:] != gaps[:-1]
+    heads = np.flatnonzero(opens)
+    matrix_width = width[heads][np.cumsum(opens) - 1]
+    wrong = width != matrix_width
+    wide = width > MAX_WIDTH
+    errors = np.flatnonzero(bad | wrong | wide)
+    if errors.size:
+        i = errors[0]
+        where = f"line {line[i]}"
+        if bad[i]:
+            raise FormatError(f"{where}: expected a row of 0/1 characters")
+        if wrong[i]:
+            raise FormatError(
+                f"{where}: row width {width[i]} != matrix width {matrix_width[i]}"
+            )
+        raise FormatError(f"{where}: width {width[i]} exceeds {MAX_WIDTH}")
+    return MatrixRows(
+        values=value,
+        starts=np.append(heads, line.size),
+        widths=width[heads],
+        lines=line[heads],
+    )
+
+
 def parse_matrix_text(text: str) -> list[BitMatrix]:
     """Parse every matrix block in text; FormatError carries line numbers."""
-    matrices: list[BitMatrix] = []
-    cur_rows: list[int] = []
-    cur_width = 0
-
-    def flush() -> None:
-        nonlocal cur_rows, cur_width
-        if cur_rows:
-            matrices.append(BitMatrix(tuple(cur_rows), cur_width))
-        cur_rows = []
-        cur_width = 0
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if "#" not in raw:
-                flush()
-            continue
-        if any(c not in "01" for c in line):
-            raise FormatError(f"line {lineno}: expected a row of 0/1 characters")
-        if cur_rows and len(line) != cur_width:
-            raise FormatError(
-                f"line {lineno}: row width {len(line)} != matrix width {cur_width}"
-            )
-        if len(line) > MAX_WIDTH:
-            raise FormatError(f"line {lineno}: width {len(line)} exceeds {MAX_WIDTH}")
-        cur_width = len(line)
-        cur_rows.append(sum((1 << j) for j, c in enumerate(line) if c == "1"))
-    flush()
-    return matrices
-
-
-def load_matrix_file(path: str) -> list[BitMatrix]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+    return [
+        BitMatrix(tuple(rows), width)
+        for rows, width in parse_matrix_rows(text).matrices()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -130,14 +130,6 @@ class SingerEngine:
         exps.sort(axis=1)
         return exps
 
-    def exps_to_rows(self, exps: np.ndarray, k: int) -> np.ndarray:
-        """(N, 2^k - 1) exponent sets -> (N, k) RREF basis rows."""
-        vecs = self.exptable[exps]
-        red, ranks = rref_bulk(vecs)
-        if not np.all(ranks == k):
-            raise ValueError("exponent set does not span a k-dim subspace")
-        return red[:, :k]
-
     def subspace_exps(self, u: Subspace) -> np.ndarray:
         return self.rows_to_exps(np.array([u.rows], dtype=np.uint64))[0]
 
@@ -295,20 +287,25 @@ class SingerEngine:
         return reps, lengths, label_to_id
 
     def expand_orbit(self, u: Subspace) -> np.ndarray:
-        """All distinct subspaces in the orbit of u, as (L, k) basis rows."""
+        """All distinct subspaces in the orbit of u, as (L, k) basis rows.
+
+        The group acts linearly, so the image of u is the span of the
+        images of its k basis rows; in the certified exponent model the
+        map x -> t*x + c sends the row with exponent e to exptable[(t*e +
+        c) % modulus].  Short orbits meet some images more than once,
+        which the key dedupe removes.
+        """
         k = u.dim
-        d = self.subspace_exps(u).astype(np.int64)
+        exps = self.dlog[np.array(u.rows, dtype=np.uint64)]
+        slopes = np.array(self.slopes, dtype=np.int64)
         shifts = np.arange(self.modulus, dtype=np.int64)
-        parts = []
-        for t in self.slopes:
-            scaled = (t * d) % self.modulus
-            block = (scaled[None, :] + shifts[:, None]) % self.modulus
-            parts.append(block)
-        exps = np.concatenate(parts, axis=0)
-        exps.sort(axis=1)
-        rows = self.exps_to_rows(exps, k)
-        keys = pack_keys_bulk(rows, self.n)
-        _, first = np.unique(keys, return_index=True)
+        scaled = (slopes[:, None] * exps[None, :]) % self.modulus
+        images = (scaled[:, None, :] + shifts[None, :, None]) % self.modulus
+        images = images.reshape(len(slopes) * self.modulus, k)
+        rows, ranks = rref_bulk(self.exptable[images])
+        if not np.all(ranks == k):
+            raise AssertionError("the image of a basis is not a basis")
+        _, first = np.unique(pack_keys_bulk(rows, self.n), return_index=True)
         return rows[first]
 
 

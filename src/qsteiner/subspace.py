@@ -17,7 +17,7 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     format_matrix,
-    parse_matrix_text,
+    parse_matrix_rows,
     popcount_u64,
     rref_bulk,
     rref_rows,
@@ -326,7 +326,7 @@ def format_subspace(u: Subspace) -> str:
 
 def parse_subspaces(text: str) -> list[Subspace]:
     """Parse matrix blocks and canonicalize each to a subspace."""
-    return [canonicalize(m) for m in parse_matrix_text(text)]
+    return [span(rows, width) for rows, width in parse_matrix_rows(text).matrices()]
 
 
 def load_subspace_file(path: str) -> list[Subspace]:

@@ -9,12 +9,13 @@ GF(2) passes exactly when every count equals lambda.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import rref_bulk, span_vectors_bulk
+from .gf2 import FormatError, parse_matrix_rows, rref_bulk, span_vectors_bulk
 from .groups import MatrixGroup, orbit
 from .subspace import (
     Subspace,
@@ -26,6 +27,25 @@ from .subspace import (
 
 VERIFY_BUDGET = 2 * 10**7
 VIOLATION_CAP = 100
+
+
+# Blocks per write of BlockSet.save; the bytes do not depend on it.
+SAVE_BATCH_BLOCKS = 1 << 16
+_BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*$", re.M)
+
+
+def _first_duplicate(blocks: np.ndarray) -> tuple[int, int] | None:
+    """(i, j) with i < j for the first block j that equals an earlier block i."""
+    num, k = blocks.shape
+    # a stable lexicographic sort makes equal rows neighbours in input order
+    order = np.lexsort(blocks.T) if k else np.arange(num)
+    srt = blocks[order]
+    same = np.flatnonzero(np.all(srt[1:] == srt[:-1], axis=1))
+    if not same.size:
+        return None
+    later = order[same + 1]
+    p = int(np.argmin(later))
+    return int(order[same[p]]), int(later[p])
 
 
 @dataclass(eq=False)
@@ -45,10 +65,11 @@ class BlockSet:
             raise ValueError("every block must have dimension k")
         if not np.array_equal(red, self.blocks):
             raise ValueError("block rows must be in reduced row echelon form")
-        # sort rows lexicographically; equal rows become neighbours
-        srt = self.blocks[np.lexsort(self.blocks.T)] if self.k else self.blocks
-        if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
-            raise ValueError("blocks must be distinct")
+        pair = _first_duplicate(self.blocks)
+        if pair is not None:
+            raise ValueError(
+                f"blocks must be distinct; blocks {pair[0]} and {pair[1]} are equal"
+            )
 
     @property
     def num_blocks(self) -> int:
@@ -68,23 +89,64 @@ class BlockSet:
         return Subspace(self.n, tuple(int(r) for r in self.blocks[i]))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# block set: n={self.n} k={self.k} blocks={self.num_blocks}\n")
-            for i in range(self.num_blocks):
-                for j in range(self.k):
-                    r = int(self.blocks[i, j])
-                    fh.write(
-                        "".join("1" if (r >> b) & 1 else "0" for b in range(self.n))
-                    )
-                    fh.write("\n")
-                fh.write("\n")
+        """Write a header line, then per block its k rows and a blank line."""
+        n, k = self.n, self.k
+        cols = np.arange(n, dtype=np.uint64)
+        with open(path, "wb") as fh:
+            fh.write(f"# block set: n={n} k={k} blocks={self.num_blocks}\n".encode())
+            for start in range(0, self.num_blocks, SAVE_BATCH_BLOCKS):
+                part = self.blocks[start : start + SAVE_BATCH_BLOCKS]
+                rows = np.full((len(part), k, n + 1), ord("\n"), dtype=np.uint8)
+                rows[:, :, :n] = ((part[:, :, None] >> cols) & np.uint64(1)) + ord("0")
+                blank = np.full((len(part), 1), ord("\n"), dtype=np.uint8)
+                text = np.concatenate([rows.reshape(len(part), -1), blank], axis=1)
+                fh.write(text.tobytes())
 
     @classmethod
     def load(cls, path: str) -> "BlockSet":
-        from .subspace import load_subspace_file
+        """Read a block file; every fault is a FormatError naming its line.
 
-        subs = load_subspace_file(path)
-        return cls.from_subspaces(subs)
+        Each block needs the same width and row count and rows of full
+        rank, and no block may repeat.  The header that save writes is
+        checked, when present, against the width, row count and number
+        of blocks, so a truncated file does not load.
+        """
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        parsed = parse_matrix_rows(text)
+        num = parsed.widths.size
+        if not num:
+            raise FormatError("no blocks found")
+        widths = parsed.widths
+        counts = np.diff(parsed.starts)
+        header = _BLOCK_HEADER.match(text)
+        if header is not None:
+            n, k, expect = (int(g) for g in header.groups())
+            if expect != num:
+                raise FormatError(f"header says blocks={expect}, file has {num}")
+        else:
+            n, k = int(widths[0]), int(counts[0])
+        for field, have, want in (("n", widths, n), ("k", counts, k)):
+            wrong = np.flatnonzero(have != want)
+            if wrong.size:
+                i = wrong[0]
+                raise FormatError(
+                    f"line {parsed.lines[i]}: block has {field}={have[i]}, "
+                    f"expected {field}={want}"
+                )
+        red, ranks = rref_bulk(parsed.values.reshape(num, k))
+        low = np.flatnonzero(ranks < k)
+        if low.size:
+            i = low[0]
+            raise FormatError(
+                f"line {parsed.lines[i]}: block rows are linearly dependent "
+                f"(rank {ranks[i]} < {k})"
+            )
+        pair = _first_duplicate(red)
+        if pair is not None:
+            i, j = parsed.lines[list(pair)]
+            raise FormatError(f"lines {i} and {j}: duplicate block")
+        return cls(n=n, k=k, blocks=red)
 
 
 def expand_orbits(
@@ -435,10 +497,18 @@ def derived_steiner_sample_check(
     if not report.ok or report.t != 2 or report.lam != 1:
         raise ValueError("check requires a passing 2-(n, k, 1) report")
     n = blocks.n
-    keys, block_of = _pair_keys(blocks.blocks, n, return_owners=True)
-    srt = np.argsort(keys)
-    keys_sorted = keys[srt]
-    block_sorted = block_of[srt]
+    # the index is one sorted array of (pair key << owner_bits) | owner
+    owner_bits = max(1, (blocks.num_blocks - 1).bit_length())
+    if 2 * n + owner_bits > 64:
+        raise ValueError("pair keys and block indices do not fit in 64 bits")
+    index, owners = _pair_keys(blocks.blocks, n, return_owners=True)
+    index <<= np.uint64(owner_bits)
+    index |= owners.view(np.uint64)
+    del owners
+    index.sort()
+    keys_sorted = index >> np.uint64(owner_bits)
+    block_sorted = (index & np.uint64((1 << owner_bits) - 1)).view(np.int64)
+    del index
     if np.any(keys_sorted[1:] == keys_sorted[:-1]):
         raise AssertionError("coverage index is not one-to-one; lambda != 1?")
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import sympy
 
+import matrix_text_reference
+from qsteiner import gf2
 from qsteiner.gf2 import (
     BitMatrix,
     FormatError,
@@ -19,6 +21,7 @@ from qsteiner.gf2 import (
     mat_mul,
     mat_vec,
     matrix_order,
+    parse_matrix_rows,
     parse_matrix_text,
     poly_mulmod,
     poly_powmod,
@@ -247,6 +250,72 @@ def test_parse_errors_carry_line_numbers():
         parse_matrix_text("101\n1x1\n")
     with pytest.raises(FormatError, match="line 3"):
         parse_matrix_text("101\n110\n1101\n")
+
+
+def random_matrix_text(rng: random.Random) -> str:
+    """Matrix text with comments, odd line ends and spacing, and faults."""
+    lines = []
+    for _ in range(rng.randrange(0, 6)):
+        width = rng.choice([1, 2, 5, 13, 13, 64, 65])
+        for _ in range(rng.randrange(1, 5)):
+            w = width if rng.random() < 0.95 else rng.randrange(1, 20)
+            row = "".join(rng.choice("01") for _ in range(w))
+            if rng.random() < 0.03:
+                i = rng.randrange(w)
+                row = row[:i] + rng.choice("2x \t.") + row[i + 1 :]
+            row = rng.choice(["", "", " ", "\t", "\u3000"]) + row
+            row += rng.choice(["", "", " ", "  \t", "\xa0"])
+            if rng.random() < 0.2:
+                row += rng.choice(["#", "# note 1x", " # 0101", "#\u00e9"])
+            lines.append(row)
+            if rng.random() < 0.15:
+                lines.append(rng.choice(["#", "# comment", "   # 1111 x"]))
+        lines.extend(rng.choice(["", " ", "\t"]) for _ in range(rng.randrange(0, 4)))
+    ends = rng.choice(["\n", "\r\n", "mixed"])
+    if ends == "mixed":
+        seps = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+        text = "".join(line + rng.choice(seps) for line in lines)
+    else:
+        text = ends.join(lines) + (ends if rng.random() < 0.7 else "")
+    return text
+
+
+def _parse_or_error(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def test_bulk_parse_matches_per_line_parser(monkeypatch):
+    rng = random.Random(2024)
+    outcomes = set()
+    for case in range(1500):
+        text = random_matrix_text(rng)
+        # slices of every size, down to one character, split the text
+        # anywhere a line ends
+        chunk = rng.choice([1, 3, 17, 64, gf2.PARSE_CHUNK_CHARS])
+        with monkeypatch.context() as m:
+            m.setattr(gf2, "PARSE_CHUNK_CHARS", chunk)
+            got = _parse_or_error(parse_matrix_text, text)
+        want = _parse_or_error(matrix_text_reference.parse_matrix_text, text)
+        assert got == want, (case, chunk, text)
+        if isinstance(got, str):
+            got = got.rsplit(": ", 1)[1].split()[0]  # the fault's first word
+        outcomes.add(got if isinstance(got, str) else "ok")
+    # valid texts and all three faults (bad character, ragged, too wide)
+    assert outcomes == {"ok", "expected", "row", "width"}
+
+
+def test_bulk_parse_reports_spans_widths_and_lines():
+    text = "# head\n101\n011\n\n\n  11 # c\n#\n10\n\n1\n"
+    parsed = parse_matrix_rows(text)
+    assert parsed.values.tolist() == [0b101, 0b110, 0b11, 0b01, 1]
+    assert parsed.starts.tolist() == [0, 2, 4, 5]
+    assert parsed.widths.tolist() == [3, 2, 1]
+    assert parsed.lines.tolist() == [2, 6, 10]
+    empty = parse_matrix_rows("# nothing\n\n")
+    assert empty.values.size == 0 and empty.starts.tolist() == [0]
 
 
 def test_popcount_and_rref_bulk_match_scalar():

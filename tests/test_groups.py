@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from qsteiner.gf2 import BitMatrix, FormatError, identity, mat_mul, mat_vec
+from qsteiner.gf2 import BitMatrix, FormatError, identity, mat_mul, mat_vec, rref_bulk
 from qsteiner.groups import (
     MatrixGroup,
     OrbitTable,
@@ -18,7 +18,12 @@ from qsteiner.groups import (
 )
 from qsteiner import groups, singer
 from qsteiner.singer import SingerEngine
-from qsteiner.subspace import enumerate_subspaces, gaussian_binomial, span
+from qsteiner.subspace import (
+    enumerate_subspaces,
+    gaussian_binomial,
+    pack_keys_bulk,
+    span,
+)
 
 
 def brute_closure(generators, n):
@@ -175,9 +180,31 @@ def test_group_hash_is_generator_sensitive():
     assert group_hash(g4) == group_hash(singer_normalizer(4))
 
 
+def span_vector_expand_orbit(engine, u):
+    """Orbit expansion from the exponents of all 2^k - 1 span vectors of u:
+    every affine image of the exponent set, reduced and deduped by key."""
+    k = u.dim
+    d = engine.subspace_exps(u).astype(np.int64)
+    shifts = np.arange(engine.modulus, dtype=np.int64)
+    parts = []
+    for t in engine.slopes:
+        scaled = (t * d) % engine.modulus
+        parts.append((scaled[None, :] + shifts[:, None]) % engine.modulus)
+    exps = np.concatenate(parts, axis=0)
+    exps.sort(axis=1)
+    red, ranks = rref_bulk(engine.exptable[exps])
+    assert np.all(ranks == k)
+    rows = red[:, :k]
+    _, first = np.unique(pack_keys_bulk(rows, engine.n), return_index=True)
+    return rows[first]
+
+
 def test_partition_lengths_match_orbit_size_oracle():
     # the lengths come from stabilizer counts of the label pass;
-    # orbit_size recounts each stabilizer one subspace at a time
+    # orbit_size recounts each stabilizer one subspace at a time.  Each
+    # orbit is also expanded, from its basis images and by the span-vector
+    # oracle, short orbits included.
+    short = 0
     for n in range(5, 9):
         engine = singer_normalizer(n).engine()
         reps = []
@@ -185,6 +212,12 @@ def test_partition_lengths_match_orbit_size_oracle():
             reps, lengths, _ = engine.partition(k, reps)
             assert sum(lengths) == gaussian_binomial(n, k, 2)
             assert lengths == [engine.orbit_size(r) for r in reps], (n, k)
+            for rep, length in zip(reps, lengths):
+                got = engine.expand_orbit(rep)
+                assert got.shape == (length, k)
+                assert np.array_equal(got, span_vector_expand_orbit(engine, rep))
+                short += length < engine.order
+    assert short > 0
 
 
 def test_partition_does_not_depend_on_batch_sizes(monkeypatch):

@@ -1,13 +1,22 @@
 """Design verification against independent recounts and known controls."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from qsteiner import cli, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
+from qsteiner.gf2 import FormatError
 from qsteiner.groups import orbit_partition, singer_normalizer
-from qsteiner.subspace import Subspace, enumerate_subspaces, gaussian_binomial, subspaces_of
+from qsteiner.subspace import (
+    Subspace,
+    enumerate_subspaces,
+    gaussian_binomial,
+    span,
+    subspaces_of,
+)
 from qsteiner.verify import (
     BlockSet,
     derived_steiner_sample_check,
@@ -50,6 +59,123 @@ def test_blockset_accessors_and_round_trip(tmp_path):
     loaded = BlockSet.load(str(path))
     assert loaded.n == bs.n and loaded.k == bs.k
     assert np.array_equal(np.sort(loaded.blocks, axis=0), np.sort(bs.blocks, axis=0))
+
+
+def reference_block_text(bs):
+    """The block file BlockSet.save wrote one bit at a time."""
+    out = [f"# block set: n={bs.n} k={bs.k} blocks={bs.num_blocks}\n"]
+    for i in range(bs.num_blocks):
+        for j in range(bs.k):
+            r = int(bs.blocks[i, j])
+            out.append("".join("1" if (r >> b) & 1 else "0" for b in range(bs.n)))
+            out.append("\n")
+        out.append("\n")
+    return "".join(out)
+
+
+def all_subspace_blocks(n, k):
+    group = singer_normalizer(n)
+    return expand_orbits(group, list(orbit_partition(group, k).reps))[0]
+
+
+def test_save_writes_the_reference_bytes_and_load_reads_them_back(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "blocks.txt"
+    for n in (5, 6, 7):
+        for k in (0, 1, 2, 3):
+            bs = all_subspace_blocks(n, k)
+            for batch in (7, verify.SAVE_BATCH_BLOCKS):
+                monkeypatch.setattr(verify, "SAVE_BATCH_BLOCKS", batch)
+                bs.save(str(path))
+                assert path.read_bytes() == reference_block_text(bs).encode(), (n, k)
+            if k == 0:
+                continue  # the zero subspace has no rows to read back
+            loaded = BlockSet.load(str(path))
+            assert (loaded.n, loaded.k) == (n, k)
+            assert np.array_equal(loaded.blocks, bs.blocks)
+
+
+def test_load_without_header_canonicalizes_rows(tmp_path):
+    path = tmp_path / "blocks.txt"
+    # column j of a text row is bit j; neither basis is reduced
+    path.write_text("# hand-written\n0110\n0101\n\n1001\n0001\n")
+    loaded = BlockSet.load(str(path))
+    assert (loaded.n, loaded.k) == (4, 2)
+    expect = [span([0b0110, 0b1010], 4).rows, span([0b1001, 0b1000], 4).rows]
+    assert loaded.blocks.tolist() == [list(rows) for rows in expect]
+
+
+def corrupt_and_expect(tmp_path, capsys, text, message):
+    """text must fail BlockSet.load with message, and verify must exit 2."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        BlockSet.load(str(path))
+    code = cli.main(
+        ["--out-dir", str(tmp_path), "verify", "--blocks", str(path), "--t", "2"]
+    )
+    assert code == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_faulty_block_files_are_named_format_errors(tmp_path, capsys):
+    bs = all_subspace_blocks(5, 2)
+    lines = reference_block_text(bs).splitlines(keepends=True)
+    assert bs.num_blocks == 155 and len(lines) == 1 + 3 * 155
+    body = lines[1:]
+
+    def with_header(blocks, n=5, k=2):
+        return f"# block set: n={n} k={k} blocks={blocks}\n"
+
+    # truncated to half its blocks, at a block boundary and inside a block
+    corrupt_and_expect(
+        tmp_path, capsys, "".join(lines[: 1 + 3 * 77]),
+        "header says blocks=155, file has 77",
+    )
+    corrupt_and_expect(
+        tmp_path, capsys, "".join(lines[: 2 + 3 * 77]),
+        "header says blocks=155, file has 78",
+    )
+    # header count, width and dimension off by one
+    corrupt_and_expect(
+        tmp_path, capsys, with_header(156) + "".join(body),
+        "header says blocks=156, file has 155",
+    )
+    corrupt_and_expect(
+        tmp_path, capsys, with_header(155, n=6) + "".join(body),
+        r"line 2: block has n=5, expected n=6",
+    )
+    corrupt_and_expect(
+        tmp_path, capsys, with_header(155, k=3) + "".join(body),
+        r"line 2: block has k=2, expected k=3",
+    )
+    # a repeated block, written with another basis of the same subspace
+    r0, r1 = (int(r) for r in bs.blocks[4])
+    again = [f"{r0 ^ r1:05b}"[::-1] + "\n", body[3 * 4 + 1], "\n"]
+    corrupt_and_expect(
+        tmp_path, capsys, with_header(156) + "".join(body + again),
+        r"lines 14 and 467: duplicate block",
+    )
+    # dependent rows: in one block, and in every block
+    dep = body.copy()
+    dep[3 * 9 + 1] = dep[3 * 9]
+    corrupt_and_expect(
+        tmp_path, capsys, lines[0] + "".join(dep),
+        r"line 29: block rows are linearly dependent \(rank 1 < 2\)",
+    )
+    dep[1::3] = dep[0::3]
+    corrupt_and_expect(
+        tmp_path, capsys, lines[0] + "".join(dep),
+        r"line 2: block rows are linearly dependent \(rank 1 < 2\)",
+    )
+    # a character other than 0/1
+    bad = body.copy()
+    bad[3 * 20] = bad[3 * 20][:2] + "2" + bad[3 * 20][3:]
+    corrupt_and_expect(
+        tmp_path, capsys, lines[0] + "".join(bad),
+        r"line 62: expected a row of 0/1 characters",
+    )
 
 
 def test_blockset_rejects_malformed_rows():
