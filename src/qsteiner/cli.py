@@ -18,6 +18,11 @@ import os
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from . import fixtures
 from .exact_cover import (
     SolveConfig,
@@ -600,9 +605,21 @@ def cmd_paper_check(settings: Settings) -> int:
     print()
     if failed:
         print(f"first failing stage: {rows[-1][0]}")
-        return EXIT_VERIFY_FAIL
-    print("all stages passed")
-    return EXIT_OK
+    else:
+        print("all stages passed")
+    peak = _peak_rss_mb()
+    if peak is not None:
+        print(f"peak RSS {peak:.0f} MB")
+    return EXIT_VERIFY_FAIL if failed else EXIT_OK
+
+
+def _peak_rss_mb() -> float | None:
+    """Peak resident set size of this process, or None without resource."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 def cmd_spread_demo(settings: Settings) -> int:

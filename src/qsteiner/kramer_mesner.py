@@ -59,14 +59,6 @@ class KMInstance:
             (rid, val) for (rid, c), val in self.entries.items() if c == cid
         )
 
-    def to_dense(self) -> np.ndarray:
-        rpos = {rid: i for i, rid in enumerate(self.row_ids)}
-        cpos = {cid: j for j, cid in enumerate(self.col_ids)}
-        dense = np.zeros(self.shape, dtype=np.int64)
-        for (rid, cid), val in self.entries.items():
-            dense[rpos[rid], cpos[cid]] = val
-        return dense
-
 
 def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstance:
     """Build the Kramer-Mesner matrix from two orbit tables.

@@ -31,15 +31,29 @@ VIOLATION_CAP = 100
 
 # Blocks per write of BlockSet.save; the bytes do not depend on it.
 SAVE_BATCH_BLOCKS = 1 << 16
+# Blocks per chunk of the block checks and the key builder, and sorted
+# keys per slice of the counting passes; no result depends on them.
+KEY_CHUNK_BLOCKS = 1 << 16
+KEY_SLICE = 1 << 20
 _BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*$", re.M)
 
 
-def _first_duplicate(blocks: np.ndarray) -> tuple[int, int] | None:
-    """(i, j) with i < j for the first block j that equals an earlier block i."""
+def _first_duplicate(blocks: np.ndarray, n: int) -> tuple[int, int] | None:
+    """(i, j) with i < j for the first block j that equals an earlier block i.
+
+    Each block's k rows of n bits are packed into ceil(k n / 64) words,
+    so a stable sort of one word per block does for k n <= 64.
+    """
     num, k = blocks.shape
-    # a stable lexicographic sort makes equal rows neighbours in input order
-    order = np.lexsort(blocks.T) if k else np.arange(num)
-    srt = blocks[order]
+    words = np.zeros((num, max(1, -(-k * n // 64))), dtype=np.uint64)
+    for i in range(k):
+        w, off = divmod(i * n, 64)
+        words[:, w] |= blocks[:, i] << np.uint64(off)
+        if off + n > 64:
+            words[:, w + 1] |= blocks[:, i] >> np.uint64(64 - off)
+    # a stable lexicographic sort makes equal blocks neighbours in input order
+    order = np.lexsort(words.T)
+    srt = words[order]
     same = np.flatnonzero(np.all(srt[1:] == srt[:-1], axis=1))
     if not same.size:
         return None
@@ -60,12 +74,16 @@ class BlockSet:
         self.blocks = np.ascontiguousarray(self.blocks, dtype=np.uint64)
         if self.blocks.ndim != 2 or self.blocks.shape[1] != self.k:
             raise ValueError("blocks must be an (N, k) array of basis rows")
-        red, ranks = rref_bulk(self.blocks)
-        if not np.all(ranks == self.k):
-            raise ValueError("every block must have dimension k")
-        if not np.array_equal(red, self.blocks):
-            raise ValueError("block rows must be in reduced row echelon form")
-        pair = _first_duplicate(self.blocks)
+        if self.blocks.size and int(self.blocks.max()) >> self.n:
+            raise ValueError("block rows must fit in n bits")
+        for start in range(0, self.num_blocks, KEY_CHUNK_BLOCKS):
+            part = self.blocks[start : start + KEY_CHUNK_BLOCKS]
+            red, ranks = rref_bulk(part)
+            if not np.all(ranks == self.k):
+                raise ValueError("every block must have dimension k")
+            if not np.array_equal(red, part):
+                raise ValueError("block rows must be in reduced row echelon form")
+        pair = _first_duplicate(self.blocks, self.n)
         if pair is not None:
             raise ValueError(
                 f"blocks must be distinct; blocks {pair[0]} and {pair[1]} are equal"
@@ -142,7 +160,7 @@ class BlockSet:
                 f"line {parsed.lines[i]}: block rows are linearly dependent "
                 f"(rank {ranks[i]} < {k})"
             )
-        pair = _first_duplicate(red)
+        pair = _first_duplicate(red, n)
         if pair is not None:
             i, j = parsed.lines[list(pair)]
             raise FormatError(f"lines {i} and {j}: duplicate block")
@@ -195,38 +213,82 @@ class DesignReport:
     ok: bool
 
 
-def _pair_keys(
-    blocks: np.ndarray, n: int, return_owners: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """One canonical key per 2-subspace per block: key = u << n | v where
-    (u, v) are the two smallest nonzero vectors of the 2-subspace.
+def _chunk_keys(
+    part: np.ndarray, n: int, t: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Keys of the t-subspaces (t <= 2) of a chunk of blocks, with the
+    position in the chunk of the block that holds each key.
 
-    With return_owners, also returns the owning block index of each key.
+    A point's key is the vector; a 2-subspace's is u << n | v for the two
+    smallest of its three nonzero vectors.
     """
-    num, k = blocks.shape
-    m = (1 << k) - 1
-    vecs = span_vectors_bulk(blocks)
-    keys = []
-    owners = []
+    vecs = span_vectors_bulk(part)
+    m = vecs.shape[1]
+    if t == 1:
+        every = np.arange(part.shape[0])
+        for i in range(m):
+            yield vecs[:, i], every
+        return
     shift = np.uint64(n)
     for i in range(m):
         for j in range(i + 1, m):
-            u = vecs[:, i]
-            v = vecs[:, j]
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            keep = (lo ^ hi) > hi  # third vector largest: canonical pair
-            if keep.any():
-                keys.append((lo[keep] << shift) | hi[keep])
-                if return_owners:
-                    owners.append(np.nonzero(keep)[0])
-    out = np.concatenate(keys)
-    expect = num * gaussian_binomial(k, 2, 2)
-    if out.size != expect:
+            lo = np.minimum(vecs[:, i], vecs[:, j])
+            hi = np.maximum(vecs[:, i], vecs[:, j])
+            # the third vector is the largest: a canonical pair
+            keep = np.flatnonzero((lo ^ hi) > hi)
+            yield (lo[keep] << shift) | hi[keep], keep
+
+
+def _sorted_keys(
+    blocks: np.ndarray, n: int, t: int, owner_bits: int = 0
+) -> np.ndarray:
+    """Every t-subspace key (t <= 2) of every block, sorted.
+
+    The keys fill one preallocated array, KEY_CHUNK_BLOCKS blocks at a
+    time, and are sorted in place.  With owner_bits > 0 each entry is
+    key << owner_bits | index of the block that holds it.
+    """
+    num, k = blocks.shape
+    out = np.empty(num * gaussian_binomial(k, t, 2), dtype=np.uint64)
+    pos = 0
+    for start in range(0, num, KEY_CHUNK_BLOCKS):
+        part = blocks[start : start + KEY_CHUNK_BLOCKS]
+        for keys, where in _chunk_keys(part, n, t):
+            if pos + keys.size > out.size:
+                raise AssertionError("canonical pair filter kept extra 2-subspaces")
+            dest = out[pos : pos + keys.size]
+            np.left_shift(keys, np.uint64(owner_bits), out=dest)
+            if owner_bits:
+                dest |= (where + start).astype(np.uint64)
+            pos += keys.size
+    if pos != out.size:
         raise AssertionError("canonical pair filter lost 2-subspaces")
-    if return_owners:
-        return out, np.concatenate(owners)
+    out.sort()
     return out
+
+
+def _slices(keys: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of about KEY_SLICE sorted keys, each ending where
+    a run of equal keys ends."""
+    start = 0
+    while start < keys.size:
+        stop = start + KEY_SLICE
+        if stop < keys.size:
+            stop = int(np.searchsorted(keys, keys[stop - 1], side="right"))
+        yield keys[start:stop]
+        start = stop
+
+
+def _runs(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys, run lengths) of sorted keys that hold whole runs."""
+    ends = np.flatnonzero(part[1:] != part[:-1])
+    ends += 1
+    heads = np.concatenate(([0], ends))
+    del ends
+    counts = np.empty_like(heads)
+    np.subtract(heads[1:], heads[:-1], out=counts[:-1])
+    counts[-1] = part.size - heads[-1]
+    return part[heads], counts
 
 
 def _point_keys(blocks: np.ndarray) -> np.ndarray:
@@ -251,7 +313,8 @@ def _pair_key_chunks(n: int) -> Iterator[np.ndarray]:
 def _first_absent(
     chunks: Iterable[np.ndarray], present: np.ndarray, limit: int
 ) -> list[int]:
-    """Up to limit keys of the ascending chunks that sorted present lacks.
+    """Up to limit keys of the ascending chunks that sorted present lacks
+    (present may repeat keys).
 
     Chunks are generated only until enough keys are found, so a sparse
     block set never materializes the whole key universe.
@@ -297,40 +360,39 @@ def verify_design(
         )
     per_block = gaussian_binomial(k, t, 2)
     if t <= 2 and 2 * n <= 63:
-        keys = (
-            _pair_keys(blocks.blocks, n) if t == 2 else _point_keys(blocks.blocks)
-        )
-        uniq, counts = np.unique(keys, return_counts=True)
-        histogram: dict[int, int] = {}
-        vals, freq = np.unique(counts, return_counts=True)
-        for v, f in zip(vals.tolist(), freq.tolist()):
-            histogram[int(v)] = int(f)
-        missing = total - int(uniq.size)
+
+        def rows_of(key: int) -> tuple[int, ...]:
+            return _key_to_pair_subspace(key, n) if t == 2 else span([key], n).rows
+
+        keys = _sorted_keys(blocks.blocks, n, t)
+        tally: dict[int, int] = {}
+        distinct = 0
+        shown: list[tuple[tuple[int, ...], int]] = []
+        for part in _slices(keys):
+            uniq, counts = _runs(part)
+            distinct += uniq.size
+            hist = np.bincount(counts)
+            for c in np.flatnonzero(hist).tolist():
+                tally[c] = tally.get(c, 0) + int(hist[c])
+            room = max_violations - len(shown)
+            if room > 0:
+                off = np.flatnonzero(counts != lam)[:room]
+                for key, c in zip(uniq[off].tolist(), counts[off].tolist()):
+                    shown.append((rows_of(key), c))
+            del uniq, counts  # before the next slice's runs are built
+        histogram: dict[int, int] = {c: tally[c] for c in sorted(tally)}
+        missing = total - distinct
         if missing:
             histogram[0] = missing
-        violations_total = sum(
-            f for c, f in histogram.items() if c != lam
-        )
-        shown: list[tuple[tuple[int, ...], int]] = []
-        bad = uniq[counts != lam]
-        bad_counts = counts[counts != lam]
-        for i in range(min(len(bad), max_violations)):
-            key = int(bad[i])
-            rows = (
-                _key_to_pair_subspace(key, n) if t == 2 else span([key], n).rows
-            )
-            shown.append((rows, int(bad_counts[i])))
+        violations_total = sum(f for c, f in histogram.items() if c != lam)
         if missing and len(shown) < max_violations:
             chunks = (
                 _pair_key_chunks(n)
                 if t == 2
                 else [np.arange(1, 1 << n, dtype=np.uint64)]
             )
-            for key in _first_absent(chunks, uniq, max_violations - len(shown)):
-                rows = (
-                    _key_to_pair_subspace(key, n) if t == 2 else span([key], n).rows
-                )
-                shown.append((rows, 0))
+            for key in _first_absent(chunks, keys, max_violations - len(shown)):
+                shown.append((rows_of(key), 0))
     else:
         counts_by_key: dict[int, int] = {}
         rows_by_key: dict[int, tuple[int, ...]] = {}
@@ -415,6 +477,15 @@ def packing_bound(n: int, k: int, t: int, q: int = 2) -> int:
     return num // den
 
 
+def _check_report_matches(blocks: BlockSet, report: DesignReport) -> None:
+    have = (report.n, report.k, report.num_blocks)
+    want = (blocks.n, blocks.k, blocks.num_blocks)
+    if have != want:
+        raise ValueError(
+            f"report (n, k, blocks) = {have} does not describe this block set {want}"
+        )
+
+
 def min_distance_certificate(
     blocks: BlockSet,
     report: DesignReport,
@@ -430,8 +501,7 @@ def min_distance_certificate(
     """
     if not report.ok or report.lam != 1:
         raise ValueError("certificate requires a passing lambda=1 report")
-    if report.n != blocks.n or report.k != blocks.k:
-        raise ValueError("report does not describe this block set")
+    _check_report_matches(blocks, report)
     k, t = report.k, report.t
     bound = 2 * (k - t + 1)
     num = blocks.num_blocks
@@ -496,21 +566,21 @@ def derived_steiner_sample_check(
     """
     if not report.ok or report.t != 2 or report.lam != 1:
         raise ValueError("check requires a passing 2-(n, k, 1) report")
+    _check_report_matches(blocks, report)
     n = blocks.n
     # the index is one sorted array of (pair key << owner_bits) | owner
     owner_bits = max(1, (blocks.num_blocks - 1).bit_length())
     if 2 * n + owner_bits > 64:
         raise ValueError("pair keys and block indices do not fit in 64 bits")
-    index, owners = _pair_keys(blocks.blocks, n, return_owners=True)
-    index <<= np.uint64(owner_bits)
-    index |= owners.view(np.uint64)
-    del owners
-    index.sort()
-    keys_sorted = index >> np.uint64(owner_bits)
-    block_sorted = (index & np.uint64((1 << owner_bits) - 1)).view(np.int64)
-    del index
-    if np.any(keys_sorted[1:] == keys_sorted[:-1]):
-        raise AssertionError("coverage index is not one-to-one; lambda != 1?")
+    index = _sorted_keys(blocks.blocks, n, 2, owner_bits)
+    ob = np.uint64(owner_bits)
+    # one-to-one over every key; each slice overlaps the last one by a key
+    for start in range(0, index.size, KEY_SLICE):
+        keys = index[max(start - 1, 0) : start + KEY_SLICE] >> ob
+        if np.any(keys[1:] == keys[:-1]):
+            raise AssertionError("coverage index is not one-to-one; lambda != 1?")
+    last = index.size - 1
+    owner_mask = np.uint64((1 << owner_bits) - 1)
 
     rng = np.random.default_rng(seed)
     top = 1 << n
@@ -534,16 +604,16 @@ def derived_steiner_sample_check(
         k2 = np.where((w < hi) & (w > lo), (lo << shift) | w, np.uint64(0))
         k3 = np.where(w < lo, (w << shift) | lo, np.uint64(0))
         key = k1 | k2 | k3
-        pos = np.searchsorted(keys_sorted, key)
-        found = (pos < keys_sorted.size) & (keys_sorted[np.minimum(pos, keys_sorted.size - 1)] == key)
+        pos = np.searchsorted(index, key << ob)
+        entry = index[np.minimum(pos, last)]
+        found = (pos <= last) & ((entry >> ob) == key)
         if not found.all():
             bad = np.nonzero(~found)[0]
             failures += int(bad.size)
             for b in bad[:5]:
                 examples.append((int(x[b]), int(y[b]), int(z[b])))
         # containment of all three difference vectors in the covering block
-        bidx = block_sorted[np.minimum(pos, keys_sorted.size - 1)]
-        brows = blocks.blocks[bidx]
+        brows = blocks.blocks[entry & owner_mask]
         for vec in (u, v, w):
             red = vec.copy()
             for col in range(blocks.k):

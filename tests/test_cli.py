@@ -273,3 +273,8 @@ def test_paper_check_names_the_failing_stage(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "first failing stage: fixture integrity" in out
+    if cli.resource is not None:
+        assert re.search(r"\npeak RSS \d+ MB\n$", out)
+        monkeypatch.setattr(cli, "resource", None)
+        code, out, _ = run(capsys, "--out-dir", str(tmp_path), "paper-check")
+        assert code == 1 and "peak RSS" not in out

@@ -1,11 +1,13 @@
 """Design verification against independent recounts and known controls."""
 
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import verify_reference
 from qsteiner import cli, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
 from qsteiner.gf2 import FormatError
@@ -19,6 +21,7 @@ from qsteiner.subspace import (
 )
 from qsteiner.verify import (
     BlockSet,
+    DesignReport,
     derived_steiner_sample_check,
     expand_orbits,
     format_report,
@@ -195,6 +198,44 @@ def test_blockset_rejects_malformed_rows():
         BlockSet(4, 2, np.array(rows, dtype=np.uint64))
     rows.pop(4)
     assert BlockSet(4, 2, np.array(rows, dtype=np.uint64)).num_blocks == 5
+    # rows with bits above n
+    with pytest.raises(ValueError, match="fit in n bits"):
+        BlockSet(4, 2, np.array([[1, 16]], dtype=np.uint64))
+
+
+def test_blockset_checks_every_chunk(monkeypatch):
+    monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", 2)
+    rows = [[1, 2], [1, 4], [2, 4], [1, 6], [2, 8]]
+    assert BlockSet(4, 2, np.array(rows, dtype=np.uint64)).num_blocks == 5
+    for bad, message in (([3, 2], "echelon"), ([1, 0], "dimension")):
+        with pytest.raises(ValueError, match=message):
+            BlockSet(4, 2, np.array(rows + [bad], dtype=np.uint64))
+
+
+def first_duplicate_by_dict(blocks):
+    seen = {}
+    for j, row in enumerate(map(tuple, blocks.tolist())):
+        if row in seen:
+            return seen[row], j
+        seen[row] = j
+    return None
+
+
+def test_first_duplicate_packs_rows_into_words():
+    rng = np.random.default_rng(5)
+    # k n from 0 to 192 bits: one word, rows straddling words, several words
+    for n, k in ((13, 3), (13, 5), (21, 3), (30, 3), (33, 2), (64, 2), (7, 0), (40, 4)):
+        for _ in range(20):
+            # three row values that differ in the lowest or the highest
+            # bit only, so blocks repeat and differ in bits that straddle
+            # a word boundary
+            base = rng.integers(0, 1 << n, dtype=np.uint64)
+            values = base ^ np.array([0, 1, 1 << (n - 1)], dtype=np.uint64)
+            num = int(rng.integers(1, 40))
+            blocks = values[rng.integers(0, 3, size=(num, k))]
+            assert verify._first_duplicate(blocks, n) == first_duplicate_by_dict(
+                blocks
+            ), (n, k)
 
 
 def test_expand_orbits_counts_and_rejects_mixed_dims():
@@ -326,3 +367,132 @@ def test_paper_design_certificates(paper_blocks, paper_report):
     out = derived_steiner_sample_check(paper_blocks, paper_report, samples=2000, seed=3)
     assert out["failures"] == 0 and out["examples"] == []
     assert out["tested"] > 0
+
+
+def paper_slices(paper_blocks, seed, count):
+    """Seeded slices of the paper's design: partial Steiner systems."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(rng.integers(1, 300))
+        start = int(rng.integers(0, paper_blocks.num_blocks - size))
+        yield BlockSet(13, 3, paper_blocks.blocks[start : start + size].copy())
+
+
+def small_designs():
+    """Block sets of GF(2)^5 and GF(2)^6 whose t-subspaces repeat."""
+    for n, k in ((5, 3), (6, 3), (6, 4)):
+        blocks = all_subspace_blocks(n, k)
+        yield blocks
+        yield BlockSet(n, k, blocks.blocks[::3].copy())
+
+
+CHUNK_SIZES = ((1, 1), (7, 7), (verify.KEY_CHUNK_BLOCKS, verify.KEY_SLICE))
+
+
+def test_recount_matches_unique_oracle(paper_blocks, monkeypatch):
+    slices = paper_slices(paper_blocks, 11, 4)
+    cases = [(b, (0, 5, verify.VIOLATION_CAP)) for b in slices]
+    cases += [(b, (verify.VIOLATION_CAP, 10**6)) for b in small_designs()]
+    for blocks, caps in cases:
+        for t in (1, 2):
+            for lam in (1, 2):
+                for cap in caps:
+                    want = verify_reference.verify_design(blocks, t, lam, cap)
+                    for chunk, slice_keys in CHUNK_SIZES:
+                        monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
+                        monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
+                        got = verify_design(blocks, t, lam, cap)
+                        assert format_report(got) == format_report(want)
+                        assert list(got.histogram.items()) == list(
+                            want.histogram.items()
+                        )
+                        assert got == want
+
+
+def test_paper_recount_matches_unique_oracle(paper_blocks, paper_report):
+    want = verify_reference.verify_design(paper_blocks, 2, 1)
+    assert format_report(paper_report) == format_report(want)
+    assert list(paper_report.histogram.items()) == list(want.histogram.items())
+
+
+def steiner_designs():
+    """Small 2-(n, k, 1) designs: all 2-subspaces, and the whole space."""
+    for n in (5, 6):
+        yield all_subspace_blocks(n, 2)
+    yield BlockSet(5, 5, np.array([[1, 2, 4, 8, 16]], dtype=np.uint64))
+
+
+def test_derived_check_matches_owner_list_oracle(monkeypatch):
+    for blocks in steiner_designs():
+        report = verify_design(blocks, 2, 1)
+        assert report.ok
+        for seed in (0, 3):
+            want = verify_reference.derived_steiner_sample_check(
+                blocks, samples=500, seed=seed
+            )
+            for chunk, slice_keys in CHUNK_SIZES:
+                monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
+                monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
+                got = derived_steiner_sample_check(
+                    blocks, report, samples=500, seed=seed
+                )
+                assert got == want and got["failures"] == 0
+
+
+def test_paper_derived_check_matches_owner_list_oracle(paper_blocks, paper_report):
+    for seed in (0, 3, 11):
+        want = verify_reference.derived_steiner_sample_check(
+            paper_blocks, samples=10**5, seed=seed
+        )
+        got = derived_steiner_sample_check(
+            paper_blocks, paper_report, samples=10**5, seed=seed
+        )
+        assert got == want and got["failures"] == 0
+
+
+def test_derived_check_asserts_a_one_to_one_index(monkeypatch):
+    # every 2-subspace of GF(2)^5 lies in 7 of these blocks; the report lies
+    blocks = all_subspace_blocks(5, 3)
+    liar = DesignReport(
+        n=5, k=3, t=2, lam=1, num_blocks=blocks.num_blocks, total_t_subspaces=155,
+        histogram={1: 155}, violations_shown=[], violations_total=0, ok=True,
+    )
+    for chunk, slice_keys in CHUNK_SIZES:
+        monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
+        monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
+        with pytest.raises(AssertionError, match="not one-to-one"):
+            derived_steiner_sample_check(blocks, liar, samples=10)
+
+
+def test_certificates_reject_a_report_of_another_block_set():
+    blocks = all_subspace_blocks(5, 2)
+    report = verify_design(blocks, 2, 1)
+    assert report.ok
+    others = [
+        all_subspace_blocks(6, 2),  # n differs
+        BlockSet(5, 5, np.array([[1, 2, 4, 8, 16]], dtype=np.uint64)),  # k
+        BlockSet(5, 2, blocks.blocks[:-1].copy()),  # number of blocks
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="does not describe this block set"):
+            derived_steiner_sample_check(other, report, samples=10)
+        with pytest.raises(ValueError, match="does not describe this block set"):
+            min_distance_certificate(other, report, samples=10)
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_recount_and_derived_check_stay_below_150_mb(paper_blocks, paper_report):
+    # the sorted key array alone is 11,180,715 * 8 bytes = 85 MiB
+    assert traced_peak_mb(verify_design, paper_blocks, 2, 1) < 150
+    peak = traced_peak_mb(
+        derived_steiner_sample_check, paper_blocks, paper_report, samples=10**5
+    )
+    assert peak < 150
