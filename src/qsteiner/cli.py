@@ -31,7 +31,7 @@ from .exact_cover import (
     save_solutions,
     solve,
 )
-from .gf2 import FormatError
+from .gf2 import FormatError, identity
 from .groups import (
     ClosureCapError,
     MatrixGroup,
@@ -46,10 +46,8 @@ from .groups import (
 from .kramer_mesner import build_km, export_km, import_km, prune
 from .subspace import (
     EnumerationGuardError,
-    enumerate_subspaces,
     gaussian_binomial,
     load_subspace_file,
-    span,
     spread_size,
 )
 from .verify import (
@@ -69,10 +67,6 @@ EXIT_LIMIT = 3
 
 
 class UsageError(Exception):
-    pass
-
-
-class LimitReached(Exception):
     pass
 
 
@@ -203,8 +197,6 @@ def resolve_group(settings: Settings) -> MatrixGroup:
     n_flag = settings.get("n", cast=int)
     if n_flag is None:
         raise UsageError("--trivial-group requires --n")
-    from .gf2 import identity
-
     return MatrixGroup(n=n_flag, generators=(identity(n_flag),), order=1)
 
 
@@ -320,7 +312,7 @@ def cmd_solve(settings: Settings) -> int:
     if km_file is None:
         raise UsageError("--km FILE is required (produce one with the km command)")
     inst = import_km(km_file)
-    if any(v > 1 for v in inst.entries.values()):
+    if inst.matrix.max(initial=0) > 1:
         inst = prune(inst)
         print("input had entries above 1; pruned before solving")
     problem = from_km(inst)
@@ -517,7 +509,7 @@ def cmd_paper_check(settings: Settings) -> int:
                 ok = (
                     sums == {paper["km_row_sum"]}
                     and pruned.shape == (paper["orbits_k2"], paper["km_columns"])
-                    and all(v == 1 for v in pruned.entries.values())
+                    and pruned.matrix.max(initial=0) <= 1
                 )
                 return (
                     f"row sums {sorted(sums)}, pruned {pruned.shape[0]}"
@@ -629,18 +621,12 @@ def cmd_spread_demo(settings: Settings) -> int:
         raise UsageError(f"no spreads: {k} does not divide {n}")
     if n > 10:
         raise UsageError("spread demo is meant for small n (at most 10)")
-    blocks = list(enumerate_subspaces(n, k))
-    points = list(enumerate_subspaces(n, 1))
-    point_id = {p.key: i for i, p in enumerate(points)}
-    options = []
-    for i, b in enumerate(blocks):
-        items = sorted(point_id[span([v], n).key] for v in b.vectors() if v)
-        options.append((i, items))
-    from .exact_cover import CoverProblem
-
-    problem = CoverProblem(
-        item_ids=list(range(len(points))), options=options, multiplicity=1
-    )
+    if k < 2:
+        raise UsageError("spread demo needs k >= 2")
+    # spreads are the 1-(n, k, 1) designs: the KM system of the trivial group
+    group = MatrixGroup(n=n, generators=(identity(n),), order=1)
+    blocks = orbit_partition(group, k)
+    problem = from_km(build_km(orbit_partition(group, 1), blocks))
     max_solutions_raw = settings.get("max-solutions", default="all")
     max_solutions = (
         None if str(max_solutions_raw) == "all" else int(max_solutions_raw)
@@ -659,7 +645,7 @@ def cmd_spread_demo(settings: Settings) -> int:
     )
     if not solutions:
         return EXIT_VERIFY_FAIL
-    first = BlockSet.from_subspaces([blocks[i] for i in solutions[0].labels])
+    first = BlockSet.from_subspaces([blocks.reps[i] for i in solutions[0].labels])
     report = verify_design(first, 1, 1)
     print(f"first spread verification: {'pass' if report.ok else 'fail'}")
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL

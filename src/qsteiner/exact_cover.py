@@ -20,6 +20,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .gf2 import FormatError
 from .kramer_mesner import KMInstance, _checksum
 
@@ -222,24 +224,26 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
     return solutions, stats
 
 
-def from_km(inst: KMInstance, lam: int | None = None) -> CoverProblem:
+def from_km(inst: KMInstance) -> CoverProblem:
     """Cover problem from a Kramer-Mesner instance: items are t-orbits,
     one option per column covering the rows with entry 1."""
-    lam = inst.lam if lam is None else lam
-    by_col: dict[int, list[int]] = {cid: [] for cid in inst.col_ids}
-    for (rid, cid), val in inst.entries.items():
-        if val > 1:
-            raise ValueError(
-                f"column {cid} meets a row {val} times (> 1) and cannot be a "
-                "0/1 exact cover option; prune the instance first"
-            )
-        by_col[cid].append(rid)
-    options = [(cid, sorted(by_col[cid])) for cid in inst.col_ids]
-    options = [(cid, items) for cid, items in options if items]
+    rids, cids, vals = inst.nonzero()
+    if (vals > 1).any():
+        i = (vals > 1).argmax()
+        raise ValueError(
+            f"column {cids[i]} meets a row {vals[i]} times (> 1) and "
+            "cannot be a 0/1 exact cover option; prune the instance first"
+        )
+    # entries come by (column, row): each column's rows are one run
+    labels, starts = np.unique(cids, return_index=True)
+    items, bounds = rids.tolist(), starts.tolist() + [len(rids)]
+    options = [
+        (cid, items[a:b]) for cid, a, b in zip(labels.tolist(), bounds, bounds[1:])
+    ]
     return CoverProblem(
         item_ids=list(inst.row_ids),
         options=options,
-        multiplicity=lam,
+        multiplicity=inst.lam,
         checksum=_checksum(inst),
     )
 

@@ -44,22 +44,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[Iterable[int]]) -> "BitMatrix":
-        """Build from dense 0/1 lists; bits[i][j] is entry (i, j)."""
-        rows = []
-        width = None
-        for dense in bits:
-            dense = list(dense)
-            if width is None:
-                width = len(dense)
-            elif len(dense) != width:
-                raise ValueError("ragged rows")
-            rows.append(sum((1 << j) for j, b in enumerate(dense) if b))
-        if width is None:
-            raise ValueError("empty matrix needs an explicit width")
-        return cls(tuple(rows), width)
-
     def column(self, j: int) -> int:
         """Column j packed as an int (bit i = entry in row i)."""
         if not 0 <= j < self.ncols:

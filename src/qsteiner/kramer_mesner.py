@@ -7,12 +7,16 @@ transpose count b(K, T) = #{t-subspaces of rep(K) in orbit T} and the
 double-counting identity a(T, K) * |orbit T| = b(K, T) * |orbit K|.
 A 0/1 selection x of columns with A x = (lambda, ..., lambda) is
 exactly a t-(n, k, lambda) design over GF(2).
+
+A is held as one dense uint8 array, rows by columns: the paper's system
+is 105 x 30,705, about 3 MB, with entries at most 5.  Row sums, pruning,
+the file's E lines and the cover options are numpy expressions over it.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -26,11 +30,13 @@ CHECKSUM_MOD = 1 << 32
 
 @dataclass
 class KMInstance:
-    """A Kramer-Mesner system with sparse nonzero entries.
+    """A Kramer-Mesner system held as one dense uint8 matrix.
 
-    Row and column ids are orbit ids in their tables and survive
-    pruning unchanged, so a column id always names the same k-orbit.
-    pruned records (col_id, row_id, value) witnesses for removed columns.
+    matrix[i, j] is the entry of row id row_ids[i] and column id
+    col_ids[j]; both id lists ascend.  Row and column ids are orbit ids
+    in their tables and survive pruning unchanged, so a column id always
+    names the same k-orbit.  pruned records (col_id, row_id, value)
+    witnesses for removed columns.
     """
 
     n: int
@@ -41,23 +47,32 @@ class KMInstance:
     row_lengths: list[int]
     col_ids: list[int]
     col_lengths: list[int]
-    entries: dict[tuple[int, int], int]
+    matrix: np.ndarray
     pruned: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.row_ids), len(self.col_ids))
+        return self.matrix.shape
 
     def row_sums(self) -> dict[int, int]:
-        sums = {rid: 0 for rid in self.row_ids}
-        for (rid, _cid), val in self.entries.items():
-            sums[rid] += val
-        return sums
+        return dict(zip(self.row_ids, self.matrix.sum(axis=1).tolist()))
 
-    def column_entries(self, cid: int) -> list[tuple[int, int]]:
-        return sorted(
-            (rid, val) for (rid, c), val in self.entries.items() if c == cid
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row ids, column ids, values) of the nonzero entries as int64
+        arrays, ordered by (column, row) like the E lines of a KM file."""
+        cols, rows = np.nonzero(self.matrix.T)
+        return (
+            np.asarray(self.row_ids, dtype=np.int64)[rows],
+            np.asarray(self.col_ids, dtype=np.int64)[cols],
+            self.matrix[rows, cols].astype(np.int64),
         )
+
+    @property
+    def entries(self) -> dict:
+        """{(row id, column id): value} of the nonzero entries: a new
+        dict built from matrix on each read, so editing it edits nothing."""
+        rids, cids, vals = self.nonzero()
+        return dict(zip(zip(rids.tolist(), cids.tolist()), vals.tolist()))
 
 
 def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstance:
@@ -66,7 +81,8 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
     For every k-orbit representative K, each of its t-subspaces is
     located in the t-orbit table; the multiset of hits gives b(K, T)
     and the double-counting identity turns it into a(T, K), whose
-    divisibility is checked exactly.
+    divisibility is checked exactly.  An entry above 255 does not fit
+    the uint8 matrix and raises OverflowError.
     """
     if t_table.n != k_table.n:
         raise ValueError("orbit tables live in different ambient spaces")
@@ -97,9 +113,15 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
             f"inconsistent at row {int(rids[i])}, column {int(cols[i])} "
             f"(b={int(b[i])}); one of the orbit tables is corrupt"
         )
-    entries: dict[tuple[int, int], int] = dict(
-        zip(zip(rids.tolist(), cols.tolist()), (num // den).tolist())
-    )
+    vals = num // den
+    if vals.max() > 255:
+        i = vals.argmax()
+        raise OverflowError(
+            f"entry at row {rids[i]}, column {cols[i]} is {vals[i]}, "
+            "above the uint8 limit 255"
+        )
+    matrix = np.zeros((t_table.num_orbits, k_table.num_orbits), dtype=np.uint8)
+    matrix[rids, cols] = vals
     return KMInstance(
         n=n,
         t=t,
@@ -109,8 +131,7 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
         row_lengths=list(t_table.lengths),
         col_ids=list(range(k_table.num_orbits)),
         col_lengths=list(k_table.lengths),
-        entries=entries,
-        pruned=[],
+        matrix=matrix,
     )
 
 
@@ -118,32 +139,22 @@ def prune(inst: KMInstance) -> KMInstance:
     """Drop columns with any entry above lambda; they can join no solution.
 
     Returns a new instance; removed columns are recorded with their
-    first violating (row, value) witness.
+    first violating (row, value) witness, the one of lowest row id.
     """
-    bad: dict[int, tuple[int, int]] = {}
-    for (rid, cid), val in sorted(inst.entries.items()):
-        if val > inst.lam and cid not in bad:
-            bad[cid] = (rid, val)
-    keep = [cid for cid in inst.col_ids if cid not in bad]
-    keep_set = set(keep)
-    return KMInstance(
-        n=inst.n,
-        t=inst.t,
-        k=inst.k,
-        lam=inst.lam,
-        row_ids=list(inst.row_ids),
-        row_lengths=list(inst.row_lengths),
-        col_ids=keep,
-        col_lengths=[
-            l for cid, l in zip(inst.col_ids, inst.col_lengths) if cid in keep_set
-        ],
-        entries={
-            (rid, cid): val
-            for (rid, cid), val in inst.entries.items()
-            if cid in keep_set
-        },
-        pruned=inst.pruned
-        + [(cid, rid, val) for cid, (rid, val) in sorted(bad.items())],
+    # over-lambda entries by (column, row): a column's first is its witness
+    rids, cids, vals = inst.nonzero()
+    over = vals > inst.lam
+    dropped, first = np.unique(cids[over], return_index=True)
+    keep = ~np.isin(inst.col_ids, dropped)
+    witnesses = zip(
+        dropped.tolist(), rids[over][first].tolist(), vals[over][first].tolist()
+    )
+    return replace(
+        inst,
+        col_ids=np.asarray(inst.col_ids)[keep].tolist(),
+        col_lengths=np.asarray(inst.col_lengths)[keep].tolist(),
+        matrix=inst.matrix[:, keep],
+        pruned=inst.pruned + list(witnesses),
     )
 
 
@@ -156,13 +167,16 @@ def prune(inst: KMInstance) -> KMInstance:
 #   E row col value            (nonzero entries, sorted by (col, row))
 #   X checksum                 (sum of all integers above, mod 2^32)
 
+# fields per record, the tag included
+_FIELDS = {"R": 3, "C": 3, "E": 4, "X": 2}
+
 
 def _checksum(inst: KMInstance) -> int:
     total = inst.n + inst.t + inst.k + inst.lam + len(inst.row_ids) + len(inst.col_ids)
     total += sum(inst.row_ids) + sum(inst.row_lengths)
     total += sum(inst.col_ids) + sum(inst.col_lengths)
-    for (rid, cid), val in inst.entries.items():
-        total += rid + cid + val
+    # int64 sums wrap mod 2^64, which keeps them exact mod 2^32
+    total += sum(int(a.sum()) for a in inst.nonzero())
     return total % CHECKSUM_MOD
 
 
@@ -175,9 +189,9 @@ def _km_lines(inst: KMInstance) -> Iterator[str]:
         yield f"R {rid} {length}\n"
     for cid, length in zip(inst.col_ids, inst.col_lengths):
         yield f"C {cid} {length}\n"
-    # sorting the keys alone, not (key, value) pairs, halves the transient
-    for rid, cid in sorted(inst.entries, key=lambda rc: (rc[1], rc[0])):
-        yield f"E {rid} {cid} {inst.entries[rid, cid]}\n"
+    rids, cids, vals = inst.nonzero()
+    for rid, cid, val in zip(rids.tolist(), cids.tolist(), vals.tolist()):
+        yield f"E {rid} {cid} {val}\n"
     yield f"X {_checksum(inst)}\n"
 
 
@@ -191,80 +205,96 @@ def export_km(inst: KMInstance, path: str) -> None:
         fh.writelines(_km_lines(inst))
 
 
+def _ints(flat: list, width: int) -> np.ndarray:
+    """Records of (line number, integer fields...) as an int64 array; a
+    field that is no integer or does not fit 64 bits names its line."""
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, width)
+    except (ValueError, OverflowError):
+        for i in range(0, len(flat), width):
+            try:
+                np.array(flat[i : i + width], dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(f"line {flat[i]}: {exc}") from exc
+        raise
+
+
+def _reject(records: np.ndarray, bad: np.ndarray, message: str) -> None:
+    """FormatError at the first (line, fields...) record where bad holds;
+    message formats that record's fields, {1} onwards."""
+    if bad.any():
+        raise FormatError(("line {0}: " + message).format(*records[bad.argmax()]))
+
+
 def parse_km(text: str) -> KMInstance:
     """Parse and validate a KM file; FormatError names the offending line."""
     header = None
-    rows: list[tuple[int, int]] = []
-    cols: list[tuple[int, int]] = []
-    entries: dict[tuple[int, int], int] = {}
-    checksum = None
-    # line by line: a list of all lines, one per entry, would take about
-    # as much memory as the entries dict being built from them
+    # per record type, one flat run of (line number, fields...) per line;
+    # the fields stay text until one bulk conversion
+    records: dict[str, list] = {tag: [] for tag in _FIELDS}
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        try:
-            if parts[0] == "KM":
-                if header is not None:
-                    raise FormatError(f"line {lineno}: duplicate header")
-                if len(parts) != 7:
-                    raise FormatError(f"line {lineno}: header needs 6 integers")
-                header = tuple(int(x) for x in parts[1:])
-            elif parts[0] == "R":
-                rows.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "C":
-                cols.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "E":
-                rid, cid, val = int(parts[1]), int(parts[2]), int(parts[3])
-                if val <= 0:
-                    raise FormatError(f"line {lineno}: entries must be positive")
-                if (rid, cid) in entries:
-                    raise FormatError(f"line {lineno}: duplicate entry ({rid},{cid})")
-                entries[(rid, cid)] = val
-            elif parts[0] == "X":
-                checksum = int(parts[1])
-            else:
-                raise FormatError(f"line {lineno}: unknown record '{parts[0]}'")
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {lineno}: {exc}") from exc
+        tag = parts[0]
+        parts[0] = lineno
+        if tag == "KM":
+            if header is not None:
+                raise FormatError(f"line {lineno}: duplicate header")
+            if len(parts) != 7:
+                raise FormatError(f"line {lineno}: header needs 6 integers")
+            header = _ints(parts, 7)[0, 1:].tolist()
+        elif tag not in _FIELDS:
+            raise FormatError(f"line {lineno}: unknown record '{tag}'")
+        elif len(parts) != _FIELDS[tag]:
+            raise FormatError(
+                f"line {lineno}: {tag} record needs {_FIELDS[tag] - 1} integers"
+            )
+        else:
+            records[tag] += parts
+    rows, cols, ents, xs = (_ints(records[tag], _FIELDS[tag]) for tag in "RCEX")
+    _reject(ents, ents[:, 3] <= 0, "entries must be positive")
+    _reject(ents, ents[:, 3] > 255, "entry {3} is above 255")
+    _reject(xs, np.arange(len(xs)) > 0, "duplicate X line")
     if header is None:
         raise FormatError("missing KM header")
     n, t, k, lam, nrows, ncols = header
-    if len(rows) != nrows:
-        raise FormatError(f"header promises {nrows} rows, file has {len(rows)}")
-    if len(cols) != ncols:
-        raise FormatError(f"header promises {ncols} cols, file has {len(cols)}")
-    row_ids = [r for r, _ in rows]
-    col_ids = [c for c, _ in cols]
-    if sorted(row_ids) != row_ids or len(set(row_ids)) != len(row_ids):
-        raise FormatError("row ids must be unique and ascending")
-    if sorted(col_ids) != col_ids or len(set(col_ids)) != len(col_ids):
-        raise FormatError("column ids must be unique and ascending")
-    known_r, known_c = set(row_ids), set(col_ids)
-    for rid, cid in entries:
-        if rid not in known_r or cid not in known_c:
-            raise FormatError(f"entry ({rid},{cid}) references an unknown id")
+    for recs, count, noun, name in (
+        (rows, nrows, "rows", "row"),
+        (cols, ncols, "cols", "column"),
+    ):
+        _reject(recs, recs[:, 2] <= 0, "orbit lengths must be positive")
+        if len(recs) != count:
+            raise FormatError(f"header promises {count} {noun}, file has {len(recs)}")
+        if (np.diff(recs[:, 1]) <= 0).any():
+            raise FormatError(f"{name} ids must be unique and ascending")
+    known = np.isin(ents[:, 1], rows[:, 1]) & np.isin(ents[:, 2], cols[:, 1])
+    _reject(ents, ~known, "entry ({1},{2}) references an unknown id")
+    ri = np.searchsorted(rows[:, 1], ents[:, 1])
+    ci = np.searchsorted(cols[:, 1], ents[:, 2])
+    repeat = np.ones(len(ents), dtype=bool)
+    repeat[np.unique(ri * ncols + ci, return_index=True)[1]] = False
+    _reject(ents, repeat, "duplicate entry ({1},{2})")
+    matrix = np.zeros((nrows, ncols), dtype=np.uint8)
+    matrix[ri, ci] = ents[:, 3]
     inst = KMInstance(
         n=n,
         t=t,
         k=k,
         lam=lam,
-        row_ids=row_ids,
-        row_lengths=[l for _, l in rows],
-        col_ids=col_ids,
-        col_lengths=[l for _, l in cols],
-        entries=entries,
+        row_ids=rows[:, 1].tolist(),
+        row_lengths=rows[:, 2].tolist(),
+        col_ids=cols[:, 1].tolist(),
+        col_lengths=cols[:, 2].tolist(),
+        matrix=matrix,
     )
-    if checksum is None:
+    if not len(xs):
         raise FormatError("missing X checksum line")
     actual = _checksum(inst)
-    if actual != checksum:
+    if actual != xs[0, 1]:
         raise FormatError(
-            f"checksum mismatch: file says {checksum}, content sums to {actual}"
+            f"checksum mismatch: file says {xs[0, 1]}, content sums to {actual}"
         )
     return inst
 

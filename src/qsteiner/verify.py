@@ -457,11 +457,6 @@ def format_report(report: DesignReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_report(report: DesignReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))
-
-
 # ---------------------------------------------------------------------------
 # certificates built on a passing report
 

@@ -5,6 +5,7 @@ time against the stated target before asserting, so a failing run still
 shows the measured numbers.
 """
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -26,7 +27,7 @@ from qsteiner.groups import (
     orbit_partition,
     singer_normalizer,
 )
-from qsteiner.kramer_mesner import build_km, prune
+from qsteiner.kramer_mesner import build_km, format_km, prune
 from qsteiner.subspace import (
     contains_subspace,
     enumerate_subspaces,
@@ -104,7 +105,7 @@ def test_criterion_03_km_dimensions(km_state):
     row_sums = set(inst.row_sums().values())
     n_rows = len(inst.row_ids)
     n_cols = len(pruned.col_ids)
-    entries_ok = set(pruned.entries.values()) <= {1}
+    entries_ok = bool(pruned.matrix.max(initial=0) <= 1)
     ok = (
         row_sums == {PAPER["km_row_sum"]}
         and n_rows == PAPER["orbits_k2"]
@@ -124,6 +125,12 @@ def test_criterion_03_km_dimensions(km_state):
     assert len(inst.col_ids) == km_state["t3"].num_orbits == PAPER["orbits_k3"]
     assert entries_ok
     assert elapsed < 7200
+    # the KM file bytes, so a change to the matrix code cannot move them
+    for km, digest in (
+        (inst, "0c9cc1452d7fa29d659c0aeac2d92fef195f70d452283b06e921b94104c9dc4a"),
+        (pruned, "4de3d9ca83a7e43ff0a40187b5813c9d2d591baa05b1facb02eaf49d8fd4a386"),
+    ):
+        assert hashlib.sha256(format_km(km).encode()).hexdigest() == digest
 
 
 def test_criterion_04_design_certification_without_solver():
@@ -310,7 +317,8 @@ def test_criterion_10_property_suites():
     assert set(inst.row_sums().values()) == {gaussian_binomial(4, 1, 2)}
     for cid in inst.col_ids:
         weighted = sum(
-            val * table2.lengths[rid] for rid, val in inst.column_entries(cid)
+            int(val) * table2.lengths[rid]
+            for rid, val in zip(inst.row_ids, inst.matrix[:, cid])
         )
         assert weighted == gaussian_binomial(3, 2, 2) * table3.lengths[cid]
 
@@ -327,7 +335,7 @@ def test_criterion_10_property_suites():
                 for i in range(blocks.num_blocks)
                 if contains_subspace(blocks.subspace(i), t1.reps[rid])
             )
-            assert count == small.entries.get((rid, cid), 0)
+            assert count == small.matrix[rid, cid]
 
     # solver soundness on random instances against subset enumeration
     for trial in range(10):

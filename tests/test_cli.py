@@ -65,6 +65,9 @@ def test_spread_demo_counts_56(capsys):
     assert code == 0
     assert "56 spreads" in out
     assert "first spread verification: pass" in out
+    # spreads come from the t = 1 KM system, which needs 1 < k
+    code, _, err = run(capsys, "spread-demo", "--k", "1")
+    assert code == 2 and "k >= 2" in err
 
 
 def test_group_command_writes_file(tmp_path, capsys):
