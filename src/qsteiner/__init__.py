@@ -49,7 +49,6 @@ from .subspace import (
     span,
     spread_size,
     subspace_distance,
-    subspaces_of,
 )
 from .verify import (
     BlockSet,
@@ -107,6 +106,5 @@ __all__ = [
     "span",
     "spread_size",
     "subspace_distance",
-    "subspaces_of",
     "verify_design",
 ]

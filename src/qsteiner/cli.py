@@ -201,6 +201,7 @@ def resolve_group(settings: Settings) -> MatrixGroup:
 
 
 def resolve_reps(settings: Settings, group: MatrixGroup):
+    """(representatives, the file or flag they came from)."""
     reps_file = settings.get("reps")
     use_fixture = settings.flag_true("fixture-solution")
     if (reps_file is None) == (not use_fixture):
@@ -208,11 +209,20 @@ def resolve_reps(settings: Settings, group: MatrixGroup):
     if use_fixture:
         if group.n != fixtures.FIXTURE_N:
             raise UsageError("--fixture-solution requires the n=13 group")
-        return fixtures.solution_representatives()
+        return fixtures.solution_representatives(), "--fixture-solution"
     subs = load_subspace_file(reps_file)
     if any(s.ambient != group.n for s in subs):
         raise UsageError(f"{reps_file}: representatives are not in GF(2)^{group.n}")
-    return subs
+    return subs, reps_file
+
+
+def expand_reps(group: MatrixGroup, reps, source: str):
+    """expand_orbits, with representatives that do not make a block set
+    reported against their source."""
+    try:
+        return expand_orbits(group, reps)
+    except ValueError as exc:
+        raise FormatError(f"{source}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +360,8 @@ def cmd_solve(settings: Settings) -> int:
 
 def _reps_from_table(settings: Settings, group: MatrixGroup):
     """Representatives named by id against a saved orbit table, either
-    listed directly (--ids) or taken from a solution file's first line."""
+    listed directly (--ids) or taken from a solution file's first line,
+    with the table file; None without --k-orbits."""
     table_file = settings.get("k-orbits")
     ids_text = settings.get("ids")
     solution_file = settings.get("solution")
@@ -368,19 +379,23 @@ def _reps_from_table(settings: Settings, group: MatrixGroup):
         if not rows:
             raise UsageError(f"{solution_file}: contains no solutions")
         ids = list(rows[0])
-    try:
-        return [table.reps[i] for i in ids]
-    except IndexError as exc:
-        raise UsageError(f"orbit id out of range: {exc}") from exc
+    for i in ids:
+        if not 0 <= i < table.num_orbits:
+            raise UsageError(
+                f"orbit id {i} out of range: {table_file} has "
+                f"{table.num_orbits} orbits"
+            )
+    if len(set(ids)) != len(ids):
+        raise UsageError(f"orbit ids repeat: {ids}")
+    return [table.rep(i) for i in ids], table_file
 
 
 def cmd_expand(settings: Settings) -> int:
     group = resolve_group(settings)
-    reps = _reps_from_table(settings, group)
-    if reps is None:
-        reps = resolve_reps(settings, group)
+    named = _reps_from_table(settings, group)
+    reps, source = named if named is not None else resolve_reps(settings, group)
     t0 = time.time()
-    blocks, lengths = expand_orbits(group, reps)
+    blocks, lengths = expand_reps(group, reps, source)
     path = out_path(settings, "blocks.txt")
     blocks.save(path)
     print(
@@ -399,8 +414,7 @@ def cmd_verify(settings: Settings) -> int:
         blocks = BlockSet.load(blocks_file)
     else:
         group = resolve_group(settings)
-        reps = resolve_reps(settings, group)
-        blocks, _ = expand_orbits(group, reps)
+        blocks, _ = expand_reps(group, *resolve_reps(settings, group))
     t0 = time.time()
     report = verify_design(blocks, t, lam)
     elapsed = time.time() - t0
@@ -625,8 +639,8 @@ def cmd_spread_demo(settings: Settings) -> int:
         raise UsageError("spread demo needs k >= 2")
     # spreads are the 1-(n, k, 1) designs: the KM system of the trivial group
     group = MatrixGroup(n=n, generators=(identity(n),), order=1)
-    blocks = orbit_partition(group, k)
-    problem = from_km(build_km(orbit_partition(group, 1), blocks))
+    table = orbit_partition(group, k)
+    problem = from_km(build_km(orbit_partition(group, 1), table))
     max_solutions_raw = settings.get("max-solutions", default="all")
     max_solutions = (
         None if str(max_solutions_raw) == "all" else int(max_solutions_raw)
@@ -645,7 +659,7 @@ def cmd_spread_demo(settings: Settings) -> int:
     )
     if not solutions:
         return EXIT_VERIFY_FAIL
-    first = BlockSet.from_subspaces([blocks.reps[i] for i in solutions[0].labels])
+    first = BlockSet(n, k, table.rows[list(solutions[0].labels)])
     report = verify_design(first, 1, 1)
     print(f"first spread verification: {'pass' if report.ok else 'fail'}")
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL

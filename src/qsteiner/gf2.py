@@ -575,3 +575,28 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 r[hit, j] ^= r[hit, i]
     ranks = (r != zero).sum(axis=1).astype(np.int64)
     return r, ranks
+
+
+def first_duplicate(rows: np.ndarray, n: int) -> tuple[int, int] | None:
+    """(i, j) with i < j for the first row j that equals an earlier row i.
+
+    rows is (N, k) uint64 with entries of n bits.  Each row's k entries
+    are packed into ceil(k n / 64) words, so a stable sort of one word
+    per row does for k n <= 64.
+    """
+    num, k = rows.shape
+    words = np.zeros((num, max(1, -(-k * n // 64))), dtype=np.uint64)
+    for i in range(k):
+        w, off = divmod(i * n, 64)
+        words[:, w] |= rows[:, i] << np.uint64(off)
+        if off + n > 64:
+            words[:, w + 1] |= rows[:, i] >> np.uint64(64 - off)
+    # a stable lexicographic sort makes equal rows neighbours in input order
+    order = np.lexsort(words.T)
+    srt = words[order]
+    same = np.flatnonzero(np.all(srt[1:] == srt[:-1], axis=1))
+    if not same.size:
+        return None
+    later = order[same + 1]
+    p = int(np.argmin(later))
+    return int(order[same[p]]), int(later[p])

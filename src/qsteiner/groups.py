@@ -21,6 +21,7 @@ from .gf2 import (
     FormatError,
     column_action,
     companion_matrix,
+    first_duplicate,
     format_matrix,
     frobenius_matrix,
     identity,
@@ -29,6 +30,7 @@ from .gf2 import (
     primitive_polynomial,
     rank,
     row_action,
+    rref_bulk,
     rref_rows,
 )
 from .heap import release_free_heap
@@ -37,6 +39,7 @@ from .subspace import (
     Subspace,
     enumerate_keys_bulk,
     gaussian_binomial,
+    pack_keys_bulk,
     span,
     subspace_from_key,
 )
@@ -182,78 +185,111 @@ def orbit(group: MatrixGroup, u: Subspace, cap: int = TRAVERSAL_CAP) -> list[Sub
     return members
 
 
+def _rowwise(words: np.ndarray) -> np.ndarray:
+    """(N, W) uint64 words as N comparable scalars, one np.void per row."""
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    return words.view(np.dtype((np.void, 8 * words.shape[1]))).reshape(-1)
+
+
+def _sorted_index(
+    by_label: bool, words: np.ndarray, ids: np.ndarray
+) -> tuple[bool, np.ndarray, np.ndarray]:
+    """An OrbitTable lookup index: whether it holds orbit labels or keys,
+    the rows of words sorted as np.void, and the orbit id of each."""
+    keys = _rowwise(words)
+    order = np.argsort(keys, kind="stable")
+    return by_label, keys[order], np.asarray(ids, dtype=np.int64)[order]
+
+
 @dataclass(eq=False)
 class OrbitTable:
     """Orbit representatives of k-dim subspaces under a group.
 
-    ids run 0..len(reps)-1 in ascending representative key order.  The
-    lookup index is materialized lazily: Singer-structured groups map a
-    subspace to its orbit label arithmetically, other tables fall back
-    to sorted key arrays built during partition or rebuilt by traversal.
+    rows is the (N, k) uint64 array of representative RREF bases, ids
+    0..N-1 in ascending representative key order; rep(i) gives one as a
+    Subspace.  The lookup index is one sorted array of words with the
+    orbit id of each: the representatives' orbit labels when the group
+    has a Singer engine, else the key of every orbit member, taken from
+    the generic partition or rebuilt by traversal.
     """
 
     n: int
     k: int
     group: MatrixGroup | None
-    reps: list[Subspace]
+    rows: np.ndarray
     lengths: list[int]
-    _label_index: dict[tuple[int, ...], int] | None = field(default=None, repr=False)
-    _key_sorted: np.ndarray | None = field(default=None, repr=False)
-    _key_ids: np.ndarray | None = field(default=None, repr=False)
+    _index: tuple[bool, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.reps) != len(self.lengths):
-            raise ValueError("reps and lengths differ in length")
-        keys = [r.key for r in self.reps]
-        if any(b <= a for a, b in zip(keys, keys[1:])):
+        self.rows = np.ascontiguousarray(self.rows, dtype=np.uint64)
+        if self.rows.ndim != 2 or self.rows.shape[1] != self.k:
+            raise ValueError("rows must be an (N, k) array of basis rows")
+        if len(self.rows) != len(self.lengths):
+            raise ValueError("rows and lengths differ in length")
+        if self.rows.size and int(self.rows.max()) >> self.n:
+            raise ValueError("basis rows must fit in n bits")
+        red, ranks = rref_bulk(self.rows)
+        bad = np.flatnonzero((ranks < self.k) | np.any(red != self.rows, axis=1))
+        if bad.size:
+            raise ValueError(
+                f"orbit {bad[0]}: basis rows are not a reduced row echelon "
+                f"form of rank {self.k}"
+            )
+        keys = pack_keys_bulk(self.rows, self.n)
+        if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("representatives must be in strictly ascending key order")
 
     @property
     def num_orbits(self) -> int:
-        return len(self.reps)
+        return len(self.rows)
 
     def total_subspaces(self) -> int:
         return sum(self.lengths)
 
+    def rep(self, i: int) -> Subspace:
+        """Representative of orbit i as a Subspace."""
+        if not 0 <= i < self.num_orbits:
+            raise IndexError(f"orbit id {i} is not in 0..{self.num_orbits - 1}")
+        return Subspace(self.n, tuple(self.rows[i].tolist()))
+
     # -- lookup -----------------------------------------------------------
 
-    def _ensure_index(self) -> None:
-        if self._label_index is not None or self._key_sorted is not None:
-            return
-        engine = self.group.engine() if self.group is not None else None
-        if engine is not None:
-            labels, _ = engine.labels_and_stabilizers(
-                engine.rows_to_exps(self.rep_rows())
-            )
-            self._label_index = {
-                tuple(label): i for i, label in enumerate(labels.tolist())
-            }
-            return
-        if self.group is None:
-            raise StrategyError("orbit lookup needs the group to rebuild its index")
-        total = self.total_subspaces()
-        if total > TRAVERSAL_CAP:
-            raise StrategyError(
-                f"rebuilding the lookup index would traverse {total} subspaces"
-            )
-        keys = []
-        ids = []
-        for i, rep in enumerate(self.reps):
-            members = orbit(self.group, rep)
-            if len(members) != self.lengths[i]:
-                raise AssertionError("stored orbit length disagrees with traversal")
-            keys.extend(m.key for m in members)
-            ids.extend([i] * len(members))
-        keys = np.array(keys, dtype=np.uint64)
-        ids = np.array(ids, dtype=np.int64)
-        srt = np.argsort(keys)
-        self._key_sorted = keys[srt]
-        self._key_ids = ids[srt]
+    def _engine(self) -> SingerEngine | None:
+        """The group's Singer engine; the zero subspace needs none."""
+        return self.group.engine() if self.group is not None and self.k else None
 
-    def rep_rows(self) -> np.ndarray:
-        """Representative bases as an (N, k) uint64 array of RREF rows."""
-        rows = np.array([rep.rows for rep in self.reps], dtype=np.uint64)
-        return rows.reshape(len(self.reps), self.k)
+    def _index_words(self, rows: np.ndarray, by_label: bool) -> np.ndarray:
+        """(N, W) uint64 orbit labels or subspace keys of (N, k) RREF rows."""
+        if by_label:
+            engine = self._engine()
+            return engine.labels_bulk(engine.rows_to_exps(rows))
+        return pack_keys_bulk(rows, self.n)[:, None]
+
+    def _ensure_index(self) -> tuple[bool, np.ndarray, np.ndarray]:
+        if self._index is not None:
+            return self._index
+        if self._engine() is not None:
+            words = self._index_words(self.rows, True)
+            self._index = _sorted_index(True, words, np.arange(self.num_orbits))
+        else:
+            if self.group is None:
+                raise StrategyError("orbit lookup needs the group to rebuild its index")
+            total = self.total_subspaces()
+            if total > TRAVERSAL_CAP:
+                raise StrategyError(
+                    f"rebuilding the lookup index would traverse {total} subspaces"
+                )
+            keys = []
+            ids = []
+            for i in range(self.num_orbits):
+                members = orbit(self.group, self.rep(i))
+                if len(members) != self.lengths[i]:
+                    raise AssertionError("stored orbit length disagrees with traversal")
+                keys.extend(m.key for m in members)
+                ids.extend([i] * len(members))
+            keys = np.array(keys, dtype=np.uint64)[:, None]
+            self._index = _sorted_index(False, keys, ids)
+        return self._index
 
     def lookup(self, u: Subspace) -> int:
         """Orbit id of a subspace; raises for wrong shape or foreign subspace."""
@@ -261,46 +297,17 @@ class OrbitTable:
             raise ValueError(
                 f"lookup expects a {self.k}-dim subspace of GF(2)^{self.n}"
             )
-        self._ensure_index()
-        if self._label_index is not None:
-            engine = self.group.engine()
-            label = engine.label_of(u)
-            if label not in self._label_index:
-                raise KeyError("subspace does not belong to any tabulated orbit")
-            return self._label_index[label]
-        pos = int(np.searchsorted(self._key_sorted, np.uint64(u.key)))
-        if pos >= self._key_sorted.size or int(self._key_sorted[pos]) != u.key:
-            raise KeyError("subspace does not belong to any tabulated orbit")
-        return int(self._key_ids[pos])
+        rows = np.array(u.rows, dtype=np.uint64).reshape(1, self.k)
+        return int(self.lookup_rows_bulk(rows)[0])
 
     def lookup_rows_bulk(self, rows: np.ndarray) -> np.ndarray:
         """Orbit ids for many subspaces given as (N, k) RREF rows."""
-        self._ensure_index()
-        if self._label_index is not None:
-            engine = self.group.engine()
-            words = engine.labels_bulk(engine.rows_to_exps(rows))
-            index = self._label_index
-            known = np.array(list(index), dtype=np.uint64).reshape(len(index), -1)
-            # one sort over the tabulated labels and the queries together
-            _, inverse = np.unique(
-                np.concatenate([known, words]), axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            slot_ids = np.full(inverse.max() + 1, -1, dtype=np.int64)
-            slot_ids[inverse[: len(index)]] = list(index.values())
-            out = slot_ids[inverse[len(index) :]]
-            if np.any(out < 0):
-                raise KeyError("subspace does not belong to any tabulated orbit")
-            return out
-        from .subspace import pack_keys_bulk
-
-        keys = pack_keys_bulk(rows, self.n)
-        pos = np.searchsorted(self._key_sorted, keys)
-        if (pos >= self._key_sorted.size).any() or not np.array_equal(
-            self._key_sorted[pos], keys
-        ):
+        by_label, index, ids = self._ensure_index()
+        query = _rowwise(self._index_words(rows, by_label))
+        pos = np.searchsorted(index, query)
+        if np.any(pos >= index.size) or not np.array_equal(index[pos], query):
             raise KeyError("subspace does not belong to any tabulated orbit")
-        return self._key_ids[pos]
+        return ids[pos]
 
     # -- serialization ----------------------------------------------------
 
@@ -319,10 +326,11 @@ class OrbitTable:
             f"{self.n} {self.k} {group_hash(self.group)} {order}",
             "",
         ]
-        for i, (rep, length) in enumerate(zip(self.reps, self.lengths)):
-            lines.append(f"{i} {length}")
-            lines.append(format_matrix(rep.basis_matrix()).rstrip("\n"))
-            lines.append("")
+        # column j of a text row is bit j
+        bits = (self.rows[:, :, None] >> np.arange(self.n, dtype=np.uint64)) & 1
+        text = (bits.astype(np.uint8) + ord("0")).view(f"S{self.n}")[..., 0]
+        for i, (length, rows) in enumerate(zip(self.lengths, text.tolist())):
+            lines += [f"{i} {length}", b"\n".join(rows).decode(), ""]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines))
 
@@ -335,10 +343,10 @@ class OrbitTable:
         representatives share an orbit, and becomes the lookup index.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            lines = fh.read().splitlines()
         header = None
         body_start = 0
-        for lineno, line in enumerate(raw.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.split("#", 1)[0].strip()
             if stripped:
                 header = stripped.split()
@@ -346,41 +354,53 @@ class OrbitTable:
                 break
         if header is None or len(header) != 4:
             raise FormatError("missing or malformed orbit table header")
-        n, k = int(header[0]), int(header[1])
-        ghash, order = header[2], int(header[3])
+        try:
+            n, k, order = int(header[0]), int(header[1]), int(header[3])
+        except ValueError:
+            raise FormatError(
+                f"line {body_start}: orbit table header needs integer n, k "
+                f"and group order, got {' '.join(header)!r}"
+            ) from None
+        if not 0 <= k <= n or not 1 <= n <= 64:
+            raise FormatError(f"line {body_start}: no {k}-subspaces of GF(2)^{n}")
         if group is not None:
             if group.n != n:
                 raise FormatError("group dimension does not match the table header")
-            if group_hash(group) != ghash:
+            if group_hash(group) != header[2]:
                 raise FormatError("group hash does not match the table header")
             if group.order is None:
                 group.order = order
-        body = raw.splitlines()[body_start:]
-        reps: list[Subspace] = []
+        rows: list[int] = []
         lengths: list[int] = []
-        i = 0
-        while i < len(body):
-            line = body[i].split("#", 1)[0].strip()
+        i = body_start
+        while i < len(lines):
+            line = lines[i].split("#", 1)[0].strip()
+            i += 1
             if not line:
-                i += 1
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise FormatError(f"expected 'id length' at table entry {len(reps)}")
-            oid, length = int(parts[0]), int(parts[1])
-            if oid != len(reps):
+                raise FormatError(f"expected 'id length' at table entry {len(lengths)}")
+            try:
+                oid, length = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(
+                    f"line {i}: expected integer 'id length', got {line!r}"
+                ) from None
+            if oid != len(lengths):
                 raise FormatError(f"orbit ids must be consecutive; got {oid}")
-            rows = []
-            i += 1
             for _ in range(k):
-                row_text = body[i].split("#", 1)[0].strip() if i < len(body) else ""
+                row_text = lines[i].split("#", 1)[0].strip() if i < len(lines) else ""
                 if len(row_text) != n or any(c not in "01" for c in row_text):
                     raise FormatError(f"orbit {oid}: expected {k} basis rows of width {n}")
-                rows.append(sum(1 << j for j, c in enumerate(row_text) if c == "1"))
+                rows.append(int(row_text[::-1], 2))
                 i += 1
-            reps.append(Subspace(n, tuple(rows)))
             lengths.append(length)
-        table = cls(n=n, k=k, group=group, reps=reps, lengths=lengths)
+        reps = np.array(rows, dtype=np.uint64).reshape(len(lengths), k)
+        try:
+            table = cls(n, k, group, reps, lengths)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
         if order and group is not None and group.order != order:
             raise FormatError("group order disagrees with the table header")
         total = sum(lengths)
@@ -390,25 +410,24 @@ class OrbitTable:
                 f"orbit lengths sum to {total}, but GF(2)^{n} has {expect} "
                 f"{k}-subspaces"
             )
-        engine = group.engine() if group is not None and k > 0 else None
+        engine = table._engine()
         if engine is not None:
-            labels, stab = engine.labels_and_stabilizers(
-                engine.rows_to_exps(table.rep_rows())
-            )
-            derived = (engine.order // stab).tolist()
-            index: dict[tuple[int, ...], int] = {}
-            for i, label in enumerate(labels.tolist()):
-                if derived[i] != lengths[i]:
-                    raise FormatError(
-                        f"orbit {i}: recorded length {lengths[i]} is wrong; "
-                        f"the representative's orbit has {derived[i]}"
-                    )
-                j = index.setdefault(tuple(label), i)
-                if j != i:
-                    raise FormatError(
-                        f"orbits {j} and {i}: representatives share an orbit"
-                    )
-            table._label_index = index
+            labels, stab = engine.labels_and_stabilizers(engine.rows_to_exps(table.rows))
+            derived = engine.order // stab
+            wrong = np.flatnonzero(derived != np.array(lengths, dtype=np.int64))
+            pair = first_duplicate(labels, 64)
+            # the first orbit at fault, its length before its label
+            if wrong.size and (pair is None or wrong[0] <= pair[1]):
+                i = wrong[0]
+                raise FormatError(
+                    f"orbit {i}: recorded length {lengths[i]} is wrong; "
+                    f"the representative's orbit has {derived[i]}"
+                )
+            if pair is not None:
+                raise FormatError(
+                    f"orbits {pair[0]} and {pair[1]}: representatives share an orbit"
+                )
+            table._index = _sorted_index(True, labels, np.arange(table.num_orbits))
         return table
 
 
@@ -432,14 +451,13 @@ def orbit_partition(group: MatrixGroup, k: int) -> OrbitTable:
 def _partition_engine(group: MatrixGroup, k: int) -> OrbitTable:
     engine = group.engine()
     assert engine is not None
-    prev_reps: list[Subspace] = []
+    rows = np.zeros((0, 0), dtype=np.uint64)
     # each step's numpy temporaries are freed when it returns; hand their
     # pages back so neither this partition nor the work after it runs on
     # top of whatever earlier work left resident (see heap.py)
     release_free_heap()
     for kk in range(k + 1):
-        reps, lengths, label_index = engine.partition(kk, prev_reps)
-        prev_reps = reps
+        rows, lengths, labels = engine.partition(kk, rows)
         release_free_heap()
     total = sum(lengths)
     expect = gaussian_binomial(group.n, k, 2)
@@ -451,16 +469,16 @@ def _partition_engine(group: MatrixGroup, k: int) -> OrbitTable:
         n=group.n,
         k=k,
         group=group,
-        reps=reps,
+        rows=rows,
         lengths=lengths,
-        _label_index=label_index,
+        _index=_sorted_index(True, labels, np.arange(len(lengths))) if k else None,
     )
 
 
 def _partition_full(group: MatrixGroup, k: int) -> OrbitTable:
     keys = enumerate_keys_bulk(group.n, k)
     assigned = np.full(keys.size, -1, dtype=np.int64)
-    reps: list[Subspace] = []
+    rows: list[tuple[int, ...]] = []
     lengths: list[int] = []
     for pos in range(keys.size):
         if assigned[pos] >= 0:
@@ -470,8 +488,8 @@ def _partition_full(group: MatrixGroup, k: int) -> OrbitTable:
         idx = np.searchsorted(keys, member_keys)
         if not np.array_equal(keys[idx], member_keys):
             raise AssertionError("orbit member key missing from the enumeration")
-        assigned[idx] = len(reps)
-        reps.append(seed)
+        assigned[idx] = len(rows)
+        rows.append(seed.rows)
         lengths.append(member_keys.size)
     if (assigned < 0).any():
         raise AssertionError("enumeration walk left unassigned subspaces")
@@ -479,10 +497,9 @@ def _partition_full(group: MatrixGroup, k: int) -> OrbitTable:
         n=group.n,
         k=k,
         group=group,
-        reps=reps,
+        rows=np.array(rows, dtype=np.uint64).reshape(len(rows), k),
         lengths=lengths,
-        _key_sorted=keys,
-        _key_ids=assigned,
+        _index=_sorted_index(False, keys[:, None], assigned),
     )
 
 

@@ -130,9 +130,6 @@ class SingerEngine:
         exps.sort(axis=1)
         return exps
 
-    def subspace_exps(self, u: Subspace) -> np.ndarray:
-        return self.rows_to_exps(np.array([u.rows], dtype=np.uint64))[0]
-
     # -- labels -----------------------------------------------------------
 
     def _pack_words(self, sorted_exps: np.ndarray) -> list[np.ndarray]:
@@ -202,10 +199,6 @@ class SingerEngine:
         assert best is not None
         return np.stack(best, axis=1), stab
 
-    def label_of(self, u: Subspace) -> tuple[int, ...]:
-        words = self.labels_bulk(self.subspace_exps(u)[None, :])
-        return tuple(int(x) for x in words[0])
-
     def orbit_size(self, u: Subspace) -> int:
         """|G| / |stabilizer|, counting affine maps that fix the exponent set.
 
@@ -213,7 +206,7 @@ class SingerEngine:
         stabilizer counts give the partition's lengths; kept as their
         oracle, not called by the pipeline.
         """
-        d = np.sort(self.subspace_exps(u))
+        d = self.rows_to_exps(np.array(u.rows, dtype=np.uint64).reshape(1, u.dim))[0]
         m = d.shape[0]
         if m == 0:
             return 1  # the zero subspace is fixed by every element
@@ -231,31 +224,36 @@ class SingerEngine:
     # -- orbit partition ---------------------------------------------------
 
     def partition(
-        self, k: int, prev_reps: list[Subspace]
-    ) -> tuple[list[Subspace], list[int], dict[tuple[int, ...], int]]:
+        self, k: int, prev_rows: np.ndarray
+    ) -> tuple[np.ndarray, list[int], np.ndarray]:
         """Orbits of k-dim subspaces from the (k-1)-dim representatives.
 
         Every k-orbit contains the span of a (k-1)-representative and one
         extra vector, so labeling all such spans classifies every orbit.
-        Returns (reps, lengths, label -> id), ids ascending in rep key.
-        Representatives are key-minimal among the generated spans.
+        prev_rows and the returned rows are RREF bases, (N, k-1) and (N, k).
+        Returns (rows, lengths, labels), ids ascending in rep key, where
+        labels[i] holds the orbit label words (see labels_bulk) of orbit
+        i; the zero subspace has no label words.  Representatives are
+        key-minimal among the generated spans.
         """
         if k == 0:
-            zero = Subspace(self.n, ())
-            return [zero], [1], {(): 0}
+            empty = np.zeros((1, 0), dtype=np.uint64)
+            return empty, [1], empty
         # the spans as (N, k) bases, deduped by key before the exponent
         # sets and the label pass; a batch of representatives at a time,
         # since each span turns up 2^(k-1) times within its own batch
         per_batch = max(1, SPAN_BATCH_ROWS // self.modulus)
         key_parts, basis_parts = [], []
-        for start in range(0, len(prev_reps), per_batch):
-            chunks = []
-            for t_rep in prev_reps[start : start + per_batch]:
-                t_vecs = np.array([v for v in t_rep.vectors() if v], dtype=np.uint64)
-                v = self.exptable[~np.isin(self.exptable, t_vecs)]
-                cols = [np.full(v.shape, r, dtype=np.uint64) for r in t_rep.rows]
-                chunks.append(np.stack(cols + [v], axis=1))
-            basis, ranks = rref_bulk(np.concatenate(chunks, axis=0))
+        for start in range(0, len(prev_rows), per_batch):
+            batch = prev_rows[start : start + per_batch]
+            # extend each representative by every vector outside its span,
+            # in exptable order
+            owner = np.arange(len(batch))[:, None]
+            inside = np.zeros((len(batch), self.modulus), dtype=bool)
+            inside[owner, self.dlog[span_vectors_bulk(batch)]] = True
+            ext = np.broadcast_to(self.exptable, inside.shape)[~inside]
+            spans = np.repeat(batch, self.modulus - (1 << (k - 1)) + 1, axis=0)
+            basis, ranks = rref_bulk(np.concatenate([spans, ext[:, None]], axis=1))
             if not np.all(ranks == k):
                 raise AssertionError("extension vector lies in the representative")
             keys, first = np.unique(pack_keys_bulk(basis, self.n), return_index=True)
@@ -276,15 +274,10 @@ class SingerEngine:
             raise AssertionError("stabilizer size does not divide the group order")
         # the spans are in ascending key order, so each orbit's first span
         # is its key-minimal one; ordering orbits by that span orders them
-        # by rep key, and the reps come from the spans' reduced rows
+        # by rep key, and the reps are the spans' reduced rows
         order_ids = np.argsort(orbit_first, kind="stable")
-        rep_rows = basis[orbit_first[order_ids]].tolist()
-        reps = [Subspace(self.n, tuple(rows)) for rows in rep_rows]
         lengths = (self.order // orbit_stab[order_ids]).tolist()
-        label_to_id = {
-            tuple(label): i for i, label in enumerate(uniq[order_ids].tolist())
-        }
-        return reps, lengths, label_to_id
+        return basis[orbit_first[order_ids]], lengths, uniq[order_ids]
 
     def expand_orbit(self, u: Subspace) -> np.ndarray:
         """All distinct subspaces in the orbit of u, as (L, k) basis rows.

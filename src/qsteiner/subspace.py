@@ -198,6 +198,20 @@ def _free_positions(n: int, k: int, pivmask: int) -> list[tuple[int, int]]:
     return out
 
 
+def _enumerate_rows(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """RREF rows of every k-dim subspace of GF(2)^n, ascending in key."""
+    width = n - k
+    for pivmask in _pivot_masks(n, k):
+        pivots = [j for j in range(n) if (pivmask >> j) & 1]
+        free = _free_positions(n, k, pivmask)
+        for c in range(1 << len(free)):
+            rows = [1 << p for p in pivots]
+            for b, (packed_pos, col) in enumerate(free):
+                if (c >> b) & 1:
+                    rows[packed_pos // width] |= 1 << col
+            yield tuple(rows)
+
+
 def enumerate_subspaces(n: int, k: int, guard: int = ENUMERATION_GUARD) -> Iterator[Subspace]:
     """Yield every k-dim subspace of GF(2)^n in ascending key order."""
     total = gaussian_binomial(n, k, 2)
@@ -206,33 +220,16 @@ def enumerate_subspaces(n: int, k: int, guard: int = ENUMERATION_GUARD) -> Itera
             f"{total} subspaces exceed the enumeration guard {guard}; "
             "raise the guard explicitly"
         )
-    for pivmask in _pivot_masks(n, k):
-        pivots = [j for j in range(n) if (pivmask >> j) & 1]
-        free = _free_positions(n, k, pivmask)
-        width = n - k
-        for c in range(1 << len(free)):
-            rows = [1 << p for p in pivots]
-            for b, (packed_pos, col) in enumerate(free):
-                if (c >> b) & 1:
-                    rows[packed_pos // width] |= 1 << col
-            yield Subspace(n, tuple(rows))
+    for rows in _enumerate_rows(n, k):
+        yield Subspace(n, rows)
 
 
-def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.ndarray:
-    """All keys of k-dim subspaces of GF(2)^n as a sorted uint64 array.
-
-    Same order as enumerate_subspaces, produced without building Subspace
-    objects; requires the packed key to fit in 64 bits.
-    """
-    total = gaussian_binomial(n, k, 2)
-    if total > guard:
-        raise EnumerationGuardError(
-            f"{total} subspaces exceed the enumeration guard {guard}"
-        )
+def key_chunks(n: int, k: int) -> Iterator[np.ndarray]:
+    """Keys of all k-dim subspaces of GF(2)^n in ascending order, as one
+    uint64 chunk per pivot mask; requires the key to fit in 64 bits."""
     if k * (n - k) + n + k.bit_length() > 64:
         raise ValueError("packed keys do not fit in 64 bits for this (n, k)")
     width = n - k
-    chunks = []
     for pivmask in _pivot_masks(n, k):
         free = _free_positions(n, k, pivmask)
         prefix = np.uint64(((k << n) | pivmask) << (k * width))
@@ -240,8 +237,20 @@ def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.nd
         val = np.zeros_like(c)
         for b, (packed_pos, _col) in enumerate(free):
             val |= ((c >> np.uint64(b)) & np.uint64(1)) << np.uint64(packed_pos)
-        chunks.append(prefix | val)
-    out = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
+        yield prefix | val
+
+
+def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.ndarray:
+    """All keys of k-dim subspaces of GF(2)^n as a sorted uint64 array.
+
+    Same order as enumerate_subspaces: the chunks of key_chunks, joined.
+    """
+    total = gaussian_binomial(n, k, 2)
+    if total > guard:
+        raise EnumerationGuardError(
+            f"{total} subspaces exceed the enumeration guard {guard}"
+        )
+    out = np.concatenate([np.zeros(0, dtype=np.uint64), *key_chunks(n, k)])
     if out.size != total:
         raise AssertionError("enumeration produced a wrong subspace count")
     return out
@@ -272,33 +281,12 @@ def pack_keys_bulk(rows: np.ndarray, n: int) -> np.ndarray:
     return (head << np.uint64(k * width)) | packed
 
 
-def subspaces_of(u: Subspace, t: int) -> Iterator[Subspace]:
-    """All t-dim subspaces of u, via coordinates in u's basis."""
-    k = u.dim
-    if t < 0 or t > k:
-        return
-    if t == 0:
-        yield Subspace(u.ambient, ())
-        return
-    for w in enumerate_subspaces(k, t):
-        lifted = []
-        for wr in w.rows:
-            v = 0
-            x = wr
-            while x:
-                low = x & -x
-                v ^= u.rows[low.bit_length() - 1]
-                x ^= low
-            lifted.append(v)
-        yield span(lifted, u.ambient)
-
-
 def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
     """All t-dim subspaces of many subspaces at once, as RREF rows.
 
     rows is (N, k) uint64, one RREF basis per subspace.  Returns
-    (N, [k t]_2, t) uint64: entry [i, j] is the j-th subspace that
-    subspaces_of yields for basis i.  A coordinate row wr of a subspace
+    (N, [k t]_2, t) uint64: entry [i, j] is the j-th subspace, in key
+    order of its coordinates in basis i.  A coordinate row wr of a subspace
     of GF(2)^k lifts to span vector wr - 1 of the basis (the XOR of the
     rows it selects), then all lifts are reduced in one rref_bulk call.
     """
@@ -306,7 +294,7 @@ def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
     num, k = rows.shape
     if not 0 <= t <= k:
         raise ValueError(f"need 0 <= t <= {k}")
-    coords = np.array([w.rows for w in enumerate_subspaces(k, t)], dtype=np.int64)
+    coords = np.array(list(_enumerate_rows(k, t)), dtype=np.int64)
     lifted = span_vectors_bulk(rows)[:, coords - 1]
     red, ranks = rref_bulk(lifted.reshape(num * len(coords), t))
     if not np.all(ranks == t):

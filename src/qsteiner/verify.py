@@ -15,14 +15,22 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import FormatError, parse_matrix_rows, rref_bulk, span_vectors_bulk
+from .gf2 import (
+    FormatError,
+    first_duplicate,
+    parse_matrix_rows,
+    rref_bulk,
+    rref_rows,
+    span_vectors_bulk,
+)
 from .groups import MatrixGroup, orbit
 from .subspace import (
     Subspace,
-    enumerate_subspaces,
     gaussian_binomial,
-    span,
-    subspaces_of,
+    key_chunks,
+    pack_keys_bulk,
+    subspace_from_key,
+    subspaces_of_bulk,
 )
 
 VERIFY_BUDGET = 2 * 10**7
@@ -36,30 +44,6 @@ SAVE_BATCH_BLOCKS = 1 << 16
 KEY_CHUNK_BLOCKS = 1 << 16
 KEY_SLICE = 1 << 20
 _BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*$", re.M)
-
-
-def _first_duplicate(blocks: np.ndarray, n: int) -> tuple[int, int] | None:
-    """(i, j) with i < j for the first block j that equals an earlier block i.
-
-    Each block's k rows of n bits are packed into ceil(k n / 64) words,
-    so a stable sort of one word per block does for k n <= 64.
-    """
-    num, k = blocks.shape
-    words = np.zeros((num, max(1, -(-k * n // 64))), dtype=np.uint64)
-    for i in range(k):
-        w, off = divmod(i * n, 64)
-        words[:, w] |= blocks[:, i] << np.uint64(off)
-        if off + n > 64:
-            words[:, w + 1] |= blocks[:, i] >> np.uint64(64 - off)
-    # a stable lexicographic sort makes equal blocks neighbours in input order
-    order = np.lexsort(words.T)
-    srt = words[order]
-    same = np.flatnonzero(np.all(srt[1:] == srt[:-1], axis=1))
-    if not same.size:
-        return None
-    later = order[same + 1]
-    p = int(np.argmin(later))
-    return int(order[same[p]]), int(later[p])
 
 
 @dataclass(eq=False)
@@ -83,7 +67,7 @@ class BlockSet:
                 raise ValueError("every block must have dimension k")
             if not np.array_equal(red, part):
                 raise ValueError("block rows must be in reduced row echelon form")
-        pair = _first_duplicate(self.blocks, self.n)
+        pair = first_duplicate(self.blocks, self.n)
         if pair is not None:
             raise ValueError(
                 f"blocks must be distinct; blocks {pair[0]} and {pair[1]} are equal"
@@ -92,19 +76,6 @@ class BlockSet:
     @property
     def num_blocks(self) -> int:
         return int(self.blocks.shape[0])
-
-    @classmethod
-    def from_subspaces(cls, subs: list[Subspace]) -> "BlockSet":
-        if not subs:
-            raise ValueError("empty block set")
-        n = subs[0].ambient
-        k = subs[0].dim
-        if any(s.ambient != n or s.dim != k for s in subs):
-            raise ValueError("blocks must share ambient space and dimension")
-        return cls(n=n, k=k, blocks=np.array([s.rows for s in subs], dtype=np.uint64))
-
-    def subspace(self, i: int) -> Subspace:
-        return Subspace(self.n, tuple(int(r) for r in self.blocks[i]))
 
     def save(self, path: str) -> None:
         """Write a header line, then per block its k rows and a blank line."""
@@ -160,7 +131,7 @@ class BlockSet:
                 f"line {parsed.lines[i]}: block rows are linearly dependent "
                 f"(rank {ranks[i]} < {k})"
             )
-        pair = _first_duplicate(red, n)
+        pair = first_duplicate(red, n)
         if pair is not None:
             i, j = parsed.lines[list(pair)]
             raise FormatError(f"lines {i} and {j}: duplicate block")
@@ -185,18 +156,23 @@ def expand_orbits(
     engine = group.engine()
     parts = []
     lengths = []
-    if engine is not None:
-        for rep in reps:
+    for rep in reps:
+        if engine is not None:
             rows = engine.expand_orbit(rep)
-            parts.append(rows)
-            lengths.append(rows.shape[0])
-    else:
-        for rep in reps:
-            members = orbit(group, rep)
-            parts.append(np.array([m.rows for m in members], dtype=np.uint64))
-            lengths.append(len(members))
+        else:
+            rows = np.array([m.rows for m in orbit(group, rep)], dtype=np.uint64)
+        parts.append(rows)
+        lengths.append(len(rows))
     blocks = np.concatenate(parts, axis=0)
-    return BlockSet(n=group.n, k=dims.pop(), blocks=blocks), lengths
+    try:
+        return BlockSet(n=group.n, k=dims.pop(), blocks=blocks), lengths
+    except ValueError:
+        pair = first_duplicate(blocks, group.n)
+        if pair is None:
+            raise
+        # orbits are disjoint or equal: a shared block means a shared orbit
+        a, b = np.searchsorted(np.cumsum(lengths), pair, side="right").tolist()
+        raise ValueError(f"representatives {a} and {b} share an orbit") from None
 
 
 @dataclass
@@ -216,12 +192,18 @@ class DesignReport:
 def _chunk_keys(
     part: np.ndarray, n: int, t: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Keys of the t-subspaces (t <= 2) of a chunk of blocks, with the
-    position in the chunk of the block that holds each key.
+    """Keys of the t-subspaces of a chunk of blocks, with the position in
+    the chunk of the block that holds each key.
 
     A point's key is the vector; a 2-subspace's is u << n | v for the two
-    smallest of its three nonzero vectors.
+    smallest of its three nonzero vectors; a larger subspace's is the
+    packed RREF key of pack_keys_bulk.
     """
+    if t > 2:
+        subs = subspaces_of_bulk(part, t)
+        every = np.repeat(np.arange(part.shape[0]), subs.shape[1])
+        yield pack_keys_bulk(subs.reshape(-1, t), n), every
+        return
     vecs = span_vectors_bulk(part)
     m = vecs.shape[1]
     if t == 1:
@@ -242,7 +224,7 @@ def _chunk_keys(
 def _sorted_keys(
     blocks: np.ndarray, n: int, t: int, owner_bits: int = 0
 ) -> np.ndarray:
-    """Every t-subspace key (t <= 2) of every block, sorted.
+    """Every t-subspace key of every block, sorted.
 
     The keys fill one preallocated array, KEY_CHUNK_BLOCKS blocks at a
     time, and are sorted in place.  With owner_bits > 0 each entry is
@@ -330,10 +312,23 @@ def _first_absent(
     return found
 
 
-def _key_to_pair_subspace(key: int, n: int) -> tuple[int, ...]:
-    u = key >> n
-    v = key & ((1 << n) - 1)
-    return span([u, v], n).rows
+def _all_keys(n: int, t: int) -> Iterable[np.ndarray]:
+    """Keys of every t-subspace of GF(2)^n, as _chunk_keys builds them,
+    in ascending chunks."""
+    if t == 1:
+        return [np.arange(1, 1 << n, dtype=np.uint64)]
+    if t == 2:
+        return _pair_key_chunks(n)
+    return key_chunks(n, t)
+
+
+def _key_rows(key: int, n: int, t: int) -> tuple[int, ...]:
+    """RREF rows of the t-subspace whose key _chunk_keys builds."""
+    if t == 1:
+        return (key,)
+    if t == 2:
+        return rref_rows([key >> n, key & ((1 << n) - 1)])[0]
+    return subspace_from_key(n, t, key).rows
 
 
 def verify_design(
@@ -345,80 +340,48 @@ def verify_design(
 ) -> DesignReport:
     """Count every t-subspace's occurrences inside blocks, from scratch.
 
-    Fast vectorized counting for t <= 2; otherwise a generic exact count
-    over enumerate_subspaces, guarded by budget.
+    One pass over the sorted keys of every t-subspace of every block (see
+    _chunk_keys); violations are shown in ascending key order, the
+    present keys first, then the absent ones.
     """
     n, k = blocks.n, blocks.k
     if not 0 < t <= k:
         raise ValueError("need 0 < t <= k")
     if lam < 1:
         raise ValueError("need lam >= 1")
+    if t == 2 and 2 * n > 63:
+        raise ValueError("pair keys do not fit in 64 bits for this n")
     total = gaussian_binomial(n, t, 2)
     if total > budget:
         raise RuntimeError(
             f"{total} t-subspaces exceed the verification budget {budget}"
         )
     per_block = gaussian_binomial(k, t, 2)
-    if t <= 2 and 2 * n <= 63:
-
-        def rows_of(key: int) -> tuple[int, ...]:
-            return _key_to_pair_subspace(key, n) if t == 2 else span([key], n).rows
-
-        keys = _sorted_keys(blocks.blocks, n, t)
-        tally: dict[int, int] = {}
-        distinct = 0
-        shown: list[tuple[tuple[int, ...], int]] = []
-        for part in _slices(keys):
-            uniq, counts = _runs(part)
-            distinct += uniq.size
-            hist = np.bincount(counts)
-            for c in np.flatnonzero(hist).tolist():
-                tally[c] = tally.get(c, 0) + int(hist[c])
-            room = max_violations - len(shown)
-            if room > 0:
-                off = np.flatnonzero(counts != lam)[:room]
-                for key, c in zip(uniq[off].tolist(), counts[off].tolist()):
-                    shown.append((rows_of(key), c))
-            del uniq, counts  # before the next slice's runs are built
-        histogram: dict[int, int] = {c: tally[c] for c in sorted(tally)}
-        missing = total - distinct
-        if missing:
-            histogram[0] = missing
-        violations_total = sum(f for c, f in histogram.items() if c != lam)
-        if missing and len(shown) < max_violations:
-            chunks = (
-                _pair_key_chunks(n)
-                if t == 2
-                else [np.arange(1, 1 << n, dtype=np.uint64)]
-            )
-            for key in _first_absent(chunks, keys, max_violations - len(shown)):
-                shown.append((rows_of(key), 0))
-    else:
-        counts_by_key: dict[int, int] = {}
-        rows_by_key: dict[int, tuple[int, ...]] = {}
-        for i in range(blocks.num_blocks):
-            for sub in subspaces_of(blocks.subspace(i), t):
-                counts_by_key[sub.key] = counts_by_key.get(sub.key, 0) + 1
-                rows_by_key.setdefault(sub.key, sub.rows)
-        histogram = {}
-        for c in counts_by_key.values():
-            histogram[c] = histogram.get(c, 0) + 1
-        missing = total - len(counts_by_key)
-        if missing:
-            histogram[0] = missing
-        violations_total = sum(f for c, f in histogram.items() if c != lam)
-        shown = []
-        for key in sorted(counts_by_key):
-            if len(shown) >= max_violations:
-                break
-            if counts_by_key[key] != lam:
-                shown.append((rows_by_key[key], counts_by_key[key]))
-        if missing and len(shown) < max_violations:
-            for sub in enumerate_subspaces(n, t):
-                if len(shown) >= max_violations:
-                    break
-                if sub.key not in counts_by_key:
-                    shown.append((sub.rows, 0))
+    keys = _sorted_keys(blocks.blocks, n, t)
+    tally: dict[int, int] = {}
+    distinct = 0
+    shown: list[tuple[tuple[int, ...], int]] = []
+    for part in _slices(keys):
+        uniq, counts = _runs(part)
+        distinct += uniq.size
+        hist = np.bincount(counts)
+        for c in np.flatnonzero(hist).tolist():
+            tally[c] = tally.get(c, 0) + int(hist[c])
+        room = max_violations - len(shown)
+        if room > 0:
+            off = np.flatnonzero(counts != lam)[:room]
+            for key, c in zip(uniq[off].tolist(), counts[off].tolist()):
+                shown.append((_key_rows(key, n, t), c))
+        del uniq, counts  # before the next slice's runs are built
+    histogram: dict[int, int] = {c: tally[c] for c in sorted(tally)}
+    missing = total - distinct
+    if missing:
+        histogram[0] = missing
+    violations_total = sum(f for c, f in histogram.items() if c != lam)
+    if missing and len(shown) < max_violations:
+        chunks = _all_keys(n, t)
+        for key in _first_absent(chunks, keys, max_violations - len(shown)):
+            shown.append((_key_rows(key, n, t), 0))
     covered = sum(c * f for c, f in histogram.items())
     if covered != blocks.num_blocks * per_block:
         raise AssertionError("histogram mass does not match blocks * per-block count")

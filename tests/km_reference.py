@@ -70,7 +70,7 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
     per_col = gaussian_binomial(k, t, 2)
 
     # lift every t-subspace of every representative, then label in bulk
-    all_rows = subspaces_of_bulk(k_table.rep_rows(), t).reshape(-1, t)
+    all_rows = subspaces_of_bulk(k_table.rows, t).reshape(-1, t)
     if all_rows.shape[0] != k_table.num_orbits * per_col:
         raise AssertionError("t-subspace count per representative is off")
     hit_ids = t_table.lookup_rows_bulk(all_rows)

@@ -329,11 +329,11 @@ def test_criterion_10_property_suites():
     small = build_km(t1, k2, lam=1)
     for rid in small.row_ids:
         for cid in small.col_ids:
-            blocks, _ = expand_orbits(group5, [k2.reps[cid]])
+            blocks, _ = expand_orbits(group5, [k2.rep(cid)])
             count = sum(
                 1
                 for i in range(blocks.num_blocks)
-                if contains_subspace(blocks.subspace(i), t1.reps[rid])
+                if contains_subspace(span(blocks.blocks[i].tolist(), 5), t1.rep(rid))
             )
             assert count == small.matrix[rid, cid]
 

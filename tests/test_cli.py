@@ -281,3 +281,70 @@ def test_paper_check_names_the_failing_stage(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "resource", None)
         code, out, _ = run(capsys, "--out-dir", str(tmp_path), "paper-check")
         assert code == 1 and "peak RSS" not in out
+
+
+def saved_table(tmp_path, capsys, n, dim):
+    code, _, _ = run(
+        capsys, "--out-dir", str(tmp_path),
+        "orbits", "--singer-normalizer", str(n), "--dim", str(dim),
+    )
+    assert code == 0
+    return str(tmp_path / f"orbits-n{n}-k{dim}.txt")
+
+
+def test_orbit_ids_outside_the_table_are_usage_errors(tmp_path, capsys):
+    table = saved_table(tmp_path, capsys, 6, 3)
+    solution = tmp_path / "solution.txt"
+    expand = ("--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6")
+    for bad in ("-1", "-3", "1000"):
+        code, _, err = run(capsys, *expand, "--k-orbits", table, "--ids", f"0,{bad}")
+        assert code == 2 and f"orbit id {bad} out of range" in err
+        solution.write_text(f"0 {bad}\n")
+        code, _, err = run(
+            capsys, *expand, "--k-orbits", table, "--solution", str(solution)
+        )
+        assert code == 2 and f"orbit id {bad} out of range" in err
+    assert not (tmp_path / "blocks.txt").exists()
+    code, out, _ = run(capsys, *expand, "--k-orbits", table, "--ids", "0,1")
+    assert code == 0 and "expanded 2 orbits" in out
+
+
+def test_bad_representative_files_are_named_errors(tmp_path, capsys):
+    from qsteiner.groups import orbit, orbit_partition, singer_normalizer
+
+    g = singer_normalizer(6)
+    table = orbit_partition(g, 3)
+
+    def text(subspaces):
+        rows = ["".join(str((r >> j) & 1) for j in range(6)) for r in subspaces]
+        return "\n".join(rows) + "\n"
+
+    reps = tmp_path / "reps.txt"
+    a, b = table.rep(0), table.rep(1)
+    twin = next(m for m in orbit(g, a) if m != a)
+    dependent = (b.rows[0], b.rows[1], b.rows[0] ^ b.rows[1])
+    for blocks, message in (
+        ([a.rows, dependent], r"mixed representative dimensions: \[2, 3\]"),
+        ([a.rows, b.rows, twin.rows], r"representatives 0 and 2 share an orbit"),
+    ):
+        reps.write_text("\n".join(text(rows) for rows in blocks))
+        for command, extra in (("expand", ()), ("verify", ("--t", "2"))):
+            code, _, err = run(
+                capsys, "--out-dir", str(tmp_path), command,
+                "--singer-normalizer", "6", "--reps", str(reps), *extra,
+            )
+            assert code == 2, err
+            assert re.search(f"error: {re.escape(str(reps))}: .*{message}", err), err
+
+
+def test_malformed_orbit_table_exits_2(tmp_path, capsys):
+    table = saved_table(tmp_path, capsys, 6, 3)
+    path = tmp_path / "bad.txt"
+    lines = open(table).read().splitlines()
+    lines[3] = "0 x"
+    path.write_text("\n".join(lines))
+    code, _, err = run(
+        capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
+        "--k-orbits", str(path), "--ids", "0",
+    )
+    assert code == 2 and "line 4: expected integer 'id length'" in err

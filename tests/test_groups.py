@@ -17,13 +17,21 @@ from qsteiner.groups import (
     singer_normalizer,
 )
 from qsteiner import groups, singer
+from qsteiner.kramer_mesner import build_km
 from qsteiner.singer import SingerEngine
 from qsteiner.subspace import (
+    Subspace,
     enumerate_subspaces,
     gaussian_binomial,
     pack_keys_bulk,
     span,
 )
+from qsteiner.verify import expand_orbits, verify_design
+
+
+def reps_of(table):
+    """Every representative of an orbit table, as Subspace objects."""
+    return [table.rep(i) for i in range(table.num_orbits)]
 
 
 def brute_closure(generators, n):
@@ -89,14 +97,14 @@ def test_partition_strategies_agree():
         engine = orbit_partition(g, k)
         full = groups._partition_full(g, k)
         assert full.num_orbits == engine.num_orbits
-        ids = [engine.lookup(rep) for rep in full.reps]
+        ids = [engine.lookup(rep) for rep in reps_of(full)]
         assert sorted(ids) == list(range(engine.num_orbits))
         assert [engine.lengths[j] for j in ids] == full.lengths
-        back = [full.lookup(engine.reps[j]) for j in ids]
+        back = [full.lookup(engine.rep(j)) for j in ids]
         assert back == list(range(full.num_orbits))
-        assert all(rep.key <= engine.reps[j].key for rep, j in zip(full.reps, ids))
+        assert all(rep.key <= engine.rep(j).key for rep, j in zip(reps_of(full), ids))
         if n < 6:  # small spaces, where the two choices coincide
-            assert [s.key for s in engine.reps] == [s.key for s in full.reps]
+            assert [s.key for s in reps_of(engine)] == [s.key for s in reps_of(full)]
 
 
 def test_trivial_group_orbits_are_singletons():
@@ -105,14 +113,14 @@ def test_trivial_group_orbits_are_singletons():
     table = orbit_partition(g, 2)
     assert table.num_orbits == gaussian_binomial(4, 2, 2) == 35
     assert set(table.lengths) == {1}
-    assert [s.key for s in table.reps] == [s.key for s in enumerate_subspaces(4, 2)]
+    assert [s.key for s in reps_of(table)] == [s.key for s in enumerate_subspaces(4, 2)]
 
 
 def test_orbit_traversal_matches_partition():
     g = singer_normalizer(4)
     table = orbit_partition(g, 2)
     seen = set()
-    for rep in table.reps:
+    for rep in reps_of(table):
         members = orbit(g, rep)
         assert len(members) == table.lengths[table.lookup(rep)]
         seen |= {m.key for m in members}
@@ -139,10 +147,10 @@ def test_table_save_load_round_trip(tmp_path):
     table.save(str(path))
     loaded = OrbitTable.load(str(path), group=g)
     assert loaded.num_orbits == table.num_orbits
-    assert [s.key for s in loaded.reps] == [s.key for s in table.reps]
+    assert [s.key for s in reps_of(loaded)] == [s.key for s in reps_of(table)]
     assert list(loaded.lengths) == list(table.lengths)
     # the loaded table resolves lookups identically
-    for rep in table.reps:
+    for rep in reps_of(table):
         assert loaded.lookup(rep) == table.lookup(rep)
 
 
@@ -184,7 +192,7 @@ def span_vector_expand_orbit(engine, u):
     """Orbit expansion from the exponents of all 2^k - 1 span vectors of u:
     every affine image of the exponent set, reduced and deduped by key."""
     k = u.dim
-    d = engine.subspace_exps(u).astype(np.int64)
+    d = engine.rows_to_exps(np.array([u.rows], dtype=np.uint64))[0]
     shifts = np.arange(engine.modulus, dtype=np.int64)
     parts = []
     for t in engine.slopes:
@@ -207,9 +215,10 @@ def test_partition_lengths_match_orbit_size_oracle():
     short = 0
     for n in range(5, 9):
         engine = singer_normalizer(n).engine()
-        reps = []
+        rows = np.zeros((0, 0), dtype=np.uint64)
         for k in range(n + 1):
-            reps, lengths, _ = engine.partition(k, reps)
+            rows, lengths, _ = engine.partition(k, rows)
+            reps = [Subspace(n, tuple(r)) for r in rows.tolist()]
             assert sum(lengths) == gaussian_binomial(n, k, 2)
             assert lengths == [engine.orbit_size(r) for r in reps], (n, k)
             for rep, length in zip(reps, lengths):
@@ -224,10 +233,10 @@ def test_partition_does_not_depend_on_batch_sizes(monkeypatch):
     engine = singer_normalizer(7).engine()
 
     def run():
-        reps, out = [], []
+        rows, out = np.zeros((0, 0), dtype=np.uint64), []
         for k in range(4):
-            reps, lengths, label_index = engine.partition(k, reps)
-            out.append(([r.rows for r in reps], lengths, label_index))
+            rows, lengths, labels = engine.partition(k, rows)
+            out.append((rows.tolist(), lengths, labels.tolist()))
         return out
 
     expect = run()
@@ -242,7 +251,7 @@ def test_t3_lengths_match_orbit_size_on_a_sample(paper_group, t3_table):
     engine = paper_group.engine()
     rng = random.Random(2013)
     for i in rng.sample(range(t3_table.num_orbits), 300):
-        assert t3_table.lengths[i] == engine.orbit_size(t3_table.reps[i]), i
+        assert t3_table.lengths[i] == engine.orbit_size(t3_table.rep(i)), i
 
 
 def test_partition_and_load_do_not_call_orbit_size(monkeypatch, tmp_path):
@@ -252,7 +261,7 @@ def test_partition_and_load_do_not_call_orbit_size(monkeypatch, tmp_path):
     monkeypatch.setattr(SingerEngine, "orbit_size", refuse)
     g = singer_normalizer(7)
     table = orbit_partition(g, 3)
-    assert table._label_index is not None  # built by the engine
+    assert table._index is not None  # built by the engine
     assert sum(table.lengths) == gaussian_binomial(7, 3, 2)
     path = tmp_path / "orbits.txt"
     table.save(str(path))
@@ -282,10 +291,11 @@ def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
     g = singer_normalizer(7)
     table = orbit_partition(g, 3)
     assert table.lengths[0] == table.lengths[1]
-    lo, hi = table.reps[0].key, table.reps[2].key
-    twin = next(m for m in orbit(g, table.reps[0]) if lo < m.key < hi)
-    reps = [table.reps[0], twin] + table.reps[2:]
-    forged = OrbitTable(n=7, k=3, group=g, reps=reps, lengths=list(table.lengths))
+    lo, hi = table.rep(0).key, table.rep(2).key
+    twin = next(m for m in orbit(g, table.rep(0)) if lo < m.key < hi)
+    rows = table.rows.copy()
+    rows[1] = twin.rows
+    forged = OrbitTable(n=7, k=3, group=g, rows=rows, lengths=list(table.lengths))
     path = tmp_path / "orbits.txt"
     forged.save(str(path))
     with pytest.raises(FormatError, match="orbits 0 and 1"):
@@ -295,10 +305,67 @@ def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
 def test_lookup_rows_bulk_rejects_untabulated_orbits():
     g = singer_normalizer(6)
     table = orbit_partition(g, 2)
-    rows = np.array([rep.rows for rep in table.reps], dtype=np.uint64)
+    rows = table.rows
     partial = OrbitTable(
-        n=6, k=2, group=g, reps=table.reps[:2], lengths=table.lengths[:2]
+        n=6, k=2, group=g, rows=table.rows[:2], lengths=table.lengths[:2]
     )
     assert partial.lookup_rows_bulk(rows[:2]).tolist() == [0, 1]
     with pytest.raises(KeyError):
         partial.lookup_rows_bulk(rows)
+
+
+def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
+    g = singer_normalizer(7)
+    # every 4-subspace of GF(2)^7, a 3-(7, 4, 15) design
+    blocks, _ = expand_orbits(g, reps_of(orbit_partition(g, 4)))
+
+    def refuse(self):
+        raise AssertionError("a Subspace was built on an internal path")
+
+    monkeypatch.setattr(Subspace, "__post_init__", refuse)
+    t2 = orbit_partition(g, 2)
+    t3 = orbit_partition(g, 3)
+    path = tmp_path / "orbits.txt"
+    t3.save(str(path))
+    loaded = OrbitTable.load(str(path), group=g)
+    assert np.array_equal(loaded.rows, t3.rows)
+    ids = loaded.lookup_rows_bulk(t3.rows)
+    assert ids.tolist() == list(range(t3.num_orbits))
+    assert build_km(t2, loaded).matrix.shape == (t2.num_orbits, t3.num_orbits)
+    report = verify_design(blocks, 3, 15)
+    assert report.ok and report.histogram == {15: gaussian_binomial(7, 3, 2)}
+
+
+def malformed_table(tmp_path, edit):
+    """A saved singer_normalizer(4) 2-orbit table with edit applied to its lines."""
+    g = singer_normalizer(4)
+    path = tmp_path / "orbits.txt"
+    orbit_partition(g, 2).save(str(path))
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), g
+
+
+def test_table_load_names_malformed_lines(tmp_path):
+    def header(lines):
+        lines[1] = "4 2 abc xyz"
+
+    def entry(lines):
+        lines[3] = "0 x"
+
+    def unreduced(lines):
+        # orbit 1's basis: add its first row to its second
+        at = lines.index("1 5") + 1
+        first, second = int(lines[at][::-1], 2), int(lines[at + 1][::-1], 2)
+        lines[at + 1] = f"{first ^ second:04b}"[::-1]
+
+    for edit, message in (
+        (header, r"line 2: orbit table header needs integer n, k and group order"),
+        (entry, r"line 4: expected integer 'id length', got '0 x'"),
+        (unreduced, r"orbit 1: basis rows are not a reduced row echelon form of rank 2"),
+    ):
+        path, g = malformed_table(tmp_path, edit)
+        for group in (g, None):
+            with pytest.raises(FormatError, match=message):
+                OrbitTable.load(path, group=group)

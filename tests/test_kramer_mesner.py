@@ -32,8 +32,10 @@ def brute_km(group, t, k):
     from qsteiner.groups import orbit
 
     dense = {}
-    for i, trep in enumerate(t_table.reps):
-        for j, krep in enumerate(k_table.reps):
+    for i in range(t_table.num_orbits):
+        trep = t_table.rep(i)
+        for j in range(k_table.num_orbits):
+            krep = k_table.rep(j)
             count = sum(
                 1 for m in orbit(group, krep) if contains_subspace(m, trep)
             )

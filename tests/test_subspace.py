@@ -22,9 +22,9 @@ from qsteiner.subspace import (
     span,
     spread_size,
     subspace_distance,
-    subspaces_of,
     subspaces_of_bulk,
 )
+from verify_reference import subspaces_of
 
 
 def brute_subspaces(n: int, k: int) -> set[frozenset]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import verify_reference
-from qsteiner import cli, verify
+from qsteiner import cli, gf2, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
 from qsteiner.gf2 import FormatError
 from qsteiner.groups import orbit_partition, singer_normalizer
@@ -17,8 +17,8 @@ from qsteiner.subspace import (
     enumerate_subspaces,
     gaussian_binomial,
     span,
-    subspaces_of,
 )
+from verify_reference import subspaces_of
 from qsteiner.verify import (
     BlockSet,
     DesignReport,
@@ -31,11 +31,21 @@ from qsteiner.verify import (
 )
 
 
+def block_subspace(blocks, i):
+    """Block i of a BlockSet as a Subspace."""
+    return Subspace(blocks.n, tuple(blocks.blocks[i].tolist()))
+
+
+def table_reps(table):
+    """Every representative of an orbit table, as Subspace objects."""
+    return [table.rep(i) for i in range(table.num_orbits)]
+
+
 def recount_histogram(blocks, t):
     """Coverage histogram by plain dict counting over enumerated t-subspaces."""
     counts = Counter()
     for i in range(blocks.num_blocks):
-        for sub in subspaces_of(blocks.subspace(i), t):
+        for sub in subspaces_of(block_subspace(blocks, i), t):
             counts[sub.rows] += 1
     hist = Counter(counts.values())
     missed = gaussian_binomial(blocks.n, t, 2) - len(counts)
@@ -49,13 +59,13 @@ def make_spread():
     opts = [(i, sorted(v for v in s.vectors() if v)) for i, s in enumerate(subs)]
     prob = CoverProblem(item_ids=list(range(1, 16)), options=opts)
     sols, _ = solve(prob, SolveConfig(max_solutions=1))
-    return BlockSet.from_subspaces([subs[i] for i in sols[0].labels])
+    return BlockSet(4, 2, np.array([subs[i].rows for i in sols[0].labels]))
 
 
 def test_blockset_accessors_and_round_trip(tmp_path):
     bs = make_spread()
     assert bs.num_blocks == 5 and bs.n == 4 and bs.k == 2
-    subs = [bs.subspace(i) for i in range(bs.num_blocks)]
+    subs = [block_subspace(bs, i) for i in range(bs.num_blocks)]
     assert all(s.dim == 2 and s.ambient == 4 for s in subs)
     path = tmp_path / "blocks.txt"
     bs.save(str(path))
@@ -78,7 +88,7 @@ def reference_block_text(bs):
 
 def all_subspace_blocks(n, k):
     group = singer_normalizer(n)
-    return expand_orbits(group, list(orbit_partition(group, k).reps))[0]
+    return expand_orbits(group, table_reps(orbit_partition(group, k)))[0]
 
 
 def test_save_writes_the_reference_bytes_and_load_reads_them_back(
@@ -233,7 +243,7 @@ def test_first_duplicate_packs_rows_into_words():
             values = base ^ np.array([0, 1, 1 << (n - 1)], dtype=np.uint64)
             num = int(rng.integers(1, 40))
             blocks = values[rng.integers(0, 3, size=(num, k))]
-            assert verify._first_duplicate(blocks, n) == first_duplicate_by_dict(
+            assert gf2.first_duplicate(blocks, n) == first_duplicate_by_dict(
                 blocks
             ), (n, k)
 
@@ -241,15 +251,15 @@ def test_first_duplicate_packs_rows_into_words():
 def test_expand_orbits_counts_and_rejects_mixed_dims():
     group = singer_normalizer(6)
     table = orbit_partition(group, 3)
-    reps = table.reps[: min(3, table.num_orbits)]
+    reps = table_reps(table)[: min(3, table.num_orbits)]
     blocks, lengths = expand_orbits(group, reps)
     assert blocks.num_blocks == sum(lengths)
     assert len(lengths) == len(reps)
-    seen = {blocks.subspace(i).key for i in range(blocks.num_blocks)}
+    seen = {block_subspace(blocks, i).key for i in range(blocks.num_blocks)}
     assert len(seen) == blocks.num_blocks
     t2 = orbit_partition(group, 2)
     with pytest.raises(ValueError):
-        expand_orbits(group, [table.reps[0], t2.reps[0]])
+        expand_orbits(group, [table.rep(0), t2.rep(0)])
 
 
 def test_spread_verifies_as_1_design():
@@ -277,7 +287,7 @@ def test_deleted_block_breaks_the_design():
 def test_histogram_matches_dict_recount():
     group = singer_normalizer(5)
     table = orbit_partition(group, 2)
-    reps = list(table.reps)
+    reps = table_reps(table)
     blocks, _ = expand_orbits(group, reps)
     for t in (1, 2):
         report = verify_design(blocks, t, 1)
@@ -292,13 +302,13 @@ def test_histogram_matches_dict_recount():
 
 def test_uncovered_subspaces_shown_match_enumeration():
     group = singer_normalizer(5)
-    blocks, _ = expand_orbits(group, list(orbit_partition(group, 2).reps))
+    blocks, _ = expand_orbits(group, table_reps(orbit_partition(group, 2)))
     some = BlockSet(5, 2, blocks.blocks[:7].copy())
     for t in (1, 2):
         covered = {
             sub.rows
             for i in range(some.num_blocks)
-            for sub in subspaces_of(some.subspace(i), t)
+            for sub in subspaces_of(block_subspace(some, i), t)
         }
         uncovered = {s.rows for s in enumerate_subspaces(5, t)} - covered
         full = verify_design(some, t, 1, max_violations=10**6)
@@ -358,7 +368,7 @@ def test_deleting_one_block_uncovers_exactly_seven_pairs(paper_blocks):
     assert report.histogram == {1: 11180708, 0: 7}
     assert report.violations_total == 7
     # the uncovered pairs lie anywhere in key order; all seven are found
-    lost = {sub.rows for sub in subspaces_of(paper_blocks.subspace(-1), 2)}
+    lost = {sub.rows for sub in subspaces_of(block_subspace(paper_blocks, -1), 2)}
     assert {rows for rows, _ in report.violations_shown} == lost
 
 
@@ -496,3 +506,35 @@ def test_recount_and_derived_check_stay_below_150_mb(paper_blocks, paper_report)
         derived_steiner_sample_check, paper_blocks, paper_report, samples=10**5
     )
     assert peak < 150
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert format_report(got) == format_report(want)
+
+
+def test_recount_above_t2_matches_dict_oracle(monkeypatch):
+    # all 4-subspaces of GF(2)^6 form a 3-(6, 4, 7) design
+    blocks = all_subspace_blocks(6, 4)
+    assert blocks.num_blocks == 651
+    want = verify_reference.dict_verify_design(blocks, 3, 7)
+    assert want.ok and want.histogram == {7: gaussian_binomial(6, 3, 2)}
+    assert_same_report(verify_design(blocks, 3, 7), want)
+    # a seeded subset covers some 3-subspaces more than twice, some not at all
+    rng = np.random.default_rng(17)
+    some = BlockSet(6, 4, blocks.blocks[np.sort(rng.choice(651, 120, replace=False))])
+    for lam in (1, 2):
+        for cap in (0, 1, 5, 10**6):
+            want = verify_reference.dict_verify_design(some, 3, lam, cap)
+            assert min(want.histogram) < lam < max(want.histogram)
+            for chunk, slice_keys in CHUNK_SIZES:
+                monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
+                monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
+                assert_same_report(verify_design(some, 3, lam, cap), want)
+    # t = 4: all 5-subspaces of GF(2)^6 are a 4-(6, 5, 3) design
+    blocks = all_subspace_blocks(6, 5)
+    for subset in (blocks, BlockSet(6, 5, blocks.blocks[::4].copy())):
+        for cap in (0, 5, 10**6):
+            want = verify_reference.dict_verify_design(subset, 4, 3, cap)
+            assert_same_report(verify_design(subset, 4, 3, cap), want)
+    assert verify_design(blocks, 4, 3).ok

@@ -1,26 +1,55 @@
-"""The t <= 2 recount and the derived-check index, kept as test oracles.
+"""The earlier recounts and the derived-check index, kept as test oracles.
 
 These are the counting paths that `qsteiner.verify` used before it built
 one sorted key array in place: `np.unique` with counts over every key of
-every block for `verify_design`, and an index of per-pair keys and owner
-lists for `derived_steiner_sample_check`.  The new code must give the
-same report (histogram in the same dict order, the same violations in
+every block for `verify_design` at t <= 2, a dict of the keys of
+per-object subspaces (subspaces_of) for t > 2, and an index of per-pair keys and owner lists for
+`derived_steiner_sample_check`.  The new code must give the same report
+(for t <= 2 the histogram in the same dict order; the same violations in
 the same order) and the same derived statistics.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from qsteiner.gf2 import span_vectors_bulk
-from qsteiner.subspace import gaussian_binomial, span
+from qsteiner.subspace import (
+    Subspace,
+    enumerate_subspaces,
+    gaussian_binomial,
+    span,
+)
 from qsteiner.verify import (
     BlockSet,
     DesignReport,
     _first_absent,
-    _key_to_pair_subspace,
+    _key_rows,
     _pair_key_chunks,
 )
+
+
+def subspaces_of(u: Subspace, t: int) -> Iterator[Subspace]:
+    """All t-dim subspaces of u, via coordinates in u's basis."""
+    k = u.dim
+    if t < 0 or t > k:
+        return
+    if t == 0:
+        yield Subspace(u.ambient, ())
+        return
+    for w in enumerate_subspaces(k, t):
+        lifted = []
+        for wr in w.rows:
+            v = 0
+            x = wr
+            while x:
+                low = x & -x
+                v ^= u.rows[low.bit_length() - 1]
+                x ^= low
+            lifted.append(v)
+        yield span(lifted, u.ambient)
 
 
 def pair_keys(
@@ -72,13 +101,10 @@ def verify_design(
         histogram[0] = missing
     violations_total = sum(f for c, f in histogram.items() if c != lam)
 
-    def rows_of(key: int) -> tuple[int, ...]:
-        return _key_to_pair_subspace(key, n) if t == 2 else span([key], n).rows
-
     bad = uniq[counts != lam]
     bad_counts = counts[counts != lam]
     shown = [
-        (rows_of(int(bad[i])), int(bad_counts[i]))
+        (_key_rows(int(bad[i]), n, t), int(bad_counts[i]))
         for i in range(min(len(bad), max_violations))
     ]
     if missing and len(shown) < max_violations:
@@ -86,7 +112,54 @@ def verify_design(
             _pair_key_chunks(n) if t == 2 else [np.arange(1, 1 << n, dtype=np.uint64)]
         )
         for key in _first_absent(chunks, uniq, max_violations - len(shown)):
-            shown.append((rows_of(key), 0))
+            shown.append((_key_rows(key, n, t), 0))
+    return DesignReport(
+        n=n,
+        k=k,
+        t=t,
+        lam=lam,
+        num_blocks=blocks.num_blocks,
+        total_t_subspaces=total,
+        histogram=histogram,
+        violations_shown=shown,
+        violations_total=violations_total,
+        ok=violations_total == 0,
+    )
+
+
+def dict_verify_design(
+    blocks: BlockSet, t: int, lam: int, max_violations: int = 100
+) -> DesignReport:
+    """The report of any t by a dict over the keys of per-object subspaces."""
+    n, k = blocks.n, blocks.k
+    assert 0 < t <= k and lam >= 1
+    total = gaussian_binomial(n, t, 2)
+    counts_by_key: dict[int, int] = {}
+    rows_by_key: dict[int, tuple[int, ...]] = {}
+    for i in range(blocks.num_blocks):
+        block = Subspace(n, tuple(int(r) for r in blocks.blocks[i]))
+        for sub in subspaces_of(block, t):
+            counts_by_key[sub.key] = counts_by_key.get(sub.key, 0) + 1
+            rows_by_key.setdefault(sub.key, sub.rows)
+    histogram: dict[int, int] = {}
+    for c in counts_by_key.values():
+        histogram[c] = histogram.get(c, 0) + 1
+    missing = total - len(counts_by_key)
+    if missing:
+        histogram[0] = missing
+    violations_total = sum(f for c, f in histogram.items() if c != lam)
+    shown = []
+    for key in sorted(counts_by_key):
+        if len(shown) >= max_violations:
+            break
+        if counts_by_key[key] != lam:
+            shown.append((rows_by_key[key], counts_by_key[key]))
+    if missing and len(shown) < max_violations:
+        for sub in enumerate_subspaces(n, t):
+            if len(shown) >= max_violations:
+                break
+            if sub.key not in counts_by_key:
+                shown.append((sub.rows, 0))
     return DesignReport(
         n=n,
         k=k,
