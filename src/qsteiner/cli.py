@@ -379,15 +379,13 @@ def _reps_from_table(settings: Settings, group: MatrixGroup):
         if not rows:
             raise UsageError(f"{solution_file}: contains no solutions")
         ids = list(rows[0])
-    for i in ids:
-        if not 0 <= i < table.num_orbits:
-            raise UsageError(
-                f"orbit id {i} out of range: {table_file} has "
-                f"{table.num_orbits} orbits"
-            )
+    try:
+        reps = [table.rep(i) for i in ids]
+    except IndexError as exc:
+        raise UsageError(f"{table_file}: {exc}") from exc
     if len(set(ids)) != len(ids):
         raise UsageError(f"orbit ids repeat: {ids}")
-    return [table.rep(i) for i in ids], table_file
+    return reps, table_file
 
 
 def cmd_expand(settings: Settings) -> int:

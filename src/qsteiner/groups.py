@@ -249,7 +249,9 @@ class OrbitTable:
     def rep(self, i: int) -> Subspace:
         """Representative of orbit i as a Subspace."""
         if not 0 <= i < self.num_orbits:
-            raise IndexError(f"orbit id {i} is not in 0..{self.num_orbits - 1}")
+            raise IndexError(
+                f"orbit id {i} out of range: the table has {self.num_orbits} orbits"
+            )
         return Subspace(self.n, tuple(self.rows[i].tolist()))
 
     # -- lookup -----------------------------------------------------------
