@@ -253,6 +253,8 @@ def cmd_orbits(settings: Settings) -> int:
     dim = settings.get("dim", cast=int)
     if dim is None:
         raise UsageError("--dim is required")
+    if not 0 <= dim <= group.n:
+        raise UsageError(f"need 0 <= dim <= n = {group.n}")
     t0 = time.time()
     table = orbit_partition(group, dim)
     elapsed = time.time() - t0
@@ -407,12 +409,16 @@ def cmd_expand(settings: Settings) -> int:
 def cmd_verify(settings: Settings) -> int:
     t = settings.get("t", default=2, cast=int)
     lam = settings.get("lambda", default=1, cast=int)
+    if lam < 1:
+        raise UsageError("need lambda >= 1")
     blocks_file = settings.get("blocks")
     if blocks_file is not None:
         blocks = BlockSet.load(blocks_file)
     else:
         group = resolve_group(settings)
         blocks, _ = expand_reps(group, *resolve_reps(settings, group))
+    if not 0 < t <= blocks.k:
+        raise UsageError(f"need 0 < t <= k = {blocks.k}")
     t0 = time.time()
     report = verify_design(blocks, t, lam)
     elapsed = time.time() - t0

@@ -524,6 +524,17 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
     return (x * _H01) >> np.uint64(56)
 
 
+def mat_vec_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
+    """Apply v -> m @ v to a uint64 array of packed vectors."""
+    vecs = vecs.astype(np.uint64, copy=False)
+    out = np.zeros_like(vecs)
+    one = np.uint64(1)
+    for i, row in enumerate(m.rows):
+        bit = popcount_u64(vecs & np.uint64(row)) & one
+        out |= bit << np.uint64(i)
+    return out
+
+
 def span_vectors_bulk(rows: np.ndarray) -> np.ndarray:
     """Every nonzero vector of many spans at once.
 

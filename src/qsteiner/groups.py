@@ -4,9 +4,10 @@ Groups act on column vectors from the left, so the image of a subspace
 applies the matrix to every basis row and recanonicalizes.  Groups
 built on a Singer cycle partition subspaces into orbits by exponent
 arithmetic, without traversal (see singer); every other group takes the
-generic path, which walks the subspace keys in ascending order and
-collects each new orbit by breadth-first traversal.  The generic path is
-also the test oracle of the engine.
+generic path, which maps every subspace by every generator in bulk and
+reads the orbits off as connected components.  The generic path is also
+the test oracle of the engine, and orbit() walks one orbit by
+breadth-first traversal for expansion and as a test oracle of both.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .gf2 import (
     frobenius_matrix,
     identity,
     mat_vec,
+    mat_vec_bulk,
     parse_matrix_text,
     primitive_polynomial,
     rank,
@@ -39,9 +41,9 @@ from .subspace import (
     Subspace,
     enumerate_keys_bulk,
     gaussian_binomial,
+    key_chunks,
     pack_keys_bulk,
     span,
-    subspace_from_key,
 )
 
 CLOSURE_CAP = 10**7
@@ -53,7 +55,7 @@ class ClosureCapError(RuntimeError):
 
 
 class StrategyError(RuntimeError):
-    """An orbit traversal or a lookup index rebuild exceeds its cap."""
+    """An orbit traversal exceeds its cap, or a lookup lacks its group."""
 
 
 @dataclass
@@ -210,7 +212,7 @@ class OrbitTable:
     Subspace.  The lookup index is one sorted array of words with the
     orbit id of each: the representatives' orbit labels when the group
     has a Singer engine, else the key of every orbit member, taken from
-    the generic partition or rebuilt by traversal.
+    the generic partition.
     """
 
     n: int
@@ -268,30 +270,43 @@ class OrbitTable:
         return pack_keys_bulk(rows, self.n)[:, None]
 
     def _ensure_index(self) -> tuple[bool, np.ndarray, np.ndarray]:
+        """Build the lookup index once, re-deriving every representative's
+        orbit: by one label pass with a Singer engine, else from the generic
+        partition.  A wrong length or a shared orbit is a FormatError."""
         if self._index is not None:
             return self._index
-        if self._engine() is not None:
-            words = self._index_words(self.rows, True)
-            self._index = _sorted_index(True, words, np.arange(self.num_orbits))
+        if self.group is None:
+            raise StrategyError("orbit lookup needs the group to rebuild its index")
+        engine = self._engine()
+        if engine is not None:
+            owner, stab = engine.labels_and_stabilizers(engine.rows_to_exps(self.rows))
+            derived = engine.order // stab
+            index = _sorted_index(True, owner, np.arange(self.num_orbits))
         else:
-            if self.group is None:
-                raise StrategyError("orbit lookup needs the group to rebuild its index")
-            total = self.total_subspaces()
-            if total > TRAVERSAL_CAP:
-                raise StrategyError(
-                    f"rebuilding the lookup index would traverse {total} subspaces"
-                )
-            keys = []
-            ids = []
-            for i in range(self.num_orbits):
-                members = orbit(self.group, self.rep(i))
-                if len(members) != self.lengths[i]:
-                    raise AssertionError("stored orbit length disagrees with traversal")
-                keys.extend(m.key for m in members)
-                ids.extend([i] * len(members))
-            keys = np.array(keys, dtype=np.uint64)[:, None]
-            self._index = _sorted_index(False, keys, ids)
-        return self._index
+            full = _partition_full(self.group, self.k)
+            orbit_of = full.lookup_rows_bulk(self.rows)
+            owner = orbit_of.astype(np.uint64)[:, None]
+            derived = np.array(full.lengths, dtype=np.int64)[orbit_of]
+            table_id = np.full(full.num_orbits, -1, dtype=np.int64)
+            table_id[orbit_of] = np.arange(self.num_orbits)
+            _, keys, ids = full._index
+            ids = table_id[ids]
+            index = (False, keys[ids >= 0], ids[ids >= 0])
+        wrong = np.flatnonzero(derived != np.array(self.lengths, dtype=np.int64))
+        pair = first_duplicate(owner, 64)
+        # the first orbit at fault, its length before its label
+        if wrong.size and (pair is None or wrong[0] <= pair[1]):
+            i = wrong[0]
+            raise FormatError(
+                f"orbit {i}: recorded length {self.lengths[i]} is wrong; "
+                f"the representative's orbit has {derived[i]}"
+            )
+        if pair is not None:
+            raise FormatError(
+                f"orbits {pair[0]} and {pair[1]}: representatives share an orbit"
+            )
+        self._index = index
+        return index
 
     def lookup(self, u: Subspace) -> int:
         """Orbit id of a subspace; raises for wrong shape or foreign subspace."""
@@ -316,16 +331,12 @@ class OrbitTable:
     def save(self, path: str) -> None:
         if self.group is None:
             raise ValueError("cannot save a table without its group")
-        order = self.group.order
-        if order is None:
-            engine = self.group.engine()
-            order = engine.order if engine is not None else None
-        if order is None:
-            order = group_closure(self.group).order
-            self.group.order = order
+        # a certified engine fills the order in; otherwise count the closure
+        if self.group.order is None and self.group.engine() is None:
+            self.group.order = group_closure(self.group).order
         lines = [
             "# orbit table: n k group-hash group-order, then id length + basis rows",
-            f"{self.n} {self.k} {group_hash(self.group)} {order}",
+            f"{self.n} {self.k} {group_hash(self.group)} {self.group.order}",
             "",
         ]
         # column j of a text row is bit j
@@ -340,9 +351,8 @@ class OrbitTable:
     def load(cls, path: str, group: MatrixGroup | None = None) -> "OrbitTable":
         """Read a table; hash, order, and length-sum are always checked.
 
-        When the group has a Singer engine, one bulk label pass over the
-        representatives re-derives every orbit length, checks that no two
-        representatives share an orbit, and becomes the lookup index.
+        With a group, building the lookup index re-derives every orbit
+        length and checks that no two representatives share an orbit.
         """
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -412,24 +422,8 @@ class OrbitTable:
                 f"orbit lengths sum to {total}, but GF(2)^{n} has {expect} "
                 f"{k}-subspaces"
             )
-        engine = table._engine()
-        if engine is not None:
-            labels, stab = engine.labels_and_stabilizers(engine.rows_to_exps(table.rows))
-            derived = engine.order // stab
-            wrong = np.flatnonzero(derived != np.array(lengths, dtype=np.int64))
-            pair = first_duplicate(labels, 64)
-            # the first orbit at fault, its length before its label
-            if wrong.size and (pair is None or wrong[0] <= pair[1]):
-                i = wrong[0]
-                raise FormatError(
-                    f"orbit {i}: recorded length {lengths[i]} is wrong; "
-                    f"the representative's orbit has {derived[i]}"
-                )
-            if pair is not None:
-                raise FormatError(
-                    f"orbits {pair[0]} and {pair[1]}: representatives share an orbit"
-                )
-            table._index = _sorted_index(True, labels, np.arange(table.num_orbits))
+        if group is not None:
+            table._ensure_index()
         return table
 
 
@@ -441,7 +435,7 @@ def orbit_partition(group: MatrixGroup, k: int) -> OrbitTable:
     """Partition all k-dim subspaces of GF(2)^n into orbits under group.
 
     Uses the Singer engine when the group structure certifies, else the
-    generic enumeration walk.
+    generic bulk partition.
     """
     if not 0 <= k <= group.n:
         raise ValueError(f"k must be between 0 and {group.n}")
@@ -478,30 +472,46 @@ def _partition_engine(group: MatrixGroup, k: int) -> OrbitTable:
 
 
 def _partition_full(group: MatrixGroup, k: int) -> OrbitTable:
-    keys = enumerate_keys_bulk(group.n, k)
-    assigned = np.full(keys.size, -1, dtype=np.int64)
-    rows: list[tuple[int, ...]] = []
-    lengths: list[int] = []
-    for pos in range(keys.size):
-        if assigned[pos] >= 0:
-            continue
-        seed = subspace_from_key(group.n, k, int(keys[pos]))
-        member_keys = np.array([m.key for m in orbit(group, seed)], dtype=np.uint64)
-        idx = np.searchsorted(keys, member_keys)
-        if not np.array_equal(keys[idx], member_keys):
-            raise AssertionError("orbit member key missing from the enumeration")
-        assigned[idx] = len(rows)
-        rows.append(seed.rows)
-        lengths.append(member_keys.size)
-    if (assigned < 0).any():
-        raise AssertionError("enumeration walk left unassigned subspaces")
+    """Orbits as the connected components of the generators' action on
+    the ascending subspace keys; each representative is the key-minimal
+    member of its orbit."""
+    n = group.n
+    keys = enumerate_keys_bulk(n, k, guard=TRAVERSAL_CAP)
+    images = np.empty((len(group.generators), keys.size), dtype=np.int64)
+    for chunk, rows in key_chunks(n, k):
+        at = np.searchsorted(keys, chunk)
+        for g, image in zip(group.generators, images):
+            red, ranks = rref_bulk(mat_vec_bulk(g, rows))
+            img_keys = pack_keys_bulk(red, n)
+            pos = np.minimum(np.searchsorted(keys, img_keys), keys.size - 1)
+            if np.any(ranks != k) or not np.array_equal(keys[pos], img_keys):
+                raise AssertionError("orbit member key missing from the enumeration")
+            image[at] = pos
+    # label[i] <= i is a member of i's orbit: each round hooks the larger
+    # label of every edge's ends under the smaller, then jumps pointers
+    # until every label is its own; a round without change leaves each
+    # orbit labelled by its smallest position
+    label = np.arange(keys.size, dtype=np.int64)
+    while True:
+        before = label.copy()
+        for image in images:
+            ends = label, label[image]
+            np.minimum.at(label, np.maximum(*ends), np.minimum(*ends))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+        if np.array_equal(label, before):
+            break
+    _, ids = np.unique(label, return_inverse=True)
+    is_rep = label == np.arange(keys.size)
+    reps = [rows[is_rep[np.searchsorted(keys, c)]] for c, rows in key_chunks(n, k)]
     return OrbitTable(
-        n=group.n,
+        n=n,
         k=k,
         group=group,
-        rows=np.array(rows, dtype=np.uint64).reshape(len(rows), k),
-        lengths=lengths,
-        _index=_sorted_index(False, keys[:, None], assigned),
+        rows=np.concatenate(reps),
+        lengths=np.bincount(ids).tolist(),
+        _index=_sorted_index(False, keys[:, None], ids),
     )
 
 

@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf2 import BitMatrix, mat_mul, popcount_u64, rref_bulk, span_vectors_bulk
+from .gf2 import BitMatrix, mat_mul, mat_vec_bulk, rref_bulk, span_vectors_bulk
 from .subspace import Subspace, pack_keys_bulk
 
 MAX_ENGINE_WIDTH = 24
@@ -27,17 +27,6 @@ MAX_SLOPE_GROUP = 1 << 16
 # results do not depend on them, only the size of the temporaries does.
 SPAN_BATCH_ROWS = 1 << 16
 LABEL_BATCH_ROWS = 1 << 15
-
-
-def mat_vec_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
-    """Apply v -> m @ v to a uint64 array of packed vectors."""
-    vecs = vecs.astype(np.uint64, copy=False)
-    out = np.zeros_like(vecs)
-    one = np.uint64(1)
-    for i, row in enumerate(m.rows):
-        bit = popcount_u64(vecs & np.uint64(row)) & one
-        out |= bit << np.uint64(i)
-    return out
 
 
 def _power_table(s: BitMatrix) -> np.ndarray | None:

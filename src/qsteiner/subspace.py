@@ -179,39 +179,6 @@ def spread_size(n: int, k: int, q: int = 2) -> int:
     return (q**n - 1) // (q**k - 1)
 
 
-def _pivot_masks(n: int, k: int) -> list[int]:
-    masks = [sum(1 << p for p in combo) for combo in combinations(range(n), k)]
-    masks.sort()
-    return masks
-
-
-def _free_positions(n: int, k: int, pivmask: int) -> list[tuple[int, int]]:
-    """(packed position, column) pairs of the free entries, ascending."""
-    pivots = [j for j in range(n) if (pivmask >> j) & 1]
-    nonpivot = [j for j in range(n) if not (pivmask >> j) & 1]
-    width = n - k
-    out = []
-    for i, p in enumerate(pivots):
-        for pos, j in enumerate(nonpivot):
-            if j > p:
-                out.append((i * width + pos, j))
-    return out
-
-
-def _enumerate_rows(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """RREF rows of every k-dim subspace of GF(2)^n, ascending in key."""
-    width = n - k
-    for pivmask in _pivot_masks(n, k):
-        pivots = [j for j in range(n) if (pivmask >> j) & 1]
-        free = _free_positions(n, k, pivmask)
-        for c in range(1 << len(free)):
-            rows = [1 << p for p in pivots]
-            for b, (packed_pos, col) in enumerate(free):
-                if (c >> b) & 1:
-                    rows[packed_pos // width] |= 1 << col
-            yield tuple(rows)
-
-
 def enumerate_subspaces(n: int, k: int, guard: int = ENUMERATION_GUARD) -> Iterator[Subspace]:
     """Yield every k-dim subspace of GF(2)^n in ascending key order."""
     total = gaussian_binomial(n, k, 2)
@@ -220,24 +187,38 @@ def enumerate_subspaces(n: int, k: int, guard: int = ENUMERATION_GUARD) -> Itera
             f"{total} subspaces exceed the enumeration guard {guard}; "
             "raise the guard explicitly"
         )
-    for rows in _enumerate_rows(n, k):
-        yield Subspace(n, rows)
+    for _, rows in key_chunks(n, k):
+        for r in rows.tolist():
+            yield Subspace(n, tuple(r))
 
 
-def key_chunks(n: int, k: int) -> Iterator[np.ndarray]:
-    """Keys of all k-dim subspaces of GF(2)^n in ascending order, as one
-    uint64 chunk per pivot mask; requires the key to fit in 64 bits."""
+def key_chunks(n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Keys and RREF rows of all k-dim subspaces of GF(2)^n in ascending
+    key order, one chunk per pivot mask: a uint64 key array and the (M, k)
+    uint64 rows beside it; requires the key to fit in 64 bits."""
     if k * (n - k) + n + k.bit_length() > 64:
         raise ValueError("packed keys do not fit in 64 bits for this (n, k)")
     width = n - k
-    for pivmask in _pivot_masks(n, k):
-        free = _free_positions(n, k, pivmask)
+    one = np.uint64(1)
+    masks = sorted(sum(1 << p for p in ps) for ps in combinations(range(n), k))
+    for pivmask in masks:
+        pivots = [j for j in range(n) if (pivmask >> j) & 1]
+        nonpivot = [j for j in range(n) if not (pivmask >> j) & 1]
+        free = [
+            (i * width + pos, j)
+            for i, p in enumerate(pivots)
+            for pos, j in enumerate(nonpivot)
+            if j > p
+        ]
         prefix = np.uint64(((k << n) | pivmask) << (k * width))
         c = np.arange(1 << len(free), dtype=np.uint64)
         val = np.zeros_like(c)
-        for b, (packed_pos, _col) in enumerate(free):
-            val |= ((c >> np.uint64(b)) & np.uint64(1)) << np.uint64(packed_pos)
-        yield prefix | val
+        rows = np.tile(np.array([1 << p for p in pivots], dtype=np.uint64), (c.size, 1))
+        for b, (pos, col) in enumerate(free):
+            bit = (c >> np.uint64(b)) & one
+            val |= bit << np.uint64(pos)
+            rows[:, pos // width] |= bit << np.uint64(col)
+        yield prefix | val, rows
 
 
 def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.ndarray:
@@ -250,7 +231,7 @@ def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.nd
         raise EnumerationGuardError(
             f"{total} subspaces exceed the enumeration guard {guard}"
         )
-    out = np.concatenate([np.zeros(0, dtype=np.uint64), *key_chunks(n, k)])
+    out = np.concatenate([keys for keys, _ in key_chunks(n, k)])
     if out.size != total:
         raise AssertionError("enumeration produced a wrong subspace count")
     return out
@@ -294,7 +275,7 @@ def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
     num, k = rows.shape
     if not 0 <= t <= k:
         raise ValueError(f"need 0 <= t <= {k}")
-    coords = np.array(list(_enumerate_rows(k, t)), dtype=np.int64)
+    coords = np.concatenate([rows for _, rows in key_chunks(k, t)]).astype(np.int64)
     lifted = span_vectors_bulk(rows)[:, coords - 1]
     red, ranks = rref_bulk(lifted.reshape(num * len(coords), t))
     if not np.all(ranks == t):

@@ -25,6 +25,7 @@ from .gf2 import (
 )
 from .groups import MatrixGroup, orbit
 from .subspace import (
+    EnumerationGuardError,
     Subspace,
     gaussian_binomial,
     key_chunks,
@@ -319,7 +320,7 @@ def _all_keys(n: int, t: int) -> Iterable[np.ndarray]:
         return [np.arange(1, 1 << n, dtype=np.uint64)]
     if t == 2:
         return _pair_key_chunks(n)
-    return key_chunks(n, t)
+    return (keys for keys, _ in key_chunks(n, t))
 
 
 def _key_rows(key: int, n: int, t: int) -> tuple[int, ...]:
@@ -353,7 +354,7 @@ def verify_design(
         raise ValueError("pair keys do not fit in 64 bits for this n")
     total = gaussian_binomial(n, t, 2)
     if total > budget:
-        raise RuntimeError(
+        raise EnumerationGuardError(
             f"{total} t-subspaces exceed the verification budget {budget}"
         )
     per_block = gaussian_binomial(k, t, 2)

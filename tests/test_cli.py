@@ -2,11 +2,13 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from qsteiner import cli
 from qsteiner.fixtures import FIXTURE_SHA256
 from qsteiner.groups import StrategyError
+from qsteiner.verify import BlockSet
 
 
 def run(capsys, *argv):
@@ -58,6 +60,40 @@ def test_strategy_error_is_a_resource_limit(monkeypatch, capsys):
     code, _, err = run(capsys, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
     assert code == 3
     assert "limit: orbit exceeded the traversal cap 1" in err
+
+
+def test_out_of_range_dimensions_are_usage_errors(tmp_path, capsys):
+    code, _, err = run(capsys, "orbits", "--trivial-group", "--n", "3", "--dim", "5")
+    assert code == 2 and "error: need 0 <= dim <= n = 3" in err
+    path = str(tmp_path / "blocks.txt")
+    BlockSet(4, 2, np.array([[1, 2], [4, 8]], dtype=np.uint64)).save(path)
+    for flags, message in (
+        (("--t", "4"), "error: need 0 < t <= k = 2"),
+        (("--t", "0"), "error: need 0 < t <= k = 2"),
+        (("--lambda", "0"), "error: need lambda >= 1"),
+    ):
+        code, _, err = run(
+            capsys, "--out-dir", str(tmp_path), "verify", "--blocks", path, *flags
+        )
+        assert code == 2 and message in err, flags
+
+
+def test_oversized_enumerations_are_limits(tmp_path, capsys):
+    # 53,743,987 subspaces: refused before any of them is built
+    code, _, err = run(
+        capsys, "--out-dir", str(tmp_path),
+        "orbits", "--trivial-group", "--n", "10", "--dim", "4",
+    )
+    assert code == 3
+    assert "limit: 53743987 subspaces exceed the enumeration guard 20000000" in err
+    # one 3-dim block of GF(2)^13 and the 3269560515 3-subspaces of the space
+    path = str(tmp_path / "blocks.txt")
+    BlockSet(13, 3, np.array([[1, 2, 4]], dtype=np.uint64)).save(path)
+    code, _, err = run(
+        capsys, "--out-dir", str(tmp_path), "verify", "--blocks", path, "--t", "3"
+    )
+    assert code == 3
+    assert "limit: 3269560515 t-subspaces exceed the verification budget" in err
 
 
 def test_spread_demo_counts_56(capsys):

@@ -5,7 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from qsteiner.gf2 import BitMatrix, FormatError, identity, mat_mul, mat_vec, rref_bulk
+from groups_reference import walk_partition
+from qsteiner.gf2 import (
+    BitMatrix,
+    FormatError,
+    companion_matrix,
+    frobenius_matrix,
+    identity,
+    mat_mul,
+    mat_vec,
+    primitive_polynomial,
+    rref_bulk,
+)
 from qsteiner.groups import (
     MatrixGroup,
     OrbitTable,
@@ -105,6 +116,34 @@ def test_partition_strategies_agree():
         assert all(rep.key <= engine.rep(j).key for rep, j in zip(reps_of(full), ids))
         if n < 6:  # small spaces, where the two choices coincide
             assert [s.key for s in reps_of(engine)] == [s.key for s in reps_of(full)]
+
+
+def frobenius_group(n):
+    """<F> alone: the squaring map, with no Singer cycle to certify."""
+    return MatrixGroup(n=n, generators=(frobenius_matrix(primitive_polynomial(n)),))
+
+
+def test_partition_full_matches_walk_oracle():
+    s6 = companion_matrix(primitive_polynomial(6))
+    # S^3 has order 21 and three orbits on the nonzero vectors of GF(2)^6
+    cube = MatrixGroup(n=6, generators=(mat_mul(s6, mat_mul(s6, s6)),))
+    cases = [
+        (MatrixGroup(n=n, generators=(identity(n),), order=1), range(n + 1))
+        for n in range(1, 7)
+    ]
+    cases += [(singer_normalizer(n), range(n + 1)) for n in (4, 5, 6)]
+    cases += [
+        (singer_normalizer(7), (2, 3)),
+        (frobenius_group(6), range(7)),
+        (cube, range(7)),
+    ]
+    assert frobenius_group(6).engine() is None and cube.engine() is None
+    for g, dims in cases:
+        for k in dims:
+            got, want = groups._partition_full(g, k), walk_partition(g, k)
+            assert np.array_equal(got.rows, want.rows), (g.n, k)
+            assert got.lengths == want.lengths, (g.n, k)
+            assert all(np.array_equal(a, b) for a, b in zip(got._index, want._index))
 
 
 def test_trivial_group_orbits_are_singletons():
@@ -303,16 +342,43 @@ def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
         OrbitTable.load(str(path), group=g)
 
 
-def test_lookup_rows_bulk_rejects_untabulated_orbits():
-    g = singer_normalizer(6)
+def test_table_load_checks_tables_without_an_engine(tmp_path):
+    # <F> has 31 orbits of length 5 on the 2-subspaces of GF(2)^5 and no
+    # Singer engine; the generic partition re-derives each orbit at load
+    g = frobenius_group(5)
+    assert g.engine() is None
     table = orbit_partition(g, 2)
-    rows = table.rows
-    partial = OrbitTable(
-        n=6, k=2, group=g, rows=table.rows[:2], lengths=table.lengths[:2]
-    )
-    assert partial.lookup_rows_bulk(rows[:2]).tolist() == [0, 1]
-    with pytest.raises(KeyError):
-        partial.lookup_rows_bulk(rows)
+    assert table.num_orbits == 31 and set(table.lengths) == {5}
+    lo, hi = table.rep(27).key, table.rep(29).key
+    twin = next(m for m in orbit(g, table.rep(0)) if lo < m.key < hi)
+    shared = table.rows.copy()
+    shared[28] = twin.rows
+    moved = list(table.lengths)
+    moved[3], moved[30] = 4, 6
+    path = tmp_path / "orbits.txt"
+    for rows, lengths, message in (
+        (shared, table.lengths, "orbits 0 and 28: representatives share an orbit"),
+        (table.rows, moved, "orbit 3: recorded length 4 is wrong; the "
+         "representative's orbit has 5"),
+    ):
+        OrbitTable(n=5, k=2, group=g, rows=rows, lengths=list(lengths)).save(str(path))
+        with pytest.raises(FormatError, match=message):
+            OrbitTable.load(str(path), group=g)
+        # without the group there is nothing to check against
+        assert OrbitTable.load(str(path)).num_orbits == 31
+
+
+def test_lookup_rows_bulk_rejects_untabulated_orbits():
+    # a label index (Singer engine) and a member-key index (generic)
+    for g in (singer_normalizer(6), frobenius_group(6)):
+        table = orbit_partition(g, 2)
+        rows = table.rows
+        partial = OrbitTable(
+            n=6, k=2, group=g, rows=table.rows[:2], lengths=table.lengths[:2]
+        )
+        assert partial.lookup_rows_bulk(rows[:2]).tolist() == [0, 1]
+        with pytest.raises(KeyError):
+            partial.lookup_rows_bulk(rows)
 
 
 def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
@@ -324,6 +390,13 @@ def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
         raise AssertionError("a Subspace was built on an internal path")
 
     monkeypatch.setattr(Subspace, "__post_init__", refuse)
+    frob = frobenius_group(6)
+    full = groups._partition_full(frob, 3)
+    assert full.total_subspaces() == gaussian_binomial(6, 3, 2)
+    path = tmp_path / "frobenius.txt"
+    full.save(str(path))
+    loaded = OrbitTable.load(str(path), group=frob)
+    assert loaded.lookup_rows_bulk(full.rows).tolist() == list(range(full.num_orbits))
     t2 = orbit_partition(g, 2)
     t3 = orbit_partition(g, 3)
     path = tmp_path / "orbits.txt"
