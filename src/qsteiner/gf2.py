@@ -89,51 +89,6 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(tuple(rows), b.ncols)
 
 
-def _xor_table(vectors: list[int]) -> list[list[int]]:
-    """Byte-chunk XOR tables: chunk c, byte b -> XOR of vectors[8c+i] over bits i of b."""
-    tables = []
-    for c in range(0, len(vectors), 8):
-        chunk = vectors[c : c + 8]
-        t = [0] * (1 << len(chunk))
-        for b in range(1, len(t)):
-            low = b & -b
-            t[b] = t[b ^ low] ^ chunk[low.bit_length() - 1]
-        tables.append(t)
-    return tables
-
-
-def row_action(m: BitMatrix):
-    """Fast v |-> v @ m for row vectors v (tables built once per matrix)."""
-    tables = _xor_table(list(m.rows))
-
-    def apply(v: int) -> int:
-        out = 0
-        c = 0
-        while v:
-            out ^= tables[c][v & 0xFF]
-            v >>= 8
-            c += 1
-        return out
-
-    return apply
-
-
-def column_action(m: BitMatrix):
-    """Fast v |-> m @ v for column vectors v."""
-    tables = _xor_table([m.column(j) for j in range(m.ncols)])
-
-    def apply(v: int) -> int:
-        out = 0
-        c = 0
-        while v:
-            out ^= tables[c][v & 0xFF]
-            v >>= 8
-            c += 1
-        return out
-
-    return apply
-
-
 def rref_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced row echelon form of packed rows.
 
@@ -193,12 +148,11 @@ def matrix_order(m: BitMatrix, bound: int = 10**7) -> int:
         raise ValueError("order of a non-square matrix")
     if rank(m) != m.ncols:
         raise SingularMatrixError("singular matrix has no multiplicative order")
-    ident = identity(m.ncols).rows
-    step = row_action(m)
-    cur = m.rows
+    ident = identity(m.ncols)
+    cur = m
     k = 1
-    while tuple(cur) != ident:
-        cur = tuple(step(r) for r in cur)
+    while cur != ident:
+        cur = mat_mul(cur, m)
         k += 1
         if k > bound:
             raise RuntimeError(f"matrix order exceeds bound {bound}")
@@ -588,12 +542,12 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, ranks
 
 
-def first_duplicate(rows: np.ndarray, n: int) -> tuple[int, int] | None:
-    """(i, j) with i < j for the first row j that equals an earlier row i.
+def pack_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """(N, k) uint64 rows with entries of n bits as (N, W) uint64 words.
 
-    rows is (N, k) uint64 with entries of n bits.  Each row's k entries
-    are packed into ceil(k n / 64) words, so a stable sort of one word
-    per row does for k n <= 64.
+    Each row's k entries are packed end to end into W = ceil(k n / 64)
+    words (at least one), so two rows are equal exactly when their words
+    are.
     """
     num, k = rows.shape
     words = np.zeros((num, max(1, -(-k * n // 64))), dtype=np.uint64)
@@ -602,6 +556,17 @@ def first_duplicate(rows: np.ndarray, n: int) -> tuple[int, int] | None:
         words[:, w] |= rows[:, i] << np.uint64(off)
         if off + n > 64:
             words[:, w + 1] |= rows[:, i] >> np.uint64(64 - off)
+    return words
+
+
+def first_duplicate(rows: np.ndarray, n: int) -> tuple[int, int] | None:
+    """(i, j) with i < j for the first row j that equals an earlier row i.
+
+    rows is (N, k) uint64 with entries of n bits, compared as packed
+    words (see pack_rows), so a stable sort of one word per row does for
+    k n <= 64.
+    """
+    words = pack_rows(rows, n)
     # a stable lexicographic sort makes equal rows neighbours in input order
     order = np.lexsort(words.T)
     srt = words[order]

@@ -6,21 +6,21 @@ built on a Singer cycle partition subspaces into orbits by exponent
 arithmetic, without traversal (see singer); every other group takes the
 generic path, which maps every subspace by every generator in bulk and
 reads the orbits off as connected components.  The generic path is also
-the test oracle of the engine, and orbit() walks one orbit by
-breadth-first traversal for expansion and as a test oracle of both.
+the test oracle of the engine.  Group closure and orbit() share one
+bulk breadth-first search over arrays of rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .gf2 import (
     BitMatrix,
     FormatError,
-    column_action,
     companion_matrix,
     first_duplicate,
     format_matrix,
@@ -28,12 +28,12 @@ from .gf2 import (
     identity,
     mat_vec,
     mat_vec_bulk,
+    pack_rows,
     parse_matrix_text,
     primitive_polynomial,
     rank,
-    row_action,
     rref_bulk,
-    rref_rows,
+    transpose,
 )
 from .heap import release_free_heap
 from .singer import SingerEngine
@@ -62,14 +62,15 @@ class StrategyError(RuntimeError):
 class MatrixGroup:
     """A subgroup of GL(n, 2) given by generators.
 
-    elements, when present, is the dense list of group elements as
-    packed row tuples; order is filled by group_closure or by a
-    certified structure detection.
+    elements, when present, is the (order, n) uint64 array of every
+    group element's packed rows, in ascending order of the row tuples;
+    order is filled by group_closure or by a certified structure
+    detection.
     """
 
     n: int
     generators: tuple[BitMatrix, ...]
-    elements: tuple[tuple[int, ...], ...] | None = None
+    elements: np.ndarray | None = field(default=None, compare=False)
     order: int | None = None
     _engine: SingerEngine | None = field(default=None, repr=False, compare=False)
     _engine_tried: bool = field(default=False, repr=False, compare=False)
@@ -107,36 +108,50 @@ def group_hash(group: MatrixGroup) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _bfs(start: np.ndarray, maps: list, n: int, cap: int) -> np.ndarray | None:
+    """Every row reachable from the rows of start under maps, breadth-first.
+
+    start is (N, w) uint64 with entries of n bits, and each map takes
+    such an array to its image row by row.  Each round maps the whole
+    frontier and drops the images already seen, which one sorted array of
+    packed rows holds.  Returns the rows in discovery order, or None once
+    more than cap are reached.
+    """
+    found = [start]
+    seen = np.unique(_rowwise(pack_rows(start, n)))
+    frontier = start
+    while len(frontier):
+        images = np.concatenate([f(frontier) for f in maps])
+        keys, first = np.unique(_rowwise(pack_rows(images, n)), return_index=True)
+        pos = np.searchsorted(seen, keys)
+        new = (pos == seen.size) | (seen[np.minimum(pos, seen.size - 1)] != keys)
+        seen = np.insert(seen, pos[new], keys[new])
+        if seen.size > cap:
+            return None
+        frontier = images[first[new]]
+        found.append(frontier)
+    return np.concatenate(found)
+
+
 def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
     """Enumerate all elements by breadth-first right multiplication.
 
     Returns a new MatrixGroup with elements and order filled.  Raises
     ClosureCapError when more than cap elements appear.
     """
-    gens = [row_action(g) for g in group.generators]
-    start = identity(group.n).rows
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for rows in frontier:
-            for apply_g in gens:
-                img = tuple(apply_g(r) for r in rows)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-                    if len(seen) > cap:
-                        raise ClosureCapError(
-                            f"group closure exceeded the cap of {cap} elements"
-                        )
-        frontier = nxt
-    if group.order is not None and group.order != len(seen):
+    # row r of M @ g is transpose(g) @ r
+    maps = [partial(mat_vec_bulk, transpose(g)) for g in group.generators]
+    start = np.array([identity(group.n).rows], dtype=np.uint64)
+    rows = _bfs(start, maps, group.n, cap)
+    if rows is None:
+        raise ClosureCapError(f"group closure exceeded the cap of {cap} elements")
+    if group.order is not None and group.order != len(rows):
         raise AssertionError("closure size disagrees with the recorded group order")
     return MatrixGroup(
         n=group.n,
         generators=group.generators,
-        elements=tuple(sorted(seen)),
-        order=len(seen),
+        elements=rows[np.lexsort(rows.T[::-1])],
+        order=len(rows),
     )
 
 
@@ -164,27 +179,21 @@ def act(g: BitMatrix, u: Subspace) -> Subspace:
     return span([mat_vec(g, r) for r in u.rows], u.ambient)
 
 
-def orbit(group: MatrixGroup, u: Subspace, cap: int = TRAVERSAL_CAP) -> list[Subspace]:
-    """All images of u under the group, sorted by key; BFS over generators."""
+def orbit(group: MatrixGroup, u: Subspace, cap: int = TRAVERSAL_CAP) -> np.ndarray:
+    """All images of u under the group as (L, k) RREF rows, in ascending
+    key order; a bulk breadth-first search over the generators."""
     if u.ambient != group.n:
         raise ValueError("subspace does not live in the group's space")
-    acts = [column_action(g) for g in group.generators]
-    seen = {u.rows}
-    frontier = [u.rows]
-    while frontier:
-        nxt = []
-        for rows in frontier:
-            for apply_g in acts:
-                red, _ = rref_rows([apply_g(r) for r in rows])
-                if red not in seen:
-                    seen.add(red)
-                    nxt.append(red)
-                    if len(seen) > cap:
-                        raise StrategyError(f"orbit exceeded the traversal cap {cap}")
-        frontier = nxt
-    members = [Subspace(group.n, rows) for rows in seen]
-    members.sort(key=lambda s: s.key)
-    return members
+    maps = [
+        lambda rows, g=g: rref_bulk(mat_vec_bulk(g, rows))[0] for g in group.generators
+    ]
+    start = np.array(u.rows, dtype=np.uint64).reshape(1, u.dim)
+    rows = _bfs(start, maps, group.n, cap)
+    if rows is None:
+        raise StrategyError(f"orbit exceeded the traversal cap {cap}")
+    # keys order by pivot mask, then by the rows from the last one up
+    pivots = np.bitwise_or.reduce(rows & (np.uint64(0) - rows), axis=1)
+    return rows[np.lexsort((*rows.T, pivots))]
 
 
 def _rowwise(words: np.ndarray) -> np.ndarray:

@@ -158,10 +158,7 @@ def expand_orbits(
     parts = []
     lengths = []
     for rep in reps:
-        if engine is not None:
-            rows = engine.expand_orbit(rep)
-        else:
-            rows = np.array([m.rows for m in orbit(group, rep)], dtype=np.uint64)
+        rows = orbit(group, rep) if engine is None else engine.expand_orbit(rep)
         parts.append(rows)
         lengths.append(len(rows))
     blocks = np.concatenate(parts, axis=0)

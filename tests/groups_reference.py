@@ -1,19 +1,42 @@
-"""The per-orbit enumeration walk of the generic partition, kept as a test
-oracle.
+"""The per-object orbit walk and the per-orbit enumeration walk of the
+generic partition, kept as test oracles.
 
-This is how `qsteiner.groups._partition_full` partitioned subspaces
-before it worked in bulk: walk the keys in ascending order, and expand
-each key not yet assigned into its whole orbit by the breadth-first
-traversal `orbit()`, one Subspace per member.  The bulk partition must
-agree with it on representative rows, lengths and the lookup index.
+`walk_orbit` is how `qsteiner.groups.orbit` traversed an orbit before
+it worked in bulk: a breadth-first search over tuples of basis rows,
+one Subspace per member.  `walk_partition` is how
+`qsteiner.groups._partition_full` partitioned subspaces: walk the keys
+in ascending order, and expand each key not yet assigned into its whole
+orbit by `walk_orbit`.  The bulk code must agree with them on member
+rows, representative rows, lengths and the lookup index.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qsteiner.groups import MatrixGroup, OrbitTable, _sorted_index, orbit
-from qsteiner.subspace import enumerate_keys_bulk, subspace_from_key
+from qsteiner.gf2 import mat_vec, rref_rows
+from qsteiner.groups import MatrixGroup, OrbitTable, _sorted_index
+from qsteiner.subspace import Subspace, enumerate_keys_bulk, subspace_from_key
+
+
+def walk_orbit(group: MatrixGroup, u: Subspace) -> list[Subspace]:
+    """All images of u under the group, sorted by key; BFS over generators."""
+    if u.ambient != group.n:
+        raise ValueError("subspace does not live in the group's space")
+    seen = {u.rows}
+    frontier = [u.rows]
+    while frontier:
+        nxt = []
+        for rows in frontier:
+            for g in group.generators:
+                red, _ = rref_rows([mat_vec(g, r) for r in rows])
+                if red not in seen:
+                    seen.add(red)
+                    nxt.append(red)
+        frontier = nxt
+    members = [Subspace(group.n, rows) for rows in seen]
+    members.sort(key=lambda s: s.key)
+    return members
 
 
 def walk_partition(group: MatrixGroup, k: int) -> OrbitTable:
@@ -25,7 +48,8 @@ def walk_partition(group: MatrixGroup, k: int) -> OrbitTable:
         if assigned[pos] >= 0:
             continue
         seed = subspace_from_key(group.n, k, int(keys[pos]))
-        member_keys = np.array([m.key for m in orbit(group, seed)], dtype=np.uint64)
+        members = walk_orbit(group, seed)
+        member_keys = np.array([m.key for m in members], dtype=np.uint64)
         idx = np.searchsorted(keys, member_keys)
         if not np.array_equal(keys[idx], member_keys):
             raise AssertionError("orbit member key missing from the enumeration")

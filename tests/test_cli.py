@@ -65,6 +65,22 @@ def test_strategy_error_is_a_resource_limit(monkeypatch, capsys):
 def test_out_of_range_dimensions_are_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "orbits", "--trivial-group", "--n", "3", "--dim", "5")
     assert code == 2 and "error: need 0 <= dim <= n = 3" in err
+    trivial = ("orbits", "--trivial-group", "--dim", "0", "--n")
+    singer = ("orbits", "--dim", "1", "--singer-normalizer")
+    no_polynomial = "--singer-normalizer: no primitive polynomial tabulated for degree"
+    for argv, message in (
+        ((*trivial, "0"), "need 1 <= n <= 64"),
+        ((*trivial, "65"), "need 1 <= n <= 64"),
+        ((*trivial, "-1"), "need 1 <= n <= 64"),
+        ((*singer, "1"), f"{no_polynomial} 1"),
+        ((*singer, "40"), f"{no_polynomial} 40"),
+        (("spread-demo", "--k", "0"), "spread demo needs k >= 2"),
+        (("spread-demo", "--n", "0"), "spread demo is meant for small n (1 to 10)"),
+        (("km", "--trivial-group", "--n", "3", "--t", "1", "--k", "2", "--lambda", "0"),
+         "need lambda >= 1"),
+    ):
+        code, _, err = run(capsys, "--out-dir", str(tmp_path), *argv)
+        assert code == 2 and f"error: {message}" in err, argv
     path = str(tmp_path / "blocks.txt")
     BlockSet(4, 2, np.array([[1, 2], [4, 8]], dtype=np.uint64)).save(path)
     for flags, message in (
@@ -357,11 +373,11 @@ def test_bad_representative_files_are_named_errors(tmp_path, capsys):
 
     reps = tmp_path / "reps.txt"
     a, b = table.rep(0), table.rep(1)
-    twin = next(m for m in orbit(g, a) if m != a)
+    twin = next(rows for rows in map(tuple, orbit(g, a).tolist()) if rows != a.rows)
     dependent = (b.rows[0], b.rows[1], b.rows[0] ^ b.rows[1])
     for blocks, message in (
         ([a.rows, dependent], r"mixed representative dimensions: \[2, 3\]"),
-        ([a.rows, b.rows, twin.rows], r"representatives 0 and 2 share an orbit"),
+        ([a.rows, b.rows, twin], r"representatives 0 and 2 share an orbit"),
     ):
         reps.write_text("\n".join(text(rows) for rows in blocks))
         for command, extra in (("expand", ()), ("verify", ("--t", "2"))):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from groups_reference import walk_partition
+from groups_reference import walk_orbit, walk_partition
 from qsteiner.gf2 import (
     BitMatrix,
     FormatError,
@@ -18,8 +18,10 @@ from qsteiner.gf2 import (
     rref_bulk,
 )
 from qsteiner.groups import (
+    ClosureCapError,
     MatrixGroup,
     OrbitTable,
+    StrategyError,
     act,
     group_closure,
     group_hash,
@@ -65,15 +67,21 @@ def test_closure_orders_small():
     for n, expect in ((2, 6), (3, 21), (4, 60), (5, 155), (6, 378)):
         g = singer_normalizer(n)
         closed = group_closure(MatrixGroup(n=n, generators=g.generators))
-        assert closed.order == expect == (2**n - 1) * n
-        assert closed.order == len(brute_closure(g.generators, n))
+        assert closed.order == expect == (2**n - 1) * n == len(closed.elements)
+        elements = [tuple(rows) for rows in closed.elements.tolist()]
+        assert elements == sorted(brute_closure(g.generators, n))
+
+
+def test_closure_cap():
+    with pytest.raises(ClosureCapError, match="cap of 100 elements"):
+        group_closure(singer_normalizer(6), cap=100)
 
 
 def test_action_axioms():
     rng = random.Random(13)
     g = singer_normalizer(5)
     closed = group_closure(MatrixGroup(n=5, generators=g.generators))
-    elems = [BitMatrix(rows=rows, ncols=5) for rows in closed.elements]
+    elems = [BitMatrix(rows=tuple(rows), ncols=5) for rows in closed.elements.tolist()]
     picks = rng.sample(elems, 12)
     subs = [span([rng.getrandbits(5) for _ in range(2)], 5) for _ in range(8)]
     for u in subs:
@@ -123,10 +131,14 @@ def frobenius_group(n):
     return MatrixGroup(n=n, generators=(frobenius_matrix(primitive_polynomial(n)),))
 
 
-def test_partition_full_matches_walk_oracle():
+def cube_group():
+    """<S^3> in GL(6, 2): order 21, three orbits on the nonzero vectors."""
     s6 = companion_matrix(primitive_polynomial(6))
-    # S^3 has order 21 and three orbits on the nonzero vectors of GF(2)^6
-    cube = MatrixGroup(n=6, generators=(mat_mul(s6, mat_mul(s6, s6)),))
+    return MatrixGroup(n=6, generators=(mat_mul(s6, mat_mul(s6, s6)),))
+
+
+def test_partition_full_matches_walk_oracle():
+    cube = cube_group()
     cases = [
         (MatrixGroup(n=n, generators=(identity(n),), order=1), range(n + 1))
         for n in range(1, 7)
@@ -162,8 +174,37 @@ def test_orbit_traversal_matches_partition():
     for rep in reps_of(table):
         members = orbit(g, rep)
         assert len(members) == table.lengths[table.lookup(rep)]
-        seen |= {m.key for m in members}
+        seen |= set(pack_keys_bulk(members, 4).tolist())
     assert len(seen) == 35
+
+
+def test_orbit_matches_walk_oracle():
+    cases = [MatrixGroup(n=n, generators=(identity(n),), order=1) for n in range(1, 6)]
+    cases += [frobenius_group(6), cube_group()]
+    cases += [singer_normalizer(n) for n in (4, 5, 6)]
+    # each orbit once: the walk starts at its key-minimal member and the
+    # bulk search at its key-maximal one; together they cover every subspace
+    for g in cases:
+        for k in range(g.n + 1):
+            seen = set()
+            for u in enumerate_subspaces(g.n, k):
+                if u.key in seen:
+                    continue
+                members = walk_orbit(g, u)
+                seen |= {m.key for m in members}
+                want = np.array([m.rows for m in members], dtype=np.uint64)
+                got = orbit(g, members[-1])
+                assert np.array_equal(got, want.reshape(len(members), k)), (g.n, k, u)
+            assert len(seen) == gaussian_binomial(g.n, k, 2)
+
+
+def test_orbit_cap():
+    g = singer_normalizer(6)
+    u = span([1, 2], 6)
+    length = len(orbit(g, u))
+    assert len(orbit(g, u, cap=length)) == length > 1
+    with pytest.raises(StrategyError, match=f"traversal cap {length - 1}"):
+        orbit(g, u, cap=length - 1)
 
 
 def test_lookup_rows_bulk_matches_scalar(paper_group, t2_table):
@@ -325,6 +366,13 @@ def test_table_load_checks_every_length(tmp_path, paper_group, t3_table):
         OrbitTable.load(str(path), group=paper_group)
 
 
+def member_between(g, u, lo, hi):
+    """The rows of the first member of u's orbit with key strictly between lo and hi."""
+    members = orbit(g, u)
+    keys = pack_keys_bulk(members, g.n)
+    return members[np.flatnonzero((lo < keys) & (keys < hi))[0]]
+
+
 def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
     # swap rep 1 for a member of orbit 0 of equal length that keeps the
     # key order; lengths and their sum stay plausible
@@ -332,9 +380,8 @@ def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
     table = orbit_partition(g, 3)
     assert table.lengths[0] == table.lengths[1]
     lo, hi = table.rep(0).key, table.rep(2).key
-    twin = next(m for m in orbit(g, table.rep(0)) if lo < m.key < hi)
     rows = table.rows.copy()
-    rows[1] = twin.rows
+    rows[1] = member_between(g, table.rep(0), lo, hi)
     forged = OrbitTable(n=7, k=3, group=g, rows=rows, lengths=list(table.lengths))
     path = tmp_path / "orbits.txt"
     forged.save(str(path))
@@ -350,9 +397,8 @@ def test_table_load_checks_tables_without_an_engine(tmp_path):
     table = orbit_partition(g, 2)
     assert table.num_orbits == 31 and set(table.lengths) == {5}
     lo, hi = table.rep(27).key, table.rep(29).key
-    twin = next(m for m in orbit(g, table.rep(0)) if lo < m.key < hi)
     shared = table.rows.copy()
-    shared[28] = twin.rows
+    shared[28] = member_between(g, table.rep(0), lo, hi)
     moved = list(table.lengths)
     moved[3], moved[30] = 4, 6
     path = tmp_path / "orbits.txt"
@@ -385,12 +431,16 @@ def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
     g = singer_normalizer(7)
     # every 4-subspace of GF(2)^7, a 3-(7, 4, 15) design
     blocks, _ = expand_orbits(g, reps_of(orbit_partition(g, 4)))
+    frob = frobenius_group(6)
+    frob_reps = reps_of(orbit_partition(frob, 3))
 
     def refuse(self):
         raise AssertionError("a Subspace was built on an internal path")
 
     monkeypatch.setattr(Subspace, "__post_init__", refuse)
-    frob = frobenius_group(6)
+    assert group_closure(g).order == 127 * 7
+    frob_blocks, _ = expand_orbits(frob, frob_reps)  # the generic orbit path
+    assert len(frob_blocks.blocks) == gaussian_binomial(6, 3, 2)
     full = groups._partition_full(frob, 3)
     assert full.total_subspaces() == gaussian_binomial(6, 3, 2)
     path = tmp_path / "frobenius.txt"

@@ -18,6 +18,7 @@ from qsteiner.kramer_mesner import (
     prune,
 )
 from qsteiner.subspace import (
+    Subspace,
     contains_subspace,
     enumerate_subspaces,
     gaussian_binomial,
@@ -31,14 +32,15 @@ def brute_km(group, t, k):
     k_table = orbit_partition(group, k)
     from qsteiner.groups import orbit
 
+    members = [
+        [Subspace(group.n, tuple(m)) for m in orbit(group, k_table.rep(j)).tolist()]
+        for j in range(k_table.num_orbits)
+    ]
     dense = {}
     for i in range(t_table.num_orbits):
         trep = t_table.rep(i)
         for j in range(k_table.num_orbits):
-            krep = k_table.rep(j)
-            count = sum(
-                1 for m in orbit(group, krep) if contains_subspace(m, trep)
-            )
+            count = sum(contains_subspace(m, trep) for m in members[j])
             if count:
                 dense[(i, j)] = count
     return t_table, k_table, dense
