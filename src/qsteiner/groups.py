@@ -35,7 +35,6 @@ from .gf2 import (
     rref_bulk,
     transpose,
 )
-from .heap import release_free_heap
 from .singer import SingerEngine
 from .subspace import (
     Subspace,
@@ -62,15 +61,12 @@ class StrategyError(RuntimeError):
 class MatrixGroup:
     """A subgroup of GL(n, 2) given by generators.
 
-    elements, when present, is the (order, n) uint64 array of every
-    group element's packed rows, in ascending order of the row tuples;
     order is filled by group_closure or by a certified structure
     detection.
     """
 
     n: int
     generators: tuple[BitMatrix, ...]
-    elements: np.ndarray | None = field(default=None, compare=False)
     order: int | None = None
     _engine: SingerEngine | None = field(default=None, repr=False, compare=False)
     _engine_tried: bool = field(default=False, repr=False, compare=False)
@@ -136,8 +132,9 @@ def _bfs(start: np.ndarray, maps: list, n: int, cap: int) -> np.ndarray | None:
 def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
     """Enumerate all elements by breadth-first right multiplication.
 
-    Returns a new MatrixGroup with elements and order filled.  Raises
-    ClosureCapError when more than cap elements appear.
+    Returns a new MatrixGroup with the order filled; the elements are
+    counted, not kept.  Raises ClosureCapError when more than cap
+    elements appear.
     """
     # row r of M @ g is transpose(g) @ r
     maps = [partial(mat_vec_bulk, transpose(g)) for g in group.generators]
@@ -147,12 +144,7 @@ def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
         raise ClosureCapError(f"group closure exceeded the cap of {cap} elements")
     if group.order is not None and group.order != len(rows):
         raise AssertionError("closure size disagrees with the recorded group order")
-    return MatrixGroup(
-        n=group.n,
-        generators=group.generators,
-        elements=rows[np.lexsort(rows.T[::-1])],
-        order=len(rows),
-    )
+    return MatrixGroup(n=group.n, generators=group.generators, order=len(rows))
 
 
 def singer_normalizer(n: int) -> MatrixGroup:
@@ -457,13 +449,8 @@ def _partition_engine(group: MatrixGroup, k: int) -> OrbitTable:
     engine = group.engine()
     assert engine is not None
     rows = np.zeros((0, 0), dtype=np.uint64)
-    # each step's numpy temporaries are freed when it returns; hand their
-    # pages back so neither this partition nor the work after it runs on
-    # top of whatever earlier work left resident (see heap.py)
-    release_free_heap()
     for kk in range(k + 1):
         rows, lengths, labels = engine.partition(kk, rows)
-        release_free_heap()
     total = sum(lengths)
     expect = gaussian_binomial(group.n, k, 2)
     if total != expect:

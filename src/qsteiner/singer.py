@@ -26,7 +26,7 @@ MAX_SLOPE_GROUP = 1 << 16
 # Rows per batch of the partition's span pass and of the label pass; the
 # results do not depend on them, only the size of the temporaries does.
 SPAN_BATCH_ROWS = 1 << 16
-LABEL_BATCH_ROWS = 1 << 15
+LABEL_BATCH_ROWS = 1 << 12
 
 
 def _power_table(s: BitMatrix) -> np.ndarray | None:
@@ -137,9 +137,13 @@ class SingerEngine:
     def labels_bulk(self, exps: np.ndarray) -> np.ndarray:
         """Canonical orbit label words, (N, W) uint64.
 
-        The label is the lexicographic minimum of sorted(t*(D - d)) over
-        slopes t and base points d in D; the minimizing set starts with
-        exponent 0, which is dropped before packing.
+        The label of an exponent set D is the lexicographic minimum of the
+        packed words of sorted(t*(D - d)) over slopes t and base points d
+        in D; the minimizing set starts with exponent 0, which is dropped
+        before packing (see _pack_words).  Each slope takes one sort, of
+        t*D, whose rotations give every base point, and only candidates
+        that tie on the first word's leading value are packed in full
+        (see _labels_batch).
         """
         return self.labels_and_stabilizers(exps)[0]
 
@@ -161,32 +165,53 @@ class SingerEngine:
         return np.concatenate(labels), np.concatenate(stab)
 
     def _labels_batch(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Labels and stabilizer orders of one batch of exponent sets.
+
+        Rotation: sorting t*D once per slope gives every base point at
+        once.  The candidate of the point at sorted position j is the
+        sorted row rotated to start at j, minus its entry j, with the
+        modulus added to the entries that wrap around; appending the row
+        plus the modulus to itself makes that the slice ext[j : j + m]
+        minus ext[j], with no further sort.
+
+        Tie-break: the first word packs values 1..top of a candidate, the
+        last one most significant, so the minimal candidate has the least
+        value top.  That value alone is computed for all m * |slopes|
+        candidates of a row.  Only the pairs of row and candidate that
+        reach its minimum, almost always one per row, are packed in full
+        and reduced word by word; the pairs that reach the minimum on
+        every word count the stabilizer.
+        """
         num, m = exps.shape
-        best: list[np.ndarray] | None = None
-        stab = np.ones(num, dtype=np.int64)
-        for t in self.slopes:
-            scaled = (t * exps) % self.modulus
-            for di in range(m):
-                # (scaled - d) mod modulus; an add is cheaper than numpy's %
-                shifted = scaled - scaled[:, di : di + 1]
-                shifted += (shifted < 0) * self.modulus
-                shifted.sort(axis=1)
-                words = self._pack_words(shifted)
-                if best is None:
-                    best = words
-                    continue
-                lt = np.zeros(num, dtype=bool)
-                eq = np.ones(num, dtype=bool)
-                for w, b in zip(words, best):
-                    lt |= eq & (w < b)
-                    eq &= w == b
-                stab += eq
-                if lt.any():
-                    stab[lt] = 1
-                    for w, b in zip(words, best):
-                        b[lt] = w[lt]
-        assert best is not None
-        return np.stack(best, axis=1), stab
+        top = min(max(1, 64 // self.n), m - 1)  # values in the first word
+        slopes = np.array(self.slopes, dtype=np.int64)
+        cols = len(slopes) * num  # column t * num + r: slope t, row r
+        # exponents stay below 2^MAX_ENGINE_WIDTH, so twice the modulus
+        # fits in int32
+        scaled = np.empty((len(slopes), num, m), dtype=np.int32)
+        np.remainder(
+            slopes[:, None, None] * exps, self.modulus, out=scaled, casting="unsafe"
+        )
+        scaled.sort(axis=2)
+        ext = np.empty((2 * m, cols), dtype=np.int32)
+        ext[:m] = scaled.reshape(cols, m).T
+        np.add(ext[:m], self.modulus, out=ext[m:])
+        # value top of every candidate, one row per base point j and slope
+        key = (ext[top : top + m] - ext[:m]).reshape(m * len(slopes), num)
+        base, col = np.divmod(np.flatnonzero(key == key.min(axis=0)), cols)
+        row = col % num
+        cand = ext[base[:, None] + np.arange(m), col[:, None]]
+        cand -= cand[:, :1]
+        words = self._pack_words(cand)
+        labels = np.empty((num, len(words)), dtype=np.uint64)
+        for i in range(len(words)):
+            least = np.full(num, np.iinfo(np.uint64).max, dtype=np.uint64)
+            np.minimum.at(least, row, words[i])
+            keep = words[i] == least[row]
+            row = row[keep]
+            words = [w[keep] for w in words]
+            labels[:, i] = least
+        return labels, np.bincount(row, minlength=num)
 
     def orbit_size(self, u: Subspace) -> int:
         """|G| / |stabilizer|, counting affine maps that fix the exponent set.
@@ -253,9 +278,15 @@ class SingerEngine:
         del key_parts, basis_parts
         exps = self.rows_to_exps(basis)
         labels, stab = self.labels_and_stabilizers(exps)
-        uniq, orbit_first, inverse = np.unique(
-            labels, axis=0, return_index=True, return_inverse=True
-        )
+        # orbits are the runs of equal labels in one stable sort of them,
+        # so each run starts at its orbit's first span
+        order = np.lexsort(labels.T[::-1])
+        ordered = labels[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
+        uniq, orbit_first = ordered[new], order[new]
         orbit_stab = stab[orbit_first]
         if not np.array_equal(stab, orbit_stab[inverse]):
             raise AssertionError("orbit members disagree on the stabilizer order")

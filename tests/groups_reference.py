@@ -1,5 +1,5 @@
 """The per-object orbit walk and the per-orbit enumeration walk of the
-generic partition, kept as test oracles.
+generic partition, kept as test oracles, and the closure's element list.
 
 `walk_orbit` is how `qsteiner.groups.orbit` traversed an orbit before
 it worked in bulk: a breadth-first search over tuples of basis rows,
@@ -8,14 +8,20 @@ one Subspace per member.  `walk_partition` is how
 in ascending order, and expand each key not yet assigned into its whole
 orbit by `walk_orbit`.  The bulk code must agree with them on member
 rows, representative rows, lengths and the lookup index.
+
+`closure_elements` runs the breadth-first search of
+`qsteiner.groups.group_closure` and keeps the elements it finds, which
+the library only counts.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from qsteiner.gf2 import mat_vec, rref_rows
-from qsteiner.groups import MatrixGroup, OrbitTable, _sorted_index
+from qsteiner.gf2 import identity, mat_vec, mat_vec_bulk, rref_rows, transpose
+from qsteiner.groups import CLOSURE_CAP, MatrixGroup, OrbitTable, _bfs, _sorted_index
 from qsteiner.subspace import Subspace, enumerate_keys_bulk, subspace_from_key
 
 
@@ -66,3 +72,13 @@ def walk_partition(group: MatrixGroup, k: int) -> OrbitTable:
         lengths=lengths,
         _index=_sorted_index(False, keys[:, None], assigned),
     )
+
+
+def closure_elements(group: MatrixGroup) -> np.ndarray:
+    """Every element as (order, n) packed rows, ascending in the row tuples."""
+    # row r of M @ g is transpose(g) @ r
+    maps = [partial(mat_vec_bulk, transpose(g)) for g in group.generators]
+    start = np.array([identity(group.n).rows], dtype=np.uint64)
+    rows = _bfs(start, maps, group.n, CLOSURE_CAP)
+    assert rows is not None, "closure exceeded the cap"
+    return rows[np.lexsort(rows.T[::-1])]

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from groups_reference import walk_orbit, walk_partition
+from groups_reference import closure_elements, walk_orbit, walk_partition
 from qsteiner.gf2 import (
     BitMatrix,
     FormatError,
@@ -67,8 +67,9 @@ def test_closure_orders_small():
     for n, expect in ((2, 6), (3, 21), (4, 60), (5, 155), (6, 378)):
         g = singer_normalizer(n)
         closed = group_closure(MatrixGroup(n=n, generators=g.generators))
-        assert closed.order == expect == (2**n - 1) * n == len(closed.elements)
-        elements = [tuple(rows) for rows in closed.elements.tolist()]
+        elements = closure_elements(g)
+        assert closed.order == expect == (2**n - 1) * n == len(elements)
+        elements = [tuple(rows) for rows in elements.tolist()]
         assert elements == sorted(brute_closure(g.generators, n))
 
 
@@ -80,8 +81,7 @@ def test_closure_cap():
 def test_action_axioms():
     rng = random.Random(13)
     g = singer_normalizer(5)
-    closed = group_closure(MatrixGroup(n=5, generators=g.generators))
-    elems = [BitMatrix(rows=tuple(rows), ncols=5) for rows in closed.elements.tolist()]
+    elems = [BitMatrix(rows=tuple(rows), ncols=5) for rows in closure_elements(g).tolist()]
     picks = rng.sample(elems, 12)
     subs = [span([rng.getrandbits(5) for _ in range(2)], 5) for _ in range(8)]
     for u in subs:
