@@ -215,7 +215,10 @@ def resolve_reps(settings: Settings, group: MatrixGroup):
         if group.n != fixtures.FIXTURE_N:
             raise UsageError("--fixture-solution requires the n=13 group")
         return fixtures.solution_representatives(), "--fixture-solution"
-    subs = load_subspace_file(reps_file)
+    try:
+        subs = load_subspace_file(reps_file)
+    except FormatError as exc:
+        raise FormatError(f"{reps_file}: {exc}") from None
     if any(s.ambient != group.n for s in subs):
         raise UsageError(f"{reps_file}: representatives are not in GF(2)^{group.n}")
     return subs, reps_file
@@ -320,6 +323,15 @@ def _parse_forced(text: str | None) -> list[int]:
         raise UsageError(f"--force expects integer column ids: {exc}") from exc
 
 
+def _max_solutions(settings: Settings, default: str) -> int | None:
+    raw = str(settings.get("max-solutions", default=default))
+    if raw == "all":
+        return None
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise UsageError(f"--max-solutions expects a positive integer or 'all': {raw}")
+    return int(raw)
+
+
 def cmd_solve(settings: Settings) -> int:
     km_file = settings.get("km")
     if km_file is None:
@@ -329,19 +341,19 @@ def cmd_solve(settings: Settings) -> int:
         inst = prune(inst)
         print("input had entries above 1; pruned before solving")
     problem = from_km(inst)
-    max_solutions_raw = settings.get("max-solutions", default="1")
-    max_solutions = (
-        None if str(max_solutions_raw) == "all" else int(max_solutions_raw)
-    )
     config = SolveConfig(
-        max_solutions=max_solutions,
+        max_solutions=_max_solutions(settings, default="1"),
         node_limit=settings.get("node-limit", cast=int),
         time_limit=settings.get("time-limit", cast=float),
         seed=settings.get("seed", default=0, cast=int),
         order=settings.get("order", default="file"),
         forced=_parse_forced(settings.get("force")),
     )
-    solutions, stats = solve(problem, config)
+    try:
+        solutions, stats = solve(problem, config)
+    except ValueError as exc:
+        # the problem and config were checked when built: a forced column
+        raise UsageError(f"--force: {exc}") from None
     for sol in solutions:
         ok, _ = check_solution(problem, sol.labels)
         if not ok:
@@ -407,11 +419,20 @@ def cmd_expand(settings: Settings) -> int:
     return EXIT_OK
 
 
+def _sample_count(settings: Settings, name: str, default: int) -> int:
+    value = settings.get(name, default=default, cast=int)
+    if value < 0:
+        raise UsageError(f"--{name} must be >= 0")
+    return value
+
+
 def cmd_verify(settings: Settings) -> int:
     t = settings.get("t", default=2, cast=int)
     lam = settings.get("lambda", default=1, cast=int)
     if lam < 1:
         raise UsageError("need lambda >= 1")
+    dist_samples = _sample_count(settings, "distance-samples", default=0)
+    derived_samples = _sample_count(settings, "derived-samples", default=0)
     blocks_file = settings.get("blocks")
     if blocks_file is not None:
         blocks = BlockSet.load(blocks_file)
@@ -435,14 +456,11 @@ def cmd_verify(settings: Settings) -> int:
         print(f"verification failed: {report.violations_total} violations")
         return EXIT_VERIFY_FAIL
     print("verification passed: every t-subspace covered exactly lambda times")
-    dist_samples = settings.get("distance-samples", default=0, cast=int)
+    seed = settings.get("seed", default=0, cast=int)
     if dist_samples and lam == 1:
-        seed = settings.get("seed", default=0, cast=int)
         d = min_distance_certificate(blocks, report, samples=dist_samples, seed=seed)
         print(f"minimum subspace distance {d} ({dist_samples} sampled pairs)")
-    derived_samples = settings.get("derived-samples", default=0, cast=int)
     if derived_samples and t == 2 and lam == 1:
-        seed = settings.get("seed", default=0, cast=int)
         stats = derived_steiner_sample_check(
             blocks, report, samples=derived_samples, seed=seed
         )
@@ -458,8 +476,8 @@ def cmd_verify(settings: Settings) -> int:
 def cmd_paper_check(settings: Settings) -> int:
     skip_3 = settings.flag_true("skip-3-orbits")
     seed = settings.get("seed", default=0, cast=int)
-    dist_samples = settings.get("distance-samples", default=10**6, cast=int)
-    derived_samples = settings.get("derived-samples", default=10**5, cast=int)
+    dist_samples = _sample_count(settings, "distance-samples", default=10**6)
+    derived_samples = _sample_count(settings, "derived-samples", default=10**5)
     paper = fixtures.PAPER
     rows: list[tuple[str, str, float, bool]] = []
 
@@ -646,12 +664,8 @@ def cmd_spread_demo(settings: Settings) -> int:
     group = MatrixGroup(n=n, generators=(identity(n),), order=1)
     table = orbit_partition(group, k)
     problem = from_km(build_km(orbit_partition(group, 1), table))
-    max_solutions_raw = settings.get("max-solutions", default="all")
-    max_solutions = (
-        None if str(max_solutions_raw) == "all" else int(max_solutions_raw)
-    )
     config = SolveConfig(
-        max_solutions=max_solutions,
+        max_solutions=_max_solutions(settings, default="all"),
         seed=settings.get("seed", default=0, cast=int),
     )
     t0 = time.time()
@@ -829,10 +843,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         settings = Settings(args)
         return COMMANDS[args.command](settings)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FormatError, FileNotFoundError) as exc:
+    except (UsageError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ClosureCapError, EnumerationGuardError, StrategyError) as exc:

@@ -346,6 +346,17 @@ class MatrixRows:
         for i, width in enumerate(self.widths.tolist()):
             yield values[bounds[i] : bounds[i + 1]], width
 
+    def check_ranks(self, ranks: np.ndarray) -> None:
+        """FormatError at the first matrix of rank below its row count."""
+        counts = np.diff(self.starts)
+        low = np.flatnonzero(ranks < counts)
+        if low.size:
+            i = low[0]
+            raise FormatError(
+                f"line {self.lines[i]}: block rows are linearly dependent "
+                f"(rank {ranks[i]} < {counts[i]})"
+            )
+
 
 def _char_classes(text: str) -> tuple[np.ndarray, np.ndarray]:
     """(code points, class bits) of every character of text."""

@@ -23,9 +23,8 @@ from .subspace import Subspace, pack_keys_bulk
 
 MAX_ENGINE_WIDTH = 24
 MAX_SLOPE_GROUP = 1 << 16
-# Rows per batch of the partition's span pass and of the label pass; the
-# results do not depend on them, only the size of the temporaries does.
-SPAN_BATCH_ROWS = 1 << 16
+# Rows per batch of the label pass; the results do not depend on it, only
+# the size of the temporaries does.
 LABEL_BATCH_ROWS = 1 << 12
 
 
@@ -253,29 +252,21 @@ class SingerEngine:
         if k == 0:
             empty = np.zeros((1, 0), dtype=np.uint64)
             return empty, [1], empty
-        # the spans as (N, k) bases, deduped by key before the exponent
-        # sets and the label pass; a batch of representatives at a time,
-        # since each span turns up 2^(k-1) times within its own batch
-        per_batch = max(1, SPAN_BATCH_ROWS // self.modulus)
-        key_parts, basis_parts = [], []
-        for start in range(0, len(prev_rows), per_batch):
-            batch = prev_rows[start : start + per_batch]
-            # extend each representative by every vector outside its span,
-            # in exptable order
-            owner = np.arange(len(batch))[:, None]
-            inside = np.zeros((len(batch), self.modulus), dtype=bool)
-            inside[owner, self.dlog[span_vectors_bulk(batch)]] = True
-            ext = np.broadcast_to(self.exptable, inside.shape)[~inside]
-            spans = np.repeat(batch, self.modulus - (1 << (k - 1)) + 1, axis=0)
-            basis, ranks = rref_bulk(np.concatenate([spans, ext[:, None]], axis=1))
-            if not np.all(ranks == k):
-                raise AssertionError("extension vector lies in the representative")
-            keys, first = np.unique(pack_keys_bulk(basis, self.n), return_index=True)
-            key_parts.append(keys)
-            basis_parts.append(basis[first])
-        _, first = np.unique(np.concatenate(key_parts), return_index=True)
-        basis = np.concatenate(basis_parts)[first]
-        del key_parts, basis_parts
+        # a k-space containing the representative U is the span of U and
+        # any vector of one coset v + U with v outside U, and each such
+        # coset holds exactly one vector that is 0 at every pivot column of
+        # U: extending U by those builds each k-space once per
+        # representative it contains
+        piv = np.bitwise_or.reduce(prev_rows & (np.uint64(0) - prev_rows), axis=1)
+        vecs = np.arange(1, 1 << self.n, dtype=np.uint64)
+        owner, free = np.nonzero((vecs & piv[:, None]) == 0)
+        spans = np.concatenate([prev_rows[owner], vecs[free, None]], axis=1)
+        del owner, free
+        basis, ranks = rref_bulk(spans)
+        if not np.all(ranks == k):
+            raise AssertionError("extension vector lies in the representative")
+        basis = basis[np.unique(pack_keys_bulk(basis, self.n), return_index=True)[1]]
+        del spans, ranks  # before the label pass
         exps = self.rows_to_exps(basis)
         labels, stab = self.labels_and_stabilizers(exps)
         # orbits are the runs of equal labels in one stable sort of them,

@@ -294,8 +294,12 @@ def format_subspace(u: Subspace) -> str:
 
 
 def parse_subspaces(text: str) -> list[Subspace]:
-    """Parse matrix blocks and canonicalize each to a subspace."""
-    return [span(rows, width) for rows, width in parse_matrix_rows(text).matrices()]
+    """Parse matrix blocks, each a basis of full rank (see check_ranks),
+    and canonicalize each to a subspace."""
+    parsed = parse_matrix_rows(text)
+    subs = [span(rows, width) for rows, width in parsed.matrices()]
+    parsed.check_ranks(np.array([u.dim for u in subs], dtype=np.int64))
+    return subs
 
 
 def load_subspace_file(path: str) -> list[Subspace]:

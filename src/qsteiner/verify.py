@@ -125,13 +125,7 @@ class BlockSet:
                     f"expected {field}={want}"
                 )
         red, ranks = rref_bulk(parsed.values.reshape(num, k))
-        low = np.flatnonzero(ranks < k)
-        if low.size:
-            i = low[0]
-            raise FormatError(
-                f"line {parsed.lines[i]}: block rows are linearly dependent "
-                f"(rank {ranks[i]} < {k})"
-            )
+        parsed.check_ranks(ranks)
         pair = first_duplicate(red, n)
         if pair is not None:
             i, j = parsed.lines[list(pair)]
@@ -187,15 +181,25 @@ class DesignReport:
     ok: bool
 
 
+def _pair_keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Keys of the 2-subspaces {0, x, y, x ^ y}: lo << n | mid, for the
+    least nonzero vector lo and the middle one mid = lo ^ (the greatest)."""
+    z = x ^ y
+    lo = np.minimum(np.minimum(x, y), z)
+    hi = np.maximum(np.maximum(x, y), z)
+    return (lo << np.uint64(n)) | (lo ^ hi)
+
+
 def _chunk_keys(
     part: np.ndarray, n: int, t: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Keys of the t-subspaces of a chunk of blocks, with the position in
     the chunk of the block that holds each key.
 
-    A point's key is the vector; a 2-subspace's is u << n | v for the two
-    smallest of its three nonzero vectors; a larger subspace's is the
-    packed RREF key of pack_keys_bulk.
+    A point's key is the vector; a 2-subspace's is that of _pair_keys; a
+    larger subspace's is the packed RREF key of pack_keys_bulk.  A
+    block's 2-subspaces are the lifts of the 2-subspaces of GF(2)^k, as
+    in subspaces_of_bulk, so each is built once.
     """
     if t > 2:
         subs = subspaces_of_bulk(part, t)
@@ -203,20 +207,14 @@ def _chunk_keys(
         yield pack_keys_bulk(subs.reshape(-1, t), n), every
         return
     vecs = span_vectors_bulk(part)
-    m = vecs.shape[1]
+    every = np.arange(part.shape[0])
     if t == 1:
-        every = np.arange(part.shape[0])
-        for i in range(m):
+        for i in range(vecs.shape[1]):
             yield vecs[:, i], every
         return
-    shift = np.uint64(n)
-    for i in range(m):
-        for j in range(i + 1, m):
-            lo = np.minimum(vecs[:, i], vecs[:, j])
-            hi = np.maximum(vecs[:, i], vecs[:, j])
-            # the third vector is the largest: a canonical pair
-            keep = np.flatnonzero((lo ^ hi) > hi)
-            yield (lo[keep] << shift) | hi[keep], keep
+    for _, coords in key_chunks(part.shape[1], 2):
+        for a, b in coords.tolist():
+            yield _pair_keys(vecs[:, a - 1], vecs[:, b - 1], n), every
 
 
 def _sorted_keys(
@@ -234,15 +232,13 @@ def _sorted_keys(
     for start in range(0, num, KEY_CHUNK_BLOCKS):
         part = blocks[start : start + KEY_CHUNK_BLOCKS]
         for keys, where in _chunk_keys(part, n, t):
-            if pos + keys.size > out.size:
-                raise AssertionError("canonical pair filter kept extra 2-subspaces")
             dest = out[pos : pos + keys.size]
             np.left_shift(keys, np.uint64(owner_bits), out=dest)
             if owner_bits:
                 dest |= (where + start).astype(np.uint64)
             pos += keys.size
     if pos != out.size:
-        raise AssertionError("canonical pair filter lost 2-subspaces")
+        raise AssertionError("t-subspace keys do not fill the key array")
     out.sort()
     return out
 
@@ -455,6 +451,8 @@ def min_distance_certificate(
     sampled pairs and shown to be attained by an explicit pair, making
     the returned minimum exact.  Requires a passing report.
     """
+    if samples < 0:
+        raise ValueError("need samples >= 0")
     if not report.ok or report.lam != 1:
         raise ValueError("certificate requires a passing lambda=1 report")
     _check_report_matches(blocks, report)
@@ -520,6 +518,8 @@ def derived_steiner_sample_check(
     differences all lie in B.  Samples random triples and verifies both
     facts via an independent coverage index.
     """
+    if samples < 0:
+        raise ValueError("need samples >= 0")
     if not report.ok or report.t != 2 or report.lam != 1:
         raise ValueError("check requires a passing 2-(n, k, 1) report")
     _check_report_matches(blocks, report)
@@ -543,7 +543,6 @@ def derived_steiner_sample_check(
     remaining = samples
     failures = 0
     examples: list[tuple[int, int, int]] = []
-    shift = np.uint64(n)
     while remaining > 0:
         take = min(remaining, 1 << 16)
         x = rng.integers(0, top, size=take, dtype=np.uint64)
@@ -553,13 +552,7 @@ def derived_steiner_sample_check(
         x, y, z = x[distinct], y[distinct], z[distinct]
         u = x ^ y
         v = x ^ z
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        w = lo ^ hi  # the third nonzero vector, = y^z
-        k1 = np.where(w > hi, (lo << shift) | hi, np.uint64(0))
-        k2 = np.where((w < hi) & (w > lo), (lo << shift) | w, np.uint64(0))
-        k3 = np.where(w < lo, (w << shift) | lo, np.uint64(0))
-        key = k1 | k2 | k3
+        key = _pair_keys(u, v, n)
         pos = np.searchsorted(index, key << ob)
         entry = index[np.minimum(pos, last)]
         found = (pos <= last) & ((entry >> ob) == key)
@@ -570,7 +563,7 @@ def derived_steiner_sample_check(
                 examples.append((int(x[b]), int(y[b]), int(z[b])))
         # containment of all three difference vectors in the covering block
         brows = blocks.blocks[entry & owner_mask]
-        for vec in (u, v, w):
+        for vec in (u, v, u ^ v):
             red = vec.copy()
             for col in range(blocks.k):
                 row = brows[:, col]

@@ -263,6 +263,49 @@ def test_node_limit_without_solution_returns_3(tmp_path, capsys):
     assert "stopped by nodes limit" in out
 
 
+def test_bad_solver_flags_are_usage_errors(tmp_path, capsys):
+    out_dir = str(tmp_path)
+    run(capsys, "--out-dir", out_dir, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
+    run(
+        capsys,
+        "--out-dir", out_dir,
+        "km", "--trivial-group", "--n", "4", "--t", "1", "--k", "2",
+        "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
+    )
+    km = str(tmp_path / "km-n4-t1-k2-pruned.txt")
+    # columns 0 and 1 of the trivial group's system share a point
+    for extra, flag in (
+        (("--max-solutions", "abc"), "--max-solutions"),
+        (("--max-solutions", "0"), "--max-solutions"),
+        (("--force", "99"), "--force"),
+        (("--force", "0,0"), "--force"),
+        (("--force", "0,1"), "--force"),
+    ):
+        code, _, err = run(capsys, "--out-dir", out_dir, "solve", "--km", km, *extra)
+        assert code == 2 and f"error: {flag}" in err, (extra, err)
+    for value in ("abc", "0", "-1"):
+        code, _, err = run(capsys, "spread-demo", "--max-solutions", value)
+        assert code == 2 and "error: --max-solutions" in err, (value, err)
+
+
+def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
+    blocks = tmp_path / "blocks.txt"
+    BlockSet(2, 1, np.array([[1], [2], [3]], dtype=np.uint64)).save(str(blocks))
+    for flag in ("--distance-samples", "--derived-samples"):
+        code, _, err = run(
+            capsys, "--out-dir", str(tmp_path), "verify", "--blocks", str(blocks),
+            "--t", "1", flag, "-5",
+        )
+        assert code == 2 and f"error: {flag} must be >= 0" in err, err
+        code, _, err = run(capsys, "paper-check", "--skip-3-orbits", flag, "-5")
+        assert code == 2 and f"error: {flag} must be >= 0" in err, err
+    code, _, _ = run(
+        capsys, "--out-dir", str(tmp_path), "verify", "--blocks", str(blocks),
+        "--t", "1", "--distance-samples", "0", "--derived-samples", "0",
+    )
+    assert code == 0
+
+
 def test_forced_columns_appear_in_solutions(tmp_path, capsys):
     out_dir = str(tmp_path)
     run(capsys, "--out-dir", out_dir, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
@@ -374,10 +417,12 @@ def test_bad_representative_files_are_named_errors(tmp_path, capsys):
     reps = tmp_path / "reps.txt"
     a, b = table.rep(0), table.rep(1)
     twin = next(rows for rows in map(tuple, orbit(g, a).tolist()) if rows != a.rows)
-    dependent = (b.rows[0], b.rows[1], b.rows[0] ^ b.rows[1])
+    dependent = [(u.rows[0], u.rows[1], u.rows[0] ^ u.rows[1]) for u in (a, b)]
     for blocks, message in (
-        ([a.rows, dependent], r"mixed representative dimensions: \[2, 3\]"),
+        ([a.rows, b.rows[:2]], r"mixed representative dimensions: \[2, 3\]"),
         ([a.rows, b.rows, twin], r"representatives 0 and 2 share an orbit"),
+        # every basis has a dependent row: no lower-dimensional orbits
+        (dependent, r"line 1: block rows are linearly dependent \(rank 2 < 3\)"),
     ):
         reps.write_text("\n".join(text(rows) for rows in blocks))
         for command, extra in (("expand", ()), ("verify", ("--t", "2"))):

@@ -1,5 +1,6 @@
 """Matrix groups, orbits, and orbit tables."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -320,11 +321,40 @@ def test_partition_does_not_depend_on_batch_sizes(monkeypatch):
         return out
 
     expect = run()
-    # one representative per span batch, and label batches that split
-    # every orbit's members apart
-    monkeypatch.setattr(singer, "SPAN_BATCH_ROWS", 1)
+    # label batches that split every orbit's members apart
     monkeypatch.setattr(singer, "LABEL_BATCH_ROWS", 7)
     assert run() == expect
+
+
+# SHA-256 of OrbitTable.save bytes: for singer_normalizer(n) over the tables
+# of k = 0..n, one file after another; for the paper group at k = 2 and 3
+ORBIT_TABLE_SHA256 = {
+    4: "12b99967a474bc1950cefb2666ff055afc9975d93e35203bc8188e05aa052482",
+    5: "92f9daa090dad6f228fc063988e9f178042961dcf271f3c873048e454f1a98a4",
+    6: "29eda3b0a1669263cc3c6174173372e28920ab0f87a0860b9698ce179bff9055",
+    7: "452285a2fc08e4ce9e68f29055cfd2e941d47d0585b5d87e704d7ab4fbb7f70a",
+    8: "4967f4a00064398118934ce2ce2547234a3365ecf4e228f7a1d4992e9d71a5e6",
+    "paper-2": "da0a98c5b62be1518f4ae7227e5929fda9c256883ec0130bcc3b70f1bb4d490e",
+    "paper-3": "b302a6e25a22e26f608f5be3162ce952e697dae080ef2fd5921c9a9edabf140c",
+}
+
+
+def test_orbit_table_bytes_are_pinned(t2_table, t3_table, tmp_path):
+    path = tmp_path / "table.txt"
+
+    def digest(tables):
+        h = hashlib.sha256()
+        for table in tables:
+            table.save(str(path))
+            h.update(path.read_bytes())
+        return h.hexdigest()
+
+    got = {
+        n: digest(orbit_partition(singer_normalizer(n), k) for k in range(n + 1))
+        for n in range(4, 9)
+    }
+    got["paper-2"], got["paper-3"] = digest([t2_table]), digest([t3_table])
+    assert got == ORBIT_TABLE_SHA256
 
 
 def test_t3_lengths_match_orbit_size_on_a_sample(paper_group, t3_table):

@@ -490,6 +490,15 @@ def test_certificates_reject_a_report_of_another_block_set():
             min_distance_certificate(other, report, samples=10)
 
 
+def test_certificates_reject_negative_sample_counts():
+    blocks = all_subspace_blocks(5, 2)
+    report = verify_design(blocks, 2, 1)
+    for check in (min_distance_certificate, derived_steiner_sample_check):
+        with pytest.raises(ValueError, match="samples >= 0"):
+            check(blocks, report, samples=-1)
+        check(blocks, report, samples=0)
+
+
 def traced_peak_mb(fn, *args, **kwargs):
     tracemalloc.start()
     try:
