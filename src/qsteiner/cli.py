@@ -23,11 +23,14 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
+import numpy as np
+
 from . import fixtures
 from .exact_cover import (
     SolveConfig,
     check_solution,
     from_km,
+    load_solutions,
     save_solutions,
     solve,
 )
@@ -47,7 +50,6 @@ from .kramer_mesner import build_km, export_km, import_km, prune
 from .subspace import (
     EnumerationGuardError,
     gaussian_binomial,
-    load_subspace_file,
     spread_size,
 )
 from .verify import (
@@ -206,22 +208,49 @@ def resolve_group(settings: Settings) -> MatrixGroup:
 
 
 def resolve_reps(settings: Settings, group: MatrixGroup):
-    """(representatives, the file or flag they came from)."""
+    """(representative rows, their source file or flag) from exactly one of
+    --reps FILE (a block file), --fixture-solution, and in expand --k-orbits
+    FILE with ids from --ids or the first line of a --solution file."""
+    tables = hasattr(settings.args, "k_orbits")
+    table_file = settings.get("k-orbits") if tables else None
     reps_file = settings.get("reps")
     use_fixture = settings.flag_true("fixture-solution")
-    if (reps_file is None) == (not use_fixture):
-        raise UsageError("choose exactly one of --reps FILE or --fixture-solution")
+    if (table_file is not None) + (reps_file is not None) + use_fixture != 1:
+        raise UsageError(
+            "choose exactly one of "
+            f"{'--k-orbits FILE, ' if tables else ''}--reps FILE or --fixture-solution"
+        )
     if use_fixture:
         if group.n != fixtures.FIXTURE_N:
             raise UsageError("--fixture-solution requires the n=13 group")
         return fixtures.solution_representatives(), "--fixture-solution"
+    if reps_file is not None:
+        try:
+            reps = BlockSet.load(reps_file)
+        except FormatError as exc:
+            raise FormatError(f"{reps_file}: {exc}") from None
+        if reps.n != group.n:
+            raise UsageError(f"{reps_file}: representatives are not in GF(2)^{group.n}")
+        return reps.blocks, reps_file
+    ids_text = settings.get("ids")
+    solution_file = settings.get("solution")
+    if (ids_text is None) == (solution_file is None):
+        raise UsageError("--k-orbits needs exactly one of --ids or --solution")
+    table = OrbitTable.load(table_file, group=group)
+    if ids_text is not None:
+        ids = _parse_forced(ids_text)
+    else:
+        rows, _ = load_solutions(solution_file)
+        if not rows:
+            raise UsageError(f"{solution_file}: contains no solutions")
+        ids = list(rows[0])
     try:
-        subs = load_subspace_file(reps_file)
-    except FormatError as exc:
-        raise FormatError(f"{reps_file}: {exc}") from None
-    if any(s.ambient != group.n for s in subs):
-        raise UsageError(f"{reps_file}: representatives are not in GF(2)^{group.n}")
-    return subs, reps_file
+        reps = [table.rep(i) for i in ids]
+    except IndexError as exc:
+        raise UsageError(f"{table_file}: {exc}") from exc
+    if len(set(ids)) != len(ids):
+        raise UsageError(f"orbit ids repeat: {ids}")
+    return np.array(reps, dtype=np.uint64).reshape(len(ids), table.k), table_file
 
 
 def expand_reps(group: MatrixGroup, reps, source: str):
@@ -273,12 +302,18 @@ def cmd_orbits(settings: Settings) -> int:
 
 
 def _load_or_build_table(
-    settings: Settings, group: MatrixGroup, dim: int, file_key: str
+    settings: Settings, group: MatrixGroup, dim: int, name: str
 ) -> OrbitTable:
-    path = settings.get(file_key)
-    if path is not None:
-        return OrbitTable.load(path, group=group)
-    return orbit_partition(group, dim)
+    """The --{name}-orbits table, else a new partition; a saved table whose
+    dimension is not the --{name} value is a usage error."""
+    path = settings.get(f"{name}-orbits")
+    if path is None:
+        return orbit_partition(group, dim)
+    table = OrbitTable.load(path, group=group)
+    if table.k != dim:
+        held = f"the table holds orbits of {table.k}-subspaces"
+        raise UsageError(f"{path}: {held}, but --{name} is {dim}")
+    return table
 
 
 def cmd_km(settings: Settings) -> int:
@@ -291,8 +326,8 @@ def cmd_km(settings: Settings) -> int:
     if lam < 1:
         raise UsageError("need lambda >= 1")
     t0 = time.time()
-    t_table = _load_or_build_table(settings, group, t, "t-orbits")
-    k_table = _load_or_build_table(settings, group, k, "k-orbits")
+    t_table = _load_or_build_table(settings, group, t, "t")
+    k_table = _load_or_build_table(settings, group, k, "k")
     inst = build_km(t_table, k_table, lam=lam)
     sums = set(inst.row_sums().values())
     print(
@@ -373,40 +408,9 @@ def cmd_solve(settings: Settings) -> int:
     return EXIT_OK
 
 
-def _reps_from_table(settings: Settings, group: MatrixGroup):
-    """Representatives named by id against a saved orbit table, either
-    listed directly (--ids) or taken from a solution file's first line,
-    with the table file; None without --k-orbits."""
-    table_file = settings.get("k-orbits")
-    ids_text = settings.get("ids")
-    solution_file = settings.get("solution")
-    if table_file is None:
-        return None
-    if (ids_text is None) == (solution_file is None):
-        raise UsageError("--k-orbits needs exactly one of --ids or --solution")
-    table = OrbitTable.load(table_file, group=group)
-    if ids_text is not None:
-        ids = _parse_forced(ids_text)
-    else:
-        from .exact_cover import load_solutions
-
-        rows, _ = load_solutions(solution_file)
-        if not rows:
-            raise UsageError(f"{solution_file}: contains no solutions")
-        ids = list(rows[0])
-    try:
-        reps = [table.rep(i) for i in ids]
-    except IndexError as exc:
-        raise UsageError(f"{table_file}: {exc}") from exc
-    if len(set(ids)) != len(ids):
-        raise UsageError(f"orbit ids repeat: {ids}")
-    return reps, table_file
-
-
 def cmd_expand(settings: Settings) -> int:
     group = resolve_group(settings)
-    named = _reps_from_table(settings, group)
-    reps, source = named if named is not None else resolve_reps(settings, group)
+    reps, source = resolve_reps(settings, group)
     t0 = time.time()
     blocks, lengths = expand_reps(group, reps, source)
     path = out_path(settings, "blocks.txt")
@@ -419,10 +423,10 @@ def cmd_expand(settings: Settings) -> int:
     return EXIT_OK
 
 
-def _sample_count(settings: Settings, name: str, default: int) -> int:
+def _sample_count(settings: Settings, name: str, default: int, least: int = 0) -> int:
     value = settings.get(name, default=default, cast=int)
-    if value < 0:
-        raise UsageError(f"--{name} must be >= 0")
+    if value < least:
+        raise UsageError(f"--{name} must be >= {least}")
     return value
 
 
@@ -476,8 +480,9 @@ def cmd_verify(settings: Settings) -> int:
 def cmd_paper_check(settings: Settings) -> int:
     skip_3 = settings.flag_true("skip-3-orbits")
     seed = settings.get("seed", default=0, cast=int)
-    dist_samples = _sample_count(settings, "distance-samples", default=10**6)
-    derived_samples = _sample_count(settings, "derived-samples", default=10**5)
+    # a certificate on no samples certifies nothing; verify reads 0 as skip
+    dist_samples = _sample_count(settings, "distance-samples", 10**6, least=1)
+    derived_samples = _sample_count(settings, "derived-samples", 10**5, least=1)
     paper = fixtures.PAPER
     rows: list[tuple[str, str, float, bool]] = []
 
@@ -556,9 +561,8 @@ def cmd_paper_check(settings: Settings) -> int:
             stage("incidence system", s_km)
 
             def s_solution():
-                ids = sorted(
-                    state["t3"].lookup(s) for s in fixtures.solution_representatives()
-                )
+                reps = fixtures.solution_representatives()
+                ids = sorted(state["t3"].lookup_rows_bulk(reps).tolist())
                 state["ids"] = ids
                 problem = from_km(state["km"])
                 ok, coverage = check_solution(problem, ids)

@@ -17,9 +17,11 @@ from __future__ import annotations
 import hashlib
 from importlib import resources
 
-from .gf2 import BitMatrix, mat_inverse, parse_matrix_text
+import numpy as np
+
+from .gf2 import BitMatrix, first_duplicate, mat_inverse, parse_matrix_text
 from .groups import MatrixGroup
-from .subspace import Subspace, parse_subspaces
+from .subspace import parse_subspaces
 
 GENERATOR_F_TEXT = """\
 1000000000010
@@ -163,17 +165,14 @@ def generator_s() -> BitMatrix:
     return m
 
 
-def solution_representatives() -> list[Subspace]:
-    """The fifteen 3-subspace orbit representatives, canonicalized."""
+def solution_representatives() -> np.ndarray:
+    """The fifteen 3-subspace orbit representatives, (15, 3) uint64 RREF rows."""
     _check("solution_orbits", SOLUTION_ORBITS_TEXT)
-    subs = parse_subspaces(SOLUTION_ORBITS_TEXT)
-    if len(subs) != 15:
-        raise FixtureIntegrityError(f"expected 15 representatives, got {len(subs)}")
-    if any(s.dim != 3 for s in subs):
-        raise FixtureIntegrityError("every representative must have rank 3")
-    if len({s.key for s in subs}) != 15:
-        raise FixtureIntegrityError("representatives must be pairwise distinct")
-    return subs
+    # every basis: 13 columns, 3 rows and rank 3, or a FormatError
+    n, rows, _ = parse_subspaces(SOLUTION_ORBITS_TEXT, n=FIXTURE_N, k=3)
+    if len(rows) != 15 or first_duplicate(rows, n) is not None:
+        raise FixtureIntegrityError("expected 15 distinct representatives")
+    return rows
 
 
 def fixture_group() -> MatrixGroup:

@@ -9,7 +9,7 @@ M @ v, and bit j of a text row is column j.  Widths up to 64 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -339,24 +339,6 @@ class MatrixRows:
     widths: np.ndarray  # (M,) int64
     lines: np.ndarray  # (M,) int64
 
-    def matrices(self) -> Iterator[tuple[list[int], int]]:
-        """(rows, width) of each matrix, in text order."""
-        values = self.values.tolist()
-        bounds = self.starts.tolist()
-        for i, width in enumerate(self.widths.tolist()):
-            yield values[bounds[i] : bounds[i + 1]], width
-
-    def check_ranks(self, ranks: np.ndarray) -> None:
-        """FormatError at the first matrix of rank below its row count."""
-        counts = np.diff(self.starts)
-        low = np.flatnonzero(ranks < counts)
-        if low.size:
-            i = low[0]
-            raise FormatError(
-                f"line {self.lines[i]}: block rows are linearly dependent "
-                f"(rank {ranks[i]} < {counts[i]})"
-            )
-
 
 def _char_classes(text: str) -> tuple[np.ndarray, np.ndarray]:
     """(code points, class bits) of every character of text."""
@@ -465,9 +447,11 @@ def parse_matrix_rows(text: str) -> MatrixRows:
 
 def parse_matrix_text(text: str) -> list[BitMatrix]:
     """Parse every matrix block in text; FormatError carries line numbers."""
+    parsed = parse_matrix_rows(text)
+    values, bounds = parsed.values.tolist(), parsed.starts.tolist()
     return [
-        BitMatrix(tuple(rows), width)
-        for rows, width in parse_matrix_rows(text).matrices()
+        BitMatrix(tuple(values[a:b]), width)
+        for a, b, width in zip(bounds, bounds[1:], parsed.widths.tolist())
     ]
 
 

@@ -171,15 +171,18 @@ def act(g: BitMatrix, u: Subspace) -> Subspace:
     return span([mat_vec(g, r) for r in u.rows], u.ambient)
 
 
-def orbit(group: MatrixGroup, u: Subspace, cap: int = TRAVERSAL_CAP) -> np.ndarray:
-    """All images of u under the group as (L, k) RREF rows, in ascending
-    key order; a bulk breadth-first search over the generators."""
-    if u.ambient != group.n:
+def orbit(group: MatrixGroup, rows: np.ndarray, cap: int = TRAVERSAL_CAP) -> np.ndarray:
+    """All images of a subspace, given by its (k,) uint64 basis rows, under
+    the group as (L, k) RREF rows in ascending key order; a bulk
+    breadth-first search over the generators."""
+    start, ranks = rref_bulk(np.asarray(rows, dtype=np.uint64).reshape(1, -1))
+    if start.size and int(start.max()) >> group.n:
         raise ValueError("subspace does not live in the group's space")
+    if ranks[0] != start.shape[1]:
+        raise ValueError("basis rows are linearly dependent")
     maps = [
         lambda rows, g=g: rref_bulk(mat_vec_bulk(g, rows))[0] for g in group.generators
     ]
-    start = np.array(u.rows, dtype=np.uint64).reshape(1, u.dim)
     rows = _bfs(start, maps, group.n, cap)
     if rows is None:
         raise StrategyError(f"orbit exceeded the traversal cap {cap}")
@@ -209,8 +212,8 @@ class OrbitTable:
     """Orbit representatives of k-dim subspaces under a group.
 
     rows is the (N, k) uint64 array of representative RREF bases, ids
-    0..N-1 in ascending representative key order; rep(i) gives one as a
-    Subspace.  The lookup index is one sorted array of words with the
+    0..N-1 in ascending representative key order; rep(i) is rows[i].  The
+    lookup index is one sorted array of words with the
     orbit id of each: the representatives' orbit labels when the group
     has a Singer engine, else the key of every orbit member, taken from
     the generic partition.
@@ -249,13 +252,13 @@ class OrbitTable:
     def total_subspaces(self) -> int:
         return sum(self.lengths)
 
-    def rep(self, i: int) -> Subspace:
-        """Representative of orbit i as a Subspace."""
+    def rep(self, i: int) -> np.ndarray:
+        """Representative of orbit i: its (k,) RREF rows."""
         if not 0 <= i < self.num_orbits:
             raise IndexError(
                 f"orbit id {i} out of range: the table has {self.num_orbits} orbits"
             )
-        return Subspace(self.n, tuple(self.rows[i].tolist()))
+        return self.rows[i]
 
     # -- lookup -----------------------------------------------------------
 
@@ -309,14 +312,15 @@ class OrbitTable:
         self._index = index
         return index
 
-    def lookup(self, u: Subspace) -> int:
-        """Orbit id of a subspace; raises for wrong shape or foreign subspace."""
-        if u.ambient != self.n or u.dim != self.k:
+    def lookup(self, rows: np.ndarray) -> int:
+        """Orbit id of one subspace given as its (k,) RREF rows; raises for a
+        wrong shape, rows wider than n or a foreign subspace."""
+        rows = np.asarray(rows, dtype=np.uint64)
+        if rows.shape != (self.k,) or (rows.size and int(rows.max()) >> self.n):
             raise ValueError(
                 f"lookup expects a {self.k}-dim subspace of GF(2)^{self.n}"
             )
-        rows = np.array(u.rows, dtype=np.uint64).reshape(1, self.k)
-        return int(self.lookup_rows_bulk(rows)[0])
+        return int(self.lookup_rows_bulk(rows[None])[0])
 
     def lookup_rows_bulk(self, rows: np.ndarray) -> np.ndarray:
         """Orbit ids for many subspaces given as (N, k) RREF rows."""

@@ -290,17 +290,18 @@ class SingerEngine:
         lengths = (self.order // orbit_stab[order_ids]).tolist()
         return basis[orbit_first[order_ids]], lengths, uniq[order_ids]
 
-    def expand_orbit(self, u: Subspace) -> np.ndarray:
-        """All distinct subspaces in the orbit of u, as (L, k) basis rows.
+    def expand_orbit_rows(self, rows: np.ndarray) -> np.ndarray:
+        """All distinct subspaces in the orbit of the subspace with basis
+        rows, a (k,) uint64 array, as (L, k) RREF rows.
 
-        The group acts linearly, so the image of u is the span of the
-        images of its k basis rows; in the certified exponent model the
+        The group acts linearly, so the image of a subspace is the span of
+        the images of its k basis rows; in the certified exponent model the
         map x -> t*x + c sends the row with exponent e to exptable[(t*e +
         c) % modulus].  Short orbits meet some images more than once,
         which the key dedupe removes.
         """
-        k = u.dim
-        exps = self.dlog[np.array(u.rows, dtype=np.uint64)]
+        k = len(rows)
+        exps = self.dlog[np.asarray(rows, dtype=np.uint64)]
         slopes = np.array(self.slopes, dtype=np.int64)
         shifts = np.arange(self.modulus, dtype=np.int64)
         scaled = (slopes[:, None] * exps[None, :]) % self.modulus
@@ -311,6 +312,10 @@ class SingerEngine:
             raise AssertionError("the image of a basis is not a basis")
         _, first = np.unique(pack_keys_bulk(rows, self.n), return_index=True)
         return rows[first]
+
+    def expand_orbit(self, u: Subspace) -> np.ndarray:
+        """expand_orbit_rows of a Subspace; bench/probes.py is its only caller."""
+        return self.expand_orbit_rows(np.array(u.rows, dtype=np.uint64))
 
 
 def _slope_closure(gens: list[int], modulus: int) -> tuple[int, ...] | None:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .gf2 import (
     BitMatrix,
+    FormatError,
     format_matrix,
     parse_matrix_rows,
     popcount_u64,
@@ -53,13 +54,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple((r & -r).bit_length() - 1 for r in self.rows)
-
-    def basis_matrix(self) -> BitMatrix:
-        return BitMatrix(self.rows, self.ambient)
 
     def vectors(self) -> list[int]:
         """All 2^dim elements, in XOR-subset counter order."""
@@ -290,18 +284,49 @@ def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
 def format_subspace(u: Subspace) -> str:
     if u.dim == 0:
         raise ValueError("cannot serialize the zero subspace as a matrix block")
-    return format_matrix(u.basis_matrix())
+    return format_matrix(BitMatrix(u.rows, u.ambient))
 
 
-def parse_subspaces(text: str) -> list[Subspace]:
-    """Parse matrix blocks, each a basis of full rank (see check_ranks),
-    and canonicalize each to a subspace."""
+def parse_subspaces(
+    text: str, n: int | None = None, k: int | None = None, blocks: int | None = None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Read matrix blocks as k-dim subspaces of GF(2)^n, in bulk.
+
+    Returns n, the (N, k) uint64 RREF rows of the blocks and the 1-based
+    line of each block's first row.  Every block needs width n and k rows,
+    the caller's or else the first block's, and rows of full rank; blocks,
+    when given, is the block count a header states.  Each fault is a
+    FormatError naming its line.
+    """
     parsed = parse_matrix_rows(text)
-    subs = [span(rows, width) for rows, width in parsed.matrices()]
-    parsed.check_ranks(np.array([u.dim for u in subs], dtype=np.int64))
-    return subs
+    num = parsed.widths.size
+    if not num:
+        raise FormatError("no blocks found")
+    if blocks is not None and blocks != num:
+        raise FormatError(f"header says blocks={blocks}, file has {num}")
+    counts = np.diff(parsed.starts)
+    n = int(parsed.widths[0]) if n is None else n
+    k = int(counts[0]) if k is None else k
+    for name, have, want in (("n", parsed.widths, n), ("k", counts, k)):
+        wrong = np.flatnonzero(have != want)
+        if wrong.size:
+            i = wrong[0]
+            raise FormatError(
+                f"line {parsed.lines[i]}: block has {name}={have[i]}, "
+                f"expected {name}={want}"
+            )
+    rows, ranks = rref_bulk(parsed.values.reshape(num, k))
+    low = np.flatnonzero(ranks < k)
+    if low.size:
+        i = low[0]
+        raise FormatError(
+            f"line {parsed.lines[i]}: block rows are linearly dependent "
+            f"(rank {ranks[i]} < {k})"
+        )
+    return n, rows, parsed.lines
 
 
-def load_subspace_file(path: str) -> list[Subspace]:
+def load_subspace_file(path: str) -> np.ndarray:
+    """The (N, k) RREF rows of a file of subspaces; see parse_subspaces."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_subspaces(fh.read())
+        return parse_subspaces(fh.read())[1]

@@ -18,7 +18,6 @@ import numpy as np
 from .gf2 import (
     FormatError,
     first_duplicate,
-    parse_matrix_rows,
     rref_bulk,
     rref_rows,
     span_vectors_bulk,
@@ -26,10 +25,10 @@ from .gf2 import (
 from .groups import MatrixGroup, orbit
 from .subspace import (
     EnumerationGuardError,
-    Subspace,
     gaussian_binomial,
     key_chunks,
     pack_keys_bulk,
+    parse_subspaces,
     subspace_from_key,
     subspaces_of_bulk,
 )
@@ -44,7 +43,7 @@ SAVE_BATCH_BLOCKS = 1 << 16
 # keys per slice of the counting passes; no result depends on them.
 KEY_CHUNK_BLOCKS = 1 << 16
 KEY_SLICE = 1 << 20
-_BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*$", re.M)
+_BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*\r?$", re.M)
 
 
 @dataclass(eq=False)
@@ -96,68 +95,46 @@ class BlockSet:
     def load(cls, path: str) -> "BlockSet":
         """Read a block file; every fault is a FormatError naming its line.
 
-        Each block needs the same width and row count and rows of full
-        rank, and no block may repeat.  The header that save writes is
-        checked, when present, against the width, row count and number
-        of blocks, so a truncated file does not load.
+        The blocks are read by parse_subspaces, and no block may repeat.
+        The header that save writes is checked, when present, against the
+        width, row count and number of blocks: a truncated file does not load.
         """
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        parsed = parse_matrix_rows(text)
-        num = parsed.widths.size
-        if not num:
-            raise FormatError("no blocks found")
-        widths = parsed.widths
-        counts = np.diff(parsed.starts)
         header = _BLOCK_HEADER.match(text)
-        if header is not None:
-            n, k, expect = (int(g) for g in header.groups())
-            if expect != num:
-                raise FormatError(f"header says blocks={expect}, file has {num}")
-        else:
-            n, k = int(widths[0]), int(counts[0])
-        for field, have, want in (("n", widths, n), ("k", counts, k)):
-            wrong = np.flatnonzero(have != want)
-            if wrong.size:
-                i = wrong[0]
-                raise FormatError(
-                    f"line {parsed.lines[i]}: block has {field}={have[i]}, "
-                    f"expected {field}={want}"
-                )
-        red, ranks = rref_bulk(parsed.values.reshape(num, k))
-        parsed.check_ranks(ranks)
-        pair = first_duplicate(red, n)
+        shape = [int(g) for g in header.groups()] if header else [None] * 3
+        n, rows, lines = parse_subspaces(text, *shape)
+        pair = first_duplicate(rows, n)
         if pair is not None:
-            i, j = parsed.lines[list(pair)]
+            i, j = lines[list(pair)]
             raise FormatError(f"lines {i} and {j}: duplicate block")
-        return cls(n=n, k=k, blocks=red)
+        # the reader and the duplicate search ran every check of __post_init__
+        blocks = cls.__new__(cls)
+        blocks.n, blocks.k, blocks.blocks = n, rows.shape[1], rows
+        return blocks
 
 
-def expand_orbits(
-    group: MatrixGroup, reps: list[Subspace]
-) -> tuple[BlockSet, list[int]]:
-    """Expand orbit representatives to the full block list.
+def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[int]]:
+    """Expand orbit representatives, (N, k) RREF rows, to the full block list.
 
-    Returns (blocks, per-orbit lengths).  Duplicate blocks across orbits
-    are an error: the representatives did not come from distinct orbits.
+    Returns (blocks, per-orbit lengths).  The representatives must make a
+    BlockSet of GF(2)^n themselves, and a block shared by two orbits is an
+    error: the representatives did not come from distinct orbits.
     """
-    if not reps:
+    reps = np.asarray(reps, dtype=np.uint64)
+    if not len(reps):
         raise ValueError("no representatives to expand")
-    dims = {r.dim for r in reps}
-    if len(dims) != 1:
-        raise ValueError(f"mixed representative dimensions: {sorted(dims)}")
-    if any(r.ambient != group.n for r in reps):
-        raise ValueError("representative does not live in the group's space")
+    k = reps.shape[-1]
+    BlockSet(n=group.n, k=k, blocks=reps)
     engine = group.engine()
-    parts = []
-    lengths = []
-    for rep in reps:
-        rows = orbit(group, rep) if engine is None else engine.expand_orbit(rep)
-        parts.append(rows)
-        lengths.append(len(rows))
+    parts = [
+        orbit(group, rep) if engine is None else engine.expand_orbit_rows(rep)
+        for rep in reps
+    ]
+    lengths = [len(rows) for rows in parts]
     blocks = np.concatenate(parts, axis=0)
     try:
-        return BlockSet(n=group.n, k=dims.pop(), blocks=blocks), lengths
+        return BlockSet(n=group.n, k=k, blocks=blocks), lengths
     except ValueError:
         pair = first_duplicate(blocks, group.n)
         if pair is None:

@@ -335,7 +335,9 @@ def test_criterion_10_property_suites():
             count = sum(
                 1
                 for i in range(blocks.num_blocks)
-                if contains_subspace(span(blocks.blocks[i].tolist(), 5), t1.rep(rid))
+                if contains_subspace(
+                    span(blocks.blocks[i].tolist(), 5), span(t1.rep(rid).tolist(), 5)
+                )
             )
             assert count == small.matrix[rid, cid]
 

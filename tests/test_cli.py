@@ -298,12 +298,20 @@ def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
         )
         assert code == 2 and f"error: {flag} must be >= 0" in err, err
         code, _, err = run(capsys, "paper-check", "--skip-3-orbits", flag, "-5")
-        assert code == 2 and f"error: {flag} must be >= 0" in err, err
+        assert code == 2 and f"error: {flag} must be >= 1" in err, err
     code, _, _ = run(
         capsys, "--out-dir", str(tmp_path), "verify", "--blocks", str(blocks),
         "--t", "1", "--distance-samples", "0", "--derived-samples", "0",
     )
     assert code == 0
+
+
+def test_paper_check_refuses_zero_samples(capsys):
+    # a sampled certificate on no samples would pass with nothing checked
+    for flag in ("--distance-samples", "--derived-samples"):
+        code, out, err = run(capsys, "paper-check", "--skip-3-orbits", flag, "0")
+        assert code == 2 and f"error: {flag} must be >= 1" in err, err
+        assert "PASS" not in out
 
 
 def test_forced_columns_appear_in_solutions(tmp_path, capsys):
@@ -410,21 +418,24 @@ def test_bad_representative_files_are_named_errors(tmp_path, capsys):
     g = singer_normalizer(6)
     table = orbit_partition(g, 3)
 
-    def text(subspaces):
-        rows = ["".join(str((r >> j) & 1) for j in range(6)) for r in subspaces]
-        return "\n".join(rows) + "\n"
+    def text(rows, n=6):
+        lines = ["".join(str((r >> j) & 1) for j in range(n)) for r in rows]
+        return "\n".join(lines) + "\n"
 
     reps = tmp_path / "reps.txt"
-    a, b = table.rep(0), table.rep(1)
-    twin = next(rows for rows in map(tuple, orbit(g, a).tolist()) if rows != a.rows)
-    dependent = [(u.rows[0], u.rows[1], u.rows[0] ^ u.rows[1]) for u in (a, b)]
+    a, b = table.rep(0).tolist(), table.rep(1).tolist()
+    twin = next(rows for rows in orbit(g, table.rep(0)).tolist() if rows != a)
+    dependent = [text((u[0], u[1], u[0] ^ u[1])) for u in (a, b)]
     for blocks, message in (
-        ([a.rows, b.rows[:2]], r"mixed representative dimensions: \[2, 3\]"),
-        ([a.rows, b.rows, twin], r"representatives 0 and 2 share an orbit"),
+        # one row count and one width for the whole file
+        ([text(a), text(b[:2])], r"line 5: block has k=2, expected k=3"),
+        ([text(a), text(b, n=7)], r"line 5: block has n=7, expected n=6"),
+        ([text(a), text(b), text(a)], r"lines 1 and 9: duplicate block"),
+        ([text(a), text(b), text(twin)], r"representatives 0 and 2 share an orbit"),
         # every basis has a dependent row: no lower-dimensional orbits
         (dependent, r"line 1: block rows are linearly dependent \(rank 2 < 3\)"),
     ):
-        reps.write_text("\n".join(text(rows) for rows in blocks))
+        reps.write_text("\n".join(blocks))
         for command, extra in (("expand", ()), ("verify", ("--t", "2"))):
             code, _, err = run(
                 capsys, "--out-dir", str(tmp_path), command,
@@ -432,6 +443,43 @@ def test_bad_representative_files_are_named_errors(tmp_path, capsys):
             )
             assert code == 2, err
             assert re.search(f"error: {re.escape(str(reps))}: .*{message}", err), err
+
+
+def test_expand_refuses_conflicting_representative_sources(tmp_path, capsys):
+    table = saved_table(tmp_path, capsys, 6, 3)
+    reps = tmp_path / "reps.txt"
+    reps.write_text("100000\n010000\n001000\n")
+    expand = ("--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6")
+    for sources in (
+        ("--k-orbits", table, "--ids", "0", "--reps", str(tmp_path / "missing.txt")),
+        ("--k-orbits", table, "--ids", "0", "--fixture-solution"),
+        ("--reps", str(reps), "--fixture-solution"),
+        ("--k-orbits", table, "--ids", "0", "--reps", str(reps), "--fixture-solution"),
+    ):
+        code, _, err = run(capsys, *expand, *sources)
+        assert code == 2, sources
+        assert "choose exactly one of --k-orbits FILE, --reps FILE or " \
+            "--fixture-solution" in err, err
+    assert not (tmp_path / "blocks.txt").exists()
+    for sources in (("--k-orbits", table, "--ids", "0"), ("--reps", str(reps))):
+        code, out, _ = run(capsys, *expand, *sources)
+        assert code == 0 and "expanded 1 orbits" in out, sources
+
+
+def test_km_refuses_orbit_tables_of_another_dimension(tmp_path, capsys):
+    table = saved_table(tmp_path, capsys, 6, 2)
+    km = ("--out-dir", str(tmp_path), "km", "--singer-normalizer", "6")
+    for flags, flag, dim in (
+        (("--t", "1", "--k", "3", "--t-orbits", table), "--t", 1),
+        (("--t", "2", "--k-orbits", table), "--k", 3),
+    ):
+        code, _, err = run(capsys, *km, *flags)
+        assert code == 2, err
+        assert f"error: {table}: the table holds orbits of 2-subspaces, " \
+            f"but {flag} is {dim}" in err, err
+    assert not list(tmp_path.glob("km-*"))
+    code, out, _ = run(capsys, *km, "--t", "2", "--k", "3", "--t-orbits", table)
+    assert code == 0 and (tmp_path / "km-n6-t2-k3-full.txt").exists()
 
 
 def test_malformed_orbit_table_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qsteiner import fixtures
@@ -23,6 +24,7 @@ from qsteiner.gf2 import (
     mat_mul,
     matrix_order,
     primitive_polynomial,
+    rref_bulk,
 )
 
 
@@ -81,9 +83,11 @@ def test_frobenius_conjugation_squares_the_cycle():
 
 def test_solution_representatives():
     reps = solution_representatives()
-    assert len(reps) == 15
-    assert len({r.key for r in reps}) == 15
-    assert all(r.ambient == FIXTURE_N and r.dim == 3 for r in reps)
+    assert reps.shape == (15, 3) and reps.dtype == np.uint64
+    assert int(reps.max()) >> FIXTURE_N == 0
+    assert len({tuple(r) for r in reps.tolist()}) == 15
+    red, ranks = rref_bulk(reps)
+    assert np.array_equal(red, reps) and np.all(ranks == 3)
 
 
 def test_fixture_group_shape():

@@ -30,22 +30,23 @@ from qsteiner.groups import (
     orbit_partition,
     singer_normalizer,
 )
-from qsteiner import groups, singer
+from qsteiner import fixtures, groups, singer
 from qsteiner.kramer_mesner import build_km
 from qsteiner.singer import SingerEngine
 from qsteiner.subspace import (
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
+    load_subspace_file,
     pack_keys_bulk,
     span,
 )
-from qsteiner.verify import expand_orbits, verify_design
+from qsteiner.verify import BlockSet, expand_orbits, verify_design
 
 
-def reps_of(table):
-    """Every representative of an orbit table, as Subspace objects."""
-    return [table.rep(i) for i in range(table.num_orbits)]
+def keys_of(table):
+    """The keys of an orbit table's representatives, as a list."""
+    return pack_keys_bulk(table.rows, table.n).tolist()
 
 
 def brute_closure(generators, n):
@@ -117,14 +118,15 @@ def test_partition_strategies_agree():
         engine = orbit_partition(g, k)
         full = groups._partition_full(g, k)
         assert full.num_orbits == engine.num_orbits
-        ids = [engine.lookup(rep) for rep in reps_of(full)]
+        ids = [engine.lookup(rep) for rep in full.rows]
         assert sorted(ids) == list(range(engine.num_orbits))
         assert [engine.lengths[j] for j in ids] == full.lengths
         back = [full.lookup(engine.rep(j)) for j in ids]
         assert back == list(range(full.num_orbits))
-        assert all(rep.key <= engine.rep(j).key for rep, j in zip(reps_of(full), ids))
+        full_keys, engine_keys = keys_of(full), keys_of(engine)
+        assert all(key <= engine_keys[j] for key, j in zip(full_keys, ids))
         if n < 6:  # small spaces, where the two choices coincide
-            assert [s.key for s in reps_of(engine)] == [s.key for s in reps_of(full)]
+            assert engine_keys == full_keys
 
 
 def frobenius_group(n):
@@ -165,14 +167,14 @@ def test_trivial_group_orbits_are_singletons():
     table = orbit_partition(g, 2)
     assert table.num_orbits == gaussian_binomial(4, 2, 2) == 35
     assert set(table.lengths) == {1}
-    assert [s.key for s in reps_of(table)] == [s.key for s in enumerate_subspaces(4, 2)]
+    assert keys_of(table) == [s.key for s in enumerate_subspaces(4, 2)]
 
 
 def test_orbit_traversal_matches_partition():
     g = singer_normalizer(4)
     table = orbit_partition(g, 2)
     seen = set()
-    for rep in reps_of(table):
+    for rep in table.rows:
         members = orbit(g, rep)
         assert len(members) == table.lengths[table.lookup(rep)]
         seen |= set(pack_keys_bulk(members, 4).tolist())
@@ -194,14 +196,14 @@ def test_orbit_matches_walk_oracle():
                 members = walk_orbit(g, u)
                 seen |= {m.key for m in members}
                 want = np.array([m.rows for m in members], dtype=np.uint64)
-                got = orbit(g, members[-1])
+                got = orbit(g, np.array(members[-1].rows, dtype=np.uint64))
                 assert np.array_equal(got, want.reshape(len(members), k)), (g.n, k, u)
             assert len(seen) == gaussian_binomial(g.n, k, 2)
 
 
 def test_orbit_cap():
     g = singer_normalizer(6)
-    u = span([1, 2], 6)
+    u = np.array([1, 2], dtype=np.uint64)
     length = len(orbit(g, u))
     assert len(orbit(g, u, cap=length)) == length > 1
     with pytest.raises(StrategyError, match=f"traversal cap {length - 1}"):
@@ -217,8 +219,11 @@ def test_lookup_rows_bulk_matches_scalar(paper_group, t2_table):
             subs.append(s)
     rows = np.array([s.rows for s in subs], dtype=np.uint64)
     bulk = t2_table.lookup_rows_bulk(rows)
-    for s, got in zip(subs, bulk.tolist()):
-        assert t2_table.lookup(s) == got
+    for row, got in zip(rows, bulk.tolist()):
+        assert t2_table.lookup(row) == got
+    for bad in (rows[0][:1], rows[:2], rows[0] | np.uint64(1 << 13)):
+        with pytest.raises(ValueError, match="lookup expects a 2-dim subspace"):
+            t2_table.lookup(bad)
 
 
 def test_table_save_load_round_trip(tmp_path):
@@ -228,10 +233,10 @@ def test_table_save_load_round_trip(tmp_path):
     table.save(str(path))
     loaded = OrbitTable.load(str(path), group=g)
     assert loaded.num_orbits == table.num_orbits
-    assert [s.key for s in reps_of(loaded)] == [s.key for s in reps_of(table)]
+    assert np.array_equal(loaded.rows, table.rows)
     assert list(loaded.lengths) == list(table.lengths)
     # the loaded table resolves lookups identically
-    for rep in reps_of(table):
+    for rep in table.rows:
         assert loaded.lookup(rep) == table.lookup(rep)
 
 
@@ -302,8 +307,8 @@ def test_partition_lengths_match_orbit_size_oracle():
             reps = [Subspace(n, tuple(r)) for r in rows.tolist()]
             assert sum(lengths) == gaussian_binomial(n, k, 2)
             assert lengths == [engine.orbit_size(r) for r in reps], (n, k)
-            for rep, length in zip(reps, lengths):
-                got = engine.expand_orbit(rep)
+            for row, rep, length in zip(rows, reps, lengths):
+                got = engine.expand_orbit_rows(row)
                 assert got.shape == (length, k)
                 assert np.array_equal(got, span_vector_expand_orbit(engine, rep))
                 short += length < engine.order
@@ -361,7 +366,8 @@ def test_t3_lengths_match_orbit_size_on_a_sample(paper_group, t3_table):
     engine = paper_group.engine()
     rng = random.Random(2013)
     for i in rng.sample(range(t3_table.num_orbits), 300):
-        assert t3_table.lengths[i] == engine.orbit_size(t3_table.rep(i)), i
+        rep = Subspace(13, tuple(t3_table.rep(i).tolist()))
+        assert t3_table.lengths[i] == engine.orbit_size(rep), i
 
 
 def test_partition_and_load_do_not_call_orbit_size(monkeypatch, tmp_path):
@@ -409,7 +415,7 @@ def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
     g = singer_normalizer(7)
     table = orbit_partition(g, 3)
     assert table.lengths[0] == table.lengths[1]
-    lo, hi = table.rep(0).key, table.rep(2).key
+    lo, _, hi = pack_keys_bulk(table.rows[:3], 7)
     rows = table.rows.copy()
     rows[1] = member_between(g, table.rep(0), lo, hi)
     forged = OrbitTable(n=7, k=3, group=g, rows=rows, lengths=list(table.lengths))
@@ -426,7 +432,7 @@ def test_table_load_checks_tables_without_an_engine(tmp_path):
     assert g.engine() is None
     table = orbit_partition(g, 2)
     assert table.num_orbits == 31 and set(table.lengths) == {5}
-    lo, hi = table.rep(27).key, table.rep(29).key
+    lo, _, hi = pack_keys_bulk(table.rows[27:30], 5)
     shared = table.rows.copy()
     shared[28] = member_between(g, table.rep(0), lo, hi)
     moved = list(table.lengths)
@@ -460,9 +466,9 @@ def test_lookup_rows_bulk_rejects_untabulated_orbits():
 def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
     g = singer_normalizer(7)
     # every 4-subspace of GF(2)^7, a 3-(7, 4, 15) design
-    blocks, _ = expand_orbits(g, reps_of(orbit_partition(g, 4)))
+    blocks, _ = expand_orbits(g, orbit_partition(g, 4).rows)
     frob = frobenius_group(6)
-    frob_reps = reps_of(orbit_partition(frob, 3))
+    frob_reps = orbit_partition(frob, 3).rows
 
     def refuse(self):
         raise AssertionError("a Subspace was built on an internal path")
@@ -486,8 +492,16 @@ def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
     ids = loaded.lookup_rows_bulk(t3.rows)
     assert ids.tolist() == list(range(t3.num_orbits))
     assert build_km(t2, loaded).matrix.shape == (t2.num_orbits, t3.num_orbits)
+    assert loaded.lookup(loaded.rep(5)) == 5
+    assert len(orbit(g, loaded.rep(5))) == loaded.lengths[5]
     report = verify_design(blocks, 3, 15)
     assert report.ok and report.histogram == {15: gaussian_binomial(7, 3, 2)}
+    # files and the bundled text are read as rows
+    assert fixtures.solution_representatives().shape == (15, 3)
+    path = tmp_path / "blocks.txt"
+    blocks.save(str(path))
+    assert np.array_equal(BlockSet.load(str(path)).blocks, blocks.blocks)
+    assert np.array_equal(load_subspace_file(str(path)), blocks.blocks)
 
 
 def malformed_table(tmp_path, edit):

@@ -1,5 +1,6 @@
-"""The package imports only the standard library, numpy and itself, and
-every name the benchmark imports from it exists."""
+"""The package imports only the standard library, numpy and itself, the
+per-object Subspace stays out of the array pipeline, and every name the
+benchmark imports from it exists."""
 
 import ast
 import importlib
@@ -29,6 +30,28 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
                 if name.split(".")[0] not in ALLOWED
             ]
     assert not foreign, foreign
+
+
+# modules that may import the per-object Subspace or span: where they are
+# defined, groups.act, and SingerEngine.orbit_size and expand_orbit; the
+# package's __init__ only re-exports them as public API
+SUBSPACE_USERS = {"subspace.py", "groups.py", "singer.py", "__init__.py"}
+
+
+def test_only_the_edges_import_subspace_or_span():
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
+                "subspace"
+            ):
+                users += [
+                    f"{path.name}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name in ("Subspace", "span", "*")
+                    and path.name not in SUBSPACE_USERS
+                ]
+    assert not users, users
 
 
 def test_benchmark_imports_resolve():

@@ -38,7 +38,7 @@ def brute_km(group, t, k):
     ]
     dense = {}
     for i in range(t_table.num_orbits):
-        trep = t_table.rep(i)
+        trep = Subspace(group.n, tuple(t_table.rep(i).tolist()))
         for j in range(k_table.num_orbits):
             count = sum(contains_subspace(m, trep) for m in members[j])
             if count:

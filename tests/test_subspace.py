@@ -6,7 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qsteiner.gf2 import BitMatrix
+import matrix_text_reference
+from qsteiner.gf2 import BitMatrix, FormatError
 from qsteiner.subspace import (
     EnumerationGuardError,
     Subspace,
@@ -24,6 +25,7 @@ from qsteiner.subspace import (
     subspace_distance,
     subspaces_of_bulk,
 )
+from qsteiner.verify import BlockSet
 from verify_reference import subspaces_of
 
 
@@ -165,11 +167,71 @@ def test_format_parse_round_trip():
     while len(subs) < 12:
         n = rng.randrange(2, 14)
         s = span([rng.getrandbits(n) for _ in range(3)], n)
-        if s.dim > 0 and (not subs or subs[0].ambient == n):
+        if s.dim == 3 and (not subs or subs[0].ambient == n):
             subs.append(s)
     text = "\n".join(format_subspace(s) for s in subs)
-    parsed = parse_subspaces(text)
-    assert parsed == subs
+    n, rows, lines = parse_subspaces(text)
+    assert n == subs[0].ambient and rows.dtype == np.uint64
+    assert rows.tolist() == [list(s.rows) for s in subs]
+    assert lines.tolist() == list(range(1, 4 * len(subs), 4))
+
+
+def random_subspace_text(rng, n, k, bases, header, crlf):
+    """A file of the bases with comments, spaces and runs of blank lines."""
+    lines = [f"# block set: n={n} k={k} blocks={len(bases)}"] if header else []
+    for basis in bases:
+        if rng.random() < 0.3:
+            lines.append("# a comment line does not end a block")
+        for r in basis:
+            row = "".join("1" if (r >> j) & 1 else "0" for j in range(n))
+            pad = " " * rng.randrange(3)
+            tail = rng.choice(["", "  ", " # trailing comment"])
+            lines.append(pad + row + tail)
+        lines += [rng.choice(["", " ", "\t"]) for _ in range(rng.randrange(1, 4))]
+    return ("\r\n" if crlf else "\n").join(lines)
+
+
+def test_bulk_reader_matches_per_block_oracle(tmp_path):
+    rng = random.Random(2013)
+    path = tmp_path / "subspaces.txt"
+    for trial in range(300):
+        n = rng.randrange(1, 17)
+        k = rng.randrange(1, min(4, n) + 1)
+        bases, num = [], rng.randrange(1, 12)
+        while len(bases) < num:
+            basis = [rng.getrandbits(n) for _ in range(k)]
+            if len(span(basis, n).rows) == k:  # full rank, rarely RREF
+                bases.append(basis)
+        if trial % 3 == 0:  # one block with a dependent last row
+            i = rng.randrange(len(bases))
+            last = 0
+            for r in bases[i][:-1]:
+                last ^= r if rng.random() < 0.5 else 0
+            bases[i] = bases[i][:-1] + [last]
+        header, crlf = trial % 2 == 0, trial % 5 < 2
+        text = random_subspace_text(rng, n, k, bases, header, crlf)
+        path.write_bytes(text.encode())
+        try:
+            want = matrix_text_reference.parse_subspaces(text)
+        except FormatError as exc:
+            for read in (parse_subspaces, lambda _: BlockSet.load(str(path))):
+                with pytest.raises(FormatError) as got:
+                    read(text)
+                assert str(got.value) == str(exc), trial
+            continue
+        got_n, rows, _ = parse_subspaces(text)
+        assert got_n == n and rows.tolist() == [list(u.rows) for u in want], trial
+        if len({u.key for u in want}) == len(want):
+            loaded = BlockSet.load(str(path))
+            assert (loaded.n, loaded.k) == (n, k)
+            assert np.array_equal(loaded.blocks, rows)
+        else:
+            with pytest.raises(FormatError, match="duplicate block"):
+                BlockSet.load(str(path))
+    # a header that ends in \r\n is read: its block count is checked
+    path.write_bytes(b"# block set: n=3 k=1 blocks=2\r\n100\r\n")
+    with pytest.raises(FormatError, match="header says blocks=2, file has 1"):
+        BlockSet.load(str(path))
 
 
 def test_rejects_non_canonical_rows():

@@ -11,7 +11,7 @@ import verify_reference
 from qsteiner import cli, gf2, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
 from qsteiner.gf2 import FormatError
-from qsteiner.groups import orbit_partition, singer_normalizer
+from qsteiner.groups import orbit, orbit_partition, singer_normalizer
 from qsteiner.subspace import (
     Subspace,
     enumerate_subspaces,
@@ -34,11 +34,6 @@ from qsteiner.verify import (
 def block_subspace(blocks, i):
     """Block i of a BlockSet as a Subspace."""
     return Subspace(blocks.n, tuple(blocks.blocks[i].tolist()))
-
-
-def table_reps(table):
-    """Every representative of an orbit table, as Subspace objects."""
-    return [table.rep(i) for i in range(table.num_orbits)]
 
 
 def recount_histogram(blocks, t):
@@ -88,7 +83,7 @@ def reference_block_text(bs):
 
 def all_subspace_blocks(n, k):
     group = singer_normalizer(n)
-    return expand_orbits(group, table_reps(orbit_partition(group, k)))[0]
+    return expand_orbits(group, orbit_partition(group, k).rows)[0]
 
 
 def test_save_writes_the_reference_bytes_and_load_reads_them_back(
@@ -251,7 +246,7 @@ def test_first_duplicate_packs_rows_into_words():
 def test_expand_orbits_counts_and_rejects_mixed_dims():
     group = singer_normalizer(6)
     table = orbit_partition(group, 3)
-    reps = table_reps(table)[: min(3, table.num_orbits)]
+    reps = table.rows[:3]
     blocks, lengths = expand_orbits(group, reps)
     assert blocks.num_blocks == sum(lengths)
     assert len(lengths) == len(reps)
@@ -260,6 +255,18 @@ def test_expand_orbits_counts_and_rejects_mixed_dims():
     t2 = orbit_partition(group, 2)
     with pytest.raises(ValueError):
         expand_orbits(group, [table.rep(0), t2.rep(0)])
+    # the representatives must make a block set of GF(2)^6 themselves
+    twin = orbit(group, table.rep(0))[1]
+    for bad, message in (
+        (table.rows[:0], "no representatives to expand"),
+        (table.rep(0), r"an \(N, k\) array"),
+        (table.rows[:1] | np.uint64(1 << 6), "fit in n bits"),
+        (table.rows[:1, ::-1], "reduced row echelon form"),
+        (table.rows[[1, 0, 1]], "blocks 0 and 2 are equal"),
+        (np.stack([table.rep(0), twin]), "representatives 0 and 1 share an orbit"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            expand_orbits(group, bad)
 
 
 def test_spread_verifies_as_1_design():
@@ -286,9 +293,7 @@ def test_deleted_block_breaks_the_design():
 
 def test_histogram_matches_dict_recount():
     group = singer_normalizer(5)
-    table = orbit_partition(group, 2)
-    reps = table_reps(table)
-    blocks, _ = expand_orbits(group, reps)
+    blocks, _ = expand_orbits(group, orbit_partition(group, 2).rows)
     for t in (1, 2):
         report = verify_design(blocks, t, 1)
         assert report.histogram == recount_histogram(blocks, t)
@@ -302,7 +307,7 @@ def test_histogram_matches_dict_recount():
 
 def test_uncovered_subspaces_shown_match_enumeration():
     group = singer_normalizer(5)
-    blocks, _ = expand_orbits(group, table_reps(orbit_partition(group, 2)))
+    blocks, _ = expand_orbits(group, orbit_partition(group, 2).rows)
     some = BlockSet(5, 2, blocks.blocks[:7].copy())
     for t in (1, 2):
         covered = {
