@@ -255,7 +255,9 @@ def resolve_reps(settings: Settings, group: MatrixGroup):
 
 def expand_reps(group: MatrixGroup, reps, source: str):
     """expand_orbits, with representatives that do not make a block set
-    reported against their source."""
+    reported against their source; a block file holds dimension k >= 1."""
+    if not reps.shape[1]:
+        raise FormatError(f"{source}: blocks must have dimension k >= 1")
     try:
         return expand_orbits(group, reps)
     except ValueError as exc:

@@ -313,8 +313,8 @@ class OrbitTable:
         return index
 
     def lookup(self, rows: np.ndarray) -> int:
-        """Orbit id of one subspace given as its (k,) RREF rows; raises for a
-        wrong shape, rows wider than n or a foreign subspace."""
+        """Orbit id of one subspace given as (k,) basis rows; raises for a
+        wrong shape, rows wider than n, dependent rows or a foreign subspace."""
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.shape != (self.k,) or (rows.size and int(rows.max()) >> self.n):
             raise ValueError(
@@ -323,7 +323,11 @@ class OrbitTable:
         return int(self.lookup_rows_bulk(rows[None])[0])
 
     def lookup_rows_bulk(self, rows: np.ndarray) -> np.ndarray:
-        """Orbit ids for many subspaces given as (N, k) RREF rows."""
+        """Orbit ids for many subspaces given as (N, k) basis rows, reduced
+        here; dependent rows are a ValueError, a foreign subspace a KeyError."""
+        rows, ranks = rref_bulk(rows)
+        if np.any(ranks < self.k):
+            raise ValueError("basis rows are linearly dependent")
         by_label, index, ids = self._ensure_index()
         query = _rowwise(self._index_words(rows, by_label))
         pos = np.searchsorted(index, query)

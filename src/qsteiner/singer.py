@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf2 import BitMatrix, mat_mul, mat_vec_bulk, rref_bulk, span_vectors_bulk
+from .gf2 import BitMatrix, mat_mul, mat_vec, mat_vec_bulk, rref_bulk, span_vectors_bulk
 from .subspace import Subspace, pack_keys_bulk
 
 MAX_ENGINE_WIDTH = 24
@@ -45,11 +45,7 @@ def _power_table(s: BitMatrix) -> np.ndarray | None:
     if np.unique(table).size != modulus or table.min() == 0:
         return None
     # wrap-around: S applied to the last entry must return to e0
-    last = int(table[modulus - 1])
-    first = 0
-    for i, row in enumerate(s.rows):
-        first |= ((row & last).bit_count() & 1) << i
-    if first != 1:
+    if mat_vec(s, int(table[modulus - 1])) != 1:
         return None
     return table
 

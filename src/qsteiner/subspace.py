@@ -19,7 +19,6 @@ from .gf2 import (
     FormatError,
     format_matrix,
     parse_matrix_rows,
-    popcount_u64,
     rref_bulk,
     rref_rows,
     span_vectors_bulk,
@@ -66,46 +65,45 @@ class Subspace:
         return f"Subspace(n={self.ambient}, dim={self.dim}, key={self.key})"
 
 
-def _pack_key(n: int, rows: tuple[int, ...], pivots: tuple[int, ...]) -> int:
-    """Canonical key: (dim, pivot mask) above, free entries below.
+def _drop_columns(r, bits):
+    """r with the columns of bits removed: ascending single-bit masks, each
+    0 in r.  Highest first, the part of r above a column moves down by one.
+    Works alike on an int and, in place, on a uint64 array."""
+    for b in reversed(bits):
+        r -= (r & -b) >> 1
+    return r
 
-    Free entries of row i sit at bit offset i*(n-k), one bit per
-    non-pivot column in increasing column order.  Keys are injective
-    and ascending in enumeration order for fixed (n, dim).
+
+def _pack_key(n: int, rows: tuple[int, ...], pivots: tuple[int, ...]) -> int:
+    """Canonical key: (dim, pivot mask) above, then each row with its k
+    pivot columns removed, row i at bit offset i*(n-k).
+
+    Keys are injective and ascending in enumeration order for fixed (n, dim).
     """
-    k = len(rows)
-    pivmask = 0
-    for p in pivots:
-        pivmask |= 1 << p
-    packed = 0
-    width = n - k
-    for i, r in enumerate(rows):
-        pos = 0
-        for j in range(n):
-            if (pivmask >> j) & 1:
-                continue
-            packed |= ((r >> j) & 1) << (i * width + pos)
-            pos += 1
-    return ((k << n) | pivmask) << (k * width) | packed
+    bits = [1 << p for p in pivots]
+    key = len(rows) << n | sum(bits)
+    for r, b in zip(reversed(rows), reversed(bits)):
+        key = key << (n - len(rows)) | _drop_columns(r ^ b, bits)
+    return key
 
 
 def subspace_from_key(n: int, k: int, key: int) -> Subspace:
     """Inverse of the key packing for a known (n, k) context."""
     width = n - k
-    packed = key & ((1 << (k * width)) - 1)
     head = key >> (k * width)
     pivmask = head & ((1 << n) - 1)
     if head >> n != k or pivmask.bit_count() != k:
         raise ValueError("key does not decode to the given dimension")
-    nonpivot = [j for j in range(n) if not (pivmask >> j) & 1]
+    bits = []
+    while pivmask:
+        bits.append(pivmask & -pivmask)
+        pivmask ^= bits[-1]
     rows = []
-    pivots = [j for j in range(n) if (pivmask >> j) & 1]
-    for i in range(k):
-        r = 1 << pivots[i]
-        chunk = (packed >> (i * width)) & ((1 << width) - 1)
-        for pos, j in enumerate(nonpivot):
-            r |= ((chunk >> pos) & 1) << j
-        rows.append(r)
+    for i, b in enumerate(bits):
+        r = key >> (i * width) & ((1 << width) - 1)
+        for p in bits:  # put the pivot columns back, lowest first
+            r += r & -p
+        rows.append(r | b)
     return Subspace(n, tuple(rows))
 
 
@@ -235,25 +233,16 @@ def pack_keys_bulk(rows: np.ndarray, n: int) -> np.ndarray:
     """Keys for many RREF bases at once; rows is (N, k) uint64."""
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     num, k = rows.shape
-    width = n - k
-    if k * width + n + k.bit_length() > 64:
+    if k * (n - k) + n + k.bit_length() > 64:
         raise ValueError("packed keys do not fit in 64 bits for this (n, k)")
-    zero = np.uint64(0)
-    pivmask = np.zeros(num, dtype=np.uint64)
-    for i in range(k):
-        pivmask |= rows[:, i] & (zero - rows[:, i])
-    packed = np.zeros(num, dtype=np.uint64)
-    one = np.uint64(1)
-    for j in range(n):
-        below = np.uint64((1 << j) - 1)
-        nonpiv_here = ((pivmask >> np.uint64(j)) & one) == zero
-        pos = np.uint64(j) - popcount_u64(pivmask & below)
-        for i in range(k):
-            bit = (rows[:, i] >> np.uint64(j)) & one
-            shift = np.uint64(i * width) + pos
-            packed |= np.where(nonpiv_here, bit << shift, zero)
-    head = (np.uint64(k) << np.uint64(n)) | pivmask
-    return (head << np.uint64(k * width)) | packed
+    piv = [r & (np.uint64(0) - r) for r in rows.T]  # each row's lowest set bit
+    key = np.full(num, k << n, dtype=np.uint64)
+    for b in piv:
+        key |= b
+    for i in reversed(range(k)):
+        key <<= np.uint64(n - k)
+        key |= _drop_columns(rows[:, i] ^ piv[i], piv)
+    return key
 
 
 def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:

@@ -466,6 +466,18 @@ def test_expand_refuses_conflicting_representative_sources(tmp_path, capsys):
         assert code == 0 and "expanded 1 orbits" in out, sources
 
 
+def test_expand_refuses_the_zero_subspace(tmp_path, capsys):
+    # a block file holds subspaces of dimension k >= 1
+    table = saved_table(tmp_path, capsys, 5, 0)
+    code, _, err = run(
+        capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "5",
+        "--k-orbits", table, "--ids", "0",
+    )
+    assert code == 2
+    assert f"error: {table}: blocks must have dimension k >= 1" in err, err
+    assert not (tmp_path / "blocks.txt").exists()
+
+
 def test_km_refuses_orbit_tables_of_another_dimension(tmp_path, capsys):
     table = saved_table(tmp_path, capsys, 6, 2)
     km = ("--out-dir", str(tmp_path), "km", "--singer-normalizer", "6")

@@ -463,6 +463,22 @@ def test_lookup_rows_bulk_rejects_untabulated_orbits():
             partial.lookup_rows_bulk(rows)
 
 
+def test_lookup_reduces_the_basis():
+    # a label index (Singer engine) and a member-key index (generic)
+    for g in (singer_normalizer(6), frobenius_group(6)):
+        table = orbit_partition(g, 2)
+        rows = table.rows
+        mixed = np.stack([rows[:, 0] ^ rows[:, 1], rows[:, 1]], axis=1)
+        for bases in (mixed, rows[:, ::-1]):
+            ids = table.lookup_rows_bulk(bases)
+            assert ids.tolist() == list(range(table.num_orbits))
+            assert table.lookup(bases[-1]) == table.num_orbits - 1
+        with pytest.raises(ValueError, match="linearly dependent"):
+            table.lookup(rows[0][[0, 0]])
+    assert table.rep(116).tolist() == [36, 24]
+    assert table.lookup(np.array([60, 24], dtype=np.uint64)) == 116
+
+
 def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
     g = singer_normalizer(7)
     # every 4-subspace of GF(2)^7, a 3-(7, 4, 15) design
