@@ -459,29 +459,24 @@ def parse_matrix_text(text: str) -> list[BitMatrix]:
 # numpy bulk kernels, shared by the orbit and verification machinery
 
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-
-
-def popcount_u64(x: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint64 array."""
-    x = x - ((x >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return (x * _H01) >> np.uint64(56)
+def vec_mat_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
+    """Apply v -> v @ m to a uint64 array of packed row vectors: the XOR of
+    the rows of m at the set bits of v (bits at or above m.nrows are
+    ignored), one masked XOR per row, out ^= row * ((v >> i) & 1)."""
+    vecs = vecs.astype(np.uint64, copy=False)
+    out = np.zeros_like(vecs)
+    bit = np.empty_like(vecs)
+    for i, row in enumerate(m.rows):
+        np.right_shift(vecs, np.uint64(i), out=bit)
+        np.bitwise_and(bit, np.uint64(1), out=bit)
+        np.multiply(bit, np.uint64(row), out=bit)
+        out ^= bit
+    return out
 
 
 def mat_vec_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
     """Apply v -> m @ v to a uint64 array of packed vectors."""
-    vecs = vecs.astype(np.uint64, copy=False)
-    out = np.zeros_like(vecs)
-    one = np.uint64(1)
-    for i, row in enumerate(m.rows):
-        bit = popcount_u64(vecs & np.uint64(row)) & one
-        out |= bit << np.uint64(i)
-    return out
+    return vec_mat_bulk(transpose(m), vecs)
 
 
 def span_vectors_bulk(rows: np.ndarray) -> np.ndarray:
@@ -509,32 +504,36 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     rows is (N, k) uint64, one k-row basis per entry.  Returns (rref, ranks)
     where rref[i] holds the reduced rows sorted by pivot with zero rows
-    sunk to the end, and ranks[i] counts the nonzero rows.
+    sunk to the end, and ranks[i] counts the nonzero rows.  Branch-free on
+    a (k, N) copy: step i swaps the row of lowest pivot into slot i, then
+    clears that pivot from every other slot, by masked XORs on whole slots.
     """
-    r = np.ascontiguousarray(rows, dtype=np.uint64).copy()
-    n, k = r.shape
-    top = np.uint64(0xFFFFFFFFFFFFFFFF)
-    zero = np.uint64(0)
+    r = np.asarray(rows, dtype=np.uint64).T.copy()
+    k, n = r.shape
+    # key x ^ (x - 1) is the bits up to the lowest set one, all 64 for a
+    # zero row, so it orders rows by pivot with zero rows last
+    key = np.empty((k, n), dtype=np.uint64)
+    diff = np.empty(n, dtype=np.uint64)
+    hit = np.empty(n, dtype=bool)
     for i in range(k):
-        for j in range(i + 1, k):
-            a = r[:, i]
-            b = r[:, j]
-            ka = np.where(a == zero, top, a & (zero - a))
-            kb = np.where(b == zero, top, b & (zero - b))
-            swap = kb < ka
-            if swap.any():
-                tmp = a[swap].copy()
-                r[swap, i] = b[swap]
-                r[swap, j] = tmp
-        piv = r[:, i] & (zero - r[:, i])
-        for j in range(k):
-            if j == i:
-                continue
-            hit = (r[:, j] & piv) != zero
-            if hit.any():
-                r[hit, j] ^= r[hit, i]
-    ranks = (r != zero).sum(axis=1).astype(np.int64)
-    return r, ranks
+        np.subtract(r[i:], np.uint64(1), out=key[i:])
+        np.bitwise_xor(key[i:], r[i:], out=key[i:])
+        a, ka = r[i], key[i]
+        for b, kb in zip(r[i + 1 :], key[i + 1 :]):
+            np.less(kb, ka, out=hit)
+            np.bitwise_xor(a, b, out=diff)
+            np.multiply(diff, hit, out=diff)
+            a ^= diff
+            b ^= diff
+            np.minimum(ka, kb, out=ka)
+        piv = np.bitwise_and(ka, a, out=ka)  # the lowest set bit of a
+        for j, b in enumerate(r):
+            if j != i:
+                np.bitwise_and(b, piv, out=diff)
+                np.not_equal(diff, 0, out=hit)
+                np.multiply(a, hit, out=diff)
+                b ^= diff
+    return np.ascontiguousarray(r.T), (r != 0).sum(axis=0, dtype=np.int64)
 
 
 def pack_rows(rows: np.ndarray, n: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from .gf2 import (
     primitive_polynomial,
     rank,
     rref_bulk,
-    transpose,
+    vec_mat_bulk,
 )
 from .singer import SingerEngine
 from .subspace import (
@@ -136,8 +136,8 @@ def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
     counted, not kept.  Raises ClosureCapError when more than cap
     elements appear.
     """
-    # row r of M @ g is transpose(g) @ r
-    maps = [partial(mat_vec_bulk, transpose(g)) for g in group.generators]
+    # row r of M @ g is r @ g
+    maps = [partial(vec_mat_bulk, g) for g in group.generators]
     start = np.array([identity(group.n).rows], dtype=np.uint64)
     rows = _bfs(start, maps, group.n, cap)
     if rows is None:
@@ -315,16 +315,17 @@ class OrbitTable:
     def lookup(self, rows: np.ndarray) -> int:
         """Orbit id of one subspace given as (k,) basis rows; raises for a
         wrong shape, rows wider than n, dependent rows or a foreign subspace."""
-        rows = np.asarray(rows, dtype=np.uint64)
-        if rows.shape != (self.k,) or (rows.size and int(rows.max()) >> self.n):
-            raise ValueError(
-                f"lookup expects a {self.k}-dim subspace of GF(2)^{self.n}"
-            )
-        return int(self.lookup_rows_bulk(rows[None])[0])
+        return int(self.lookup_rows_bulk(np.asarray(rows, dtype=np.uint64)[None])[0])
 
     def lookup_rows_bulk(self, rows: np.ndarray) -> np.ndarray:
         """Orbit ids for many subspaces given as (N, k) basis rows, reduced
-        here; dependent rows are a ValueError, a foreign subspace a KeyError."""
+        here; a wrong shape, rows wider than n or dependent rows are a
+        ValueError, a foreign subspace a KeyError."""
+        rows = np.asarray(rows, dtype=np.uint64)
+        if rows.shape[1:] != (self.k,) or (rows.size and int(rows.max()) >> self.n):
+            raise ValueError(
+                f"lookup expects a {self.k}-dim subspace of GF(2)^{self.n}"
+            )
         rows, ranks = rref_bulk(rows)
         if np.any(ranks < self.k):
             raise ValueError("basis rows are linearly dependent")

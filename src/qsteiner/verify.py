@@ -539,14 +539,12 @@ def derived_steiner_sample_check(
             for b in bad[:5]:
                 examples.append((int(x[b]), int(y[b]), int(z[b])))
         # containment of all three difference vectors in the covering block
-        brows = blocks.blocks[entry & owner_mask]
+        brows = blocks.blocks[entry & owner_mask].T.copy()
+        pivots = brows & (np.uint64(0) - brows)
         for vec in (u, v, u ^ v):
             red = vec.copy()
-            for col in range(blocks.k):
-                row = brows[:, col]
-                pivbit = row & (np.uint64(0) - row)
-                hit = (red & pivbit) != 0
-                red = np.where(hit, red ^ row, red)
+            for row, piv in zip(brows, pivots):
+                red ^= row * ((red & piv) != 0)
             bad = np.nonzero(found & (red != 0))[0]
             if bad.size:
                 failures += int(bad.size)

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from qsteiner.gf2 import identity, mat_vec, mat_vec_bulk, rref_rows, transpose
+from qsteiner.gf2 import identity, mat_vec, rref_rows, vec_mat_bulk
 from qsteiner.groups import CLOSURE_CAP, MatrixGroup, OrbitTable, _bfs, _sorted_index
 from qsteiner.subspace import Subspace, enumerate_keys_bulk, subspace_from_key
 
@@ -76,8 +76,8 @@ def walk_partition(group: MatrixGroup, k: int) -> OrbitTable:
 
 def closure_elements(group: MatrixGroup) -> np.ndarray:
     """Every element as (order, n) packed rows, ascending in the row tuples."""
-    # row r of M @ g is transpose(g) @ r
-    maps = [partial(mat_vec_bulk, transpose(g)) for g in group.generators]
+    # row r of M @ g is r @ g
+    maps = [partial(vec_mat_bulk, g) for g in group.generators]
     start = np.array([identity(group.n).rows], dtype=np.uint64)
     rows = _bfs(start, maps, group.n, CLOSURE_CAP)
     assert rows is not None, "closure exceeded the cap"

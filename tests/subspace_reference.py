@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsteiner.gf2 import popcount_u64
+from gf2_reference import popcount_u64
 
 
 def key_per_column(n: int, rows: tuple[int, ...]) -> int:

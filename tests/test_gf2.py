@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+import gf2_reference
 import matrix_text_reference
 from qsteiner import gf2
 from qsteiner.gf2 import (
@@ -20,12 +21,12 @@ from qsteiner.gf2 import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    mat_vec_bulk,
     matrix_order,
     parse_matrix_rows,
     parse_matrix_text,
     poly_mulmod,
     poly_powmod,
-    popcount_u64,
     primitive_polynomial,
     rank,
     rref,
@@ -33,6 +34,7 @@ from qsteiner.gf2 import (
     rref_rows,
     span_vectors_bulk,
     transpose,
+    vec_mat_bulk,
 )
 from qsteiner.fixtures import generator_f, generator_s
 from qsteiner.subspace import span
@@ -321,7 +323,7 @@ def test_bulk_parse_reports_spans_widths_and_lines():
 def test_popcount_and_rref_bulk_match_scalar():
     rng = np.random.default_rng(12)
     vals = rng.integers(0, 2**63, size=1000, dtype=np.uint64)
-    counts = popcount_u64(vals.copy())
+    counts = gf2_reference.popcount_u64(vals.copy())
     assert all(
         int(c) == bin(int(v)).count("1") for c, v in zip(counts, vals)
     )
@@ -332,6 +334,75 @@ def test_popcount_and_rref_bulk_match_scalar():
         assert int(ranks[i]) == len(piv)
         padded = tuple(scalar_red) + (0,) * (3 - len(scalar_red))
         assert tuple(int(x) for x in red[i]) == padded
+
+
+def _bases(rng: np.random.Generator, num: int, k: int, width: int) -> np.ndarray:
+    """(num, k) bases of width-bit rows with zero, repeated and dependent
+    rows mixed in, and bit width - 1 set in some rows."""
+    rows = rng.integers(0, 1 << width, size=(num, k), dtype=np.uint64, endpoint=False)
+    if k:
+        top = np.uint64(1) << np.uint64(width - 1)
+        rows[rng.random((num, k)) < 0.2] |= top
+        rows[rng.random((num, k)) < 0.15] = 0
+        for i in range(num):
+            if k >= 2 and i % 3 == 0:  # a repeated row
+                rows[i, rng.integers(k)] = rows[i, rng.integers(k)]
+            if k >= 3 and i % 3 == 1:  # a sum of two other rows
+                a, b, c = rng.permutation(k)[:3]
+                rows[i, c] = rows[i, a] ^ rows[i, b]
+    return rows
+
+
+def _check_rref_bulk(rows: np.ndarray) -> None:
+    before = rows.copy()
+    red, ranks = rref_bulk(rows)
+    want_red, want_ranks = gf2_reference.rref_bulk(rows)
+    assert np.array_equal(rows, before)  # the input is left alone
+    assert red.dtype == np.uint64 and ranks.dtype == np.int64
+    assert red.shape == rows.shape and ranks.shape == rows.shape[:1]
+    assert red.flags.c_contiguous
+    assert np.array_equal(red, want_red) and np.array_equal(ranks, want_ranks)
+    k = rows.shape[1]
+    for got, rank, basis in zip(red.tolist(), ranks.tolist(), rows.tolist()):
+        scalar, _ = rref_rows(basis)
+        assert rank == len(scalar)
+        assert tuple(got) == scalar + (0,) * (k - len(scalar))
+
+
+def test_rref_bulk_matches_row_major_oracle_and_scalar():
+    rng = np.random.default_rng(15)
+    for k in range(9):
+        for width in (1, 2, 5, 13, 32, 63, 64):
+            rows = _bases(rng, 40, k, width)
+            _check_rref_bulk(rows)
+            _check_rref_bulk(rows[::3])  # strided rows
+            _check_rref_bulk(rows[:, ::-1])  # reversed columns
+            _check_rref_bulk(rows[rng.permutation(40)[:17]])  # a fancy slice
+            _check_rref_bulk(np.ascontiguousarray(rows.T).T)  # a transposed view
+    for shape in ((0, 3), (5, 0), (0, 0), (1, 1)):
+        _check_rref_bulk(np.ones(shape, dtype=np.uint64))
+    top = np.uint64(1 << 63)
+    red, ranks = rref_bulk(np.array([[top, top | np.uint64(1)]], dtype=np.uint64))
+    assert red.tolist() == [[1, 1 << 63]] and ranks.tolist() == [2]
+
+
+def test_mat_vec_bulk_matches_scalar_on_non_square_matrices():
+    rng = random.Random(16)
+    nprng = np.random.default_rng(16)
+    for nrows, ncols in ((1, 1), (3, 7), (7, 3), (13, 13), (64, 5), (5, 64), (64, 64)):
+        m = BitMatrix(tuple(rng.getrandbits(ncols) for _ in range(nrows)), ncols)
+        # the vectors carry bits at and above ncols, which must be ignored
+        vecs = nprng.integers(0, 2**64, size=(6, 50), dtype=np.uint64, endpoint=False)
+        vecs[0, :5] = [0, 2**64 - 1, 1 << 63, (1 << ncols) - 1, 1 << (ncols - 1)]
+        got = mat_vec_bulk(m, vecs)
+        assert got.dtype == np.uint64 and got.shape == vecs.shape
+        mask = (1 << ncols) - 1
+        for got_row, row in zip(got.tolist(), vecs.tolist()):
+            assert got_row == [mat_vec(m, v) for v in row]
+            assert got_row == [mat_vec(m, v & mask) for v in row]
+        assert np.array_equal(got, gf2_reference.mat_vec_bulk(m, vecs))
+        assert np.array_equal(vec_mat_bulk(transpose(m), vecs), got)
+    assert mat_vec_bulk(identity(3), np.zeros(0, dtype=np.uint64)).shape == (0,)
 
 
 def test_span_vectors_bulk_matches_subspace_vectors():

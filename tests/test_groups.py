@@ -463,6 +463,17 @@ def test_lookup_rows_bulk_rejects_untabulated_orbits():
             partial.lookup_rows_bulk(rows)
 
 
+def test_lookup_rows_bulk_rejects_rows_wider_than_n():
+    # a label index (Singer engine) and a member-key index (generic)
+    for g in (singer_normalizer(6), frobenius_group(6)):
+        table = orbit_partition(g, 2)
+        for bad in ([[1, 64]], [[1, 2**63]], table.rows[:, :1], table.rows[0]):
+            with pytest.raises(ValueError, match="lookup expects a 2-dim subspace"):
+                table.lookup_rows_bulk(bad)
+        with pytest.raises(ValueError, match="lookup expects a 2-dim subspace"):
+            table.lookup([1, 64])
+
+
 def test_lookup_reduces_the_basis():
     # a label index (Singer engine) and a member-key index (generic)
     for g in (singer_normalizer(6), frobenius_group(6)):

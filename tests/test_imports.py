@@ -32,6 +32,25 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
     assert not foreign, foreign
 
 
+def test_the_package_imports_no_test_oracle():
+    # a slow kernel replaced by a fast one survives only under tests/
+    oracles = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            oracles += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[-1].endswith("_reference")
+            ]
+    assert not oracles, oracles
+
+
 # modules that may import the per-object Subspace or span: where they are
 # defined, groups.act, and SingerEngine.orbit_size and expand_orbit; the
 # package's __init__ only re-exports them as public API
