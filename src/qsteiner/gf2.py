@@ -557,10 +557,14 @@ def first_duplicate(rows: np.ndarray, n: int) -> tuple[int, int] | None:
     """(i, j) with i < j for the first row j that equals an earlier row i.
 
     rows is (N, k) uint64 with entries of n bits, compared as packed
-    words (see pack_rows), so a stable sort of one word per row does for
-    k n <= 64.
+    words (see pack_rows).  For k n <= 64 one unstable sort of the words
+    answers "no duplicate"; the stable sort only names a witness.
     """
     words = pack_rows(rows, n)
+    if words.shape[1] == 1:
+        srt = np.sort(words[:, 0])
+        if not np.any(srt[1:] == srt[:-1]):
+            return None
     # a stable lexicographic sort makes equal rows neighbours in input order
     order = np.lexsort(words.T)
     srt = words[order]

@@ -261,7 +261,7 @@ class SingerEngine:
         basis, ranks = rref_bulk(spans)
         if not np.all(ranks == k):
             raise AssertionError("extension vector lies in the representative")
-        basis = basis[np.unique(pack_keys_bulk(basis, self.n), return_index=True)[1]]
+        basis = _distinct_rows(basis, self.n)
         del spans, ranks  # before the label pass
         exps = self.rows_to_exps(basis)
         labels, stab = self.labels_and_stabilizers(exps)
@@ -306,12 +306,25 @@ class SingerEngine:
         rows, ranks = rref_bulk(self.exptable[images])
         if not np.all(ranks == k):
             raise AssertionError("the image of a basis is not a basis")
-        _, first = np.unique(pack_keys_bulk(rows, self.n), return_index=True)
-        return rows[first]
+        return _distinct_rows(rows, self.n)
 
     def expand_orbit(self, u: Subspace) -> np.ndarray:
         """expand_orbit_rows of a Subspace; bench/probes.py is its only caller."""
         return self.expand_orbit_rows(np.array(u.rows, dtype=np.uint64))
+
+
+def _distinct_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """(N, k) RREF rows with each subspace once, in ascending key order.
+
+    Equal keys mean identical rows, so an unstable sort of the keys does:
+    any row of a run of equal keys is the same row.
+    """
+    keys = pack_keys_bulk(rows, n)
+    order = np.argsort(keys)
+    keys = keys[order]
+    head = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return rows[order[head]]
 
 
 def _slope_closure(gens: list[int], modulus: int) -> tuple[int, ...] | None:

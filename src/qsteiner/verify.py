@@ -29,7 +29,6 @@ from .subspace import (
     key_chunks,
     pack_keys_bulk,
     parse_subspaces,
-    subspace_from_key,
     subspaces_of_bulk,
 )
 
@@ -158,64 +157,77 @@ class DesignReport:
     ok: bool
 
 
-def _pair_keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """Keys of the 2-subspaces {0, x, y, x ^ y}: lo << n | mid, for the
-    least nonzero vector lo and the middle one mid = lo ^ (the greatest)."""
-    z = x ^ y
-    lo = np.minimum(np.minimum(x, y), z)
-    hi = np.maximum(np.maximum(x, y), z)
-    return (lo << np.uint64(n)) | (lo ^ hi)
+def _key_dtype(n: int, t: int, owner_bits: int = 0) -> np.dtype:
+    """dtype of the keys _sorted_keys builds: uint32 when a t-subspace key
+    of GF(2)^n and owner_bits bits of block index fit in 32 bits, else
+    uint64.  A key has n bits for t = 1, 2n for t = 2 (see _line_keys)
+    and those of pack_keys_bulk above."""
+    bits = n if t == 1 else 2 * n if t == 2 else t * (n - t) + n + t.bit_length()
+    return np.dtype(np.uint32 if bits + owner_bits <= 32 else np.uint64)
 
 
-def _chunk_keys(
-    part: np.ndarray, n: int, t: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Keys of the t-subspaces of a chunk of blocks, with the position in
-    the chunk of the block that holds each key.
+def _line_keys(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Keys of the 2-subspaces {0, x, y, z}, z = x ^ y, written to out:
+    lo << n | mid for the least nonzero vector lo and the middle one
+    mid = lo ^ (the greatest).  scratch has the shape and dtype of out."""
+    np.minimum(x, y, out=out)
+    np.minimum(out, z, out=out)
+    np.maximum(x, y, out=scratch)
+    np.maximum(scratch, z, out=scratch)
+    scratch ^= out
+    out <<= out.dtype.type(n)
+    out |= scratch
 
-    A point's key is the vector; a 2-subspace's is that of _pair_keys; a
-    larger subspace's is the packed RREF key of pack_keys_bulk.  A
-    block's 2-subspaces are the lifts of the 2-subspaces of GF(2)^k, as
-    in subspaces_of_bulk, so each is built once.
+
+def _fill_keys(part: np.ndarray, n: int, t: int, dest: np.ndarray) -> None:
+    """Every t-subspace key of a chunk of blocks into dest, one row per
+    t-subspace slot of GF(2)^k: dest[j, i] is the key of slot j of block i.
+
+    A point's key is the vector; a 2-subspace's is that of _line_keys,
+    built per line of PG(k - 1, 2) into the row of dest; a larger
+    subspace's is the packed RREF key of pack_keys_bulk.  A block's
+    t-subspaces are the lifts of the t-subspaces of GF(2)^k, as in
+    subspaces_of_bulk, so each is built once.
     """
     if t > 2:
-        subs = subspaces_of_bulk(part, t)
-        every = np.repeat(np.arange(part.shape[0]), subs.shape[1])
-        yield pack_keys_bulk(subs.reshape(-1, t), n), every
+        keys = pack_keys_bulk(subspaces_of_bulk(part, t).reshape(-1, t), n)
+        dest[...] = keys.reshape(part.shape[0], -1).T
         return
-    vecs = span_vectors_bulk(part)
-    every = np.arange(part.shape[0])
     if t == 1:
-        for i in range(vecs.shape[1]):
-            yield vecs[:, i], every
+        dest[...] = span_vectors_bulk(part).T
         return
-    for _, coords in key_chunks(part.shape[1], 2):
-        for a, b in coords.tolist():
-            yield _pair_keys(vecs[:, a - 1], vecs[:, b - 1], n), every
+    # one contiguous vector in the key dtype per point of PG(k - 1, 2)
+    points = np.ascontiguousarray(span_vectors_bulk(part).T, dtype=dest.dtype)
+    scratch = np.empty(part.shape[0], dtype=dest.dtype)
+    lines = np.concatenate([rows for _, rows in key_chunks(part.shape[1], 2)])
+    for row, (a, b) in zip(dest, lines.tolist(), strict=True):
+        _line_keys(points[a - 1], points[b - 1], points[(a ^ b) - 1], n, row, scratch)
 
 
 def _sorted_keys(
     blocks: np.ndarray, n: int, t: int, owner_bits: int = 0
 ) -> np.ndarray:
-    """Every t-subspace key of every block, sorted.
+    """Every t-subspace key of every block, sorted, in _key_dtype.
 
     The keys fill one preallocated array, KEY_CHUNK_BLOCKS blocks at a
     time, and are sorted in place.  With owner_bits > 0 each entry is
     key << owner_bits | index of the block that holds it.
     """
     num, k = blocks.shape
-    out = np.empty(num * gaussian_binomial(k, t, 2), dtype=np.uint64)
-    pos = 0
+    per_block = gaussian_binomial(k, t, 2)
+    dtype = _key_dtype(n, t, owner_bits)
+    out = np.empty(num * per_block, dtype=dtype)
     for start in range(0, num, KEY_CHUNK_BLOCKS):
         part = blocks[start : start + KEY_CHUNK_BLOCKS]
-        for keys, where in _chunk_keys(part, n, t):
-            dest = out[pos : pos + keys.size]
-            np.left_shift(keys, np.uint64(owner_bits), out=dest)
-            if owner_bits:
-                dest |= (where + start).astype(np.uint64)
-            pos += keys.size
-    if pos != out.size:
-        raise AssertionError("t-subspace keys do not fill the key array")
+        dest = out[start * per_block : (start + len(part)) * per_block]
+        dest = dest.reshape(per_block, len(part))
+        _fill_keys(part, n, t, dest)
+        if owner_bits:
+            dest <<= dtype.type(owner_bits)
+            dest |= np.arange(start, start + len(part), dtype=dtype)
     out.sort()
     return out
 
@@ -252,12 +264,13 @@ def _point_keys(blocks: np.ndarray) -> np.ndarray:
 
 def _pair_key_chunks(n: int) -> Iterator[np.ndarray]:
     """Keys of all 2-subspaces of GF(2)^n in ascending order, one chunk
-    per smallest nonzero vector."""
-    shift = np.uint64(n)
+    per smallest nonzero vector, in the dtype of _sorted_keys."""
+    dtype = _key_dtype(n, 2)
+    shift = dtype.type(n)
     top = 1 << n
     for u in range(1, top):
-        v = np.arange(u + 1, top, dtype=np.uint64)
-        uu = np.uint64(u)
+        v = np.arange(u + 1, top, dtype=dtype)
+        uu = dtype.type(u)
         keep = (uu ^ v) > v
         if keep.any():
             yield (uu << shift) | v[keep]
@@ -267,7 +280,8 @@ def _first_absent(
     chunks: Iterable[np.ndarray], present: np.ndarray, limit: int
 ) -> list[int]:
     """Up to limit keys of the ascending chunks that sorted present lacks
-    (present may repeat keys).
+    (present may repeat keys).  Chunks in the dtype of present keep
+    searchsorted from converting present on every chunk.
 
     Chunks are generated only until enough keys are found, so a sparse
     block set never materializes the whole key universe.
@@ -284,22 +298,34 @@ def _first_absent(
 
 
 def _all_keys(n: int, t: int) -> Iterable[np.ndarray]:
-    """Keys of every t-subspace of GF(2)^n, as _chunk_keys builds them,
-    in ascending chunks."""
+    """Keys of every t-subspace of GF(2)^n, as _fill_keys builds them,
+    in ascending chunks in the dtype of _sorted_keys."""
+    dtype = _key_dtype(n, t)
     if t == 1:
-        return [np.arange(1, 1 << n, dtype=np.uint64)]
+        return [np.arange(1, 1 << n, dtype=dtype)]
     if t == 2:
         return _pair_key_chunks(n)
-    return (keys for keys, _ in key_chunks(n, t))
+    return (keys.astype(dtype) for keys, _ in key_chunks(n, t))
 
 
 def _key_rows(key: int, n: int, t: int) -> tuple[int, ...]:
-    """RREF rows of the t-subspace whose key _chunk_keys builds."""
+    """RREF rows of the t-subspace whose key _fill_keys builds."""
     if t == 1:
         return (key,)
     if t == 2:
         return rref_rows([key >> n, key & ((1 << n) - 1)])[0]
-    return subspace_from_key(n, t, key).rows
+    # invert pack_keys_bulk: row i sits at bit i * (n - t) with its pivot
+    # columns removed, below the pivot mask
+    width = n - t
+    pivmask = key >> (t * width) & ((1 << n) - 1)
+    bits = [1 << p for p in range(n) if pivmask >> p & 1]
+    rows = []
+    for i, b in enumerate(bits):
+        r = key >> (i * width) & ((1 << width) - 1)
+        for p in bits:  # put the pivot columns back, lowest first
+            r += r & -p
+        rows.append(r | b)
+    return tuple(rows)
 
 
 def verify_design(
@@ -312,7 +338,7 @@ def verify_design(
     """Count every t-subspace's occurrences inside blocks, from scratch.
 
     One pass over the sorted keys of every t-subspace of every block (see
-    _chunk_keys); violations are shown in ascending key order, the
+    _fill_keys); violations are shown in ascending key order, the
     present keys first, then the absent ones.
     """
     n, k = blocks.n, blocks.k
@@ -506,14 +532,15 @@ def derived_steiner_sample_check(
     if 2 * n + owner_bits > 64:
         raise ValueError("pair keys and block indices do not fit in 64 bits")
     index = _sorted_keys(blocks.blocks, n, 2, owner_bits)
-    ob = np.uint64(owner_bits)
+    dtype = index.dtype
+    ob = dtype.type(owner_bits)
     # one-to-one over every key; each slice overlaps the last one by a key
     for start in range(0, index.size, KEY_SLICE):
         keys = index[max(start - 1, 0) : start + KEY_SLICE] >> ob
         if np.any(keys[1:] == keys[:-1]):
             raise AssertionError("coverage index is not one-to-one; lambda != 1?")
     last = index.size - 1
-    owner_mask = np.uint64((1 << owner_bits) - 1)
+    owner_mask = dtype.type((1 << owner_bits) - 1)
 
     rng = np.random.default_rng(seed)
     top = 1 << n
@@ -529,7 +556,9 @@ def derived_steiner_sample_check(
         x, y, z = x[distinct], y[distinct], z[distinct]
         u = x ^ y
         v = x ^ z
-        key = _pair_keys(u, v, n)
+        # in the index's dtype, so searchsorted does not convert the index
+        key = np.empty(u.size, dtype=dtype)
+        _line_keys(u, v, u ^ v, n, key, np.empty_like(key))
         pos = np.searchsorted(index, key << ob)
         entry = index[np.minimum(pos, last)]
         found = (pos <= last) & ((entry >> ob) == key)

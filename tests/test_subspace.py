@@ -27,7 +27,7 @@ from qsteiner.subspace import (
     subspace_from_key,
     subspaces_of_bulk,
 )
-from qsteiner.verify import BlockSet
+from qsteiner.verify import BlockSet, _key_rows
 from subspace_reference import key_per_column, keys_per_column_bulk
 from verify_reference import subspaces_of
 
@@ -116,6 +116,8 @@ def test_bulk_key_kernels_match_scalar():
             for key, basis in zip(keys.tolist(), rows.tolist()):
                 assert Subspace(n, basis).key == key == key_per_column(n, basis)
                 assert subspace_from_key(n, k, key).rows == tuple(basis)
+                # the recount prints a t > 2 witness by its own inverse
+                assert k < 3 or _key_rows(key, n, k) == tuple(basis)
     rng = np.random.default_rng(14)
     cases = [(13, k, 50_000) for k in range(1, 7)] + [(22, 2, 2000), (32, 1, 2000)]
     for n, k, num in cases:
@@ -126,6 +128,7 @@ def test_bulk_key_kernels_match_scalar():
         for key, basis in zip(keys[:5000].tolist(), rows[:5000].tolist()):
             assert Subspace(n, basis).key == key, (n, k)
             assert subspace_from_key(n, k, key).rows == tuple(basis), (n, k)
+            assert k < 3 or _key_rows(key, n, k) == tuple(basis), (n, k)
     # past 64 bits only the scalar key is defined
     for k in range(1, 7):
         for basis in random_rref_rows(rng, 200, 64, k).tolist():

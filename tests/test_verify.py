@@ -241,6 +241,19 @@ def test_first_duplicate_packs_rows_into_words():
             assert gf2.first_duplicate(blocks, n) == first_duplicate_by_dict(
                 blocks
             ), (n, k)
+    # large inputs, distinct or with one planted repeat: k n <= 64 takes
+    # the sort-first test, k n > 64 the stable sort alone
+    for n, k in ((13, 3), (21, 3), (64, 1), (33, 2), (40, 4)):
+        rows = rng.integers(0, 1 << n, size=(20000, k), dtype=np.uint64)
+        rows = rng.permutation(np.unique(rows, axis=0))
+        assert gf2.first_duplicate(rows, n) is None
+        assert first_duplicate_by_dict(rows) is None
+        for i, j in ((0, 1), (int(rng.integers(0, len(rows) - 1)), len(rows) - 1)):
+            planted = rows.copy()
+            planted[j] = planted[i]
+            assert gf2.first_duplicate(planted, n) == first_duplicate_by_dict(
+                planted
+            ) == (i, j), (n, k)
 
 
 def test_expand_orbits_counts_and_rejects_mixed_dims():
@@ -424,6 +437,35 @@ def test_recount_matches_unique_oracle(paper_blocks, monkeypatch):
                         assert got == want
 
 
+def test_sorted_keys_match_the_per_pair_builder(paper_blocks, monkeypatch):
+    cases = list(paper_slices(paper_blocks, 3, 2)) + list(steiner_designs())
+    for blocks in cases:
+        n, need = blocks.n, (blocks.num_blocks - 1).bit_length()
+        # no owner tag, the derived check's, and tags ending at bit 32, 33, 64
+        tags = {0, need, 64 - 2 * n} | {max(need, b - 2 * n) for b in (32, 33)}
+        for owner_bits in sorted(tags):
+            want = verify_reference.sorted_pair_keys(blocks.blocks, n, owner_bits)
+            dtype = verify._key_dtype(n, 2, owner_bits)
+            assert dtype == (np.uint32 if 2 * n + owner_bits <= 32 else np.uint64)
+            for chunk, _ in CHUNK_SIZES:
+                monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
+                got = verify._sorted_keys(blocks.blocks, n, 2, owner_bits)
+                assert got.dtype == dtype
+                assert np.array_equal(got.astype(np.uint64), want)
+
+
+def test_absent_key_chunks_share_the_dtype_of_the_sorted_keys(paper_blocks):
+    wide = BlockSet(17, 3, np.array([[1, 2, 4], [1, 2, 1 << 16]], dtype=np.uint64))
+    for blocks in (all_subspace_blocks(5, 3), paper_blocks, wide):
+        n, sample = blocks.n, blocks.blocks[:50]
+        for t in (1, 2):
+            keys = verify._sorted_keys(sample, n, t)
+            assert next(iter(verify._all_keys(n, t))).dtype == keys.dtype, (n, t)
+    # 2n key bits: uint32 up to n = 16, uint64 above
+    assert verify._key_dtype(13, 2) == np.uint32
+    assert verify._key_dtype(17, 2) == np.uint64
+
+
 def test_paper_recount_matches_unique_oracle(paper_blocks, paper_report):
     want = verify_reference.verify_design(paper_blocks, 2, 1)
     assert format_report(paper_report) == format_report(want)
@@ -514,8 +556,9 @@ def traced_peak_mb(fn, *args, **kwargs):
 
 
 def test_recount_and_derived_check_stay_below_150_mb(paper_blocks, paper_report):
-    # the sorted key array alone is 11,180,715 * 8 bytes = 85 MiB
-    assert traced_peak_mb(verify_design, paper_blocks, 2, 1) < 150
+    # the recount's sorted uint32 pair keys are 11,180,715 * 4 bytes = 43 MiB;
+    # the derived check's uint64 index, keys tagged with 21 owner bits, 85 MiB
+    assert traced_peak_mb(verify_design, paper_blocks, 2, 1) < 80
     peak = traced_peak_mb(
         derived_steiner_sample_check, paper_blocks, paper_report, samples=10**5
     )

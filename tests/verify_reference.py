@@ -6,7 +6,9 @@ every block for `verify_design` at t <= 2, a dict of the keys of
 per-object subspaces (subspaces_of) for t > 2, and an index of per-pair keys and owner lists for
 `derived_steiner_sample_check`.  The new code must give the same report
 (for t <= 2 the histogram in the same dict order; the same violations in
-the same order) and the same derived statistics.
+the same order) and the same derived statistics.  sorted_pair_keys is
+the per-pair uint64 builder of the sorted key array, the oracle of the
+in-place one.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from qsteiner.subspace import (
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
+    key_chunks,
     span,
 )
 from qsteiner.verify import (
@@ -78,6 +81,24 @@ def pair_keys(
     if return_owners:
         return out, np.concatenate(owners)
     return out
+
+
+def sorted_pair_keys(blocks: np.ndarray, n: int, owner_bits: int = 0) -> np.ndarray:
+    """Sorted uint64 (pair key << owner_bits) | block index of every
+    2-subspace of every block, one fresh key array per line of PG(k-1, 2)."""
+    num, k = blocks.shape
+    vecs = span_vectors_bulk(blocks)
+    owners = np.arange(num, dtype=np.uint64) if owner_bits else np.uint64(0)
+    parts = []
+    for _, coords in key_chunks(k, 2):
+        for a, b in coords.tolist():
+            x, y = vecs[:, a - 1], vecs[:, b - 1]
+            z = x ^ y
+            lo = np.minimum(np.minimum(x, y), z)
+            hi = np.maximum(np.maximum(x, y), z)
+            keys = (lo << np.uint64(n)) | (lo ^ hi)
+            parts.append((keys << np.uint64(owner_bits)) | owners)
+    return np.sort(np.concatenate(parts))
 
 
 def verify_design(
