@@ -216,7 +216,8 @@ class OrbitTable:
     lookup index is one sorted array of words with the
     orbit id of each: the representatives' orbit labels when the group
     has a Singer engine, else the key of every orbit member, taken from
-    the generic partition.
+    the generic partition.  A 2-dim table with a Singer engine also keeps
+    the orbit id of every exponent difference (see _ensure_line_ids).
     """
 
     n: int
@@ -225,6 +226,7 @@ class OrbitTable:
     rows: np.ndarray
     lengths: list[int]
     _index: tuple[bool, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _line_ids: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.rows = np.ascontiguousarray(self.rows, dtype=np.uint64)
@@ -317,24 +319,60 @@ class OrbitTable:
         wrong shape, rows wider than n, dependent rows or a foreign subspace."""
         return int(self.lookup_rows_bulk(np.asarray(rows, dtype=np.uint64)[None])[0])
 
+    def _ensure_line_ids(self, engine: SingerEngine) -> np.ndarray:
+        """Orbit id of each exponent difference d, -1 where untabulated.
+
+        The line {a, b, a ^ b} is S^(dlog a) applied to the line through
+        e0 and S^d e0, d = dlog b - dlog a mod 2^n - 1, so it lies in that
+        line's orbit.  Built once by the label lookup of the 2^n - 2 lines
+        {e0, S^d e0}; entry 0, no line, stays -1.
+        """
+        if self._line_ids is None:
+            lines = np.ones((engine.modulus - 1, 2), dtype=np.uint64)
+            lines[:, 1] = engine.exptable[1:]
+            ids = np.full(engine.modulus, -1, dtype=np.int64)
+            ids[1:] = self._index_ids(lines)
+            self._line_ids = ids
+        return self._line_ids
+
+    def _index_ids(self, rows: np.ndarray) -> np.ndarray:
+        """Orbit ids of (N, k) bases from the lookup index, -1 where the
+        subspace is in no tabulated orbit; keyed lookups need RREF rows."""
+        by_label, index, ids = self._ensure_index()
+        query = _rowwise(self._index_words(rows, by_label))
+        if not index.size:
+            return np.full(len(query), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(index, query), index.size - 1)
+        return np.where(index[pos] == query, ids[pos], -1)
+
     def lookup_rows_bulk(self, rows: np.ndarray) -> np.ndarray:
-        """Orbit ids for many subspaces given as (N, k) basis rows, reduced
-        here; a wrong shape, rows wider than n or dependent rows are a
-        ValueError, a foreign subspace a KeyError."""
+        """Orbit ids for many subspaces given as (N, k) basis rows; a wrong
+        shape, rows wider than n or dependent rows are a ValueError, a
+        foreign subspace a KeyError.  Lines of a Singer-engine table are
+        looked up by exponent difference (see _ensure_line_ids), other
+        subspaces reduced here and looked up in the index."""
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.shape[1:] != (self.k,) or (rows.size and int(rows.max()) >> self.n):
             raise ValueError(
                 f"lookup expects a {self.k}-dim subspace of GF(2)^{self.n}"
             )
-        rows, ranks = rref_bulk(rows)
-        if np.any(ranks < self.k):
-            raise ValueError("basis rows are linearly dependent")
-        by_label, index, ids = self._ensure_index()
-        query = _rowwise(self._index_words(rows, by_label))
-        pos = np.searchsorted(index, query)
-        if np.any(pos >= index.size) or not np.array_equal(index[pos], query):
+        engine = self._engine() if self.k == 2 else None
+        if engine is not None:
+            a, b = rows.T
+            if np.any((a == 0) | (b == 0) | (a == b)):
+                raise ValueError("basis rows are linearly dependent")
+            diff = engine.dlog[b]
+            diff -= engine.dlog[a]
+            diff %= engine.modulus
+            ids = self._ensure_line_ids(engine)[diff]
+        else:
+            rows, ranks = rref_bulk(rows)
+            if np.any(ranks < self.k):
+                raise ValueError("basis rows are linearly dependent")
+            ids = self._index_ids(rows)
+        if np.any(ids < 0):
             raise KeyError("subspace does not belong to any tabulated orbit")
-        return ids[pos]
+        return ids
 
     # -- serialization ----------------------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .gf2 import FormatError
-from .groups import OrbitTable
+from .groups import OrbitTable, group_hash
 from .subspace import gaussian_binomial, subspaces_of_bulk
 
 CHECKSUM_MOD = 1 << 32
@@ -59,12 +59,20 @@ class KMInstance:
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row ids, column ids, values) of the nonzero entries as int64
-        arrays, ordered by (column, row) like the E lines of a KM file."""
-        cols, rows = np.nonzero(self.matrix.T)
+        arrays, ordered by (column, row) like the E lines of a KM file:
+        one scan of a column-major copy of matrix, freed before the ids
+        are split out of the flat positions."""
+        by_col = np.ascontiguousarray(self.matrix.T).reshape(-1)
+        flat = np.flatnonzero(by_col)
+        vals = by_col[flat].astype(np.int64)
+        del by_col
+        cols, rows = np.divmod(
+            flat, max(1, self.matrix.shape[0]), out=(np.empty_like(flat), flat)
+        )
         return (
             np.asarray(self.row_ids, dtype=np.int64)[rows],
             np.asarray(self.col_ids, dtype=np.int64)[cols],
-            self.matrix[rows, cols].astype(np.int64),
+            vals,
         )
 
     @property
@@ -81,11 +89,18 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
     For every k-orbit representative K, each of its t-subspaces is
     located in the t-orbit table; the multiset of hits gives b(K, T)
     and the double-counting identity turns it into a(T, K), whose
-    divisibility is checked exactly.  An entry above 255 does not fit
-    the uint8 matrix and raises OverflowError.
+    divisibility is checked exactly.  Tables of two different groups are
+    a ValueError; an entry above 255 does not fit the uint8 matrix and
+    raises OverflowError.
     """
     if t_table.n != k_table.n:
         raise ValueError("orbit tables live in different ambient spaces")
+    if (
+        t_table.group is not None
+        and k_table.group is not None
+        and group_hash(t_table.group) != group_hash(k_table.group)
+    ):
+        raise ValueError("orbit tables belong to different groups")
     if not 0 < t_table.k < k_table.k:
         raise ValueError("need 0 < t < k between the two tables")
     n, t, k = k_table.n, t_table.k, k_table.k

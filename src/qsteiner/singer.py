@@ -9,12 +9,19 @@ integer arithmetic on such sets, and orbit labels, lengths, and lookups
 never have to walk the group.  Detection is exhaustive: the affine model
 is checked on every nonzero vector, so a successful detect() is a proof
 that the fast path agrees with the matrix action.
+
+The normalizer of a Singer cycle is GammaL(1, 2^n), so every slope t is
+a power of two 2^j, and detect() certifies that too.  Multiplying by 2^j
+modulo 2^n - 1 rotates the n bits of an exponent left by j places, so
+the label pass scales exponents by shifts and masks, with no division,
+and sorts each scaled set with a fixed compare-exchange network (Batcher's
+odd-even merge sort) on whole arrays, with no per-row sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cache
 
 import numpy as np
 
@@ -22,7 +29,6 @@ from .gf2 import BitMatrix, mat_mul, mat_vec, mat_vec_bulk, rref_bulk, span_vect
 from .subspace import Subspace, pack_keys_bulk
 
 MAX_ENGINE_WIDTH = 24
-MAX_SLOPE_GROUP = 1 << 16
 # Rows per batch of the label pass; the results do not depend on it, only
 # the size of the temporaries does.
 LABEL_BATCH_ROWS = 1 << 12
@@ -58,7 +64,7 @@ class SingerEngine:
     modulus: int  # 2^n - 1
     exptable: np.ndarray  # (modulus,) uint64, exponent -> vector
     dlog: np.ndarray  # (2^n,) int64, vector -> exponent
-    slopes: tuple[int, ...]  # subgroup of (Z/modulus)* acting on exponents
+    slopes: tuple[int, ...]  # powers of two acting on exponents, at most n
     order: int  # modulus * len(slopes)
 
     @classmethod
@@ -84,7 +90,8 @@ class SingerEngine:
                 imgs = dlog[mat_vec_bulk(other, table)]
                 c = int(imgs[0])
                 t = int((imgs[1] - c) % modulus) if modulus > 1 else 1
-                if gcd(t, modulus) != 1:
+                # the label pass scales by bit rotation (see _labels_batch)
+                if t <= 0 or t & (t - 1):
                     ok = False
                     break
                 if not np.array_equal(imgs, (t * arange + c) % modulus):
@@ -94,8 +101,6 @@ class SingerEngine:
             if not ok:
                 continue
             slopes = _slope_closure(slope_gens, modulus)
-            if slopes is None:
-                continue
             return cls(
                 n=n,
                 modulus=modulus,
@@ -162,6 +167,14 @@ class SingerEngine:
     def _labels_batch(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Labels and stabilizer orders of one batch of exponent sets.
 
+        Scaling: column i * num + r of ext holds the image of row r under
+        slope i, 2^j.  Multiplying by 2^j modulo 2^n - 1 rotates the n bits
+        of an exponent left by j places, (x << j | x >> (n - j)) & M, which
+        whole-array shifts write straight into those columns.  Each column
+        is then sorted in place by Batcher's odd-even merge network over
+        its m rows: a fixed list of compare-exchanges, each one minimum and
+        one maximum of two rows of ext (see _sorting_network).
+
         Rotation: sorting t*D once per slope gives every base point at
         once.  The candidate of the point at sorted position j is the
         sorted row rotated to start at j, minus its entry j, with the
@@ -179,20 +192,28 @@ class SingerEngine:
         """
         num, m = exps.shape
         top = min(max(1, 64 // self.n), m - 1)  # values in the first word
-        slopes = np.array(self.slopes, dtype=np.int64)
-        cols = len(slopes) * num  # column t * num + r: slope t, row r
+        shifts = [t.bit_length() - 1 for t in self.slopes]
+        cols = len(shifts) * num
         # exponents stay below 2^MAX_ENGINE_WIDTH, so twice the modulus
-        # fits in int32
-        scaled = np.empty((len(slopes), num, m), dtype=np.int32)
-        np.remainder(
-            slopes[:, None, None] * exps, self.modulus, out=scaled, casting="unsafe"
-        )
-        scaled.sort(axis=2)
+        # fits in int32; rotating as (x & low) << j | x >> (n - j), where
+        # low keeps the n - j bits that move up, never leaves n bits
         ext = np.empty((2 * m, cols), dtype=np.int32)
-        ext[:m] = scaled.reshape(cols, m).T
+        xt = np.ascontiguousarray(exps.T, dtype=np.int32)
+        high = np.empty_like(xt)
+        for i, j in enumerate(shifts):
+            image = ext[:m, i * num : (i + 1) * num]
+            np.bitwise_and(xt, (1 << (self.n - j)) - 1, out=image)
+            np.left_shift(image, j, out=image)
+            np.right_shift(xt, self.n - j, out=high)
+            image |= high
+        low = np.empty(cols, dtype=np.int32)
+        for a, b in _sorting_network(m):
+            np.minimum(ext[a], ext[b], out=low)
+            np.maximum(ext[a], ext[b], out=ext[b])
+            ext[a] = low
         np.add(ext[:m], self.modulus, out=ext[m:])
         # value top of every candidate, one row per base point j and slope
-        key = (ext[top : top + m] - ext[:m]).reshape(m * len(slopes), num)
+        key = (ext[top : top + m] - ext[:m]).reshape(m * len(shifts), num)
         base, col = np.divmod(np.flatnonzero(key == key.min(axis=0)), cols)
         row = col % num
         cand = ext[base[:, None] + np.arange(m), col[:, None]]
@@ -327,7 +348,29 @@ def _distinct_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return rows[order[head]]
 
 
-def _slope_closure(gens: list[int], modulus: int) -> tuple[int, ...] | None:
+@cache
+def _sorting_network(m: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort on m wires as compare-exchange pairs
+    (a, b), a < b, in order: after min to wire a and max to wire b of each,
+    the wires are sorted.  The comparators of the network on the next
+    power of two that touch a wire >= m are dropped, which sorts as if
+    those wires held values above all others."""
+    out = []
+    p = 1
+    while p < m:
+        k = p
+        while k:
+            for j in range(k % p, m - k, 2 * k):
+                for i in range(j, j + min(k, m - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        out.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(out)
+
+
+def _slope_closure(gens: list[int], modulus: int) -> tuple[int, ...]:
+    """The group the slopes generate; powers of two, so at most n of them."""
     group = {1}
     frontier = [1]
     while frontier:
@@ -337,6 +380,4 @@ def _slope_closure(gens: list[int], modulus: int) -> tuple[int, ...] | None:
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
-                if len(group) > MAX_SLOPE_GROUP:
-                    return None
     return tuple(sorted(group))

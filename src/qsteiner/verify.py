@@ -20,7 +20,6 @@ from .gf2 import (
     first_duplicate,
     rref_bulk,
     rref_rows,
-    span_vectors_bulk,
 )
 from .groups import MatrixGroup, orbit
 from .subspace import (
@@ -182,25 +181,41 @@ def _line_keys(
     out |= scratch
 
 
-def _fill_keys(part: np.ndarray, n: int, t: int, dest: np.ndarray) -> None:
+def _fill_points(part: np.ndarray, out: np.ndarray) -> None:
+    """Every nonzero vector of each block of a chunk into out, one row per
+    point of PG(k - 1, 2) in the dtype of out: out[m - 1, i] is the XOR of
+    the rows of block i at the set bits of m, as in span_vectors_bulk.
+    Row 2^j - 1 is basis row j, and the 2^j - 1 rows after it are the
+    earlier rows XOR it."""
+    for j in range(part.shape[1]):
+        lo = (1 << j) - 1
+        out[lo] = part[:, j]
+        np.bitwise_xor(out[:lo], out[lo], out=out[lo + 1 : 2 * lo + 1])
+
+
+def _fill_keys(
+    part: np.ndarray, n: int, t: int, dest: np.ndarray, points: np.ndarray | None
+) -> None:
     """Every t-subspace key of a chunk of blocks into dest, one row per
     t-subspace slot of GF(2)^k: dest[j, i] is the key of slot j of block i.
 
     A point's key is the vector; a 2-subspace's is that of _line_keys,
-    built per line of PG(k - 1, 2) into the row of dest; a larger
-    subspace's is the packed RREF key of pack_keys_bulk.  A block's
-    t-subspaces are the lifts of the t-subspaces of GF(2)^k, as in
-    subspaces_of_bulk, so each is built once.
+    built per line of PG(k - 1, 2) into the row of dest from the chunk's
+    points, which fill the first columns of points, a (2^k - 1, >= N)
+    buffer in dest's dtype (None for t != 2); a larger subspace's is the
+    packed RREF key of pack_keys_bulk.  A block's t-subspaces are the
+    lifts of the t-subspaces of GF(2)^k, as in subspaces_of_bulk, so each
+    is built once.
     """
     if t > 2:
         keys = pack_keys_bulk(subspaces_of_bulk(part, t).reshape(-1, t), n)
         dest[...] = keys.reshape(part.shape[0], -1).T
         return
     if t == 1:
-        dest[...] = span_vectors_bulk(part).T
+        _fill_points(part, dest)
         return
-    # one contiguous vector in the key dtype per point of PG(k - 1, 2)
-    points = np.ascontiguousarray(span_vectors_bulk(part).T, dtype=dest.dtype)
+    points = points[:, : part.shape[0]]
+    _fill_points(part, points)
     scratch = np.empty(part.shape[0], dtype=dest.dtype)
     lines = np.concatenate([rows for _, rows in key_chunks(part.shape[1], 2)])
     for row, (a, b) in zip(dest, lines.tolist(), strict=True):
@@ -220,11 +235,14 @@ def _sorted_keys(
     per_block = gaussian_binomial(k, t, 2)
     dtype = _key_dtype(n, t, owner_bits)
     out = np.empty(num * per_block, dtype=dtype)
+    points = None
+    if t == 2:  # one buffer for the points of every chunk
+        points = np.empty(((1 << k) - 1, min(num, KEY_CHUNK_BLOCKS)), dtype=dtype)
     for start in range(0, num, KEY_CHUNK_BLOCKS):
         part = blocks[start : start + KEY_CHUNK_BLOCKS]
         dest = out[start * per_block : (start + len(part)) * per_block]
         dest = dest.reshape(per_block, len(part))
-        _fill_keys(part, n, t, dest)
+        _fill_keys(part, n, t, dest, points)
         if owner_bits:
             dest <<= dtype.type(owner_bits)
             dest |= np.arange(start, start + len(part), dtype=dtype)
@@ -259,7 +277,9 @@ def _runs(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _point_keys(blocks: np.ndarray) -> np.ndarray:
     """Every nonzero vector of every block, mask-major: key j belongs to
     block j % num."""
-    return span_vectors_bulk(blocks).T.ravel()
+    out = np.empty(((1 << blocks.shape[1]) - 1, blocks.shape[0]), dtype=np.uint64)
+    _fill_points(blocks, out)
+    return out.ravel()
 
 
 def _pair_key_chunks(n: int) -> Iterator[np.ndarray]:

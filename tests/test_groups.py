@@ -37,6 +37,7 @@ from qsteiner.subspace import (
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
+    key_chunks,
     load_subspace_file,
     pack_keys_bulk,
     span,
@@ -472,6 +473,42 @@ def test_lookup_rows_bulk_rejects_rows_wider_than_n():
                 table.lookup_rows_bulk(bad)
         with pytest.raises(ValueError, match="lookup expects a 2-dim subspace"):
             table.lookup([1, 64])
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_line_lookup_by_difference_matches_label_lookup(n):
+    # every 2-subspace, in RREF and in two other bases; short orbits occur
+    g = singer_normalizer(n)
+    table = orbit_partition(g, 2)
+    assert min(table.lengths) < g.order
+    rows = np.concatenate([chunk for _, chunk in key_chunks(n, 2)])
+    want = table._index_ids(rows)
+    assert want.min() >= 0
+    mixed = np.stack([rows[:, 0] ^ rows[:, 1], rows[:, 0]], axis=1)
+    for bases in (rows, rows[:, ::-1], mixed):
+        assert np.array_equal(table.lookup_rows_bulk(bases), want)
+    assert np.bincount(want).tolist() == table.lengths
+
+
+def test_line_lookup_rejects_bad_rows_and_untabulated_lines():
+    g = singer_normalizer(6)
+    table = orbit_partition(g, 2)
+    for bad in ([[0, 5]], [[5, 0]], [[0, 0]], [[5, 5]]):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            table.lookup_rows_bulk(bad)
+    for bad in ([[1, 64]], [[64, 1]], [[2**63, 3]]):
+        with pytest.raises(ValueError, match="lookup expects a 2-dim subspace"):
+            table.lookup_rows_bulk(bad)
+    partial = OrbitTable(
+        n=6, k=2, group=g, rows=table.rows[1:], lengths=table.lengths[1:]
+    )
+    ids = partial.lookup_rows_bulk(table.rows[1:])
+    assert ids.tolist() == list(range(partial.num_orbits))
+    with pytest.raises(KeyError):
+        partial.lookup(table.rows[0])
+    with pytest.raises(KeyError):
+        partial.lookup(table.rows[0, ::-1])
+    assert np.count_nonzero(partial._ensure_line_ids(g.engine()) < 0) > 1
 
 
 def test_lookup_reduces_the_basis():

@@ -7,7 +7,12 @@ import pytest
 
 import km_reference
 from qsteiner.exact_cover import from_km
-from qsteiner.gf2 import FormatError, identity
+from qsteiner.gf2 import (
+    FormatError,
+    companion_matrix,
+    identity,
+    primitive_polynomial,
+)
 from qsteiner.groups import MatrixGroup, orbit_partition, singer_normalizer
 from qsteiner.kramer_mesner import (
     build_km,
@@ -141,6 +146,18 @@ def test_import_rejects_checksum_tamper(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
         import_km(str(path))
+
+
+def test_build_rejects_tables_of_different_groups():
+    # the lines of <S> with the planes of its normalizer: orbit lengths that
+    # belong to two groups would give a wrong system with no error
+    n = 7
+    cyclic = MatrixGroup(n=n, generators=(companion_matrix(primitive_polynomial(n)),))
+    normalizer = singer_normalizer(n)
+    with pytest.raises(ValueError, match="different groups"):
+        build_km(orbit_partition(cyclic, 2), orbit_partition(normalizer, 3))
+    inst = build_km(orbit_partition(normalizer, 2), orbit_partition(normalizer, 3))
+    assert set(inst.row_sums().values()) == {gaussian_binomial(n - 2, 1, 2)}
 
 
 def test_build_rejects_corrupt_orbit_lengths():

@@ -6,6 +6,7 @@ import pytest
 import singer_reference
 from qsteiner.gf2 import rref_bulk
 from qsteiner.groups import singer_normalizer
+from qsteiner.singer import _sorting_network
 from qsteiner.subspace import key_chunks
 
 
@@ -68,3 +69,38 @@ def test_labels_match_oracle_with_three_values_per_word():
     rng = np.random.default_rng(17)
     for k in (1, 2, 3):
         assert_matches_oracle(engine, random_rows(rng, 500, k, 17))
+
+
+@pytest.mark.parametrize("n", [8, 13])
+def test_labels_match_oracle_on_five_dim_subspaces(n):
+    # k = 5 sorts 31 exponents per slope on a network of 31 wires; at n = 8
+    # the partition's representatives include short orbits
+    engine = singer_normalizer(n).engine()
+    sample = random_rows(np.random.default_rng(n), 300, 5, n)
+    if n == 8:
+        rows, _, _ = engine.partition(0, None)
+        for k in range(1, 6):
+            rows, _, _ = engine.partition(k, rows)
+        sample = np.concatenate([rows, sample])
+    stab = assert_matches_oracle(engine, sample)
+    assert n == 13 or np.count_nonzero(stab > 1) > 0
+
+
+@pytest.mark.parametrize("m", range(1, 16))
+def test_sorting_network_sorts_every_0_1_input(m):
+    # a comparator network sorts every input iff it sorts every 0/1 input
+    net = _sorting_network(m)
+    assert all(0 <= a < b < m for a, b in net)
+    wires = (np.arange(1 << m) >> np.arange(m)[:, None]) & 1
+    for a, b in net:
+        low = np.minimum(wires[a], wires[b])
+        wires[b] = np.maximum(wires[a], wires[b])
+        wires[a] = low
+    assert np.all(wires[1:] >= wires[:-1])
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_normalizer_slopes_are_the_powers_of_two(n):
+    engine = singer_normalizer(n).engine()
+    assert engine.slopes == tuple(1 << j for j in range(n))
+    assert engine.order == engine.modulus * n
