@@ -479,24 +479,26 @@ def mat_vec_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
     return vec_mat_bulk(transpose(m), vecs)
 
 
-def span_vectors_bulk(rows: np.ndarray) -> np.ndarray:
+def span_vectors_bulk(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Every nonzero vector of many spans at once.
 
-    rows is (N, k) uint64.  Returns (N, 2^k - 1) uint64 whose column m-1
-    is the XOR of the rows at the set bits of m, the order of
-    Subspace.vectors()[1:].  Built by doubling: column 2^i - 1 is row i,
-    and the 2^i - 1 columns after it are the earlier columns XOR row i.
+    rows is (N, k) uint64.  Returns (N, 2^k - 1) whose column m-1 is the
+    XOR of the rows at the set bits of m, the order of
+    Subspace.vectors()[1:].  The vectors are built column-major into out,
+    a (2^k - 1, N) integer array of any dtype wide enough for them (a new
+    uint64 one if None), and the result is out.T.  Built by doubling:
+    row 2^i - 1 of out is basis row i, and the 2^i - 1 rows after it are
+    the earlier rows XOR it.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    rows = np.asarray(rows, dtype=np.uint64)
     num, k = rows.shape
-    out = np.empty((num, (1 << k) - 1), dtype=np.uint64)
+    if out is None:
+        out = np.empty(((1 << k) - 1, num), dtype=np.uint64)
     for i in range(k):
         lo = (1 << i) - 1
-        out[:, lo] = rows[:, i]
-        np.bitwise_xor(
-            out[:, :lo], rows[:, i : i + 1], out=out[:, lo + 1 : 2 * lo + 1]
-        )
-    return out
+        out[lo] = rows[:, i]
+        np.bitwise_xor(out[:lo], out[lo], out=out[lo + 1 : 2 * lo + 1])
+    return out.T
 
 
 def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -89,9 +89,12 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
     For every k-orbit representative K, each of its t-subspaces is
     located in the t-orbit table; the multiset of hits gives b(K, T)
     and the double-counting identity turns it into a(T, K), whose
-    divisibility is checked exactly.  Tables of two different groups are
-    a ValueError; an entry above 255 does not fit the uint8 matrix and
-    raises OverflowError.
+    divisibility is checked exactly.  When both tables carry a group,
+    their group_hash values must agree, else ValueError: the hash is of
+    the generator list in order, so tables of one group built from
+    different or reordered generators are refused too, as the group
+    itself is not compared.  An entry above 255 does not fit the uint8
+    matrix and raises OverflowError.
     """
     if t_table.n != k_table.n:
         raise ValueError("orbit tables live in different ambient spaces")
@@ -100,7 +103,10 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
         and k_table.group is not None
         and group_hash(t_table.group) != group_hash(k_table.group)
     ):
-        raise ValueError("orbit tables belong to different groups")
+        raise ValueError(
+            "orbit tables were built from different generator lists "
+            "(group hashes differ)"
+        )
     if not 0 < t_table.k < k_table.k:
         raise ValueError("need 0 < t < k between the two tables")
     n, t, k = k_table.n, t_table.k, k_table.k

@@ -15,7 +15,8 @@ a power of two 2^j, and detect() certifies that too.  Multiplying by 2^j
 modulo 2^n - 1 rotates the n bits of an exponent left by j places, so
 the label pass scales exponents by shifts and masks, with no division,
 and sorts each scaled set with a fixed compare-exchange network (Batcher's
-odd-even merge sort) on whole arrays, with no per-row sort.
+odd-even merge sort) on whole arrays, with no per-row sort, up to
+NETWORK_MAX_WIRES exponents per set (subspaces of dimension 7 or less).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ MAX_ENGINE_WIDTH = 24
 # Rows per batch of the label pass; the results do not depend on it, only
 # the size of the temporaries does.
 LABEL_BATCH_ROWS = 1 << 12
+# Largest exponent set (2^k - 1 entries) the label pass sorts with the
+# network; past it the network's O(m log^2 m) comparators, each a pass
+# over a whole batch, cost more than one row sort and a transposed copy.
+NETWORK_MAX_WIRES = 127
 
 
 def _power_table(s: BitMatrix) -> np.ndarray | None:
@@ -156,7 +161,7 @@ class SingerEngine:
         the number of (t, d) pairs that reach the minimum, counted in the
         same pass that finds it.
         """
-        exps = np.ascontiguousarray(exps, dtype=np.int64)
+        exps = np.asarray(exps)  # each batch is copied to int32 in its layout
         parts = [
             self._labels_batch(exps[i : i + LABEL_BATCH_ROWS])
             for i in range(0, max(1, exps.shape[0]), LABEL_BATCH_ROWS)
@@ -173,7 +178,9 @@ class SingerEngine:
         whole-array shifts write straight into those columns.  Each column
         is then sorted in place by Batcher's odd-even merge network over
         its m rows: a fixed list of compare-exchanges, each one minimum and
-        one maximum of two rows of ext (see _sorting_network).
+        one maximum of two rows of ext (see _sorting_network).  Past
+        NETWORK_MAX_WIRES rows the images are built row-major instead,
+        sorted row by row and copied transposed into ext.
 
         Rotation: sorting t*D once per slope gives every base point at
         once.  The candidate of the point at sorted position j is the
@@ -198,19 +205,28 @@ class SingerEngine:
         # fits in int32; rotating as (x & low) << j | x >> (n - j), where
         # low keeps the n - j bits that move up, never leaves n bits
         ext = np.empty((2 * m, cols), dtype=np.int32)
-        xt = np.ascontiguousarray(exps.T, dtype=np.int32)
-        high = np.empty_like(xt)
-        for i, j in enumerate(shifts):
-            image = ext[:m, i * num : (i + 1) * num]
-            np.bitwise_and(xt, (1 << (self.n - j)) - 1, out=image)
+        network = m <= NETWORK_MAX_WIRES
+        if network:  # image i is the column block ext[:m, i * num : ...]
+            src = np.ascontiguousarray(exps.T, dtype=np.int32)
+            images = ext[:m].reshape(m, len(shifts), num).transpose(1, 0, 2)
+        else:  # image i is (num, m), sorted along its rows
+            src = np.ascontiguousarray(exps, dtype=np.int32)
+            images = np.empty((len(shifts), num, m), dtype=np.int32)
+        high = np.empty_like(src)
+        for image, j in zip(images, shifts):
+            np.bitwise_and(src, (1 << (self.n - j)) - 1, out=image)
             np.left_shift(image, j, out=image)
-            np.right_shift(xt, self.n - j, out=high)
+            np.right_shift(src, self.n - j, out=high)
             image |= high
-        low = np.empty(cols, dtype=np.int32)
-        for a, b in _sorting_network(m):
-            np.minimum(ext[a], ext[b], out=low)
-            np.maximum(ext[a], ext[b], out=ext[b])
-            ext[a] = low
+        if network:
+            low = np.empty(cols, dtype=np.int32)
+            for a, b in _sorting_network(m):
+                np.minimum(ext[a], ext[b], out=low)
+                np.maximum(ext[a], ext[b], out=ext[b])
+                ext[a] = low
+        else:
+            images.sort(axis=2)
+            ext[:m] = images.reshape(cols, m).T
         np.add(ext[:m], self.modulus, out=ext[m:])
         # value top of every candidate, one row per base point j and slope
         key = (ext[top : top + m] - ext[:m]).reshape(m * len(shifts), num)

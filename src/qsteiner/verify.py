@@ -20,6 +20,7 @@ from .gf2 import (
     first_duplicate,
     rref_bulk,
     rref_rows,
+    span_vectors_bulk,
 )
 from .groups import MatrixGroup, orbit
 from .subspace import (
@@ -181,18 +182,6 @@ def _line_keys(
     out |= scratch
 
 
-def _fill_points(part: np.ndarray, out: np.ndarray) -> None:
-    """Every nonzero vector of each block of a chunk into out, one row per
-    point of PG(k - 1, 2) in the dtype of out: out[m - 1, i] is the XOR of
-    the rows of block i at the set bits of m, as in span_vectors_bulk.
-    Row 2^j - 1 is basis row j, and the 2^j - 1 rows after it are the
-    earlier rows XOR it."""
-    for j in range(part.shape[1]):
-        lo = (1 << j) - 1
-        out[lo] = part[:, j]
-        np.bitwise_xor(out[:lo], out[lo], out=out[lo + 1 : 2 * lo + 1])
-
-
 def _fill_keys(
     part: np.ndarray, n: int, t: int, dest: np.ndarray, points: np.ndarray | None
 ) -> None:
@@ -212,10 +201,10 @@ def _fill_keys(
         dest[...] = keys.reshape(part.shape[0], -1).T
         return
     if t == 1:
-        _fill_points(part, dest)
+        span_vectors_bulk(part, out=dest)
         return
     points = points[:, : part.shape[0]]
-    _fill_points(part, points)
+    span_vectors_bulk(part, out=points)
     scratch = np.empty(part.shape[0], dtype=dest.dtype)
     lines = np.concatenate([rows for _, rows in key_chunks(part.shape[1], 2)])
     for row, (a, b) in zip(dest, lines.tolist(), strict=True):
@@ -277,9 +266,7 @@ def _runs(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _point_keys(blocks: np.ndarray) -> np.ndarray:
     """Every nonzero vector of every block, mask-major: key j belongs to
     block j % num."""
-    out = np.empty(((1 << blocks.shape[1]) - 1, blocks.shape[0]), dtype=np.uint64)
-    _fill_points(blocks, out)
-    return out.ravel()
+    return span_vectors_bulk(blocks).T.ravel()
 
 
 def _pair_key_chunks(n: int) -> Iterator[np.ndarray]:

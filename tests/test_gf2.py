@@ -431,3 +431,9 @@ def test_span_vectors_bulk_matches_subspace_vectors():
                         v ^= r[i]
                 expect.append(v)
             assert g == expect
+        # into a caller's column-major buffer of another dtype, here the
+        # first columns of a wider one: the result is its transpose
+        buf = np.zeros((2**k - 1, 25), dtype=np.uint32)
+        got32 = span_vectors_bulk(rows[:20], out=buf[:, :20])
+        assert got32.base is buf and got32.dtype == np.uint32
+        assert np.array_equal(got32, vecs[:20]) and not buf[:, 20:].any()

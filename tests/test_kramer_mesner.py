@@ -154,8 +154,13 @@ def test_build_rejects_tables_of_different_groups():
     n = 7
     cyclic = MatrixGroup(n=n, generators=(companion_matrix(primitive_polynomial(n)),))
     normalizer = singer_normalizer(n)
-    with pytest.raises(ValueError, match="different groups"):
+    with pytest.raises(ValueError, match="different generator lists"):
         build_km(orbit_partition(cyclic, 2), orbit_partition(normalizer, 3))
+    # the check compares generator lists, not groups: the same generators
+    # in another order are refused on purpose
+    reordered = MatrixGroup(n=n, generators=tuple(reversed(normalizer.generators)))
+    with pytest.raises(ValueError, match="group hashes differ"):
+        build_km(orbit_partition(reordered, 2), orbit_partition(normalizer, 3))
     inst = build_km(orbit_partition(normalizer, 2), orbit_partition(normalizer, 3))
     assert set(inst.row_sums().values()) == {gaussian_binomial(n - 2, 1, 2)}
 
