@@ -26,15 +26,12 @@ from .gf2 import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    matrix_order,
     primitive_polynomial,
     rank,
-    rref,
 )
 from .groups import (
     MatrixGroup,
     OrbitTable,
-    act,
     group_closure,
     orbit,
     orbit_partition,
@@ -43,12 +40,9 @@ from .groups import (
 from .kramer_mesner import KMInstance, build_km, prune
 from .subspace import (
     Subspace,
-    canonicalize,
-    enumerate_subspaces,
     gaussian_binomial,
     span,
     spread_size,
-    subspace_distance,
 )
 from .verify import (
     BlockSet,
@@ -76,23 +70,19 @@ __all__ = [
     "SolveConfig",
     "SolveStats",
     "Subspace",
-    "act",
     "build_km",
-    "canonicalize",
     "check_solution",
     "companion_matrix",
     "derived_steiner_sample_check",
-    "enumerate_subspaces",
     "expand_orbits",
-    "from_km",
     "frobenius_matrix",
+    "from_km",
     "gaussian_binomial",
     "group_closure",
     "identity",
     "mat_inverse",
     "mat_mul",
     "mat_vec",
-    "matrix_order",
     "min_distance_certificate",
     "orbit",
     "orbit_partition",
@@ -100,11 +90,9 @@ __all__ = [
     "primitive_polynomial",
     "prune",
     "rank",
-    "rref",
     "singer_normalizer",
     "solve",
     "span",
     "spread_size",
-    "subspace_distance",
     "verify_design",
 ]

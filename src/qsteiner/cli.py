@@ -238,9 +238,12 @@ def resolve_reps(settings: Settings, group: MatrixGroup):
         raise UsageError("--k-orbits needs exactly one of --ids or --solution")
     table = OrbitTable.load(table_file, group=group)
     if ids_text is not None:
-        ids = _parse_forced(ids_text)
+        ids = _parse_ids(ids_text, "--ids", "orbit ids")
     else:
-        rows, _ = load_solutions(solution_file)
+        try:
+            rows, _ = load_solutions(solution_file)
+        except FormatError as exc:
+            raise FormatError(f"{solution_file}: {exc}") from None
         if not rows:
             raise UsageError(f"{solution_file}: contains no solutions")
         ids = list(rows[0])
@@ -350,14 +353,16 @@ def cmd_km(settings: Settings) -> int:
     return EXIT_OK
 
 
-def _parse_forced(text: str | None) -> list[int]:
+def _parse_ids(text: str | None, flag: str, what: str) -> list[int]:
+    """The comma- or space-separated integer ids of a flag's value; what
+    names them in the error."""
     if not text:
         return []
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     try:
         return [int(p) for p in parts]
     except ValueError as exc:
-        raise UsageError(f"--force expects integer column ids: {exc}") from exc
+        raise UsageError(f"{flag} expects integer {what}: {exc}") from exc
 
 
 def _max_solutions(settings: Settings, default: str) -> int | None:
@@ -384,7 +389,7 @@ def cmd_solve(settings: Settings) -> int:
         time_limit=settings.get("time-limit", cast=float),
         seed=settings.get("seed", default=0, cast=int),
         order=settings.get("order", default="file"),
-        forced=_parse_forced(settings.get("force")),
+        forced=_parse_ids(settings.get("force"), "--force", "column ids"),
     )
     try:
         solutions, stats = solve(problem, config)
@@ -441,6 +446,10 @@ def cmd_verify(settings: Settings) -> int:
     derived_samples = _sample_count(settings, "derived-samples", default=0)
     blocks_file = settings.get("blocks")
     if blocks_file is not None:
+        if settings.get("reps") is not None or settings.flag_true("fixture-solution"):
+            raise UsageError(
+                "choose exactly one of --blocks FILE, --reps FILE or --fixture-solution"
+            )
         blocks = BlockSet.load(blocks_file)
     else:
         group = resolve_group(settings)

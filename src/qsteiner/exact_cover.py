@@ -78,7 +78,6 @@ class SolveStats:
     max_depth: int = 0
     elapsed: float = 0.0
     limit: str | None = None
-    restored: bool = False
 
 
 @dataclass
@@ -211,16 +210,15 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
         # at whatever later point the cyclic collector runs
         del search
 
+    if remaining != after_forced or watermark != [-1] * nitems:
+        raise AssertionError("search did not restore its item counters")
     stats = SolveStats(
         solutions=len(solutions),
         nodes=nodes,
         max_depth=max_depth,
         elapsed=time.monotonic() - t0,
         limit=stop,
-        restored=remaining == after_forced and watermark == [-1] * nitems,
     )
-    if not stats.restored:
-        raise AssertionError("search did not restore its item counters")
     return solutions, stats
 
 
@@ -310,7 +308,10 @@ def parse_solutions(text: str) -> tuple[list[tuple[int, ...]], dict]:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        try:
+            if not line.startswith("#"):
+                sols.append(tuple(int(x) for x in line.split()))
+                continue
             body = line[1:].strip()
             if body.startswith("problem "):
                 meta["problem"] = int(body.split()[1])
@@ -320,9 +321,6 @@ def parse_solutions(text: str) -> tuple[list[tuple[int, ...]], dict]:
                 meta["stats"] = body[len("stats ") :]
             elif body.startswith("forced "):
                 meta["forced"] = [int(x) for x in body.split()[1:]]
-            continue
-        try:
-            sols.append(tuple(int(x) for x in line.split()))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
     return sols, meta

@@ -21,7 +21,7 @@ class FormatError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """Inverse or order requested for a non-invertible matrix."""
+    """Inverse requested for a non-invertible matrix."""
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,6 @@ def rref_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(basis), tuple((b & -b).bit_length() - 1 for b in basis)
 
 
-def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """RREF of a BitMatrix; see rref_rows for the normal form."""
-    rows, pivots = rref_rows(m.rows)
-    return BitMatrix(rows, m.ncols), pivots
-
-
 def rank(m: BitMatrix) -> int:
     return len(rref_rows(m.rows)[0])
 
@@ -138,53 +132,8 @@ def mat_inverse(m: BitMatrix) -> BitMatrix:
     return BitMatrix(tuple(r >> n for r in red), n)
 
 
-def matrix_order(m: BitMatrix, bound: int = 10**7) -> int:
-    """Multiplicative order of an invertible matrix, by iteration.
-
-    Raises SingularMatrixError for singular input and RuntimeError when
-    the order exceeds bound.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("order of a non-square matrix")
-    if rank(m) != m.ncols:
-        raise SingularMatrixError("singular matrix has no multiplicative order")
-    ident = identity(m.ncols)
-    cur = m
-    k = 1
-    while cur != ident:
-        cur = mat_mul(cur, m)
-        k += 1
-        if k > bound:
-            raise RuntimeError(f"matrix order exceeds bound {bound}")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # polynomials over GF(2)
-
-
-@dataclass(frozen=True)
-class GF2Polynomial:
-    """Polynomial over GF(2); bit i of bits is the coefficient of x^i."""
-
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise ValueError("negative coefficient mask")
-
-    @property
-    def degree(self) -> int:
-        return self.bits.bit_length() - 1
-
-    def __str__(self) -> str:
-        if self.bits == 0:
-            return "0"
-        terms = []
-        for i in range(self.bits.bit_length() - 1, -1, -1):
-            if (self.bits >> i) & 1:
-                terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-        return " + ".join(terms)
 
 
 def poly_mulmod(a: int, b: int, mod: int) -> int:
@@ -253,20 +202,21 @@ PRIMITIVE_POLYNOMIALS: dict[int, int] = {
 }
 
 
-def primitive_polynomial(n: int) -> GF2Polynomial:
-    """A primitive polynomial of degree n over GF(2), for 2 <= n <= 32."""
+def primitive_polynomial(n: int) -> int:
+    """A primitive polynomial of degree n over GF(2), for 2 <= n <= 32;
+    bit i is the coefficient of x^i."""
     if n not in PRIMITIVE_POLYNOMIALS:
         raise ValueError(f"no primitive polynomial tabulated for degree {n}")
-    return GF2Polynomial(PRIMITIVE_POLYNOMIALS[n])
+    return PRIMITIVE_POLYNOMIALS[n]
 
 
-def companion_matrix(p: GF2Polynomial | int) -> BitMatrix:
-    """Companion matrix of a monic polynomial, acting on column vectors.
+def companion_matrix(bits: int) -> BitMatrix:
+    """Companion matrix of a monic polynomial p, packed as bits, acting on
+    column vectors.
 
     Column j is the image of basis vector e_j: multiplication by x in
     GF(2)[x]/(p), so e_j -> e_{j+1} for j < n-1 and e_{n-1} -> p - x^n.
     """
-    bits = p.bits if isinstance(p, GF2Polynomial) else p
     n = bits.bit_length() - 1
     if n < 1:
         raise ValueError("polynomial must have degree >= 1")
@@ -279,14 +229,14 @@ def companion_matrix(p: GF2Polynomial | int) -> BitMatrix:
     return BitMatrix(tuple(rows), n)
 
 
-def frobenius_matrix(p: GF2Polynomial | int) -> BitMatrix:
-    """Matrix of the squaring map y -> y^2 on GF(2)[x]/(p), column convention.
+def frobenius_matrix(bits: int) -> BitMatrix:
+    """Matrix of the squaring map y -> y^2 on GF(2)[x]/(p), column
+    convention, for a polynomial p packed as bits.
 
     Column j holds x^(2j) mod p.  For primitive p of degree n the result
     has multiplicative order n and conjugates the companion matrix C to
     C^2: F C F^-1 = C^2.
     """
-    bits = p.bits if isinstance(p, GF2Polynomial) else p
     n = bits.bit_length() - 1
     if n < 1:
         raise ValueError("polynomial must have degree >= 1")
@@ -483,12 +433,11 @@ def span_vectors_bulk(rows: np.ndarray, out: np.ndarray | None = None) -> np.nda
     """Every nonzero vector of many spans at once.
 
     rows is (N, k) uint64.  Returns (N, 2^k - 1) whose column m-1 is the
-    XOR of the rows at the set bits of m, the order of
-    Subspace.vectors()[1:].  The vectors are built column-major into out,
-    a (2^k - 1, N) integer array of any dtype wide enough for them (a new
-    uint64 one if None), and the result is out.T.  Built by doubling:
-    row 2^i - 1 of out is basis row i, and the 2^i - 1 rows after it are
-    the earlier rows XOR it.
+    XOR of the rows at the set bits of m.  The vectors are built
+    column-major into out, a (2^k - 1, N) integer array of any dtype wide
+    enough for them (a new uint64 one if None), and the result is out.T.
+    Built by doubling: row 2^i - 1 of out is basis row i, and the 2^i - 1
+    rows after it are the earlier rows XOR it.
     """
     rows = np.asarray(rows, dtype=np.uint64)
     num, k = rows.shape

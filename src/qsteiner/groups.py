@@ -26,7 +26,6 @@ from .gf2 import (
     format_matrix,
     frobenius_matrix,
     identity,
-    mat_vec,
     mat_vec_bulk,
     pack_rows,
     parse_matrix_text,
@@ -37,12 +36,11 @@ from .gf2 import (
 )
 from .singer import SingerEngine
 from .subspace import (
-    Subspace,
     enumerate_keys_bulk,
     gaussian_binomial,
     key_chunks,
+    key_order,
     pack_keys_bulk,
-    span,
 )
 
 CLOSURE_CAP = 10**7
@@ -161,16 +159,6 @@ def singer_normalizer(n: int) -> MatrixGroup:
     return MatrixGroup(n=n, generators=(s, f), order=(2**n - 1) * n)
 
 
-def act(g: BitMatrix, u: Subspace) -> Subspace:
-    """Image of a subspace under a matrix: span of g @ b over basis rows b.
-
-    Left action: act(mat_mul(g, h), u) == act(g, act(h, u)).
-    """
-    if g.ncols != u.ambient:
-        raise ValueError("matrix width does not match the ambient dimension")
-    return span([mat_vec(g, r) for r in u.rows], u.ambient)
-
-
 def orbit(group: MatrixGroup, rows: np.ndarray, cap: int = TRAVERSAL_CAP) -> np.ndarray:
     """All images of a subspace, given by its (k,) uint64 basis rows, under
     the group as (L, k) RREF rows in ascending key order; a bulk
@@ -186,9 +174,7 @@ def orbit(group: MatrixGroup, rows: np.ndarray, cap: int = TRAVERSAL_CAP) -> np.
     rows = _bfs(start, maps, group.n, cap)
     if rows is None:
         raise StrategyError(f"orbit exceeded the traversal cap {cap}")
-    # keys order by pivot mask, then by the rows from the last one up
-    pivots = np.bitwise_or.reduce(rows & (np.uint64(0) - rows), axis=1)
-    return rows[np.lexsort((*rows.T, pivots))]
+    return rows[key_order(rows)]
 
 
 def _rowwise(words: np.ndarray) -> np.ndarray:

@@ -78,7 +78,8 @@ class KMInstance:
     @property
     def entries(self) -> dict:
         """{(row id, column id): value} of the nonzero entries: a new
-        dict built from matrix on each read, so editing it edits nothing."""
+        dict built from matrix on each read, so editing it edits nothing.
+        bench/workload.py is its only caller."""
         rids, cids, vals = self.nonzero()
         return dict(zip(zip(rids.tolist(), cids.tolist()), vals.tolist()))
 

@@ -119,10 +119,10 @@ class SingerEngine:
     # -- conversions ------------------------------------------------------
 
     def rows_to_exps(self, rows: np.ndarray) -> np.ndarray:
-        """(N, k) basis rows -> (N, 2^k - 1) sorted exponent sets."""
-        exps = self.dlog[span_vectors_bulk(rows)]
-        exps.sort(axis=1)
-        return exps
+        """(N, k) basis rows -> (N, 2^k - 1) exponent sets, each in the
+        span order of span_vectors_bulk, unsorted: the label pass sorts
+        its own scaled copies."""
+        return self.dlog[span_vectors_bulk(rows)]
 
     # -- labels -----------------------------------------------------------
 
@@ -249,10 +249,10 @@ class SingerEngine:
         """|G| / |stabilizer|, counting affine maps that fix the exponent set.
 
         One subspace at a time and independent of the label pass, whose
-        stabilizer counts give the partition's lengths; kept as their
-        oracle, not called by the pipeline.
+        stabilizer counts give the partition's lengths.  bench/probes.py is
+        its only caller; the tests keep it as the oracle of those counts.
         """
-        d = self.rows_to_exps(np.array(u.rows, dtype=np.uint64).reshape(1, u.dim))[0]
+        d = np.sort(self.rows_to_exps(np.array([u.rows], dtype=np.uint64))[0])
         m = d.shape[0]
         if m == 0:
             return 1  # the zero subspace is fixed by every element

@@ -1,23 +1,23 @@
-"""Subspaces of GF(2)^n: canonical forms, enumeration, and counting.
+"""Subspaces of GF(2)^n: keys, enumeration, counting and the text format.
 
-A subspace is identified by the reduced row echelon form of any spanning
-set, packed row-wise into ints (see gf2).  The canonical integer key
-orders subspaces by (pivot columns, free entries), which makes orbit
-representatives and enumeration order reproducible.
+A subspace is held as the reduced row echelon form of any spanning set,
+packed row-wise into ints (see gf2); many of them are an (N, k) uint64
+array of such rows.  The canonical integer key orders subspaces by
+(pivot columns, free entries), which makes orbit representatives and
+enumeration order reproducible.  This module alone packs and unpacks
+that key (pack_keys_bulk, key_rows).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .gf2 import (
-    BitMatrix,
     FormatError,
-    format_matrix,
     parse_matrix_rows,
     rref_bulk,
     rref_rows,
@@ -33,119 +33,34 @@ class EnumerationGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of GF(2)^ambient held as its RREF basis rows."""
+    """A subspace of GF(2)^ambient held as its RREF basis rows.
+
+    bench/probes.py is its only caller: every stage works on arrays of
+    rows instead.
+    """
 
     ambient: int
     rows: tuple[int, ...]
-    key: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.ambient <= 64:
             raise ValueError(f"ambient dimension {self.ambient} out of range")
         object.__setattr__(self, "rows", tuple(self.rows))
-        red, pivots = rref_rows(self.rows)
-        if red != self.rows:
+        if rref_rows(self.rows)[0] != self.rows:
             raise ValueError("rows are not in reduced row echelon form")
         if self.rows and self.rows[-1].bit_length() > self.ambient:
             raise ValueError("basis row exceeds ambient width")
-        object.__setattr__(self, "key", _pack_key(self.ambient, self.rows, pivots))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def vectors(self) -> list[int]:
-        """All 2^dim elements, in XOR-subset counter order."""
-        out = [0]
-        for r in self.rows:
-            out += [v ^ r for v in out]
-        return out
-
-    def __repr__(self) -> str:
-        return f"Subspace(n={self.ambient}, dim={self.dim}, key={self.key})"
-
-
-def _drop_columns(r, bits):
-    """r with the columns of bits removed: ascending single-bit masks, each
-    0 in r.  Highest first, the part of r above a column moves down by one.
-    Works alike on an int and, in place, on a uint64 array."""
-    for b in reversed(bits):
-        r -= (r & -b) >> 1
-    return r
-
-
-def _pack_key(n: int, rows: tuple[int, ...], pivots: tuple[int, ...]) -> int:
-    """Canonical key: (dim, pivot mask) above, then each row with its k
-    pivot columns removed, row i at bit offset i*(n-k).
-
-    Keys are injective and ascending in enumeration order for fixed (n, dim).
-    """
-    bits = [1 << p for p in pivots]
-    key = len(rows) << n | sum(bits)
-    for r, b in zip(reversed(rows), reversed(bits)):
-        key = key << (n - len(rows)) | _drop_columns(r ^ b, bits)
-    return key
-
-
-def subspace_from_key(n: int, k: int, key: int) -> Subspace:
-    """Inverse of the key packing for a known (n, k) context."""
-    width = n - k
-    head = key >> (k * width)
-    pivmask = head & ((1 << n) - 1)
-    if head >> n != k or pivmask.bit_count() != k:
-        raise ValueError("key does not decode to the given dimension")
-    bits = []
-    while pivmask:
-        bits.append(pivmask & -pivmask)
-        pivmask ^= bits[-1]
-    rows = []
-    for i, b in enumerate(bits):
-        r = key >> (i * width) & ((1 << width) - 1)
-        for p in bits:  # put the pivot columns back, lowest first
-            r += r & -p
-        rows.append(r | b)
-    return Subspace(n, tuple(rows))
-
-
-def canonicalize(m: BitMatrix) -> Subspace:
-    """Subspace spanned by the rows of m, in canonical form."""
-    red, _ = rref_rows(m.rows)
-    return Subspace(m.ncols, red)
-
 
 def span(vectors: Iterable[int], n: int) -> Subspace:
-    """Subspace spanned by packed vectors inside GF(2)^n."""
+    """Subspace spanned by packed vectors inside GF(2)^n; bench/probes.py
+    is its only caller."""
     red, _ = rref_rows(vectors)
     return Subspace(n, red)
-
-
-def contains(u: Subspace, v: int) -> bool:
-    """Membership of the packed vector v in u."""
-    if v < 0 or v.bit_length() > u.ambient:
-        raise ValueError("vector does not live in the ambient space")
-    for r in u.rows:
-        if (v >> ((r & -r).bit_length() - 1)) & 1:
-            v ^= r
-    return v == 0
-
-
-def contains_subspace(u: Subspace, w: Subspace) -> bool:
-    """Whether w is a subspace of u."""
-    if u.ambient != w.ambient:
-        raise ValueError("ambient dimensions differ")
-    return all(contains(u, r) for r in w.rows)
-
-
-def intersection_dim(u: Subspace, w: Subspace) -> int:
-    if u.ambient != w.ambient:
-        raise ValueError("ambient dimensions differ")
-    stacked, _ = rref_rows(u.rows + w.rows)
-    return u.dim + w.dim - len(stacked)
-
-
-def subspace_distance(u: Subspace, w: Subspace) -> int:
-    """Graph distance in the subspace lattice: dim u + dim w - 2 dim(u & w)."""
-    return u.dim + w.dim - 2 * intersection_dim(u, w)
 
 
 def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
@@ -171,24 +86,25 @@ def spread_size(n: int, k: int, q: int = 2) -> int:
     return (q**n - 1) // (q**k - 1)
 
 
-def enumerate_subspaces(n: int, k: int, guard: int = ENUMERATION_GUARD) -> Iterator[Subspace]:
-    """Yield every k-dim subspace of GF(2)^n in ascending key order."""
-    total = gaussian_binomial(n, k, 2)
-    if total > guard:
-        raise EnumerationGuardError(
-            f"{total} subspaces exceed the enumeration guard {guard}; "
-            "raise the guard explicitly"
-        )
-    for _, rows in key_chunks(n, k):
-        for r in rows.tolist():
-            yield Subspace(n, tuple(r))
+def key_bits(n: int, k: int) -> int:
+    """Width of the key of a k-dim subspace of GF(2)^n (see pack_keys_bulk)."""
+    return k * (n - k) + n + k.bit_length()
+
+
+def _drop_columns(r, bits):
+    """r with the columns of bits removed: ascending single-bit masks, each
+    0 in r.  Highest first, the part of r above a column moves down by one.
+    Works in place on a uint64 array."""
+    for b in reversed(bits):
+        r -= (r & -b) >> 1
+    return r
 
 
 def key_chunks(n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Keys and RREF rows of all k-dim subspaces of GF(2)^n in ascending
     key order, one chunk per pivot mask: a uint64 key array and the (M, k)
     uint64 rows beside it; requires the key to fit in 64 bits."""
-    if k * (n - k) + n + k.bit_length() > 64:
+    if key_bits(n, k) > 64:
         raise ValueError("packed keys do not fit in 64 bits for this (n, k)")
     width = n - k
     one = np.uint64(1)
@@ -214,10 +130,8 @@ def key_chunks(n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.ndarray:
-    """All keys of k-dim subspaces of GF(2)^n as a sorted uint64 array.
-
-    Same order as enumerate_subspaces: the chunks of key_chunks, joined.
-    """
+    """All keys of k-dim subspaces of GF(2)^n as a sorted uint64 array:
+    the chunks of key_chunks, joined."""
     total = gaussian_binomial(n, k, 2)
     if total > guard:
         raise EnumerationGuardError(
@@ -230,10 +144,16 @@ def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.nd
 
 
 def pack_keys_bulk(rows: np.ndarray, n: int) -> np.ndarray:
-    """Keys for many RREF bases at once; rows is (N, k) uint64."""
+    """Keys for many RREF bases at once; rows is (N, k) uint64.
+
+    A key is (dim, pivot mask) above, then each row with its k pivot
+    columns removed, row i at bit offset i*(n-k); key_rows inverts it.
+    Keys are injective and ascend in the order of key_chunks for fixed
+    (n, dim).
+    """
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     num, k = rows.shape
-    if k * (n - k) + n + k.bit_length() > 64:
+    if key_bits(n, k) > 64:
         raise ValueError("packed keys do not fit in 64 bits for this (n, k)")
     piv = [r & (np.uint64(0) - r) for r in rows.T]  # each row's lowest set bit
     key = np.full(num, k << n, dtype=np.uint64)
@@ -243,6 +163,32 @@ def pack_keys_bulk(rows: np.ndarray, n: int) -> np.ndarray:
         key <<= np.uint64(n - k)
         key |= _drop_columns(rows[:, i] ^ piv[i], piv)
     return key
+
+
+def key_order(rows: np.ndarray) -> np.ndarray:
+    """Indices that sort (N, k) RREF rows into ascending key order, for
+    keys of any width: by pivot mask, then by the rows from the last one
+    up, whose pivot columns agree wherever the masks do."""
+    pivots = np.bitwise_or.reduce(rows & (np.uint64(0) - rows), axis=1)
+    return np.lexsort((*rows.T, pivots))
+
+
+def key_rows(key: int, n: int, k: int) -> tuple[int, ...]:
+    """The RREF rows of a k-dim subspace of GF(2)^n from its key: the
+    inverse of pack_keys_bulk, for one key of any width."""
+    width = n - k
+    head = key >> (k * width)
+    pivmask = head & ((1 << n) - 1)
+    if head >> n != k or pivmask.bit_count() != k:
+        raise ValueError("key does not decode to the given dimension")
+    bits = [1 << p for p in range(n) if pivmask >> p & 1]
+    rows = []
+    for i, b in enumerate(bits):
+        r = key >> (i * width) & ((1 << width) - 1)
+        for p in bits:  # put the pivot columns back, lowest first
+            r += r & -p
+        rows.append(r | b)
+    return tuple(rows)
 
 
 def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
@@ -268,12 +214,6 @@ def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # text format: a subspace is a matrix block whose rows are its RREF basis
-
-
-def format_subspace(u: Subspace) -> str:
-    if u.dim == 0:
-        raise ValueError("cannot serialize the zero subspace as a matrix block")
-    return format_matrix(BitMatrix(u.rows, u.ambient))
 
 
 def parse_subspaces(

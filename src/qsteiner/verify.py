@@ -26,7 +26,9 @@ from .groups import MatrixGroup, orbit
 from .subspace import (
     EnumerationGuardError,
     gaussian_binomial,
+    key_bits,
     key_chunks,
+    key_rows,
     pack_keys_bulk,
     parse_subspaces,
     subspaces_of_bulk,
@@ -161,8 +163,8 @@ def _key_dtype(n: int, t: int, owner_bits: int = 0) -> np.dtype:
     """dtype of the keys _sorted_keys builds: uint32 when a t-subspace key
     of GF(2)^n and owner_bits bits of block index fit in 32 bits, else
     uint64.  A key has n bits for t = 1, 2n for t = 2 (see _line_keys)
-    and those of pack_keys_bulk above."""
-    bits = n if t == 1 else 2 * n if t == 2 else t * (n - t) + n + t.bit_length()
+    and key_bits(n, t) above, those of pack_keys_bulk."""
+    bits = n if t == 1 else 2 * n if t == 2 else key_bits(n, t)
     return np.dtype(np.uint32 if bits + owner_bits <= 32 else np.uint64)
 
 
@@ -321,18 +323,7 @@ def _key_rows(key: int, n: int, t: int) -> tuple[int, ...]:
         return (key,)
     if t == 2:
         return rref_rows([key >> n, key & ((1 << n) - 1)])[0]
-    # invert pack_keys_bulk: row i sits at bit i * (n - t) with its pivot
-    # columns removed, below the pivot mask
-    width = n - t
-    pivmask = key >> (t * width) & ((1 << n) - 1)
-    bits = [1 << p for p in range(n) if pivmask >> p & 1]
-    rows = []
-    for i, b in enumerate(bits):
-        r = key >> (i * width) & ((1 << width) - 1)
-        for p in bits:  # put the pivot columns back, lowest first
-            r += r & -p
-        rows.append(r | b)
-    return tuple(rows)
+    return key_rows(key, n, t)
 
 
 def verify_design(

@@ -215,7 +215,6 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
 
     stats.elapsed = time.monotonic() - t0
     stats.limit = stop[0]
-    stats.restored = dlx.fingerprint() == pristine
-    if not stats.restored:
+    if dlx.fingerprint() != pristine:
         raise AssertionError("dancing links structure was not restored after search")
     return solutions, stats

@@ -1,5 +1,6 @@
 """The row-major numpy GF(2) kernels, kept as test oracles of
-`qsteiner.gf2.rref_bulk` and `qsteiner.gf2.mat_vec_bulk`.
+`qsteiner.gf2.rref_bulk` and `qsteiner.gf2.mat_vec_bulk`, and the
+multiplicative order of a matrix by iteration.
 
 `rref_bulk` below is how the library row-reduced many bases before its
 kernel went branch-free: a selection sort of the (N, k) columns by pivot
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsteiner.gf2 import BitMatrix
+from qsteiner.gf2 import BitMatrix, SingularMatrixError, identity, mat_mul, rank
 
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
@@ -66,3 +67,24 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 r[hit, j] ^= r[hit, i]
     ranks = (r != zero).sum(axis=1).astype(np.int64)
     return r, ranks
+
+
+def matrix_order(m: BitMatrix, bound: int = 10**7) -> int:
+    """Multiplicative order of an invertible matrix, by iteration.
+
+    Raises SingularMatrixError for singular input and RuntimeError when
+    the order exceeds bound.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("order of a non-square matrix")
+    if rank(m) != m.ncols:
+        raise SingularMatrixError("singular matrix has no multiplicative order")
+    ident = identity(m.ncols)
+    cur = m
+    k = 1
+    while cur != ident:
+        cur = mat_mul(cur, m)
+        k += 1
+        if k > bound:
+            raise RuntimeError(f"matrix order exceeds bound {bound}")
+    return k

@@ -22,7 +22,8 @@ import numpy as np
 
 from qsteiner.gf2 import identity, mat_vec, rref_rows, vec_mat_bulk
 from qsteiner.groups import CLOSURE_CAP, MatrixGroup, OrbitTable, _bfs, _sorted_index
-from qsteiner.subspace import Subspace, enumerate_keys_bulk, subspace_from_key
+from qsteiner.subspace import Subspace, enumerate_keys_bulk, key_rows
+from subspace_reference import key_per_column
 
 
 def walk_orbit(group: MatrixGroup, u: Subspace) -> list[Subspace]:
@@ -41,7 +42,7 @@ def walk_orbit(group: MatrixGroup, u: Subspace) -> list[Subspace]:
                     nxt.append(red)
         frontier = nxt
     members = [Subspace(group.n, rows) for rows in seen]
-    members.sort(key=lambda s: s.key)
+    members.sort(key=lambda s: key_per_column(group.n, s.rows))
     return members
 
 
@@ -53,9 +54,11 @@ def walk_partition(group: MatrixGroup, k: int) -> OrbitTable:
     for pos in range(keys.size):
         if assigned[pos] >= 0:
             continue
-        seed = subspace_from_key(group.n, k, int(keys[pos]))
+        seed = Subspace(group.n, key_rows(int(keys[pos]), group.n, k))
         members = walk_orbit(group, seed)
-        member_keys = np.array([m.key for m in members], dtype=np.uint64)
+        member_keys = np.array(
+            [key_per_column(group.n, m.rows) for m in members], dtype=np.uint64
+        )
         idx = np.searchsorted(keys, member_keys)
         if not np.array_equal(keys[idx], member_keys):
             raise AssertionError("orbit member key missing from the enumeration")

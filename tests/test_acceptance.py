@@ -29,12 +29,8 @@ from qsteiner.groups import (
     singer_normalizer,
 )
 from qsteiner.kramer_mesner import build_km, format_km, prune
-from qsteiner.subspace import (
-    contains_subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-    span,
-)
+from qsteiner.subspace import gaussian_binomial, span
+from subspace_reference import contains_subspace, enumerate_subspaces, vectors
 from qsteiner.verify import (
     derived_steiner_sample_check,
     expand_orbits,
@@ -205,7 +201,7 @@ def test_criterion_06_solver_corpus():
 
     t0 = time.monotonic()
     subs = list(enumerate_subspaces(4, 2))
-    opts = [(i, sorted(v for v in s.vectors() if v)) for i, s in enumerate(subs)]
+    opts = [(i, sorted(v for v in vectors(s) if v)) for i, s in enumerate(subs)]
     spread = CoverProblem(item_ids=list(range(1, 16)), options=opts)
     oracle_spread = brute_covers_disjoint(spread.item_ids, spread.options)
     sols_spread, _ = solve(spread, SolveConfig(max_solutions=None))

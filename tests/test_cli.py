@@ -280,6 +280,7 @@ def test_bad_solver_flags_are_usage_errors(tmp_path, capsys):
         (("--force", "99"), "--force"),
         (("--force", "0,0"), "--force"),
         (("--force", "0,1"), "--force"),
+        (("--force", "0,x"), "--force expects integer column ids"),
     ):
         code, _, err = run(capsys, "--out-dir", out_dir, "solve", "--km", km, *extra)
         assert code == 2 and f"error: {flag}" in err, (extra, err)
@@ -505,3 +506,42 @@ def test_malformed_orbit_table_exits_2(tmp_path, capsys):
         "--k-orbits", str(path), "--ids", "0",
     )
     assert code == 2 and "line 4: expected integer 'id length'" in err
+
+
+def test_malformed_solution_headers_are_named_errors(tmp_path, capsys):
+    table = saved_table(tmp_path, capsys, 6, 3)
+    solution = tmp_path / "solution.txt"
+    expand = ("--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6")
+    for header in ("# problem abc", "# forced 1 x"):
+        solution.write_text(f"# exact-cover solutions\n{header}\n0 1\n")
+        code, _, err = run(
+            capsys, *expand, "--k-orbits", table, "--solution", str(solution)
+        )
+        assert code == 2, header
+        assert f"error: {solution}: line 2: invalid literal for int()" in err, err
+    assert not (tmp_path / "blocks.txt").exists()
+
+
+def test_verify_blocks_refuses_a_second_source(tmp_path, capsys):
+    table = saved_table(tmp_path, capsys, 6, 3)
+    run(capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
+        "--k-orbits", table, "--ids", "0")
+    blocks = str(tmp_path / "blocks.txt")
+    verify = ("--out-dir", str(tmp_path), "verify", "--blocks", blocks)
+    for extra in (("--reps", str(tmp_path / "nonexist.txt")), ("--fixture-solution",)):
+        code, _, err = run(capsys, *verify, *extra)
+        assert code == 2, extra
+        assert "choose exactly one of --blocks FILE, --reps FILE or " \
+            "--fixture-solution" in err, err
+    assert not (tmp_path / "report.txt").exists()
+    code, _, _ = run(capsys, *verify)
+    assert code == 1  # one orbit is not a design, but the file alone is read
+
+
+def test_non_integer_ids_name_their_flag(tmp_path, capsys):
+    table = saved_table(tmp_path, capsys, 6, 3)
+    code, _, err = run(
+        capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
+        "--k-orbits", table, "--ids", "0,x",
+    )
+    assert code == 2 and "error: --ids expects integer orbit ids" in err, err

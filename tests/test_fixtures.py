@@ -18,11 +18,11 @@ from qsteiner.fixtures import (
     self_test,
     solution_representatives,
 )
+from gf2_reference import matrix_order
 from qsteiner.gf2 import (
     companion_matrix,
     frobenius_matrix,
     mat_mul,
-    matrix_order,
     primitive_polynomial,
     rref_bulk,
 )

@@ -15,15 +15,16 @@ from qsteiner.gf2 import (
     identity,
     mat_mul,
     mat_vec,
+    mat_vec_bulk,
     primitive_polynomial,
     rref_bulk,
+    span_vectors_bulk,
 )
 from qsteiner.groups import (
     ClosureCapError,
     MatrixGroup,
     OrbitTable,
     StrategyError,
-    act,
     group_closure,
     group_hash,
     orbit,
@@ -35,13 +36,13 @@ from qsteiner.kramer_mesner import build_km
 from qsteiner.singer import SingerEngine
 from qsteiner.subspace import (
     Subspace,
-    enumerate_subspaces,
     gaussian_binomial,
     key_chunks,
     load_subspace_file,
     pack_keys_bulk,
     span,
 )
+from subspace_reference import enumerate_subspaces, key_per_column
 from qsteiner.verify import BlockSet, expand_orbits, verify_design
 
 
@@ -81,22 +82,29 @@ def test_closure_cap():
         group_closure(singer_normalizer(6), cap=100)
 
 
+def act(g, rows):
+    """The action orbit() applies: g maps every basis row, then reduce."""
+    red, ranks = rref_bulk(mat_vec_bulk(g, rows))
+    assert np.all(ranks == rows.shape[1])  # the image keeps the dimension
+    return red
+
+
 def test_action_axioms():
     rng = random.Random(13)
     g = singer_normalizer(5)
     elems = [BitMatrix(rows=tuple(rows), ncols=5) for rows in closure_elements(g).tolist()]
     picks = rng.sample(elems, 12)
     subs = [span([rng.getrandbits(5) for _ in range(2)], 5) for _ in range(8)]
-    for u in subs:
-        assert act(identity(5), u) == u
-        for a in picks[:4]:
-            for b in picks[4:8]:
-                assert act(mat_mul(a, b), u) == act(a, act(b, u))
-        # action preserves dimension and membership structure
-        for a in picks:
-            image = act(a, u)
-            assert image.dim == u.dim
-            assert {mat_vec(a, v) for v in u.vectors()} == set(image.vectors())
+    rows = np.array([u.rows for u in subs if u.dim == 2], dtype=np.uint64)
+    assert np.array_equal(act(identity(5), rows), rows)
+    for a in picks[:4]:
+        for b in picks[4:8]:
+            assert np.array_equal(act(mat_mul(a, b), rows), act(a, act(b, rows)))
+    # the image's vectors are the images of the subspace's vectors
+    for a in picks:
+        image = span_vectors_bulk(act(a, rows))
+        for vecs, got in zip(span_vectors_bulk(rows).tolist(), image.tolist()):
+            assert {mat_vec(a, v) for v in vecs} == set(got)
 
 
 def test_orbit_stabilizer_divisibility():
@@ -168,7 +176,8 @@ def test_trivial_group_orbits_are_singletons():
     table = orbit_partition(g, 2)
     assert table.num_orbits == gaussian_binomial(4, 2, 2) == 35
     assert set(table.lengths) == {1}
-    assert keys_of(table) == [s.key for s in enumerate_subspaces(4, 2)]
+    want = [key_per_column(4, s.rows) for s in enumerate_subspaces(4, 2)]
+    assert keys_of(table) == want
 
 
 def test_orbit_traversal_matches_partition():
@@ -192,10 +201,10 @@ def test_orbit_matches_walk_oracle():
         for k in range(g.n + 1):
             seen = set()
             for u in enumerate_subspaces(g.n, k):
-                if u.key in seen:
+                if key_per_column(g.n, u.rows) in seen:
                     continue
                 members = walk_orbit(g, u)
-                seen |= {m.key for m in members}
+                seen |= {key_per_column(g.n, m.rows) for m in members}
                 want = np.array([m.rows for m in members], dtype=np.uint64)
                 got = orbit(g, np.array(members[-1].rows, dtype=np.uint64))
                 assert np.array_equal(got, want.reshape(len(members), k)), (g.n, k, u)

@@ -22,12 +22,8 @@ from qsteiner.kramer_mesner import (
     parse_km,
     prune,
 )
-from qsteiner.subspace import (
-    Subspace,
-    contains_subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-)
+from qsteiner.subspace import Subspace, gaussian_binomial
+from subspace_reference import contains_subspace
 
 
 def brute_km(group, t, k):

@@ -27,6 +27,9 @@ def assert_matches_oracle(engine, rows):
     assert labels.dtype == want_labels.dtype and stab.dtype == want_stab.dtype
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(stab, want_stab)
+    # a label is a function of the exponent set, not of its order
+    again = engine.labels_and_stabilizers(exps[:, ::-1])
+    assert np.array_equal(again[0], labels) and np.array_equal(again[1], stab)
     return stab
 
 

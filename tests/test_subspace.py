@@ -1,4 +1,4 @@
-"""Subspace canonical forms, enumeration, and counting oracles."""
+"""Subspace keys, enumeration, counting and the text reader, against oracles."""
 
 import random
 from itertools import combinations
@@ -7,28 +7,34 @@ import numpy as np
 import pytest
 
 import matrix_text_reference
-from qsteiner.gf2 import BitMatrix, FormatError, rref_bulk
+from qsteiner.gf2 import (
+    BitMatrix,
+    FormatError,
+    format_matrix,
+    rref_bulk,
+    span_vectors_bulk,
+)
 from qsteiner.subspace import (
     EnumerationGuardError,
     Subspace,
-    canonicalize,
-    contains,
-    contains_subspace,
     enumerate_keys_bulk,
-    enumerate_subspaces,
-    format_subspace,
     gaussian_binomial,
     key_chunks,
+    key_order,
+    key_rows,
     pack_keys_bulk,
     parse_subspaces,
     span,
     spread_size,
-    subspace_distance,
-    subspace_from_key,
     subspaces_of_bulk,
 )
 from qsteiner.verify import BlockSet, _key_rows
-from subspace_reference import key_per_column, keys_per_column_bulk
+from subspace_reference import (
+    enumerate_subspaces,
+    key_per_column,
+    keys_per_column_bulk,
+    vectors,
+)
 from verify_reference import subspaces_of
 
 
@@ -47,12 +53,13 @@ def brute_subspaces(n: int, k: int) -> set[frozenset]:
 def test_enumeration_matches_spanning_oracle():
     for n in range(1, 6):
         for k in range(0, n + 1):
-            subs = list(enumerate_subspaces(n, k))
-            assert len(subs) == gaussian_binomial(n, k, 2)
+            rows = np.concatenate([rows for _, rows in key_chunks(n, k)])
+            assert len(rows) == gaussian_binomial(n, k, 2)
             if 0 < k <= n <= 5 and k <= 3:
                 oracle = brute_subspaces(n, k)
-                got = {frozenset(s.vectors()) for s in subs}
-                assert got == oracle
+                vecs = span_vectors_bulk(rows).tolist()
+                got = {frozenset([0, *v]) for v in vecs}
+                assert len(got) == len(rows) and got == oracle
 
 
 def test_gaussian_binomial_pascal_recurrence():
@@ -77,10 +84,8 @@ def test_span_and_canonicalize_agree():
         k = rng.randrange(0, min(n, 4) + 1)
         vecs = [rng.getrandbits(n) for _ in range(k)]
         s1 = span(vecs, n)
-        m = BitMatrix(rows=tuple(vecs), ncols=n) if vecs else None
-        if m is not None:
-            s2 = canonicalize(m)
-            assert s1 == s2
+        raw = np.array(vecs, dtype=np.uint64).reshape(1, k)
+        assert set(vectors(s1)) == {0, *span_vectors_bulk(raw)[0].tolist()}
         # well-defined: any basis of the same space canonicalizes identically
         mixed = list(vecs)
         rng.shuffle(mixed)
@@ -92,7 +97,7 @@ def test_span_and_canonicalize_agree():
 def test_keys_are_injective_and_ordered():
     for n, k in ((4, 2), (5, 2), (5, 3), (6, 1)):
         subs = list(enumerate_subspaces(n, k))
-        keys = [s.key for s in subs]
+        keys = [key_per_column(n, s.rows) for s in subs]
         assert len(set(keys)) == len(keys)
         assert keys == sorted(keys), "enumeration must ascend by key"
 
@@ -113,10 +118,12 @@ def test_bulk_key_kernels_match_scalar():
             assert np.array_equal(enumerate_keys_bulk(n, k), keys)
             assert np.array_equal(keys_per_column_bulk(rows, n), keys)
             assert np.array_equal(pack_keys_bulk(rows, n), keys)
+            shuffled = rows[np.random.default_rng(8 * n + k).permutation(len(rows))]
+            assert np.array_equal(shuffled[key_order(shuffled)], rows)
             for key, basis in zip(keys.tolist(), rows.tolist()):
-                assert Subspace(n, basis).key == key == key_per_column(n, basis)
-                assert subspace_from_key(n, k, key).rows == tuple(basis)
-                # the recount prints a t > 2 witness by its own inverse
+                assert key == key_per_column(n, basis)
+                assert key_rows(key, n, k) == tuple(basis)
+                # the recount prints a t > 2 witness by the same inverse
                 assert k < 3 or _key_rows(key, n, k) == tuple(basis)
     rng = np.random.default_rng(14)
     cases = [(13, k, 50_000) for k in range(1, 7)] + [(22, 2, 2000), (32, 1, 2000)]
@@ -124,19 +131,19 @@ def test_bulk_key_kernels_match_scalar():
         rows = random_rref_rows(rng, num, n, k)
         keys = pack_keys_bulk(rows, n)
         assert np.array_equal(keys, keys_per_column_bulk(rows, n)), (n, k)
-        # the scalar kernels on a slice: 2.5 s per 50,000 rows
+        # the scalar inverse on a slice
         for key, basis in zip(keys[:5000].tolist(), rows[:5000].tolist()):
-            assert Subspace(n, basis).key == key, (n, k)
-            assert subspace_from_key(n, k, key).rows == tuple(basis), (n, k)
+            assert key_rows(key, n, k) == tuple(basis), (n, k)
             assert k < 3 or _key_rows(key, n, k) == tuple(basis), (n, k)
-    # past 64 bits only the scalar key is defined
+    # past 64 bits only the oracle packs a key, and key_rows inverts it
     for k in range(1, 7):
         for basis in random_rref_rows(rng, 200, 64, k).tolist():
-            key = Subspace(64, basis).key
-            assert key == key_per_column(64, basis)
-            assert subspace_from_key(64, k, key).rows == tuple(basis)
+            assert key_rows(key_per_column(64, basis), 64, k) == tuple(basis)
         with pytest.raises(ValueError, match="do not fit in 64 bits"):
             pack_keys_bulk(np.array([basis], dtype=np.uint64), 64)
+    # a key of another dimension does not decode
+    with pytest.raises(ValueError, match="does not decode"):
+        key_rows(key_per_column(13, (1, 2)), 13, 3)
 
 
 def test_subspaces_of_lists_all_inner_subspaces():
@@ -150,10 +157,10 @@ def test_subspaces_of_lists_all_inner_subspaces():
         for t in range(1, k + 1):
             inner = list(subspaces_of(outer, t))
             assert len(inner) == gaussian_binomial(k, t, 2)
-            assert len({s.key for s in inner}) == len(inner)
-            vecs = set(outer.vectors())
+            assert len({s.rows for s in inner}) == len(inner)
+            vecs = set(vectors(outer))
             for s in inner:
-                assert set(s.vectors()) <= vecs
+                assert set(vectors(s)) <= vecs
 
 
 def test_subspaces_of_bulk_matches_scalar():
@@ -176,24 +183,13 @@ def test_subspaces_of_bulk_matches_scalar():
         subspaces_of_bulk(np.array([[1, 1]], dtype=np.uint64), 1)
 
 
-def test_distance_and_containment():
-    u = span([0b0001, 0b0010], 4)
-    v = span([0b0001, 0b0100], 4)
-    w = span([0b1000, 0b0100], 4)
-    assert subspace_distance(u, u) == 0
-    assert subspace_distance(u, v) == 2
-    assert subspace_distance(u, w) == 4
-    assert contains(u, 0b0011) and not contains(u, 0b0100)
-    assert contains_subspace(u, span([0b0011], 4))
-
-
 def test_spread_size_and_guard():
     assert spread_size(4, 2, 2) == 5
     assert spread_size(6, 3, 2) == 9
     with pytest.raises(ValueError):
         spread_size(13, 3, 2)
     with pytest.raises(EnumerationGuardError):
-        list(enumerate_subspaces(30, 15))
+        enumerate_keys_bulk(30, 15)
 
 
 def test_format_parse_round_trip():
@@ -204,7 +200,7 @@ def test_format_parse_round_trip():
         s = span([rng.getrandbits(n) for _ in range(3)], n)
         if s.dim == 3 and (not subs or subs[0].ambient == n):
             subs.append(s)
-    text = "\n".join(format_subspace(s) for s in subs)
+    text = "\n".join(format_matrix(BitMatrix(s.rows, s.ambient)) for s in subs)
     n, rows, lines = parse_subspaces(text)
     assert n == subs[0].ambient and rows.dtype == np.uint64
     assert rows.tolist() == [list(s.rows) for s in subs]
@@ -256,7 +252,7 @@ def test_bulk_reader_matches_per_block_oracle(tmp_path):
             continue
         got_n, rows, _ = parse_subspaces(text)
         assert got_n == n and rows.tolist() == [list(u.rows) for u in want], trial
-        if len({u.key for u in want}) == len(want):
+        if len(set(want)) == len(want):
             loaded = BlockSet.load(str(path))
             assert (loaded.n, loaded.k) == (n, k)
             assert np.array_equal(loaded.blocks, rows)

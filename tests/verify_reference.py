@@ -18,13 +18,8 @@ from typing import Iterator
 import numpy as np
 
 from qsteiner.gf2 import span_vectors_bulk
-from qsteiner.subspace import (
-    Subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-    key_chunks,
-    span,
-)
+from qsteiner.subspace import Subspace, gaussian_binomial, key_chunks, span
+from subspace_reference import enumerate_subspaces, key_per_column
 from qsteiner.verify import (
     BlockSet,
     DesignReport,
@@ -160,8 +155,9 @@ def dict_verify_design(
     for i in range(blocks.num_blocks):
         block = Subspace(n, tuple(int(r) for r in blocks.blocks[i]))
         for sub in subspaces_of(block, t):
-            counts_by_key[sub.key] = counts_by_key.get(sub.key, 0) + 1
-            rows_by_key.setdefault(sub.key, sub.rows)
+            key = key_per_column(n, sub.rows)
+            counts_by_key[key] = counts_by_key.get(key, 0) + 1
+            rows_by_key.setdefault(key, sub.rows)
     histogram: dict[int, int] = {}
     for c in counts_by_key.values():
         histogram[c] = histogram.get(c, 0) + 1
@@ -179,7 +175,7 @@ def dict_verify_design(
         for sub in enumerate_subspaces(n, t):
             if len(shown) >= max_violations:
                 break
-            if sub.key not in counts_by_key:
+            if key_per_column(n, sub.rows) not in counts_by_key:
                 shown.append((sub.rows, 0))
     return DesignReport(
         n=n,
