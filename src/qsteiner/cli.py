@@ -163,22 +163,23 @@ def add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="ambient dimension for --trivial-group")
 
 
+def group_sources(settings: Settings) -> list[str]:
+    """The group source flags given, of the four a command can take."""
+    sources = [
+        flag
+        for flag in ("--fixture", "--singer-normalizer", "--generators")
+        if settings.get(flag[2:]) is not None
+    ]
+    if settings.flag_true("trivial-group"):
+        sources.append("--trivial-group")
+    return sources
+
+
 def resolve_group(settings: Settings) -> MatrixGroup:
     fixture = settings.get("fixture")
     singer_n = settings.get("singer-normalizer", cast=int)
     gen_file = settings.get("generators")
-    trivial = settings.flag_true("trivial-group")
-    sources = [
-        s
-        for s, chosen in [
-            ("--fixture", fixture is not None),
-            ("--singer-normalizer", singer_n is not None),
-            ("--generators", gen_file is not None),
-            ("--trivial-group", trivial),
-        ]
-        if chosen
-    ]
-    if len(sources) != 1:
+    if len(group_sources(settings)) != 1:
         raise UsageError(
             "choose exactly one group source: --fixture, --singer-normalizer, "
             "--generators, or --trivial-group"
@@ -450,6 +451,9 @@ def cmd_verify(settings: Settings) -> int:
             raise UsageError(
                 "choose exactly one of --blocks FILE, --reps FILE or --fixture-solution"
             )
+        given = group_sources(settings)
+        if given:
+            raise UsageError(f"--blocks FILE takes no group: drop {', '.join(given)}")
         blocks = BlockSet.load(blocks_file)
     else:
         group = resolve_group(settings)

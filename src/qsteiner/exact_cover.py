@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,15 @@ from .gf2 import FormatError
 from .kramer_mesner import KMInstance, _checksum
 
 
-@dataclass
+@dataclass(eq=False)
 class CoverProblem:
-    """items to cover, options as (label, item list), one multiplicity each."""
+    """Items to cover multiplicity times by options, the columns of a 0/1
+    matrix: matrix[i, j] is 1 when option labels[j] covers item
+    item_ids[i], and every column covers some item."""
 
     item_ids: list[int]
-    options: list[tuple[int, list[int]]]
+    labels: list[int]
+    matrix: np.ndarray
     multiplicity: int = 1
     checksum: int = 0
 
@@ -40,9 +44,20 @@ class CoverProblem:
             raise ValueError("multiplicity must be at least 1")
         if len(set(self.item_ids)) != len(self.item_ids):
             raise ValueError("duplicate item ids")
-        known = set(self.item_ids)
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate option labels")
+        if self.matrix.shape != (len(self.item_ids), len(self.labels)):
+            raise ValueError(f"matrix shape {self.matrix.shape} is not items x options")
+        self.matrix = self.matrix.view()  # what is derived from it stays true
+        self.matrix.flags.writeable = False
+
+    @classmethod
+    def from_options(cls, item_ids, options, multiplicity: int = 1) -> CoverProblem:
+        """Problem from (label, covered item ids) pairs, checked one by one."""
+        pos = {it: i for i, it in enumerate(item_ids)}
+        matrix = np.zeros((len(item_ids), len(options)), dtype=np.uint8)
         seen_labels = set()
-        for label, items in self.options:
+        for j, (label, items) in enumerate(options):
             if label in seen_labels:
                 raise ValueError(f"duplicate option label {label}")
             seen_labels.add(label)
@@ -51,8 +66,26 @@ class CoverProblem:
             if len(set(items)) != len(items):
                 raise ValueError(f"option {label} lists an item twice")
             for it in items:
-                if it not in known:
+                if it not in pos:
                     raise ValueError(f"option {label} references unknown item {it}")
+                matrix[pos[it], j] = 1
+        return cls(list(item_ids), [lab for lab, _ in options], matrix, multiplicity)
+
+    @cached_property
+    def column_items(self) -> list[list[int]]:
+        """The items (matrix rows) each option covers, built on first use."""
+        opts, items = np.nonzero(self.matrix.T)
+        bounds = np.searchsorted(opts, np.arange(len(self.labels) + 1)).tolist()
+        items = items.tolist()
+        return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @property
+    def options(self) -> list[tuple[int, list[int]]]:
+        """(label, covered item ids) per option, for the test oracles."""
+        return [
+            (lab, [self.item_ids[i] for i in items])
+            for lab, items in zip(self.labels, self.column_items)
+        ]
 
 
 @dataclass
@@ -88,50 +121,40 @@ class CoverSolution:
 def solve(problem: CoverProblem, config: SolveConfig | None = None):
     """Search for exact covers; returns (list of CoverSolution, SolveStats)."""
     config = config or SolveConfig()
-    order = list(range(len(problem.options)))
+    order = list(range(len(problem.labels)))
     if config.order == "randomized":
         random.Random(config.seed).shuffle(order)
-    pos = {it: i for i, it in enumerate(problem.item_ids)}
-    labels = [problem.options[oi][0] for oi in order]
-    opt_items = [[pos[it] for it in problem.options[oi][1]] for oi in order]
-    label_to_opt = {lab: oi for oi, lab in enumerate(labels)}
-
+    column = {lab: j for j, lab in enumerate(problem.labels)}
     forced: list[int] = []
     for lab in config.forced:
-        if lab not in label_to_opt:
+        if lab not in column:
             raise ValueError(f"forced option {lab} is not in the problem")
-        oi = label_to_opt[lab]
-        if oi in forced:
+        if column[lab] in forced:
             raise ValueError(f"forced option {lab} appears twice")
-        forced.append(oi)
+        forced.append(column[lab])
+    forced_cols = problem.matrix[:, forced]
+    remaining = problem.multiplicity - forced_cols.sum(axis=1, dtype=np.int64)
+    if (remaining < 0).any():
+        # the first forced column, in turn, to pass an item's multiplicity
+        over = np.cumsum(forced_cols, axis=1) > problem.multiplicity
+        raise ValueError(
+            f"option {config.forced[over.any(axis=0).argmax()]} "
+            "covers an already satisfied item"
+        )
+    remaining = remaining.tolist()
+    forced_labels = list(config.forced)
     nitems = len(problem.item_ids)
-    remaining = [problem.multiplicity] * nitems
-    for oi in forced:
-        for it in opt_items[oi]:
-            if remaining[it] <= 0:
-                raise ValueError(
-                    f"option {labels[oi]} covers an already satisfied item"
-                )
-            remaining[it] -= 1
-    forced_labels = [labels[oi] for oi in forced]
 
     # renumber the options that can still be chosen, keeping their order,
     # so the bitsets are only as wide as what is left of the problem
-    forced_set = set(forced)
-    keep = [
-        oi
-        for oi, items in enumerate(opt_items)
-        if oi not in forced_set and all(remaining[it] for it in items)
-    ]
-    labels = [labels[oi] for oi in keep]
-    opt_items = [opt_items[oi] for oi in keep]
+    fits = ~problem.matrix[np.array(remaining) == 0].any(axis=0)
+    fits[forced] = False
+    keep = np.array(order, dtype=np.intp)[fits[order]]
+    labels = [problem.labels[j] for j in keep.tolist()]
+    opt_items = [problem.column_items[j] for j in keep.tolist()]
     # bit j of col[it] is set when option j covers item it
-    col_bytes = [bytearray(len(keep) // 8 + 1) for _ in range(nitems)]
-    for j, items in enumerate(opt_items):
-        for it in items:
-            col_bytes[it][j >> 3] |= 1 << (j & 7)
-    col = [int.from_bytes(b, "little") for b in col_bytes]
-    del col_bytes
+    bits = np.packbits(np.take(problem.matrix, keep, axis=1), axis=1, bitorder="little")
+    col = [int.from_bytes(row.tobytes(), "little") for row in bits]
     every = (1 << len(keep)) - 1
     not_col = [every ^ c for c in col]
 
@@ -223,26 +246,22 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
 
 
 def from_km(inst: KMInstance) -> CoverProblem:
-    """Cover problem from a Kramer-Mesner instance: items are t-orbits,
-    one option per column covering the rows with entry 1."""
-    rids, cids, vals = inst.nonzero()
-    if (vals > 1).any():
-        i = (vals > 1).argmax()
+    """Cover problem from a Kramer-Mesner instance: items are t-orbits, one
+    option per column with an entry, and the matrix a view of the
+    instance's unless some column is all zero."""
+    top = inst.matrix.max(axis=0, initial=0)
+    if (top > 1).any():
+        j = int((top > 1).argmax())
+        column = inst.matrix[:, j]
         raise ValueError(
-            f"column {cids[i]} meets a row {vals[i]} times (> 1) and "
-            "cannot be a 0/1 exact cover option; prune the instance first"
+            f"column {inst.col_ids[j]} meets a row {column[column > 1][0]} times "
+            "(> 1) and cannot be a 0/1 exact cover option; prune the instance first"
         )
-    # entries come by (column, row): each column's rows are one run
-    labels, starts = np.unique(cids, return_index=True)
-    items, bounds = rids.tolist(), starts.tolist() + [len(rids)]
-    options = [
-        (cid, items[a:b]) for cid, a, b in zip(labels.tolist(), bounds, bounds[1:])
-    ]
+    used, labels, matrix = top > 0, list(inst.col_ids), inst.matrix
+    if not used.all():
+        labels, matrix = np.asarray(labels)[used].tolist(), matrix[:, used]
     return CoverProblem(
-        item_ids=list(inst.row_ids),
-        options=options,
-        multiplicity=inst.lam,
-        checksum=_checksum(inst),
+        list(inst.row_ids), labels, matrix, inst.lam, checksum=_checksum(inst)
     )
 
 
@@ -251,13 +270,12 @@ def check_solution(problem: CoverProblem, labels) -> tuple[bool, dict[int, int]]
 
     Returns (ok, item -> times covered); unknown labels raise ValueError.
     """
-    by_label = {lab: items for lab, items in problem.options}
-    coverage = {it: 0 for it in problem.item_ids}
+    column = {lab: j for j, lab in enumerate(problem.labels)}
     for lab in labels:
-        if lab not in by_label:
+        if lab not in column:
             raise ValueError(f"solution names unknown option {lab}")
-        for it in by_label[lab]:
-            coverage[it] += 1
+    counts = problem.matrix[:, [column[lab] for lab in labels]].sum(axis=1)
+    coverage = dict(zip(problem.item_ids, counts.tolist()))
     ok = all(c == problem.multiplicity for c in coverage.values())
     return ok, coverage
 

@@ -15,13 +15,13 @@ the file's E lines and the cover options are numpy expressions over it.
 
 from __future__ import annotations
 
-import io
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
-from .gf2 import FormatError
+from .gf2 import _SPACE, FormatError, _char_classes
 from .groups import OrbitTable, group_hash
 from .subspace import gaussian_binomial, subspaces_of_bulk
 
@@ -163,14 +163,17 @@ def prune(inst: KMInstance) -> KMInstance:
     Returns a new instance; removed columns are recorded with their
     first violating (row, value) witness, the one of lowest row id.
     """
-    # over-lambda entries by (column, row): a column's first is its witness
-    rids, cids, vals = inst.nonzero()
-    over = vals > inst.lam
-    dropped, first = np.unique(cids[over], return_index=True)
-    keep = ~np.isin(inst.col_ids, dropped)
+    top = inst.matrix.max(axis=0, initial=0)
+    dropped = np.flatnonzero(top > inst.lam)
+    over = inst.matrix[:, dropped]
+    # each dropped column's first over-lambda row (argmax takes no empty axis)
+    first = (over > inst.lam).argmax(axis=0) if dropped.size else dropped
     witnesses = zip(
-        dropped.tolist(), rids[over][first].tolist(), vals[over][first].tolist()
+        np.asarray(inst.col_ids)[dropped].tolist(),
+        np.asarray(inst.row_ids)[first].tolist(),
+        over[first, np.arange(dropped.size)].tolist(),
     )
+    keep = top <= inst.lam
     return replace(
         inst,
         col_ids=np.asarray(inst.col_ids)[keep].tolist(),
@@ -189,17 +192,22 @@ def prune(inst: KMInstance) -> KMInstance:
 #   E row col value            (nonzero entries, sorted by (col, row))
 #   X checksum                 (sum of all integers above, mod 2^32)
 
-# fields per record, the tag included
-_FIELDS = {"R": 3, "C": 3, "E": 4, "X": 2}
+# record tags by type code, and each record's fields with its tag
+_TAGS = ("KM", "R", "C", "E", "X")
+_WIDTHS = np.array([7, 3, 3, 4, 2])
+_WRITE_SLICE = 1 << 16  # lines per string when records are written
 
 
 def _checksum(inst: KMInstance) -> int:
     total = inst.n + inst.t + inst.k + inst.lam + len(inst.row_ids) + len(inst.col_ids)
     total += sum(inst.row_ids) + sum(inst.row_lengths)
     total += sum(inst.col_ids) + sum(inst.col_lengths)
-    # int64 sums wrap mod 2^64, which keeps them exact mod 2^32
-    total += sum(int(a.sum()) for a in inst.nonzero())
-    return total % CHECKSUM_MOD
+    # each id once per nonzero entry of its row or column, and each value;
+    # int64 products and sums wrap mod 2^64, which keeps them exact mod 2^32
+    nonzero = inst.matrix != 0
+    total += int(nonzero.sum(axis=1) @ np.asarray(inst.row_ids, dtype=np.int64))
+    total += int(nonzero.sum(axis=0) @ np.asarray(inst.col_ids, dtype=np.int64))
+    return (total + int(inst.matrix.sum())) % CHECKSUM_MOD
 
 
 def _km_lines(inst: KMInstance) -> Iterator[str]:
@@ -207,13 +215,15 @@ def _km_lines(inst: KMInstance) -> Iterator[str]:
         f"KM {inst.n} {inst.t} {inst.k} {inst.lam} "
         f"{len(inst.row_ids)} {len(inst.col_ids)}\n"
     )
-    for rid, length in zip(inst.row_ids, inst.row_lengths):
-        yield f"R {rid} {length}\n"
-    for cid, length in zip(inst.col_ids, inst.col_lengths):
-        yield f"C {cid} {length}\n"
-    rids, cids, vals = inst.nonzero()
-    for rid, cid, val in zip(rids.tolist(), cids.tolist(), vals.tolist()):
-        yield f"E {rid} {cid} {val}\n"
+    for tag, columns in (
+        ("R", (inst.row_ids, inst.row_lengths)),
+        ("C", (inst.col_ids, inst.col_lengths)),
+        ("E", inst.nonzero()),
+    ):
+        line = tag + " %d" * len(columns) + "\n"
+        for a in range(0, len(columns[0]), _WRITE_SLICE):  # one % per slice
+            flat = np.stack([c[a : a + _WRITE_SLICE] for c in columns], axis=1)
+            yield line * len(flat) % tuple(flat.ravel().tolist())
     yield f"X {_checksum(inst)}\n"
 
 
@@ -222,23 +232,9 @@ def format_km(inst: KMInstance) -> str:
 
 
 def export_km(inst: KMInstance, path: str) -> None:
-    """Write the KM file a line at a time, never holding all of its text."""
+    """Write the KM file a slice of lines at a time, never all of its text."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_km_lines(inst))
-
-
-def _ints(flat: list, width: int) -> np.ndarray:
-    """Records of (line number, integer fields...) as an int64 array; a
-    field that is no integer or does not fit 64 bits names its line."""
-    try:
-        return np.array(flat, dtype=np.int64).reshape(-1, width)
-    except (ValueError, OverflowError):
-        for i in range(0, len(flat), width):
-            try:
-                np.array(flat[i : i + width], dtype=np.int64)
-            except (ValueError, OverflowError) as exc:
-                raise FormatError(f"line {flat[i]}: {exc}") from exc
-        raise
 
 
 def _reject(records: np.ndarray, bad: np.ndarray, message: str) -> None:
@@ -248,34 +244,109 @@ def _reject(records: np.ndarray, bad: np.ndarray, message: str) -> None:
         raise FormatError(("line {0}: " + message).format(*records[bad.argmax()]))
 
 
+def _scan_records(text: str) -> tuple:
+    """The header and the R, C, E and X records, as int64 arrays of (line
+    number, fields...) rows, of a KM text read in bulk (see parse_km)."""
+    if "\r" in text:  # line ends as io.StringIO(newline=None) reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = re.sub(r"#[^\n]*", "", text) if "#" in text else text
+    codes, classes = _char_classes(text)
+    size, idx = codes.size, np.int32 if codes.size < 2**31 else np.int64
+    # solid[i]: character i is in a field; False before and after the text
+    content = np.zeros(size + 3, dtype=bool)
+    np.equal(classes & _SPACE, 0, out=content[1:-2])
+    solid = content[1:]
+    del classes
+    # field starts and line ends in text order; the first field of a line
+    ev = np.flatnonzero((content[1:-2] > content[:-3]) | (codes == 10)).astype(idx)
+    ends = codes[ev] == 10
+    pos, tag_ev = ev[~ends], np.flatnonzero(~ends & np.append(True, ends[:-1]))
+    lineno = np.cumsum(ends, dtype=idx)[tag_ev] + 1
+    del ev, ends
+    # per line with fields: its tag's field index and position, its field
+    # count with the tag, and its record type code (-1: unknown)
+    ti = (tag_ev - lineno + 1).astype(idx)
+    tp, nfields = pos[ti], np.diff(ti, append=pos.size)
+    one_char, lead = ~solid[tp + 1], codes[tp]
+    kind = np.full(tp.size, -1, dtype=np.int8)
+    for code, tag in enumerate(_TAGS[1:], start=1):
+        kind[one_char & (lead == ord(tag))] = code
+    second = codes[np.minimum(tp + 1, size - 1)] == ord("M")
+    kind[(lead == ord("K")) & ~one_char & second & ~solid[tp + 2]] = 0
+
+    def field(p: int) -> str:
+        return text[p : p + int(np.argmin(solid[p:]))]
+
+    # the fields alone, tags blanked as all else, by arithmetic (a masked
+    # copy is several times slower)
+    ones = solid[:size].view(np.uint8)
+    buf = codes * ones | (ones ^ 1) << 5
+    buf[tp] = buf[tp[kind == 0] + 1] = 32
+    del codes, ones
+    # a field is [+-]digits with single '_' between digits, as int() reads
+    # it: only characters other than digits and spaces need a look, and
+    # fields of 19 characters or more, which may not fit int64
+    zero = buf.dtype.type(ord("0"))
+    odd = np.flatnonzero((buf - zero > 9) & (buf != 32))
+    c, before = buf[odd], buf[np.maximum(odd - 1, 0)]
+    ok = ((c == ord("+")) | (c == ord("-"))) & (before == 32)
+    ok |= (c == ord("_")) & (before - zero < 10)
+    ok &= buf[np.minimum(odd + 1, size - 1)] - zero < 10
+    wide = np.flatnonzero(np.diff(pos, append=size) > 18)
+    wide = wide[solid[pos[wide] + 18]]
+    suspect = np.union1d(np.searchsorted(pos, odd[~ok], side="right") - 1, wide)
+    # faults in the order a line-by-line reader meets them: lines with an
+    # unknown or repeated tag or a wrong field count, and the header's
+    # fields, by line; then the fields of the R, C, E and X records in turn
+    repeat = np.cumsum(kind == 0) > 1
+    bad = np.flatnonzero((kind < 0) | (nfields != _WIDTHS[kind]) | repeat)
+    line = np.concatenate((bad, np.searchsorted(ti, suspect, side="right") - 1))
+    at = np.concatenate((ti[bad], suspect))
+    step = np.where(np.arange(line.size) < bad.size, 0, np.maximum(kind[line], 0))
+    for i in np.lexsort((at, step)).tolist():
+        j, where = line[i], f"line {lineno[line[i]]}: "
+        if i < bad.size:
+            tag = _TAGS[kind[j]] if kind[j] >= 0 else field(tp[j])
+            raise FormatError(where + (
+                f"unknown record '{tag}'" if kind[j] < 0
+                else f"{tag} record needs {_WIDTHS[kind[j]] - 1} integers" if kind[j]
+                else "duplicate header" if repeat[j]
+                else "header needs 6 integers"
+            ))
+        value = field(pos[at[i]])
+        try:
+            np.array([value], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{where}{exc}") from exc
+        if not value.isascii():
+            raise FormatError(f"{where}non-ASCII digits in {value!r}")
+    del content, solid, pos
+    if (buf == ord("_")).any():  # int() drops the separators; so can we
+        buf = buf[buf != ord("_")]
+    nint = nfields - 1
+    # as bytes, whose closing NUL stops the C parser; spaces alone read as [0]
+    buf = buf.astype(np.uint8, copy=False).tobytes() if nint.sum() else b""
+    values = np.fromstring(buf, dtype=np.int64, sep=" ")
+    del buf
+    if values.size != nint.sum():
+        raise AssertionError("integer field count is off")
+    first, records = np.cumsum(nint) - nint, []
+    for code in range(5):
+        sel = kind == code
+        fields = [values[first[sel] + f] for f in range(_WIDTHS[code] - 1)]
+        records.append(np.column_stack([lineno[sel].astype(np.int64), *fields]))
+    header = records.pop(0)[:, 1:]
+    return header[0].tolist() if len(header) else None, *records
+
+
 def parse_km(text: str) -> KMInstance:
-    """Parse and validate a KM file; FormatError names the offending line."""
-    header = None
-    # per record type, one flat run of (line number, fields...) per line;
-    # the fields stay text until one bulk conversion
-    records: dict[str, list] = {tag: [] for tag in _FIELDS}
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        tag = parts[0]
-        parts[0] = lineno
-        if tag == "KM":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 7:
-                raise FormatError(f"line {lineno}: header needs 6 integers")
-            header = _ints(parts, 7)[0, 1:].tolist()
-        elif tag not in _FIELDS:
-            raise FormatError(f"line {lineno}: unknown record '{tag}'")
-        elif len(parts) != _FIELDS[tag]:
-            raise FormatError(
-                f"line {lineno}: {tag} record needs {_FIELDS[tag] - 1} integers"
-            )
-        else:
-            records[tag] += parts
-    rows, cols, ents, xs = (_ints(records[tag], _FIELDS[tag]) for tag in "RCEX")
+    """Parse and validate a KM file; FormatError names the offending line.
+
+    A line's fields are its text before any '#', split at whitespace as
+    str.split splits.  Faults are reported where and as a line-by-line
+    reader meets them first, except that fields take ASCII digits only.
+    """
+    header, rows, cols, ents, xs = _scan_records(text)
     _reject(ents, ents[:, 3] <= 0, "entries must be positive")
     _reject(ents, ents[:, 3] > 255, "entry {3} is above 255")
     _reject(xs, np.arange(len(xs)) > 0, "duplicate X line")
@@ -295,9 +366,11 @@ def parse_km(text: str) -> KMInstance:
     _reject(ents, ~known, "entry ({1},{2}) references an unknown id")
     ri = np.searchsorted(rows[:, 1], ents[:, 1])
     ci = np.searchsorted(cols[:, 1], ents[:, 2])
-    repeat = np.ones(len(ents), dtype=bool)
-    repeat[np.unique(ri * ncols + ci, return_index=True)[1]] = False
-    _reject(ents, repeat, "duplicate entry ({1},{2})")
+    key = ci * nrows + ri
+    if (np.diff(key) <= 0).any():  # not in file order, so maybe repeated
+        repeat = np.ones(len(ents), dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
+        _reject(ents, repeat, "duplicate entry ({1},{2})")
     matrix = np.zeros((nrows, ncols), dtype=np.uint8)
     matrix[ri, ci] = ents[:, 3]
     inst = KMInstance(

@@ -277,9 +277,6 @@ def from_km(inst: KMInstance, lam: int | None = None) -> CoverProblem:
         by_col[cid].append(rid)
     options = [(cid, sorted(by_col[cid])) for cid in inst.col_ids]
     options = [(cid, items) for cid, items in options if items]
-    return CoverProblem(
-        item_ids=list(inst.row_ids),
-        options=options,
-        multiplicity=lam,
-        checksum=_checksum(inst),
-    )
+    problem = CoverProblem.from_options(list(inst.row_ids), options, lam)
+    problem.checksum = _checksum(inst)
+    return problem

@@ -10,6 +10,7 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from groups_reference import closure_elements
@@ -28,7 +29,7 @@ from qsteiner.groups import (
     orbit_partition,
     singer_normalizer,
 )
-from qsteiner.kramer_mesner import build_km, format_km, prune
+from qsteiner.kramer_mesner import _checksum, build_km, format_km, parse_km, prune
 from qsteiner.subspace import gaussian_binomial, span
 from subspace_reference import contains_subspace, enumerate_subspaces, vectors
 from qsteiner.verify import (
@@ -123,12 +124,21 @@ def test_criterion_03_km_dimensions(km_state):
     assert len(inst.col_ids) == km_state["t3"].num_orbits == PAPER["orbits_k3"]
     assert entries_ok
     assert elapsed < 7200
-    # the KM file bytes, so a change to the matrix code cannot move them
+    # the KM file bytes, so a change to the matrix code cannot move them,
+    # and the bulk reader at full size: the text reads back as the system
     for km, digest in (
         (inst, "0c9cc1452d7fa29d659c0aeac2d92fef195f70d452283b06e921b94104c9dc4a"),
         (pruned, "4de3d9ca83a7e43ff0a40187b5813c9d2d591baa05b1facb02eaf49d8fd4a386"),
     ):
-        assert hashlib.sha256(format_km(km).encode()).hexdigest() == digest
+        text = format_km(km)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        back = parse_km(text)
+        assert back.matrix.dtype == np.uint8
+        assert np.array_equal(back.matrix, km.matrix)
+        assert (back.n, back.t, back.k, back.lam) == (km.n, km.t, km.k, km.lam)
+        assert (back.row_ids, back.row_lengths) == (km.row_ids, km.row_lengths)
+        assert (back.col_ids, back.col_lengths) == (km.col_ids, km.col_lengths)
+        assert _checksum(back) == _checksum(km)
 
 
 def test_criterion_04_design_certification_without_solver():
@@ -194,7 +204,7 @@ def test_criterion_06_solver_corpus():
         (lab, [pair_id[p] for p in combinations(tri, 2)])
         for lab, tri in enumerate(combinations(range(7), 3))
     ]
-    sts = CoverProblem(item_ids=list(pair_id.values()), options=options)
+    sts = CoverProblem.from_options(item_ids=list(pair_id.values()), options=options)
     oracle_sts = brute_covers_disjoint(sts.item_ids, sts.options)
     sols_sts, _ = solve(sts, SolveConfig(max_solutions=None))
     sts_elapsed = time.monotonic() - t0
@@ -202,7 +212,7 @@ def test_criterion_06_solver_corpus():
     t0 = time.monotonic()
     subs = list(enumerate_subspaces(4, 2))
     opts = [(i, sorted(v for v in vectors(s) if v)) for i, s in enumerate(subs)]
-    spread = CoverProblem(item_ids=list(range(1, 16)), options=opts)
+    spread = CoverProblem.from_options(item_ids=list(range(1, 16)), options=opts)
     oracle_spread = brute_covers_disjoint(spread.item_ids, spread.options)
     sols_spread, _ = solve(spread, SolveConfig(max_solutions=None))
     spread_elapsed = time.monotonic() - t0
@@ -345,7 +355,7 @@ def test_criterion_10_property_suites():
         for lab in range(rng.randint(3, 10)):
             size = rng.randint(1, n_items)
             options.append((lab, sorted(rng.sample(item_ids, size))))
-        prob = CoverProblem(item_ids=item_ids, options=options)
+        prob = CoverProblem.from_options(item_ids=item_ids, options=options)
         sols, _ = solve(prob, SolveConfig(max_solutions=None))
         got = {frozenset(s.labels) for s in sols}
         expect = set()

@@ -538,6 +538,23 @@ def test_verify_blocks_refuses_a_second_source(tmp_path, capsys):
     assert code == 1  # one orbit is not a design, but the file alone is read
 
 
+def test_verify_blocks_refuses_a_group_source(tmp_path, capsys):
+    table = saved_table(tmp_path, capsys, 6, 3)
+    run(capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
+        "--k-orbits", table, "--ids", "0")
+    verify = ("--out-dir", str(tmp_path), "verify", "--blocks", str(tmp_path / "blocks.txt"))
+    for extra in (
+        ("--generators", str(tmp_path / "nonexist.txt")),
+        ("--singer-normalizer", "6"),
+        ("--fixture", "paper-13"),
+        ("--trivial-group", "--n", "6"),
+    ):
+        code, _, err = run(capsys, *verify, *extra)
+        assert code == 2, extra
+        assert f"--blocks FILE takes no group: drop {extra[0]}" in err, err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_non_integer_ids_name_their_flag(tmp_path, capsys):
     table = saved_table(tmp_path, capsys, 6, 3)
     code, _, err = run(

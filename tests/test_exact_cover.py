@@ -4,9 +4,11 @@ import gc
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 import dlx_reference
+import km_reference
 from qsteiner.exact_cover import (
     CoverProblem,
     SolveConfig,
@@ -17,8 +19,9 @@ from qsteiner.exact_cover import (
     save_solutions,
     solve,
 )
-from qsteiner.groups import orbit_partition, singer_normalizer
-from qsteiner.kramer_mesner import build_km, prune
+from qsteiner.gf2 import companion_matrix, primitive_polynomial
+from qsteiner.groups import MatrixGroup, orbit_partition, singer_normalizer
+from qsteiner.kramer_mesner import KMInstance, build_km, prune
 from subspace_reference import enumerate_subspaces, vectors
 
 
@@ -69,7 +72,7 @@ def sts_problem(v):
         (lab, [pair_id[p] for p in combinations(tri, 2)])
         for lab, tri in enumerate(combinations(range(v), 3))
     ]
-    return CoverProblem(item_ids=list(pair_id.values()), options=options)
+    return CoverProblem.from_options(item_ids=list(pair_id.values()), options=options)
 
 
 def spread_problem():
@@ -77,7 +80,7 @@ def spread_problem():
     options = []
     for lab, sub in enumerate(enumerate_subspaces(4, 2)):
         options.append((lab, sorted(v for v in vectors(sub) if v)))
-    return CoverProblem(item_ids=list(range(1, 16)), options=options)
+    return CoverProblem.from_options(item_ids=list(range(1, 16)), options=options)
 
 
 def test_sts7_matches_brute_force():
@@ -112,7 +115,7 @@ def test_random_instances_match_subset_enumeration():
         for lab in range(n_opts):
             size = rng.randint(1, n_items)
             options.append((lab, sorted(rng.sample(item_ids, size))))
-        prob = CoverProblem(item_ids=item_ids, options=options, multiplicity=lam)
+        prob = CoverProblem.from_options(item_ids=item_ids, options=options, multiplicity=lam)
         sols, _ = solve(prob, SolveConfig(max_solutions=None))
         got = {frozenset(s.labels) for s in sols}
         assert len(got) == len(sols), "duplicate solutions emitted"
@@ -240,13 +243,37 @@ def test_bitset_search_matches_dlx_traversal():
             for lab in range(rng.randint(3, 16))
         ]
         lam = rng.choice((1, 2, 3))
-        prob = CoverProblem(item_ids=item_ids, options=options, multiplicity=lam)
+        prob = CoverProblem.from_options(item_ids=item_ids, options=options, multiplicity=lam)
         cases.append((prob, SolveConfig(max_solutions=None)))
     group = singer_normalizer(7)
     km = prune(build_km(orbit_partition(group, 2), orbit_partition(group, 3), lam=1))
     for order in ("file", "randomized"):
         cfg = SolveConfig(max_solutions=None, order=order, seed=3)
         cases.append((from_km(km), cfg))
+    # the benchmark's path: a KM problem with columns forced, in both
+    # orders and under several seeds; under the Singer cycle alone with
+    # lambda = 2 (21 x 72) one forced column leaves a subtree of ~250 nodes
+    problem = from_km(km)
+    cyclic = MatrixGroup(n=7, generators=(companion_matrix(primitive_polynomial(7)),))
+    km2 = prune(build_km(orbit_partition(cyclic, 2), orbit_partition(cyclic, 3), lam=2))
+    for seed, order in product(range(3), ("file", "randomized")):
+        for prob, size in ((problem, 1), (from_km(km2), 1), (from_km(km2), 2)):
+            forced = random.Random(seed).sample(prob.labels, size)
+            cfg = SolveConfig(max_solutions=None, seed=seed, order=order, forced=forced)
+            cases.append((prob, cfg))
+    # a hand-built system whose column 11 has no entry: it is no option
+    zero = KMInstance(
+        n=3, t=1, k=2, lam=1, row_ids=[0, 1, 2], row_lengths=[1, 1, 1],
+        col_ids=[10, 11, 12, 13], col_lengths=[1, 1, 1, 1],
+        matrix=np.array([[1, 0, 0, 1], [0, 0, 1, 0], [1, 0, 1, 0]], dtype=np.uint8),
+    )
+    fields = {k: v for k, v in vars(zero).items() if k != "matrix"}
+    sparse = km_reference.KMInstance(**fields, entries=zero.entries)
+    for problem in (from_km(zero), km_reference.from_km(sparse)):
+        assert problem.labels == [10, 12, 13]
+        assert problem.options == [(10, [0, 2]), (12, [1, 2]), (13, [0])]
+    for order in ("file", "randomized"):
+        cases.append((from_km(zero), SolveConfig(max_solutions=None, order=order)))
 
     stopped = set()
     for prob, cfg in cases:
@@ -254,6 +281,32 @@ def test_bitset_search_matches_dlx_traversal():
         assert got == _traversal(dlx_reference.solve, prob, cfg), cfg
         stopped.add(got[3])
     assert stopped == {None, "nodes", "time", "solutions"}
+    # a forced column that meets a row an earlier one covers
+    for forced, clash in (([10, 12], 12), ([13, 10, 12], 10)):
+        cfg = SolveConfig(forced=forced)
+        with pytest.raises(ValueError) as want:
+            dlx_reference.solve(from_km(zero), cfg)
+        with pytest.raises(ValueError) as got:
+            solve(from_km(zero), cfg)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"option {clash} covers an already satisfied item"
+
+
+@pytest.mark.parametrize(
+    "item_ids,options,multiplicity,message",
+    [
+        ([0, 1], [(0, [0, 1])], 0, "multiplicity must be at least 1"),
+        ([0, 0], [(0, [0])], 1, "duplicate item ids"),
+        ([0, 1], [(5, [0]), (5, [1])], 1, "duplicate option label 5"),
+        ([0, 1], [(5, [0]), (6, [])], 1, "option 6 covers no items"),
+        ([0, 1], [(5, [1, 0, 1])], 1, "option 5 lists an item twice"),
+        ([0, 1], [(5, [0, 7])], 1, "option 5 references unknown item 7"),
+    ],
+)
+def test_from_options_rejects_bad_input(item_ids, options, multiplicity, message):
+    with pytest.raises(ValueError) as exc:
+        CoverProblem.from_options(item_ids, options, multiplicity)
+    assert str(exc.value) == message
 
 
 def test_check_solution_rejects_bad_input():

@@ -1,6 +1,10 @@
 """Orbit incidence systems against the definition computed by brute force."""
 
+import collections
 import hashlib
+import io
+import random
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +219,11 @@ def test_parse_rejects_malformed_records():
             km_reference.parse_km(text)
         with pytest.raises(FormatError, match=rf"^line {i + 1}: "):
             parse_km(text)
+    # bad fields are named as a reader converting R, C, E and X records in
+    # turn meets them: an R line after a bad E line is named first
+    out = lines[:e] + [f"E {erow} {ecol} x"] + lines[e + 1 :] + [f"R {rid} y"]
+    with pytest.raises(FormatError, match=rf"^line {len(out)}: .*'y'"):
+        parse_km("\n".join(out) + "\n")
 
 
 def test_parse_errors_match_dict_reference():
@@ -256,6 +265,110 @@ def test_parse_errors_match_dict_reference():
         assert str(got.value) == str(want.value)
 
 
+def _corrupt(rng, text):
+    """One seeded corruption of a KM text, of a kind picked at random."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    fields = lines[i].split(" ")
+    f = rng.randrange(1, len(fields)) if len(fields) > 1 else 0
+    kind = rng.choice(
+        ["flip", "delete", "swap", "comment", "tab", "blank", "ends", "sign",
+         "long", "non-ascii"]
+    )
+    if kind == "flip":
+        j = rng.randrange(len(lines[i]))
+        char = rng.choice("0123456789 +-_#\t\x0b\x0c\x1c\x00\rRCEXKMa.")
+        lines[i] = lines[i][:j] + char + lines[i][j + 1 :]
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "comment":
+        lines.insert(i, rng.choice(["# note", "#", "  # KM 1 2"]))
+        lines[-1] += " # checksum"
+    elif kind == "tab":
+        lines[i] = lines[i].replace(" ", rng.choice(["\t", " \t ", "  "]))
+    elif kind == "blank":
+        lines.insert(i, rng.choice(["", "   ", "\t"]))
+    elif kind == "ends":
+        return rng.choice(["\r\n", "\r"]).join(lines) + rng.choice(["\r\n", "\r", ""])
+    elif kind == "sign":
+        fields[f] = rng.choice("+-") + fields[f]
+    elif kind == "long":
+        fields[f] = rng.choice([
+            "0" * rng.randint(14, 24) + fields[f],
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775809",
+            str(rng.randrange(10**19, 10**25)),
+        ])
+    else:
+        fields[f] = rng.choice([fields[f] + "٣", "１" + fields[f], fields[f] + "\xa0"])
+    if kind in ("sign", "long", "non-ascii"):
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _dense_only(text, message):
+    """Whether message, from the dense reader, names a fault that its line
+    really has and that the dict reader does not look for: a wrong field
+    count, a field with non-ASCII digits or outside int64, an entry above
+    255, an orbit length below 1 or a second X line."""
+    match = re.fullmatch(r"line (\d+): (.*)", message)
+    if not match:
+        return False
+    lines = [ln.split("#", 1)[0].split() for ln in io.StringIO(text, newline=None)]
+    lineno, fault = int(match[1]), match[2]
+    tag, *fields = lines[lineno - 1]
+    widths = {"KM": 6, "R": 2, "C": 2, "E": 3, "X": 1}
+    if fault == f"{tag} record needs {widths.get(tag)} integers":
+        return len(fields) != widths[tag]
+    if fault.startswith("non-ASCII digits in "):
+        return not "".join(fields).isascii()
+    ints = []
+    for x in fields:
+        try:
+            ints.append(int(x))
+        except ValueError:
+            return False
+    if fault == "Python int too large to convert to C long":
+        return any(not -(2**63) <= x < 2**63 for x in ints)
+    if fault == f"entry {ints[-1]} is above 255":
+        return tag == "E" and ints[-1] > 255
+    if fault == "orbit lengths must be positive":
+        return tag in ("R", "C") and ints[-1] <= 0
+    return fault == "duplicate X line" and ["X"] in [ln[:1] for ln in lines[: lineno - 1]]
+
+
+def test_parse_matches_dict_reference_on_seeded_corruptions():
+    # both readers load the same fields or raise the same message, unless
+    # the dense reader names a fault the dict reader does not check, or
+    # names the line of an entry with an unknown id
+    group = singer_normalizer(6)
+    text = format_km(build_km(orbit_partition(group, 2), orbit_partition(group, 3)))
+    rng = random.Random(20261019)
+    tally = collections.Counter()
+    for _ in range(2000):
+        bad = _corrupt(rng, text)
+        try:
+            want = _fields(km_reference.parse_km(bad))
+        except FormatError as exc:
+            want = str(exc)
+        try:
+            got = _fields(parse_km(bad))
+        except FormatError as exc:
+            got = str(exc)
+        if got == want:
+            tally["same error" if isinstance(got, str) else "same load"] += 1
+        elif isinstance(want, str) and re.fullmatch(r"line \d+: " + re.escape(want), got):
+            tally["line named"] += 1
+        else:
+            assert isinstance(got, str) and _dense_only(bad, got), (repr(bad), got, want)
+            tally["dense only"] += 1
+    assert min(tally.values()) >= 20 and len(tally) == 4, tally
+
+
 @pytest.mark.parametrize(
     "n,full_sha256,pruned_sha256",
     [
@@ -287,9 +400,10 @@ def _fields(inst):
 
 def _cover(from_km_fn, inst):
     try:
-        return from_km_fn(inst)
+        p = from_km_fn(inst)
     except ValueError as exc:
         return str(exc)
+    return p.item_ids, p.labels, p.matrix.tolist(), p.multiplicity, p.checksum
 
 
 @pytest.mark.parametrize(

@@ -48,7 +48,7 @@ def recount_histogram(blocks, t):
 def make_spread():
     subs = list(enumerate_subspaces(4, 2))
     opts = [(i, sorted(v for v in vectors(s) if v)) for i, s in enumerate(subs)]
-    prob = CoverProblem(item_ids=list(range(1, 16)), options=opts)
+    prob = CoverProblem.from_options(item_ids=list(range(1, 16)), options=opts)
     sols, _ = solve(prob, SolveConfig(max_solutions=1))
     return BlockSet(4, 2, np.array([subs[i].rows for i in sols[0].labels]))
 
