@@ -76,64 +76,9 @@ class VerificationFailure(Exception):
     pass
 
 
-# ---------------------------------------------------------------------------
-# config file: `key = value` lines, '#' comments; flags override file values
-
-
-def load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{ln}: expected key = value")
-                key, val = line.split("=", 1)
-                values[key.strip()] = val.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    return values
-
-
-class Settings:
-    """Flag values with config-file fallback: flags override file keys."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = (
-            load_config_file(args.config) if getattr(args, "config", None) else {}
-        )
-
-    def get(self, name: str, default=None, cast=str):
-        flag = getattr(self.args, name.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if name in self.file_values:
-            try:
-                return cast(self.file_values[name])
-            except ValueError as exc:
-                raise UsageError(f"config key {name}: {exc}") from exc
-        return default
-
-    def flag_true(self, name: str) -> bool:
-        if getattr(self.args, name.replace("-", "_"), False):
-            return True
-        if name in self.file_values:
-            raw = self.file_values[name].lower()
-            if raw in ("1", "true", "yes", "on"):
-                return True
-            if raw in ("0", "false", "no", "off"):
-                return False
-            raise UsageError(f"config key {name}: not a boolean: {raw}")
-        return False
-
-
-def out_path(settings: Settings, filename: str) -> str:
-    out_dir = settings.get("out-dir", default=".")
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, filename)
+def out_path(args: argparse.Namespace, filename: str) -> str:
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, filename)
 
 
 # ---------------------------------------------------------------------------
@@ -163,64 +108,61 @@ def add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="ambient dimension for --trivial-group")
 
 
-def group_sources(settings: Settings) -> list[str]:
+def group_sources(args: argparse.Namespace) -> list[str]:
     """The group source flags given, of the four a command can take."""
-    sources = [
-        flag
-        for flag in ("--fixture", "--singer-normalizer", "--generators")
-        if settings.get(flag[2:]) is not None
-    ]
-    if settings.flag_true("trivial-group"):
-        sources.append("--trivial-group")
-    return sources
+    given = {
+        "--fixture": args.fixture is not None,
+        "--singer-normalizer": args.singer_normalizer is not None,
+        "--generators": args.generators is not None,
+        "--trivial-group": args.trivial_group,
+    }
+    return [flag for flag, on in given.items() if on]
 
 
-def resolve_group(settings: Settings) -> MatrixGroup:
-    fixture = settings.get("fixture")
-    singer_n = settings.get("singer-normalizer", cast=int)
-    gen_file = settings.get("generators")
-    if len(group_sources(settings)) != 1:
+def resolve_group(args: argparse.Namespace) -> MatrixGroup:
+    if len(group_sources(args)) != 1:
         raise UsageError(
             "choose exactly one group source: --fixture, --singer-normalizer, "
             "--generators, or --trivial-group"
         )
-    if fixture is not None:
-        if fixture != "paper-13":
-            raise UsageError(f"unknown fixture: {fixture}")
-        n_flag = settings.get("n", cast=int)
-        if n_flag is not None and n_flag != fixtures.FIXTURE_N:
+    n = args.n
+    if args.fixture is not None:
+        if n is not None and n != fixtures.FIXTURE_N:
             raise UsageError("fixture paper-13 forces n=13")
         fixtures.self_test()
         return fixtures.fixture_group()
+    singer_n = args.singer_normalizer
     if singer_n is not None:
+        if n is not None and n != singer_n:
+            raise UsageError(f"--singer-normalizer {singer_n} forces n={singer_n}")
         try:
             return singer_normalizer(singer_n)
         except ValueError as exc:
             raise UsageError(f"--singer-normalizer: {exc}") from None
-    if gen_file is not None:
-        n_flag = settings.get("n", cast=int)
-        return load_generator_file(gen_file, n=n_flag)
-    n_flag = settings.get("n", cast=int)
-    if n_flag is None:
+    if args.generators is not None:
+        return load_generator_file(args.generators, n=n)
+    if n is None:
         raise UsageError("--trivial-group requires --n")
-    if not 1 <= n_flag <= MAX_WIDTH:
+    if not 1 <= n <= MAX_WIDTH:
         raise UsageError(f"need 1 <= n <= {MAX_WIDTH}")
-    return MatrixGroup(n=n_flag, generators=(identity(n_flag),), order=1)
+    return MatrixGroup(n=n, generators=(identity(n),), order=1)
 
 
-def resolve_reps(settings: Settings, group: MatrixGroup):
+def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
     """(representative rows, their source file or flag) from exactly one of
     --reps FILE (a block file), --fixture-solution, and in expand --k-orbits
     FILE with ids from --ids or the first line of a --solution file."""
-    tables = hasattr(settings.args, "k_orbits")
-    table_file = settings.get("k-orbits") if tables else None
-    reps_file = settings.get("reps")
-    use_fixture = settings.flag_true("fixture-solution")
+    tables = hasattr(args, "k_orbits")
+    table_file = args.k_orbits if tables else None
+    reps_file = args.reps
+    use_fixture = args.fixture_solution
     if (table_file is not None) + (reps_file is not None) + use_fixture != 1:
         raise UsageError(
             "choose exactly one of "
             f"{'--k-orbits FILE, ' if tables else ''}--reps FILE or --fixture-solution"
         )
+    if tables and table_file is None and (args.ids, args.solution) != (None, None):
+        raise UsageError("--ids and --solution need --k-orbits FILE")
     if use_fixture:
         if group.n != fixtures.FIXTURE_N:
             raise UsageError("--fixture-solution requires the n=13 group")
@@ -233,8 +175,7 @@ def resolve_reps(settings: Settings, group: MatrixGroup):
         if reps.n != group.n:
             raise UsageError(f"{reps_file}: representatives are not in GF(2)^{group.n}")
         return reps.blocks, reps_file
-    ids_text = settings.get("ids")
-    solution_file = settings.get("solution")
+    ids_text, solution_file = args.ids, args.solution
     if (ids_text is None) == (solution_file is None):
         raise UsageError("--k-orbits needs exactly one of --ids or --solution")
     table = OrbitTable.load(table_file, group=group)
@@ -272,12 +213,12 @@ def expand_reps(group: MatrixGroup, reps, source: str):
 # subcommands
 
 
-def cmd_group(settings: Settings) -> int:
-    group = resolve_group(settings)
+def cmd_group(args: argparse.Namespace) -> int:
+    group = resolve_group(args)
     t0 = time.time()
     closed = group_closure(group)
     elapsed = time.time() - t0
-    path = out_path(settings, "group.txt")
+    path = out_path(args, "group.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_group(closed))
     print(f"group order {closed.order} ({elapsed:.1f}s closure)")
@@ -285,9 +226,9 @@ def cmd_group(settings: Settings) -> int:
     return EXIT_OK
 
 
-def cmd_orbits(settings: Settings) -> int:
-    group = resolve_group(settings)
-    dim = settings.get("dim", cast=int)
+def cmd_orbits(args: argparse.Namespace) -> int:
+    group = resolve_group(args)
+    dim = args.dim
     if dim is None:
         raise UsageError("--dim is required")
     if not 0 <= dim <= group.n:
@@ -297,7 +238,7 @@ def cmd_orbits(settings: Settings) -> int:
     elapsed = time.time() - t0
     total = table.total_subspaces()
     expect = gaussian_binomial(group.n, dim, 2)
-    path = out_path(settings, f"orbits-n{group.n}-k{dim}.txt")
+    path = out_path(args, f"orbits-n{group.n}-k{dim}.txt")
     table.save(path)
     print(
         f"{table.num_orbits} orbits of {dim}-subspaces, "
@@ -308,11 +249,11 @@ def cmd_orbits(settings: Settings) -> int:
 
 
 def _load_or_build_table(
-    settings: Settings, group: MatrixGroup, dim: int, name: str
+    args: argparse.Namespace, group: MatrixGroup, dim: int, name: str
 ) -> OrbitTable:
     """The --{name}-orbits table, else a new partition; a saved table whose
     dimension is not the --{name} value is a usage error."""
-    path = settings.get(f"{name}-orbits")
+    path = getattr(args, f"{name}_orbits")
     if path is None:
         return orbit_partition(group, dim)
     table = OrbitTable.load(path, group=group)
@@ -322,29 +263,27 @@ def _load_or_build_table(
     return table
 
 
-def cmd_km(settings: Settings) -> int:
-    group = resolve_group(settings)
-    t = settings.get("t", default=2, cast=int)
-    k = settings.get("k", default=3, cast=int)
-    lam = settings.get("lambda", default=1, cast=int)
+def cmd_km(args: argparse.Namespace) -> int:
+    group = resolve_group(args)
+    t, k, lam = args.t, args.k, args.lam
     if not 0 < t < k <= group.n:
         raise UsageError("need 0 < t < k <= n")
     if lam < 1:
         raise UsageError("need lambda >= 1")
     t0 = time.time()
-    t_table = _load_or_build_table(settings, group, t, "t")
-    k_table = _load_or_build_table(settings, group, k, "k")
+    t_table = _load_or_build_table(args, group, t, "t")
+    k_table = _load_or_build_table(args, group, k, "k")
     inst = build_km(t_table, k_table, lam=lam)
     sums = set(inst.row_sums().values())
     print(
         f"incidence system {inst.shape[0]} x {inst.shape[1]}, "
         f"row sums {sorted(sums)} ({time.time()-t0:.1f}s)"
     )
-    full_path = out_path(settings, f"km-n{group.n}-t{t}-k{k}-full.txt")
+    full_path = out_path(args, f"km-n{group.n}-t{t}-k{k}-full.txt")
     export_km(inst, full_path)
     print(f"wrote {full_path}")
     pruned = prune(inst)
-    pruned_path = out_path(settings, f"km-n{group.n}-t{t}-k{k}-pruned.txt")
+    pruned_path = out_path(args, f"km-n{group.n}-t{t}-k{k}-pruned.txt")
     export_km(pruned, pruned_path)
     print(
         f"pruned to {pruned.shape[0]} x {pruned.shape[1]} "
@@ -366,8 +305,8 @@ def _parse_ids(text: str | None, flag: str, what: str) -> list[int]:
         raise UsageError(f"{flag} expects integer {what}: {exc}") from exc
 
 
-def _max_solutions(settings: Settings, default: str) -> int | None:
-    raw = str(settings.get("max-solutions", default=default))
+def _max_solutions(args: argparse.Namespace) -> int | None:
+    raw = args.max_solutions
     if raw == "all":
         return None
     if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
@@ -375,22 +314,21 @@ def _max_solutions(settings: Settings, default: str) -> int | None:
     return int(raw)
 
 
-def cmd_solve(settings: Settings) -> int:
-    km_file = settings.get("km")
-    if km_file is None:
+def cmd_solve(args: argparse.Namespace) -> int:
+    if args.km is None:
         raise UsageError("--km FILE is required (produce one with the km command)")
-    inst = import_km(km_file)
+    inst = import_km(args.km)
     if inst.matrix.max(initial=0) > 1:
         inst = prune(inst)
         print("input had entries above 1; pruned before solving")
     problem = from_km(inst)
     config = SolveConfig(
-        max_solutions=_max_solutions(settings, default="1"),
-        node_limit=settings.get("node-limit", cast=int),
-        time_limit=settings.get("time-limit", cast=float),
-        seed=settings.get("seed", default=0, cast=int),
-        order=settings.get("order", default="file"),
-        forced=_parse_ids(settings.get("force"), "--force", "column ids"),
+        max_solutions=_max_solutions(args),
+        node_limit=_not_below(args.node_limit, "--node-limit"),
+        time_limit=_not_below(args.time_limit, "--time-limit"),
+        seed=args.seed,
+        order=args.order,
+        forced=_parse_ids(args.force, "--force", "column ids"),
     )
     try:
         solutions, stats = solve(problem, config)
@@ -401,7 +339,7 @@ def cmd_solve(settings: Settings) -> int:
         ok, _ = check_solution(problem, sol.labels)
         if not ok:
             raise AssertionError("solver returned a solution that fails recounting")
-    path = out_path(settings, "solutions.txt")
+    path = out_path(args, "solutions.txt")
     save_solutions(path, problem, config, stats, solutions)
     rate = stats.nodes / stats.elapsed if stats.elapsed > 0 else 0.0
     print(
@@ -416,12 +354,12 @@ def cmd_solve(settings: Settings) -> int:
     return EXIT_OK
 
 
-def cmd_expand(settings: Settings) -> int:
-    group = resolve_group(settings)
-    reps, source = resolve_reps(settings, group)
+def cmd_expand(args: argparse.Namespace) -> int:
+    group = resolve_group(args)
+    reps, source = resolve_reps(args, group)
     t0 = time.time()
     blocks, lengths = expand_reps(group, reps, source)
-    path = out_path(settings, "blocks.txt")
+    path = out_path(args, "blocks.txt")
     blocks.save(path)
     print(
         f"expanded {len(reps)} orbits to {blocks.num_blocks} distinct blocks "
@@ -431,39 +369,43 @@ def cmd_expand(settings: Settings) -> int:
     return EXIT_OK
 
 
-def _sample_count(settings: Settings, name: str, default: int, least: int = 0) -> int:
-    value = settings.get(name, default=default, cast=int)
-    if value < least:
-        raise UsageError(f"--{name} must be >= {least}")
+def _not_below(value, flag: str, least: int = 0):
+    """A count or limit flag's value, None where it is not given; a value
+    below least, or NaN, is a usage error."""
+    if value is not None and not value >= least:
+        raise UsageError(f"{flag} must be >= {least}")
     return value
 
 
-def cmd_verify(settings: Settings) -> int:
-    t = settings.get("t", default=2, cast=int)
-    lam = settings.get("lambda", default=1, cast=int)
+def cmd_verify(args: argparse.Namespace) -> int:
+    t, lam = args.t, args.lam
     if lam < 1:
         raise UsageError("need lambda >= 1")
-    dist_samples = _sample_count(settings, "distance-samples", default=0)
-    derived_samples = _sample_count(settings, "derived-samples", default=0)
-    blocks_file = settings.get("blocks")
-    if blocks_file is not None:
-        if settings.get("reps") is not None or settings.flag_true("fixture-solution"):
+    dist_samples = _not_below(args.distance_samples, "--distance-samples")
+    derived_samples = _not_below(args.derived_samples, "--derived-samples")
+    # the sampled certificates are defined for these parameters only
+    if dist_samples and lam != 1:
+        raise UsageError("--distance-samples needs lambda = 1")
+    if derived_samples and (t, lam) != (2, 1):
+        raise UsageError("--derived-samples needs t = 2 and lambda = 1")
+    if args.blocks is not None:
+        if args.reps is not None or args.fixture_solution:
             raise UsageError(
                 "choose exactly one of --blocks FILE, --reps FILE or --fixture-solution"
             )
-        given = group_sources(settings)
+        given = group_sources(args)
         if given:
             raise UsageError(f"--blocks FILE takes no group: drop {', '.join(given)}")
-        blocks = BlockSet.load(blocks_file)
+        blocks = BlockSet.load(args.blocks)
     else:
-        group = resolve_group(settings)
-        blocks, _ = expand_reps(group, *resolve_reps(settings, group))
+        group = resolve_group(args)
+        blocks, _ = expand_reps(group, *resolve_reps(args, group))
     if not 0 < t <= blocks.k:
         raise UsageError(f"need 0 < t <= k = {blocks.k}")
     t0 = time.time()
     report = verify_design(blocks, t, lam)
     elapsed = time.time() - t0
-    path = out_path(settings, "report.txt")
+    path = out_path(args, "report.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
     print(
@@ -475,13 +417,14 @@ def cmd_verify(settings: Settings) -> int:
         print(f"verification failed: {report.violations_total} violations")
         return EXIT_VERIFY_FAIL
     print("verification passed: every t-subspace covered exactly lambda times")
-    seed = settings.get("seed", default=0, cast=int)
-    if dist_samples and lam == 1:
-        d = min_distance_certificate(blocks, report, samples=dist_samples, seed=seed)
+    if dist_samples:
+        d = min_distance_certificate(
+            blocks, report, samples=dist_samples, seed=args.seed
+        )
         print(f"minimum subspace distance {d} ({dist_samples} sampled pairs)")
-    if derived_samples and t == 2 and lam == 1:
+    if derived_samples:
         stats = derived_steiner_sample_check(
-            blocks, report, samples=derived_samples, seed=seed
+            blocks, report, samples=derived_samples, seed=args.seed
         )
         print(
             f"derived triple check: {stats['failures']} failures "
@@ -492,12 +435,11 @@ def cmd_verify(settings: Settings) -> int:
     return EXIT_OK
 
 
-def cmd_paper_check(settings: Settings) -> int:
-    skip_3 = settings.flag_true("skip-3-orbits")
-    seed = settings.get("seed", default=0, cast=int)
+def cmd_paper_check(args: argparse.Namespace) -> int:
+    skip_3, seed = args.skip_3_orbits, args.seed
     # a certificate on no samples certifies nothing; verify reads 0 as skip
-    dist_samples = _sample_count(settings, "distance-samples", 10**6, least=1)
-    derived_samples = _sample_count(settings, "derived-samples", 10**5, least=1)
+    dist_samples = _not_below(args.distance_samples, "--distance-samples", least=1)
+    derived_samples = _not_below(args.derived_samples, "--derived-samples", least=1)
     paper = fixtures.PAPER
     rows: list[tuple[str, str, float, bool]] = []
 
@@ -670,9 +612,8 @@ def _peak_rss_mb() -> float | None:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def cmd_spread_demo(settings: Settings) -> int:
-    n = settings.get("n", default=4, cast=int)
-    k = settings.get("k", default=2, cast=int)
+def cmd_spread_demo(args: argparse.Namespace) -> int:
+    n, k = args.n, args.k
     if k < 2:
         raise UsageError("spread demo needs k >= 2")
     if not 1 <= n <= 10:
@@ -683,10 +624,7 @@ def cmd_spread_demo(settings: Settings) -> int:
     group = MatrixGroup(n=n, generators=(identity(n),), order=1)
     table = orbit_partition(group, k)
     problem = from_km(build_km(orbit_partition(group, 1), table))
-    config = SolveConfig(
-        max_solutions=_max_solutions(settings, default="all"),
-        seed=settings.get("seed", default=0, cast=int),
-    )
+    config = SolveConfig(max_solutions=_max_solutions(args), seed=args.seed)
     t0 = time.time()
     solutions, stats = solve(problem, config)
     sizes = {len(sol.labels) for sol in solutions}
@@ -703,10 +641,8 @@ def cmd_spread_demo(settings: Settings) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
-def cmd_bounds(settings: Settings) -> int:
-    n = settings.get("n", cast=int)
-    k = settings.get("k", cast=int)
-    t = settings.get("t", default=None, cast=int)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    n, k, t = args.n, args.k, args.t
     if n is None or k is None:
         raise UsageError("--n and --k are required")
     if not 0 < k <= n:
@@ -733,14 +669,22 @@ def cmd_bounds(settings: Settings) -> int:
 # argument parsing
 
 
+def add_lambda_flag(p: argparse.ArgumentParser, text: str) -> None:
+    """--lambda LAMBDA, read as args.lam: lambda is a Python keyword."""
+    p.add_argument(
+        "--lambda", type=int, default=1, dest="lam", metavar="LAMBDA", help=text
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsteiner",
         description="construct and verify q-analog Steiner systems over GF(2)",
     )
-    parser.add_argument("--config", metavar="FILE", help="key = value defaults file")
-    parser.add_argument("--seed", type=int, help="seed for randomized searches")
-    parser.add_argument("--out-dir", help="directory for output files")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed for randomized searches"
+    )
+    parser.add_argument("--out-dir", default=".", help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="run the closure and report the group order")
@@ -752,22 +696,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("km", help="build the orbit incidence system")
     add_group_flags(p)
-    p.add_argument("--t", type=int, help="row subspace dimension (default 2)")
-    p.add_argument("--k", type=int, help="column subspace dimension (default 3)")
-    p.add_argument("--lambda", type=int, help="target coverage multiplicity")
+    p.add_argument(
+        "--t", type=int, default=2, help="row subspace dimension (default 2)"
+    )
+    p.add_argument(
+        "--k", type=int, default=3, help="column subspace dimension (default 3)"
+    )
+    add_lambda_flag(p, "target coverage multiplicity")
     p.add_argument("--t-orbits", metavar="FILE", help="reuse a saved t-orbit table")
     p.add_argument("--k-orbits", metavar="FILE", help="reuse a saved k-orbit table")
 
     p = sub.add_parser("solve", help="solve the incidence system as exact cover")
     p.add_argument("--km", metavar="FILE", help="incidence system file")
     p.add_argument(
-        "--max-solutions", help="stop after this many solutions, or 'all'"
+        "--max-solutions",
+        default="1",
+        help="stop after this many solutions, or 'all'",
     )
     p.add_argument("--node-limit", type=int, help="search node budget")
     p.add_argument("--time-limit", type=float, help="wall clock budget in seconds")
     p.add_argument(
         "--order",
         choices=["file", "randomized"],
+        default="file",
         help="option exploration order",
     )
     p.add_argument(
@@ -803,16 +754,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the bundled 15 representatives",
     )
-    p.add_argument("--t", type=int, help="covered subspace dimension (default 2)")
-    p.add_argument("--lambda", type=int, help="required coverage (default 1)")
+    p.add_argument(
+        "--t", type=int, default=2, help="covered subspace dimension (default 2)"
+    )
+    add_lambda_flag(p, "required coverage (default 1)")
     p.add_argument(
         "--distance-samples",
         type=int,
+        default=0,
         help="also certify the minimum distance on this many sampled pairs",
     )
     p.add_argument(
         "--derived-samples",
         type=int,
+        default=0,
         help="also spot-check derived triple coverage on this many samples",
     )
 
@@ -825,15 +780,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the 3-orbit and incidence stages (verification still runs)",
     )
-    p.add_argument("--distance-samples", type=int, help="pairs for the distance check")
     p.add_argument(
-        "--derived-samples", type=int, help="triples for the derived check"
+        "--distance-samples",
+        type=int,
+        default=10**6,
+        help="pairs for the distance check",
+    )
+    p.add_argument(
+        "--derived-samples",
+        type=int,
+        default=10**5,
+        help="triples for the derived check",
     )
 
     p = sub.add_parser("spread-demo", help="enumerate spreads in a small space")
-    p.add_argument("--n", type=int, help="ambient dimension (default 4)")
-    p.add_argument("--k", type=int, help="block dimension (default 2)")
-    p.add_argument("--max-solutions", help="stop after this many, or 'all'")
+    p.add_argument("--n", type=int, default=4, help="ambient dimension (default 4)")
+    p.add_argument("--k", type=int, default=2, help="block dimension (default 2)")
+    p.add_argument(
+        "--max-solutions", default="all", help="stop after this many, or 'all'"
+    )
 
     p = sub.add_parser("bounds", help="print counting bounds for given parameters")
     p.add_argument("--n", type=int, help="ambient dimension")
@@ -860,8 +825,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = Settings(args)
-        return COMMANDS[args.command](settings)
+        return COMMANDS[args.command](args)
     except (UsageError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, file outputs, determinism."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,27 +32,6 @@ def test_bounds_reports_non_integral_bound(capsys):
     assert "155/7 is not an integer" in out
 
 
-def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
-    conf = tmp_path / "conf.txt"
-    conf.write_text("n = 5\nk = 3\nt = 2\nthreads = 4\n")  # unknown keys are ignored
-    code, out, _ = run(capsys, "--config", str(conf), "bounds")
-    assert code == 0 and "[5 3]_2 = 155" in out
-    code, out, _ = run(capsys, "--config", str(conf), "bounds", "--k", "2")
-    assert code == 0 and "[5 2]_2 = 155" in out
-
-
-def test_malformed_config_is_a_usage_error(tmp_path, capsys):
-    conf = tmp_path / "conf.txt"
-    conf.write_text("just words\n")
-    code, _, err = run(capsys, "--config", str(conf), "bounds", "--n", "4", "--k", "2")
-    assert code == 2
-    assert "expected key = value" in err
-    conf.write_text("trivial-group = maybe\nn = 4\n")
-    code, _, err = run(capsys, "--config", str(conf), "orbits", "--dim", "2")
-    assert code == 2
-    assert "trivial-group: not a boolean: maybe" in err
-
-
 def test_strategy_error_is_a_resource_limit(monkeypatch, capsys):
     def refuse(group, k):
         raise StrategyError("orbit exceeded the traversal cap 1")
@@ -74,6 +54,7 @@ def test_out_of_range_dimensions_are_usage_errors(tmp_path, capsys):
         ((*trivial, "-1"), "need 1 <= n <= 64"),
         ((*singer, "1"), f"{no_polynomial} 1"),
         ((*singer, "40"), f"{no_polynomial} 40"),
+        ((*singer, "5", "--n", "7"), "--singer-normalizer 5 forces n=5"),
         (("spread-demo", "--k", "0"), "spread demo needs k >= 2"),
         (("spread-demo", "--n", "0"), "spread demo is meant for small n (1 to 10)"),
         (("km", "--trivial-group", "--n", "3", "--t", "1", "--k", "2", "--lambda", "0"),
@@ -238,9 +219,10 @@ def test_expand_needs_exactly_one_source(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["bounds", "--bogus"])
-    assert info.value.code == 2
+    for argv in (["bounds", "--bogus"], ["--config", "conf.txt", "bounds"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -281,6 +263,9 @@ def test_bad_solver_flags_are_usage_errors(tmp_path, capsys):
         (("--force", "0,0"), "--force"),
         (("--force", "0,1"), "--force"),
         (("--force", "0,x"), "--force expects integer column ids"),
+        (("--node-limit", "-5"), "--node-limit must be >= 0"),
+        (("--time-limit", "-1"), "--time-limit must be >= 0"),
+        (("--time-limit", "nan"), "--time-limit must be >= 0"),
     ):
         code, _, err = run(capsys, "--out-dir", out_dir, "solve", "--km", km, *extra)
         assert code == 2 and f"error: {flag}" in err, (extra, err)
@@ -300,6 +285,19 @@ def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
         assert code == 2 and f"error: {flag} must be >= 0" in err, err
         code, _, err = run(capsys, "paper-check", "--skip-3-orbits", flag, "-5")
         assert code == 2 and f"error: {flag} must be >= 1" in err, err
+    # a certificate verify would have to skip is refused before any block is read
+    derived = "--derived-samples needs t = 2 and lambda = 1"
+    for flags, message in (
+        (("--t", "1", "--derived-samples", "100"), derived),
+        (("--lambda", "2", "--derived-samples", "100"), derived),
+        (("--lambda", "2", "--distance-samples", "100"),
+         "--distance-samples needs lambda = 1"),
+    ):
+        code, _, err = run(
+            capsys, "--out-dir", str(tmp_path), "verify", "--blocks", "missing.txt",
+            *flags,
+        )
+        assert code == 2 and f"error: {message}" in err, err
     code, _, _ = run(
         capsys, "--out-dir", str(tmp_path), "verify", "--blocks", str(blocks),
         "--t", "1", "--distance-samples", "0", "--derived-samples", "0",
@@ -461,6 +459,15 @@ def test_expand_refuses_conflicting_representative_sources(tmp_path, capsys):
         assert code == 2, sources
         assert "choose exactly one of --k-orbits FILE, --reps FILE or " \
             "--fixture-solution" in err, err
+    # ids name orbits of a table: without --k-orbits they would be dropped
+    for sources in (
+        ("--reps", str(reps), "--ids", "5,6"),
+        ("--reps", str(reps), "--solution", str(tmp_path / "missing.txt")),
+        ("--fixture-solution", "--ids", "0"),
+    ):
+        code, _, err = run(capsys, *expand, *sources)
+        assert code == 2, sources
+        assert "error: --ids and --solution need --k-orbits FILE" in err, err
     assert not (tmp_path / "blocks.txt").exists()
     for sources in (("--k-orbits", table, "--ids", "0"), ("--reps", str(reps))):
         code, out, _ = run(capsys, *expand, *sources)
@@ -562,3 +569,34 @@ def test_non_integer_ids_name_their_flag(tmp_path, capsys):
         "--k-orbits", table, "--ids", "0,x",
     )
     assert code == 2 and "error: --ids expects integer orbit ids" in err, err
+
+
+def test_defaults_are_declared_by_the_parser():
+    parse = cli.build_parser().parse_args
+    top = parse(["bounds"])
+    assert (top.seed, top.out_dir) == (0, ".")
+    assert (top.n, top.k, top.t) == (None, None, None)
+    km = parse(["km"])
+    assert (km.t, km.k, km.lam) == (2, 3, 1)
+    verify = parse(["verify"])
+    assert (verify.t, verify.lam) == (2, 1)
+    assert (verify.distance_samples, verify.derived_samples) == (0, 0)
+    check = parse(["paper-check"])
+    assert (check.distance_samples, check.derived_samples) == (10**6, 10**5)
+    solve = parse(["solve"])
+    assert (solve.max_solutions, solve.order) == ("1", "file")
+    assert (solve.node_limit, solve.time_limit) == (None, None)
+    demo = parse(["spread-demo"])
+    assert (demo.n, demo.k, demo.max_solutions) == (4, 2, "all")
+    assert parse(["verify", "--lambda", "3"]).lam == 3
+
+
+def test_readme_names_only_existing_flags(capsys):
+    flag = r"--[a-z0-9][a-z0-9-]*"
+    known = {"--no-build-isolation"}  # pip's, in the install lines
+    for command in ([], *([name] for name in cli.COMMANDS)):
+        with pytest.raises(SystemExit):
+            cli.main([*command, "--help"])
+        known |= set(re.findall(flag, capsys.readouterr().out))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert set(re.findall(flag, readme)) <= known
