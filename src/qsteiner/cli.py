@@ -832,7 +832,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ClosureCapError, EnumerationGuardError, StrategyError) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (AssertionError, VerificationFailure) as exc:
+    except (AssertionError, VerificationFailure, fixtures.FixtureIntegrityError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
 

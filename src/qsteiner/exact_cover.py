@@ -197,17 +197,19 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
             bit = cand & -cand
             cand ^= bit
             oi = bit.bit_length() - 1
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
+            # the limits stop the search before a node is counted; the
+            # clock is polled before the first node and every 256th after it
+            if node_limit is not None and nodes >= node_limit:
                 stop = "nodes"
                 break
             if (
                 time_limit is not None
                 and nodes % 256 == 0
-                and time.monotonic() - t0 > time_limit
+                and time.monotonic() - t0 >= time_limit
             ):
                 stop = "time"
                 break
+            nodes += 1
             watermark[it] = oi
             sub_live = live ^ bit
             sub_active = active

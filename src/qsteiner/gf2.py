@@ -8,6 +8,7 @@ M @ v, and bit j of a text row is column j.  Widths up to 64 bits.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -256,16 +257,24 @@ def frobenius_matrix(bits: int) -> BitMatrix:
 # Lines end as in str.splitlines and are stripped as by str.strip.
 
 
+def format_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The text of uint64 rows as an (..., n + 1) uint8 array: character j
+    of a row is 1 where bit j is set, else 0, and a line end follows."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    text = np.full(rows.shape + (n + 1,), ord("\n"), dtype=np.uint8)
+    bits = (rows[..., None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    text[..., :n] = bits + ord("0")
+    return text
+
+
 def format_matrix(m: BitMatrix) -> str:
-    lines = []
-    for r in m.rows:
-        lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(m.ncols)))
-    return "\n".join(lines) + "\n"
+    return format_rows(np.array(m.rows, dtype=np.uint64), m.ncols).tobytes().decode()
 
 
-# Characters per slice of the bulk parse; every slice ends at a line end.
-# The result does not depend on it, only the size of the temporaries does.
+# Least characters per slice of the bulk parse; the result does not depend
+# on it, only the size of the temporaries does.
 PARSE_CHUNK_CHARS = 1 << 20
+_EMPTY_LINE = re.compile("\n\r?\n")  # a line end, then an empty line
 
 # ASCII character classes: line end (str.splitlines), space (str.strip), 0/1
 _BREAK, _SPACE, _BIT = 1, 2, 4
@@ -303,14 +312,14 @@ def _char_classes(text: str) -> tuple[np.ndarray, np.ndarray]:
     return codes, classes
 
 
-def _scan_lines(text: str) -> tuple:
-    """Classify the lines of text, which holds whole lines only.
+def _parse_slice(text: str, base: int) -> tuple:
+    """The matrices of one slice of whole lines, which follows base lines
+    of the text and continues no matrix of theirs.
 
-    A line's row is its text up to the first '#', stripped.  Returns the
-    number of lines; for the lines with a nonempty row, their 0-based
-    index, the row width, whether a row character is not 0/1, and the row
-    value (meaningful for valid rows of width <= MAX_WIDTH); and the
-    0-based index of each blank line without '#', which ends a matrix.
+    A line's row is its text up to the first '#', stripped; a blank line
+    without '#' ends a matrix.  Returns the number of lines, the row
+    values, and for each matrix its first row's index into them, its
+    width and its 1-based line.  FormatError names the first bad line.
     """
     # "\r\n" is one line end; as "\n" every line end is one character
     codes, classes = _char_classes(text.replace("\r\n", "\n"))
@@ -340,37 +349,9 @@ def _scan_lines(text: str) -> tuple:
     for j in range(min(int(width.max(initial=0)), MAX_WIDTH)):
         bit = ones[np.minimum(first + j, size - 1)] & (width > j)
         value |= bit.astype(np.uint64) << np.uint64(j)
-    return starts.size, row, width, bad, value, blank
-
-
-def parse_matrix_rows(text: str) -> MatrixRows:
-    """Parse every matrix block in text at once; see parse_matrix_text.
-
-    The text is scanned in slices of about PARSE_CHUNK_CHARS characters,
-    so no per-line Python object is built.  FormatError names the first
-    bad line, with the message the per-line rules give it.
-    """
-    scans = []
-    base = 0  # 0-based index of the slice's first line
-    pos = 0
-    while True:
-        end = len(text)
-        if end - pos > PARSE_CHUNK_CHARS:
-            end = (
-                text.rfind("\n", pos, pos + PARSE_CHUNK_CHARS) + 1
-                or text.find("\n", pos + PARSE_CHUNK_CHARS) + 1
-                or end
-            )
-        num_lines, row, width, bad, value, blank = _scan_lines(text[pos:end])
-        scans.append((row + base + 1, width, bad, value, blank + base + 1))
-        base += num_lines
-        if end == len(text):
-            break
-        pos = end
-    line, width, bad, value, blank = (np.concatenate(parts) for parts in zip(*scans))
     # a row opens a matrix when a blank line lies between it and the row before
-    gaps = np.searchsorted(blank, line)
-    opens = np.ones(line.size, dtype=bool)
+    gaps = np.searchsorted(blank, row)
+    opens = np.ones(row.size, dtype=bool)
     opens[1:] = gaps[1:] != gaps[:-1]
     heads = np.flatnonzero(opens)
     matrix_width = width[heads][np.cumsum(opens) - 1]
@@ -379,7 +360,7 @@ def parse_matrix_rows(text: str) -> MatrixRows:
     errors = np.flatnonzero(bad | wrong | wide)
     if errors.size:
         i = errors[0]
-        where = f"line {line[i]}"
+        where = f"line {base + row[i] + 1}"
         if bad[i]:
             raise FormatError(f"{where}: expected a row of 0/1 characters")
         if wrong[i]:
@@ -387,12 +368,32 @@ def parse_matrix_rows(text: str) -> MatrixRows:
                 f"{where}: row width {width[i]} != matrix width {matrix_width[i]}"
             )
         raise FormatError(f"{where}: width {width[i]} exceeds {MAX_WIDTH}")
-    return MatrixRows(
-        values=value,
-        starts=np.append(heads, line.size),
-        widths=width[heads],
-        lines=line[heads],
-    )
+    return starts.size, value, heads, width[heads], base + row[heads] + 1
+
+
+def parse_matrix_rows(text: str) -> MatrixRows:
+    """Parse every matrix block in text at once; see parse_matrix_text.
+
+    The text is read in slices of at least PARSE_CHUNK_CHARS characters,
+    each cut just before an empty line, so no matrix spans two slices and
+    each slice is reduced to its matrices before the next is scanned.  No
+    per-line Python object is built.  FormatError names the first bad
+    line, with the message the per-line rules give it.
+    """
+    parts = []
+    pos = base = num_rows = 0  # the slice's first character, lines and rows before it
+    while True:
+        found = _EMPTY_LINE.search(text, pos + PARSE_CHUNK_CHARS)
+        end = found.start() + 1 if found else len(text)
+        num_lines, value, head, width, line = _parse_slice(text[pos:end], base)
+        parts.append((value, head + num_rows, width, line))
+        base += num_lines
+        num_rows += value.size
+        if end == len(text):
+            break
+        pos = end
+    values, heads, widths, lines = (np.concatenate(p) for p in zip(*parts))
+    return MatrixRows(values, np.append(heads, num_rows), widths, lines)
 
 
 def parse_matrix_text(text: str) -> list[BitMatrix]:

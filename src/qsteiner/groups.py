@@ -24,10 +24,12 @@ from .gf2 import (
     companion_matrix,
     first_duplicate,
     format_matrix,
+    format_rows,
     frobenius_matrix,
     identity,
     mat_vec_bulk,
     pack_rows,
+    parse_matrix_rows,
     parse_matrix_text,
     primitive_polynomial,
     rank,
@@ -220,6 +222,9 @@ class OrbitTable:
             raise ValueError("rows must be an (N, k) array of basis rows")
         if len(self.rows) != len(self.lengths):
             raise ValueError("rows and lengths differ in length")
+        low = [(i, length) for i, length in enumerate(self.lengths) if length < 1]
+        if low:
+            raise ValueError("orbit {}: length {} is not positive".format(*low[0]))
         if self.rows.size and int(self.rows.max()) >> self.n:
             raise ValueError("basis rows must fit in n bits")
         red, ranks = rref_bulk(self.rows)
@@ -373,11 +378,9 @@ class OrbitTable:
             f"{self.n} {self.k} {group_hash(self.group)} {self.group.order}",
             "",
         ]
-        # column j of a text row is bit j
-        bits = (self.rows[:, :, None] >> np.arange(self.n, dtype=np.uint64)) & 1
-        text = (bits.astype(np.uint8) + ord("0")).view(f"S{self.n}")[..., 0]
-        for i, (length, rows) in enumerate(zip(self.lengths, text.tolist())):
-            lines += [f"{i} {length}", b"\n".join(rows).decode(), ""]
+        text = format_rows(self.rows, self.n)
+        for i, (length, rows) in enumerate(zip(self.lengths, text)):
+            lines += [f"{i} {length}", rows.tobytes().decode().rstrip("\n"), ""]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines))
 
@@ -416,33 +419,46 @@ class OrbitTable:
                 raise FormatError("group hash does not match the table header")
             if group.order is None:
                 group.order = order
-        rows: list[int] = []
+        # the header and every 'id length' line read as blank lines, so
+        # each record's k rows are one matrix, at the file's line numbers
+        lines[body_start - 1] = ""
+        heads: list[int] = []  # the line of each record's first row
         lengths: list[int] = []
+        fault = None
         i = body_start
-        while i < len(lines):
-            line = lines[i].split("#", 1)[0].strip()
-            i += 1
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"expected 'id length' at table entry {len(lengths)}")
-            try:
-                oid, length = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(
-                    f"line {i}: expected integer 'id length', got {line!r}"
-                ) from None
-            if oid != len(lengths):
-                raise FormatError(f"orbit ids must be consecutive; got {oid}")
-            for _ in range(k):
-                row_text = lines[i].split("#", 1)[0].strip() if i < len(lines) else ""
-                if len(row_text) != n or any(c not in "01" for c in row_text):
-                    raise FormatError(f"orbit {oid}: expected {k} basis rows of width {n}")
-                rows.append(int(row_text[::-1], 2))
+        try:
+            while i < len(lines):
+                line = lines[i].split("#", 1)[0].strip()
                 i += 1
-            lengths.append(length)
-        reps = np.array(rows, dtype=np.uint64).reshape(len(lengths), k)
+                if not line:
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise FormatError(
+                        f"expected 'id length' at table entry {len(lengths)}"
+                    )
+                try:
+                    oid, length = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise FormatError(
+                        f"line {i}: expected integer 'id length', got {line!r}"
+                    ) from None
+                if oid != len(lengths):
+                    raise FormatError(f"orbit ids must be consecutive; got {oid}")
+                lines[i - 1] = ""
+                heads.append(i + 1)
+                lengths.append(length)
+                i += k
+        except FormatError as exc:  # the rows before the bad line come first
+            fault, lines = exc, lines[: i - 1]
+        parsed = parse_matrix_rows("\n".join(lines))
+        full = parsed.lines[(np.diff(parsed.starts) == k) & (parsed.widths == n)]
+        short = np.flatnonzero(~np.isin(heads, full)) if k else []
+        if len(short):
+            raise FormatError(f"orbit {short[0]}: expected {k} basis rows of width {n}")
+        if fault is not None:
+            raise fault
+        reps = parsed.values.reshape(len(lengths), k)
         try:
             table = cls(n, k, group, reps, lengths)
         except ValueError as exc:

@@ -18,6 +18,7 @@ import numpy as np
 from .gf2 import (
     FormatError,
     first_duplicate,
+    format_rows,
     rref_bulk,
     rref_rows,
     span_vectors_bulk,
@@ -81,15 +82,12 @@ class BlockSet:
     def save(self, path: str) -> None:
         """Write a header line, then per block its k rows and a blank line."""
         n, k = self.n, self.k
-        cols = np.arange(n, dtype=np.uint64)
         with open(path, "wb") as fh:
             fh.write(f"# block set: n={n} k={k} blocks={self.num_blocks}\n".encode())
             for start in range(0, self.num_blocks, SAVE_BATCH_BLOCKS):
-                part = self.blocks[start : start + SAVE_BATCH_BLOCKS]
-                rows = np.full((len(part), k, n + 1), ord("\n"), dtype=np.uint8)
-                rows[:, :, :n] = ((part[:, :, None] >> cols) & np.uint64(1)) + ord("0")
-                blank = np.full((len(part), 1), ord("\n"), dtype=np.uint8)
-                text = np.concatenate([rows.reshape(len(part), -1), blank], axis=1)
+                rows = format_rows(self.blocks[start : start + SAVE_BATCH_BLOCKS], n)
+                blank = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
+                text = np.concatenate([rows.reshape(len(rows), -1), blank], axis=1)
                 fh.write(text.tobytes())
 
     @classmethod
@@ -407,10 +405,8 @@ def format_report(report: DesignReport) -> str:
     lines.append(f"violations {len(report.violations_shown)} {report.violations_total}")
     for rows, count in report.violations_shown:
         lines.append(f"violation {count}")
-        for r in rows:
-            lines.append(
-                "".join("1" if (r >> b) & 1 else "0" for b in range(report.n))
-            )
+        text = format_rows(np.array(rows, dtype=np.uint64), report.n).tobytes()
+        lines += text.decode().splitlines()
     lines.append(f"VERDICT {'pass' if report.ok else 'fail'}")
     return "\n".join(lines) + "\n"
 

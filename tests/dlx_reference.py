@@ -176,17 +176,17 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
         while nd != it and stop[0] is None:
             oi = dlx.opt_of[nd]
             if oi > watermark[it]:
-                stats.nodes += 1
-                if config.node_limit is not None and stats.nodes > config.node_limit:
+                if config.node_limit is not None and stats.nodes >= config.node_limit:
                     stop[0] = "nodes"
                     break
                 if (
                     config.time_limit is not None
                     and stats.nodes % 256 == 0
-                    and time.monotonic() - t0 > config.time_limit
+                    and time.monotonic() - t0 >= config.time_limit
                 ):
                     stop[0] = "time"
                     break
+                stats.nodes += 1
                 watermark[it] = oi
                 dlx.select(oi)
                 chosen.append(oi)

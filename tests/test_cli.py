@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsteiner import cli
+from qsteiner import cli, fixtures
 from qsteiner.fixtures import FIXTURE_SHA256
 from qsteiner.groups import StrategyError
 from qsteiner.verify import BlockSet
@@ -226,6 +226,24 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_corrupt_data_file_is_a_verification_failure(tmp_path, monkeypatch, capsys):
+    # the bundled dataset is read from its data files; a changed or
+    # non-ASCII character fails its checksum by name in every command
+    read = fixtures.data_file_text
+    text = read("generator_f")
+    for edited in ("0" + text[1:], text + "\ufffd"):
+        monkeypatch.setattr(
+            fixtures,
+            "data_file_text",
+            lambda name: edited if name == "generator_f" else read(name),
+        )
+        code, _, err = run(
+            capsys, "--out-dir", str(tmp_path), "group", "--fixture", "paper-13"
+        )
+        assert code == 1
+        assert "verification failure: fixture generator_f has checksum" in err, err
+
+
 def test_node_limit_without_solution_returns_3(tmp_path, capsys):
     out_dir = str(tmp_path)
     run(capsys, "--out-dir", out_dir, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
@@ -235,14 +253,16 @@ def test_node_limit_without_solution_returns_3(tmp_path, capsys):
         "km", "--trivial-group", "--n", "4", "--t", "1", "--k", "2",
         "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
     )
-    code, out, _ = run(
-        capsys,
-        "--out-dir", out_dir,
-        "solve", "--km", str(tmp_path / "km-n4-t1-k2-pruned.txt"),
-        "--node-limit", "1",
-    )
-    assert code == 3
-    assert "stopped by nodes limit" in out
+    for limit in ("1", "0"):
+        code, out, _ = run(
+            capsys,
+            "--out-dir", out_dir,
+            "solve", "--km", str(tmp_path / "km-n4-t1-k2-pruned.txt"),
+            "--node-limit", limit,
+        )
+        assert code == 3
+        assert "stopped by nodes limit" in out
+        assert f" {limit} nodes," in out, out
 
 
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys):

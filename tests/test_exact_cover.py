@@ -159,16 +159,14 @@ def test_seeds_explore_differently_but_agree_on_the_set():
 def test_node_limit_stops_search():
     prob = sts_problem(7)
     sols, stats = solve(prob, SolveConfig(max_solutions=None, node_limit=5))
-    assert stats.limit == "nodes" and stats.nodes == 6
+    assert stats.limit == "nodes" and stats.nodes == 5
     assert len(sols) < 30
 
 
 def test_time_limit_stops_search():
-    # the clock is polled every 256 nodes, so the instance must be large
-    # enough to reach that first poll
     prob = sts_problem(9)
     sols, stats = solve(prob, SolveConfig(max_solutions=None, time_limit=0.0))
-    assert stats.limit == "time" and stats.nodes == 256
+    assert stats.limit == "time" and stats.nodes == 0
     assert len(sols) < 840
 
 

@@ -1,6 +1,8 @@
 """Bundled generator matrices and solution orbits: integrity and identity."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,25 +46,41 @@ def test_paper_numbers_table():
 
 
 def test_checksums_match_embedded_text():
-    for name, text in (
-        ("generator_f", fixtures.GENERATOR_F_TEXT),
-        ("generator_s", fixtures.GENERATOR_S_TEXT),
-        ("solution_orbits", fixtures.SOLUTION_ORBITS_TEXT),
-    ):
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == FIXTURE_SHA256[name]
-
-
-def test_data_files_match_embedded_text():
-    assert data_file_text("generator_f") == fixtures.GENERATOR_F_TEXT
-    assert data_file_text("generator_s") == fixtures.GENERATOR_S_TEXT
-    assert data_file_text("solution_orbits") == fixtures.SOLUTION_ORBITS_TEXT
+    for name, digest in FIXTURE_SHA256.items():
+        assert hashlib.sha256(data_file_text(name).encode()).hexdigest() == digest
 
 
 def test_tampered_text_is_rejected(monkeypatch):
     monkeypatch.setitem(FIXTURE_SHA256, "generator_f", "0" * 64)
     with pytest.raises(FixtureIntegrityError):
         generator_f()
+    # one character of a data file changed, as read, not on disk
+    for name, load in (
+        ("generator_s", generator_s),
+        ("solution_orbits", solution_representatives),
+    ):
+        text = data_file_text(name)
+        at = text.index("1")
+        edited = text[:at] + "0" + text[at + 1 :]
+        with monkeypatch.context() as m:
+            m.setattr(
+                fixtures, "data_file_text", lambda key: edited if key == name else ""
+            )
+            with pytest.raises(FixtureIntegrityError, match=f"fixture {name} "):
+                load()
+
+
+def test_no_module_embeds_a_data_file():
+    # the bundled dataset lives in its data files alone: no module holds
+    # the rows of one in any layout, down to one generator's 13 rows
+    package = Path(fixtures.__file__).parent
+    rows = re.compile(r"\b[01]+\b")
+    for path in sorted(package.glob("data/*.txt")):
+        want = " ".join(rows.findall(path.read_text()))
+        assert want.count(" ") >= 12, path.name
+        for module in sorted(package.glob("*.py")):
+            have = " ".join(rows.findall(module.read_text()))
+            assert f" {want} " not in f" {have} ", (module.name, path.name)
 
 
 def test_generators_are_companion_and_frobenius_matrices():

@@ -1,6 +1,7 @@
 """Bit-packed GF(2) linear algebra against naive integer-matrix oracles."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qsteiner.gf2 import (
     SingularMatrixError,
     companion_matrix,
     format_matrix,
+    format_rows,
     frobenius_matrix,
     identity,
     mat_inverse,
@@ -307,6 +309,49 @@ def test_bulk_parse_matches_per_line_parser(monkeypatch):
         outcomes.add(got if isinstance(got, str) else "ok")
     # valid texts and all three faults (bad character, ragged, too wide)
     assert outcomes == {"ok", "expected", "row", "width"}
+    # slices are cut just before an empty line: line ends of every kind
+    # around one, blank lines that are not empty, comments beside one, and
+    # a fault on either side of a cut
+    edges = [
+        "101\r\n011\r\n\r\n11\r\n10\r\n\r\n\r\n1\r\n",
+        "101\r\n\n011\n\r\n\r\n11\r\r\n10\n\n",
+        "101\n \n011\n\t\n\n11\n  \t \n10\n",
+        "101\n#\n\n011\n# c\n\n\n#x\n11\n\n#\n10",
+        "101\n110\n\n1x1\n\n11\n",
+        "101\n\n011\n0111\n\n1\n",
+        "1\n\n" + "0" * 65 + "\n\n" + "1" * 64 + "\n",
+        "\n\n\n",
+        "\r\n\r\n",
+    ]
+    for text in edges:
+        want = _parse_or_error(matrix_text_reference.parse_matrix_text, text)
+        for chunk in range(1, 9):
+            with monkeypatch.context() as m:
+                m.setattr(gf2, "PARSE_CHUNK_CHARS", chunk)
+                assert _parse_or_error(parse_matrix_text, text) == want, (chunk, text)
+
+
+def test_bulk_parse_memory_stays_near_its_output(monkeypatch):
+    # each slice is reduced to its matrices before the next is read, so
+    # the traced peak is set by the outputs, not by per-row arrays of the
+    # whole text
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 1 << 13, size=(100_000, 3), dtype=np.uint64)
+    rows = format_rows(values, 13).reshape(100_000, -1)
+    blank = np.full((100_000, 1), ord("\n"), dtype=np.uint8)
+    text = np.concatenate([rows, blank], axis=1).tobytes().decode()
+    assert len(text) >= 4 * 10**6
+    monkeypatch.setattr(gf2, "PARSE_CHUNK_CHARS", 2**16)
+    tracemalloc.start()
+    try:
+        parsed = parse_matrix_rows(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.starts.size == 100_001
+    out = parsed.values.nbytes + parsed.starts.nbytes
+    out += parsed.widths.nbytes + parsed.lines.nbytes
+    assert peak <= 3 * out, (peak, out)
 
 
 def test_bulk_parse_reports_spans_widths_and_lines():

@@ -601,12 +601,45 @@ def test_table_load_names_malformed_lines(tmp_path):
         first, second = int(lines[at][::-1], 2), int(lines[at + 1][::-1], 2)
         lines[at + 1] = f"{first ^ second:04b}"[::-1]
 
+    def bad_character(lines):
+        lines[8] = "1020"
+
+    def short_record(lines):
+        del lines[5]  # orbit 0 keeps one of its two rows
+
+    def blank_among_rows(lines):
+        lines.insert(5, "")
+
+    def narrow_record(lines):
+        lines[4:6] = [row[:3] for row in lines[4:6]]
+
+    def ragged_row(lines):
+        lines[5] = lines[5][:3]
+
+    def negative_length(lines):
+        # the lengths still sum to the 35 lines of GF(2)^4
+        lines[3], lines[7] = "0 40", "1 -5"
+
+    rows_of_orbit_0 = r"orbit 0: expected 2 basis rows of width 4"
     for edit, message in (
         (header, r"line 2: orbit table header needs integer n, k and group order"),
         (entry, r"line 4: expected integer 'id length', got '0 x'"),
         (unreduced, r"orbit 1: basis rows are not a reduced row echelon form of rank 2"),
+        (bad_character, r"line 9: expected a row of 0/1 characters"),
+        (short_record, rows_of_orbit_0),
+        (blank_among_rows, rows_of_orbit_0),
+        (narrow_record, rows_of_orbit_0),
+        (ragged_row, r"line 6: row width 3 != matrix width 4"),
+        (negative_length, r"orbit 1: length -5 is not positive"),
     ):
         path, g = malformed_table(tmp_path, edit)
         for group in (g, None):
             with pytest.raises(FormatError, match=message):
                 OrbitTable.load(path, group=group)
+    # a table of the zero subspace has no basis rows
+    g = singer_normalizer(4)
+    path = str(tmp_path / "orbits-k0.txt")
+    orbit_partition(g, 0).save(path)
+    for group in (g, None):
+        table = OrbitTable.load(path, group=group)
+        assert table.rows.shape == (1, 0) and table.lengths == [1]
