@@ -369,11 +369,11 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _not_below(value, flag: str, least: int = 0):
-    """A count or limit flag's value, None where it is not given; a value
-    below least, or NaN, is a usage error."""
-    if value is not None and not value >= least:
-        raise UsageError(f"{flag} must be >= {least}")
+def _not_below(value, flag: str):
+    """A count, limit or seed flag's value, None where it is not given; a
+    negative value, or NaN, is a usage error."""
+    if value is not None and not value >= 0:
+        raise UsageError(f"{flag} must be >= 0")
     return value
 
 
@@ -435,157 +435,115 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the paper's sampled certificates: acceptance criteria 7 and 8
+PAPER_DISTANCE_SAMPLES = 10**6
+PAPER_DERIVED_SAMPLES = 10**5
+
+
 def cmd_paper_check(args: argparse.Namespace) -> int:
     skip_3, seed = args.skip_3_orbits, args.seed
-    # a certificate on no samples certifies nothing; verify reads 0 as skip
-    dist_samples = _not_below(args.distance_samples, "--distance-samples", least=1)
-    derived_samples = _not_below(args.derived_samples, "--derived-samples", least=1)
     paper = fixtures.PAPER
     rows: list[tuple[str, str, float, bool]] = []
+    name, t0 = "", 0.0
 
-    def stage(name: str, fn):
-        t0 = time.time()
-        try:
-            result, ok = fn()
-        except Exception as exc:
-            rows.append((name, f"error: {exc}", time.time() - t0, False))
-            raise VerificationFailure(name) from exc
+    def begin(stage: str) -> None:
+        nonlocal name, t0
+        name, t0 = stage, time.time()
+
+    def done(result: str, ok: bool) -> None:
         rows.append((name, result, time.time() - t0, ok))
         if not ok:
             raise VerificationFailure(name)
-        return result
 
-    state: dict = {}
+    try:
+        begin("fixture integrity")
+        fixtures.self_test()
+        done("checksums and ranks valid", True)
 
-    def run_all() -> None:
-        def s_fixture():
-            fixtures.self_test()
-            return "checksums and ranks valid", True
+        begin("group closure")
+        generators = fixtures.fixture_group().generators
+        group = group_closure(MatrixGroup(n=fixtures.FIXTURE_N, generators=generators))
+        done(f"order {group.order}", group.order == paper["group_order"])
 
-        stage("fixture integrity", s_fixture)
-
-        def s_group():
-            raw = MatrixGroup(
-                n=fixtures.FIXTURE_N, generators=fixtures.fixture_group().generators
-            )
-            closed = group_closure(raw)
-            state["group"] = closed
-            return f"order {closed.order}", closed.order == paper["group_order"]
-
-        stage("group closure", s_group)
-
-        def s_2orbits():
-            table = orbit_partition(state["group"], 2)
-            state["t2"] = table
-            lengths = set(table.lengths)
-            ok = (
-                table.num_orbits == paper["orbits_k2"]
-                and lengths == {paper["group_order"]}
-            )
-            return f"{table.num_orbits} orbits, lengths {sorted(lengths)}", ok
-
-        stage("2-subspace orbits", s_2orbits)
+        begin("2-subspace orbits")
+        t2 = orbit_partition(group, 2)
+        lengths = set(t2.lengths)
+        done(
+            f"{t2.num_orbits} orbits, lengths {sorted(lengths)}",
+            t2.num_orbits == paper["orbits_k2"] and lengths == {paper["group_order"]},
+        )
 
         if not skip_3:
-
-            def s_3orbits():
-                table = orbit_partition(state["group"], 3)
-                state["t3"] = table
-                total = table.total_subspaces()
-                ok = (
-                    table.num_orbits == paper["orbits_k3"]
-                    and total == gaussian_binomial(13, 3, 2)
-                )
-                return f"{table.num_orbits} orbits, sum {total}", ok
-
-            stage("3-subspace orbits", s_3orbits)
-
-            def s_km():
-                inst = build_km(state["t2"], state["t3"], lam=1)
-                sums = set(inst.row_sums().values())
-                pruned = prune(inst)
-                state["km"] = pruned
-                ok = (
-                    sums == {paper["km_row_sum"]}
-                    and pruned.shape == (paper["orbits_k2"], paper["km_columns"])
-                    and pruned.matrix.max(initial=0) <= 1
-                )
-                return (
-                    f"row sums {sorted(sums)}, pruned {pruned.shape[0]}"
-                    f" x {pruned.shape[1]}"
-                ), ok
-
-            stage("incidence system", s_km)
-
-            def s_solution():
-                reps = fixtures.solution_representatives()
-                ids = sorted(state["t3"].lookup_rows_bulk(reps).tolist())
-                state["ids"] = ids
-                problem = from_km(state["km"])
-                ok, coverage = check_solution(problem, ids)
-                ok = ok and len(set(ids)) == 15
-                return f"15 columns cover {len(coverage)} rows exactly once", ok
-
-            stage("bundled solution", s_solution)
-
-        def s_expand():
-            blocks, lengths = expand_orbits(
-                state["group"], fixtures.solution_representatives()
+            begin("3-subspace orbits")
+            t3 = orbit_partition(group, 3)
+            total = t3.total_subspaces()
+            done(
+                f"{t3.num_orbits} orbits, sum {total}",
+                t3.num_orbits == paper["orbits_k3"]
+                and total == gaussian_binomial(13, 3, 2),
             )
-            state["blocks"] = blocks
-            ok = (
-                blocks.num_blocks == paper["blocks"]
-                and set(lengths) == {paper["group_order"]}
+
+            begin("incidence system")
+            km = build_km(t2, t3, lam=1)
+            sums = set(km.row_sums().values())
+            km = prune(km)
+            done(
+                f"row sums {sorted(sums)}, pruned {km.shape[0]} x {km.shape[1]}",
+                sums == {paper["km_row_sum"]}
+                and km.shape == (paper["orbits_k2"], paper["km_columns"])
+                and km.matrix.max(initial=0) <= 1,
             )
-            return f"{blocks.num_blocks} distinct blocks", ok
 
-        stage("orbit expansion", s_expand)
-
-        def s_verify():
-            report = verify_design(state["blocks"], 2, 1)
-            state["report"] = report
-            ok = report.ok and report.histogram == {1: paper["pairs"]}
-            return (
-                f"histogram {report.histogram}, verdict "
-                f"{'pass' if report.ok else 'fail'}"
-            ), ok
-
-        stage("design verification", s_verify)
-
-        def s_bound():
-            bound = packing_bound(13, 3, 2)
-            return f"packing bound {bound}", bound == state["blocks"].num_blocks
-
-        stage("packing bound", s_bound)
-
-        def s_distance():
-            d = min_distance_certificate(
-                state["blocks"], state["report"], samples=dist_samples, seed=seed
+            begin("bundled solution")
+            reps = fixtures.solution_representatives()
+            ids = sorted(t3.lookup_rows_bulk(reps).tolist())
+            ok, coverage = check_solution(from_km(km), ids)
+            done(
+                f"15 columns cover {len(coverage)} rows exactly once",
+                ok and len(set(ids)) == 15,
             )
-            return f"minimum distance {d} on {dist_samples} pairs", d == 4
 
-        stage("minimum distance", s_distance)
+        begin("orbit expansion")
+        blocks, lengths = expand_orbits(group, fixtures.solution_representatives())
+        done(
+            f"{blocks.num_blocks} distinct blocks",
+            blocks.num_blocks == paper["blocks"]
+            and set(lengths) == {paper["group_order"]},
+        )
 
-        def s_derived():
-            stats = derived_steiner_sample_check(
-                state["blocks"],
-                state["report"],
-                samples=derived_samples,
-                seed=seed,
-            )
-            return (
-                f"{stats['failures']} failures in {stats['samples']} triples"
-            ), stats["failures"] == 0
+        begin("design verification")
+        report = verify_design(blocks, 2, 1)
+        verdict = "pass" if report.ok else "fail"
+        done(
+            f"histogram {report.histogram}, verdict {verdict}",
+            report.ok and report.histogram == {1: paper["pairs"]},
+        )
 
-        stage("derived triple cover", s_derived)
+        begin("packing bound")
+        bound = packing_bound(13, 3, 2)
+        done(f"packing bound {bound}", bound == blocks.num_blocks)
 
-    failed = False
-    try:
-        run_all()
+        begin("minimum distance")
+        d = min_distance_certificate(
+            blocks, report, samples=PAPER_DISTANCE_SAMPLES, seed=seed
+        )
+        done(f"minimum distance {d} on {PAPER_DISTANCE_SAMPLES} pairs", d == 4)
+
+        begin("derived triple cover")
+        stats = derived_steiner_sample_check(
+            blocks, report, samples=PAPER_DERIVED_SAMPLES, seed=seed
+        )
+        done(
+            f"{stats['failures']} failures in {stats['samples']} triples",
+            stats["failures"] == 0,
+        )
     except VerificationFailure:
-        failed = True
+        pass
+    except Exception as exc:
+        rows.append((name, f"error: {exc}", time.time() - t0, False))
+    failed = not rows[-1][3]
 
-    width = max(len(name) for name, *_ in rows) if rows else 0
+    width = max(len(name) for name, *_ in rows)
     print()
     for name, result, elapsed, ok in rows:
         mark = "PASS" if ok else "FAIL"
@@ -593,10 +551,7 @@ def cmd_paper_check(args: argparse.Namespace) -> int:
     if skip_3:
         print("      (3-subspace orbit and incidence stages skipped on request)")
     print()
-    if failed:
-        print(f"first failing stage: {rows[-1][0]}")
-    else:
-        print("all stages passed")
+    print(f"first failing stage: {rows[-1][0]}" if failed else "all stages passed")
     peak = _peak_rss_mb()
     if peak is not None:
         print(f"peak RSS {peak:.0f} MB")
@@ -780,18 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the 3-orbit and incidence stages (verification still runs)",
     )
-    p.add_argument(
-        "--distance-samples",
-        type=int,
-        default=10**6,
-        help="pairs for the distance check",
-    )
-    p.add_argument(
-        "--derived-samples",
-        type=int,
-        default=10**5,
-        help="triples for the derived check",
-    )
 
     p = sub.add_parser("spread-demo", help="enumerate spreads in a small space")
     p.add_argument("--n", type=int, default=4, help="ambient dimension (default 4)")
@@ -825,6 +768,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _not_below(args.seed, "--seed")
         return COMMANDS[args.command](args)
     except (UsageError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -580,13 +580,30 @@ def format_group(group: MatrixGroup) -> str:
 
 
 def load_generator_file(path: str, n: int | None = None) -> MatrixGroup:
-    """Read generators from a matrix text file into a MatrixGroup."""
-    mats = []
+    """Read generators from a matrix text file into a MatrixGroup; the n and
+    hash lines of a format_group file must match the generators read.  Its
+    order line is not read: the hash does not cover it."""
     with open(path, "r", encoding="utf-8") as fh:
-        mats = parse_matrix_text(fh.read())
-    if not mats:
-        raise FormatError(f"{path}: no matrices found")
-    width = mats[0].ncols
-    if n is not None and width != n:
-        raise FormatError(f"{path}: generators have width {width}, expected {n}")
-    return MatrixGroup(n=width, generators=tuple(mats))
+        lines = fh.read().split("\n")
+    header = []
+    for i, line in enumerate(lines):
+        key, _, value = line.partition(" ")
+        if key in ("n", "order", "hash"):
+            header.append((key, value.strip()))
+            lines[i] = ""  # keeps the line numbers of the matrix rows
+    try:  # every fault is reported against the file
+        mats = parse_matrix_text("\n".join(lines))
+        if not mats:
+            raise FormatError("no matrices found")
+        width = mats[0].ncols
+        if n is not None and width != n:
+            raise FormatError(f"generators have width {width}, expected {n}")
+        group = MatrixGroup(n=width, generators=tuple(mats))
+        read = {"n": str(width), "hash": group_hash(group)}
+        for key, value in header:
+            if key in read and value != read[key]:
+                given = f"{key} line reads {value}, the generators give {read[key]}"
+                raise FormatError(given)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return group

@@ -108,18 +108,48 @@ def test_group_command_writes_file(tmp_path, capsys):
         capsys, "--out-dir", str(tmp_path), "group", "--singer-normalizer", "5"
     )
     assert code == 0 and "group order 155" in out
-    text = (tmp_path / "group.txt").read_text()
+    group_file = tmp_path / "group.txt"
+    text = group_file.read_text()
     assert "order 155" in text
+    # the file is a generator file: its table is the normalizer's own
+    direct = saved_table(tmp_path, capsys, 5, 2)
+    want = Path(direct).read_bytes()
+    Path(direct).unlink()
+    orbits = ("--out-dir", str(tmp_path), "orbits", "--dim", "2")
+    code, _, err = run(capsys, *orbits, "--generators", str(group_file))
+    assert code == 0, err
+    assert Path(direct).read_bytes() == want
+    lines = text.split("\n")
+
+    def with_line(at, new):
+        return "\n".join(lines[:at] + [new] + lines[at + 1 :])
+
+    def flipped(at):  # the first bit of a row
+        return with_line(at, "10"[int(lines[at][0])] + lines[at][1:])
+
+    row = lines.index("# generator 0") + 1
+    for edit, message in (
+        (flipped(row), "hash line reads d7c17a31acb9ce56, the generators give "
+                       "7bc8eaeb785ef25e"),
+        (flipped(row + 1), "generators must be invertible"),
+        (with_line(row, "0x001"), f"line {row + 1}: expected a row of 0/1"),
+        (with_line(lines.index("n 5"), "n 6"), "n line reads 6, the generators give 5"),
+    ):
+        group_file.write_text(edit)
+        code, _, err = run(capsys, *orbits, "--generators", str(group_file))
+        assert code == 2 and f"error: {group_file}: {message}" in err, err
 
 
 def test_full_pipeline_on_trivial_group(tmp_path, capsys):
+    # each command reads the files the one before wrote
     out_dir = str(tmp_path)
+    code, _, _ = run(
+        capsys, "--out-dir", out_dir, "group", "--trivial-group", "--n", "4"
+    )
+    assert code == 0
+    group = ("--generators", str(tmp_path / "group.txt"))
     for dim in ("1", "2"):
-        code, out, _ = run(
-            capsys,
-            "--out-dir", out_dir,
-            "orbits", "--trivial-group", "--n", "4", "--dim", dim,
-        )
+        code, out, _ = run(capsys, "--out-dir", out_dir, "orbits", *group, "--dim", dim)
         assert code == 0
     assert (tmp_path / "orbits-n4-k1.txt").exists()
     assert (tmp_path / "orbits-n4-k2.txt").exists()
@@ -127,7 +157,7 @@ def test_full_pipeline_on_trivial_group(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "--out-dir", out_dir,
-        "km", "--trivial-group", "--n", "4", "--t", "1", "--k", "2",
+        "km", *group, "--t", "1", "--k", "2",
         "--t-orbits", str(tmp_path / "orbits-n4-k1.txt"),
         "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
     )
@@ -150,7 +180,7 @@ def test_full_pipeline_on_trivial_group(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "--out-dir", out_dir,
-        "expand", "--trivial-group", "--n", "4",
+        "expand", *group,
         "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
         "--solution", str(tmp_path / "solutions.txt"),
     )
@@ -219,7 +249,11 @@ def test_expand_needs_exactly_one_source(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    for argv in (["bounds", "--bogus"], ["--config", "conf.txt", "bounds"]):
+    for argv in (
+        ["bounds", "--bogus"],
+        ["--config", "conf.txt", "bounds"],
+        ["paper-check", "--distance-samples", "5"],
+    ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2, argv
@@ -303,8 +337,6 @@ def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
             "--t", "1", flag, "-5",
         )
         assert code == 2 and f"error: {flag} must be >= 0" in err, err
-        code, _, err = run(capsys, "paper-check", "--skip-3-orbits", flag, "-5")
-        assert code == 2 and f"error: {flag} must be >= 1" in err, err
     # a certificate verify would have to skip is refused before any block is read
     derived = "--derived-samples needs t = 2 and lambda = 1"
     for flags, message in (
@@ -323,14 +355,33 @@ def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
         "--t", "1", "--distance-samples", "0", "--derived-samples", "0",
     )
     assert code == 0
+    # a negative seed is refused before any command runs
+    km = tmp_path / "km.txt"
+    km.write_text("# not read\n")
+    for argv in (
+        ("verify", "--blocks", str(blocks), "--t", "1", "--distance-samples", "100"),
+        ("paper-check", "--skip-3-orbits"),
+        ("solve", "--km", str(km), "--order", "randomized"),
+    ):
+        out_dir = tmp_path / argv[0]
+        code, out, err = run(capsys, "--out-dir", str(out_dir), "--seed", "-1", *argv)
+        assert code == 2 and "error: --seed must be >= 0" in err, err
+        assert out == "" and not out_dir.exists(), argv
 
 
-def test_paper_check_refuses_zero_samples(capsys):
-    # a sampled certificate on no samples would pass with nothing checked
-    for flag in ("--distance-samples", "--derived-samples"):
-        code, out, err = run(capsys, "paper-check", "--skip-3-orbits", flag, "0")
-        assert code == 2 and f"error: {flag} must be >= 1" in err, err
-        assert "PASS" not in out
+def test_verify_prints_the_sampled_certificates(tmp_path, capsys):
+    # the one orbit of 2-subspaces of GF(2)^5: each covers itself once
+    table = saved_table(tmp_path, capsys, 5, 2)
+    run(capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "5",
+        "--k-orbits", table, "--ids", "0")
+    code, out, _ = run(
+        capsys, "--out-dir", str(tmp_path), "verify",
+        "--blocks", str(tmp_path / "blocks.txt"), "--t", "2",
+        "--distance-samples", "100", "--derived-samples", "100",
+    )
+    assert code == 0
+    assert "minimum subspace distance 2 (100 sampled pairs)" in out
+    assert "derived triple check: 0 failures in 100 samples" in out
 
 
 def test_forced_columns_appear_in_solutions(tmp_path, capsys):
@@ -405,6 +456,77 @@ def test_paper_check_names_the_failing_stage(tmp_path, monkeypatch, capsys):
         assert code == 1 and "peak RSS" not in out
 
 
+PAPER_TABLE = """
+PASS  fixture integrity         _._s  checksums and ranks valid
+PASS  group closure             _._s  order 106483
+PASS  2-subspace orbits         _._s  105 orbits, lengths [106483]
+PASS  3-subspace orbits         _._s  30705 orbits, sum 3269560515
+PASS  incidence system          _._s  row sums [2047], pruned 105 x 25572
+PASS  bundled solution          _._s  15 columns cover 105 rows exactly once
+PASS  orbit expansion           _._s  1597245 distinct blocks
+PASS  design verification       _._s  histogram {1: 11180715}, verdict pass
+PASS  packing bound             _._s  packing bound 1597245
+PASS  minimum distance          _._s  minimum distance 4 on 1000000 pairs
+PASS  derived triple cover      _._s  0 failures in 100000 triples
+"""
+SKIPPED_3 = "      (3-subspace orbit and incidence stages skipped on request)\n"
+
+
+def paper_check(capsys, *flags):
+    """paper-check's exit code and output, with the elapsed column and the
+    peak RSS number masked."""
+    code, out, _ = run(capsys, "paper-check", *flags)
+    out = re.sub(r"[ \d]{5}\.\d(?=s  )", "    _._", out)
+    out = re.sub(r"(?m)^peak RSS \d+ MB$", "peak RSS _ MB", out)
+    if cli.resource is None:  # no peak to print: stand in for the line
+        out += "peak RSS _ MB\n"
+    return code, out
+
+
+def test_paper_check_prints_the_papers_table(capsys):
+    rows = PAPER_TABLE.splitlines(keepends=True)
+    for flags, table in (
+        ((), PAPER_TABLE),
+        (("--skip-3-orbits",), "".join(rows[:4] + rows[7:]) + SKIPPED_3),
+    ):
+        code, out = paper_check(capsys, *flags)
+        assert code == 0
+        assert out == f"{table}\nall stages passed\npeak RSS _ MB\n", out
+
+
+def test_paper_check_stops_at_the_first_failing_stage(monkeypatch, capsys):
+    # a failed check: the table ends at the failing row
+    monkeypatch.setitem(fixtures.PAPER, "orbits_k2", 104)
+    code, out = paper_check(capsys)
+    assert code == 1
+    assert out == """
+PASS  fixture integrity      _._s  checksums and ranks valid
+PASS  group closure          _._s  order 106483
+FAIL  2-subspace orbits      _._s  105 orbits, lengths [106483]
+
+first failing stage: 2-subspace orbits
+peak RSS _ MB
+""", out
+    monkeypatch.setitem(fixtures.PAPER, "orbits_k2", 105)
+
+    # an exception inside a stage is that stage's error row
+    def refuse(group, reps):
+        raise ValueError("no expansion today")
+
+    monkeypatch.setattr(cli, "expand_orbits", refuse)
+    code, out = paper_check(capsys, "--skip-3-orbits")
+    assert code == 1
+    assert out == f"""
+PASS  fixture integrity      _._s  checksums and ranks valid
+PASS  group closure          _._s  order 106483
+PASS  2-subspace orbits      _._s  105 orbits, lengths [106483]
+FAIL  orbit expansion        _._s  error: no expansion today
+{SKIPPED_3}
+first failing stage: orbit expansion
+peak RSS _ MB
+""", out
+
+
 def saved_table(tmp_path, capsys, n, dim):
     code, _, _ = run(
         capsys, "--out-dir", str(tmp_path),
@@ -412,6 +534,21 @@ def saved_table(tmp_path, capsys, n, dim):
     )
     assert code == 0
     return str(tmp_path / f"orbits-n{n}-k{dim}.txt")
+
+
+def test_solve_prunes_a_full_km_file(tmp_path, capsys):
+    run(capsys, "--out-dir", str(tmp_path), "km", "--singer-normalizer", "6")
+    solutions = []
+    for kind in ("full", "pruned"):
+        out_dir = tmp_path / kind
+        km = str(tmp_path / f"km-n6-t2-k3-{kind}.txt")
+        code, out, _ = run(capsys, "--out-dir", str(out_dir), "solve", "--km", km)
+        assert code == 0
+        pruned = "input had entries above 1; pruned before solving" in out
+        assert pruned == (kind == "full"), out
+        text = (out_dir / "solutions.txt").read_text().splitlines()
+        solutions.append([ln for ln in text if not ln.startswith("# elapsed")])
+    assert solutions[0] == solutions[1]
 
 
 def test_orbit_ids_outside_the_table_are_usage_errors(tmp_path, capsys):
@@ -601,8 +738,7 @@ def test_defaults_are_declared_by_the_parser():
     verify = parse(["verify"])
     assert (verify.t, verify.lam) == (2, 1)
     assert (verify.distance_samples, verify.derived_samples) == (0, 0)
-    check = parse(["paper-check"])
-    assert (check.distance_samples, check.derived_samples) == (10**6, 10**5)
+    assert (cli.PAPER_DISTANCE_SAMPLES, cli.PAPER_DERIVED_SAMPLES) == (10**6, 10**5)
     solve = parse(["solve"])
     assert (solve.max_solutions, solve.order) == ("1", "file")
     assert (solve.node_limit, solve.time_limit) == (None, None)

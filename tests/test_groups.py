@@ -156,12 +156,20 @@ def test_partition_full_matches_walk_oracle():
         for n in range(1, 7)
     ]
     cases += [(singer_normalizer(n), range(n + 1)) for n in (4, 5, 6)]
+    # the Singer cycle of GF(16) and the transvection e0 -> e0 + e1, which
+    # does not normalize it: no engine, and one orbit of 2-subspaces
+    transvected = MatrixGroup(
+        n=4, generators=(companion_matrix(0b10011), BitMatrix((1, 3, 4, 8), 4))
+    )
     cases += [
         (singer_normalizer(7), (2, 3)),
         (frobenius_group(6), range(7)),
         (cube, range(7)),
+        (transvected, range(5)),
     ]
     assert frobenius_group(6).engine() is None and cube.engine() is None
+    assert transvected.engine() is None
+    assert orbit_partition(transvected, 2).lengths == [35]
     for g, dims in cases:
         for k in dims:
             got, want = groups._partition_full(g, k), walk_partition(g, k)
@@ -620,6 +628,9 @@ def test_table_load_names_malformed_lines(tmp_path):
         # the lengths still sum to the 35 lines of GF(2)^4
         lines[3], lines[7] = "0 40", "1 -5"
 
+    def skipped_id(lines):
+        lines[lines.index("1 5")] = "2 5"
+
     rows_of_orbit_0 = r"orbit 0: expected 2 basis rows of width 4"
     for edit, message in (
         (header, r"line 2: orbit table header needs integer n, k and group order"),
@@ -631,11 +642,21 @@ def test_table_load_names_malformed_lines(tmp_path):
         (narrow_record, rows_of_orbit_0),
         (ragged_row, r"line 6: row width 3 != matrix width 4"),
         (negative_length, r"orbit 1: length -5 is not positive"),
+        (skipped_id, r"orbit ids must be consecutive; got 2"),
     ):
         path, g = malformed_table(tmp_path, edit)
         for group in (g, None):
             with pytest.raises(FormatError, match=message):
                 OrbitTable.load(path, group=group)
+
+    def wrong_order(lines):
+        lines[1] = lines[1].replace(" 60", " 61")
+
+    # the header's order is checked against the group's, when it has one
+    path, g = malformed_table(tmp_path, wrong_order)
+    with pytest.raises(FormatError, match="group order disagrees with the table header"):
+        OrbitTable.load(path, group=g)
+    assert OrbitTable.load(path, group=None).lengths == orbit_partition(g, 2).lengths
     # a table of the zero subspace has no basis rows
     g = singer_normalizer(4)
     path = str(tmp_path / "orbits-k0.txt")

@@ -517,6 +517,29 @@ def test_derived_check_asserts_a_one_to_one_index(monkeypatch):
             derived_steiner_sample_check(blocks, liar, samples=10)
 
 
+def test_certificates_name_what_a_false_report_hides():
+    def claim(blocks):  # a report that every 2-subspace is covered once
+        return DesignReport(
+            n=5, k=blocks.k, t=2, lam=1, num_blocks=blocks.num_blocks,
+            total_t_subspaces=155, histogram={1: 155}, violations_shown=[],
+            violations_total=0, ok=True,
+        )
+
+    # half of the 2-subspaces: the other half's triples find no block
+    every_second = BlockSet(5, 2, all_subspace_blocks(5, 2).blocks[::2].copy())
+    got = derived_steiner_sample_check(
+        every_second, claim(every_second), samples=2000, seed=1
+    )
+    want = verify_reference.derived_steiner_sample_check(
+        every_second, samples=2000, seed=1
+    )
+    assert got == want and got["failures"] == 980
+    # 3-subspaces of GF(2)^5 that share lines: pairs below distance 4
+    first_50 = BlockSet(5, 3, all_subspace_blocks(5, 3).blocks[:50].copy())
+    with pytest.raises(AssertionError, match="blocks 25 and 9 are at distance 2 < 4"):
+        min_distance_certificate(first_50, claim(first_50), samples=1000, seed=0)
+
+
 def test_certificates_reject_a_report_of_another_block_set():
     blocks = all_subspace_blocks(5, 2)
     report = verify_design(blocks, 2, 1)
