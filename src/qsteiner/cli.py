@@ -108,19 +108,9 @@ def add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="ambient dimension for --trivial-group")
 
 
-def group_sources(args: argparse.Namespace) -> list[str]:
-    """The group source flags given, of the four a command can take."""
-    given = {
-        "--fixture": args.fixture is not None,
-        "--singer-normalizer": args.singer_normalizer is not None,
-        "--generators": args.generators is not None,
-        "--trivial-group": args.trivial_group,
-    }
-    return [flag for flag, on in given.items() if on]
-
-
 def resolve_group(args: argparse.Namespace) -> MatrixGroup:
-    if len(group_sources(args)) != 1:
+    given = (args.fixture, args.singer_normalizer, args.generators)
+    if sum(flag is not None for flag in given) + args.trivial_group != 1:
         raise UsageError(
             "choose exactly one group source: --fixture, --singer-normalizer, "
             "--generators, or --trivial-group"
@@ -150,18 +140,15 @@ def resolve_group(args: argparse.Namespace) -> MatrixGroup:
 
 def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
     """(representative rows, their source file or flag) from exactly one of
-    --reps FILE (a block file), --fixture-solution, and in expand --k-orbits
-    FILE with ids from --ids or the first line of a --solution file."""
-    tables = hasattr(args, "k_orbits")
-    table_file = args.k_orbits if tables else None
-    reps_file = args.reps
+    --k-orbits FILE with ids from --ids or the first line of a --solution
+    file, --reps FILE (a block file) and --fixture-solution."""
+    table_file, reps_file = args.k_orbits, args.reps
     use_fixture = args.fixture_solution
     if (table_file is not None) + (reps_file is not None) + use_fixture != 1:
         raise UsageError(
-            "choose exactly one of "
-            f"{'--k-orbits FILE, ' if tables else ''}--reps FILE or --fixture-solution"
+            "choose exactly one of --k-orbits FILE, --reps FILE or --fixture-solution"
         )
-    if tables and table_file is None and (args.ids, args.solution) != (None, None):
+    if table_file is None and (args.ids, args.solution) != (None, None):
         raise UsageError("--ids and --solution need --k-orbits FILE")
     if use_fixture:
         if group.n != fixtures.FIXTURE_N:
@@ -196,17 +183,6 @@ def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
     if len(set(ids)) != len(ids):
         raise UsageError(f"orbit ids repeat: {ids}")
     return np.array(reps, dtype=np.uint64).reshape(len(ids), table.k), table_file
-
-
-def expand_reps(group: MatrixGroup, reps, source: str):
-    """expand_orbits, with representatives that do not make a block set
-    reported against their source; a block file holds dimension k >= 1."""
-    if not reps.shape[1]:
-        raise FormatError(f"{source}: blocks must have dimension k >= 1")
-    try:
-        return expand_orbits(group, reps)
-    except ValueError as exc:
-        raise FormatError(f"{source}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +333,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     group = resolve_group(args)
     reps, source = resolve_reps(args, group)
+    if not reps.shape[1]:
+        raise FormatError(f"{source}: blocks must have dimension k >= 1")
     t0 = time.time()
-    blocks, lengths = expand_reps(group, reps, source)
+    try:
+        blocks, lengths = expand_orbits(group, reps)
+    except ValueError as exc:
+        raise FormatError(f"{source}: {exc}") from None
     path = out_path(args, "blocks.txt")
     blocks.save(path)
     print(
@@ -378,6 +359,10 @@ def _not_below(value, flag: str):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.blocks is None:
+        raise UsageError(
+            "--blocks FILE is required (produce one with the expand command)"
+        )
     t, lam = args.t, args.lam
     if lam < 1:
         raise UsageError("need lambda >= 1")
@@ -388,18 +373,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--distance-samples needs lambda = 1")
     if derived_samples and (t, lam) != (2, 1):
         raise UsageError("--derived-samples needs t = 2 and lambda = 1")
-    if args.blocks is not None:
-        if args.reps is not None or args.fixture_solution:
-            raise UsageError(
-                "choose exactly one of --blocks FILE, --reps FILE or --fixture-solution"
-            )
-        given = group_sources(args)
-        if given:
-            raise UsageError(f"--blocks FILE takes no group: drop {', '.join(given)}")
-        blocks = BlockSet.load(args.blocks)
-    else:
-        group = resolve_group(args)
-        blocks, _ = expand_reps(group, *resolve_reps(args, group))
+    blocks = BlockSet.load(args.blocks)
     if not 0 < t <= blocks.k:
         raise UsageError(f"need 0 < t <= k = {blocks.k}")
     t0 = time.time()
@@ -701,14 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", help="recount coverage of a block list")
-    add_group_flags(p)
     p.add_argument("--blocks", metavar="FILE", help="block list file")
-    p.add_argument("--reps", metavar="FILE", help="orbit representative file")
-    p.add_argument(
-        "--fixture-solution",
-        action="store_true",
-        help="use the bundled 15 representatives",
-    )
     p.add_argument(
         "--t", type=int, default=2, help="covered subspace dimension (default 2)"
     )

@@ -370,12 +370,9 @@ class OrbitTable:
     def save(self, path: str) -> None:
         if self.group is None:
             raise ValueError("cannot save a table without its group")
-        # a certified engine fills the order in; otherwise count the closure
-        if self.group.order is None and self.group.engine() is None:
-            self.group.order = group_closure(self.group).order
         lines = [
             "# orbit table: n k group-hash group-order, then id length + basis rows",
-            f"{self.n} {self.k} {group_hash(self.group)} {self.group.order}",
+            f"{self.n} {self.k} {group_hash(self.group)} {_group_order(self.group)}",
             "",
         ]
         text = format_rows(self.rows, self.n)
@@ -417,8 +414,6 @@ class OrbitTable:
                 raise FormatError("group dimension does not match the table header")
             if group_hash(group) != header[2]:
                 raise FormatError("group hash does not match the table header")
-            if group.order is None:
-                group.order = order
         # the header and every 'id length' line read as blank lines, so
         # each record's k rows are one matrix, at the file's line numbers
         lines[body_start - 1] = ""
@@ -463,8 +458,11 @@ class OrbitTable:
             table = cls(n, k, group, reps, lengths)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
-        if order and group is not None and group.order != order:
-            raise FormatError("group order disagrees with the table header")
+        if group is not None and _group_order(group) != order:
+            raise FormatError(
+                f"{path}: group order disagrees with the table header: "
+                f"the header says {order}, the group has order {group.order}"
+            )
         total = sum(lengths)
         expect = gaussian_binomial(n, k, 2)
         if total != expect:
@@ -475,6 +473,13 @@ class OrbitTable:
         if group is not None:
             table._ensure_index()
         return table
+
+
+def _group_order(group: MatrixGroup) -> int:
+    """group.order, else filled in from the group's engine or closure."""
+    if group.order is None and group.engine() is None:
+        group.order = group_closure(group).order
+    return group.order
 
 
 # ---------------------------------------------------------------------------

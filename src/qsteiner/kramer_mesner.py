@@ -295,9 +295,9 @@ def _scan_records(text: str) -> tuple:
     wide = np.flatnonzero(np.diff(pos, append=size) > 18)
     wide = wide[solid[pos[wide] + 18]]
     suspect = np.union1d(np.searchsorted(pos, odd[~ok], side="right") - 1, wide)
-    # faults in the order a line-by-line reader meets them: lines with an
-    # unknown or repeated tag or a wrong field count, and the header's
-    # fields, by line; then the fields of the R, C, E and X records in turn
+    # faults by line in two passes (see parse_km): lines with an unknown
+    # or repeated tag or a wrong field count, and the header's fields;
+    # then the fields of the R, C, E and X records in turn
     repeat = np.cumsum(kind == 0) > 1
     bad = np.flatnonzero((kind < 0) | (nfields != _WIDTHS[kind]) | repeat)
     line = np.concatenate((bad, np.searchsorted(ti, suspect, side="right") - 1))
@@ -343,8 +343,10 @@ def parse_km(text: str) -> KMInstance:
     """Parse and validate a KM file; FormatError names the offending line.
 
     A line's fields are its text before any '#', split at whitespace as
-    str.split splits.  Faults are reported where and as a line-by-line
-    reader meets them first, except that fields take ASCII digits only.
+    str.split splits; fields take ASCII digits only.  The first fault is
+    named by three passes in turn, each by line: unknown or repeated tags,
+    wrong field counts and bad header fields; bad fields of the R, then C,
+    E and X records; then the value checks below.
     """
     header, rows, cols, ents, xs = _scan_records(text)
     _reject(ents, ents[:, 3] <= 0, "entries must be positive")

@@ -8,7 +8,7 @@ import pytest
 
 from qsteiner import cli, fixtures
 from qsteiner.fixtures import FIXTURE_SHA256
-from qsteiner.groups import StrategyError
+from qsteiner.groups import MatrixGroup, StrategyError
 from qsteiner.verify import BlockSet
 
 
@@ -238,9 +238,13 @@ def test_conflicting_group_sources_return_2(capsys):
     assert code == 2 and "exactly one group source" in err
 
 
-def test_missing_file_returns_2(capsys):
+def test_missing_file_returns_2(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--km", "does-not-exist.txt")
     assert code == 2 and "does-not-exist.txt" in err
+    code, out, err = run(capsys, "--out-dir", str(tmp_path / "out"), "verify")
+    assert code == 2 and out == "" and not (tmp_path / "out").exists()
+    assert "error: --blocks FILE is required (produce one with the expand " \
+        "command)" in err, err
 
 
 def test_expand_needs_exactly_one_source(capsys):
@@ -369,11 +373,18 @@ def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
         assert out == "" and not out_dir.exists(), argv
 
 
-def test_verify_prints_the_sampled_certificates(tmp_path, capsys):
+def test_verify_prints_the_sampled_certificates(tmp_path, monkeypatch, capsys):
     # the one orbit of 2-subspaces of GF(2)^5: each covers itself once
     table = saved_table(tmp_path, capsys, 5, 2)
     run(capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "5",
         "--k-orbits", table, "--ids", "0")
+
+    def refuse(*args):
+        raise AssertionError("verify builds no group and expands no orbit")
+
+    monkeypatch.setattr(cli, "resolve_group", refuse)
+    monkeypatch.setattr(cli, "expand_orbits", refuse)
+    monkeypatch.setattr(MatrixGroup, "engine", refuse)
     code, out, _ = run(
         capsys, "--out-dir", str(tmp_path), "verify",
         "--blocks", str(tmp_path / "blocks.txt"), "--t", "2",
@@ -592,13 +603,12 @@ def test_bad_representative_files_are_named_errors(tmp_path, capsys):
         (dependent, r"line 1: block rows are linearly dependent \(rank 2 < 3\)"),
     ):
         reps.write_text("\n".join(blocks))
-        for command, extra in (("expand", ()), ("verify", ("--t", "2"))):
-            code, _, err = run(
-                capsys, "--out-dir", str(tmp_path), command,
-                "--singer-normalizer", "6", "--reps", str(reps), *extra,
-            )
-            assert code == 2, err
-            assert re.search(f"error: {re.escape(str(reps))}: .*{message}", err), err
+        code, _, err = run(
+            capsys, "--out-dir", str(tmp_path), "expand",
+            "--singer-normalizer", "6", "--reps", str(reps),
+        )
+        assert code == 2, err
+        assert re.search(f"error: {re.escape(str(reps))}: .*{message}", err), err
 
 
 def test_expand_refuses_conflicting_representative_sources(tmp_path, capsys):
@@ -659,6 +669,40 @@ def test_km_refuses_orbit_tables_of_another_dimension(tmp_path, capsys):
     assert code == 0 and (tmp_path / "km-n6-t2-k3-full.txt").exists()
 
 
+def test_orbit_table_order_is_checked_against_the_group(tmp_path, capsys):
+    # the header's order is compared with the group's own order, never
+    # taken as it: certified by the Singer engine, or counted by closure
+    def edited(path, old, new):
+        lines = Path(path).read_text().split("\n")
+        assert lines[1].endswith(f" {old}")
+        lines[1] = lines[1][: -len(old)] + new
+        Path(path).write_text("\n".join(lines))
+
+    def chain(sub, source, dims):
+        d = tmp_path / sub
+        run(capsys, "--out-dir", str(d), "group", *source)
+        group = ("--generators", str(d / "group.txt"))
+        for dim in dims:
+            run(capsys, "--out-dir", str(d), "orbits", *group, "--dim", str(dim))
+        return d, ("--out-dir", str(d), "km", *group)
+
+    d, km = chain("singer", ("--singer-normalizer", "5"), (2,))
+    t_table = str(d / "orbits-n5-k2.txt")
+    edited(t_table, "155", "999")
+    runs = [(km + ("--t-orbits", t_table), t_table, 999, 155)]
+    d, km = chain("trivial", ("--trivial-group", "--n", "4"), (1, 2))
+    t_table, k_table = str(d / "orbits-n4-k1.txt"), str(d / "orbits-n4-k2.txt")
+    edited(t_table, "1", "7")
+    km += ("--t", "1", "--k", "2", "--t-orbits", t_table)
+    runs += [(km, t_table, 7, 1), (km + ("--k-orbits", k_table), t_table, 7, 1)]
+    for argv, table, header, order in runs:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, err
+        assert f"error: {table}: group order disagrees with the table header: " \
+            f"the header says {header}, the group has order {order}" in err, err
+    assert not list(tmp_path.glob("*/km-*"))
+
+
 def test_malformed_orbit_table_exits_2(tmp_path, capsys):
     table = saved_table(tmp_path, capsys, 6, 3)
     path = tmp_path / "bad.txt"
@@ -686,37 +730,38 @@ def test_malformed_solution_headers_are_named_errors(tmp_path, capsys):
     assert not (tmp_path / "blocks.txt").exists()
 
 
-def test_verify_blocks_refuses_a_second_source(tmp_path, capsys):
+def verify_refuses(tmp_path, capsys, extras):
+    # verify reads a block file alone: any other source is an unknown flag
     table = saved_table(tmp_path, capsys, 6, 3)
     run(capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
         "--k-orbits", table, "--ids", "0")
-    blocks = str(tmp_path / "blocks.txt")
-    verify = ("--out-dir", str(tmp_path), "verify", "--blocks", blocks)
-    for extra in (("--reps", str(tmp_path / "nonexist.txt")), ("--fixture-solution",)):
-        code, _, err = run(capsys, *verify, *extra)
-        assert code == 2, extra
-        assert "choose exactly one of --blocks FILE, --reps FILE or " \
-            "--fixture-solution" in err, err
+    verify = ["--out-dir", str(tmp_path), "verify", "--blocks", str(tmp_path / "blocks.txt")]
+    for extra in extras:
+        with pytest.raises(SystemExit) as info:
+            cli.main([*verify, *extra])
+        assert info.value.code == 2, extra
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {extra[0]}" in err, err
     assert not (tmp_path / "report.txt").exists()
+    return verify
+
+
+def test_verify_blocks_refuses_a_second_source(tmp_path, capsys):
+    verify = verify_refuses(tmp_path, capsys, (
+        ("--reps", str(tmp_path / "nonexist.txt")),
+        ("--fixture-solution",),
+    ))
     code, _, _ = run(capsys, *verify)
     assert code == 1  # one orbit is not a design, but the file alone is read
 
 
 def test_verify_blocks_refuses_a_group_source(tmp_path, capsys):
-    table = saved_table(tmp_path, capsys, 6, 3)
-    run(capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
-        "--k-orbits", table, "--ids", "0")
-    verify = ("--out-dir", str(tmp_path), "verify", "--blocks", str(tmp_path / "blocks.txt"))
-    for extra in (
+    verify_refuses(tmp_path, capsys, (
         ("--generators", str(tmp_path / "nonexist.txt")),
         ("--singer-normalizer", "6"),
         ("--fixture", "paper-13"),
         ("--trivial-group", "--n", "6"),
-    ):
-        code, _, err = run(capsys, *verify, *extra)
-        assert code == 2, extra
-        assert f"--blocks FILE takes no group: drop {extra[0]}" in err, err
-    assert not (tmp_path / "report.txt").exists()
+    ))
 
 
 def test_non_integer_ids_name_their_flag(tmp_path, capsys):
@@ -749,10 +794,28 @@ def test_defaults_are_declared_by_the_parser():
 
 def test_readme_names_only_existing_flags(capsys):
     flag = r"--[a-z0-9][a-z0-9-]*"
-    known = {"--no-build-isolation"}  # pip's, in the install lines
-    for command in ([], *([name] for name in cli.COMMANDS)):
+
+    def flags_of(*command):
         with pytest.raises(SystemExit):
             cli.main([*command, "--help"])
-        known |= set(re.findall(flag, capsys.readouterr().out))
+        return set(re.findall(flag, capsys.readouterr().out))
+
+    top = flags_of()
+    helps = {name: flags_of(name) for name in cli.COMMANDS}
+    known = {"--no-build-isolation"}.union(top, *helps.values())  # pip's
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert set(re.findall(flag, readme)) <= known
+    # in each example, the flags before the command are the top level's
+    # and those after it the command's own
+    examples = 0
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = line.split("#")[0].split()
+            if words[:1] != ["qsteiner"]:
+                continue
+            at = next(i for i, word in enumerate(words) if word in cli.COMMANDS)
+            before, after = " ".join(words[1:at]), " ".join(words[at + 1 :])
+            assert set(re.findall(flag, before)) <= top, line
+            assert set(re.findall(flag, after)) <= helps[words[at]], line
+            examples += 1
+    assert examples

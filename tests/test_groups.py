@@ -170,6 +170,21 @@ def test_partition_full_matches_walk_oracle():
     assert frobenius_group(6).engine() is None and cube.engine() is None
     assert transvected.engine() is None
     assert orbit_partition(transvected, 2).lengths == [35]
+    # GL(4, 2): the transvection e3 -> e0 + e3 has first slope 1 on the
+    # cycle's exponents, a power of two, but is not affine on them
+    cycle, transvection = companion_matrix(0b10011), BitMatrix((9, 2, 4, 8), 4)
+    exps = singer._power_table(cycle)
+    dlog = np.zeros(16, dtype=np.int64)
+    dlog[exps] = np.arange(15)
+    imgs = dlog[mat_vec_bulk(transvection, exps)]
+    slope = int(imgs[1] - imgs[0]) % 15
+    assert slope & (slope - 1) == 0
+    assert not np.array_equal(imgs, (slope * np.arange(15) + imgs[0]) % 15)
+    general = MatrixGroup(n=4, generators=(cycle, transvection))
+    assert general.engine() is None and group_closure(general).order == 20160
+    lengths = [orbit_partition(general, k).lengths for k in (1, 2, 3)]
+    assert lengths == [[15], [35], [15]]
+    cases.append((general, range(5)))
     for g, dims in cases:
         for k in dims:
             got, want = groups._partition_full(g, k), walk_partition(g, k)
@@ -656,6 +671,11 @@ def test_table_load_names_malformed_lines(tmp_path):
     path, g = malformed_table(tmp_path, wrong_order)
     with pytest.raises(FormatError, match="group order disagrees with the table header"):
         OrbitTable.load(path, group=g)
+    # a group without a recorded order keeps its own, not the header's
+    unordered = MatrixGroup(n=4, generators=g.generators)
+    with pytest.raises(FormatError, match="the header says 61, the group has order 60"):
+        OrbitTable.load(path, group=unordered)
+    assert unordered.order == 60
     assert OrbitTable.load(path, group=None).lengths == orbit_partition(g, 2).lengths
     # a table of the zero subspace has no basis rows
     g = singer_normalizer(4)
