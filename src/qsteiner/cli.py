@@ -138,6 +138,16 @@ def resolve_group(args: argparse.Namespace) -> MatrixGroup:
     return MatrixGroup(n=n, generators=(identity(n),), order=1)
 
 
+def _load_orbit_table(path: str, group: MatrixGroup) -> OrbitTable:
+    """OrbitTable.load, with the file named in every FormatError."""
+    try:
+        return OrbitTable.load(path, group=group)
+    except FormatError as exc:
+        if str(exc).startswith(f"{path}: "):  # the group-order error names it
+            raise
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
     """(representative rows, their source file or flag) from exactly one of
     --k-orbits FILE with ids from --ids or the first line of a --solution
@@ -165,7 +175,7 @@ def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
     ids_text, solution_file = args.ids, args.solution
     if (ids_text is None) == (solution_file is None):
         raise UsageError("--k-orbits needs exactly one of --ids or --solution")
-    table = OrbitTable.load(table_file, group=group)
+    table = _load_orbit_table(table_file, group)
     if ids_text is not None:
         ids = _parse_ids(ids_text, "--ids", "orbit ids")
     else:
@@ -232,7 +242,7 @@ def _load_or_build_table(
     path = getattr(args, f"{name}_orbits")
     if path is None:
         return orbit_partition(group, dim)
-    table = OrbitTable.load(path, group=group)
+    table = _load_orbit_table(path, group)
     if table.k != dim:
         held = f"the table holds orbits of {table.k}-subspaces"
         raise UsageError(f"{path}: {held}, but --{name} is {dim}")

@@ -45,6 +45,9 @@ SAVE_BATCH_BLOCKS = 1 << 16
 # keys per slice of the counting passes; no result depends on them.
 KEY_CHUNK_BLOCKS = 1 << 16
 KEY_SLICE = 1 << 20
+# Low bits of a pair key that the derived check's map of sampled keys
+# holds, one byte each (8 MiB); every key it lets through is matched exactly.
+SAMPLE_FILTER_BITS = 23
 _BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*\r?$", re.M)
 
 
@@ -64,10 +67,10 @@ class BlockSet:
             raise ValueError("block rows must fit in n bits")
         for start in range(0, self.num_blocks, KEY_CHUNK_BLOCKS):
             part = self.blocks[start : start + KEY_CHUNK_BLOCKS]
-            red, ranks = rref_bulk(part)
-            if not np.all(ranks == self.k):
-                raise ValueError("every block must have dimension k")
-            if not np.array_equal(red, part):
+            if not _in_rref(part):  # rref_bulk only names the fault
+                _, ranks = rref_bulk(part)
+                if not np.all(ranks == self.k):
+                    raise ValueError("every block must have dimension k")
                 raise ValueError("block rows must be in reduced row echelon form")
         pair = first_duplicate(self.blocks, self.n)
         if pair is not None:
@@ -111,6 +114,19 @@ class BlockSet:
         blocks = cls.__new__(cls)
         blocks.n, blocks.k, blocks.blocks = n, rows.shape[1], rows
         return blocks
+
+
+def _in_rref(rows: np.ndarray) -> bool:
+    """Whether every row of rows, (N, k) uint64, is a k-row basis in
+    reduced row echelon form: its rows nonzero, their pivots (lowest set
+    bits) strictly ascending, and no row holding a later row's pivot
+    bit.  That is rref_bulk returning rows unchanged with rank k."""
+    pivots = rows & (np.uint64(0) - rows)
+    if not pivots.all() or np.any(pivots[:, 1:] <= pivots[:, :-1]):
+        return False
+    return not any(
+        np.any(rows[:, :j] & pivots[:, j : j + 1]) for j in range(1, rows.shape[1])
+    )
 
 
 def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[int]]:
@@ -157,13 +173,13 @@ class DesignReport:
     ok: bool
 
 
-def _key_dtype(n: int, t: int, owner_bits: int = 0) -> np.dtype:
+def _key_dtype(n: int, t: int) -> np.dtype:
     """dtype of the keys _sorted_keys builds: uint32 when a t-subspace key
-    of GF(2)^n and owner_bits bits of block index fit in 32 bits, else
-    uint64.  A key has n bits for t = 1, 2n for t = 2 (see _line_keys)
-    and key_bits(n, t) above, those of pack_keys_bulk."""
+    of GF(2)^n fits in 32 bits, else uint64.  A key has n bits for t = 1,
+    2n for t = 2 (see _line_keys) and key_bits(n, t) above, those of
+    pack_keys_bulk."""
     bits = n if t == 1 else 2 * n if t == 2 else key_bits(n, t)
-    return np.dtype(np.uint32 if bits + owner_bits <= 32 else np.uint64)
+    return np.dtype(np.uint32 if bits <= 32 else np.uint64)
 
 
 def _line_keys(
@@ -211,18 +227,15 @@ def _fill_keys(
         _line_keys(points[a - 1], points[b - 1], points[(a ^ b) - 1], n, row, scratch)
 
 
-def _sorted_keys(
-    blocks: np.ndarray, n: int, t: int, owner_bits: int = 0
-) -> np.ndarray:
+def _sorted_keys(blocks: np.ndarray, n: int, t: int) -> np.ndarray:
     """Every t-subspace key of every block, sorted, in _key_dtype.
 
     The keys fill one preallocated array, KEY_CHUNK_BLOCKS blocks at a
-    time, and are sorted in place.  With owner_bits > 0 each entry is
-    key << owner_bits | index of the block that holds it.
+    time, and are sorted in place.
     """
     num, k = blocks.shape
     per_block = gaussian_binomial(k, t, 2)
-    dtype = _key_dtype(n, t, owner_bits)
+    dtype = _key_dtype(n, t)
     out = np.empty(num * per_block, dtype=dtype)
     points = None
     if t == 2:  # one buffer for the points of every chunk
@@ -232,9 +245,6 @@ def _sorted_keys(
         dest = out[start * per_block : (start + len(part)) * per_block]
         dest = dest.reshape(per_block, len(part))
         _fill_keys(part, n, t, dest, points)
-        if owner_bits:
-            dest <<= dtype.type(owner_bits)
-            dest |= np.arange(start, start + len(part), dtype=dtype)
     out.sort()
     return out
 
@@ -435,6 +445,24 @@ def _check_report_matches(blocks: BlockSet, report: DesignReport) -> None:
         )
 
 
+def _residue_ranks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rank([A; B]) - k for the RREF bases A = a[i] and B = b[i], (N, k)
+    uint64 arrays: the rank of A's rows once every pivot bit of B is
+    cleared from them.  B is reduced, so clearing one of its pivots sets
+    no other, and what is left of A spans [A; B] modulo B."""
+    res = a.T.copy()
+    hit = np.empty(res.shape[1], dtype=bool)
+    diff = np.empty(res.shape[1], dtype=np.uint64)
+    for row in b.T.copy():
+        piv = row & (np.uint64(0) - row)
+        for r in res:
+            np.bitwise_and(r, piv, out=diff)
+            np.not_equal(diff, 0, out=hit)
+            np.multiply(row, hit, out=diff)
+            r ^= diff
+    return rref_bulk(res.T)[1]
+
+
 def min_distance_certificate(
     blocks: BlockSet,
     report: DesignReport,
@@ -446,7 +474,9 @@ def min_distance_certificate(
     With lambda = 1 no two distinct blocks share a t-subspace, so every
     pair is at distance >= 2(k - t + 1).  The bound is spot-checked on
     sampled pairs and shown to be attained by an explicit pair, making
-    the returned minimum exact.  Requires a passing report.
+    the returned minimum exact.  Requires a passing report.  The distance
+    of two k-dim blocks is 2 (rank of their stacked rows - k), taken by
+    _residue_ranks.
     """
     if samples < 0:
         raise ValueError("need samples >= 0")
@@ -458,6 +488,7 @@ def min_distance_certificate(
     num = blocks.num_blocks
     if num < 2:
         raise ValueError("need at least two blocks for a pairwise distance")
+    rows = blocks.blocks
     rng = np.random.default_rng(seed)
     batch = 1 << 16
     done = 0
@@ -468,9 +499,7 @@ def min_distance_certificate(
         j = rng.integers(0, num, size=take)
         keep = i != j
         i, j = i[keep], j[keep]
-        stacked = np.concatenate([blocks.blocks[i], blocks.blocks[j]], axis=1)
-        _, ranks = rref_bulk(stacked)
-        dist = 2 * (ranks - k)
+        dist = 2 * _residue_ranks(np.take(rows, i, axis=0), np.take(rows, j, axis=0))
         if dist.size:
             min_seen = min(min_seen, int(dist.min()))
         if min_seen < bound:
@@ -484,21 +513,55 @@ def min_distance_certificate(
     if not attained and t == 2:
         # exhibit a pair attaining the bound: two blocks through a common point
         limit = min(num, 20000)
-        probe = _point_keys(blocks.blocks[:limit])
+        probe = _point_keys(rows[:limit])
         vals = np.unique(probe)
         counts = np.bincount(np.searchsorted(vals, probe))
         shared = vals[counts >= 2]
         if shared.size:
             owners = np.nonzero(probe == shared[0])[0] % limit
             a, b = int(owners[0]), int(owners[1])
-            stacked = np.concatenate(
-                [blocks.blocks[a : a + 1], blocks.blocks[b : b + 1]], axis=1
-            )
-            _, ranks = rref_bulk(stacked)
-            attained = int(2 * (ranks[0] - k)) == bound
+            dist = 2 * _residue_ranks(rows[a : a + 1], rows[b : b + 1])
+            attained = int(dist[0]) == bound
     if not attained:
         raise AssertionError("no pair attaining the distance bound was found")
     return bound
+
+
+def _sample_owners(
+    blocks: np.ndarray, n: int, wanted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(number of blocks, index of one block) holding each pair key of
+    wanted, sorted distinct keys in the dtype of _sorted_keys.
+
+    Every chunk's keys (_fill_keys) go through a map that marks the low
+    min(2n, SAMPLE_FILTER_BITS) bits of the wanted keys; the few keys it
+    lets through are matched exactly against wanted.
+    """
+    num, k = blocks.shape
+    dtype = wanted.dtype
+    low = dtype.type((1 << min(2 * n, SAMPLE_FILTER_BITS)) - 1)
+    marked = np.zeros(int(low) + 1, dtype=bool)
+    marked[wanted & low] = True
+    per_block = gaussian_binomial(k, 2, 2)
+    width = min(num, KEY_CHUNK_BLOCKS)
+    buf = np.empty(per_block * width, dtype=dtype)
+    points = np.empty(((1 << k) - 1, width), dtype=dtype)
+    keys: list[np.ndarray] = []
+    owners: list[np.ndarray] = []
+    for start in range(0, num, KEY_CHUNK_BLOCKS):
+        part = blocks[start : start + KEY_CHUNK_BLOCKS]
+        flat = buf[: per_block * len(part)]
+        _fill_keys(part, n, 2, flat.reshape(per_block, len(part)), points)
+        pos = np.flatnonzero(np.take(marked, flat & low))
+        keys.append(flat[pos])
+        owners.append(start + pos % len(part))  # flat[j * len(part) + i]: block i
+    keys, owners = np.concatenate(keys), np.concatenate(owners)
+    pos = np.searchsorted(wanted, keys)
+    exact = wanted[np.minimum(pos, wanted.size - 1)] == keys
+    pos = pos[exact]
+    owner = np.zeros(wanted.size, dtype=np.intp)
+    owner[pos] = owners[exact]
+    return np.bincount(pos, minlength=wanted.size), owner
 
 
 def derived_steiner_sample_check(
@@ -513,7 +576,10 @@ def derived_steiner_sample_check(
     of GF(2)^n determine difference vectors u = x^y, v = x^z spanning a
     2-subspace that lies in exactly one block B, and the three pairwise
     differences all lie in B.  Samples random triples and verifies both
-    facts via an independent coverage index.
+    facts from the blocks alone: the sorted pair keys of every block
+    (_sorted_keys) show that no 2-subspace lies in two blocks, and one
+    more pass over the blocks' pair keys finds the blocks that hold the
+    sampled 2-subspaces (_sample_owners); each must have exactly one.
     """
     if samples < 0:
         raise ValueError("need samples >= 0")
@@ -521,49 +587,51 @@ def derived_steiner_sample_check(
         raise ValueError("check requires a passing 2-(n, k, 1) report")
     _check_report_matches(blocks, report)
     n = blocks.n
-    # the index is one sorted array of (pair key << owner_bits) | owner
-    owner_bits = max(1, (blocks.num_blocks - 1).bit_length())
-    if 2 * n + owner_bits > 64:
-        raise ValueError("pair keys and block indices do not fit in 64 bits")
-    index = _sorted_keys(blocks.blocks, n, 2, owner_bits)
-    dtype = index.dtype
-    ob = dtype.type(owner_bits)
-    # one-to-one over every key; each slice overlaps the last one by a key
-    for start in range(0, index.size, KEY_SLICE):
-        keys = index[max(start - 1, 0) : start + KEY_SLICE] >> ob
-        if np.any(keys[1:] == keys[:-1]):
-            raise AssertionError("coverage index is not one-to-one; lambda != 1?")
-    last = index.size - 1
-    owner_mask = dtype.type((1 << owner_bits) - 1)
+    if 2 * n > 64:
+        raise ValueError("pair keys do not fit in 64 bits for this n")
+    keys = _sorted_keys(blocks.blocks, n, 2)
+    dtype = keys.dtype
+    # each slice ends where a run of equal keys ends: a repeat is in one slice
+    if any(np.any(part[1:] == part[:-1]) for part in _slices(keys)):
+        raise AssertionError("coverage index is not one-to-one; lambda != 1?")
+    del keys  # before the pass that finds the sampled lines' blocks
 
     rng = np.random.default_rng(seed)
     top = 1 << n
-    remaining = samples
-    failures = 0
-    examples: list[tuple[int, int, int]] = []
-    while remaining > 0:
-        take = min(remaining, 1 << 16)
+    sampled = np.empty(samples, dtype=dtype)
+    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    done = 0
+    while done < samples:
+        take = min(samples - done, 1 << 16)
         x = rng.integers(0, top, size=take, dtype=np.uint64)
         y = rng.integers(0, top, size=take, dtype=np.uint64)
         z = rng.integers(0, top, size=take, dtype=np.uint64)
         distinct = (x != y) & (x != z) & (y != z)
         x, y, z = x[distinct], y[distinct], z[distinct]
-        u = x ^ y
-        v = x ^ z
-        # in the index's dtype, so searchsorted does not convert the index
-        key = np.empty(u.size, dtype=dtype)
-        _line_keys(u, v, u ^ v, n, key, np.empty_like(key))
-        pos = np.searchsorted(index, key << ob)
-        entry = index[np.minimum(pos, last)]
-        found = (pos <= last) & ((entry >> ob) == key)
+        u, v = x ^ y, x ^ z
+        line = sampled[done : done + x.size]
+        _line_keys(u, v, u ^ v, n, line, np.empty_like(line))
+        draws.append((x, y, z))
+        done += x.size
+    wanted, where = np.unique(sampled, return_inverse=True)
+    counts, owners = _sample_owners(blocks.blocks, n, wanted)
+
+    failures = 0
+    examples: list[tuple[int, int, int]] = []
+    start = 0
+    for x, y, z in draws:
+        line = where[start : start + x.size]
+        start += x.size
+        found = counts[line] == 1
         if not found.all():
             bad = np.nonzero(~found)[0]
             failures += int(bad.size)
             for b in bad[:5]:
                 examples.append((int(x[b]), int(y[b]), int(z[b])))
         # containment of all three difference vectors in the covering block
-        brows = blocks.blocks[entry & owner_mask].T.copy()
+        brows = blocks.blocks[owners[line]].T.copy()
         pivots = brows & (np.uint64(0) - brows)
+        u, v = x ^ y, x ^ z
         for vec in (u, v, u ^ v):
             red = vec.copy()
             for row, piv in zip(brows, pivots):
@@ -573,7 +641,6 @@ def derived_steiner_sample_check(
                 failures += int(bad.size)
                 for b in bad[:5]:
                     examples.append((int(x[b]), int(y[b]), int(z[b])))
-        remaining -= int(x.size)
     return {
         "samples": samples,
         "tested": samples,

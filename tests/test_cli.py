@@ -713,7 +713,25 @@ def test_malformed_orbit_table_exits_2(tmp_path, capsys):
         capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
         "--k-orbits", str(path), "--ids", "0",
     )
-    assert code == 2 and "line 4: expected integer 'id length'" in err
+    assert code == 2 and f"error: {path}: line 4: expected integer 'id length'" in err
+
+
+def test_orbit_table_errors_name_their_file(tmp_path, capsys):
+    # km reads two tables: a fault in either names the file it is in
+    t_table = saved_table(tmp_path, capsys, 5, 2)
+    k_table = saved_table(tmp_path, capsys, 5, 3)
+    lines = Path(k_table).read_text().split("\n")
+    lines[3] = "0 x"
+    Path(k_table).write_text("\n".join(lines))
+    km = ("--out-dir", str(tmp_path), "km")
+    km += ("--t-orbits", t_table, "--k-orbits", k_table)
+    code, _, err = run(capsys, *km, "--singer-normalizer", "5")
+    assert code == 2
+    assert f"error: {k_table}: line 4: expected integer 'id length', got '0 x'" in err
+    code, _, err = run(capsys, *km, "--trivial-group", "--n", "5")
+    assert code == 2
+    assert f"error: {t_table}: group hash does not match the table header" in err
+    assert not list(tmp_path.glob("km-*"))
 
 
 def test_malformed_solution_headers_are_named_errors(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The package imports only the standard library, numpy and itself, the
 per-object Subspace stays out of the array pipeline, every public name
-resolves, and every name the benchmark imports from it exists."""
+resolves, and every name the benchmark imports from it exists and takes
+the arguments the benchmark passes."""
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -104,3 +106,70 @@ def test_benchmark_imports_resolve():
                     except ModuleNotFoundError:
                         missing.append(f"{path.name}:{node.lineno}: {module}.{name}")
     assert not missing, missing
+
+
+def package_names(tree: ast.Module) -> dict:
+    """Name -> object for every name a module binds by importing qsteiner."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "qsteiner":
+                    module = alias.name if alias.asname else alias.name.split(".")[0]
+                    names[alias.asname or module] = importlib.import_module(module)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] == "qsteiner":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):  # a submodule
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    names[alias.asname or alias.name] = getattr(module, alias.name)
+    return names
+
+
+def resolve(node: ast.expr, names: dict):
+    """The package object an expression of names and attributes reaches."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(resolve(node.value, names), node.attr, None)
+    return None
+
+
+def unbound_package_calls(sources) -> tuple[set, list]:
+    """(package callables called, calls whose arguments do not bind).
+
+    A call is fn(*args, **kw) or tracer.call(name, fn, *args, **kw); only
+    fn from the package counts, and positional arguments count when none
+    is starred.
+    """
+    called, unbound = set(), []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = package_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Attribute) and func.attr == "call" and args[1:]:
+                func, args = args[1], args[2:]
+            fn = resolve(func, names)
+            module = getattr(fn, "__module__", None) or ""
+            if not callable(fn) or module.split(".")[0] != "qsteiner":
+                continue
+            called.add(fn.__qualname__)
+            if any(isinstance(arg, ast.Starred) for arg in args):
+                args = []
+            keywords = {kw.arg: None for kw in node.keywords if kw.arg}
+            try:
+                inspect.signature(fn).bind_partial(*[None] * len(args), **keywords)
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{node.lineno}: {fn.__qualname__}: {exc}")
+    return called, unbound
+
+
+def test_benchmark_calls_bind_to_the_package_signatures():
+    called, unbound = unbound_package_calls(sorted((ROOT / "bench").glob("*.py")))
+    assert not unbound, unbound
+    # the sampled certificates take samples= and seed= keywords
+    assert {"min_distance_certificate", "derived_steiner_sample_check"} <= called

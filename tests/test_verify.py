@@ -1,5 +1,6 @@
 """Design verification against independent recounts and known controls."""
 
+import itertools
 import re
 import tracemalloc
 from collections import Counter
@@ -211,6 +212,64 @@ def test_blockset_checks_every_chunk(monkeypatch):
     for bad, message in (([3, 2], "echelon"), ([1, 0], "dimension")):
         with pytest.raises(ValueError, match=message):
             BlockSet(4, 2, np.array(rows + [bad], dtype=np.uint64))
+
+
+def random_blocks(rng, num, k, n):
+    """Up to num distinct (k,) RREF bases of random k-dim subspaces of GF(2)^n."""
+    red, ranks = gf2.rref_bulk(rng.integers(1, 1 << n, size=(num, k), dtype=np.uint64))
+    return rng.permutation(np.unique(red[ranks == k], axis=0))
+
+
+def rref_faults(rng, rows):
+    """Copies of distinct RREF bases with one fault planted in a random
+    block: a zero row; for k > 1 also two rows swapped, a row holding a
+    later row's pivot, a later row holding an earlier one's, a row repeated."""
+    k = rows.shape[1]
+    faults = ["zero"]
+    if k > 1:
+        faults += ["swap", "unreduced", "descending", "repeat"]
+    for fault in faults:
+        bad = rows.copy()
+        block = bad[rng.integers(len(bad))]
+        i, j = np.sort(rng.choice(k, 2, replace=False)) if k > 1 else (0, 0)
+        if fault == "zero":
+            block[j] = 0
+        elif fault == "swap":
+            block[[i, j]] = block[[j, i]]
+        elif fault == "unreduced":
+            block[i] ^= block[j]
+        elif fault == "descending":
+            block[j] ^= block[i]
+        else:
+            block[j] = block[i]
+        yield bad
+
+
+def test_blockset_rref_predicate_matches_the_rref_oracle(monkeypatch):
+    rng = np.random.default_rng(29)
+    n = 7
+    for k in range(1, 6):
+        valid = random_blocks(rng, 60, k, n)
+        raw = np.unique(rng.integers(0, 1 << n, size=(60, k), dtype=np.uint64), axis=0)
+        mixed = rng.permutation(np.unique(np.concatenate([valid, raw]), axis=0))
+        cases = [valid, raw, mixed]
+        cases += list(rref_faults(rng, valid))
+        cases.append(np.concatenate(list(rref_faults(rng, valid[:9]))))
+        for rows in cases:
+            red, ranks = gf2.rref_bulk(rows)
+            each = (ranks == k) & np.all(red == rows, axis=1)
+            assert [verify._in_rref(rows[i : i + 1]) for i in range(len(rows))] == (
+                each.tolist()
+            )
+            for chunk, _ in CHUNK_SIZES:
+                monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
+                want = verify_reference.rref_block_error(rows, k)
+                if want is None:
+                    assert BlockSet(n, k, rows).num_blocks == len(rows)
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    BlockSet(n, k, rows)
+                assert str(exc.value) == want, (k, chunk)
 
 
 def first_duplicate_by_dict(blocks):
@@ -434,20 +493,18 @@ def test_recount_matches_unique_oracle(paper_blocks, monkeypatch):
 
 
 def test_sorted_keys_match_the_per_pair_builder(paper_blocks, monkeypatch):
-    cases = list(paper_slices(paper_blocks, 3, 2)) + list(steiner_designs())
+    wide = BlockSet(17, 3, np.array([[1, 2, 4], [1, 2, 1 << 16]], dtype=np.uint64))
+    cases = list(paper_slices(paper_blocks, 3, 2)) + list(steiner_designs()) + [wide]
     for blocks in cases:
-        n, need = blocks.n, (blocks.num_blocks - 1).bit_length()
-        # no owner tag, the derived check's, and tags ending at bit 32, 33, 64
-        tags = {0, need, 64 - 2 * n} | {max(need, b - 2 * n) for b in (32, 33)}
-        for owner_bits in sorted(tags):
-            want = verify_reference.sorted_pair_keys(blocks.blocks, n, owner_bits)
-            dtype = verify._key_dtype(n, 2, owner_bits)
-            assert dtype == (np.uint32 if 2 * n + owner_bits <= 32 else np.uint64)
-            for chunk, _ in CHUNK_SIZES:
-                monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
-                got = verify._sorted_keys(blocks.blocks, n, 2, owner_bits)
-                assert got.dtype == dtype
-                assert np.array_equal(got.astype(np.uint64), want)
+        n = blocks.n
+        want = verify_reference.sorted_pair_keys(blocks.blocks, n)
+        dtype = verify._key_dtype(n, 2)
+        assert dtype == (np.uint32 if 2 * n <= 32 else np.uint64)
+        for chunk, _ in CHUNK_SIZES:
+            monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
+            got = verify._sorted_keys(blocks.blocks, n, 2)
+            assert got.dtype == dtype
+            assert np.array_equal(got.astype(np.uint64), want)
 
 
 def test_absent_key_chunks_share_the_dtype_of_the_sorted_keys(paper_blocks):
@@ -479,13 +536,19 @@ def test_derived_check_matches_owner_list_oracle(monkeypatch):
     for blocks in steiner_designs():
         report = verify_design(blocks, 2, 1)
         assert report.ok
+        # the map of sampled keys holds all 2n key bits, or only the low ones
+        filters = (verify.SAMPLE_FILTER_BITS, 2 * blocks.n - 1, 3, 1)
         for seed in (0, 3):
             want = verify_reference.derived_steiner_sample_check(
                 blocks, samples=500, seed=seed
             )
-            for chunk, slice_keys in CHUNK_SIZES:
+            assert verify_reference.owner_tagged_derived_check(
+                blocks, samples=500, seed=seed
+            ) == want
+            for (chunk, slice_keys), bits in itertools.product(CHUNK_SIZES, filters):
                 monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
                 monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
+                monkeypatch.setattr(verify, "SAMPLE_FILTER_BITS", bits)
                 got = derived_steiner_sample_check(
                     blocks, report, samples=500, seed=seed
                 )
@@ -501,6 +564,47 @@ def test_paper_derived_check_matches_owner_list_oracle(paper_blocks, paper_repor
             paper_blocks, paper_report, samples=10**5, seed=seed
         )
         assert got == want and got["failures"] == 0
+        tagged = verify_reference.owner_tagged_derived_check(
+            paper_blocks, samples=10**5, seed=seed
+        )
+        assert got == tagged
+
+
+def test_paper_distance_certificate_matches_the_stacked_oracle(
+    paper_blocks, paper_report
+):
+    # 0 samples: the sampled minimum stays 2k, and a pair through a common
+    # point must attain the bound
+    for samples, seed in ((10**6, 0), (10**6, 3), (10**6, 11), (0, 0)):
+        want = verify_reference.stacked_min_distance(paper_blocks, 2, samples, seed)
+        got = min_distance_certificate(paper_blocks, paper_report, samples, seed)
+        assert got == want == 4
+
+
+def test_distance_kernel_matches_the_stacked_rref(paper_blocks):
+    rng = np.random.default_rng(23)
+    for k in range(1, 6):
+        for n in (k, k + 2, 9, 13):
+            rows = random_blocks(rng, 400, k, n)
+            # random pairs, equal pairs and pairs that share k - 1 rows
+            i = rng.integers(0, len(rows), size=2000)
+            j = rng.integers(0, len(rows), size=2000)
+            a, b = rows[i], rows[j]
+            b[:500] = a[:500]
+            near = b[500:1000].copy()
+            near[:, 1:] = a[500:1000, 1:]
+            red, ranks = gf2.rref_bulk(near)
+            b[500:1000][ranks == k] = red[ranks == k]
+            want = verify_reference.stacked_distances(a, b)
+            assert np.array_equal(2 * verify._residue_ranks(a, b), want), (k, n)
+    # the pairs the paper's certificate draws first for seed 0
+    draw = np.random.default_rng(0)
+    i = draw.integers(0, paper_blocks.num_blocks, size=1 << 16)
+    j = draw.integers(0, paper_blocks.num_blocks, size=1 << 16)
+    a, b = paper_blocks.blocks[i], paper_blocks.blocks[j]
+    want = verify_reference.stacked_distances(a, b)
+    assert np.array_equal(2 * verify._residue_ranks(a, b), want)
+    assert set(want[i != j].tolist()) == {4, 6}
 
 
 def test_derived_check_asserts_a_one_to_one_index(monkeypatch):
@@ -534,10 +638,17 @@ def test_certificates_name_what_a_false_report_hides():
         every_second, samples=2000, seed=1
     )
     assert got == want and got["failures"] == 980
+    tagged = verify_reference.owner_tagged_derived_check(
+        every_second, samples=2000, seed=1
+    )
+    assert got == tagged
     # 3-subspaces of GF(2)^5 that share lines: pairs below distance 4
     first_50 = BlockSet(5, 3, all_subspace_blocks(5, 3).blocks[:50].copy())
-    with pytest.raises(AssertionError, match="blocks 25 and 9 are at distance 2 < 4"):
+    witness = "blocks 25 and 9 are at distance 2 < 4"
+    with pytest.raises(AssertionError, match=witness):
         min_distance_certificate(first_50, claim(first_50), samples=1000, seed=0)
+    with pytest.raises(AssertionError, match=witness):
+        verify_reference.stacked_min_distance(first_50, 2, samples=1000, seed=0)
 
 
 def test_certificates_reject_a_report_of_another_block_set():
@@ -576,12 +687,19 @@ def traced_peak_mb(fn, *args, **kwargs):
 
 def test_recount_and_derived_check_stay_below_150_mb(paper_blocks, paper_report):
     # the recount's sorted uint32 pair keys are 11,180,715 * 4 bytes = 43 MiB;
-    # the derived check's uint64 index, keys tagged with 21 owner bits, 85 MiB
+    # the derived check sorts the same keys, then keeps an 8 MiB map of the
+    # sampled ones (45 MiB traced; an owner-tagged uint64 index took 101)
     assert traced_peak_mb(verify_design, paper_blocks, 2, 1) < 80
     peak = traced_peak_mb(
         derived_steiner_sample_check, paper_blocks, paper_report, samples=10**5
     )
-    assert peak < 150
+    assert peak < 60
+    # per batch of 2^16 pairs, two (N, 3) gathers and their residues
+    # (14 MiB traced; row-reducing the stacked (N, 6) rows took 19)
+    peak = traced_peak_mb(
+        min_distance_certificate, paper_blocks, paper_report, samples=10**6
+    )
+    assert peak < 16
 
 
 def assert_same_report(got, want):

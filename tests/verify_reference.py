@@ -1,4 +1,4 @@
-"""The earlier recounts and the derived-check index, kept as test oracles.
+"""The earlier recounts, certificates and checks, kept as test oracles.
 
 These are the counting paths that `qsteiner.verify` used before it built
 one sorted key array in place: `np.unique` with counts over every key of
@@ -9,6 +9,12 @@ per-object subspaces (subspaces_of) for t > 2, and an index of per-pair keys and
 the same order) and the same derived statistics.  sorted_pair_keys is
 the per-pair uint64 builder of the sorted key array, the oracle of the
 in-place one.
+
+owner_tagged_derived_check and stacked_min_distance are the two sampled
+certificates as they were before they stopped sorting owner-tagged keys
+and row-reducing stacked 2k-row bases; rref_block_error is the BlockSet
+check that row-reduced every block.  Each must agree with its
+replacement on every draw, witness and message.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from qsteiner.gf2 import span_vectors_bulk
+from qsteiner import verify
+from qsteiner.gf2 import rref_bulk, span_vectors_bulk
 from qsteiner.subspace import Subspace, gaussian_binomial, key_chunks, span
 from subspace_reference import enumerate_subspaces, key_per_column
 from qsteiner.verify import (
@@ -25,7 +32,9 @@ from qsteiner.verify import (
     DesignReport,
     _first_absent,
     _key_rows,
+    _line_keys,
     _pair_key_chunks,
+    _point_keys,
 )
 
 
@@ -254,3 +263,128 @@ def derived_steiner_sample_check(
         "failures": failures,
         "examples": examples[:10],
     }
+
+
+def owner_tagged_derived_check(
+    blocks: BlockSet, samples: int = 10**5, seed: int = 0
+) -> dict:
+    """The derived triple check over one sorted array of every pair key
+    tagged with its block, (key << owner_bits) | block index, in uint64."""
+    n = blocks.n
+    owner_bits = max(1, (blocks.num_blocks - 1).bit_length())
+    assert 2 * n + owner_bits <= 64
+    index = sorted_pair_keys(blocks.blocks, n, owner_bits)
+    ob = np.uint64(owner_bits)
+    if np.any((index[1:] >> ob) == (index[:-1] >> ob)):
+        raise AssertionError("coverage index is not one-to-one; lambda != 1?")
+    last = index.size - 1
+    owner_mask = np.uint64((1 << owner_bits) - 1)
+
+    rng = np.random.default_rng(seed)
+    top = 1 << n
+    remaining = samples
+    failures = 0
+    examples: list[tuple[int, int, int]] = []
+    while remaining > 0:
+        take = min(remaining, 1 << 16)
+        x = rng.integers(0, top, size=take, dtype=np.uint64)
+        y = rng.integers(0, top, size=take, dtype=np.uint64)
+        z = rng.integers(0, top, size=take, dtype=np.uint64)
+        distinct = (x != y) & (x != z) & (y != z)
+        x, y, z = x[distinct], y[distinct], z[distinct]
+        u = x ^ y
+        v = x ^ z
+        key = np.empty(u.size, dtype=np.uint64)
+        _line_keys(u, v, u ^ v, n, key, np.empty_like(key))
+        pos = np.searchsorted(index, key << ob)
+        entry = index[np.minimum(pos, last)]
+        found = (pos <= last) & ((entry >> ob) == key)
+        if not found.all():
+            bad = np.nonzero(~found)[0]
+            failures += int(bad.size)
+            for b in bad[:5]:
+                examples.append((int(x[b]), int(y[b]), int(z[b])))
+        brows = blocks.blocks[entry & owner_mask].T.copy()
+        pivots = brows & (np.uint64(0) - brows)
+        for vec in (u, v, u ^ v):
+            red = vec.copy()
+            for row, piv in zip(brows, pivots):
+                red ^= row * ((red & piv) != 0)
+            bad = np.nonzero(found & (red != 0))[0]
+            if bad.size:
+                failures += int(bad.size)
+                for b in bad[:5]:
+                    examples.append((int(x[b]), int(y[b]), int(z[b])))
+        remaining -= int(x.size)
+    return {
+        "samples": samples,
+        "tested": samples,
+        "failures": failures,
+        "examples": examples[:10],
+    }
+
+
+def stacked_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Subspace distance 2 (rank [A; B] - k) of the (N, k) bases a[i] and
+    b[i], by row-reducing the (N, 2k) stack."""
+    _, ranks = rref_bulk(np.concatenate([a, b], axis=1))
+    return 2 * (ranks - a.shape[1])
+
+
+def stacked_min_distance(
+    blocks: BlockSet, t: int, samples: int = 10**6, seed: int = 0
+) -> int:
+    """min_distance_certificate of blocks taken for a t-(n, k, 1) design,
+    without the report checks; each sampled pair's distance comes from
+    row-reducing its stacked rows."""
+    k = blocks.k
+    bound = 2 * (k - t + 1)
+    num = blocks.num_blocks
+    rng = np.random.default_rng(seed)
+    done = 0
+    min_seen = 2 * k
+    while done < samples:
+        take = min(1 << 16, samples - done)
+        i = rng.integers(0, num, size=take)
+        j = rng.integers(0, num, size=take)
+        keep = i != j
+        i, j = i[keep], j[keep]
+        dist = stacked_distances(blocks.blocks[i], blocks.blocks[j])
+        if dist.size:
+            min_seen = min(min_seen, int(dist.min()))
+        if min_seen < bound:
+            bad = int(np.argmax(dist < bound))
+            raise AssertionError(
+                f"blocks {int(i[bad])} and {int(j[bad])} are at distance "
+                f"{int(dist[bad])} < {bound}; the report should not have passed"
+            )
+        done += take
+    attained = min_seen == bound
+    if not attained and t == 2:
+        limit = min(num, 20000)
+        probe = _point_keys(blocks.blocks[:limit])
+        vals = np.unique(probe)
+        counts = np.bincount(np.searchsorted(vals, probe))
+        shared = vals[counts >= 2]
+        if shared.size:
+            owners = np.nonzero(probe == shared[0])[0] % limit
+            a, b = int(owners[0]), int(owners[1])
+            dist = stacked_distances(blocks.blocks[a : a + 1], blocks.blocks[b : b + 1])
+            attained = int(dist[0]) == bound
+    if not attained:
+        raise AssertionError("no pair attaining the distance bound was found")
+    return bound
+
+
+def rref_block_error(blocks: np.ndarray, k: int) -> str | None:
+    """The message BlockSet gives (N, k) rows that are not all RREF bases
+    of k-dim subspaces, by row-reducing each chunk of
+    verify.KEY_CHUNK_BLOCKS blocks; None when every block is one."""
+    for start in range(0, len(blocks), verify.KEY_CHUNK_BLOCKS):
+        part = blocks[start : start + verify.KEY_CHUNK_BLOCKS]
+        red, ranks = rref_bulk(part)
+        if not np.all(ranks == k):
+            return "every block must have dimension k"
+        if not np.array_equal(red, part):
+            return "block rows must be in reduced row echelon form"
+    return None
