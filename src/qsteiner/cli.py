@@ -7,7 +7,8 @@ representatives into a block list, and `verify` recounts coverage from
 the blocks alone.  `paper-check` runs the whole chain on the bundled
 13-dimensional dataset and prints a pass/fail table with timings.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+input file that cannot be read or parsed: the error names the file),
 3 resource limit reached.
 """
 
@@ -34,12 +35,10 @@ from .exact_cover import (
     save_solutions,
     solve,
 )
-from .gf2 import MAX_WIDTH, FormatError, identity
+from .gf2 import MAX_WIDTH, FormatError, LimitError, identity
 from .groups import (
-    ClosureCapError,
     MatrixGroup,
     OrbitTable,
-    StrategyError,
     format_group,
     group_closure,
     load_generator_file,
@@ -47,11 +46,7 @@ from .groups import (
     singer_normalizer,
 )
 from .kramer_mesner import build_km, export_km, import_km, prune
-from .subspace import (
-    EnumerationGuardError,
-    gaussian_binomial,
-    spread_size,
-)
+from .subspace import gaussian_binomial, spread_size
 from .verify import (
     BlockSet,
     derived_steiner_sample_check,
@@ -138,16 +133,6 @@ def resolve_group(args: argparse.Namespace) -> MatrixGroup:
     return MatrixGroup(n=n, generators=(identity(n),), order=1)
 
 
-def _load_orbit_table(path: str, group: MatrixGroup) -> OrbitTable:
-    """OrbitTable.load, with the file named in every FormatError."""
-    try:
-        return OrbitTable.load(path, group=group)
-    except FormatError as exc:
-        if str(exc).startswith(f"{path}: "):  # the group-order error names it
-            raise
-        raise FormatError(f"{path}: {exc}") from None
-
-
 def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
     """(representative rows, their source file or flag) from exactly one of
     --k-orbits FILE with ids from --ids or the first line of a --solution
@@ -165,24 +150,18 @@ def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
             raise UsageError("--fixture-solution requires the n=13 group")
         return fixtures.solution_representatives(), "--fixture-solution"
     if reps_file is not None:
-        try:
-            reps = BlockSet.load(reps_file)
-        except FormatError as exc:
-            raise FormatError(f"{reps_file}: {exc}") from None
+        reps = BlockSet.load(reps_file)
         if reps.n != group.n:
             raise UsageError(f"{reps_file}: representatives are not in GF(2)^{group.n}")
         return reps.blocks, reps_file
     ids_text, solution_file = args.ids, args.solution
     if (ids_text is None) == (solution_file is None):
         raise UsageError("--k-orbits needs exactly one of --ids or --solution")
-    table = _load_orbit_table(table_file, group)
+    table = OrbitTable.load(table_file, group)
     if ids_text is not None:
         ids = _parse_ids(ids_text, "--ids", "orbit ids")
     else:
-        try:
-            rows, _ = load_solutions(solution_file)
-        except FormatError as exc:
-            raise FormatError(f"{solution_file}: {exc}") from None
+        rows, _ = load_solutions(solution_file)
         if not rows:
             raise UsageError(f"{solution_file}: contains no solutions")
         ids = list(rows[0])
@@ -242,7 +221,7 @@ def _load_or_build_table(
     path = getattr(args, f"{name}_orbits")
     if path is None:
         return orbit_partition(group, dim)
-    table = _load_orbit_table(path, group)
+    table = OrbitTable.load(path, group)
     if table.k != dim:
         held = f"the table holds orbits of {table.k}-subspaces"
         raise UsageError(f"{path}: {held}, but --{name} is {dim}")
@@ -304,10 +283,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.km is None:
         raise UsageError("--km FILE is required (produce one with the km command)")
     inst = import_km(args.km)
-    if inst.matrix.max(initial=0) > 1:
-        inst = prune(inst)
+    pruned = prune(inst)
+    if len(pruned.col_ids) < len(inst.col_ids):
         print("input had entries above 1; pruned before solving")
-    problem = from_km(inst)
+    if pruned.matrix.max(initial=0) > 1:  # lambda > 1 keeps entries above 1
+        column = pruned.col_ids[int(pruned.matrix.max(axis=0).argmax())]
+        raise UsageError(
+            f"{args.km}: column {column} keeps entries above 1 after pruning at "
+            f"lambda {inst.lam}; the solver takes 0/1 systems only"
+        )
+    problem = from_km(pruned)
     config = SolveConfig(
         max_solutions=_max_solutions(args),
         node_limit=_not_below(args.node_limit, "--node-limit"),
@@ -747,10 +732,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _not_below(args.seed, "--seed")
         return COMMANDS[args.command](args)
-    except (UsageError, FormatError, FileNotFoundError) as exc:
+    except (UsageError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ClosureCapError, EnumerationGuardError, StrategyError) as exc:
+    except LimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (AssertionError, VerificationFailure, fixtures.FixtureIntegrityError) as exc:

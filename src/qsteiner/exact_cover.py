@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import FormatError
+from .gf2 import FormatError, reading
 from .kramer_mesner import KMInstance, _checksum
 
 
@@ -347,5 +347,5 @@ def parse_solutions(text: str) -> tuple[list[tuple[int, ...]], dict]:
 
 
 def load_solutions(path: str) -> tuple[list[tuple[int, ...]], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_solutions(fh.read())
+    with reading(path) as text:
+        return parse_solutions(text)

@@ -9,8 +9,9 @@ M @ v, and bit j of a text row is column j.  Widths up to 64 bits.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -18,7 +19,12 @@ MAX_WIDTH = 64
 
 
 class FormatError(ValueError):
-    """Malformed text input; message carries a 1-based line number."""
+    """Malformed input; the message names the 1-based line or the orbit at
+    fault and, for a file read by reading(path), starts with "{path}: "."""
+
+
+class LimitError(RuntimeError):
+    """A closure, orbit traversal, enumeration or recount would pass its cap."""
 
 
 class SingularMatrixError(ValueError):
@@ -255,6 +261,26 @@ def frobenius_matrix(bits: int) -> BitMatrix:
 # text format: one matrix = consecutive lines of 0/1 characters, leftmost
 # character is column 0; '#' starts a comment; a blank line ends a matrix.
 # Lines end as in str.splitlines and are stripped as by str.strip.
+
+
+@contextmanager
+def reading(path: str) -> Iterator[str]:
+    """The UTF-8 text of the file at path, with line ends as open() reads
+    them: the one reader of every input file.  A byte that is not UTF-8,
+    or a FormatError raised in the with body, becomes a FormatError that
+    starts with "{path}: "; an unreadable path is the OSError naming it.
+    """
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: byte {exc.start} is not UTF-8") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        yield text
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def format_rows(rows: np.ndarray, n: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     FormatError,
+    LimitError,
     companion_matrix,
     first_duplicate,
     format_matrix,
@@ -33,6 +34,7 @@ from .gf2 import (
     parse_matrix_text,
     primitive_polynomial,
     rank,
+    reading,
     rref_bulk,
     vec_mat_bulk,
 )
@@ -47,14 +49,6 @@ from .subspace import (
 
 CLOSURE_CAP = 10**7
 TRAVERSAL_CAP = 2 * 10**7
-
-
-class ClosureCapError(RuntimeError):
-    """Group closure would exceed the element cap."""
-
-
-class StrategyError(RuntimeError):
-    """An orbit traversal exceeds its cap, or a lookup lacks its group."""
 
 
 @dataclass
@@ -133,15 +127,15 @@ def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
     """Enumerate all elements by breadth-first right multiplication.
 
     Returns a new MatrixGroup with the order filled; the elements are
-    counted, not kept.  Raises ClosureCapError when more than cap
-    elements appear.
+    counted, not kept.  Raises LimitError when more than cap elements
+    appear.
     """
     # row r of M @ g is r @ g
     maps = [partial(vec_mat_bulk, g) for g in group.generators]
     start = np.array([identity(group.n).rows], dtype=np.uint64)
     rows = _bfs(start, maps, group.n, cap)
     if rows is None:
-        raise ClosureCapError(f"group closure exceeded the cap of {cap} elements")
+        raise LimitError(f"group closure exceeded the cap of {cap} elements")
     if group.order is not None and group.order != len(rows):
         raise AssertionError("closure size disagrees with the recorded group order")
     return MatrixGroup(n=group.n, generators=group.generators, order=len(rows))
@@ -175,7 +169,7 @@ def orbit(group: MatrixGroup, rows: np.ndarray, cap: int = TRAVERSAL_CAP) -> np.
     ]
     rows = _bfs(start, maps, group.n, cap)
     if rows is None:
-        raise StrategyError(f"orbit exceeded the traversal cap {cap}")
+        raise LimitError(f"orbit exceeded the traversal cap {cap}")
     return rows[key_order(rows)]
 
 
@@ -210,7 +204,7 @@ class OrbitTable:
 
     n: int
     k: int
-    group: MatrixGroup | None
+    group: MatrixGroup
     rows: np.ndarray
     lengths: list[int]
     _index: tuple[bool, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -257,7 +251,7 @@ class OrbitTable:
 
     def _engine(self) -> SingerEngine | None:
         """The group's Singer engine; the zero subspace needs none."""
-        return self.group.engine() if self.group is not None and self.k else None
+        return self.group.engine() if self.k else None
 
     def _index_words(self, rows: np.ndarray, by_label: bool) -> np.ndarray:
         """(N, W) uint64 orbit labels or subspace keys of (N, k) RREF rows."""
@@ -272,8 +266,6 @@ class OrbitTable:
         partition.  A wrong length or a shared orbit is a FormatError."""
         if self._index is not None:
             return self._index
-        if self.group is None:
-            raise StrategyError("orbit lookup needs the group to rebuild its index")
         engine = self._engine()
         if engine is not None:
             owner, stab = engine.labels_and_stabilizers(engine.rows_to_exps(self.rows))
@@ -368,8 +360,6 @@ class OrbitTable:
     # -- serialization ----------------------------------------------------
 
     def save(self, path: str) -> None:
-        if self.group is None:
-            raise ValueError("cannot save a table without its group")
         lines = [
             "# orbit table: n k group-hash group-order, then id length + basis rows",
             f"{self.n} {self.k} {group_hash(self.group)} {_group_order(self.group)}",
@@ -382,97 +372,100 @@ class OrbitTable:
             fh.write("\n".join(lines))
 
     @classmethod
-    def load(cls, path: str, group: MatrixGroup | None = None) -> "OrbitTable":
-        """Read a table; hash, order, and length-sum are always checked.
+    def load(cls, path: str, group: MatrixGroup) -> "OrbitTable":
+        """Read a table of group's orbits; a fault in the file is a
+        FormatError that names it (see gf2.reading).
 
-        With a group, building the lookup index re-derives every orbit
-        length and checks that no two representatives share an orbit.
+        The header's hash and order are checked against the group's, the
+        lengths' sum against the number of k-subspaces, and building the
+        lookup index re-derives every length and checks that no two
+        representatives share an orbit.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        header = None
-        body_start = 0
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                header = stripped.split()
-                body_start = lineno
-                break
-        if header is None or len(header) != 4:
-            raise FormatError("missing or malformed orbit table header")
-        try:
-            n, k, order = int(header[0]), int(header[1]), int(header[3])
-        except ValueError:
-            raise FormatError(
-                f"line {body_start}: orbit table header needs integer n, k "
-                f"and group order, got {' '.join(header)!r}"
-            ) from None
-        if not 0 <= k <= n or not 1 <= n <= 64:
-            raise FormatError(f"line {body_start}: no {k}-subspaces of GF(2)^{n}")
-        if group is not None:
+        with reading(path) as text:
+            lines = text.splitlines()
+            header = None
+            body_start = 0
+            for lineno, line in enumerate(lines, start=1):
+                stripped = line.split("#", 1)[0].strip()
+                if stripped:
+                    header = stripped.split()
+                    body_start = lineno
+                    break
+            if header is None or len(header) != 4:
+                raise FormatError("missing or malformed orbit table header")
+            try:
+                n, k, order = int(header[0]), int(header[1]), int(header[3])
+            except ValueError:
+                raise FormatError(
+                    f"line {body_start}: orbit table header needs integer n, k "
+                    f"and group order, got {' '.join(header)!r}"
+                ) from None
+            if not 0 <= k <= n or not 1 <= n <= 64:
+                raise FormatError(f"line {body_start}: no {k}-subspaces of GF(2)^{n}")
             if group.n != n:
                 raise FormatError("group dimension does not match the table header")
             if group_hash(group) != header[2]:
                 raise FormatError("group hash does not match the table header")
-        # the header and every 'id length' line read as blank lines, so
-        # each record's k rows are one matrix, at the file's line numbers
-        lines[body_start - 1] = ""
-        heads: list[int] = []  # the line of each record's first row
-        lengths: list[int] = []
-        fault = None
-        i = body_start
-        try:
-            while i < len(lines):
-                line = lines[i].split("#", 1)[0].strip()
-                i += 1
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise FormatError(
-                        f"expected 'id length' at table entry {len(lengths)}"
-                    )
-                try:
-                    oid, length = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise FormatError(
-                        f"line {i}: expected integer 'id length', got {line!r}"
-                    ) from None
-                if oid != len(lengths):
-                    raise FormatError(f"orbit ids must be consecutive; got {oid}")
-                lines[i - 1] = ""
-                heads.append(i + 1)
-                lengths.append(length)
-                i += k
-        except FormatError as exc:  # the rows before the bad line come first
-            fault, lines = exc, lines[: i - 1]
-        parsed = parse_matrix_rows("\n".join(lines))
-        full = parsed.lines[(np.diff(parsed.starts) == k) & (parsed.widths == n)]
-        short = np.flatnonzero(~np.isin(heads, full)) if k else []
-        if len(short):
-            raise FormatError(f"orbit {short[0]}: expected {k} basis rows of width {n}")
-        if fault is not None:
-            raise fault
-        reps = parsed.values.reshape(len(lengths), k)
-        try:
-            table = cls(n, k, group, reps, lengths)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-        if group is not None and _group_order(group) != order:
-            raise FormatError(
-                f"{path}: group order disagrees with the table header: "
-                f"the header says {order}, the group has order {group.order}"
-            )
-        total = sum(lengths)
-        expect = gaussian_binomial(n, k, 2)
-        if total != expect:
-            raise FormatError(
-                f"orbit lengths sum to {total}, but GF(2)^{n} has {expect} "
-                f"{k}-subspaces"
-            )
-        if group is not None:
+            # the header and every 'id length' line read as blank lines, so
+            # each record's k rows are one matrix, at the file's line numbers
+            lines[body_start - 1] = ""
+            heads: list[int] = []  # the line of each record's first row
+            lengths: list[int] = []
+            fault = None
+            i = body_start
+            try:
+                while i < len(lines):
+                    line = lines[i].split("#", 1)[0].strip()
+                    i += 1
+                    if not line:
+                        continue
+                    parts = line.split()
+                    if len(parts) != 2:
+                        raise FormatError(
+                            f"expected 'id length' at table entry {len(lengths)}"
+                        )
+                    try:
+                        oid, length = int(parts[0]), int(parts[1])
+                    except ValueError:
+                        raise FormatError(
+                            f"line {i}: expected integer 'id length', got {line!r}"
+                        ) from None
+                    if oid != len(lengths):
+                        raise FormatError(f"orbit ids must be consecutive; got {oid}")
+                    lines[i - 1] = ""
+                    heads.append(i + 1)
+                    lengths.append(length)
+                    i += k
+            except FormatError as exc:  # the rows before the bad line come first
+                fault, lines = exc, lines[: i - 1]
+            parsed = parse_matrix_rows("\n".join(lines))
+            full = parsed.lines[(np.diff(parsed.starts) == k) & (parsed.widths == n)]
+            short = np.flatnonzero(~np.isin(heads, full)) if k else []
+            if len(short):
+                raise FormatError(
+                    f"orbit {short[0]}: expected {k} basis rows of width {n}"
+                )
+            if fault is not None:
+                raise fault
+            reps = parsed.values.reshape(len(lengths), k)
+            try:
+                table = cls(n, k, group, reps, lengths)
+            except ValueError as exc:
+                raise FormatError(str(exc)) from None
+            if _group_order(group) != order:
+                raise FormatError(
+                    "group order disagrees with the table header: "
+                    f"the header says {order}, the group has order {group.order}"
+                )
+            total = sum(lengths)
+            expect = gaussian_binomial(n, k, 2)
+            if total != expect:
+                raise FormatError(
+                    f"orbit lengths sum to {total}, but GF(2)^{n} has {expect} "
+                    f"{k}-subspaces"
+                )
             table._ensure_index()
-        return table
+            return table
 
 
 def _group_order(group: MatrixGroup) -> int:
@@ -588,27 +581,27 @@ def load_generator_file(path: str, n: int | None = None) -> MatrixGroup:
     """Read generators from a matrix text file into a MatrixGroup; the n and
     hash lines of a format_group file must match the generators read.  Its
     order line is not read: the hash does not cover it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    header = []
-    for i, line in enumerate(lines):
-        key, _, value = line.partition(" ")
-        if key in ("n", "order", "hash"):
-            header.append((key, value.strip()))
-            lines[i] = ""  # keeps the line numbers of the matrix rows
-    try:  # every fault is reported against the file
+    with reading(path) as text:
+        lines = text.split("\n")
+        header = []
+        for i, line in enumerate(lines):
+            key, _, value = line.partition(" ")
+            if key in ("n", "order", "hash"):
+                header.append((key, value.strip()))
+                lines[i] = ""  # keeps the line numbers of the matrix rows
         mats = parse_matrix_text("\n".join(lines))
         if not mats:
             raise FormatError("no matrices found")
         width = mats[0].ncols
         if n is not None and width != n:
             raise FormatError(f"generators have width {width}, expected {n}")
-        group = MatrixGroup(n=width, generators=tuple(mats))
+        try:
+            group = MatrixGroup(n=width, generators=tuple(mats))
+        except ValueError as exc:  # a shape or rank fault of the file's matrices
+            raise FormatError(str(exc)) from None
         read = {"n": str(width), "hash": group_hash(group)}
         for key, value in header:
             if key in read and value != read[key]:
                 given = f"{key} line reads {value}, the generators give {read[key]}"
                 raise FormatError(given)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
     return group

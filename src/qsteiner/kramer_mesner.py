@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf2 import _SPACE, FormatError, _char_classes
+from .gf2 import _SPACE, FormatError, _char_classes, reading
 from .groups import OrbitTable, group_hash
 from .subspace import gaussian_binomial, subspaces_of_bulk
 
@@ -90,20 +90,15 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
     For every k-orbit representative K, each of its t-subspaces is
     located in the t-orbit table; the multiset of hits gives b(K, T)
     and the double-counting identity turns it into a(T, K), whose
-    divisibility is checked exactly.  When both tables carry a group,
-    their group_hash values must agree, else ValueError: the hash is of
-    the generator list in order, so tables of one group built from
-    different or reordered generators are refused too, as the group
-    itself is not compared.  An entry above 255 does not fit the uint8
-    matrix and raises OverflowError.
+    divisibility is checked exactly.  The tables' group_hash values must
+    agree, else ValueError: the hash is of the generator list in order,
+    so tables of one group built from different or reordered generators
+    are refused too, as the group itself is not compared.  An entry above
+    255 does not fit the uint8 matrix and raises OverflowError.
     """
     if t_table.n != k_table.n:
         raise ValueError("orbit tables live in different ambient spaces")
-    if (
-        t_table.group is not None
-        and k_table.group is not None
-        and group_hash(t_table.group) != group_hash(k_table.group)
-    ):
+    if group_hash(t_table.group) != group_hash(k_table.group):
         raise ValueError(
             "orbit tables were built from different generator lists "
             "(group hashes differ)"
@@ -397,5 +392,5 @@ def parse_km(text: str) -> KMInstance:
 
 
 def import_km(path: str) -> KMInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_km(fh.read())
+    with reading(path) as text:
+        return parse_km(text)

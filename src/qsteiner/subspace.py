@@ -18,17 +18,15 @@ import numpy as np
 
 from .gf2 import (
     FormatError,
+    LimitError,
     parse_matrix_rows,
+    reading,
     rref_bulk,
     rref_rows,
     span_vectors_bulk,
 )
 
 ENUMERATION_GUARD = 10**8
-
-
-class EnumerationGuardError(RuntimeError):
-    """Enumeration would visit more subspaces than the guard allows."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.nd
     the chunks of key_chunks, joined."""
     total = gaussian_binomial(n, k, 2)
     if total > guard:
-        raise EnumerationGuardError(
+        raise LimitError(
             f"{total} subspaces exceed the enumeration guard {guard}"
         )
     out = np.concatenate([keys for keys, _ in key_chunks(n, k)])
@@ -257,5 +255,5 @@ def parse_subspaces(
 
 def load_subspace_file(path: str) -> np.ndarray:
     """The (N, k) RREF rows of a file of subspaces; see parse_subspaces."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_subspaces(fh.read())[1]
+    with reading(path) as text:
+        return parse_subspaces(text)[1]

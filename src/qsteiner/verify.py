@@ -17,15 +17,16 @@ import numpy as np
 
 from .gf2 import (
     FormatError,
+    LimitError,
     first_duplicate,
     format_rows,
+    reading,
     rref_bulk,
     rref_rows,
     span_vectors_bulk,
 )
 from .groups import MatrixGroup, orbit
 from .subspace import (
-    EnumerationGuardError,
     gaussian_binomial,
     key_bits,
     key_chunks,
@@ -95,21 +96,21 @@ class BlockSet:
 
     @classmethod
     def load(cls, path: str) -> "BlockSet":
-        """Read a block file; every fault is a FormatError naming its line.
+        """Read a block file; every fault is a FormatError that names the
+        file and its line (see gf2.reading).
 
         The blocks are read by parse_subspaces, and no block may repeat.
         The header that save writes is checked, when present, against the
         width, row count and number of blocks: a truncated file does not load.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        header = _BLOCK_HEADER.match(text)
-        shape = [int(g) for g in header.groups()] if header else [None] * 3
-        n, rows, lines = parse_subspaces(text, *shape)
-        pair = first_duplicate(rows, n)
-        if pair is not None:
-            i, j = lines[list(pair)]
-            raise FormatError(f"lines {i} and {j}: duplicate block")
+        with reading(path) as text:
+            header = _BLOCK_HEADER.match(text)
+            shape = [int(g) for g in header.groups()] if header else [None] * 3
+            n, rows, lines = parse_subspaces(text, *shape)
+            pair = first_duplicate(rows, n)
+            if pair is not None:
+                i, j = lines[list(pair)]
+                raise FormatError(f"lines {i} and {j}: duplicate block")
         # the reader and the duplicate search ran every check of __post_init__
         blocks = cls.__new__(cls)
         blocks.n, blocks.k, blocks.blocks = n, rows.shape[1], rows
@@ -356,7 +357,7 @@ def verify_design(
         raise ValueError("pair keys do not fit in 64 bits for this n")
     total = gaussian_binomial(n, t, 2)
     if total > budget:
-        raise EnumerationGuardError(
+        raise LimitError(
             f"{total} t-subspaces exceed the verification budget {budget}"
         )
     per_block = gaussian_binomial(k, t, 2)

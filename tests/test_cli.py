@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from qsteiner import cli, fixtures
+from qsteiner.exact_cover import load_solutions
 from qsteiner.fixtures import FIXTURE_SHA256
-from qsteiner.groups import MatrixGroup, StrategyError
+from qsteiner.gf2 import FormatError, LimitError
+from qsteiner.groups import (
+    MatrixGroup,
+    OrbitTable,
+    load_generator_file,
+    singer_normalizer,
+)
+from qsteiner.kramer_mesner import import_km
+from qsteiner.subspace import load_subspace_file
 from qsteiner.verify import BlockSet
 
 
@@ -32,9 +41,9 @@ def test_bounds_reports_non_integral_bound(capsys):
     assert "155/7 is not an integer" in out
 
 
-def test_strategy_error_is_a_resource_limit(monkeypatch, capsys):
+def test_limit_error_is_a_resource_limit(monkeypatch, capsys):
     def refuse(group, k):
-        raise StrategyError("orbit exceeded the traversal cap 1")
+        raise LimitError("orbit exceeded the traversal cap 1")
 
     monkeypatch.setattr(cli, "orbit_partition", refuse)
     code, _, err = run(capsys, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
@@ -560,6 +569,91 @@ def test_solve_prunes_a_full_km_file(tmp_path, capsys):
         text = (out_dir / "solutions.txt").read_text().splitlines()
         solutions.append([ln for ln in text if not ln.startswith("# elapsed")])
     assert solutions[0] == solutions[1]
+
+
+def test_solve_refuses_entries_above_1_after_pruning(tmp_path, capsys):
+    # at lambda 3 pruning keeps entries 2 and 3, which no 0/1 cover takes
+    run(capsys, "--out-dir", str(tmp_path), "km", "--singer-normalizer", "7",
+        "--lambda", "3")
+    for kind in ("full", "pruned"):
+        out_dir = tmp_path / kind
+        km = str(tmp_path / f"km-n7-t2-k3-{kind}.txt")
+        code, out, err = run(capsys, "--out-dir", str(out_dir), "solve", "--km", km)
+        assert code == 2 and "Traceback" not in err
+        assert f"error: {km}: column 1 keeps entries above 1 after pruning at " \
+            "lambda 3; the solver takes 0/1 systems only" in err, err
+        pruned = "input had entries above 1; pruned before solving" in out
+        assert pruned == (kind == "full"), out
+        assert not out_dir.exists()
+
+
+# every flag that reads a file: its command line, with FILE for the path,
+# and one malformed line for it
+FILE_FLAGS = {
+    "verify --blocks": (("verify", "--blocks", "FILE"), "012"),
+    "solve --km": (("solve", "--km", "FILE"), "KM 6 2"),
+    "expand --reps": (("expand", "--singer-normalizer", "6", "--reps", "FILE"), "012"),
+    "expand --solution": (
+        ("expand", "--singer-normalizer", "6", "--k-orbits", "TABLE", "--solution",
+         "FILE"),
+        "0 x",
+    ),
+    "km --t-orbits": (("km", "--singer-normalizer", "6", "--t-orbits", "FILE"),
+                      "6 two 0 378"),
+    "orbits --generators": (("orbits", "--generators", "FILE", "--dim", "1"), "012"),
+}
+
+
+@pytest.mark.parametrize("fault", ["not UTF-8", "a directory", "a malformed line"])
+@pytest.mark.parametrize("flag", FILE_FLAGS)
+def test_input_faults_name_their_file_and_exit_2(tmp_path, capsys, flag, fault):
+    argv, line = FILE_FLAGS[flag]
+    path = tmp_path / "input"
+    if fault == "not UTF-8":
+        path.write_bytes(b"# \xff\n")
+        message = f"error: {path}: byte 2 is not UTF-8"
+    elif fault == "a directory":
+        path.mkdir()
+        message = f"error: [Errno 21] Is a directory: '{path}'"
+    else:
+        path.write_text(line + "\n")
+        message = f"error: {path}: line 1: "
+    table = saved_table(tmp_path, capsys, 6, 3) if "TABLE" in argv else None
+    argv = [{"FILE": str(path), "TABLE": table}.get(arg, arg) for arg in argv]
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "--out-dir", str(out_dir), *argv)
+    assert code == 2 and err.startswith(message), err
+    assert "Traceback" not in err and not out_dir.exists()
+
+
+def test_an_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run(
+        capsys, "--out-dir", str(path), "group", "--singer-normalizer", "4"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 17] File exists: '{path}'\n"
+
+
+LOADERS = {
+    "BlockSet.load": BlockSet.load,
+    "load_subspace_file": load_subspace_file,
+    "import_km": import_km,
+    "load_solutions": load_solutions,
+    "load_generator_file": load_generator_file,
+    "OrbitTable.load": lambda path: OrbitTable.load(path, singer_normalizer(6)),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_every_loader_names_its_file(tmp_path, loader):
+    path = tmp_path / "input"
+    for data in (b"0\n\xff", b"# a b\n\n0 x 2\n"):
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as info:
+            LOADERS[loader](str(path))
+        assert str(info.value).startswith(f"{path}: "), info.value
 
 
 def test_orbit_ids_outside_the_table_are_usage_errors(tmp_path, capsys):

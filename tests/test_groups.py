@@ -10,6 +10,7 @@ from groups_reference import closure_elements, walk_orbit, walk_partition
 from qsteiner.gf2 import (
     BitMatrix,
     FormatError,
+    LimitError,
     companion_matrix,
     frobenius_matrix,
     identity,
@@ -21,10 +22,8 @@ from qsteiner.gf2 import (
     span_vectors_bulk,
 )
 from qsteiner.groups import (
-    ClosureCapError,
     MatrixGroup,
     OrbitTable,
-    StrategyError,
     group_closure,
     group_hash,
     orbit,
@@ -78,7 +77,7 @@ def test_closure_orders_small():
 
 
 def test_closure_cap():
-    with pytest.raises(ClosureCapError, match="cap of 100 elements"):
+    with pytest.raises(LimitError, match="cap of 100 elements"):
         group_closure(singer_normalizer(6), cap=100)
 
 
@@ -239,7 +238,7 @@ def test_orbit_cap():
     u = np.array([1, 2], dtype=np.uint64)
     length = len(orbit(g, u))
     assert len(orbit(g, u, cap=length)) == length > 1
-    with pytest.raises(StrategyError, match=f"traversal cap {length - 1}"):
+    with pytest.raises(LimitError, match=f"traversal cap {length - 1}"):
         orbit(g, u, cap=length - 1)
 
 
@@ -479,8 +478,6 @@ def test_table_load_checks_tables_without_an_engine(tmp_path):
         OrbitTable(n=5, k=2, group=g, rows=rows, lengths=list(lengths)).save(str(path))
         with pytest.raises(FormatError, match=message):
             OrbitTable.load(str(path), group=g)
-        # without the group there is nothing to check against
-        assert OrbitTable.load(str(path)).num_orbits == 31
 
 
 def test_lookup_rows_bulk_rejects_untabulated_orbits():
@@ -660,14 +657,13 @@ def test_table_load_names_malformed_lines(tmp_path):
         (skipped_id, r"orbit ids must be consecutive; got 2"),
     ):
         path, g = malformed_table(tmp_path, edit)
-        for group in (g, None):
-            with pytest.raises(FormatError, match=message):
-                OrbitTable.load(path, group=group)
+        with pytest.raises(FormatError, match=message):
+            OrbitTable.load(path, group=g)
 
     def wrong_order(lines):
         lines[1] = lines[1].replace(" 60", " 61")
 
-    # the header's order is checked against the group's, when it has one
+    # the header's order is checked against the group's
     path, g = malformed_table(tmp_path, wrong_order)
     with pytest.raises(FormatError, match="group order disagrees with the table header"):
         OrbitTable.load(path, group=g)
@@ -676,11 +672,9 @@ def test_table_load_names_malformed_lines(tmp_path):
     with pytest.raises(FormatError, match="the header says 61, the group has order 60"):
         OrbitTable.load(path, group=unordered)
     assert unordered.order == 60
-    assert OrbitTable.load(path, group=None).lengths == orbit_partition(g, 2).lengths
     # a table of the zero subspace has no basis rows
     g = singer_normalizer(4)
     path = str(tmp_path / "orbits-k0.txt")
     orbit_partition(g, 0).save(path)
-    for group in (g, None):
-        table = OrbitTable.load(path, group=group)
-        assert table.rows.shape == (1, 0) and table.lengths == [1]
+    table = OrbitTable.load(path, group=g)
+    assert table.rows.shape == (1, 0) and table.lengths == [1]

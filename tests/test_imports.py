@@ -1,7 +1,8 @@
 """The package imports only the standard library, numpy and itself, the
-per-object Subspace stays out of the array pipeline, every public name
-resolves, and every name the benchmark imports from it exists and takes
-the arguments the benchmark passes."""
+per-object Subspace stays out of the array pipeline, one reader opens
+every input file, every public name resolves, and every name the
+benchmark imports from it exists and takes the arguments the benchmark
+passes."""
 
 import ast
 import importlib
@@ -75,6 +76,29 @@ def test_only_the_edges_import_subspace_or_span():
                     and path.name not in SUBSPACE_USERS
                 ]
     assert not users, users
+
+
+def test_only_the_reader_opens_files_for_reading():
+    # gf2.reading names the file in every fault it turns into a FormatError;
+    # an open() in a read mode anywhere else would be a loader around it
+    inner, outer = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "reading"
+            for sub in ast.walk(node)
+        }
+        for call in ast.walk(tree):
+            if getattr(getattr(call, "func", None), "id", None) != "open":
+                continue
+            modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+            mode = (call.args[1:2] or modes or [ast.Constant("r")])[0]
+            if not isinstance(mode, ast.Constant) or "r" in mode.value:
+                where = f"{path.name}:{call.lineno}"
+                (inner if id(call) in reader else outer).append(where)
+    assert len(inner) == 1 and not outer, outer
 
 
 def test_public_names_resolve_once_in_sorted_order():
