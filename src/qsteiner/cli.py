@@ -157,14 +157,17 @@ def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
     ids_text, solution_file = args.ids, args.solution
     if (ids_text is None) == (solution_file is None):
         raise UsageError("--k-orbits needs exactly one of --ids or --solution")
-    table = OrbitTable.load(table_file, group)
     if ids_text is not None:
         ids = _parse_ids(ids_text, "--ids", "orbit ids")
+        if not ids:
+            raise UsageError(f"--ids names no orbit id: {ids_text!r}")
     else:
         rows, _ = load_solutions(solution_file)
         if not rows:
             raise UsageError(f"{solution_file}: contains no solutions")
         ids = list(rows[0])
+    # after the checks of the ids: a load recomputes the partition
+    table = OrbitTable.load(table_file, group)
     try:
         reps = [table.rep(i) for i in ids]
     except IndexError as exc:
@@ -213,21 +216,6 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return EXIT_OK if total == expect else EXIT_VERIFY_FAIL
 
 
-def _load_or_build_table(
-    args: argparse.Namespace, group: MatrixGroup, dim: int, name: str
-) -> OrbitTable:
-    """The --{name}-orbits table, else a new partition; a saved table whose
-    dimension is not the --{name} value is a usage error."""
-    path = getattr(args, f"{name}_orbits")
-    if path is None:
-        return orbit_partition(group, dim)
-    table = OrbitTable.load(path, group)
-    if table.k != dim:
-        held = f"the table holds orbits of {table.k}-subspaces"
-        raise UsageError(f"{path}: {held}, but --{name} is {dim}")
-    return table
-
-
 def cmd_km(args: argparse.Namespace) -> int:
     group = resolve_group(args)
     t, k, lam = args.t, args.k, args.lam
@@ -236,9 +224,7 @@ def cmd_km(args: argparse.Namespace) -> int:
     if lam < 1:
         raise UsageError("need lambda >= 1")
     t0 = time.time()
-    t_table = _load_or_build_table(args, group, t, "t")
-    k_table = _load_or_build_table(args, group, k, "k")
-    inst = build_km(t_table, k_table, lam=lam)
+    inst = build_km(orbit_partition(group, t), orbit_partition(group, k), lam=lam)
     sums = set(inst.row_sums().values())
     print(
         f"incidence system {inst.shape[0]} x {inst.shape[1]}, "
@@ -285,7 +271,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = import_km(args.km)
     pruned = prune(inst)
     if len(pruned.col_ids) < len(inst.col_ids):
-        print("input had entries above 1; pruned before solving")
+        print(f"input had entries above {inst.lam}; pruned before solving")
     if pruned.matrix.max(initial=0) > 1:  # lambda > 1 keeps entries above 1
         column = pruned.col_ids[int(pruned.matrix.max(axis=0).argmax())]
         raise UsageError(
@@ -627,8 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=3, help="column subspace dimension (default 3)"
     )
     add_lambda_flag(p, "target coverage multiplicity")
-    p.add_argument("--t-orbits", metavar="FILE", help="reuse a saved t-orbit table")
-    p.add_argument("--k-orbits", metavar="FILE", help="reuse a saved k-orbit table")
 
     p = sub.add_parser("solve", help="solve the incidence system as exact cover")
     p.add_argument("--km", metavar="FILE", help="incidence system file")

@@ -13,8 +13,10 @@ bulk breadth-first search over arrays of rows.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -23,14 +25,12 @@ from .gf2 import (
     FormatError,
     LimitError,
     companion_matrix,
-    first_duplicate,
     format_matrix,
     format_rows,
     frobenius_matrix,
     identity,
     mat_vec_bulk,
     pack_rows,
-    parse_matrix_rows,
     parse_matrix_text,
     primitive_polynomial,
     rank,
@@ -200,6 +200,8 @@ class OrbitTable:
     has a Singer engine, else the key of every orbit member, taken from
     the generic partition.  A 2-dim table with a Singer engine also keeps
     the orbit id of every exponent difference (see _ensure_line_ids).
+    orbit_partition builds each table with its index, and load returns
+    the recomputed partition.
     """
 
     n: int
@@ -249,53 +251,12 @@ class OrbitTable:
 
     # -- lookup -----------------------------------------------------------
 
-    def _engine(self) -> SingerEngine | None:
-        """The group's Singer engine; the zero subspace needs none."""
-        return self.group.engine() if self.k else None
-
     def _index_words(self, rows: np.ndarray, by_label: bool) -> np.ndarray:
         """(N, W) uint64 orbit labels or subspace keys of (N, k) RREF rows."""
         if by_label:
-            engine = self._engine()
+            engine = self.group.engine()
             return engine.labels_bulk(engine.rows_to_exps(rows))
         return pack_keys_bulk(rows, self.n)[:, None]
-
-    def _ensure_index(self) -> tuple[bool, np.ndarray, np.ndarray]:
-        """Build the lookup index once, re-deriving every representative's
-        orbit: by one label pass with a Singer engine, else from the generic
-        partition.  A wrong length or a shared orbit is a FormatError."""
-        if self._index is not None:
-            return self._index
-        engine = self._engine()
-        if engine is not None:
-            owner, stab = engine.labels_and_stabilizers(engine.rows_to_exps(self.rows))
-            derived = engine.order // stab
-            index = _sorted_index(True, owner, np.arange(self.num_orbits))
-        else:
-            full = _partition_full(self.group, self.k)
-            orbit_of = full.lookup_rows_bulk(self.rows)
-            owner = orbit_of.astype(np.uint64)[:, None]
-            derived = np.array(full.lengths, dtype=np.int64)[orbit_of]
-            table_id = np.full(full.num_orbits, -1, dtype=np.int64)
-            table_id[orbit_of] = np.arange(self.num_orbits)
-            _, keys, ids = full._index
-            ids = table_id[ids]
-            index = (False, keys[ids >= 0], ids[ids >= 0])
-        wrong = np.flatnonzero(derived != np.array(self.lengths, dtype=np.int64))
-        pair = first_duplicate(owner, 64)
-        # the first orbit at fault, its length before its label
-        if wrong.size and (pair is None or wrong[0] <= pair[1]):
-            i = wrong[0]
-            raise FormatError(
-                f"orbit {i}: recorded length {self.lengths[i]} is wrong; "
-                f"the representative's orbit has {derived[i]}"
-            )
-        if pair is not None:
-            raise FormatError(
-                f"orbits {pair[0]} and {pair[1]}: representatives share an orbit"
-            )
-        self._index = index
-        return index
 
     def lookup(self, rows: np.ndarray) -> int:
         """Orbit id of one subspace given as (k,) basis rows; raises for a
@@ -321,7 +282,7 @@ class OrbitTable:
     def _index_ids(self, rows: np.ndarray) -> np.ndarray:
         """Orbit ids of (N, k) bases from the lookup index, -1 where the
         subspace is in no tabulated orbit; keyed lookups need RREF rows."""
-        by_label, index, ids = self._ensure_index()
+        by_label, index, ids = self._index
         query = _rowwise(self._index_words(rows, by_label))
         if not index.size:
             return np.full(len(query), -1, dtype=np.int64)
@@ -339,7 +300,7 @@ class OrbitTable:
             raise ValueError(
                 f"lookup expects a {self.k}-dim subspace of GF(2)^{self.n}"
             )
-        engine = self._engine() if self.k == 2 else None
+        engine = self.group.engine() if self.k == 2 else None
         if engine is not None:
             a, b = rows.T
             if np.any((a == 0) | (b == 0) | (a == b)):
@@ -359,7 +320,9 @@ class OrbitTable:
 
     # -- serialization ----------------------------------------------------
 
-    def save(self, path: str) -> None:
+    def text(self) -> str:
+        """The table as save writes it: a header, then each orbit's
+        'id length' line, its basis rows and a blank line."""
         lines = [
             "# orbit table: n k group-hash group-order, then id length + basis rows",
             f"{self.n} {self.k} {group_hash(self.group)} {_group_order(self.group)}",
@@ -368,104 +331,72 @@ class OrbitTable:
         text = format_rows(self.rows, self.n)
         for i, (length, rows) in enumerate(zip(self.lengths, text)):
             lines += [f"{i} {length}", rows.tobytes().decode().rstrip("\n"), ""]
+        return "\n".join(lines)
+
+    def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
+            fh.write(self.text())
 
     @classmethod
     def load(cls, path: str, group: MatrixGroup) -> "OrbitTable":
-        """Read a table of group's orbits; a fault in the file is a
+        """The partition of group's k-subspaces, recomputed, once the table
+        at path reads exactly as its text; a fault in the file is a
         FormatError that names it (see gf2.reading).
 
-        The header's hash and order are checked against the group's, the
-        lengths' sum against the number of k-subspaces, and building the
-        lookup index re-derives every length and checks that no two
-        representatives share an orbit.
+        The header's n and group hash are checked before any partition is
+        computed.  Any other difference from the group's table names the
+        first line that differs and quotes both sides.
         """
         with reading(path) as text:
-            lines = text.splitlines()
             header = None
-            body_start = 0
-            for lineno, line in enumerate(lines, start=1):
+            for lineno, line in enumerate(text.split("\n"), start=1):
                 stripped = line.split("#", 1)[0].strip()
                 if stripped:
                     header = stripped.split()
-                    body_start = lineno
                     break
             if header is None or len(header) != 4:
                 raise FormatError("missing or malformed orbit table header")
             try:
-                n, k, order = int(header[0]), int(header[1]), int(header[3])
+                n, k, _ = int(header[0]), int(header[1]), int(header[3])
             except ValueError:
                 raise FormatError(
-                    f"line {body_start}: orbit table header needs integer n, k "
+                    f"line {lineno}: orbit table header needs integer n, k "
                     f"and group order, got {' '.join(header)!r}"
                 ) from None
             if not 0 <= k <= n or not 1 <= n <= 64:
-                raise FormatError(f"line {body_start}: no {k}-subspaces of GF(2)^{n}")
+                raise FormatError(f"line {lineno}: no {k}-subspaces of GF(2)^{n}")
             if group.n != n:
-                raise FormatError("group dimension does not match the table header")
+                raise FormatError(
+                    f"line {lineno}: group dimension does not match the table header"
+                )
             if group_hash(group) != header[2]:
-                raise FormatError("group hash does not match the table header")
-            # the header and every 'id length' line read as blank lines, so
-            # each record's k rows are one matrix, at the file's line numbers
-            lines[body_start - 1] = ""
-            heads: list[int] = []  # the line of each record's first row
-            lengths: list[int] = []
-            fault = None
-            i = body_start
-            try:
-                while i < len(lines):
-                    line = lines[i].split("#", 1)[0].strip()
-                    i += 1
-                    if not line:
-                        continue
-                    parts = line.split()
-                    if len(parts) != 2:
+                raise FormatError(
+                    f"line {lineno}: group hash does not match the table header"
+                )
+            table = orbit_partition(group, k)
+            want = table.text()
+            if text != want:
+                pairs = zip_longest(_LINE.findall(text), _LINE.findall(want))
+                for i, (got, expect) in enumerate(pairs, start=1):
+                    if got != expect:
                         raise FormatError(
-                            f"expected 'id length' at table entry {len(lengths)}"
+                            f"line {i}: reads {_quoted(got)}, the group's "
+                            f"partition gives {_quoted(expect)}"
                         )
-                    try:
-                        oid, length = int(parts[0]), int(parts[1])
-                    except ValueError:
-                        raise FormatError(
-                            f"line {i}: expected integer 'id length', got {line!r}"
-                        ) from None
-                    if oid != len(lengths):
-                        raise FormatError(f"orbit ids must be consecutive; got {oid}")
-                    lines[i - 1] = ""
-                    heads.append(i + 1)
-                    lengths.append(length)
-                    i += k
-            except FormatError as exc:  # the rows before the bad line come first
-                fault, lines = exc, lines[: i - 1]
-            parsed = parse_matrix_rows("\n".join(lines))
-            full = parsed.lines[(np.diff(parsed.starts) == k) & (parsed.widths == n)]
-            short = np.flatnonzero(~np.isin(heads, full)) if k else []
-            if len(short):
-                raise FormatError(
-                    f"orbit {short[0]}: expected {k} basis rows of width {n}"
-                )
-            if fault is not None:
-                raise fault
-            reps = parsed.values.reshape(len(lengths), k)
-            try:
-                table = cls(n, k, group, reps, lengths)
-            except ValueError as exc:
-                raise FormatError(str(exc)) from None
-            if _group_order(group) != order:
-                raise FormatError(
-                    "group order disagrees with the table header: "
-                    f"the header says {order}, the group has order {group.order}"
-                )
-            total = sum(lengths)
-            expect = gaussian_binomial(n, k, 2)
-            if total != expect:
-                raise FormatError(
-                    f"orbit lengths sum to {total}, but GF(2)^{n} has {expect} "
-                    f"{k}-subspaces"
-                )
-            table._ensure_index()
             return table
+
+
+_LINE = re.compile(".*\n|.+")  # a line and its line end; the last may lack one
+
+
+def _quoted(line: str | None) -> str:
+    """A line of a table for an error message; None, past the last line,
+    is the end of the file."""
+    if line is None:
+        return "end of file"
+    if line.endswith("\n"):
+        return repr(line[:-1])
+    return f"{line!r} without a line end"
 
 
 def _group_order(group: MatrixGroup) -> int:
@@ -482,12 +413,12 @@ def _group_order(group: MatrixGroup) -> int:
 def orbit_partition(group: MatrixGroup, k: int) -> OrbitTable:
     """Partition all k-dim subspaces of GF(2)^n into orbits under group.
 
-    Uses the Singer engine when the group structure certifies, else the
-    generic bulk partition.
+    Uses the Singer engine when the group structure certifies and k > 0,
+    else the generic bulk partition.
     """
     if not 0 <= k <= group.n:
         raise ValueError(f"k must be between 0 and {group.n}")
-    if group.engine() is not None:
+    if k and group.engine() is not None:
         return _partition_engine(group, k)
     return _partition_full(group, k)
 
@@ -510,7 +441,7 @@ def _partition_engine(group: MatrixGroup, k: int) -> OrbitTable:
         group=group,
         rows=rows,
         lengths=lengths,
-        _index=_sorted_index(True, labels, np.arange(len(lengths))) if k else None,
+        _index=_sorted_index(True, labels, np.arange(len(lengths))),
     )
 
 

@@ -167,8 +167,6 @@ def test_full_pipeline_on_trivial_group(tmp_path, capsys):
         capsys,
         "--out-dir", out_dir,
         "km", *group, "--t", "1", "--k", "2",
-        "--t-orbits", str(tmp_path / "orbits-n4-k1.txt"),
-        "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
     )
     assert code == 0 and "15 x 35" in out
     pruned = tmp_path / "km-n4-t1-k2-pruned.txt"
@@ -214,7 +212,6 @@ def test_verify_failure_returns_1(tmp_path, capsys):
         capsys,
         "--out-dir", out_dir,
         "km", "--trivial-group", "--n", "4", "--t", "1", "--k", "2",
-        "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
     )
     run(
         capsys,
@@ -266,6 +263,9 @@ def test_unknown_flag_exits_2(capsys):
         ["bounds", "--bogus"],
         ["--config", "conf.txt", "bounds"],
         ["paper-check", "--distance-samples", "5"],
+        # km always partitions: it reads no orbit table
+        ["km", "--singer-normalizer", "5", "--t-orbits", "orbits-n5-k2.txt"],
+        ["km", "--singer-normalizer", "5", "--k-orbits", "orbits-n5-k3.txt"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
@@ -293,12 +293,10 @@ def test_corrupt_data_file_is_a_verification_failure(tmp_path, monkeypatch, caps
 
 def test_node_limit_without_solution_returns_3(tmp_path, capsys):
     out_dir = str(tmp_path)
-    run(capsys, "--out-dir", out_dir, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
     run(
         capsys,
         "--out-dir", out_dir,
         "km", "--trivial-group", "--n", "4", "--t", "1", "--k", "2",
-        "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
     )
     for limit in ("1", "0"):
         code, out, _ = run(
@@ -314,12 +312,10 @@ def test_node_limit_without_solution_returns_3(tmp_path, capsys):
 
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys):
     out_dir = str(tmp_path)
-    run(capsys, "--out-dir", out_dir, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
     run(
         capsys,
         "--out-dir", out_dir,
         "km", "--trivial-group", "--n", "4", "--t", "1", "--k", "2",
-        "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
     )
     km = str(tmp_path / "km-n4-t1-k2-pruned.txt")
     # columns 0 and 1 of the trivial group's system share a point
@@ -406,12 +402,10 @@ def test_verify_prints_the_sampled_certificates(tmp_path, monkeypatch, capsys):
 
 def test_forced_columns_appear_in_solutions(tmp_path, capsys):
     out_dir = str(tmp_path)
-    run(capsys, "--out-dir", out_dir, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
     run(
         capsys,
         "--out-dir", out_dir,
         "km", "--trivial-group", "--n", "4", "--t", "1", "--k", "2",
-        "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
     )
     code, out, _ = run(
         capsys,
@@ -437,7 +431,6 @@ def test_reruns_are_byte_identical_apart_from_elapsed(tmp_path, capsys):
             capsys,
             "--out-dir", str(d),
             "km", "--trivial-group", "--n", "4", "--t", "1", "--k", "2",
-            "--k-orbits", str(d / "orbits-n4-k2.txt"),
         )
         run(
             capsys,
@@ -569,6 +562,16 @@ def test_solve_prunes_a_full_km_file(tmp_path, capsys):
         text = (out_dir / "solutions.txt").read_text().splitlines()
         solutions.append([ln for ln in text if not ln.startswith("# elapsed")])
     assert solutions[0] == solutions[1]
+    # the notice names the file's lambda: at lambda 2, 13 columns have an
+    # entry above 2
+    run(capsys, "--out-dir", str(tmp_path), "km", "--singer-normalizer", "7",
+        "--lambda", "2")
+    km = str(tmp_path / "km-n7-t2-k3-full.txt")
+    pruned = str(tmp_path / "km-n7-t2-k3-pruned.txt")
+    assert len(import_km(km).col_ids) - len(import_km(pruned).col_ids) == 13
+    code, out, _ = run(capsys, "--out-dir", str(tmp_path / "l2"), "solve", "--km", km)
+    assert code == 0
+    assert out.startswith("input had entries above 2; pruned before solving\n"), out
 
 
 def test_solve_refuses_entries_above_1_after_pruning(tmp_path, capsys):
@@ -582,7 +585,7 @@ def test_solve_refuses_entries_above_1_after_pruning(tmp_path, capsys):
         assert code == 2 and "Traceback" not in err
         assert f"error: {km}: column 1 keeps entries above 1 after pruning at " \
             "lambda 3; the solver takes 0/1 systems only" in err, err
-        pruned = "input had entries above 1; pruned before solving" in out
+        pruned = "input had entries above 3; pruned before solving" in out
         assert pruned == (kind == "full"), out
         assert not out_dir.exists()
 
@@ -598,8 +601,10 @@ FILE_FLAGS = {
          "FILE"),
         "0 x",
     ),
-    "km --t-orbits": (("km", "--singer-normalizer", "6", "--t-orbits", "FILE"),
-                      "6 two 0 378"),
+    "expand --k-orbits": (
+        ("expand", "--singer-normalizer", "6", "--k-orbits", "FILE", "--ids", "0"),
+        "6 two 0 378",
+    ),
     "orbits --generators": (("orbits", "--generators", "FILE", "--dim", "1"), "012"),
 }
 
@@ -747,85 +752,117 @@ def test_expand_refuses_the_zero_subspace(tmp_path, capsys):
     assert not (tmp_path / "blocks.txt").exists()
 
 
-def test_km_refuses_orbit_tables_of_another_dimension(tmp_path, capsys):
-    table = saved_table(tmp_path, capsys, 6, 2)
-    km = ("--out-dir", str(tmp_path), "km", "--singer-normalizer", "6")
-    for flags, flag, dim in (
-        (("--t", "1", "--k", "3", "--t-orbits", table), "--t", 1),
-        (("--t", "2", "--k-orbits", table), "--k", 3),
-    ):
-        code, _, err = run(capsys, *km, *flags)
-        assert code == 2, err
-        assert f"error: {table}: the table holds orbits of 2-subspaces, " \
-            f"but {flag} is {dim}" in err, err
-    assert not list(tmp_path.glob("km-*"))
-    code, out, _ = run(capsys, *km, "--t", "2", "--k", "3", "--t-orbits", table)
-    assert code == 0 and (tmp_path / "km-n6-t2-k3-full.txt").exists()
-
-
 def test_orbit_table_order_is_checked_against_the_group(tmp_path, capsys):
     # the header's order is compared with the group's own order, never
     # taken as it: certified by the Singer engine, or counted by closure
     def edited(path, old, new):
         lines = Path(path).read_text().split("\n")
         assert lines[1].endswith(f" {old}")
+        header = lines[1]
         lines[1] = lines[1][: -len(old)] + new
         Path(path).write_text("\n".join(lines))
+        return f"line 2: reads '{lines[1]}', the group's partition gives '{header}'"
 
-    def chain(sub, source, dims):
+    def chain(sub, source, dim):
         d = tmp_path / sub
         run(capsys, "--out-dir", str(d), "group", *source)
         group = ("--generators", str(d / "group.txt"))
-        for dim in dims:
-            run(capsys, "--out-dir", str(d), "orbits", *group, "--dim", str(dim))
-        return d, ("--out-dir", str(d), "km", *group)
+        run(capsys, "--out-dir", str(d), "orbits", *group, "--dim", str(dim))
+        return d, ("--out-dir", str(d), "expand", *group)
 
-    d, km = chain("singer", ("--singer-normalizer", "5"), (2,))
-    t_table = str(d / "orbits-n5-k2.txt")
-    edited(t_table, "155", "999")
-    runs = [(km + ("--t-orbits", t_table), t_table, 999, 155)]
-    d, km = chain("trivial", ("--trivial-group", "--n", "4"), (1, 2))
-    t_table, k_table = str(d / "orbits-n4-k1.txt"), str(d / "orbits-n4-k2.txt")
-    edited(t_table, "1", "7")
-    km += ("--t", "1", "--k", "2", "--t-orbits", t_table)
-    runs += [(km, t_table, 7, 1), (km + ("--k-orbits", k_table), t_table, 7, 1)]
-    for argv, table, header, order in runs:
-        code, _, err = run(capsys, *argv)
+    d, expand = chain("singer", ("--singer-normalizer", "5"), 2)
+    table = str(d / "orbits-n5-k2.txt")
+    runs = [(expand + ("--k-orbits", table), table, edited(table, "155", "999"))]
+    d, expand = chain("trivial", ("--trivial-group", "--n", "4"), 1)
+    table = str(d / "orbits-n4-k1.txt")
+    runs += [(expand + ("--k-orbits", table), table, edited(table, "1", "7"))]
+    for argv, table, message in runs:
+        code, _, err = run(capsys, *argv, "--ids", "0")
         assert code == 2, err
-        assert f"error: {table}: group order disagrees with the table header: " \
-            f"the header says {header}, the group has order {order}" in err, err
-    assert not list(tmp_path.glob("*/km-*"))
+        assert err == f"error: {table}: {message}\n", err
+    assert not list(tmp_path.glob("*/blocks.txt"))
 
 
 def test_malformed_orbit_table_exits_2(tmp_path, capsys):
+    # the faults a table file meets, each named by the first line that
+    # differs from the table of the group's partition
+    from qsteiner.groups import _partition_full
+
     table = saved_table(tmp_path, capsys, 6, 3)
-    path = tmp_path / "bad.txt"
-    lines = open(table).read().splitlines()
-    lines[3] = "0 x"
-    path.write_text("\n".join(lines))
-    code, _, err = run(
-        capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
-        "--k-orbits", str(path), "--ids", "0",
+    text = Path(table).read_text()
+    lines = text.split("\n")  # orbit i's 'id length' line is lines[3 + 5 * i]
+
+    def edit(at, line):
+        return "\n".join(lines[:at] + [line] + lines[at + 1 :])
+
+    flipped = ("0" if lines[4][0] == "1" else "1") + lines[4][1:]
+    swapped = lines[:3] + ["1" + lines[3][1:]] + lines[4:8] + ["0" + lines[8][1:]]
+    length = lines[8].split()[1]  # orbit 1's
+    other = tmp_path / "full.txt"
+    _partition_full(singer_normalizer(6), 3).save(str(other))
+    cut = len(text) // 2
+    six = ("--singer-normalizer", "6")
+    for name, bad, group, line, tail in (
+        ("a flipped row character", edit(4, flipped), six, 5,
+         f"reads '{flipped}', the group's partition gives '{lines[4]}'"),
+        ("two swapped ids", "\n".join(swapped + lines[9:]), six, 4,
+         f"reads '1{lines[3][1:]}', the group's partition gives '{lines[3]}'"),
+        ("a length + 1", edit(8, f"1 {int(length) + 1}"), six, 9,
+         f"reads '1 {int(length) + 1}', the group's partition gives '{lines[8]}'"),
+        ("a length - 1", edit(8, f"1 {int(length) - 1}"), six, 9, ""),
+        ("a truncated file", text[:cut], six, text[:cut].count("\n") + 1, ""),
+        ("a truncated last line", text[:-3], six, len(lines) - 1,
+         f"reads '{lines[-2][:-2]}' without a line end"),
+        ("an appended line", text + "0 1\n", six, len(lines),
+         "reads '0 1', the group's partition gives end of file"),
+        ("a comment line", "\n".join(lines[:2] + ["# a comment"] + lines[2:]), six, 3,
+         "reads '# a comment', the group's partition gives ''"),
+        ("a foreign group", text, ("--trivial-group", "--n", "6"), 2,
+         "group hash does not match the table header"),
+        ("another algorithm's table", other.read_text(), six, 10,
+         "reads '100010', the group's partition gives '100000'"),
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(bad)
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "--out-dir", str(out_dir), "expand", *group,
+            "--k-orbits", str(path), "--ids", "0",
+        )
+        assert code == 2, (name, err)
+        assert err.startswith(f"error: {path}: line {line}: {tail}"), (name, err)
+        assert "Traceback" not in err and not out_dir.exists(), name
+    # a copy with CRLF line ends loads
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    code, out, err = run(
+        capsys, "--out-dir", str(out_dir), "expand", *six, "--k-orbits", str(path),
+        "--ids", "0",
     )
-    assert code == 2 and f"error: {path}: line 4: expected integer 'id length'" in err
+    assert code == 0 and "expanded 1 orbits" in out, err
 
 
 def test_orbit_table_errors_name_their_file(tmp_path, capsys):
-    # km reads two tables: a fault in either names the file it is in
+    # a fault in either table of a km chain names the file it is in
     t_table = saved_table(tmp_path, capsys, 5, 2)
     k_table = saved_table(tmp_path, capsys, 5, 3)
     lines = Path(k_table).read_text().split("\n")
-    lines[3] = "0 x"
+    given, lines[3] = lines[3], "0 x"
     Path(k_table).write_text("\n".join(lines))
-    km = ("--out-dir", str(tmp_path), "km")
-    km += ("--t-orbits", t_table, "--k-orbits", k_table)
-    code, _, err = run(capsys, *km, "--singer-normalizer", "5")
+    expand = ("--out-dir", str(tmp_path), "expand")
+    code, _, err = run(
+        capsys, *expand, "--singer-normalizer", "5", "--k-orbits", k_table, "--ids", "0"
+    )
     assert code == 2
-    assert f"error: {k_table}: line 4: expected integer 'id length', got '0 x'" in err
-    code, _, err = run(capsys, *km, "--trivial-group", "--n", "5")
+    assert err == f"error: {k_table}: line 4: reads '0 x', the group's partition " \
+        f"gives '{given}'\n", err
+    code, _, err = run(
+        capsys, *expand, "--trivial-group", "--n", "5", "--k-orbits", t_table,
+        "--ids", "0",
+    )
     assert code == 2
-    assert f"error: {t_table}: group hash does not match the table header" in err
-    assert not list(tmp_path.glob("km-*"))
+    assert f"error: {t_table}: line 2: group hash does not match the table " \
+        "header" in err, err
+    assert not (tmp_path / "blocks.txt").exists()
 
 
 def test_malformed_solution_headers_are_named_errors(tmp_path, capsys):
@@ -878,11 +915,17 @@ def test_verify_blocks_refuses_a_group_source(tmp_path, capsys):
 
 def test_non_integer_ids_name_their_flag(tmp_path, capsys):
     table = saved_table(tmp_path, capsys, 6, 3)
-    code, _, err = run(
-        capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
-        "--k-orbits", table, "--ids", "0,x",
-    )
-    assert code == 2 and "error: --ids expects integer orbit ids" in err, err
+    for ids, message in (
+        ("0,x", "error: --ids expects integer orbit ids"),
+        ("", "error: --ids names no orbit id: ''"),
+        (" , ", "error: --ids names no orbit id: ' , '"),
+    ):
+        code, _, err = run(
+            capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
+            "--k-orbits", table, "--ids", ids,
+        )
+        assert code == 2 and err.startswith(message), err
+    assert not (tmp_path / "blocks.txt").exists()
 
 
 def test_defaults_are_declared_by_the_parser():

@@ -294,9 +294,9 @@ def test_table_load_rejects_tampered_file(tmp_path):
             lines[i] = "0 999"
             break
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(Exception):
-        t = OrbitTable.load(str(path), group=g)
-        t._ensure_index()
+    with pytest.raises(FormatError, match="line 4: reads '0 999', the group's "
+                       "partition gives '0 30'"):
+        OrbitTable.load(str(path), group=g)
 
 
 def test_group_hash_is_generator_sensitive():
@@ -418,19 +418,23 @@ def test_partition_and_load_do_not_call_orbit_size(monkeypatch, tmp_path):
 
 
 def test_table_load_checks_every_length(tmp_path, paper_group, t3_table):
-    # two lengths far past the first 2000 orbits move by +-1, so the
-    # length sum still matches and only the per-orbit check can object
+    # the last two lengths move by -1 and +1, so their sum still matches;
+    # the first line that differs from the recomputed table is named
     path = tmp_path / "orbits-k3.txt"
     t3_table.save(str(path))
     last = t3_table.num_orbits - 1
-    lines = path.read_text().splitlines()
+    lines = path.read_text().split("\n")
     for i, line in enumerate(lines):
         parts = line.split()
         if len(parts) == 2 and parts[0] in (str(last - 1), str(last)):
             delta = 1 if parts[0] == str(last) else -1
             lines[i] = f"{parts[0]} {int(parts[1]) + delta}"
     path.write_text("\n".join(lines))
-    with pytest.raises(FormatError, match=f"orbit {last - 1}: recorded length"):
+    at = 4 + 5 * (last - 1)  # three header lines, then five per orbit
+    length = t3_table.lengths[last - 1]
+    message = (f"line {at}: reads '{last - 1} {length - 1}', the group's "
+               f"partition gives '{last - 1} {length}'")
+    with pytest.raises(FormatError, match=message):
         OrbitTable.load(str(path), group=paper_group)
 
 
@@ -439,6 +443,19 @@ def member_between(g, u, lo, hi):
     members = orbit(g, u)
     keys = pack_keys_bulk(members, g.n)
     return members[np.flatnonzero((lo < keys) & (keys < hi))[0]]
+
+
+def row_text(row, n):
+    """A basis row as a table writes it: character j is bit j."""
+    return "".join(str((int(row) >> j) & 1) for j in range(n))
+
+
+def first_row_change(path, at, got, want, n):
+    """The load error of a table whose record starting on line at lists
+    the rows got where the group's partition has want."""
+    j = next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
+    return (f"{path}: line {at + 1 + j}: reads '{row_text(got[j], n)}', the "
+            f"group's partition gives '{row_text(want[j], n)}'")
 
 
 def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
@@ -453,13 +470,15 @@ def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
     forged = OrbitTable(n=7, k=3, group=g, rows=rows, lengths=list(table.lengths))
     path = tmp_path / "orbits.txt"
     forged.save(str(path))
-    with pytest.raises(FormatError, match="orbits 0 and 1"):
+    with pytest.raises(FormatError) as info:
         OrbitTable.load(str(path), group=g)
+    # orbit 1's 'id length' line is line 9
+    assert str(info.value) == first_row_change(path, 9, rows[1], table.rows[1], 7)
 
 
 def test_table_load_checks_tables_without_an_engine(tmp_path):
     # <F> has 31 orbits of length 5 on the 2-subspaces of GF(2)^5 and no
-    # Singer engine; the generic partition re-derives each orbit at load
+    # Singer engine; load compares the file with the generic partition
     g = frobenius_group(5)
     assert g.engine() is None
     table = orbit_partition(g, 2)
@@ -470,14 +489,32 @@ def test_table_load_checks_tables_without_an_engine(tmp_path):
     moved = list(table.lengths)
     moved[3], moved[30] = 4, 6
     path = tmp_path / "orbits.txt"
+    # three header lines, then four per orbit: orbit i starts on line 4 + 4i
+    shared_message = first_row_change(path, 116, shared[28], table.rows[28], 5)
     for rows, lengths, message in (
-        (shared, table.lengths, "orbits 0 and 28: representatives share an orbit"),
-        (table.rows, moved, "orbit 3: recorded length 4 is wrong; the "
-         "representative's orbit has 5"),
+        (shared, table.lengths, shared_message),
+        (table.rows, moved, f"{path}: line 16: reads '3 4', the group's "
+         "partition gives '3 5'"),
     ):
         OrbitTable(n=5, k=2, group=g, rows=rows, lengths=list(lengths)).save(str(path))
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(FormatError) as info:
             OrbitTable.load(str(path), group=g)
+        assert str(info.value) == message
+
+
+def partial_table(table, keep):
+    """The orbits keep (ascending) of a whole table, numbered from 0, with
+    their part of its lookup index: a table that no partition builds."""
+    by_label, words, ids = table._index
+    kept = np.isin(ids, keep)
+    return OrbitTable(
+        n=table.n,
+        k=table.k,
+        group=table.group,
+        rows=table.rows[keep],
+        lengths=[table.lengths[i] for i in keep],
+        _index=(by_label, words[kept], np.searchsorted(keep, ids[kept])),
+    )
 
 
 def test_lookup_rows_bulk_rejects_untabulated_orbits():
@@ -485,9 +522,7 @@ def test_lookup_rows_bulk_rejects_untabulated_orbits():
     for g in (singer_normalizer(6), frobenius_group(6)):
         table = orbit_partition(g, 2)
         rows = table.rows
-        partial = OrbitTable(
-            n=6, k=2, group=g, rows=table.rows[:2], lengths=table.lengths[:2]
-        )
+        partial = partial_table(table, [0, 1])
         assert partial.lookup_rows_bulk(rows[:2]).tolist() == [0, 1]
         with pytest.raises(KeyError):
             partial.lookup_rows_bulk(rows)
@@ -528,9 +563,7 @@ def test_line_lookup_rejects_bad_rows_and_untabulated_lines():
     for bad in ([[1, 64]], [[64, 1]], [[2**63, 3]]):
         with pytest.raises(ValueError, match="lookup expects a 2-dim subspace"):
             table.lookup_rows_bulk(bad)
-    partial = OrbitTable(
-        n=6, k=2, group=g, rows=table.rows[1:], lengths=table.lengths[1:]
-    )
+    partial = partial_table(table, np.arange(1, table.num_orbits))
     ids = partial.lookup_rows_bulk(table.rows[1:])
     assert ids.tolist() == list(range(partial.num_orbits))
     with pytest.raises(KeyError):
@@ -643,37 +676,47 @@ def test_table_load_names_malformed_lines(tmp_path):
     def skipped_id(lines):
         lines[lines.index("1 5")] = "2 5"
 
-    rows_of_orbit_0 = r"orbit 0: expected 2 basis rows of width 4"
+    def wrong_order(lines):
+        lines[1] = lines[1].replace(" 60", " 61")
+
+    def changed(line, got, want):
+        return f"line {line}: reads '{got}', the group's partition gives '{want}'"
+
+    header_line = f"4 2 {group_hash(singer_normalizer(4))}"
     for edit, message in (
         (header, r"line 2: orbit table header needs integer n, k and group order"),
-        (entry, r"line 4: expected integer 'id length', got '0 x'"),
-        (unreduced, r"orbit 1: basis rows are not a reduced row echelon form of rank 2"),
-        (bad_character, r"line 9: expected a row of 0/1 characters"),
-        (short_record, rows_of_orbit_0),
-        (blank_among_rows, rows_of_orbit_0),
-        (narrow_record, rows_of_orbit_0),
-        (ragged_row, r"line 6: row width 3 != matrix width 4"),
-        (negative_length, r"orbit 1: length -5 is not positive"),
-        (skipped_id, r"orbit ids must be consecutive; got 2"),
+        (entry, changed(4, "0 x", "0 30")),
+        (unreduced, changed(10, "1110", "0110")),
+        (bad_character, changed(9, "1020", "1000")),
+        (short_record, changed(6, "", "0100")),
+        (blank_among_rows, changed(6, "", "0100")),
+        (narrow_record, changed(5, "100", "1000")),
+        (ragged_row, changed(6, "010", "0100")),
+        (negative_length, changed(4, "0 40", "0 30")),
+        (skipped_id, changed(8, "2 5", "1 5")),
+        # the header's order is checked against the group's
+        (wrong_order, changed(2, f"{header_line} 61", f"{header_line} 60")),
     ):
         path, g = malformed_table(tmp_path, edit)
         with pytest.raises(FormatError, match=message):
             OrbitTable.load(path, group=g)
-
-    def wrong_order(lines):
-        lines[1] = lines[1].replace(" 60", " 61")
-
-    # the header's order is checked against the group's
-    path, g = malformed_table(tmp_path, wrong_order)
-    with pytest.raises(FormatError, match="group order disagrees with the table header"):
-        OrbitTable.load(path, group=g)
     # a group without a recorded order keeps its own, not the header's
     unordered = MatrixGroup(n=4, generators=g.generators)
-    with pytest.raises(FormatError, match="the header says 61, the group has order 60"):
+    with pytest.raises(FormatError, match=f"partition gives '{header_line} 60'"):
         OrbitTable.load(path, group=unordered)
     assert unordered.order == 60
+    # rows and lengths that no partition gives are refused when a table is built
+    table = orbit_partition(g, 2)
+    rows = table.rows.copy()
+    rows[1, 1] ^= rows[1, 0]
+    unreduced_message = "orbit 1: basis rows are not a reduced row echelon form"
+    for rows, lengths, message in (
+        (rows, [30, 5], unreduced_message),
+        (table.rows, [40, -5], "orbit 1: length -5 is not positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            OrbitTable(n=4, k=2, group=g, rows=rows, lengths=lengths)
     # a table of the zero subspace has no basis rows
-    g = singer_normalizer(4)
     path = str(tmp_path / "orbits-k0.txt")
     orbit_partition(g, 0).save(path)
     table = OrbitTable.load(path, group=g)

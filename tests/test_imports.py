@@ -1,6 +1,7 @@
 """The package imports only the standard library, numpy and itself, the
 per-object Subspace stays out of the array pipeline, one reader opens
-every input file, every public name resolves, and every name the
+every input file, only the orbit partitions build orbit tables, every
+public name resolves, and every name the
 benchmark imports from it exists and takes the arguments the benchmark
 passes."""
 
@@ -99,6 +100,40 @@ def test_only_the_reader_opens_files_for_reading():
                 where = f"{path.name}:{call.lineno}"
                 (inner if id(call) in reader else outer).append(where)
     assert len(inner) == 1 and not outer, outer
+
+
+def test_only_the_partitions_build_orbit_tables():
+    # an orbit table is the whole partition of the k-subspaces under its
+    # group, so the two partition functions are the only places that build
+    # one: by name, or as cls() or type(self)() in a method of the class
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each node's innermost enclosing function
+        for func in ast.walk(tree):  # breadth first: inner functions last
+            if isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                owner.update((id(node), func) for node in ast.walk(func))
+        in_class = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "OrbitTable"
+            for node in ast.walk(cls)
+        }
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            if isinstance(callee, ast.Call):  # type(self)(...)
+                callee = callee.func
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            own = name in ("cls", "type") and id(call) in in_class
+            if name == "OrbitTable" or own:
+                func = getattr(owner.get(id(call)), "name", "<module>")
+                builders.append(f"{path.name}:{func}")
+    assert sorted(builders) == [
+        "groups.py:_partition_engine",
+        "groups.py:_partition_full",
+    ]
 
 
 def test_public_names_resolve_once_in_sorted_order():
