@@ -286,10 +286,11 @@ def reading(path: str) -> Iterator[str]:
 def format_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """The text of uint64 rows as an (..., n + 1) uint8 array: character j
     of a row is 1 where bit j is set, else 0, and a line end follows."""
-    rows = np.asarray(rows, dtype=np.uint64)
+    rows = np.ascontiguousarray(rows, dtype="<u8")  # byte i holds bits 8i..8i+7
     text = np.full(rows.shape + (n + 1,), ord("\n"), dtype=np.uint8)
-    bits = (rows[..., None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    text[..., :n] = bits + ord("0")
+    octets = rows[..., None].view(np.uint8)
+    text[..., :n] = np.unpackbits(octets, axis=-1, count=n, bitorder="little")
+    text[..., :n] += ord("0")
     return text
 
 
@@ -514,6 +515,46 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(r.T), (r != 0).sum(axis=0, dtype=np.int64)
 
 
+def in_rref(rows: np.ndarray) -> bool:
+    """Whether every row of rows, (N, k) uint64, is a k-row basis in
+    reduced row echelon form: its rows nonzero, their pivots (lowest set
+    bits) strictly ascending, and no row holding a later row's pivot
+    bit.  That is rref_bulk returning rows unchanged with rank k."""
+    pivots = rows & (np.uint64(0) - rows)
+    if not pivots.all() or np.any(pivots[:, 1:] <= pivots[:, :-1]):
+        return False
+    return not any(
+        np.any(rows[:, :j] & pivots[:, j : j + 1]) for j in range(1, rows.shape[1])
+    )
+
+
+# Bases per chunk of rref_checked; the result does not depend on it.
+RREF_CHUNK_ROWS = 1 << 16
+
+
+def rref_checked(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """rows, (N, k) uint64 bases, in RREF, and (i, rank) of the first basis
+    i of rank below k, or None.
+
+    rref_bulk runs only on chunks of RREF_CHUNK_ROWS bases that in_rref
+    refuses, so rows itself comes back when every basis is in RREF, and a
+    copy otherwise.  After a rank fault the rows are not all reduced.
+    """
+    out = rows
+    for start in range(0, rows.shape[0], RREF_CHUNK_ROWS):
+        part = rows[start : start + RREF_CHUNK_ROWS]
+        if in_rref(part):
+            continue
+        red, ranks = rref_bulk(part)
+        low = np.flatnonzero(ranks < rows.shape[1])
+        if low.size:
+            return out, (start + int(low[0]), int(ranks[low[0]]))
+        if out is rows:
+            out = rows.copy()
+        out[start : start + len(part)] = red
+    return out, None
+
+
 def pack_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """(N, k) uint64 rows with entries of n bits as (N, W) uint64 words.
 
@@ -535,14 +576,16 @@ def first_duplicate(rows: np.ndarray, n: int) -> tuple[int, int] | None:
     """(i, j) with i < j for the first row j that equals an earlier row i.
 
     rows is (N, k) uint64 with entries of n bits, compared as packed
-    words (see pack_rows).  For k n <= 64 one unstable sort of the words
-    answers "no duplicate"; the stable sort only names a witness.
+    words (see pack_rows).  For k n <= 64 one unstable in-place sort of
+    the words answers "no duplicate"; the stable sort only names a witness.
     """
     words = pack_rows(rows, n)
     if words.shape[1] == 1:
-        srt = np.sort(words[:, 0])
+        srt = words.reshape(-1)
+        srt.sort()  # in place: the words are packed again to name a witness
         if not np.any(srt[1:] == srt[:-1]):
             return None
+        words = pack_rows(rows, n)
     # a stable lexicographic sort makes equal rows neighbours in input order
     order = np.lexsort(words.T)
     srt = words[order]

@@ -260,11 +260,11 @@ class OrbitTable:
 
     def lookup(self, rows: np.ndarray) -> int:
         """Orbit id of one subspace given as (k,) basis rows; raises for a
-        wrong shape, rows wider than n, dependent rows or a foreign subspace."""
+        wrong shape, rows wider than n or dependent rows."""
         return int(self.lookup_rows_bulk(np.asarray(rows, dtype=np.uint64)[None])[0])
 
     def _ensure_line_ids(self, engine: SingerEngine) -> np.ndarray:
-        """Orbit id of each exponent difference d, -1 where untabulated.
+        """Orbit id of each exponent difference d.
 
         The line {a, b, a ^ b} is S^(dlog a) applied to the line through
         e0 and S^d e0, d = dlog b - dlog a mod 2^n - 1, so it lies in that
@@ -280,21 +280,17 @@ class OrbitTable:
         return self._line_ids
 
     def _index_ids(self, rows: np.ndarray) -> np.ndarray:
-        """Orbit ids of (N, k) bases from the lookup index, -1 where the
-        subspace is in no tabulated orbit; keyed lookups need RREF rows."""
+        """Orbit ids of (N, k) bases from the lookup index, which holds
+        every orbit of the partition; keyed lookups need RREF rows."""
         by_label, index, ids = self._index
-        query = _rowwise(self._index_words(rows, by_label))
-        if not index.size:
-            return np.full(len(query), -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(index, query), index.size - 1)
-        return np.where(index[pos] == query, ids[pos], -1)
+        return ids[np.searchsorted(index, _rowwise(self._index_words(rows, by_label)))]
 
     def lookup_rows_bulk(self, rows: np.ndarray) -> np.ndarray:
         """Orbit ids for many subspaces given as (N, k) basis rows; a wrong
-        shape, rows wider than n or dependent rows are a ValueError, a
-        foreign subspace a KeyError.  Lines of a Singer-engine table are
-        looked up by exponent difference (see _ensure_line_ids), other
-        subspaces reduced here and looked up in the index."""
+        shape, rows wider than n or dependent rows are a ValueError.  Lines
+        of a Singer-engine table are looked up by exponent difference (see
+        _ensure_line_ids), other subspaces reduced here and looked up in
+        the index."""
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.shape[1:] != (self.k,) or (rows.size and int(rows.max()) >> self.n):
             raise ValueError(
@@ -308,15 +304,11 @@ class OrbitTable:
             diff = engine.dlog[b]
             diff -= engine.dlog[a]
             diff %= engine.modulus
-            ids = self._ensure_line_ids(engine)[diff]
-        else:
-            rows, ranks = rref_bulk(rows)
-            if np.any(ranks < self.k):
-                raise ValueError("basis rows are linearly dependent")
-            ids = self._index_ids(rows)
-        if np.any(ids < 0):
-            raise KeyError("subspace does not belong to any tabulated orbit")
-        return ids
+            return self._ensure_line_ids(engine)[diff]
+        rows, ranks = rref_bulk(rows)
+        if np.any(ranks < self.k):
+            raise ValueError("basis rows are linearly dependent")
+        return self._index_ids(rows)
 
     # -- serialization ----------------------------------------------------
 

@@ -22,6 +22,7 @@ from .gf2 import (
     parse_matrix_rows,
     reading,
     rref_bulk,
+    rref_checked,
     rref_rows,
     span_vectors_bulk,
 )
@@ -223,7 +224,8 @@ def parse_subspaces(
     line of each block's first row.  Every block needs width n and k rows,
     the caller's or else the first block's, and rows of full rank; blocks,
     when given, is the block count a header states.  Each fault is a
-    FormatError naming its line.
+    FormatError naming its line.  Blocks already in RREF, as save
+    writes them, are not row-reduced (see rref_checked).
     """
     parsed = parse_matrix_rows(text)
     num = parsed.widths.size
@@ -242,13 +244,12 @@ def parse_subspaces(
                 f"line {parsed.lines[i]}: block has {name}={have[i]}, "
                 f"expected {name}={want}"
             )
-    rows, ranks = rref_bulk(parsed.values.reshape(num, k))
-    low = np.flatnonzero(ranks < k)
-    if low.size:
-        i = low[0]
+    rows, fault = rref_checked(parsed.values.reshape(num, k))
+    if fault is not None:
+        i, rank = fault
         raise FormatError(
             f"line {parsed.lines[i]}: block rows are linearly dependent "
-            f"(rank {ranks[i]} < {k})"
+            f"(rank {rank} < {k})"
         )
     return n, rows, parsed.lines
 

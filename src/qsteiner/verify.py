@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import combinations
 
 import numpy as np
 
@@ -22,13 +22,13 @@ from .gf2 import (
     format_rows,
     reading,
     rref_bulk,
+    rref_checked,
     rref_rows,
     span_vectors_bulk,
 )
 from .groups import MatrixGroup, orbit
 from .subspace import (
     gaussian_binomial,
-    key_bits,
     key_chunks,
     key_rows,
     pack_keys_bulk,
@@ -42,13 +42,10 @@ VIOLATION_CAP = 100
 
 # Blocks per write of BlockSet.save; the bytes do not depend on it.
 SAVE_BATCH_BLOCKS = 1 << 16
-# Blocks per chunk of the block checks and the key builder, and sorted
-# keys per slice of the counting passes; no result depends on them.
+# Blocks per chunk of the counting pass, and counter entries per slice of
+# the reads of the counter; no result depends on them.
 KEY_CHUNK_BLOCKS = 1 << 16
-KEY_SLICE = 1 << 20
-# Low bits of a pair key that the derived check's map of sampled keys
-# holds, one byte each (8 MiB); every key it lets through is matched exactly.
-SAMPLE_FILTER_BITS = 23
+COUNT_SLICE = 1 << 16
 _BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*\r?$", re.M)
 
 
@@ -66,13 +63,11 @@ class BlockSet:
             raise ValueError("blocks must be an (N, k) array of basis rows")
         if self.blocks.size and int(self.blocks.max()) >> self.n:
             raise ValueError("block rows must fit in n bits")
-        for start in range(0, self.num_blocks, KEY_CHUNK_BLOCKS):
-            part = self.blocks[start : start + KEY_CHUNK_BLOCKS]
-            if not _in_rref(part):  # rref_bulk only names the fault
-                _, ranks = rref_bulk(part)
-                if not np.all(ranks == self.k):
-                    raise ValueError("every block must have dimension k")
-                raise ValueError("block rows must be in reduced row echelon form")
+        reduced, fault = rref_checked(self.blocks)
+        if fault is not None:
+            raise ValueError("every block must have dimension k")
+        if reduced is not self.blocks:
+            raise ValueError("block rows must be in reduced row echelon form")
         pair = first_duplicate(self.blocks, self.n)
         if pair is not None:
             raise ValueError(
@@ -117,19 +112,6 @@ class BlockSet:
         return blocks
 
 
-def _in_rref(rows: np.ndarray) -> bool:
-    """Whether every row of rows, (N, k) uint64, is a k-row basis in
-    reduced row echelon form: its rows nonzero, their pivots (lowest set
-    bits) strictly ascending, and no row holding a later row's pivot
-    bit.  That is rref_bulk returning rows unchanged with rank k."""
-    pivots = rows & (np.uint64(0) - rows)
-    if not pivots.all() or np.any(pivots[:, 1:] <= pivots[:, :-1]):
-        return False
-    return not any(
-        np.any(rows[:, :j] & pivots[:, j : j + 1]) for j in range(1, rows.shape[1])
-    )
-
-
 def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[int]]:
     """Expand orbit representatives, (N, k) RREF rows, to the full block list.
 
@@ -143,12 +125,21 @@ def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[
     k = reps.shape[-1]
     BlockSet(n=group.n, k=k, blocks=reps)
     engine = group.engine()
-    parts = [
-        orbit(group, rep) if engine is None else engine.expand_orbit_rows(rep)
-        for rep in reps
-    ]
-    lengths = [len(rows) for rows in parts]
-    blocks = np.concatenate(parts, axis=0)
+    if engine is None:
+        parts = [orbit(group, rep) for rep in reps]
+        lengths = [len(rows) for rows in parts]
+        blocks = np.concatenate(parts, axis=0)
+    else:  # each orbit straight into one array of room for |G| blocks each
+        blocks = np.empty((len(reps) * engine.order, k), dtype=np.uint64)
+        lengths = []
+        stop = 0
+        for rep in reps:
+            rows = engine.expand_orbit_rows(rep)
+            blocks[stop : stop + len(rows)] = rows
+            lengths.append(len(rows))
+            stop += len(rows)
+        if stop < len(blocks):  # short orbits: free the unused room
+            blocks = blocks[:stop].copy()
     try:
         return BlockSet(n=group.n, k=k, blocks=blocks), lengths
     except ValueError:
@@ -174,165 +165,175 @@ class DesignReport:
     ok: bool
 
 
-def _key_dtype(n: int, t: int) -> np.dtype:
-    """dtype of the keys _sorted_keys builds: uint32 when a t-subspace key
-    of GF(2)^n fits in 32 bits, else uint64.  A key has n bits for t = 1,
-    2n for t = 2 (see _line_keys) and key_bits(n, t) above, those of
-    pack_keys_bulk."""
-    bits = n if t == 1 else 2 * n if t == 2 else key_bits(n, t)
-    return np.dtype(np.uint32 if bits <= 32 else np.uint64)
+class _Ranking:
+    """The rank of each t-subspace of GF(2)^n, from 0 to [n t]_2 - 1, in
+    dtype: its place in the order the recount lists violations in, which
+    is by the point itself for t = 1, by (lo, mid) for a line {0, lo, mid,
+    hi}, lo < mid < hi, and by the packed key (see key_chunks) above.
 
-
-def _line_keys(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, out: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """Keys of the 2-subspaces {0, x, y, z}, z = x ^ y, written to out:
-    lo << n | mid for the least nonzero vector lo and the middle one
-    mid = lo ^ (the greatest).  scratch has the shape and dtype of out."""
-    np.minimum(x, y, out=out)
-    np.minimum(out, z, out=out)
-    np.maximum(x, y, out=scratch)
-    np.maximum(scratch, z, out=scratch)
-    scratch ^= out
-    out <<= out.dtype.type(n)
-    out |= scratch
-
-
-def _fill_keys(
-    part: np.ndarray, n: int, t: int, dest: np.ndarray, points: np.ndarray | None
-) -> None:
-    """Every t-subspace key of a chunk of blocks into dest, one row per
-    t-subspace slot of GF(2)^k: dest[j, i] is the key of slot j of block i.
-
-    A point's key is the vector; a 2-subspace's is that of _line_keys,
-    built per line of PG(k - 1, 2) into the row of dest from the chunk's
-    points, which fill the first columns of points, a (2^k - 1, >= N)
-    buffer in dest's dtype (None for t != 2); a larger subspace's is the
-    packed RREF key of pack_keys_bulk.  A block's t-subspaces are the
-    lifts of the t-subspaces of GF(2)^k, as in subspaces_of_bulk, so each
-    is built once.
+    A point v has rank v - 1.  If lo's top bit is h, then mid has bit h
+    clear and a higher bit set, so lo is the least point of 2^(n-1) - 2^h
+    lines, and mid with bit h squeezed out, less 2^h, orders them.  A
+    larger subspace ranks by its pivot mask, then by the rows' fields of
+    its key without the zeros below each row's pivot, the last row first.
     """
-    if t > 2:
-        keys = pack_keys_bulk(subspaces_of_bulk(part, t).reshape(-1, t), n)
-        dest[...] = keys.reshape(part.shape[0], -1).T
-        return
-    if t == 1:
-        span_vectors_bulk(part, out=dest)
-        return
-    points = points[:, : part.shape[0]]
-    span_vectors_bulk(part, out=points)
-    scratch = np.empty(part.shape[0], dtype=dest.dtype)
-    lines = np.concatenate([rows for _, rows in key_chunks(part.shape[1], 2)])
-    for row, (a, b) in zip(dest, lines.tolist(), strict=True):
-        _line_keys(points[a - 1], points[b - 1], points[(a ^ b) - 1], n, row, scratch)
+
+    def __init__(self, n: int, t: int):
+        self.n, self.t = n, t
+        self.total = gaussian_binomial(n, t, 2)
+        self.dtype = np.dtype(np.uint32 if self.total <= 1 << 32 else np.uint64)
+        if t == 2:  # tables by lo
+            top = np.zeros(1 << n, dtype=np.int64)  # 2^h
+            for h in range(n):
+                top[1 << h : 2 << h] = 1 << h
+            lines = np.where(top > 0, (1 << (n - 1)) - top, 0)
+            self.first = np.cumsum(lines) - lines  # the rank of lo's first line
+            # below 0 at lo = 1, in unsigned wrap-around; mid's squeeze adds 2^h
+            self.offset = (self.first - top).astype(self.dtype)
+            self.low = np.maximum(top - 1, 0).astype(self.dtype)
+        elif t > 2:  # tables by pivot mask, in ascending order
+            pivots = sorted(
+                combinations(range(n), t), key=lambda ps: sum(1 << p for p in ps)
+            )
+            self.masks = np.array([sum(1 << p for p in ps) for ps in pivots], np.uint64)
+            # the field of row i, n - t bits, is 0 below bit p_i - i
+            shifts = np.array([[p - i for i, p in enumerate(ps)] for ps in pivots])
+            widths = (n - t) - shifts
+            sizes = 1 << widths.sum(axis=1)
+            self.first = np.cumsum(sizes) - sizes  # the rank of the mask's first
+            self.shifts = shifts.astype(np.uint64)
+            self.places = (np.cumsum(widths, axis=1) - widths).astype(np.uint64)
+
+    def line_ranks(self, x, y, z, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Ranks of the lines {0, x, y, z}, z = x ^ y, into out; x, y and z
+        have the shape and dtype of out, scratch two rows of them."""
+        mid, part = scratch
+        np.minimum(x, y, out=out)
+        np.minimum(out, z, out=out)  # lo
+        np.maximum(x, y, out=mid)
+        np.maximum(mid, z, out=mid)
+        mid ^= out  # lo ^ hi
+        # lo < 2^n indexes the tables; "clip" only skips numpy's bounds pass
+        np.take(self.low, out, out=part, mode="clip")
+        part &= mid
+        mid += part
+        mid >>= 1
+        np.take(self.offset, out, out=part, mode="clip")
+        np.add(part, mid, out=out)
+
+    def key_ranks(self, keys: np.ndarray) -> np.ndarray:
+        """Ranks of t-subspaces, t > 2, from their uint64 packed keys."""
+        n, t = self.n, self.t
+        width = n - t
+        pivmask = (keys >> np.uint64(t * width)) & np.uint64((1 << n) - 1)
+        at = np.searchsorted(self.masks, pivmask)
+        ranks = self.first[at].astype(np.uint64)
+        for i in range(t):
+            field = (keys >> np.uint64(i * width)) & np.uint64((1 << width) - 1)
+            field >>= self.shifts[at, i]
+            field <<= self.places[at, i]
+            ranks += field
+        return ranks
+
+    def fill(
+        self, part: np.ndarray, dest: np.ndarray, points: np.ndarray | None
+    ) -> None:
+        """The rank of every t-subspace of a chunk of blocks into dest, one
+        row per t-subspace slot of GF(2)^k: dest[j, i] is slot j of block i.
+
+        A block's t-subspaces are the lifts of the t-subspaces of GF(2)^k,
+        as in subspaces_of_bulk, so each is ranked once.  A line is ranked
+        from the chunk's points, which fill the first columns of points, a
+        (2^k - 1, >= N) buffer in dtype (None for t != 2).
+        """
+        if self.t > 2:
+            subs = subspaces_of_bulk(part, self.t).reshape(-1, self.t)
+            dest[...] = self.key_ranks(pack_keys_bulk(subs, self.n)).reshape(
+                part.shape[0], -1
+            ).T
+            return
+        if self.t == 1:
+            span_vectors_bulk(part, out=dest)
+            dest -= 1
+            return
+        points = points[:, : part.shape[0]]
+        span_vectors_bulk(part, out=points)
+        scratch = np.empty((2, part.shape[0]), dtype=self.dtype)
+        lines = np.concatenate([rows for _, rows in key_chunks(part.shape[1], 2)])
+        for row, (a, b) in zip(dest, lines.tolist(), strict=True):
+            x, y, z = points[a - 1], points[b - 1], points[(a ^ b) - 1]
+            self.line_ranks(x, y, z, row, scratch)
+
+    def rows(self, rank: int) -> tuple[int, ...]:
+        """RREF rows of the t-subspace of the given rank."""
+        n, t = self.n, self.t
+        if t == 1:
+            return (rank + 1,)
+        at = int(np.searchsorted(self.first, rank, side="right")) - 1
+        rank -= int(self.first[at])
+        if t == 2:  # at is lo
+            h = at.bit_length() - 1
+            rank += 1 << h  # mid with bit h squeezed out
+            mid = (rank >> h << (h + 1)) | (rank & ((1 << h) - 1))
+            return rref_rows([at, mid])[0]
+        width = n - t
+        key = ((t << n) | int(self.masks[at])) << (t * width)
+        for i in range(t):
+            shift, place = int(self.shifts[at, i]), int(self.places[at, i])
+            field = (rank >> place) & ((1 << (width - shift)) - 1)
+            key |= field << shift << (i * width)
+        return key_rows(key, n, t)
 
 
-def _sorted_keys(blocks: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Every t-subspace key of every block, sorted, in _key_dtype.
+def _coverage_counts(
+    blocks: np.ndarray, ranking: _Ranking, marked: np.ndarray | None = None
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """How many blocks hold each t-subspace, indexed by rank, and the
+    (ranks, block indices) of the t-subspaces that marked, a bool map by
+    rank, flags (none when marked is None).
 
-    The keys fill one preallocated array, KEY_CHUNK_BLOCKS blocks at a
-    time, and are sorted in place.
+    The counter's dtype is the least unsigned one that holds the most
+    blocks one t-subspace can lie in: the fewer of N and [n - t, k - t]_2.
+    Each chunk of KEY_CHUNK_BLOCKS blocks is ranked into one buffer and
+    added to the counter with a scalar of its dtype, numpy's fast path.
     """
     num, k = blocks.shape
+    n, t = ranking.n, ranking.t
     per_block = gaussian_binomial(k, t, 2)
-    dtype = _key_dtype(n, t)
-    out = np.empty(num * per_block, dtype=dtype)
+    limit = min(num, gaussian_binomial(n - t, k - t, 2))
+    counts = np.zeros(ranking.total, dtype=np.min_scalar_type(limit))
+    one = counts.dtype.type(1)
+    width = min(num, KEY_CHUNK_BLOCKS)
+    buf = np.empty(per_block * width, dtype=ranking.dtype)
     points = None
     if t == 2:  # one buffer for the points of every chunk
-        points = np.empty(((1 << k) - 1, min(num, KEY_CHUNK_BLOCKS)), dtype=dtype)
+        points = np.empty(((1 << k) - 1, width), dtype=ranking.dtype)
+    hits: list[tuple[np.ndarray, np.ndarray]] = []
     for start in range(0, num, KEY_CHUNK_BLOCKS):
         part = blocks[start : start + KEY_CHUNK_BLOCKS]
-        dest = out[start * per_block : (start + len(part)) * per_block]
-        dest = dest.reshape(per_block, len(part))
-        _fill_keys(part, n, t, dest, points)
-    out.sort()
-    return out
+        flat = buf[: per_block * len(part)]
+        slots = flat.reshape(per_block, len(part))  # slots[j, i]: block start + i
+        ranking.fill(part, slots, points)
+        np.add.at(counts, flat, one)
+        if marked is None:
+            continue
+        for ranks in slots:  # one slot at a time: take copies the ranks to intp
+            pos = np.flatnonzero(np.take(marked, ranks, mode="clip"))  # clips none
+            hits.append((ranks[pos], start + pos))
+    return counts, hits
 
 
-def _slices(keys: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive slices of about KEY_SLICE sorted keys, each ending where
-    a run of equal keys ends."""
-    start = 0
-    while start < keys.size:
-        stop = start + KEY_SLICE
-        if stop < keys.size:
-            stop = int(np.searchsorted(keys, keys[stop - 1], side="right"))
-        yield keys[start:stop]
-        start = stop
-
-
-def _runs(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct keys, run lengths) of sorted keys that hold whole runs."""
-    ends = np.flatnonzero(part[1:] != part[:-1])
-    ends += 1
-    heads = np.concatenate(([0], ends))
-    del ends
-    counts = np.empty_like(heads)
-    np.subtract(heads[1:], heads[:-1], out=counts[:-1])
-    counts[-1] = part.size - heads[-1]
-    return part[heads], counts
-
-
-def _point_keys(blocks: np.ndarray) -> np.ndarray:
-    """Every nonzero vector of every block, mask-major: key j belongs to
-    block j % num."""
-    return span_vectors_bulk(blocks).T.ravel()
-
-
-def _pair_key_chunks(n: int) -> Iterator[np.ndarray]:
-    """Keys of all 2-subspaces of GF(2)^n in ascending order, one chunk
-    per smallest nonzero vector, in the dtype of _sorted_keys."""
-    dtype = _key_dtype(n, 2)
-    shift = dtype.type(n)
-    top = 1 << n
-    for u in range(1, top):
-        v = np.arange(u + 1, top, dtype=dtype)
-        uu = dtype.type(u)
-        keep = (uu ^ v) > v
-        if keep.any():
-            yield (uu << shift) | v[keep]
-
-
-def _first_absent(
-    chunks: Iterable[np.ndarray], present: np.ndarray, limit: int
-) -> list[int]:
-    """Up to limit keys of the ascending chunks that sorted present lacks
-    (present may repeat keys).  Chunks in the dtype of present keep
-    searchsorted from converting present on every chunk.
-
-    Chunks are generated only until enough keys are found, so a sparse
-    block set never materializes the whole key universe.
-    """
-    found: list[int] = []
-    for chunk in chunks:
-        if len(found) >= limit:
+def _first_where(counts: np.ndarray, test, limit: int) -> np.ndarray:
+    """Up to limit ascending indices of counts where test(slice) holds,
+    read COUNT_SLICE entries at a time."""
+    found: list[np.ndarray] = []
+    for start in range(0, counts.size, COUNT_SLICE):
+        if limit <= 0:
             break
-        if present.size:
-            idx = np.minimum(np.searchsorted(present, chunk), present.size - 1)
-            chunk = chunk[present[idx] != chunk]
-        found.extend(chunk[: limit - len(found)].tolist())
-    return found
-
-
-def _all_keys(n: int, t: int) -> Iterable[np.ndarray]:
-    """Keys of every t-subspace of GF(2)^n, as _fill_keys builds them,
-    in ascending chunks in the dtype of _sorted_keys."""
-    dtype = _key_dtype(n, t)
-    if t == 1:
-        return [np.arange(1, 1 << n, dtype=dtype)]
-    if t == 2:
-        return _pair_key_chunks(n)
-    return (keys.astype(dtype) for keys, _ in key_chunks(n, t))
-
-
-def _key_rows(key: int, n: int, t: int) -> tuple[int, ...]:
-    """RREF rows of the t-subspace whose key _fill_keys builds."""
-    if t == 1:
-        return (key,)
-    if t == 2:
-        return rref_rows([key >> n, key & ((1 << n) - 1)])[0]
-    return key_rows(key, n, t)
+        at = np.flatnonzero(test(counts[start : start + COUNT_SLICE]))[:limit]
+        found.append(at + start)
+        limit -= at.size
+    return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
 
 
 def verify_design(
@@ -344,52 +345,48 @@ def verify_design(
 ) -> DesignReport:
     """Count every t-subspace's occurrences inside blocks, from scratch.
 
-    One pass over the sorted keys of every t-subspace of every block (see
-    _fill_keys); violations are shown in ascending key order, the
-    present keys first, then the absent ones.
+    One pass over the ranks of every t-subspace of every block fills one
+    counter (see _coverage_counts), which is then read in slices;
+    violations are shown in ascending key order, the present t-subspaces
+    first, then the absent ones.
     """
     n, k = blocks.n, blocks.k
     if not 0 < t <= k:
         raise ValueError("need 0 < t <= k")
     if lam < 1:
         raise ValueError("need lam >= 1")
-    if t == 2 and 2 * n > 63:
-        raise ValueError("pair keys do not fit in 64 bits for this n")
     total = gaussian_binomial(n, t, 2)
     if total > budget:
         raise LimitError(
             f"{total} t-subspaces exceed the verification budget {budget}"
         )
-    per_block = gaussian_binomial(k, t, 2)
-    keys = _sorted_keys(blocks.blocks, n, t)
-    tally: dict[int, int] = {}
-    distinct = 0
-    shown: list[tuple[tuple[int, ...], int]] = []
-    for part in _slices(keys):
-        uniq, counts = _runs(part)
-        distinct += uniq.size
-        hist = np.bincount(counts)
-        for c in np.flatnonzero(hist).tolist():
-            tally[c] = tally.get(c, 0) + int(hist[c])
-        room = max_violations - len(shown)
-        if room > 0:
-            off = np.flatnonzero(counts != lam)[:room]
-            for key, c in zip(uniq[off].tolist(), counts[off].tolist()):
-                shown.append((_key_rows(key, n, t), c))
-        del uniq, counts  # before the next slice's runs are built
-    histogram: dict[int, int] = {c: tally[c] for c in sorted(tally)}
-    missing = total - distinct
+    ranking = _Ranking(n, t)
+    counts, _ = _coverage_counts(blocks.blocks, ranking)
+    # bincount only the counts above 1: a run of equal counts is its
+    # slowest input, and a Steiner system's present counts are all 1
+    tally = np.zeros(int(counts.max()) + 1, dtype=np.int64)
+    for start in range(0, total, COUNT_SLICE):
+        part = counts[start : start + COUNT_SLICE]
+        tally += np.bincount(part[part > 1], minlength=tally.size)
+    present = int(np.count_nonzero(counts))
+    tally[0] = total - present
+    tally[1:2] = present - tally[2:].sum()  # empty when no count is above 0
+    histogram = {c: int(tally[c]) for c in np.flatnonzero(tally).tolist() if c}
+    missing = int(tally[0])
     if missing:
         histogram[0] = missing
     violations_total = sum(f for c, f in histogram.items() if c != lam)
-    if missing and len(shown) < max_violations:
-        chunks = _all_keys(n, t)
-        for key in _first_absent(chunks, keys, max_violations - len(shown)):
-            shown.append((_key_rows(key, n, t), 0))
-    covered = sum(c * f for c, f in histogram.items())
-    if covered != blocks.num_blocks * per_block:
+    mass = blocks.num_blocks * gaussian_binomial(k, t, 2)
+    if sum(c * f for c, f in histogram.items()) != mass:
         raise AssertionError("histogram mass does not match blocks * per-block count")
-    ok = violations_total == 0
+    shown: list[tuple[tuple[int, ...], int]] = []
+    if violations_total - missing:
+        off = _first_where(counts, lambda c: (c != lam) & (c != 0), max_violations)
+        for r, c in zip(off.tolist(), counts[off].tolist()):
+            shown.append((ranking.rows(r), c))
+    if missing:
+        absent = _first_where(counts, lambda c: c == 0, max_violations - len(shown))
+        shown += [(ranking.rows(r), 0) for r in absent.tolist()]
     return DesignReport(
         n=n,
         k=k,
@@ -400,8 +397,14 @@ def verify_design(
         histogram=histogram,
         violations_shown=shown,
         violations_total=violations_total,
-        ok=ok,
+        ok=violations_total == 0,
     )
+
+
+def _point_keys(blocks: np.ndarray) -> np.ndarray:
+    """Every nonzero vector of every block, mask-major: key j belongs to
+    block j % num."""
+    return span_vectors_bulk(blocks).T.ravel()
 
 
 def format_report(report: DesignReport) -> str:
@@ -528,43 +531,6 @@ def min_distance_certificate(
     return bound
 
 
-def _sample_owners(
-    blocks: np.ndarray, n: int, wanted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(number of blocks, index of one block) holding each pair key of
-    wanted, sorted distinct keys in the dtype of _sorted_keys.
-
-    Every chunk's keys (_fill_keys) go through a map that marks the low
-    min(2n, SAMPLE_FILTER_BITS) bits of the wanted keys; the few keys it
-    lets through are matched exactly against wanted.
-    """
-    num, k = blocks.shape
-    dtype = wanted.dtype
-    low = dtype.type((1 << min(2 * n, SAMPLE_FILTER_BITS)) - 1)
-    marked = np.zeros(int(low) + 1, dtype=bool)
-    marked[wanted & low] = True
-    per_block = gaussian_binomial(k, 2, 2)
-    width = min(num, KEY_CHUNK_BLOCKS)
-    buf = np.empty(per_block * width, dtype=dtype)
-    points = np.empty(((1 << k) - 1, width), dtype=dtype)
-    keys: list[np.ndarray] = []
-    owners: list[np.ndarray] = []
-    for start in range(0, num, KEY_CHUNK_BLOCKS):
-        part = blocks[start : start + KEY_CHUNK_BLOCKS]
-        flat = buf[: per_block * len(part)]
-        _fill_keys(part, n, 2, flat.reshape(per_block, len(part)), points)
-        pos = np.flatnonzero(np.take(marked, flat & low))
-        keys.append(flat[pos])
-        owners.append(start + pos % len(part))  # flat[j * len(part) + i]: block i
-    keys, owners = np.concatenate(keys), np.concatenate(owners)
-    pos = np.searchsorted(wanted, keys)
-    exact = wanted[np.minimum(pos, wanted.size - 1)] == keys
-    pos = pos[exact]
-    owner = np.zeros(wanted.size, dtype=np.intp)
-    owner[pos] = owners[exact]
-    return np.bincount(pos, minlength=wanted.size), owner
-
-
 def derived_steiner_sample_check(
     blocks: BlockSet,
     report: DesignReport,
@@ -577,10 +543,10 @@ def derived_steiner_sample_check(
     of GF(2)^n determine difference vectors u = x^y, v = x^z spanning a
     2-subspace that lies in exactly one block B, and the three pairwise
     differences all lie in B.  Samples random triples and verifies both
-    facts from the blocks alone: the sorted pair keys of every block
-    (_sorted_keys) show that no 2-subspace lies in two blocks, and one
-    more pass over the blocks' pair keys finds the blocks that hold the
-    sampled 2-subspaces (_sample_owners); each must have exactly one.
+    facts from the blocks alone: one pass over the ranks of every block's
+    lines (_coverage_counts) counts them, which shows that no 2-subspace
+    lies in two blocks, and finds the blocks that hold the sampled lines
+    through a map of their ranks; each must lie in exactly one block.
     """
     if samples < 0:
         raise ValueError("need samples >= 0")
@@ -588,18 +554,10 @@ def derived_steiner_sample_check(
         raise ValueError("check requires a passing 2-(n, k, 1) report")
     _check_report_matches(blocks, report)
     n = blocks.n
-    if 2 * n > 64:
-        raise ValueError("pair keys do not fit in 64 bits for this n")
-    keys = _sorted_keys(blocks.blocks, n, 2)
-    dtype = keys.dtype
-    # each slice ends where a run of equal keys ends: a repeat is in one slice
-    if any(np.any(part[1:] == part[:-1]) for part in _slices(keys)):
-        raise AssertionError("coverage index is not one-to-one; lambda != 1?")
-    del keys  # before the pass that finds the sampled lines' blocks
-
+    ranking = _Ranking(n, 2)
     rng = np.random.default_rng(seed)
     top = 1 << n
-    sampled = np.empty(samples, dtype=dtype)
+    sampled = np.empty(samples, dtype=ranking.dtype)
     draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     done = 0
     while done < samples:
@@ -609,13 +567,23 @@ def derived_steiner_sample_check(
         z = rng.integers(0, top, size=take, dtype=np.uint64)
         distinct = (x != y) & (x != z) & (y != z)
         x, y, z = x[distinct], y[distinct], z[distinct]
-        u, v = x ^ y, x ^ z
+        u, v = (x ^ y).astype(ranking.dtype), (x ^ z).astype(ranking.dtype)
         line = sampled[done : done + x.size]
-        _line_keys(u, v, u ^ v, n, line, np.empty_like(line))
+        ranking.line_ranks(u, v, u ^ v, line, np.empty((2, line.size), line.dtype))
         draws.append((x, y, z))
         done += x.size
+    marked = np.zeros(ranking.total, dtype=bool)
+    marked[sampled] = True
+    counts, hits = _coverage_counts(blocks.blocks, ranking, marked)
+    del marked
+    if counts.max() > 1:
+        raise AssertionError("coverage index is not one-to-one; lambda != 1?")
     wanted, where = np.unique(sampled, return_inverse=True)
-    counts, owners = _sample_owners(blocks.blocks, n, wanted)
+    covered = counts[wanted] == 1
+    del counts
+    owners = np.zeros(wanted.size, dtype=np.intp)
+    for ranks, holders in hits:
+        owners[np.searchsorted(wanted, ranks)] = holders
 
     failures = 0
     examples: list[tuple[int, int, int]] = []
@@ -623,7 +591,7 @@ def derived_steiner_sample_check(
     for x, y, z in draws:
         line = where[start : start + x.size]
         start += x.size
-        found = counts[line] == 1
+        found = covered[line]
         if not found.all():
             bad = np.nonzero(~found)[0]
             failures += int(bad.size)

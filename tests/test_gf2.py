@@ -331,6 +331,31 @@ def test_bulk_parse_matches_per_line_parser(monkeypatch):
                 assert _parse_or_error(parse_matrix_text, text) == want, (chunk, text)
 
 
+def test_format_rows_writes_each_bit_and_stays_near_its_output():
+    rng = np.random.default_rng(13)
+    for n in (1, 5, 13, 20, 63, 64):
+        rows = rng.integers(0, 1 << n, size=(40, 3), dtype=np.uint64)
+        want = "".join(
+            "".join("1" if r >> j & 1 else "0" for j in range(n)) + "\n"
+            for r in rows.ravel().tolist()
+        )
+        for case in (rows, rows[:, ::-1][:, ::-1], rows.astype(">u8")):
+            text = format_rows(case, n)
+            assert text.shape == (40, 3, n + 1) and text.dtype == np.uint8
+            assert text.tobytes().decode() == want, n
+    assert format_rows(np.uint64(6), 3).tobytes() == b"011\n"
+    # one batch of BlockSet.save: the text (2.6 MiB) and one byte per bit,
+    # not eight (41.6 MiB traced when the bits were built in uint64)
+    rows = rng.integers(0, 1 << 13, size=(1 << 16, 3), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        format_rows(rows, 13)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 8
+
+
 def test_bulk_parse_memory_stays_near_its_output(monkeypatch):
     # each slice is reduced to its matrices before the next is read, so
     # the traced peak is set by the outputs, not by per-row arrays of the

@@ -502,30 +502,16 @@ def test_table_load_checks_tables_without_an_engine(tmp_path):
         assert str(info.value) == message
 
 
-def partial_table(table, keep):
-    """The orbits keep (ascending) of a whole table, numbered from 0, with
-    their part of its lookup index: a table that no partition builds."""
-    by_label, words, ids = table._index
-    kept = np.isin(ids, keep)
-    return OrbitTable(
-        n=table.n,
-        k=table.k,
-        group=table.group,
-        rows=table.rows[keep],
-        lengths=[table.lengths[i] for i in keep],
-        _index=(by_label, words[kept], np.searchsorted(keep, ids[kept])),
-    )
-
-
-def test_lookup_rows_bulk_rejects_untabulated_orbits():
+def test_lookup_rows_bulk_names_every_orbit_of_the_partition():
     # a label index (Singer engine) and a member-key index (generic)
     for g in (singer_normalizer(6), frobenius_group(6)):
         table = orbit_partition(g, 2)
-        rows = table.rows
-        partial = partial_table(table, [0, 1])
-        assert partial.lookup_rows_bulk(rows[:2]).tolist() == [0, 1]
-        with pytest.raises(KeyError):
-            partial.lookup_rows_bulk(rows)
+        ids = table.lookup_rows_bulk(table.rows)
+        assert ids.tolist() == list(range(table.num_orbits))
+        for i in (0, table.num_orbits // 2, table.num_orbits - 1):
+            members = orbit(g, table.rep(i))
+            assert len(members) == table.lengths[i]
+            assert set(table.lookup_rows_bulk(members).tolist()) == {i}
 
 
 def test_lookup_rows_bulk_rejects_rows_wider_than_n():
@@ -554,7 +540,7 @@ def test_line_lookup_by_difference_matches_label_lookup(n):
     assert np.bincount(want).tolist() == table.lengths
 
 
-def test_line_lookup_rejects_bad_rows_and_untabulated_lines():
+def test_line_lookup_rejects_bad_rows():
     g = singer_normalizer(6)
     table = orbit_partition(g, 2)
     for bad in ([[0, 5]], [[5, 0]], [[0, 0]], [[5, 5]]):
@@ -563,14 +549,12 @@ def test_line_lookup_rejects_bad_rows_and_untabulated_lines():
     for bad in ([[1, 64]], [[64, 1]], [[2**63, 3]]):
         with pytest.raises(ValueError, match="lookup expects a 2-dim subspace"):
             table.lookup_rows_bulk(bad)
-    partial = partial_table(table, np.arange(1, table.num_orbits))
-    ids = partial.lookup_rows_bulk(table.rows[1:])
-    assert ids.tolist() == list(range(partial.num_orbits))
-    with pytest.raises(KeyError):
-        partial.lookup(table.rows[0])
-    with pytest.raises(KeyError):
-        partial.lookup(table.rows[0, ::-1])
-    assert np.count_nonzero(partial._ensure_line_ids(g.engine()) < 0) > 1
+    ids = table.lookup_rows_bulk(table.rows)
+    assert ids.tolist() == list(range(table.num_orbits))
+    assert table.lookup(table.rows[0, ::-1]) == 0
+    # every difference but 0, which no line has, names an orbit
+    line_ids = table._ensure_line_ids(g.engine())
+    assert line_ids[0] == -1 and line_ids[1:].min() >= 0
 
 
 def test_lookup_reduces_the_basis():

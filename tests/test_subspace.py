@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import matrix_text_reference
+from qsteiner import gf2
 from qsteiner.gf2 import (
     BitMatrix,
     FormatError,
@@ -28,7 +29,7 @@ from qsteiner.subspace import (
     spread_size,
     subspaces_of_bulk,
 )
-from qsteiner.verify import BlockSet, _key_rows
+from qsteiner.verify import BlockSet, _Ranking
 from subspace_reference import (
     enumerate_subspaces,
     key_per_column,
@@ -123,18 +124,19 @@ def test_bulk_key_kernels_match_scalar():
             for key, basis in zip(keys.tolist(), rows.tolist()):
                 assert key == key_per_column(n, basis)
                 assert key_rows(key, n, k) == tuple(basis)
-                # the recount prints a t > 2 witness by the same inverse
-                assert k < 3 or _key_rows(key, n, k) == tuple(basis)
     rng = np.random.default_rng(14)
     cases = [(13, k, 50_000) for k in range(1, 7)] + [(22, 2, 2000), (32, 1, 2000)]
     for n, k, num in cases:
         rows = random_rref_rows(rng, num, n, k)
         keys = pack_keys_bulk(rows, n)
         assert np.array_equal(keys, keys_per_column_bulk(rows, n)), (n, k)
-        # the scalar inverse on a slice
-        for key, basis in zip(keys[:5000].tolist(), rows[:5000].tolist()):
+        # the scalar inverse on a slice; the recount prints a t > 2 witness
+        # by the rank of its key
+        ranking = _Ranking(n, k) if k > 2 else None
+        ranks = ranking.key_ranks(keys[:5000]).tolist() if ranking else [None] * 5000
+        for key, basis, rank in zip(keys[:5000].tolist(), rows[:5000].tolist(), ranks):
             assert key_rows(key, n, k) == tuple(basis), (n, k)
-            assert k < 3 or _key_rows(key, n, k) == tuple(basis), (n, k)
+            assert ranking is None or ranking.rows(rank) == tuple(basis), (n, k)
     # past 64 bits only the oracle packs a key, and key_rows inverts it
     for k in range(1, 7):
         for basis in random_rref_rows(rng, 200, 64, k).tolist():
@@ -272,3 +274,38 @@ def test_rejects_non_canonical_rows():
         Subspace(4, (0b0011, 0b0010))  # first row not reduced by second pivot
     with pytest.raises(ValueError):
         Subspace(4, (0b0100, 0b0001))  # pivots out of order
+
+
+def test_bulk_reader_reduces_only_the_chunks_not_in_rref(monkeypatch, tmp_path):
+    rng = random.Random(57)
+    n, k = 9, 3
+    bases = []
+    while len(bases) < 40:
+        basis = [rng.getrandbits(n) for _ in range(k)]
+        red = list(span(basis, n).rows)
+        if len(red) == k:  # runs of reduced and unreduced bases
+            bases.append(red if (len(bases) // 3) % 2 else basis)
+    a, b = bases[-1][:2]
+    dependent = bases + [[a, b, a ^ b]]
+    for chunk in (1, 2, 7, gf2.RREF_CHUNK_ROWS):
+        monkeypatch.setattr(gf2, "RREF_CHUNK_ROWS", chunk)
+        for case in (bases, dependent):
+            text = random_subspace_text(rng, n, k, case, False, False)
+            try:
+                want = matrix_text_reference.parse_subspaces(text)
+            except FormatError as exc:
+                with pytest.raises(FormatError) as got:
+                    parse_subspaces(text)
+                assert str(got.value) == str(exc) and "dependent" in str(exc)
+                continue
+            assert parse_subspaces(text)[1].tolist() == [list(u.rows) for u in want]
+    # blocks as save writes them are in RREF: nothing is row-reduced
+    rows = np.array([span(basis, n).rows for basis in bases], dtype=np.uint64)
+    path = tmp_path / "blocks.txt"
+    BlockSet(n, k, np.unique(rows, axis=0)).save(str(path))
+
+    def refuse(rows):
+        raise AssertionError("a chunk in RREF was row-reduced")
+
+    monkeypatch.setattr(gf2, "rref_bulk", refuse)
+    assert np.array_equal(BlockSet.load(str(path)).blocks, np.unique(rows, axis=0))

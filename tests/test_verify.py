@@ -13,7 +13,7 @@ from qsteiner import cli, gf2, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
 from qsteiner.gf2 import FormatError
 from qsteiner.groups import orbit, orbit_partition, singer_normalizer
-from qsteiner.subspace import Subspace, gaussian_binomial, span
+from qsteiner.subspace import Subspace, gaussian_binomial, key_chunks, span
 from subspace_reference import enumerate_subspaces, vectors
 from verify_reference import subspaces_of
 from qsteiner.verify import (
@@ -206,12 +206,15 @@ def test_blockset_rejects_malformed_rows():
 
 
 def test_blockset_checks_every_chunk(monkeypatch):
-    monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", 2)
+    monkeypatch.setattr(gf2, "RREF_CHUNK_ROWS", 2)
     rows = [[1, 2], [1, 4], [2, 4], [1, 6], [2, 8]]
     assert BlockSet(4, 2, np.array(rows, dtype=np.uint64)).num_blocks == 5
     for bad, message in (([3, 2], "echelon"), ([1, 0], "dimension")):
         with pytest.raises(ValueError, match=message):
             BlockSet(4, 2, np.array(rows + [bad], dtype=np.uint64))
+    # a block of rank below k names the fault, after an unreduced chunk too
+    with pytest.raises(ValueError, match="dimension"):
+        BlockSet(4, 2, np.array([[3, 2]] + rows + [[1, 0]], dtype=np.uint64))
 
 
 def random_blocks(rng, num, k, n):
@@ -247,6 +250,7 @@ def rref_faults(rng, rows):
 
 def test_blockset_rref_predicate_matches_the_rref_oracle(monkeypatch):
     rng = np.random.default_rng(29)
+    chunks = (1, 7, gf2.RREF_CHUNK_ROWS)
     n = 7
     for k in range(1, 6):
         valid = random_blocks(rng, 60, k, n)
@@ -258,12 +262,12 @@ def test_blockset_rref_predicate_matches_the_rref_oracle(monkeypatch):
         for rows in cases:
             red, ranks = gf2.rref_bulk(rows)
             each = (ranks == k) & np.all(red == rows, axis=1)
-            assert [verify._in_rref(rows[i : i + 1]) for i in range(len(rows))] == (
+            assert [gf2.in_rref(rows[i : i + 1]) for i in range(len(rows))] == (
                 each.tolist()
             )
-            for chunk, _ in CHUNK_SIZES:
-                monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
-                want = verify_reference.rref_block_error(rows, k)
+            want = verify_reference.rref_block_error(rows, k)
+            for chunk in chunks:
+                monkeypatch.setattr(gf2, "RREF_CHUNK_ROWS", chunk)
                 if want is None:
                     assert BlockSet(n, k, rows).num_blocks == len(rows)
                     continue
@@ -306,9 +310,11 @@ def test_first_duplicate_packs_rows_into_words():
         for i, j in ((0, 1), (int(rng.integers(0, len(rows) - 1)), len(rows) - 1)):
             planted = rows.copy()
             planted[j] = planted[i]
+            before = planted.copy()
             assert gf2.first_duplicate(planted, n) == first_duplicate_by_dict(
                 planted
             ) == (i, j), (n, k)
+            assert np.array_equal(planted, before)  # the words sort, not the rows
 
 
 def test_expand_orbits_counts_and_rejects_mixed_dims():
@@ -320,6 +326,10 @@ def test_expand_orbits_counts_and_rejects_mixed_dims():
     assert len(lengths) == len(reps)
     seen = {tuple(rows) for rows in blocks.blocks.tolist()}
     assert len(seen) == blocks.num_blocks
+    # with short orbits the block list holds its rows and no unused room
+    every, lengths = expand_orbits(group, table.rows)
+    assert every.num_blocks == gaussian_binomial(6, 3, 2)
+    assert min(lengths) < max(lengths) and every.blocks.base is None
     t2 = orbit_partition(group, 2)
     with pytest.raises(ValueError):
         expand_orbits(group, [table.rep(0), t2.rep(0)])
@@ -469,7 +479,41 @@ def small_designs():
         yield BlockSet(n, k, blocks.blocks[::3].copy())
 
 
-CHUNK_SIZES = ((1, 1), (7, 7), (verify.KEY_CHUNK_BLOCKS, verify.KEY_SLICE))
+# blocks per chunk of the counting pass, counter entries per read; the
+# defaults are read once, as the tests below patch them
+CHUNK, SLICE = verify.KEY_CHUNK_BLOCKS, verify.COUNT_SLICE
+CHUNK_SIZES = (1, 7, CHUNK)
+
+
+# the most t-subspaces a counter read in small slices may have
+SMALL_COUNTER = 10**4
+
+
+def count_slices(n, t):
+    """Counter entries per read to try: small ones where the counter is."""
+    if gaussian_binomial(n, t, 2) > SMALL_COUNTER:
+        return (SLICE,)
+    return (1, 7, SLICE)
+
+
+def assert_recount_matches(
+    monkeypatch, blocks, t, want, lam, cap, chunks=CHUNK_SIZES
+):
+    """verify_design gives want for every chunk size and every counter
+    slice size; the counting pass and the reads of the counter are
+    separate stages, so each size is tried beside the other's default."""
+    sizes = [(chunk, SLICE) for chunk in chunks]
+    sizes += [(CHUNK, size) for size in count_slices(blocks.n, t)]
+    for chunk, size in dict.fromkeys(sizes):  # the pair of defaults once
+        monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
+        monkeypatch.setattr(verify, "COUNT_SLICE", size)
+        got = verify_design(blocks, t, lam, cap)
+        assert format_report(got) == format_report(want)
+        assert got == want
+        # present counts ascending, then 0
+        assert list(got.histogram) == sorted(set(got.histogram) - {0}) + [0] * (
+            0 in got.histogram
+        )
 
 
 def test_recount_matches_unique_oracle(paper_blocks, monkeypatch):
@@ -478,45 +522,109 @@ def test_recount_matches_unique_oracle(paper_blocks, monkeypatch):
     cases += [(b, (verify.VIOLATION_CAP, 10**6)) for b in small_designs()]
     for blocks, caps in cases:
         for t in (1, 2):
-            for lam in (1, 2):
-                for cap in caps:
+            for i, (lam, cap) in enumerate(itertools.product((1, 2), caps)):
+                want = verify_reference.verify_design(blocks, t, lam, cap)
+                # the count depends on neither lam nor cap: a large counter
+                # (the paper's lines, 21.3 MiB) is filled at every chunk size
+                # for the first pair only
+                large = gaussian_binomial(blocks.n, t, 2) > SMALL_COUNTER
+                chunks = (CHUNK,) if large and i else CHUNK_SIZES
+                assert_recount_matches(monkeypatch, blocks, t, want, lam, cap, chunks)
+
+
+def test_recount_counts_a_line_in_511_blocks(monkeypatch):
+    # every 3-subspace through the line <e0, e1> of GF(2)^11: 511 blocks,
+    # more than a uint8 counter holds
+    rest = np.arange(1, 512, dtype=np.uint64) << np.uint64(2)
+    rows = np.stack([np.ones_like(rest), np.full_like(rest, 2), rest], axis=1)
+    blocks = BlockSet(11, 3, rows)
+    counts, _ = verify._coverage_counts(blocks.blocks, verify._Ranking(11, 2))
+    assert counts.dtype == np.uint16 and counts.max() == 511
+    for lam, cap in ((1, 5), (1, verify.VIOLATION_CAP), (511, 3), (2, 1000)):
+        want = verify_reference.verify_design(blocks, 2, lam, cap)
+        assert want.histogram[511] == 1
+        assert_recount_matches(monkeypatch, blocks, 2, want, lam, cap)
+    # t = 1: each point of the line lies in all 511 blocks
+    want = verify_reference.verify_design(blocks, 1, 1, 10)
+    assert want.histogram[511] == 3
+    assert_recount_matches(monkeypatch, blocks, 1, want, 1, 10)
+
+
+def test_recount_counter_holds_at_most_the_block_count():
+    # [23, 11]_2 passes 2^64: only the block count bounds the counter
+    blocks = BlockSet(24, 12, np.array([[1 << i for i in range(12)]], np.uint64))
+    counts, _ = verify._coverage_counts(blocks.blocks, verify._Ranking(24, 1))
+    assert counts.dtype == np.uint8
+    report = verify_design(blocks, 1, 1, 3)
+    assert report.histogram == {1: 4095, 0: (1 << 24) - 4096}
+    assert report.violations_shown == [((v,), 0) for v in (4096, 4097, 4098)]
+
+
+def test_recount_of_sparse_random_block_sets_matches_the_oracles(monkeypatch):
+    # few random blocks: the absent t-subspaces fill the capped list
+    rng = np.random.default_rng(41)
+    capped = 0
+    for n, k, num in ((7, 3, 5), (7, 4, 12), (10, 2, 40), (6, 5, 40)):
+        blocks = BlockSet(n, k, np.unique(random_blocks(rng, num, k, n), axis=0))
+        assert blocks.num_blocks > 1
+        for t in range(1, k + 1):
+            for lam, cap in ((1, 0), (1, 7), (2, verify.VIOLATION_CAP)):
+                if t <= 2:
                     want = verify_reference.verify_design(blocks, t, lam, cap)
-                    for chunk, slice_keys in CHUNK_SIZES:
-                        monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
-                        monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
-                        got = verify_design(blocks, t, lam, cap)
-                        assert format_report(got) == format_report(want)
-                        assert list(got.histogram.items()) == list(
-                            want.histogram.items()
-                        )
-                        assert got == want
+                else:
+                    want = verify_reference.dict_verify_design(blocks, t, lam, cap)
+                capped += want.histogram.get(0, 0) > cap > 0
+                assert_recount_matches(monkeypatch, blocks, t, want, lam, cap)
+    assert capped >= 10
 
 
-def test_sorted_keys_match_the_per_pair_builder(paper_blocks, monkeypatch):
+def ranked_order(n, t):
+    """Every t-subspace of GF(2)^n as RREF rows, in the recount's key
+    order: by point for t = 1, by (lo, mid) for t = 2 (see
+    verify_reference._line_keys), by packed key above."""
+    if t == 1:
+        return [(v,) for v in range(1, 1 << n)]
+    if t == 2:
+        keys = np.concatenate(list(verify_reference._pair_key_chunks(n)))
+        return [verify_reference._key_rows(key, n, 2) for key in keys.tolist()]
+    return [tuple(rows) for _, chunk in key_chunks(n, t) for rows in chunk.tolist()]
+
+
+def test_ranks_ascend_with_the_key_and_unrank_inverts_them():
+    for n in range(1, 9):
+        for t in range(1, n + 1):
+            ranking = verify._Ranking(n, t)
+            assert ranking.total == gaussian_binomial(n, t, 2)
+            assert ranking.dtype == np.uint32
+            subs = ranked_order(n, t)
+            assert len(subs) == ranking.total
+            # every t-subspace, as the one block of a block set of GF(2)^n
+            blocks = np.array(subs, dtype=np.uint64)
+            ranks = np.empty((1, len(subs)), dtype=ranking.dtype)
+            points = np.empty(((1 << t) - 1, len(subs)), dtype=ranking.dtype)
+            ranking.fill(blocks, ranks, points)
+            assert np.array_equal(ranks[0], np.arange(ranking.total)), (n, t)
+            assert [ranking.rows(r) for r in range(ranking.total)] == subs, (n, t)
+
+
+def test_line_ranks_follow_the_sorted_pair_keys(paper_blocks):
     wide = BlockSet(17, 3, np.array([[1, 2, 4], [1, 2, 1 << 16]], dtype=np.uint64))
     cases = list(paper_slices(paper_blocks, 3, 2)) + list(steiner_designs()) + [wide]
     for blocks in cases:
-        n = blocks.n
-        want = verify_reference.sorted_pair_keys(blocks.blocks, n)
-        dtype = verify._key_dtype(n, 2)
-        assert dtype == (np.uint32 if 2 * n <= 32 else np.uint64)
-        for chunk, _ in CHUNK_SIZES:
-            monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
-            got = verify._sorted_keys(blocks.blocks, n, 2)
-            assert got.dtype == dtype
-            assert np.array_equal(got.astype(np.uint64), want)
-
-
-def test_absent_key_chunks_share_the_dtype_of_the_sorted_keys(paper_blocks):
-    wide = BlockSet(17, 3, np.array([[1, 2, 4], [1, 2, 1 << 16]], dtype=np.uint64))
-    for blocks in (all_subspace_blocks(5, 3), paper_blocks, wide):
-        n, sample = blocks.n, blocks.blocks[:50]
-        for t in (1, 2):
-            keys = verify._sorted_keys(sample, n, t)
-            assert next(iter(verify._all_keys(n, t))).dtype == keys.dtype, (n, t)
-    # 2n key bits: uint32 up to n = 16, uint64 above
-    assert verify._key_dtype(13, 2) == np.uint32
-    assert verify._key_dtype(17, 2) == np.uint64
+        n, (num, k) = blocks.n, blocks.blocks.shape
+        ranking = verify._Ranking(n, 2)
+        ranks = np.empty((gaussian_binomial(k, 2, 2), num), dtype=ranking.dtype)
+        points = np.empty(((1 << k) - 1, num), dtype=ranking.dtype)
+        ranking.fill(blocks.blocks, ranks, points)
+        ranks, repeats = np.unique(ranks, return_counts=True)
+        keys, want = np.unique(
+            verify_reference.sorted_pair_keys(blocks.blocks, n), return_counts=True
+        )
+        # ascending ranks are the ascending keys, as often
+        assert np.array_equal(repeats, want)
+        assert [ranking.rows(r) for r in ranks.tolist()] == [
+            verify_reference._key_rows(key, n, 2) for key in keys.tolist()
+        ]
 
 
 def test_paper_recount_matches_unique_oracle(paper_blocks, paper_report):
@@ -536,8 +644,6 @@ def test_derived_check_matches_owner_list_oracle(monkeypatch):
     for blocks in steiner_designs():
         report = verify_design(blocks, 2, 1)
         assert report.ok
-        # the map of sampled keys holds all 2n key bits, or only the low ones
-        filters = (verify.SAMPLE_FILTER_BITS, 2 * blocks.n - 1, 3, 1)
         for seed in (0, 3):
             want = verify_reference.derived_steiner_sample_check(
                 blocks, samples=500, seed=seed
@@ -545,10 +651,8 @@ def test_derived_check_matches_owner_list_oracle(monkeypatch):
             assert verify_reference.owner_tagged_derived_check(
                 blocks, samples=500, seed=seed
             ) == want
-            for (chunk, slice_keys), bits in itertools.product(CHUNK_SIZES, filters):
+            for chunk in CHUNK_SIZES:
                 monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
-                monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
-                monkeypatch.setattr(verify, "SAMPLE_FILTER_BITS", bits)
                 got = derived_steiner_sample_check(
                     blocks, report, samples=500, seed=seed
                 )
@@ -614,9 +718,8 @@ def test_derived_check_asserts_a_one_to_one_index(monkeypatch):
         n=5, k=3, t=2, lam=1, num_blocks=blocks.num_blocks, total_t_subspaces=155,
         histogram={1: 155}, violations_shown=[], violations_total=0, ok=True,
     )
-    for chunk, slice_keys in CHUNK_SIZES:
+    for chunk in CHUNK_SIZES:
         monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
-        monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
         with pytest.raises(AssertionError, match="not one-to-one"):
             derived_steiner_sample_check(blocks, liar, samples=10)
 
@@ -686,14 +789,15 @@ def traced_peak_mb(fn, *args, **kwargs):
 
 
 def test_recount_and_derived_check_stay_below_150_mb(paper_blocks, paper_report):
-    # the recount's sorted uint32 pair keys are 11,180,715 * 4 bytes = 43 MiB;
-    # the derived check sorts the same keys, then keeps an 8 MiB map of the
-    # sampled ones (45 MiB traced; an owner-tagged uint64 index took 101)
-    assert traced_peak_mb(verify_design, paper_blocks, 2, 1) < 80
+    # the recount's uint16 counter of the 11,180,715 lines is 21.3 MiB (the
+    # sorted uint32 keys it replaced were 42.7 MiB); the derived check adds
+    # a 10.7 MiB bool map of the sampled lines' ranks (sorting the keys
+    # again took 45 MiB traced; an owner-tagged uint64 index took 101)
+    assert traced_peak_mb(verify_design, paper_blocks, 2, 1) < 40
     peak = traced_peak_mb(
         derived_steiner_sample_check, paper_blocks, paper_report, samples=10**5
     )
-    assert peak < 60
+    assert peak < 45
     # per batch of 2^16 pairs, two (N, 3) gathers and their residues
     # (14 MiB traced; row-reducing the stacked (N, 6) rows took 19)
     peak = traced_peak_mb(
@@ -721,10 +825,7 @@ def test_recount_above_t2_matches_dict_oracle(monkeypatch):
         for cap in (0, 1, 5, 10**6):
             want = verify_reference.dict_verify_design(some, 3, lam, cap)
             assert min(want.histogram) < lam < max(want.histogram)
-            for chunk, slice_keys in CHUNK_SIZES:
-                monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
-                monkeypatch.setattr(verify, "KEY_SLICE", slice_keys)
-                assert_same_report(verify_design(some, 3, lam, cap), want)
+            assert_recount_matches(monkeypatch, some, 3, want, lam, cap)
     # t = 4: all 5-subspaces of GF(2)^6 are a 4-(6, 5, 3) design
     blocks = all_subspace_blocks(6, 5)
     for subset in (blocks, BlockSet(6, 5, blocks.blocks[::4].copy())):

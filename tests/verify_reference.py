@@ -1,14 +1,14 @@
 """The earlier recounts, certificates and checks, kept as test oracles.
 
-These are the counting paths that `qsteiner.verify` used before it built
-one sorted key array in place: `np.unique` with counts over every key of
-every block for `verify_design` at t <= 2, a dict of the keys of
-per-object subspaces (subspaces_of) for t > 2, and an index of per-pair keys and owner lists for
-`derived_steiner_sample_check`.  The new code must give the same report
-(for t <= 2 the histogram in the same dict order; the same violations in
-the same order) and the same derived statistics.  sorted_pair_keys is
-the per-pair uint64 builder of the sorted key array, the oracle of the
-in-place one.
+These are the counting paths that `qsteiner.verify` used before it
+counted every t-subspace by its rank: `np.unique` with counts over every
+sorted key of every block for `verify_design` at t <= 2, a dict of the
+keys of per-object subspaces (subspaces_of) for t > 2, and an index of
+per-pair keys and owner lists for `derived_steiner_sample_check`.  The
+new code must give the same report (for t <= 2 the histogram in the same
+dict order; the same violations in the same order) and the same derived
+statistics.  sorted_pair_keys is the per-pair uint64 builder of the
+sorted key array, whose order the ranks of the lines follow.
 
 owner_tagged_derived_check and stacked_min_distance are the two sampled
 certificates as they were before they stopped sorting owner-tagged keys
@@ -19,23 +19,69 @@ replacement on every draw, witness and message.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from qsteiner import verify
-from qsteiner.gf2 import rref_bulk, span_vectors_bulk
-from qsteiner.subspace import Subspace, gaussian_binomial, key_chunks, span
+from qsteiner.gf2 import rref_bulk, rref_rows, span_vectors_bulk
+from qsteiner.subspace import Subspace, gaussian_binomial, key_chunks, key_rows, span
 from subspace_reference import enumerate_subspaces, key_per_column
-from qsteiner.verify import (
-    BlockSet,
-    DesignReport,
-    _first_absent,
-    _key_rows,
-    _line_keys,
-    _pair_key_chunks,
-    _point_keys,
-)
+from qsteiner.verify import BlockSet, DesignReport, _point_keys
+
+
+def _line_keys(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Keys of the 2-subspaces {0, x, y, z}, z = x ^ y, written to out:
+    lo << n | mid for the least nonzero vector lo and the middle one
+    mid = lo ^ (the greatest).  scratch has the shape and dtype of out."""
+    np.minimum(x, y, out=out)
+    np.minimum(out, z, out=out)
+    np.maximum(x, y, out=scratch)
+    np.maximum(scratch, z, out=scratch)
+    scratch ^= out
+    out <<= out.dtype.type(n)
+    out |= scratch
+
+
+def _pair_key_chunks(n: int) -> Iterator[np.ndarray]:
+    """Keys of all 2-subspaces of GF(2)^n in ascending order (see
+    _line_keys), one uint64 chunk per smallest nonzero vector."""
+    shift = np.uint64(n)
+    top = 1 << n
+    for u in range(1, top):
+        v = np.arange(u + 1, top, dtype=np.uint64)
+        uu = np.uint64(u)
+        keep = (uu ^ v) > v
+        if keep.any():
+            yield (uu << shift) | v[keep]
+
+
+def _first_absent(
+    chunks: Iterable[np.ndarray], present: np.ndarray, limit: int
+) -> list[int]:
+    """Up to limit keys of the ascending chunks that sorted present lacks,
+    generating chunks only until enough keys are found."""
+    found: list[int] = []
+    for chunk in chunks:
+        if len(found) >= limit:
+            break
+        if present.size:
+            idx = np.minimum(np.searchsorted(present, chunk), present.size - 1)
+            chunk = chunk[present[idx] != chunk]
+        found.extend(chunk[: limit - len(found)].tolist())
+    return found
+
+
+def _key_rows(key: int, n: int, t: int) -> tuple[int, ...]:
+    """RREF rows of the t-subspace with the given key: the point itself for
+    t = 1, the _line_keys key for t = 2, the packed key above."""
+    if t == 1:
+        return (key,)
+    if t == 2:
+        return rref_rows([key >> n, key & ((1 << n) - 1)])[0]
+    return key_rows(key, n, t)
 
 
 def subspaces_of(u: Subspace, t: int) -> Iterator[Subspace]:
@@ -378,13 +424,11 @@ def stacked_min_distance(
 
 def rref_block_error(blocks: np.ndarray, k: int) -> str | None:
     """The message BlockSet gives (N, k) rows that are not all RREF bases
-    of k-dim subspaces, by row-reducing each chunk of
-    verify.KEY_CHUNK_BLOCKS blocks; None when every block is one."""
-    for start in range(0, len(blocks), verify.KEY_CHUNK_BLOCKS):
-        part = blocks[start : start + verify.KEY_CHUNK_BLOCKS]
-        red, ranks = rref_bulk(part)
-        if not np.all(ranks == k):
-            return "every block must have dimension k"
-        if not np.array_equal(red, part):
-            return "block rows must be in reduced row echelon form"
+    of k-dim subspaces, by row-reducing every block: a block of rank
+    below k anywhere comes first; None when every block is one."""
+    red, ranks = rref_bulk(blocks)
+    if not np.all(ranks == k):
+        return "every block must have dimension k"
+    if not np.array_equal(red, blocks):
+        return "block rows must be in reduced row echelon form"
     return None
