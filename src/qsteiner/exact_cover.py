@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +47,8 @@ class CoverProblem:
             raise ValueError("duplicate option labels")
         if self.matrix.shape != (len(self.item_ids), len(self.labels)):
             raise ValueError(f"matrix shape {self.matrix.shape} is not items x options")
-        self.matrix = self.matrix.view()  # what is derived from it stays true
+        # a read-only view, so that no reader edits the caller's array
+        self.matrix = self.matrix.view()
         self.matrix.flags.writeable = False
 
     @classmethod
@@ -71,21 +71,22 @@ class CoverProblem:
                 matrix[pos[it], j] = 1
         return cls(list(item_ids), [lab for lab, _ in options], matrix, multiplicity)
 
-    @cached_property
-    def column_items(self) -> list[list[int]]:
-        """The items (matrix rows) each option covers, built on first use."""
-        opts, items = np.nonzero(self.matrix.T)
-        bounds = np.searchsorted(opts, np.arange(len(self.labels) + 1)).tolist()
-        items = items.tolist()
-        return [items[a:b] for a, b in zip(bounds, bounds[1:])]
-
     @property
     def options(self) -> list[tuple[int, list[int]]]:
-        """(label, covered item ids) per option, for the test oracles."""
+        """(label, covered item ids) per option, built from matrix on each
+        read, for the test oracles."""
         return [
             (lab, [self.item_ids[i] for i in items])
-            for lab, items in zip(self.labels, self.column_items)
+            for lab, items in zip(self.labels, _column_items(self.matrix))
         ]
+
+
+def _column_items(matrix: np.ndarray) -> list[list[int]]:
+    """The rows that hold a nonzero entry of each column of matrix."""
+    cols, rows = np.nonzero(matrix.T)
+    bounds = np.searchsorted(cols, np.arange(matrix.shape[1] + 1)).tolist()
+    rows = rows.tolist()
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -151,9 +152,10 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
     fits[forced] = False
     keep = np.array(order, dtype=np.intp)[fits[order]]
     labels = [problem.labels[j] for j in keep.tolist()]
-    opt_items = [problem.column_items[j] for j in keep.tolist()]
+    kept = np.take(problem.matrix, keep, axis=1)
+    opt_items = _column_items(kept)
     # bit j of col[it] is set when option j covers item it
-    bits = np.packbits(np.take(problem.matrix, keep, axis=1), axis=1, bitorder="little")
+    bits = np.packbits(kept, axis=1, bitorder="little")
     col = [int.from_bytes(row.tobytes(), "little") for row in bits]
     every = (1 << len(keep)) - 1
     not_col = [every ^ c for c in col]

@@ -16,7 +16,7 @@ the file's E lines and the cover options are numpy expressions over it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -35,8 +35,7 @@ class KMInstance:
     matrix[i, j] is the entry of row id row_ids[i] and column id
     col_ids[j]; both id lists ascend.  Row and column ids are orbit ids
     in their tables and survive pruning unchanged, so a column id always
-    names the same k-orbit.  pruned records (col_id, row_id, value)
-    witnesses for removed columns.
+    names the same k-orbit.
     """
 
     n: int
@@ -48,7 +47,6 @@ class KMInstance:
     col_ids: list[int]
     col_lengths: list[int]
     matrix: np.ndarray
-    pruned: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -155,26 +153,14 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
 def prune(inst: KMInstance) -> KMInstance:
     """Drop columns with any entry above lambda; they can join no solution.
 
-    Returns a new instance; removed columns are recorded with their
-    first violating (row, value) witness, the one of lowest row id.
+    Returns a new instance with the kept columns.
     """
-    top = inst.matrix.max(axis=0, initial=0)
-    dropped = np.flatnonzero(top > inst.lam)
-    over = inst.matrix[:, dropped]
-    # each dropped column's first over-lambda row (argmax takes no empty axis)
-    first = (over > inst.lam).argmax(axis=0) if dropped.size else dropped
-    witnesses = zip(
-        np.asarray(inst.col_ids)[dropped].tolist(),
-        np.asarray(inst.row_ids)[first].tolist(),
-        over[first, np.arange(dropped.size)].tolist(),
-    )
-    keep = top <= inst.lam
+    keep = inst.matrix.max(axis=0, initial=0) <= inst.lam
     return replace(
         inst,
         col_ids=np.asarray(inst.col_ids)[keep].tolist(),
         col_lengths=np.asarray(inst.col_lengths)[keep].tolist(),
         matrix=inst.matrix[:, keep],
-        pruned=inst.pruned + list(witnesses),
     )
 
 

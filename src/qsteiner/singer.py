@@ -15,8 +15,7 @@ a power of two 2^j, and detect() certifies that too.  Multiplying by 2^j
 modulo 2^n - 1 rotates the n bits of an exponent left by j places, so
 the label pass scales exponents by shifts and masks, with no division,
 and sorts each scaled set with a fixed compare-exchange network (Batcher's
-odd-even merge sort) on whole arrays, with no per-row sort, up to
-NETWORK_MAX_WIRES exponents per set (subspaces of dimension 7 or less).
+odd-even merge sort) on whole arrays, with no per-row sort.
 """
 
 from __future__ import annotations
@@ -27,16 +26,12 @@ from functools import cache
 import numpy as np
 
 from .gf2 import BitMatrix, mat_mul, mat_vec, mat_vec_bulk, rref_bulk, span_vectors_bulk
-from .subspace import Subspace, pack_keys_bulk
+from .subspace import Subspace, key_bits, key_order, pack_keys_bulk
 
 MAX_ENGINE_WIDTH = 24
 # Rows per batch of the label pass; the results do not depend on it, only
 # the size of the temporaries does.
 LABEL_BATCH_ROWS = 1 << 12
-# Largest exponent set (2^k - 1 entries) the label pass sorts with the
-# network; past it the network's O(m log^2 m) comparators, each a pass
-# over a whole batch, cost more than one row sort and a transposed copy.
-NETWORK_MAX_WIRES = 127
 
 
 def _power_table(s: BitMatrix) -> np.ndarray | None:
@@ -178,9 +173,7 @@ class SingerEngine:
         whole-array shifts write straight into those columns.  Each column
         is then sorted in place by Batcher's odd-even merge network over
         its m rows: a fixed list of compare-exchanges, each one minimum and
-        one maximum of two rows of ext (see _sorting_network).  Past
-        NETWORK_MAX_WIRES rows the images are built row-major instead,
-        sorted row by row and copied transposed into ext.
+        one maximum of two rows of ext (see _sorting_network).
 
         Rotation: sorting t*D once per slope gives every base point at
         once.  The candidate of the point at sorted position j is the
@@ -205,28 +198,20 @@ class SingerEngine:
         # fits in int32; rotating as (x & low) << j | x >> (n - j), where
         # low keeps the n - j bits that move up, never leaves n bits
         ext = np.empty((2 * m, cols), dtype=np.int32)
-        network = m <= NETWORK_MAX_WIRES
-        if network:  # image i is the column block ext[:m, i * num : ...]
-            src = np.ascontiguousarray(exps.T, dtype=np.int32)
-            images = ext[:m].reshape(m, len(shifts), num).transpose(1, 0, 2)
-        else:  # image i is (num, m), sorted along its rows
-            src = np.ascontiguousarray(exps, dtype=np.int32)
-            images = np.empty((len(shifts), num, m), dtype=np.int32)
+        # image i is the column block ext[:m, i * num : (i + 1) * num]
+        src = np.ascontiguousarray(exps.T, dtype=np.int32)
+        images = ext[:m].reshape(m, len(shifts), num).transpose(1, 0, 2)
         high = np.empty_like(src)
         for image, j in zip(images, shifts):
             np.bitwise_and(src, (1 << (self.n - j)) - 1, out=image)
             np.left_shift(image, j, out=image)
             np.right_shift(src, self.n - j, out=high)
             image |= high
-        if network:
-            low = np.empty(cols, dtype=np.int32)
-            for a, b in _sorting_network(m):
-                np.minimum(ext[a], ext[b], out=low)
-                np.maximum(ext[a], ext[b], out=ext[b])
-                ext[a] = low
-        else:
-            images.sort(axis=2)
-            ext[:m] = images.reshape(cols, m).T
+        low = np.empty(cols, dtype=np.int32)
+        for a, b in _sorting_network(m):
+            np.minimum(ext[a], ext[b], out=low)
+            np.maximum(ext[a], ext[b], out=ext[b])
+            ext[a] = low
         np.add(ext[:m], self.modulus, out=ext[m:])
         # value top of every candidate, one row per base point j and slope
         key = (ext[top : top + m] - ext[:m]).reshape(m * len(shifts), num)
@@ -353,9 +338,16 @@ class SingerEngine:
 def _distinct_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """(N, k) RREF rows with each subspace once, in ascending key order.
 
-    Equal keys mean identical rows, so an unstable sort of the keys does:
-    any row of a run of equal keys is the same row.
+    Keys that fit in 64 bits are sorted as integers, several times faster
+    than key_order, which orders the rows of wider keys.  Equal keys mean
+    identical rows, so an unstable sort does: any row of a run of equal
+    keys is the same row.
     """
+    if key_bits(n, rows.shape[1]) > 64:
+        rows = rows[key_order(rows)]
+        head = np.ones(len(rows), dtype=bool)
+        head[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        return rows[head]
     keys = pack_keys_bulk(rows, n)
     order = np.argsort(keys)
     keys = keys[order]

@@ -1,10 +1,22 @@
 """Shared fixtures; the expensive 13-dimensional objects are built once."""
 
+from pathlib import Path
+
 import pytest
 
+import qsteiner
 from qsteiner import fixtures
 from qsteiner.groups import orbit_partition
 from qsteiner.verify import expand_orbits, verify_design
+
+# pyproject.toml puts this checkout's src on sys.path; a qsteiner found
+# first elsewhere, an older install, would be tested in its place
+CHECKOUT = Path(__file__).resolve().parent.parent / "src" / "qsteiner"
+if Path(qsteiner.__file__).resolve().parent != CHECKOUT:
+    pytest.exit(
+        f"qsteiner was imported from {qsteiner.__file__}, not this checkout",
+        returncode=pytest.ExitCode.USAGE_ERROR,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -3,14 +3,14 @@
 This is the sparse form `qsteiner.kramer_mesner` used before it held the
 system as one dense uint8 matrix: entries live in a dict keyed by
 (row id, column id), and every operation walks that dict in Python.  The
-dense code must agree with it on entries, row sums, pruning witnesses,
+dense code must agree with it on entries, row sums, pruned columns,
 file bytes, parsed instances and cover options.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -29,7 +29,6 @@ class KMInstance:
 
     Row and column ids are orbit ids in their tables and survive
     pruning unchanged, so a column id always names the same k-orbit.
-    pruned records (col_id, row_id, value) witnesses for removed columns.
     """
 
     n: int
@@ -41,7 +40,6 @@ class KMInstance:
     col_ids: list[int]
     col_lengths: list[int]
     entries: dict[tuple[int, int], int]
-    pruned: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -104,20 +102,15 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
         col_ids=list(range(k_table.num_orbits)),
         col_lengths=list(k_table.lengths),
         entries=entries,
-        pruned=[],
     )
 
 
 def prune(inst: KMInstance) -> KMInstance:
     """Drop columns with any entry above lambda; they can join no solution.
 
-    Returns a new instance; removed columns are recorded with their
-    first violating (row, value) witness.
+    Returns a new instance with the kept columns.
     """
-    bad: dict[int, tuple[int, int]] = {}
-    for (rid, cid), val in sorted(inst.entries.items()):
-        if val > inst.lam and cid not in bad:
-            bad[cid] = (rid, val)
+    bad = {cid for (_rid, cid), val in inst.entries.items() if val > inst.lam}
     keep = [cid for cid in inst.col_ids if cid not in bad]
     keep_set = set(keep)
     return KMInstance(
@@ -136,8 +129,6 @@ def prune(inst: KMInstance) -> KMInstance:
             for (rid, cid), val in inst.entries.items()
             if cid in keep_set
         },
-        pruned=inst.pruned
-        + [(cid, rid, val) for cid, (rid, val) in sorted(bad.items())],
     )
 
 

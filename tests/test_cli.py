@@ -1,5 +1,6 @@
 """Command line interface: exit codes, file outputs, determinism."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -974,3 +975,34 @@ def test_readme_names_only_existing_flags(capsys):
             assert set(re.findall(flag, after)) <= helps[words[at]], line
             examples += 1
     assert examples
+
+
+def test_expand_takes_representatives_with_keys_wider_than_64_bits(tmp_path, capsys):
+    # a 6-subspace of GF(2)^14 has a 65-bit key
+    reps = str(tmp_path / "reps.txt")
+    first_six = np.array([[1 << i for i in range(6)]], dtype=np.uint64)
+    BlockSet(14, 6, first_six).save(reps)
+    code, out, err = run(
+        capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "14",
+        "--reps", reps,
+    )
+    assert code == 0, err
+    assert "expanded 1 orbits to 229362 distinct blocks (lengths [229362])" in out
+
+
+def test_bundled_pipeline_writes_the_pinned_block_file(tmp_path, capsys):
+    # the README's `expand --fixture paper-13 --fixture-solution`: 1,597,245
+    # blocks, 68,681,572 bytes
+    code, out, err = run(
+        capsys, "--out-dir", str(tmp_path), "expand", "--fixture", "paper-13",
+        "--fixture-solution",
+    )
+    assert code == 0, err
+    assert "expanded 15 orbits to 1597245 distinct blocks" in out
+    digest = hashlib.sha256()
+    with open(tmp_path / "blocks.txt", "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    assert digest.hexdigest() == (
+        "ce0ea98dbff6554c1a8867215ee5e97ce56f57bb267f40c2770d9979cf74c4f9"
+    )

@@ -689,17 +689,6 @@ def test_table_load_names_malformed_lines(tmp_path):
     with pytest.raises(FormatError, match=f"partition gives '{header_line} 60'"):
         OrbitTable.load(path, group=unordered)
     assert unordered.order == 60
-    # rows and lengths that no partition gives are refused when a table is built
-    table = orbit_partition(g, 2)
-    rows = table.rows.copy()
-    rows[1, 1] ^= rows[1, 0]
-    unreduced_message = "orbit 1: basis rows are not a reduced row echelon form"
-    for rows, lengths, message in (
-        (rows, [30, 5], unreduced_message),
-        (table.rows, [40, -5], "orbit 1: length -5 is not positive"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            OrbitTable(n=4, k=2, group=g, rows=rows, lengths=lengths)
     # a table of the zero subspace has no basis rows
     path = str(tmp_path / "orbits-k0.txt")
     orbit_partition(g, 0).save(path)

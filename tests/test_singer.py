@@ -6,7 +6,6 @@ import pytest
 import singer_reference
 from qsteiner.gf2 import rref_bulk
 from qsteiner.groups import singer_normalizer
-from qsteiner import singer
 from qsteiner.singer import _sorting_network
 from qsteiner.subspace import key_chunks
 
@@ -111,15 +110,7 @@ def test_normalizer_slopes_are_the_powers_of_two(n):
 
 
 
-def test_labels_match_oracle_past_the_network(monkeypatch):
-    # sets of more than NETWORK_MAX_WIRES exponents are sorted row by row:
-    # an 8-subspace has 255, and with the limit at 0 the n = 8
-    # representatives of every dimension take that path as well
+def test_labels_match_oracle_on_eight_dim_subspaces():
+    # an 8-subspace has 255 exponents, the widest sets the tests sort
     engine = singer_normalizer(10).engine()
     assert_matches_oracle(engine, random_rows(np.random.default_rng(10), 40, 8, 10))
-    monkeypatch.setattr(singer, "NETWORK_MAX_WIRES", 0)
-    engine = singer_normalizer(8).engine()
-    rows, _, _ = engine.partition(0, None)
-    for k in range(1, 6):
-        rows, _, _ = engine.partition(k, rows)
-        assert_matches_oracle(engine, rows)

@@ -13,7 +13,14 @@ from qsteiner import cli, gf2, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
 from qsteiner.gf2 import FormatError
 from qsteiner.groups import orbit, orbit_partition, singer_normalizer
-from qsteiner.subspace import Subspace, gaussian_binomial, key_chunks, span
+from qsteiner.subspace import (
+    Subspace,
+    gaussian_binomial,
+    key_bits,
+    key_chunks,
+    key_order,
+    span,
+)
 from subspace_reference import enumerate_subspaces, vectors
 from verify_reference import subspaces_of
 from qsteiner.verify import (
@@ -345,6 +352,26 @@ def test_expand_orbits_counts_and_rejects_mixed_dims():
     ):
         with pytest.raises(ValueError, match=message):
             expand_orbits(group, bad)
+
+
+def test_expand_orbits_with_keys_wider_than_64_bits():
+    # the key of a 6-subspace of GF(2)^14 takes 65 bits and that of a
+    # 7-subspace 66, so each orbit is put in key order by key_order; the
+    # block set that expand_orbits returns accepts the rows
+    group = singer_normalizer(14)
+    engine = group.engine()
+    assert (key_bits(14, 6), key_bits(14, 7)) == (65, 66)
+    first_six = np.array([[1 << i for i in range(6)]], dtype=np.uint64)
+    # the subfield GF(2^7): 0 and the powers of a^129, a primitive element,
+    # whose first seven powers are a basis; its 129 translates a^c GF(2^7)
+    # are its orbit, as the Frobenius maps fix it
+    subfield, _ = gf2.rref_bulk(engine.exptable[129 * np.arange(7)][None])
+    for reps in (first_six, subfield):
+        _, stab = engine.labels_and_stabilizers(engine.rows_to_exps(reps))
+        blocks, lengths = expand_orbits(group, reps)
+        assert lengths == [engine.order // int(stab[0])] == [blocks.num_blocks]
+        assert np.array_equal(key_order(blocks.blocks), np.arange(blocks.num_blocks))
+    assert lengths == [129]
 
 
 def test_spread_verifies_as_1_design():
@@ -722,6 +749,31 @@ def test_derived_check_asserts_a_one_to_one_index(monkeypatch):
         monkeypatch.setattr(verify, "KEY_CHUNK_BLOCKS", chunk)
         with pytest.raises(AssertionError, match="not one-to-one"):
             derived_steiner_sample_check(blocks, liar, samples=10)
+
+
+def test_derived_check_names_triples_outside_their_covering_block(monkeypatch):
+    # each sampled line is said to lie in the next block, which holds it
+    # in no 2-(6, 2, 1) design: the containment of the three difference
+    # vectors fails, and the examples are sampled triples
+    blocks = all_subspace_blocks(6, 2)
+    report = verify_design(blocks, 2, 1)
+    counts = verify._coverage_counts
+
+    def next_block(*args):
+        got, hits = counts(*args)
+        return got, [(ranks, (held + 1) % blocks.num_blocks) for ranks, held in hits]
+
+    monkeypatch.setattr(verify, "_coverage_counts", next_block)
+    stats = derived_steiner_sample_check(blocks, report, samples=500, seed=5)
+    rng, drawn, done = np.random.default_rng(5), set(), 0
+    while done < 500:  # the check's draws
+        x, y, z = (rng.integers(0, 64, size=500 - done, dtype=np.uint64) for _ in "xyz")
+        keep = (x != y) & (x != z) & (y != z)
+        drawn |= set(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
+        done += int(keep.sum())
+    assert stats["failures"] > 0
+    assert 0 < len(stats["examples"]) <= 10
+    assert set(stats["examples"]) <= drawn
 
 
 def test_certificates_name_what_a_false_report_hides():
