@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gf2 import FormatError, reading
-from .kramer_mesner import KMInstance, _checksum
+from .kramer_mesner import KMInstance, checksum
 
 
 @dataclass(eq=False)
@@ -265,7 +265,7 @@ def from_km(inst: KMInstance) -> CoverProblem:
     if not used.all():
         labels, matrix = np.asarray(labels)[used].tolist(), matrix[:, used]
     return CoverProblem(
-        list(inst.row_ids), labels, matrix, inst.lam, checksum=_checksum(inst)
+        list(inst.row_ids), labels, matrix, inst.lam, checksum=checksum(inst)
     )
 
 

@@ -8,7 +8,6 @@ M @ v, and bit j of a text row is column j.  Widths up to 64 bits.
 
 from __future__ import annotations
 
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -298,18 +297,8 @@ def format_matrix(m: BitMatrix) -> str:
     return format_rows(np.array(m.rows, dtype=np.uint64), m.ncols).tobytes().decode()
 
 
-# Least characters per slice of the bulk parse; the result does not depend
-# on it, only the size of the temporaries does.
-PARSE_CHUNK_CHARS = 1 << 20
-_EMPTY_LINE = re.compile("\n\r?\n")  # a line end, then an empty line
-
-# ASCII character classes: line end (str.splitlines), space (str.strip), 0/1
-_BREAK, _SPACE, _BIT = 1, 2, 4
-_ASCII_CLASS = np.zeros(128, dtype=np.uint8)
-_ASCII_CLASS[[0x09, 0x1F, 0x20]] = _SPACE
-_ASCII_CLASS[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = _BREAK | _SPACE
-_ASCII_CLASS[[ord("0"), ord("1")]] = _BIT
-_UNICODE_BREAKS = (0x85, 0x2028, 0x2029)
+# Characters per piece of the line reader; no result depends on it.
+_PIECE_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -326,101 +315,86 @@ class MatrixRows:
     lines: np.ndarray  # (M,) int64
 
 
-def _char_classes(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """(code points, class bits) of every character of text."""
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        return codes, _ASCII_CLASS[codes]
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    classes = _ASCII_CLASS[np.minimum(codes, 0x7F)]  # DEL (0x7F) has no class
-    wide = np.unique(codes[codes > 0x7F]).tolist()
-    classes[np.isin(codes, [c for c in wide if chr(c).isspace()])] = _SPACE
-    classes[np.isin(codes, _UNICODE_BREAKS)] |= _BREAK
-    return codes, classes
+def _layout_rows(text: str) -> MatrixRows | None:
+    """The matrices of a text laid out as BlockSet.save writes it, else None.
 
-
-def _parse_slice(text: str, base: int) -> tuple:
-    """The matrices of one slice of whole lines, which follows base lines
-    of the text and continues no matrix of theirs.
-
-    A line's row is its text up to the first '#', stripped; a blank line
-    without '#' ends a matrix.  Returns the number of lines, the row
-    values, and for each matrix its first row's index into them, its
-    width and its 1-based line.  FormatError names the first bad line.
+    That layout is an optional single '#' line, then matrices of one
+    height H and one width W <= MAX_WIDTH: each row is W characters 0/1
+    and a line end, and a line end follows each matrix.  Such a text is
+    reshaped to (B, H, W + 1) characters and read one column at a time.
     """
-    # "\r\n" is one line end; as "\n" every line end is one character
-    codes, classes = _char_classes(text.replace("\r\n", "\n"))
-    size = codes.size
-    ends = np.flatnonzero(classes & _BREAK)
-    starts = np.concatenate(([0], ends + 1))
-    if starts[-1] == size:
-        starts = starts[:-1]
-    else:  # text after the last line end is a line too
-        ends = np.append(ends, size)
-    hashes = np.flatnonzero(codes == ord("#"))
-    hash_at = np.append(hashes, size)[np.searchsorted(hashes, starts)]
-    cut = np.minimum(hash_at, ends)
-    solid = np.flatnonzero((classes & _SPACE) == 0)
-    solid_end = np.append(solid, size)
-    first = solid_end[np.searchsorted(solid, starts)]
-    has_row = first < cut
-    blank = np.flatnonzero(~has_row & (hash_at >= ends))
-    row = np.flatnonzero(has_row)
-    first = first[row]
-    last = solid_end[np.searchsorted(solid, cut[row]) - 1]
-    other = np.flatnonzero((classes & _BIT) == 0)
-    bad = np.append(other, size)[np.searchsorted(other, first)] <= last
-    width = last - first + 1
-    ones = codes == ord("1")
-    value = np.zeros(row.size, dtype=np.uint64)
-    for j in range(min(int(width.max(initial=0)), MAX_WIDTH)):
-        bit = ones[np.minimum(first + j, size - 1)] & (width > j)
-        value |= bit.astype(np.uint64) << np.uint64(j)
-    # a row opens a matrix when a blank line lies between it and the row before
-    gaps = np.searchsorted(blank, row)
-    opens = np.ones(row.size, dtype=bool)
-    opens[1:] = gaps[1:] != gaps[:-1]
-    heads = np.flatnonzero(opens)
-    matrix_width = width[heads][np.cumsum(opens) - 1]
-    wrong = width != matrix_width
-    wide = width > MAX_WIDTH
-    errors = np.flatnonzero(bad | wrong | wide)
-    if errors.size:
-        i = errors[0]
-        where = f"line {base + row[i] + 1}"
-        if bad[i]:
-            raise FormatError(f"{where}: expected a row of 0/1 characters")
-        if wrong[i]:
-            raise FormatError(
-                f"{where}: row width {width[i]} != matrix width {matrix_width[i]}"
-            )
-        raise FormatError(f"{where}: width {width[i]} exceeds {MAX_WIDTH}")
-    return starts.size, value, heads, width[heads], base + row[heads] + 1
+    start = text.find("\n") + 1 if text.startswith("#") else 0
+    if not text.isascii() or len(text[:start].splitlines()) > 1:
+        return None  # a '#' line that str.splitlines would split
+    width = text.find("\n", start) - start
+    height = (text.find("\n\n", start) + 1 - start) // (max(width, 0) + 1)
+    size = height * (width + 1) + 1  # characters per matrix
+    if not 0 < width <= MAX_WIDTH or height < 1 or (len(text) - start) % size:
+        return None
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)[start:].reshape(-1, size)
+    grid = chars[:, :-1].reshape(len(chars), height, width + 1)
+    if np.any(chars[:, -1] != 10) or np.any(grid[:, :, width] != 10):
+        return None
+    octets = np.zeros((len(chars), height, 8), dtype=np.uint8)  # bit j: byte j // 8
+    for j in range(width):
+        column = grid[:, :, j]
+        if np.any((column ^ 0x30) > 1):  # neither '0' (0x30) nor '1' (0x31)
+            return None
+        octets[:, :, j >> 3] |= (column & 1) << (j & 7)
+    del chars, grid, column  # free the encoded text before the index arrays
+    index = np.arange(len(octets) + 1, dtype=np.int64)
+    return MatrixRows(
+        octets.view("<u8").reshape(-1),
+        index * height,
+        np.full(len(octets), width, dtype=np.int64),
+        index[:-1] * (height + 1) + (2 if start else 1),
+    )
+
+
+def _line_rows(text: str) -> MatrixRows:
+    """The matrices of any text by the rules of the text format above,
+    read a piece of whole lines at a time: no object is held per line of
+    the whole text.  FormatError names the first bad line."""
+    rows = [np.zeros(0, dtype=np.uint64)]
+    matrices = [np.zeros((3, 0), dtype=np.int64)]  # first row, width, line
+    width = line = num_rows = pos = 0  # width of the open matrix, 0 if none
+    while pos < len(text):
+        end = text.find("\n", pos + _PIECE_CHARS) + 1 or len(text)
+        values, heads = [], []
+        for raw in text[pos:end].splitlines():
+            line += 1
+            row, comment, _ = raw.partition("#")
+            row = row.strip()
+            if not row:
+                if not comment:
+                    width = 0
+                continue
+            if row.strip("01"):
+                raise FormatError(f"line {line}: expected a row of 0/1 characters")
+            if width and len(row) != width:
+                raise FormatError(
+                    f"line {line}: row width {len(row)} != matrix width {width}"
+                )
+            if len(row) > MAX_WIDTH:
+                raise FormatError(f"line {line}: width {len(row)} exceeds {MAX_WIDTH}")
+            if not width:
+                width = len(row)
+                heads.append((num_rows + len(values), width, line))
+            values.append(int(row[::-1], 2))
+        num_rows += len(values)
+        rows.append(np.array(values, dtype=np.uint64))
+        matrices.append(np.array(heads, dtype=np.int64).reshape(-1, 3).T)
+        pos = end
+    heads, widths, lines = np.concatenate(matrices, axis=1)
+    return MatrixRows(np.concatenate(rows), np.append(heads, num_rows), widths, lines)
 
 
 def parse_matrix_rows(text: str) -> MatrixRows:
-    """Parse every matrix block in text at once; see parse_matrix_text.
-
-    The text is read in slices of at least PARSE_CHUNK_CHARS characters,
-    each cut just before an empty line, so no matrix spans two slices and
-    each slice is reduced to its matrices before the next is scanned.  No
-    per-line Python object is built.  FormatError names the first bad
-    line, with the message the per-line rules give it.
-    """
-    parts = []
-    pos = base = num_rows = 0  # the slice's first character, lines and rows before it
-    while True:
-        found = _EMPTY_LINE.search(text, pos + PARSE_CHUNK_CHARS)
-        end = found.start() + 1 if found else len(text)
-        num_lines, value, head, width, line = _parse_slice(text[pos:end], base)
-        parts.append((value, head + num_rows, width, line))
-        base += num_lines
-        num_rows += value.size
-        if end == len(text):
-            break
-        pos = end
-    values, heads, widths, lines = (np.concatenate(p) for p in zip(*parts))
-    return MatrixRows(values, np.append(heads, num_rows), widths, lines)
+    """Every matrix of text (see parse_matrix_text) as flat arrays: a text
+    laid out as BlockSet.save writes it is converted whole (see _layout_rows),
+    any other read line by line.  FormatError names the first bad line."""
+    rows = _layout_rows(text)
+    return _line_rows(text) if rows is None else rows
 
 
 def parse_matrix_text(text: str) -> list[BitMatrix]:

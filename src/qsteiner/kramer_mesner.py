@@ -15,13 +15,14 @@ the file's E lines and the cover options are numpy expressions over it.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-from .gf2 import _SPACE, FormatError, _char_classes, reading
+from .gf2 import FormatError, reading
 from .groups import OrbitTable, group_hash
 from .subspace import gaussian_binomial, subspaces_of_bulk
 
@@ -179,7 +180,8 @@ _WIDTHS = np.array([7, 3, 3, 4, 2])
 _WRITE_SLICE = 1 << 16  # lines per string when records are written
 
 
-def _checksum(inst: KMInstance) -> int:
+def checksum(inst: KMInstance) -> int:
+    """The X line of inst's file: the sum of every integer above it, mod 2^32."""
     total = inst.n + inst.t + inst.k + inst.lam + len(inst.row_ids) + len(inst.col_ids)
     total += sum(inst.row_ids) + sum(inst.row_lengths)
     total += sum(inst.col_ids) + sum(inst.col_lengths)
@@ -205,7 +207,7 @@ def _km_lines(inst: KMInstance) -> Iterator[str]:
         for a in range(0, len(columns[0]), _WRITE_SLICE):  # one % per slice
             flat = np.stack([c[a : a + _WRITE_SLICE] for c in columns], axis=1)
             yield line * len(flat) % tuple(flat.ravel().tolist())
-    yield f"X {_checksum(inst)}\n"
+    yield f"X {checksum(inst)}\n"
 
 
 def format_km(inst: KMInstance) -> str:
@@ -225,99 +227,71 @@ def _reject(records: np.ndarray, bad: np.ndarray, message: str) -> None:
         raise FormatError(("line {0}: " + message).format(*records[bad.argmax()]))
 
 
-def _scan_records(text: str) -> tuple:
-    """The header and the R, C, E and X records, as int64 arrays of (line
-    number, fields...) rows, of a KM text read in bulk (see parse_km)."""
-    if "\r" in text:  # line ends as io.StringIO(newline=None) reads them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    text = re.sub(r"#[^\n]*", "", text) if "#" in text else text
-    codes, classes = _char_classes(text)
-    size, idx = codes.size, np.int32 if codes.size < 2**31 else np.int64
-    # solid[i]: character i is in a field; False before and after the text
-    content = np.zeros(size + 3, dtype=bool)
-    np.equal(classes & _SPACE, 0, out=content[1:-2])
-    solid = content[1:]
-    del classes
-    # field starts and line ends in text order; the first field of a line
-    ev = np.flatnonzero((content[1:-2] > content[:-3]) | (codes == 10)).astype(idx)
-    ends = codes[ev] == 10
-    pos, tag_ev = ev[~ends], np.flatnonzero(~ends & np.append(True, ends[:-1]))
-    lineno = np.cumsum(ends, dtype=idx)[tag_ev] + 1
-    del ev, ends
-    # per line with fields: its tag's field index and position, its field
-    # count with the tag, and its record type code (-1: unknown)
-    ti = (tag_ev - lineno + 1).astype(idx)
-    tp, nfields = pos[ti], np.diff(ti, append=pos.size)
-    one_char, lead = ~solid[tp + 1], codes[tp]
-    kind = np.full(tp.size, -1, dtype=np.int8)
-    for code, tag in enumerate(_TAGS[1:], start=1):
-        kind[one_char & (lead == ord(tag))] = code
-    second = codes[np.minimum(tp + 1, size - 1)] == ord("M")
-    kind[(lead == ord("K")) & ~one_char & second & ~solid[tp + 2]] = 0
+# a KM text exactly as _km_lines writes it, with the R, C and E lines as
+# groups 1-3; possessive repeats keep no backtracking state per line
+_FIELD = " [0-9]{1,18}"
+_KM_LAYOUT = re.compile(
+    f"KM(?:{_FIELD}){{6}}\n((?:R{_FIELD * 2}\n)*+)((?:C{_FIELD * 2}\n)*+)"
+    f"((?:E{_FIELD * 3}\n)*+)X{_FIELD}\n"
+)
+_BLANK_TAGS = bytes.maketrans(b"KMRCEX", b"      ")
 
-    def field(p: int) -> str:
-        return text[p : p + int(np.argmin(solid[p:]))]
 
-    # the fields alone, tags blanked as all else, by arithmetic (a masked
-    # copy is several times slower)
-    ones = solid[:size].view(np.uint8)
-    buf = codes * ones | (ones ^ 1) << 5
-    buf[tp] = buf[tp[kind == 0] + 1] = 32
-    del codes, ones
-    # a field is [+-]digits with single '_' between digits, as int() reads
-    # it: only characters other than digits and spaces need a look, and
-    # fields of 19 characters or more, which may not fit int64
-    zero = buf.dtype.type(ord("0"))
-    odd = np.flatnonzero((buf - zero > 9) & (buf != 32))
-    c, before = buf[odd], buf[np.maximum(odd - 1, 0)]
-    ok = ((c == ord("+")) | (c == ord("-"))) & (before == 32)
-    ok |= (c == ord("_")) & (before - zero < 10)
-    ok &= buf[np.minimum(odd + 1, size - 1)] - zero < 10
-    wide = np.flatnonzero(np.diff(pos, append=size) > 18)
-    wide = wide[solid[pos[wide] + 18]]
-    suspect = np.union1d(np.searchsorted(pos, odd[~ok], side="right") - 1, wide)
-    # faults by line in two passes (see parse_km): lines with an unknown
-    # or repeated tag or a wrong field count, and the header's fields;
-    # then the fields of the R, C, E and X records in turn
-    repeat = np.cumsum(kind == 0) > 1
-    bad = np.flatnonzero((kind < 0) | (nfields != _WIDTHS[kind]) | repeat)
-    line = np.concatenate((bad, np.searchsorted(ti, suspect, side="right") - 1))
-    at = np.concatenate((ti[bad], suspect))
-    step = np.where(np.arange(line.size) < bad.size, 0, np.maximum(kind[line], 0))
-    for i in np.lexsort((at, step)).tolist():
-        j, where = line[i], f"line {lineno[line[i]]}: "
-        if i < bad.size:
-            tag = _TAGS[kind[j]] if kind[j] >= 0 else field(tp[j])
-            raise FormatError(where + (
-                f"unknown record '{tag}'" if kind[j] < 0
-                else f"{tag} record needs {_WIDTHS[kind[j]] - 1} integers" if kind[j]
-                else "duplicate header" if repeat[j]
-                else "header needs 6 integers"
-            ))
-        value = field(pos[at[i]])
+def _layout_records(text: str) -> tuple[list, list] | None:
+    """The line numbers and the fields of each record type of a KM text
+    laid out as _km_lines writes it, else None: one conversion in all."""
+    layout = _KM_LAYOUT.fullmatch(text)
+    if layout is None:
+        return None
+    counts = np.array([1, *(text.count("\n", *layout.span(g)) for g in (1, 2, 3)), 1])
+    values = np.fromstring(text.encode().translate(_BLANK_TAGS), np.int64, sep=" ")
+    lines = np.split(np.arange(1, counts.sum() + 1), np.cumsum(counts)[:-1])
+    return lines, np.split(values, np.cumsum(counts * (_WIDTHS - 1))[:-1])
+
+
+def _line_records(text: str) -> tuple[list, list]:
+    """The line numbers and the fields of each record type of any KM text,
+    read line by line in the two passes that parse_km describes."""
+    lines: list[list[int]] = [[] for _ in _TAGS]
+    fields: list[list[str]] = [[] for _ in _TAGS]
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        kind = _TAGS.index(parts[0]) if parts[0] in _TAGS else -1
+        if kind < 0:
+            raise FormatError(f"line {lineno}: unknown record '{parts[0]}'")
+        if kind == 0 and lines[0]:
+            raise FormatError(f"line {lineno}: duplicate header")
+        if len(parts) != _WIDTHS[kind]:
+            need = f"{parts[0]} record needs" if kind else "header needs"
+            raise FormatError(f"line {lineno}: {need} {_WIDTHS[kind] - 1} integers")
+        if kind == 0:
+            _to_int64(parts[1:], [lineno] * 6)
+        lines[kind].append(lineno)
+        fields[kind] += parts[1:]
+    return [np.array(ln, dtype=np.int64) for ln in lines], [
+        _to_int64(f, np.repeat(ln, w - 1)) for ln, f, w in zip(lines, fields, _WIDTHS)
+    ]
+
+
+def _to_int64(fields: list[str], lines) -> np.ndarray:
+    """The fields as int64, read as int() reads them; FormatError names the
+    line of the first field that int() refuses, that does not fit int64,
+    or that holds a non-ASCII digit."""
+    if "".join(fields).isascii():
         try:
-            np.array([value], dtype=np.int64)
+            return np.array(fields, dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+    for field, line in zip(fields, lines):
+        try:
+            np.array([field], dtype=np.int64)
         except (ValueError, OverflowError) as exc:
-            raise FormatError(f"{where}{exc}") from exc
-        if not value.isascii():
-            raise FormatError(f"{where}non-ASCII digits in {value!r}")
-    del content, solid, pos
-    if (buf == ord("_")).any():  # int() drops the separators; so can we
-        buf = buf[buf != ord("_")]
-    nint = nfields - 1
-    # as bytes, whose closing NUL stops the C parser; spaces alone read as [0]
-    buf = buf.astype(np.uint8, copy=False).tobytes() if nint.sum() else b""
-    values = np.fromstring(buf, dtype=np.int64, sep=" ")
-    del buf
-    if values.size != nint.sum():
-        raise AssertionError("integer field count is off")
-    first, records = np.cumsum(nint) - nint, []
-    for code in range(5):
-        sel = kind == code
-        fields = [values[first[sel] + f] for f in range(_WIDTHS[code] - 1)]
-        records.append(np.column_stack([lineno[sel].astype(np.int64), *fields]))
-    header = records.pop(0)[:, 1:]
-    return header[0].tolist() if len(header) else None, *records
+            raise FormatError(f"line {line}: {exc}") from exc
+        if not field.isascii():
+            raise FormatError(f"line {line}: non-ASCII digits in {field!r}")
+    raise AssertionError("no field at fault")
 
 
 def parse_km(text: str) -> KMInstance:
@@ -327,15 +301,21 @@ def parse_km(text: str) -> KMInstance:
     str.split splits; fields take ASCII digits only.  The first fault is
     named by three passes in turn, each by line: unknown or repeated tags,
     wrong field counts and bad header fields; bad fields of the R, then C,
-    E and X records; then the value checks below.
+    E and X records; then the value checks below.  A text laid out
+    exactly as format_km writes it is converted at once; any other is read
+    line by line.
     """
-    header, rows, cols, ents, xs = _scan_records(text)
+    lines, fields = _layout_records(text) or _line_records(text)
+    header, rows, cols, ents, xs = (
+        np.column_stack([ln, f.reshape(len(ln), w - 1)])
+        for ln, f, w in zip(lines, fields, _WIDTHS)
+    )
     _reject(ents, ents[:, 3] <= 0, "entries must be positive")
     _reject(ents, ents[:, 3] > 255, "entry {3} is above 255")
     _reject(xs, np.arange(len(xs)) > 0, "duplicate X line")
-    if header is None:
+    if not len(header):
         raise FormatError("missing KM header")
-    n, t, k, lam, nrows, ncols = header
+    n, t, k, lam, nrows, ncols = header[0, 1:].tolist()
     for recs, count, noun, name in (
         (rows, nrows, "rows", "row"),
         (cols, ncols, "cols", "column"),
@@ -369,7 +349,7 @@ def parse_km(text: str) -> KMInstance:
     )
     if not len(xs):
         raise FormatError("missing X checksum line")
-    actual = _checksum(inst)
+    actual = checksum(inst)
     if actual != xs[0, 1]:
         raise FormatError(
             f"checksum mismatch: file says {xs[0, 1]}, content sums to {actual}"

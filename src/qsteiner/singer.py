@@ -221,14 +221,14 @@ class SingerEngine:
         cand -= cand[:, :1]
         words = self._pack_words(cand)
         labels = np.empty((num, len(words)), dtype=np.uint64)
-        for i in range(len(words)):
+        tied = np.arange(row.size)  # the candidates that reach every least word so far
+        for i, word in enumerate(words):
+            word, rows = word[tied], row[tied]
             least = np.full(num, np.iinfo(np.uint64).max, dtype=np.uint64)
-            np.minimum.at(least, row, words[i])
-            keep = words[i] == least[row]
-            row = row[keep]
-            words = [w[keep] for w in words]
+            np.minimum.at(least, rows, word)
+            tied = tied[word == least[rows]]
             labels[:, i] = least
-        return labels, np.bincount(row, minlength=num)
+        return labels, np.bincount(row[tied], minlength=num)
 
     def orbit_size(self, u: Subspace) -> int:
         """|G| / |stabilizer|, counting affine maps that fix the exponent set.

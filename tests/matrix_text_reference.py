@@ -1,11 +1,14 @@
 """The per-line matrix text parser and the per-block subspace reader,
-kept as the oracles of the bulk readers.
+kept as the oracles of the package's readers.
 
-parse_matrix_text is the loop that gf2.parse_matrix_text ran before the
-parse moved to numpy (gf2.parse_matrix_rows).  The bulk parser must
-return the same matrices, or raise FormatError with the same message, on
-every input.  parse_subspaces is the reader that built one Subspace per
-block before subspace.parse_subspaces reduced every block at once.
+numbered_matrices holds the rules of the 0/1 text format in their
+plainest form: one pass over str.splitlines of the whole text.
+gf2.parse_matrix_rows keeps them in two paths, a whole-array conversion
+of text laid out as BlockSet.save writes it and a line reader for any
+other text, and each must return the same matrices, or raise FormatError
+with the same message, on every input.  parse_subspaces is the reader
+that built one Subspace per block before subspace.parse_subspaces
+reduced every block at once.
 """
 
 from __future__ import annotations

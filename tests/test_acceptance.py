@@ -29,7 +29,7 @@ from qsteiner.groups import (
     orbit_partition,
     singer_normalizer,
 )
-from qsteiner.kramer_mesner import _checksum, build_km, format_km, parse_km, prune
+from qsteiner.kramer_mesner import build_km, checksum, format_km, parse_km, prune
 from qsteiner.subspace import gaussian_binomial, span
 from subspace_reference import contains_subspace, enumerate_subspaces, vectors
 from qsteiner.verify import (
@@ -138,7 +138,7 @@ def test_criterion_03_km_dimensions(km_state):
         assert (back.n, back.t, back.k, back.lam) == (km.n, km.t, km.k, km.lam)
         assert (back.row_ids, back.row_lengths) == (km.row_ids, km.row_lengths)
         assert (back.col_ids, back.col_lengths) == (km.col_ids, km.col_lengths)
-        assert _checksum(back) == _checksum(km)
+        assert checksum(back) == checksum(km)
 
 
 def test_criterion_04_design_certification_without_solver():

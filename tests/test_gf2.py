@@ -39,6 +39,7 @@ from qsteiner.gf2 import (
 )
 from qsteiner.fixtures import generator_f, generator_s
 from qsteiner.subspace import span
+from qsteiner.verify import BlockSet
 from subspace_reference import vectors
 
 
@@ -291,27 +292,21 @@ def _parse_or_error(parse, text):
         return f"FormatError: {exc}"
 
 
-def test_bulk_parse_matches_per_line_parser(monkeypatch):
+def test_bulk_parse_matches_per_line_parser():
     rng = random.Random(2024)
     outcomes = set()
     for case in range(1500):
         text = random_matrix_text(rng)
-        # slices of every size, down to one character, split the text
-        # anywhere a line ends
-        chunk = rng.choice([1, 3, 17, 64, gf2.PARSE_CHUNK_CHARS])
-        with monkeypatch.context() as m:
-            m.setattr(gf2, "PARSE_CHUNK_CHARS", chunk)
-            got = _parse_or_error(parse_matrix_text, text)
+        got = _parse_or_error(parse_matrix_text, text)
         want = _parse_or_error(matrix_text_reference.parse_matrix_text, text)
-        assert got == want, (case, chunk, text)
+        assert got == want, (case, text)
         if isinstance(got, str):
             got = got.rsplit(": ", 1)[1].split()[0]  # the fault's first word
         outcomes.add(got if isinstance(got, str) else "ok")
     # valid texts and all three faults (bad character, ragged, too wide)
     assert outcomes == {"ok", "expected", "row", "width"}
-    # slices are cut just before an empty line: line ends of every kind
-    # around one, blank lines that are not empty, comments beside one, and
-    # a fault on either side of a cut
+    # line ends of every kind around an empty line, blank lines that are
+    # not empty, comments beside one, and a fault on either side of one
     edges = [
         "101\r\n011\r\n\r\n11\r\n10\r\n\r\n\r\n1\r\n",
         "101\r\n\n011\n\r\n\r\n11\r\r\n10\n\n",
@@ -325,10 +320,7 @@ def test_bulk_parse_matches_per_line_parser(monkeypatch):
     ]
     for text in edges:
         want = _parse_or_error(matrix_text_reference.parse_matrix_text, text)
-        for chunk in range(1, 9):
-            with monkeypatch.context() as m:
-                m.setattr(gf2, "PARSE_CHUNK_CHARS", chunk)
-                assert _parse_or_error(parse_matrix_text, text) == want, (chunk, text)
+        assert _parse_or_error(parse_matrix_text, text) == want, text
 
 
 def test_format_rows_writes_each_bit_and_stays_near_its_output():
@@ -356,17 +348,16 @@ def test_format_rows_writes_each_bit_and_stays_near_its_output():
     assert peak < 8
 
 
-def test_bulk_parse_memory_stays_near_its_output(monkeypatch):
-    # each slice is reduced to its matrices before the next is read, so
-    # the traced peak is set by the outputs, not by per-row arrays of the
-    # whole text
+def test_bulk_parse_memory_stays_near_its_output():
+    # a text as BlockSet.save lays it out is read one character column at
+    # a time, so the traced peak is set by the outputs, not by per-row
+    # arrays of the whole text
     rng = np.random.default_rng(3)
     values = rng.integers(0, 1 << 13, size=(100_000, 3), dtype=np.uint64)
     rows = format_rows(values, 13).reshape(100_000, -1)
     blank = np.full((100_000, 1), ord("\n"), dtype=np.uint8)
     text = np.concatenate([rows, blank], axis=1).tobytes().decode()
     assert len(text) >= 4 * 10**6
-    monkeypatch.setattr(gf2, "PARSE_CHUNK_CHARS", 2**16)
     tracemalloc.start()
     try:
         parsed = parse_matrix_rows(text)
@@ -388,6 +379,92 @@ def test_bulk_parse_reports_spans_widths_and_lines():
     assert parsed.lines.tolist() == [2, 6, 10]
     empty = parse_matrix_rows("# nothing\n\n")
     assert empty.values.size == 0 and empty.starts.tolist() == [0]
+
+
+def saved_block_text(tmp_path, rng, n, k, num):
+    """The text BlockSet.save writes for num random k-subspaces of GF(2)^n."""
+    rows = rng.integers(0, 2**64 - 1, (4 * num, k), dtype=np.uint64, endpoint=True)
+    rows >>= np.uint64(64 - n)
+    red, ranks = rref_bulk(rows)
+    red = np.unique(red[ranks == k], axis=0)[:num]
+    BlockSet(n, k, red).save(tmp_path / "blocks.txt")
+    return (tmp_path / "blocks.txt").read_text()
+
+
+def numbered_matrices(text):
+    """parse_matrix_rows as the oracle's (first line, matrix) pairs."""
+    parsed = parse_matrix_rows(text)
+    values, bounds = parsed.values.tolist(), parsed.starts.tolist()
+    return [
+        (line, BitMatrix(tuple(values[a:b]), width))
+        for line, a, b, width in zip(
+            parsed.lines.tolist(), bounds, bounds[1:], parsed.widths.tolist()
+        )
+    ]
+
+
+def same_as_reference(text):
+    """Whether both readers give text the same matrices, lines or fault."""
+    want = _parse_or_error(matrix_text_reference.numbered_matrices, text)
+    return _parse_or_error(numbered_matrices, text) == want
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (13, 1), (13, 3), (64, 1), (64, 3)])
+def test_saved_block_text_takes_the_layout_path(tmp_path, monkeypatch, n, k):
+    # a layout path that never fired would pass every comparison below
+    text = saved_block_text(tmp_path, np.random.default_rng(n + k), n, k, 40)
+    cases = (text, text.split("\n", 1)[1])  # with and without the header
+    want = [matrix_text_reference.numbered_matrices(case) for case in cases]
+    monkeypatch.setattr(gf2, "_line_rows", None)  # the line path cannot run
+    assert [numbered_matrices(case) for case in cases] == want
+
+
+def test_edited_block_texts_read_as_the_per_line_rules_read_them(tmp_path):
+    rng = random.Random(30)
+    nrng = np.random.default_rng(30)
+    texts = [
+        saved_block_text(tmp_path, nrng, n, k, 6)
+        for n, k in ((1, 1), (3, 2), (13, 3), (64, 2))
+    ]
+    layouts = 0
+    for case in range(1500):
+        text = rng.choice(texts)
+        if rng.random() < 0.3:
+            text = text.split("\n", 1)[1]
+        j = rng.randrange(len(text) + 1)
+        char = rng.choice("01\n \t#\r\x0b\x0c\x1c\x85x2")
+        edits = (char + text[j:], char + text[j + 1 :], text[j + 1 :])
+        text = text[:j] + rng.choice(edits)
+        layouts += gf2._layout_rows(text) is not None
+        assert same_as_reference(text), (case, text)
+    assert 20 <= layouts <= 1480, layouts
+    # head lines that are not one '#' line, and no blank line at the end
+    for text in texts:
+        body = text.split("\n", 1)[1]
+        for case in (
+            "#\x0b1\n" + body,
+            "# a\x0b\n" + body,
+            "# one\n# two\n" + body,
+            text[:-1],
+            body[:-1],
+        ):
+            assert gf2._layout_rows(case) is None
+            assert same_as_reference(case), case
+
+
+def test_line_reader_carries_matrices_and_lines_across_its_pieces(tmp_path):
+    # CRLF line ends take the line path; at over 2 MiB the text is read in
+    # several pieces, whose cuts must not split a matrix or its numbering
+    text = saved_block_text(tmp_path, np.random.default_rng(9), 13, 3, 60_000)
+    crlf = text.replace("\n", "\r\n")
+    assert len(crlf) > 2 * 2**20 and gf2._layout_rows(crlf) is None
+    want, got = parse_matrix_rows(text), parse_matrix_rows(crlf)
+    for field in ("values", "starts", "widths", "lines"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    last = crlf.rindex("0")
+    line = crlf.count("\n", 0, last) + 1
+    with pytest.raises(FormatError, match=rf"^line {line}: expected a row"):
+        parse_matrix_rows(crlf[:last] + "x" + crlf[last + 1 :])
 
 
 def test_popcount_and_rref_bulk_match_scalar():

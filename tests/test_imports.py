@@ -1,5 +1,6 @@
 """The package imports only the standard library, numpy and itself, the
-per-object Subspace stays out of the array pipeline, one reader opens
+per-object Subspace stays out of the array pipeline, no module reaches
+another's private names, one reader opens
 every input file, only the orbit partitions build orbit tables, every
 counter increment takes numpy's fast path, every public name resolves,
 and every name the benchmark imports from it exists and takes the
@@ -77,6 +78,35 @@ def test_only_the_edges_import_subspace_or_span():
                     and path.name not in SUBSPACE_USERS
                 ]
     assert not users, users
+
+
+def test_no_module_reaches_a_private_name_of_another():
+    # a module's underscore names are its own: another module imports
+    # them neither by name nor through the module
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # names bound to package modules
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "qsteiner":
+                private += [
+                    f"{path.name}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+                if node.level and not node.module:
+                    modules.update(alias.asname or alias.name for alias in node.names)
+        private += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ]
+    assert not private, private
 
 
 def test_only_the_reader_opens_files_for_reading():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import km_reference
+from qsteiner import kramer_mesner
 from qsteiner.exact_cover import from_km
 from qsteiner.gf2 import (
     FormatError,
@@ -385,6 +386,22 @@ def test_km_file_bytes_are_pinned(n, full_sha256, pruned_sha256):
     inst = build_km(orbit_partition(group, 2), orbit_partition(group, 3))
     for km, want in ((inst, full_sha256), (prune(inst), pruned_sha256)):
         assert hashlib.sha256(format_km(km).encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_written_km_text_takes_the_layout_path(monkeypatch, n):
+    # a layout path that never fired would pass every comparison here; a
+    # comment line sends the same text down the line path instead
+    group = singer_normalizer(n)
+    inst = build_km(orbit_partition(group, 2), orbit_partition(group, 3))
+    for km in (inst, prune(inst)):
+        text = format_km(km)
+        noted = parse_km(text + "# note\n")
+        with monkeypatch.context() as m:
+            m.setattr(kramer_mesner, "_line_records", None)  # cannot run
+            assert _fields(parse_km(text)) == _fields(km) == _fields(noted)
+            with pytest.raises(TypeError):
+                parse_km(text + "# note\n")
 
 
 def _fields(inst):
