@@ -46,7 +46,7 @@ from .groups import (
     singer_normalizer,
 )
 from .kramer_mesner import build_km, export_km, import_km, prune
-from .subspace import gaussian_binomial, spread_size
+from .subspace import gaussian_binomial, key_order, spread_size
 from .verify import (
     BlockSet,
     derived_steiner_sample_check,
@@ -321,6 +321,12 @@ def cmd_expand(args: argparse.Namespace) -> int:
         blocks, lengths = expand_orbits(group, reps)
     except ValueError as exc:
         raise FormatError(f"{source}: {exc}") from None
+    # the file lists each orbit in ascending key order
+    stop = 0
+    for length in lengths:
+        part = blocks.blocks[stop : stop + length]
+        part[...] = part[key_order(part)]
+        stop += length
     path = out_path(args, "blocks.txt")
     blocks.save(path)
     print(

@@ -171,26 +171,31 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
     stop: str | None = None
     t0 = time.monotonic()
 
-    def search(live: int, active: list[int], depth: int) -> None:
+    def search(live: int, parent: list[int], depth: int) -> None:
         nonlocal nodes, max_depth, stop
         if depth > max_depth:
             max_depth = depth
-        if not active:
-            found = sorted([labels[oi] for oi in chosen] + forced_labels)
-            solutions.append(CoverSolution(tuple(found)))
-            if max_solutions is not None and len(solutions) >= max_solutions:
-                stop = "solutions"
-            return
-        # the active item with the fewest live options, lowest position on
-        # ties; an item with none is a dead end whichever item is chosen
+        # the parent's items still to cover, and among them the one with
+        # the fewest live options, lowest position on ties; an item with
+        # none is a dead end whichever item is chosen
+        active = []
         fewest = len(keep) + 1
-        for x in active:
+        for x in parent:
+            if not remaining[x]:
+                continue
             n = (live & col[x]).bit_count()
             if n < fewest:
                 if not n:
                     return
                 fewest = n
                 it = x
+            active.append(x)
+        if not active:
+            found = sorted([labels[oi] for oi in chosen] + forced_labels)
+            solutions.append(CoverSolution(tuple(found)))
+            if max_solutions is not None and len(solutions) >= max_solutions:
+                stop = "solutions"
+            return
         mark = watermark[it]
         # options at or below the watermark were tried higher up this
         # branch; skipping them enumerates each option set once
@@ -214,23 +219,19 @@ def solve(problem: CoverProblem, config: SolveConfig | None = None):
             nodes += 1
             watermark[it] = oi
             sub_live = live ^ bit
-            sub_active = active
             for x in opt_items[oi]:
                 remaining[x] -= 1
                 if not remaining[x]:
                     sub_live &= not_col[x]
-                    sub_active = None
-            if sub_active is None:
-                sub_active = [x for x in active if remaining[x]]
             chosen.append(oi)
-            search(sub_live, sub_active, depth + 1)
+            search(sub_live, active, depth + 1)
             chosen.pop()
             for x in opt_items[oi]:
                 remaining[x] += 1
         watermark[it] = mark
 
     try:
-        search(every, [it for it in range(nitems) if remaining[it]], 0)
+        search(every, list(range(nitems)), 0)
     finally:
         # search reaches itself through its closure; unbinding it breaks
         # the cycle, so its state is freed when solve returns instead of

@@ -462,41 +462,60 @@ def span_vectors_bulk(rows: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out.T
 
 
+# Bases per block of rref_bulk, pack_keys_bulk and rref_checked: a block's
+# working set stays in a 4 MiB L2 cache.  No result depends on it.
+RREF_CHUNK_ROWS = 1 << 14
+
+
 def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-reduce many small bases at once.
 
     rows is (N, k) uint64, one k-row basis per entry.  Returns (rref, ranks)
     where rref[i] holds the reduced rows sorted by pivot with zero rows
     sunk to the end, and ranks[i] counts the nonzero rows.  Branch-free on
-    a (k, N) copy: step i swaps the row of lowest pivot into slot i, then
-    clears that pivot from every other slot, by masked XORs on whole slots.
+    a (k, M) copy of each block of RREF_CHUNK_ROWS bases: step i swaps the
+    row of lowest pivot into slot i, then clears that pivot from every
+    other slot, by masked XORs on whole slots.
     """
-    r = np.asarray(rows, dtype=np.uint64).T.copy()
-    k, n = r.shape
-    # key x ^ (x - 1) is the bits up to the lowest set one, all 64 for a
-    # zero row, so it orders rows by pivot with zero rows last
-    key = np.empty((k, n), dtype=np.uint64)
-    diff = np.empty(n, dtype=np.uint64)
-    hit = np.empty(n, dtype=bool)
-    for i in range(k):
-        np.subtract(r[i:], np.uint64(1), out=key[i:])
-        np.bitwise_xor(key[i:], r[i:], out=key[i:])
-        a, ka = r[i], key[i]
-        for b, kb in zip(r[i + 1 :], key[i + 1 :]):
-            np.less(kb, ka, out=hit)
-            np.bitwise_xor(a, b, out=diff)
-            np.multiply(diff, hit, out=diff)
-            a ^= diff
-            b ^= diff
-            np.minimum(ka, kb, out=ka)
-        piv = np.bitwise_and(ka, a, out=ka)  # the lowest set bit of a
-        for j, b in enumerate(r):
-            if j != i:
-                np.bitwise_and(b, piv, out=diff)
-                np.not_equal(diff, 0, out=hit)
-                np.multiply(a, hit, out=diff)
+    rows = np.asarray(rows, dtype=np.uint64)
+    num, k = rows.shape
+    out = np.empty((num, k), dtype=np.uint64)
+    ranks = np.empty(num, dtype=np.int64)
+    # one set of block buffers for every block: fresh ones per block cost
+    # a third more time at k = 3
+    width = min(num, RREF_CHUNK_ROWS)
+    block = np.empty((k, width), dtype=np.uint64)
+    keys = np.empty((k, width), dtype=np.uint64)
+    diffs = np.empty(width, dtype=np.uint64)
+    hits = np.empty(width, dtype=bool)
+    for start in range(0, num, RREF_CHUNK_ROWS):
+        part = rows[start : start + RREF_CHUNK_ROWS]
+        m = len(part)
+        r, key, diff, hit = block[:, :m], keys[:, :m], diffs[:m], hits[:m]
+        r[...] = part.T
+        # key x ^ (x - 1) is the bits up to the lowest set one, all 64 for
+        # a zero row, so it orders rows by pivot with zero rows last
+        for i in range(k):
+            np.subtract(r[i:], np.uint64(1), out=key[i:])
+            np.bitwise_xor(key[i:], r[i:], out=key[i:])
+            a, ka = r[i], key[i]
+            for b, kb in zip(r[i + 1 :], key[i + 1 :]):
+                np.less(kb, ka, out=hit)
+                np.bitwise_xor(a, b, out=diff)
+                np.multiply(diff, hit, out=diff)
+                a ^= diff
                 b ^= diff
-    return np.ascontiguousarray(r.T), (r != 0).sum(axis=0, dtype=np.int64)
+                np.minimum(ka, kb, out=ka)
+            piv = np.bitwise_and(ka, a, out=ka)  # the lowest set bit of a
+            for j, b in enumerate(r):
+                if j != i:
+                    np.bitwise_and(b, piv, out=diff)
+                    np.not_equal(diff, 0, out=hit)
+                    np.multiply(a, hit, out=diff)
+                    b ^= diff
+        out[start : start + m] = r.T
+        ranks[start : start + m] = np.count_nonzero(r, axis=0)
+    return out, ranks
 
 
 def in_rref(rows: np.ndarray) -> bool:
@@ -510,10 +529,6 @@ def in_rref(rows: np.ndarray) -> bool:
     return not any(
         np.any(rows[:, :j] & pivots[:, j : j + 1]) for j in range(1, rows.shape[1])
     )
-
-
-# Bases per chunk of rref_checked; the result does not depend on it.
-RREF_CHUNK_ROWS = 1 << 16
 
 
 def rref_checked(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:

@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .gf2 import BitMatrix, mat_mul, mat_vec, mat_vec_bulk, rref_bulk, span_vectors_bulk
-from .subspace import Subspace, key_bits, key_order, pack_keys_bulk
+from .subspace import Subspace, key_order
 
 MAX_ENGINE_WIDTH = 24
 # Rows per batch of the label pass; the results do not depend on it, only
@@ -286,7 +286,7 @@ class SingerEngine:
         basis, ranks = rref_bulk(spans)
         if not np.all(ranks == k):
             raise AssertionError("extension vector lies in the representative")
-        basis = _distinct_rows(basis, self.n)
+        basis = _distinct_rows(basis)
         del spans, ranks  # before the label pass
         exps = self.rows_to_exps(basis)
         labels, stab = self.labels_and_stabilizers(exps)
@@ -311,15 +311,17 @@ class SingerEngine:
         lengths = (self.order // orbit_stab[order_ids]).tolist()
         return basis[orbit_first[order_ids]], lengths, uniq[order_ids]
 
-    def expand_orbit_rows(self, rows: np.ndarray) -> np.ndarray:
-        """All distinct subspaces in the orbit of the subspace with basis
-        rows, a (k,) uint64 array, as (L, k) RREF rows.
+    def orbit_images(self, rows: np.ndarray) -> np.ndarray:
+        """The images of the subspace with basis rows, a (k,) uint64 array,
+        under all |G| maps x -> t*x + c, as (|G|, k) RREF rows: slope by
+        slope, and shift c = 0, 1, ... within a slope.
 
         The group acts linearly, so the image of a subspace is the span of
         the images of its k basis rows; in the certified exponent model the
         map x -> t*x + c sends the row with exponent e to exptable[(t*e +
-        c) % modulus].  Short orbits meet some images more than once,
-        which the key dedupe removes.
+        c) % modulus].  The images are distinct exactly when the stabilizer
+        is trivial; a short orbit meets each of its subspaces |stabilizer|
+        times.
         """
         k = len(rows)
         exps = self.dlog[np.asarray(rows, dtype=np.uint64)]
@@ -331,32 +333,26 @@ class SingerEngine:
         rows, ranks = rref_bulk(self.exptable[images])
         if not np.all(ranks == k):
             raise AssertionError("the image of a basis is not a basis")
-        return _distinct_rows(rows, self.n)
+        return rows
+
+    def expand_orbit_rows(self, rows: np.ndarray) -> np.ndarray:
+        """All distinct subspaces in the orbit of the subspace with basis
+        rows, a (k,) uint64 array, as (L, k) RREF rows in ascending key
+        order: orbit_images with each subspace once."""
+        return _distinct_rows(self.orbit_images(rows))
 
     def expand_orbit(self, u: Subspace) -> np.ndarray:
         """expand_orbit_rows of a Subspace; bench/probes.py is its only caller."""
         return self.expand_orbit_rows(np.array(u.rows, dtype=np.uint64))
 
 
-def _distinct_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """(N, k) RREF rows with each subspace once, in ascending key order.
-
-    Keys that fit in 64 bits are sorted as integers, several times faster
-    than key_order, which orders the rows of wider keys.  Equal keys mean
-    identical rows, so an unstable sort does: any row of a run of equal
-    keys is the same row.
-    """
-    if key_bits(n, rows.shape[1]) > 64:
-        rows = rows[key_order(rows)]
-        head = np.ones(len(rows), dtype=bool)
-        head[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-        return rows[head]
-    keys = pack_keys_bulk(rows, n)
-    order = np.argsort(keys)
-    keys = keys[order]
-    head = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    return rows[order[head]]
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """(N, k) RREF rows with each subspace once, in ascending key order:
+    equal subspaces have equal rows, which key_order makes neighbours."""
+    rows = rows[key_order(rows)]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[head]
 
 
 @cache

@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .gf2 import (
+    RREF_CHUNK_ROWS,
     FormatError,
     LimitError,
     first_duplicate,
@@ -115,11 +116,14 @@ class BlockSet:
 def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[int]]:
     """Expand orbit representatives, (N, k) RREF rows, to the full block list.
 
-    Returns (blocks, per-orbit lengths).  The representatives must make a
-    BlockSet of GF(2)^n themselves, and a block shared by two orbits is an
-    error: the representatives did not come from distinct orbits.  With a
-    Singer engine their orbit labels show that, as orbits are disjoint or
-    equal, and the rows the engine builds are not checked again.
+    Returns (blocks, per-orbit lengths): the blocks are the orbits one
+    after another, in the order of reps.  The order within an orbit is
+    not promised; `qsteiner expand` writes each orbit in ascending key
+    order.  The representatives must make a BlockSet of GF(2)^n
+    themselves, and a block shared by two orbits is an error: the
+    representatives did not come from distinct orbits.  With a Singer
+    engine their orbit labels show that, as orbits are disjoint or equal,
+    and the rows the engine builds are not checked again.
     """
     reps = np.asarray(reps, dtype=np.uint64)
     if not len(reps):
@@ -140,22 +144,31 @@ def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[
         # a shared block means a shared orbit
         pair = np.searchsorted(np.cumsum(lengths), pair, side="right").tolist()
     else:
-        pair = first_duplicate(engine.labels_bulk(engine.rows_to_exps(reps)), 64)
+        labels, stab = engine.labels_and_stabilizers(engine.rows_to_exps(reps))
+        pair = first_duplicate(labels, 64)
     if pair is not None:
         raise ValueError(f"representatives {pair[0]} and {pair[1]} share an orbit")
     # each orbit straight into one array of room for |G| blocks each
     blocks = np.empty((len(reps) * engine.order, k), dtype=np.uint64)
     lengths = []
     stop = 0
-    for rep in reps:
-        rows = engine.expand_orbit_rows(rep)
+    for rep, fixers in zip(reps, stab.tolist()):
+        # with a trivial stabilizer the |G| images are the orbit, each
+        # block once (orbit-stabilizer); only a short orbit is deduped
+        if fixers == 1:
+            rows = engine.orbit_images(rep)
+        else:
+            rows = engine.expand_orbit_rows(rep)
+        if len(rows) * fixers != engine.order:
+            raise AssertionError("orbit length times stabilizer order is not |G|")
         blocks[stop : stop + len(rows)] = rows
         lengths.append(len(rows))
         stop += len(rows)
     if stop < len(blocks):  # short orbits: free the unused room
         blocks = blocks[:stop].copy()
     # the checks of __post_init__ hold: the rows are n-bit table entries that
-    # expand_orbit_rows reduces, checks for rank k and dedupes orbit by orbit
+    # orbit_images reduces and checks for rank k, each orbit holds each of
+    # its blocks once, and orbits are disjoint
     out = BlockSet.__new__(BlockSet)
     out.n, out.k, out.blocks = group.n, k, blocks
     return out, lengths
@@ -523,7 +536,12 @@ def min_distance_certificate(
         j = rng.integers(0, num, size=take)
         keep = i != j
         i, j = i[keep], j[keep]
-        dist = 2 * _residue_ranks(np.take(rows, i, axis=0), np.take(rows, j, axis=0))
+        dist = np.empty(i.size, dtype=np.int64)
+        for s in range(0, i.size, RREF_CHUNK_ROWS):  # pairs whose rows fit in cache
+            a, b = i[s : s + RREF_CHUNK_ROWS], j[s : s + RREF_CHUNK_ROWS]
+            dist[s : s + a.size] = 2 * _residue_ranks(
+                np.take(rows, a, axis=0), np.take(rows, b, axis=0)
+            )
         if dist.size:
             min_seen = min(min_seen, int(dist.min()))
         if min_seen < bound:

@@ -10,7 +10,7 @@ import pytest
 from qsteiner import cli, fixtures
 from qsteiner.exact_cover import load_solutions
 from qsteiner.fixtures import FIXTURE_SHA256
-from qsteiner.gf2 import FormatError, LimitError
+from qsteiner.gf2 import FormatError, LimitError, rref_bulk
 from qsteiner.groups import (
     MatrixGroup,
     OrbitTable,
@@ -978,16 +978,31 @@ def test_readme_names_only_existing_flags(capsys):
 
 
 def test_expand_takes_representatives_with_keys_wider_than_64_bits(tmp_path, capsys):
-    # a 6-subspace of GF(2)^14 has a 65-bit key
-    reps = str(tmp_path / "reps.txt")
+    # the key of a 6-subspace of GF(2)^14 takes 65 bits and that of a
+    # 7-subspace 66: the file lists each orbit in ascending key order, by
+    # pivot mask and then by the rows from the last one up.  The first six
+    # unit vectors have a trivial stabilizer; the subfield GF(2^7), spanned
+    # by the first seven powers of a^129, has 129 translates a^c GF(2^7).
+    engine = singer_normalizer(14).engine()
     first_six = np.array([[1 << i for i in range(6)]], dtype=np.uint64)
-    BlockSet(14, 6, first_six).save(reps)
-    code, out, err = run(
-        capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "14",
-        "--reps", reps,
-    )
-    assert code == 0, err
-    assert "expanded 1 orbits to 229362 distinct blocks (lengths [229362])" in out
+    subfield, _ = rref_bulk(engine.exptable[129 * np.arange(7)][None])
+    reps = str(tmp_path / "reps.txt")
+    for rows, length in ((first_six, 229362), (subfield, 129)):
+        BlockSet(14, rows.shape[1], rows).save(reps)
+        code, out, err = run(
+            capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer",
+            "14", "--reps", reps,
+        )
+        assert code == 0, err
+        assert (
+            f"expanded 1 orbits to {length} distinct blocks (lengths [{length}])"
+            in out
+        )
+        blocks = BlockSet.load(str(tmp_path / "blocks.txt")).blocks
+        pivots = np.bitwise_or.reduce(blocks & (np.uint64(0) - blocks), axis=1)
+        assert np.array_equal(
+            np.lexsort((*blocks.T, pivots)), np.arange(length)
+        ), length
 
 
 def test_bundled_pipeline_writes_the_pinned_block_file(tmp_path, capsys):

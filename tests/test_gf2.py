@@ -533,6 +533,23 @@ def test_rref_bulk_matches_row_major_oracle_and_scalar():
     assert red.tolist() == [[1, 1 << 63]] and ranks.tolist() == [2]
 
 
+def test_rref_bulk_does_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 1 and 7 bases, and the default, on empty and one-row
+    # input and on input that ends in a part block
+    rng = np.random.default_rng(33)
+    cases = [_bases(rng, 100, k, 13) for k in (1, 3, 6, 7)]
+    cases += [np.ones((0, 3), dtype=np.uint64), _bases(rng, 1, 3, 13)]
+    many = _bases(rng, 2 * gf2.RREF_CHUNK_ROWS + 5, 3, 13)
+    want = gf2_reference.rref_bulk(many)
+    for size in (1, 7, gf2.RREF_CHUNK_ROWS):
+        monkeypatch.setattr(gf2, "RREF_CHUNK_ROWS", size)
+        for rows in cases:
+            _check_rref_bulk(rows)
+        if size > 1:  # 2^15 blocks of one basis each take too long
+            red, ranks = rref_bulk(many)
+            assert np.array_equal(red, want[0]) and np.array_equal(ranks, want[1])
+
+
 def test_mat_vec_bulk_matches_scalar_on_non_square_matrices():
     rng = random.Random(16)
     nprng = np.random.default_rng(16)

@@ -2,9 +2,10 @@
 per-object Subspace stays out of the array pipeline, no module reaches
 another's private names, one reader opens
 every input file, only the orbit partitions build orbit tables, every
-counter increment takes numpy's fast path, every public name resolves,
-and every name the benchmark imports from it exists and takes the
-arguments the benchmark passes."""
+counter increment takes numpy's fast path, the expand writer orders
+blocks by the public key_order, every public name resolves, and every
+name the benchmark imports from it exists and takes the arguments the
+benchmark passes."""
 
 import ast
 import importlib
@@ -107,6 +108,22 @@ def test_no_module_reaches_a_private_name_of_another():
             and node.attr.startswith("_")
         ]
     assert not private, private
+
+
+def test_the_expand_writer_orders_orbits_by_the_public_key_order():
+    # one ordering function: the writer sorts each orbit by subspace's
+    # key_order, as the engine's dedupe and the breadth-first orbit do,
+    # and reaches neither that dedupe nor its own copy of it
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert ("subspace", "key_order") in imported
+    assert "_distinct_rows" not in named | {name for _, name in imported}
 
 
 def test_only_the_reader_opens_files_for_reading():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import matrix_text_reference
-from qsteiner import gf2
+from qsteiner import gf2, subspace
 from qsteiner.gf2 import (
     BitMatrix,
     FormatError,
@@ -146,6 +146,34 @@ def test_bulk_key_kernels_match_scalar():
     # a key of another dimension does not decode
     with pytest.raises(ValueError, match="does not decode"):
         key_rows(key_per_column(13, (1, 2)), 13, 3)
+
+
+def test_pack_keys_bulk_does_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(34)
+    cases = [random_rref_rows(rng, 100, 13, k) for k in (1, 3, 6)]
+    cases += [np.zeros((0, 3), dtype=np.uint64), np.array([[1, 2, 4]], dtype=np.uint64)]
+    cases.append(random_rref_rows(rng, 2 * gf2.RREF_CHUNK_ROWS + 5, 13, 3))
+    for size in (1, 7, gf2.RREF_CHUNK_ROWS):
+        monkeypatch.setattr(subspace, "RREF_CHUNK_ROWS", size)
+        for rows in cases[:-1] if size == 1 else cases:
+            got = pack_keys_bulk(rows, 13)
+            assert np.array_equal(got, keys_per_column_bulk(rows, 13)), size
+
+
+def test_key_order_sorts_as_the_lexsort_by_pivots_then_rows():
+    # keys of up to 64 bits are packed at the rows' own width and sorted as
+    # integers, wider ones (n = 14, k = 6 and 7) by the lexsort itself;
+    # repeated rows must land next to each other
+    rng = np.random.default_rng(35)
+    for n in range(5, 15):
+        for k in range(n + 1):
+            rows = random_rref_rows(rng, 300, n, k)
+            rows = rows[rng.permutation(np.concatenate([np.arange(len(rows))] * 2))]
+            rows = rows[: len(rows) // 2 + 7]
+            pivots = np.bitwise_or.reduce(rows & (np.uint64(0) - rows), axis=1)
+            want = rows[np.lexsort((*rows.T, pivots))]
+            assert np.array_equal(rows[key_order(rows)], want), (n, k)
+    assert key_order(np.zeros((0, 3), dtype=np.uint64)).tolist() == []
 
 
 def test_subspaces_of_lists_all_inner_subspaces():

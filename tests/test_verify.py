@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import verify_reference
-from qsteiner import cli, gf2, verify
+from qsteiner import cli, fixtures, gf2, singer, subspace, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
 from qsteiner.gf2 import FormatError
 from qsteiner.groups import orbit, orbit_partition, singer_normalizer
@@ -86,8 +86,10 @@ def reference_block_text(bs):
 
 
 def all_subspace_blocks(n, k):
+    """Every k-subspace of GF(2)^n as a block set in ascending key order."""
     group = singer_normalizer(n)
-    return expand_orbits(group, orbit_partition(group, k).rows)[0]
+    blocks = expand_orbits(group, orbit_partition(group, k).rows)[0].blocks
+    return BlockSet(n, k, blocks[key_order(blocks)])
 
 
 def test_save_writes_the_reference_bytes_and_load_reads_them_back(
@@ -356,8 +358,9 @@ def test_expand_orbits_counts_and_rejects_mixed_dims():
 
 def test_expand_orbits_with_keys_wider_than_64_bits():
     # the key of a 6-subspace of GF(2)^14 takes 65 bits and that of a
-    # 7-subspace 66, so each orbit is put in key order by key_order; the
-    # block set that expand_orbits returns accepts the rows
+    # 7-subspace 66, so key_order sorts them by rows; in key order each
+    # orbit is the engine's deduped orbit, and the block set that
+    # expand_orbits returns accepts the rows
     group = singer_normalizer(14)
     engine = group.engine()
     assert (key_bits(14, 6), key_bits(14, 7)) == (65, 66)
@@ -370,14 +373,15 @@ def test_expand_orbits_with_keys_wider_than_64_bits():
         _, stab = engine.labels_and_stabilizers(engine.rows_to_exps(reps))
         blocks, lengths = expand_orbits(group, reps)
         assert lengths == [engine.order // int(stab[0])] == [blocks.num_blocks]
-        assert np.array_equal(key_order(blocks.blocks), np.arange(blocks.num_blocks))
+        got = blocks.blocks[key_order(blocks.blocks)]
+        assert np.array_equal(got, engine.expand_orbit_rows(reps[0]))
     assert lengths == [129]
 
 
 def test_expanded_blocks_pass_every_block_set_check():
     # the engine path builds its BlockSet unchecked; every check must hold
-    # on what it returns, short orbits included, and each orbit must be the
-    # breadth-first orbit of its representative
+    # on what it returns, short orbits included, and each orbit, put in key
+    # order, must be the breadth-first orbit of its representative
     for n in (5, 6, 7):
         group = singer_normalizer(n)
         for k in range(4):
@@ -387,8 +391,11 @@ def test_expanded_blocks_pass_every_block_set_check():
             assert np.array_equal(again.blocks, blocks.blocks)
             assert blocks.num_blocks == sum(lengths) == gaussian_binomial(n, k, 2)
             assert blocks.blocks.flags.c_contiguous
-            want = np.concatenate([orbit(group, rep) for rep in reps])
-            assert np.array_equal(blocks.blocks, want), (n, k)
+            stop = 0
+            for rep, length in zip(reps, lengths):
+                got = blocks.blocks[stop : stop + length]
+                stop += length
+                assert np.array_equal(got[key_order(got)], orbit(group, rep)), (n, k)
     group = singer_normalizer(14)
     engine = group.engine()
     subfield, _ = gf2.rref_bulk(engine.exptable[129 * np.arange(7)][None])
@@ -431,6 +438,52 @@ def test_engine_expansion_checks_no_more_rows_than_representatives(monkeypatch):
         seen.clear()
         blocks, _ = expand_orbits(group, reps)
         assert seen and max(seen) <= len(reps) < blocks.num_blocks
+
+
+def test_paper_expansion_packs_and_sorts_no_keys(paper_group, paper_blocks, monkeypatch):
+    # the 15 bundled orbits have trivial stabilizers, so their images are
+    # already distinct: no key is packed, no row is sorted or deduped
+    calls = []
+    for module, name in (
+        (singer, "_distinct_rows"),
+        (singer, "key_order"),
+        (subspace, "key_order"),
+        (subspace, "pack_keys_bulk"),
+    ):
+        def spy(*args, name=name):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+
+        monkeypatch.setattr(module, name, spy)
+    reps = fixtures.solution_representatives()
+    blocks, lengths = expand_orbits(paper_group, reps)
+    assert not calls and lengths == [106483] * 15
+    assert np.array_equal(blocks.blocks, paper_blocks.blocks)
+
+
+def test_short_orbits_are_still_deduped(monkeypatch):
+    # 3-subspaces of GF(2)^7 fixed by the Frobenius maps: stabilizer 7,
+    # so each of their 127 blocks is met 7 times among the 889 images
+    group = singer_normalizer(7)
+    engine = group.engine()
+    table = orbit_partition(group, 3)
+    reps = table.rows[np.array(table.lengths) == 127]
+    assert len(reps) and engine.order == 889
+    deduped = []
+
+    def spy(rows, dedupe=singer._distinct_rows):
+        deduped.append(len(rows))
+        return dedupe(rows)
+
+    monkeypatch.setattr(singer, "_distinct_rows", spy)
+    _, stab = engine.labels_and_stabilizers(engine.rows_to_exps(reps))
+    blocks, lengths = expand_orbits(group, reps)
+    assert lengths == (engine.order // stab).tolist() == [127] * len(reps)
+    assert deduped == [889] * len(reps)
+    BlockSet(7, 3, blocks.blocks.copy())  # distinct, in RREF
+    for i, rep in enumerate(reps):
+        got = blocks.blocks[127 * i : 127 * (i + 1)]
+        assert np.array_equal(got[key_order(got)], orbit(group, rep))
 
 
 def test_spread_verifies_as_1_design():
@@ -795,6 +848,50 @@ def test_distance_kernel_matches_the_stacked_rref(paper_blocks):
     want = verify_reference.stacked_distances(a, b)
     assert np.array_equal(2 * verify._residue_ranks(a, b), want)
     assert set(want[i != j].tolist()) == {4, 6}
+
+
+def test_distance_certificate_does_not_depend_on_the_block_size(
+    paper_blocks, paper_report, monkeypatch
+):
+    # the same pairs at the same distances, and the same failure witness,
+    # in slices of 1, 7 and the default number of pairs as in one slice
+    # per batch of 2^16 draws
+    def distances(size, blocks, report, samples, seed):
+        got = []
+
+        def spy(a, b, ranks=verify._residue_ranks):
+            got.append(ranks(a, b))
+            return got[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_residue_ranks", spy)
+            m.setattr(verify, "RREF_CHUNK_ROWS", size)
+            try:
+                result = min_distance_certificate(blocks, report, samples, seed)
+            except AssertionError as exc:
+                result = str(exc)
+        return result, np.concatenate(got) if got else None
+
+    claim = DesignReport(
+        n=5, k=3, t=2, lam=1, num_blocks=50, total_t_subspaces=155,
+        histogram={1: 155}, violations_shown=[], violations_total=0, ok=True,
+    )
+    first_50 = BlockSet(5, 3, all_subspace_blocks(5, 3).blocks[:50].copy())
+    cases = [
+        (paper_blocks, paper_report, 0, 4),
+        (paper_blocks, paper_report, 1, 4),
+        (paper_blocks, paper_report, 3000, 5),
+        (first_50, claim, 1000, 0),
+    ]
+    many = (paper_blocks, paper_report, (1 << 16) + 99, 6)
+    want = [distances(1 << 16, *case) for case in cases + [many]]
+    assert [result for result, _ in want[:3]] == [4, 4, 4]
+    assert want[3][0].startswith("blocks 25 and 9 are at distance 2 < 4")
+    for size in (1, 7, gf2.RREF_CHUNK_ROWS):
+        # 2^16 slices of one pair each take too long
+        for case, (result, dist) in zip(cases if size == 1 else cases + [many], want):
+            got, got_dist = distances(size, *case)
+            assert got == result and np.array_equal(got_dist, dist), size
 
 
 def test_derived_check_asserts_a_one_to_one_index(monkeypatch):
