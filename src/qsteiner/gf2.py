@@ -17,6 +17,14 @@ import numpy as np
 MAX_WIDTH = 64
 
 
+def row_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype that holds n bits, 0 <= n <= MAX_WIDTH:
+    uint8, uint16, uint32 or uint64, the dtype of arrays of n-bit rows."""
+    if not 0 <= n <= MAX_WIDTH:
+        raise ValueError(f"row width must be in 0..{MAX_WIDTH}, got {n}")
+    return np.min_scalar_type((1 << n) - 1)
+
+
 class FormatError(ValueError):
     """Malformed input; the message names the 1-based line or the orbit at
     fault and, for a file read by reading(path), starts with "{path}: "."""
@@ -283,9 +291,10 @@ def reading(path: str) -> Iterator[str]:
 
 
 def format_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """The text of uint64 rows as an (..., n + 1) uint8 array: character j
+    """The text of unsigned rows as an (..., n + 1) uint8 array: character j
     of a row is 1 where bit j is set, else 0, and a line end follows."""
-    rows = np.ascontiguousarray(rows, dtype="<u8")  # byte i holds bits 8i..8i+7
+    # byte i holds bits 8i..8i+7; bits at or above n are not shown
+    rows = np.ascontiguousarray(rows, dtype=row_dtype(n).newbyteorder("<"))
     text = np.full(rows.shape + (n + 1,), ord("\n"), dtype=np.uint8)
     octets = rows[..., None].view(np.uint8)
     text[..., :n] = np.unpackbits(octets, axis=-1, count=n, bitorder="little")
@@ -309,7 +318,7 @@ class MatrixRows:
     j), widths[i] columns, and its first row on 1-based line lines[i].
     """
 
-    values: np.ndarray  # (R,) uint64
+    values: np.ndarray  # (R,) unsigned, row_dtype(W) or wider
     starts: np.ndarray  # (M + 1,) int64
     widths: np.ndarray  # (M,) int64
     lines: np.ndarray  # (M,) int64
@@ -321,7 +330,8 @@ def _layout_rows(text: str) -> MatrixRows | None:
     That layout is an optional single '#' line, then matrices of one
     height H and one width W <= MAX_WIDTH: each row is W characters 0/1
     and a line end, and a line end follows each matrix.  Such a text is
-    reshaped to (B, H, W + 1) characters and read one column at a time.
+    reshaped to (B, H, W + 1) characters and read one column at a time
+    into rows of dtype row_dtype(W).
     """
     start = text.find("\n") + 1 if text.startswith("#") else 0
     if not text.isascii() or len(text[:start].splitlines()) > 1:
@@ -335,7 +345,8 @@ def _layout_rows(text: str) -> MatrixRows | None:
     grid = chars[:, :-1].reshape(len(chars), height, width + 1)
     if np.any(chars[:, -1] != 10) or np.any(grid[:, :, width] != 10):
         return None
-    octets = np.zeros((len(chars), height, 8), dtype=np.uint8)  # bit j: byte j // 8
+    dtype = row_dtype(width).newbyteorder("<")  # bit j: byte j // 8
+    octets = np.zeros((len(chars), height, dtype.itemsize), dtype=np.uint8)
     for j in range(width):
         column = grid[:, :, j]
         if np.any((column ^ 0x30) > 1):  # neither '0' (0x30) nor '1' (0x31)
@@ -344,7 +355,7 @@ def _layout_rows(text: str) -> MatrixRows | None:
     del chars, grid, column  # free the encoded text before the index arrays
     index = np.arange(len(octets) + 1, dtype=np.int64)
     return MatrixRows(
-        octets.view("<u8").reshape(-1),
+        octets.view(dtype).reshape(-1),
         index * height,
         np.full(len(octets), width, dtype=np.int64),
         index[:-1] * (height + 1) + (2 if start else 1),
@@ -444,14 +455,14 @@ def mat_vec_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
 def span_vectors_bulk(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Every nonzero vector of many spans at once.
 
-    rows is (N, k) uint64.  Returns (N, 2^k - 1) whose column m-1 is the
-    XOR of the rows at the set bits of m.  The vectors are built
-    column-major into out, a (2^k - 1, N) integer array of any dtype wide
-    enough for them (a new uint64 one if None), and the result is out.T.
-    Built by doubling: row 2^i - 1 of out is basis row i, and the 2^i - 1
-    rows after it are the earlier rows XOR it.
+    rows is (N, k), of any unsigned dtype.  Returns (N, 2^k - 1) whose
+    column m-1 is the XOR of the rows at the set bits of m.  The vectors
+    are built column-major into out, a (2^k - 1, N) integer array of any
+    dtype wide enough for them (a new uint64 one if None), and the result
+    is out.T.  Built by doubling: row 2^i - 1 of out is basis row i, and
+    the 2^i - 1 rows after it are the earlier rows XOR it.
     """
-    rows = np.asarray(rows, dtype=np.uint64)
+    rows = np.asarray(rows)
     num, k = rows.shape
     if out is None:
         out = np.empty(((1 << k) - 1, num), dtype=np.uint64)
@@ -470,14 +481,14 @@ RREF_CHUNK_ROWS = 1 << 14
 def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-reduce many small bases at once.
 
-    rows is (N, k) uint64, one k-row basis per entry.  Returns (rref, ranks)
-    where rref[i] holds the reduced rows sorted by pivot with zero rows
-    sunk to the end, and ranks[i] counts the nonzero rows.  Branch-free on
-    a (k, M) copy of each block of RREF_CHUNK_ROWS bases: step i swaps the
-    row of lowest pivot into slot i, then clears that pivot from every
-    other slot, by masked XORs on whole slots.
+    rows is (N, k) unsigned, one k-row basis per entry.  Returns (rref,
+    ranks) where rref[i], uint64, holds the reduced rows sorted by pivot
+    with zero rows sunk to the end, and ranks[i] counts the nonzero rows.
+    Branch-free on a (k, M) uint64 copy of each block of RREF_CHUNK_ROWS
+    bases: step i swaps the row of lowest pivot into slot i, then clears
+    that pivot from every other slot, by masked XORs on whole slots.
     """
-    rows = np.asarray(rows, dtype=np.uint64)
+    rows = np.asarray(rows)
     num, k = rows.shape
     out = np.empty((num, k), dtype=np.uint64)
     ranks = np.empty(num, dtype=np.int64)
@@ -519,11 +530,11 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def in_rref(rows: np.ndarray) -> bool:
-    """Whether every row of rows, (N, k) uint64, is a k-row basis in
+    """Whether every row of rows, (N, k) unsigned, is a k-row basis in
     reduced row echelon form: its rows nonzero, their pivots (lowest set
     bits) strictly ascending, and no row holding a later row's pivot
     bit.  That is rref_bulk returning rows unchanged with rank k."""
-    pivots = rows & (np.uint64(0) - rows)
+    pivots = rows & (rows.dtype.type(0) - rows)  # in the rows' own dtype
     if not pivots.all() or np.any(pivots[:, 1:] <= pivots[:, :-1]):
         return False
     return not any(
@@ -532,12 +543,13 @@ def in_rref(rows: np.ndarray) -> bool:
 
 
 def rref_checked(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """rows, (N, k) uint64 bases, in RREF, and (i, rank) of the first basis
-    i of rank below k, or None.
+    """rows, (N, k) unsigned bases, in RREF, and (i, rank) of the first
+    basis i of rank below k, or None.
 
     rref_bulk runs only on chunks of RREF_CHUNK_ROWS bases that in_rref
-    refuses, so rows itself comes back when every basis is in RREF, and a
-    copy otherwise.  After a rank fault the rows are not all reduced.
+    refuses, each widened to uint64 there, so rows itself comes back when
+    every basis is in RREF, and a copy in its dtype otherwise.  After a
+    rank fault the rows are not all reduced.
     """
     out = rows
     for start in range(0, rows.shape[0], RREF_CHUNK_ROWS):
@@ -555,26 +567,31 @@ def rref_checked(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
 
 
 def pack_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """(N, k) uint64 rows with entries of n bits as (N, W) uint64 words.
+    """(N, k) unsigned rows with entries of n bits as (N, W) uint64 words.
 
     Each row's k entries are packed end to end into W = ceil(k n / 64)
     words (at least one), so two rows are equal exactly when their words
-    are.
+    are.  The rows are widened to uint64 RREF_CHUNK_ROWS at a time: numpy
+    before 2.0 shifts a narrow array by a uint64 scalar in the array's
+    own dtype.
     """
     num, k = rows.shape
     words = np.zeros((num, max(1, -(-k * n // 64))), dtype=np.uint64)
-    for i in range(k):
-        w, off = divmod(i * n, 64)
-        words[:, w] |= rows[:, i] << np.uint64(off)
-        if off + n > 64:
-            words[:, w + 1] |= rows[:, i] >> np.uint64(64 - off)
+    for start in range(0, num, RREF_CHUNK_ROWS):
+        part = rows[start : start + RREF_CHUNK_ROWS].astype(np.uint64)
+        dest = words[start : start + RREF_CHUNK_ROWS]
+        for i in range(k):
+            w, off = divmod(i * n, 64)
+            dest[:, w] |= part[:, i] << np.uint64(off)
+            if off + n > 64:
+                dest[:, w + 1] |= part[:, i] >> np.uint64(64 - off)
     return words
 
 
 def first_duplicate(rows: np.ndarray, n: int) -> tuple[int, int] | None:
     """(i, j) with i < j for the first row j that equals an earlier row i.
 
-    rows is (N, k) uint64 with entries of n bits, compared as packed
+    rows is (N, k) unsigned with entries of n bits, compared as packed
     words (see pack_rows).  For k n <= 64 one unstable in-place sort of
     the words answers "no duplicate"; the stable sort only names a witness.
     """

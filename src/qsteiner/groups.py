@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import zip_longest
+from typing import Iterator
 
 import numpy as np
 
@@ -98,29 +99,25 @@ def group_hash(group: MatrixGroup) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _bfs(start: np.ndarray, maps: list, n: int, cap: int) -> np.ndarray | None:
+def _bfs(start: np.ndarray, maps: list, n: int) -> Iterator[np.ndarray]:
     """Every row reachable from the rows of start under maps, breadth-first.
 
     start is (N, w) uint64 with entries of n bits, and each map takes
     such an array to its image row by row.  Each round maps the whole
     frontier and drops the images already seen, which one sorted array of
-    packed rows holds.  Returns the rows in discovery order, or None once
-    more than cap are reached.
+    packed rows holds.  Yields start, then each round's new rows, before
+    the next round: the caller keeps what it needs and stops at its cap.
     """
-    found = [start]
     seen = np.unique(_rowwise(pack_rows(start, n)))
     frontier = start
     while len(frontier):
+        yield frontier
         images = np.concatenate([f(frontier) for f in maps])
         keys, first = np.unique(_rowwise(pack_rows(images, n)), return_index=True)
         pos = np.searchsorted(seen, keys)
         new = (pos == seen.size) | (seen[np.minimum(pos, seen.size - 1)] != keys)
         seen = np.insert(seen, pos[new], keys[new])
-        if seen.size > cap:
-            return None
         frontier = images[first[new]]
-        found.append(frontier)
-    return np.concatenate(found)
 
 
 def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
@@ -133,12 +130,14 @@ def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
     # row r of M @ g is r @ g
     maps = [partial(vec_mat_bulk, g) for g in group.generators]
     start = np.array([identity(group.n).rows], dtype=np.uint64)
-    rows = _bfs(start, maps, group.n, cap)
-    if rows is None:
-        raise LimitError(f"group closure exceeded the cap of {cap} elements")
-    if group.order is not None and group.order != len(rows):
+    order = 0
+    for rows in _bfs(start, maps, group.n):
+        order += len(rows)
+        if order > cap:
+            raise LimitError(f"group closure exceeded the cap of {cap} elements")
+    if group.order is not None and group.order != order:
         raise AssertionError("closure size disagrees with the recorded group order")
-    return MatrixGroup(n=group.n, generators=group.generators, order=len(rows))
+    return MatrixGroup(n=group.n, generators=group.generators, order=order)
 
 
 def singer_normalizer(n: int) -> MatrixGroup:
@@ -167,9 +166,13 @@ def orbit(group: MatrixGroup, rows: np.ndarray, cap: int = TRAVERSAL_CAP) -> np.
     maps = [
         lambda rows, g=g: rref_bulk(mat_vec_bulk(g, rows))[0] for g in group.generators
     ]
-    rows = _bfs(start, maps, group.n, cap)
-    if rows is None:
-        raise LimitError(f"orbit exceeded the traversal cap {cap}")
+    parts, size = [], 0
+    for rows in _bfs(start, maps, group.n):
+        parts.append(rows)
+        size += len(rows)
+        if size > cap:
+            raise LimitError(f"orbit exceeded the traversal cap {cap}")
+    rows = np.concatenate(parts)
     return rows[key_order(rows)]
 
 

@@ -157,7 +157,7 @@ class SingerEngine:
         same pass that finds it.  The zero subspace, an empty set, has no
         label words and is fixed by every element, as partition(0) says.
         """
-        exps = np.asarray(exps)  # each batch is copied to int32 in its layout
+        exps = np.asarray(exps)  # each batch is copied to int16 or int32
         if not exps.shape[1]:
             return np.zeros((len(exps), 0), np.uint64), np.full(len(exps), self.order)
         parts = [
@@ -197,12 +197,14 @@ class SingerEngine:
         top = min(max(1, 64 // self.n), m - 1)  # values in the first word
         shifts = [t.bit_length() - 1 for t in self.slopes]
         cols = len(shifts) * num
-        # exponents stay below 2^MAX_ENGINE_WIDTH, so twice the modulus
-        # fits in int32; rotating as (x & low) << j | x >> (n - j), where
-        # low keeps the n - j bits that move up, never leaves n bits
-        ext = np.empty((2 * m, cols), dtype=np.int32)
+        # the entries stay below twice the modulus: int16 holds that for
+        # n <= 14, and int32 up to MAX_ENGINE_WIDTH; rotating as
+        # (x & low) << j | x >> (n - j), where low keeps the n - j bits
+        # that move up, never leaves n bits
+        dtype = np.int16 if 2 * self.modulus < 1 << 15 else np.int32
+        ext = np.empty((2 * m, cols), dtype=dtype)
         # image i is the column block ext[:m, i * num : (i + 1) * num]
-        src = np.ascontiguousarray(exps.T, dtype=np.int32)
+        src = np.ascontiguousarray(exps.T, dtype=dtype)
         images = ext[:m].reshape(m, len(shifts), num).transpose(1, 0, 2)
         high = np.empty_like(src)
         for image, j in zip(images, shifts):
@@ -210,7 +212,7 @@ class SingerEngine:
             np.left_shift(image, j, out=image)
             np.right_shift(src, self.n - j, out=high)
             image |= high
-        low = np.empty(cols, dtype=np.int32)
+        low = np.empty(cols, dtype=dtype)
         for a, b in _sorting_network(m):
             np.minimum(ext[a], ext[b], out=low)
             np.maximum(ext[a], ext[b], out=ext[b])

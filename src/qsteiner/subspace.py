@@ -1,11 +1,11 @@
 """Subspaces of GF(2)^n: keys, enumeration, counting and the text format.
 
 A subspace is held as the reduced row echelon form of any spanning set,
-packed row-wise into ints (see gf2); many of them are an (N, k) uint64
-array of such rows.  The canonical integer key orders subspaces by
-(pivot columns, free entries), which makes orbit representatives and
-enumeration order reproducible.  This module alone packs and unpacks
-that key (pack_keys_bulk, key_rows).
+packed row-wise into ints (see gf2); many of them are an (N, k) unsigned
+array of such rows, uint64 or, in a block set, gf2.row_dtype(n).  The
+canonical integer key orders subspaces by (pivot columns, free entries),
+which makes orbit representatives and enumeration order reproducible.
+This module alone packs and unpacks that key (pack_keys_bulk, key_rows).
 """
 
 from __future__ import annotations
@@ -144,21 +144,21 @@ def enumerate_keys_bulk(n: int, k: int, guard: int = ENUMERATION_GUARD) -> np.nd
 
 
 def pack_keys_bulk(rows: np.ndarray, n: int) -> np.ndarray:
-    """Keys for many RREF bases at once; rows is (N, k) uint64.
+    """Keys for many RREF bases at once; rows is (N, k) unsigned.
 
     A key is (dim, pivot mask) above, then each row with its k pivot
     columns removed, row i at bit offset i*(n-k); key_rows inverts it.
     Keys are injective and ascend in the order of key_chunks for fixed
-    (n, dim).  Built in blocks of RREF_CHUNK_ROWS bases, whose
-    temporaries stay in cache.
+    (n, dim).  Built in blocks of RREF_CHUNK_ROWS bases, each widened to
+    uint64, whose temporaries stay in cache.
     """
-    rows = np.asarray(rows, dtype=np.uint64)
+    rows = np.asarray(rows)
     num, k = rows.shape
     if key_bits(n, k) > 64:
         raise ValueError("packed keys do not fit in 64 bits for this (n, k)")
     out = np.empty(num, dtype=np.uint64)
     for start in range(0, num, RREF_CHUNK_ROWS):
-        part = rows[start : start + RREF_CHUNK_ROWS].T
+        part = rows[start : start + RREF_CHUNK_ROWS].astype(np.uint64, copy=False).T
         key = out[start : start + RREF_CHUNK_ROWS]
         piv = [r & (np.uint64(0) - r) for r in part]  # each row's lowest set bit
         key[...] = k << n
@@ -171,7 +171,7 @@ def pack_keys_bulk(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def key_order(rows: np.ndarray) -> np.ndarray:
-    """Indices that sort (N, k) RREF rows into ascending key order.
+    """Indices that sort (N, k) unsigned RREF rows into ascending key order.
 
     Keys that fit in 64 bits are packed (see pack_keys_bulk) with n the
     widest row's bit length, which leaves their order as it is for any
@@ -181,12 +181,12 @@ def key_order(rows: np.ndarray) -> np.ndarray:
     sorted rows do not depend on how a sort breaks ties, and the integer
     sort need not be stable (a stable one takes three times as long).
     """
-    rows = np.asarray(rows, dtype=np.uint64)
+    rows = np.asarray(rows)
     k = rows.shape[1]
     n = max(k, int(rows.max()).bit_length() if rows.size else 0)
     if key_bits(n, k) <= 64:
         return np.argsort(pack_keys_bulk(rows, n))
-    pivots = np.bitwise_or.reduce(rows & (np.uint64(0) - rows), axis=1)
+    pivots = np.bitwise_or.reduce(rows & (rows.dtype.type(0) - rows), axis=1)
     return np.lexsort((*rows.T, pivots))
 
 
@@ -211,7 +211,7 @@ def key_rows(key: int, n: int, k: int) -> tuple[int, ...]:
 def subspaces_of_bulk(rows: np.ndarray, t: int) -> np.ndarray:
     """All t-dim subspaces of many subspaces at once, as RREF rows.
 
-    rows is (N, k) uint64, one RREF basis per subspace.  Returns
+    rows is (N, k) unsigned, one RREF basis per subspace.  Returns
     (N, [k t]_2, t) uint64: entry [i, j] is the j-th subspace, in key
     order of its coordinates in basis i.  A coordinate row wr of a subspace
     of GF(2)^k lifts to span vector wr - 1 of the basis (the XOR of the
@@ -238,7 +238,8 @@ def parse_subspaces(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Read matrix blocks as k-dim subspaces of GF(2)^n, in bulk.
 
-    Returns n, the (N, k) uint64 RREF rows of the blocks and the 1-based
+    Returns n, the (N, k) RREF rows of the blocks, in row_dtype(n) for a
+    text laid out as save writes it and else in uint64, and the 1-based
     line of each block's first row.  Every block needs width n and k rows,
     the caller's or else the first block's, and rows of full rank; blocks,
     when given, is the block count a header states.  Each fault is a

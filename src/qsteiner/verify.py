@@ -22,6 +22,7 @@ from .gf2 import (
     first_duplicate,
     format_rows,
     reading,
+    row_dtype,
     rref_bulk,
     rref_checked,
     rref_rows,
@@ -52,18 +53,23 @@ _BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*\r?$
 
 @dataclass(eq=False)
 class BlockSet:
-    """Distinct k-dim subspaces of GF(2)^n as an (N, k) array of RREF rows."""
+    """Distinct k-dim subspaces of GF(2)^n as an (N, k) array of RREF rows
+    in row_dtype(n), the smallest unsigned dtype that holds n bits."""
 
     n: int
     k: int
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        self.blocks = np.ascontiguousarray(self.blocks, dtype=np.uint64)
-        if self.blocks.ndim != 2 or self.blocks.shape[1] != self.k:
+        rows = np.asarray(self.blocks)
+        if rows.dtype.kind != "u":  # a negative entry wraps to a wide row
+            rows = rows.astype(np.uint64)
+        if rows.ndim != 2 or rows.shape[1] != self.k:
             raise ValueError("blocks must be an (N, k) array of basis rows")
-        if self.blocks.size and int(self.blocks.max()) >> self.n:
+        # checked at the caller's width: the narrowing cast drops high bits
+        if rows.size and int(rows.max()) >> self.n:
             raise ValueError("block rows must fit in n bits")
+        self.blocks = np.ascontiguousarray(rows, dtype=row_dtype(self.n))
         reduced, fault = rref_checked(self.blocks)
         if fault is not None:
             raise ValueError("every block must have dimension k")
@@ -103,6 +109,7 @@ class BlockSet:
             header = _BLOCK_HEADER.match(text)
             shape = [int(g) for g in header.groups()] if header else [None] * 3
             n, rows, lines = parse_subspaces(text, *shape)
+            rows = rows.astype(row_dtype(n), copy=False)  # rows of n bits each
             pair = first_duplicate(rows, n)
             if pair is not None:
                 i, j = lines[list(pair)]
@@ -149,7 +156,7 @@ def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[
     if pair is not None:
         raise ValueError(f"representatives {pair[0]} and {pair[1]} share an orbit")
     # each orbit straight into one array of room for |G| blocks each
-    blocks = np.empty((len(reps) * engine.order, k), dtype=np.uint64)
+    blocks = np.empty((len(reps) * engine.order, k), dtype=row_dtype(group.n))
     lengths = []
     stop = 0
     for rep, fixers in zip(reps, stab.tolist()):
@@ -484,13 +491,14 @@ def _check_report_matches(blocks: BlockSet, report: DesignReport) -> None:
 
 def _residue_ranks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """rank([A; B]) - k for the RREF bases A = a[i] and B = b[i], (N, k)
-    uint64 arrays: the rank of A's rows once every pivot bit of B is
-    cleared from them.  B is reduced, so clearing one of its pivots sets
-    no other, and what is left of A spans [A; B] modulo B."""
-    res = a.T.copy()
+    unsigned arrays, widened to uint64 here: the rank of A's rows once
+    every pivot bit of B is cleared from them.  B is reduced, so clearing
+    one of its pivots sets no other, and what is left of A spans [A; B]
+    modulo B."""
+    res = a.T.astype(np.uint64, order="C")
     hit = np.empty(res.shape[1], dtype=bool)
     diff = np.empty(res.shape[1], dtype=np.uint64)
-    for row in b.T.copy():
+    for row in b.T.astype(np.uint64, order="C"):
         piv = row & (np.uint64(0) - row)
         for r in res:
             np.bitwise_and(r, piv, out=diff)
@@ -633,7 +641,7 @@ def derived_steiner_sample_check(
             for b in bad[:5]:
                 examples.append((int(x[b]), int(y[b]), int(z[b])))
         # containment of all three difference vectors in the covering block
-        brows = blocks.blocks[owners[line]].T.copy()
+        brows = blocks.blocks[owners[line]].T.astype(np.uint64, order="C")
         pivots = brows & (np.uint64(0) - brows)
         u, v = x ^ y, x ^ z
         for vec in (u, v, u ^ v):

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from qsteiner.gf2 import identity, mat_vec, rref_rows, vec_mat_bulk
-from qsteiner.groups import CLOSURE_CAP, MatrixGroup, OrbitTable, _bfs, _sorted_index
+from qsteiner.groups import MatrixGroup, OrbitTable, _bfs, _sorted_index
 from qsteiner.subspace import Subspace, enumerate_keys_bulk, key_rows
 from subspace_reference import key_per_column
 
@@ -82,6 +82,5 @@ def closure_elements(group: MatrixGroup) -> np.ndarray:
     # row r of M @ g is r @ g
     maps = [partial(vec_mat_bulk, g) for g in group.generators]
     start = np.array([identity(group.n).rows], dtype=np.uint64)
-    rows = _bfs(start, maps, group.n, CLOSURE_CAP)
-    assert rows is not None, "closure exceeded the cap"
+    rows = np.concatenate(list(_bfs(start, maps, group.n)))
     return rows[np.lexsort(rows.T[::-1])]

@@ -1,7 +1,10 @@
 """Command line interface: exit codes, file outputs, determinism."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1021,3 +1024,36 @@ def test_bundled_pipeline_writes_the_pinned_block_file(tmp_path, capsys):
     assert digest.hexdigest() == (
         "ce0ea98dbff6554c1a8867215ee5e97ce56f57bb267f40c2770d9979cf74c4f9"
     )
+
+
+# Runs a command in a child process and prints the child's peak RSS in
+# KiB, as Linux reports ru_maxrss: the only child of this parent.
+PEAK_RSS_PARENT = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def peak_rss_mb(*argv: str) -> float:
+    """Peak RSS in MB of `python -m qsteiner.cli ARGV` run from this checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-c", PEAK_RSS_PARENT, sys.executable, "-m"]
+    done = subprocess.run(
+        command + ["qsteiner.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout) / 1024
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_expand_and_verify_stay_below_70_and_197_mb(tmp_path):
+    # the blocks are held as uint16 rows: 55 MB and 183 MB peaks on a
+    # 2-vCPU Linux host, against 83 MB and 211 MB for uint64 rows
+    out = ["--out-dir", str(tmp_path)]
+    fixture = ["expand", "--fixture", "paper-13", "--fixture-solution"]
+    assert peak_rss_mb(*out, *fixture) < 70
+    verify = ["verify", "--blocks", str(tmp_path / "blocks.txt")]
+    assert peak_rss_mb(*out, *verify) < 197

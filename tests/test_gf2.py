@@ -419,6 +419,30 @@ def test_saved_block_text_takes_the_layout_path(tmp_path, monkeypatch, n, k):
     assert [numbered_matrices(case) for case in cases] == want
 
 
+def test_row_dtype_is_the_least_unsigned_dtype_of_n_bits():
+    for n in range(gf2.MAX_WIDTH + 1):
+        dtype = gf2.row_dtype(n)
+        assert dtype.kind == "u" and 8 * dtype.itemsize >= n, n
+        assert dtype.itemsize == 1 or 4 * dtype.itemsize < n, n
+    for n in (-1, gf2.MAX_WIDTH + 1):
+        with pytest.raises(ValueError, match="row width"):
+            gf2.row_dtype(n)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 33, 64])
+def test_layout_reader_reads_rows_in_the_least_dtype(tmp_path, n):
+    # each row is packed into row_dtype(n) octets; the line reader keeps
+    # uint64, and both read the same values, the top bit included
+    k = 1 if n == 1 else 2
+    text = saved_block_text(tmp_path, np.random.default_rng(n), n, k, 50)
+    layout, lines = gf2._layout_rows(text), gf2._line_rows(text)
+    assert layout.values.dtype == gf2.row_dtype(n)
+    assert lines.values.dtype == np.uint64
+    assert int(lines.values.max()).bit_length() == n
+    for field in ("values", "starts", "widths", "lines"):
+        assert np.array_equal(getattr(layout, field), getattr(lines, field)), field
+
+
 def test_edited_block_texts_read_as_the_per_line_rules_read_them(tmp_path):
     rng = random.Random(30)
     nrng = np.random.default_rng(30)

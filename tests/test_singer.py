@@ -87,6 +87,14 @@ def test_labels_match_oracle_with_three_values_per_word():
         assert_matches_oracle(engine, random_rows(rng, 500, k, 17))
 
 
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_labels_match_oracle_on_both_sides_of_the_int16_label_pass(n):
+    # the pass's entries stay below twice the modulus, which int16 holds
+    # up to n = 14; wider n take int32
+    engine = singer_normalizer(n).engine()
+    assert_matches_oracle(engine, random_rows(np.random.default_rng(n), 300, 3, n))
+
+
 @pytest.mark.parametrize("n", [8, 13])
 def test_labels_match_oracle_on_five_dim_subspaces(n):
     # k = 5 sorts 31 exponents per slope on a network of 31 wires; at n = 8

@@ -12,7 +12,13 @@ import verify_reference
 from qsteiner import cli, fixtures, gf2, singer, subspace, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
 from qsteiner.gf2 import FormatError
-from qsteiner.groups import orbit, orbit_partition, singer_normalizer
+from qsteiner.groups import (
+    MatrixGroup,
+    group_closure,
+    orbit,
+    orbit_partition,
+    singer_normalizer,
+)
 from qsteiner.subspace import (
     Subspace,
     gaussian_binomial,
@@ -212,6 +218,43 @@ def test_blockset_rejects_malformed_rows():
     # rows with bits above n
     with pytest.raises(ValueError, match="fit in n bits"):
         BlockSet(4, 2, np.array([[1, 16]], dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "n,dtype",
+    [
+        (1, np.uint8),
+        (8, np.uint8),
+        (9, np.uint16),
+        (16, np.uint16),
+        (17, np.uint32),
+        (32, np.uint32),
+        (33, np.uint64),
+        (64, np.uint64),
+    ],
+)
+def test_block_rows_are_kept_in_the_least_dtype_of_n_bits(tmp_path, n, dtype):
+    rows = [[1]] + ([[1 << (n - 1)]] if n > 1 else [])
+    blocks = BlockSet(n, 1, np.array(rows, dtype=np.uint64))
+    assert blocks.blocks.dtype == dtype and blocks.blocks.tolist() == rows
+    blocks.save(tmp_path / "blocks.txt")
+    loaded = BlockSet.load(str(tmp_path / "blocks.txt"))
+    assert loaded.blocks.dtype == dtype and loaded.blocks.tolist() == rows
+
+
+def test_rows_wider_than_n_are_refused_before_they_are_narrowed():
+    # cast to uint8 or uint16 first, bit 8 or bit 20 would be dropped and
+    # leave valid blocks; a negative entry is as wide as its dtype
+    cases = [
+        (4, [[1 | 1 << 8]], np.uint64),
+        (4, [[1 | 1 << 8]], np.int64),
+        (13, [[1, 2 | 1 << 20]], np.uint64),
+        (13, [[1, 2 | 1 << 20]], np.uint32),
+        (4, [[-1]], np.int64),
+    ]
+    for n, rows, dtype in cases:
+        with pytest.raises(ValueError, match="fit in n bits"):
+            BlockSet(n, len(rows[0]), np.array(rows, dtype=dtype))
 
 
 def test_blockset_checks_every_chunk(monkeypatch):
@@ -1027,6 +1070,17 @@ def test_recount_and_derived_check_stay_below_150_mb(paper_blocks, paper_report)
         min_distance_certificate, paper_blocks, paper_report, samples=10**6
     )
     assert peak < 16
+
+
+def test_expansion_and_closure_stay_below_25_and_12_mb(paper_group):
+    # the paper's 1,597,245 x 3 blocks are 9.1 MiB in uint16, 36.6 MiB in
+    # uint64 (48.3 MiB traced expansion); the closure counts the frontiers
+    # it finds rather than keep them (23.6 MiB traced when all 106,483 x 13
+    # rows were kept)
+    reps = fixtures.solution_representatives()
+    assert traced_peak_mb(expand_orbits, paper_group, reps) < 25
+    group = MatrixGroup(n=paper_group.n, generators=paper_group.generators)
+    assert traced_peak_mb(group_closure, group) < 12
 
 
 def assert_same_report(got, want):
