@@ -422,19 +422,36 @@ def parse_matrix_text(text: str) -> list[BitMatrix]:
 # numpy bulk kernels, shared by the orbit and verification machinery
 
 
+def xor_tables(rows: np.ndarray, width: int) -> np.ndarray:
+    """XOR tables of many matrices at once, to apply them width bits at a
+    time.
+
+    rows is (N, r) unsigned, the rows of N matrices.  Returns (N, B, 2^width)
+    in the rows' dtype, B = ceil(r / width): entry [i, b, v] is the XOR of
+    the rows width * b + j of matrix i at the set bits j of v, rows at or
+    above r counting as zero.  Built by doubling, as in span_vectors_bulk:
+    entries 2^j .. 2^(j+1) - 1 are the earlier ones XOR row width * b + j.
+    """
+    num, r = rows.shape
+    padded = np.zeros((num, -(-r // width), width), dtype=rows.dtype)
+    padded.reshape(num, -1)[:, :r] = rows
+    tables = np.zeros((num, padded.shape[1], 1 << width), dtype=rows.dtype)
+    for j in range(width):
+        np.bitwise_xor(
+            tables[:, :, : 1 << j], padded[:, :, j, None], out=tables[:, :, 1 << j : 2 << j]
+        )
+    return tables
+
+
 def vec_mat_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
     """Apply v -> v @ m to a uint64 array of packed row vectors: the XOR of
     the rows of m at the set bits of v, bits at or above m.nrows ignored.
-    Byte b of v picks one of the 256 XOR combinations of rows 8b..8b+7,
-    tabled by doubling as in span_vectors_bulk: one gather per byte."""
+    Byte b of v picks one of the 256 XOR combinations of rows 8b..8b+7
+    (see xor_tables): one gather per byte."""
     out = np.zeros(np.shape(vecs), dtype=np.uint64)
     flat = out.reshape(-1)
     octets = np.ascontiguousarray(vecs, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    rows = m.rows + (0,) * (-m.nrows % 8)  # zero rows: later bits pick nothing
-    tables = np.zeros((len(rows) // 8, 256), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        table, j = tables[i // 8], i % 8
-        np.bitwise_xor(table[: 1 << j], np.uint64(row), out=table[1 << j : 2 << j])
+    tables = xor_tables(np.array([m.rows], dtype=np.uint64), 8)[0]
     step = 1 << 16  # vectors per gather, for small temporaries; no result depends on it
     part = np.empty(min(flat.size, step), dtype=np.uint64)
     for start in range(0, flat.size, step):

@@ -6,8 +6,11 @@ built on a Singer cycle partition subspaces into orbits by exponent
 arithmetic, without traversal (see singer); every other group takes the
 generic path, which maps every subspace by every generator in bulk and
 reads the orbits off as connected components.  The generic path is also
-the test oracle of the engine.  Group closure and orbit() share one
-bulk breadth-first search over arrays of rows.
+the test oracle of the engine.  orbit() and group closure share one
+bulk breadth-first search over arrays of rows: orbit() walks the
+subspaces of an orbit, and the closure walks the right cosets of the
+cyclic subgroup of one generator, each coset keyed by its least element,
+to count the group without listing it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import zip_longest
 from typing import Iterator
 
@@ -30,14 +32,17 @@ from .gf2 import (
     format_rows,
     frobenius_matrix,
     identity,
+    mat_mul,
     mat_vec_bulk,
     pack_rows,
     parse_matrix_text,
     primitive_polynomial,
     rank,
     reading,
+    row_dtype,
     rref_bulk,
     vec_mat_bulk,
+    xor_tables,
 )
 from .singer import SingerEngine
 from .subspace import (
@@ -102,7 +107,7 @@ def group_hash(group: MatrixGroup) -> str:
 def _bfs(start: np.ndarray, maps: list, n: int) -> Iterator[np.ndarray]:
     """Every row reachable from the rows of start under maps, breadth-first.
 
-    start is (N, w) uint64 with entries of n bits, and each map takes
+    start is (N, w) unsigned with entries of n bits, and each map takes
     such an array to its image row by row.  Each round maps the whole
     frontier and drops the images already seen, which one sorted array of
     packed rows holds.  Yields start, then each round's new rows, before
@@ -121,23 +126,93 @@ def _bfs(start: np.ndarray, maps: list, n: int) -> Iterator[np.ndarray]:
 
 
 def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
-    """Enumerate all elements by breadth-first right multiplication.
+    """Count the elements as |H| times the number of right cosets of H.
 
-    Returns a new MatrixGroup with the order filled; the elements are
-    counted, not kept.  Raises LimitError when more than cap elements
-    appear.
+    H = <g> for the generator g of largest order, listed by doubling (see
+    _powers).  A breadth-first search then walks the right cosets H x:
+    each is keyed by its least element (see _coset_keys), and a generator
+    s maps H x to H x s.  The search reaches every coset, as every element
+    is a word in the generators, so |G| = |H| * [G : H] exactly, by
+    Lagrange.  Mapping each coset by each generator costs the first rows
+    of its |H| elements and the later rows of the few that tie, so
+    O(|G| * |gens|) matrix rows in all; the elements are counted, not
+    kept, and H and the coset keys are held in row_dtype(n).
+
+    Returns a new MatrixGroup with the order filled.  Raises LimitError
+    when more than cap elements appear, before more than cap + 1 powers
+    of one generator are built.
     """
-    # row r of M @ g is r @ g
-    maps = [partial(vec_mat_bulk, g) for g in group.generators]
-    start = np.array([identity(group.n).rows], dtype=np.uint64)
+    n = group.n
+    h = max((_powers(g, cap) for g in group.generators), key=len)
+
+    def cosets(keys: np.ndarray) -> np.ndarray:
+        # the cosets H x s of the frontier's H x, one generator s after another
+        ys = [vec_mat_bulk(s, keys) for s in group.generators]
+        return _coset_keys(h, np.concatenate(ys).astype(h.dtype))
+
+    start = _coset_keys(h, np.array([identity(n).rows], dtype=h.dtype))
     order = 0
-    for rows in _bfs(start, maps, group.n):
-        order += len(rows)
+    for keys in _bfs(start, [cosets], n):
+        order += len(h) * len(keys)
         if order > cap:
             raise LimitError(f"group closure exceeded the cap of {cap} elements")
     if group.order is not None and group.order != order:
         raise AssertionError("closure size disagrees with the recorded group order")
-    return MatrixGroup(n=group.n, generators=group.generators, order=order)
+    return MatrixGroup(n=n, generators=group.generators, order=order)
+
+
+def _powers(g: BitMatrix, cap: int) -> np.ndarray:
+    """g^0, g^1, ..., g^(m-1) for the order m of g, as (m, n) rows in
+    row_dtype(n).  Doubling: the powers s .. 2s - 1 are the first s powers
+    times g^s, and the first identity among them ends the list.  A LimitError
+    past cap powers, with at most cap + 1 built."""
+    ident = np.array(identity(g.ncols).rows, dtype=row_dtype(g.ncols))
+    powers, step = ident[None], g  # step is g^len(powers)
+    while len(powers) <= cap:
+        # row r of A @ B is A_r @ B
+        block = vec_mat_bulk(step, powers[: cap + 1 - len(powers)]).astype(ident.dtype)
+        back = np.flatnonzero(np.all(block == ident, axis=1))
+        if back.size:
+            return np.concatenate([powers, block[: back[0]]])
+        powers = np.concatenate([powers, block])
+        step = mat_mul(step, step)
+    raise LimitError(f"group closure exceeded the cap of {cap} elements")
+
+
+def _coset_keys(h: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The least element of each right coset H y, by its rows as tuples.
+
+    h is (|H|, n), the rows of every element of H, and mats (N, n) the
+    rows of the N matrices y, both in one unsigned dtype.  Row r of h y
+    is h_r @ y, looked up in xor_tables of y whose 2^width entries, width
+    the bit length of |H| up to 8, cost no more to build than the |H|
+    lookups of row 0.  Row 0 is computed for every pair of h and y; each
+    later row only for the pairs whose rows so far are the least of their
+    coset.  Returns (N, n) rows.
+    """
+    tables = xor_tables(mats, min(8, len(h).bit_length()))
+    least = _table_products(tables, np.arange(len(mats))[:, None], h[None, :, 0])
+    keys = np.empty_like(mats)
+    keys[:, 0] = least.min(axis=1)
+    which, elem = np.nonzero(least == keys[:, :1])
+    for r in range(1, h.shape[1]):
+        got = _table_products(tables, which, h[elem, r])
+        keys[:, r] = np.iinfo(h.dtype).max
+        np.minimum.at(keys[:, r], which, got)
+        tie = got == keys[which, r]
+        which, elem = which[tie], elem[tie]
+    return keys
+
+
+def _table_products(tables: np.ndarray, which: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """vecs @ matrix which, from the matrices' xor_tables; which and vecs
+    broadcast against each other."""
+    width = tables.shape[2].bit_length() - 1
+    mask = tables.shape[2] - 1
+    out = tables[which, 0, vecs & mask]
+    for b in range(1, tables.shape[1]):
+        out ^= tables[which, b, (vecs >> width * b) & mask]
+    return out
 
 
 def singer_normalizer(n: int) -> MatrixGroup:

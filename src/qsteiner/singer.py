@@ -21,11 +21,19 @@ odd-even merge sort) on whole arrays, with no per-row sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
-from .gf2 import BitMatrix, mat_mul, mat_vec, mat_vec_bulk, rref_bulk, span_vectors_bulk
+from .gf2 import (
+    BitMatrix,
+    mat_mul,
+    mat_vec,
+    mat_vec_bulk,
+    row_dtype,
+    rref_bulk,
+    span_vectors_bulk,
+)
 from .subspace import Subspace, key_order
 
 MAX_ENGINE_WIDTH = 24
@@ -321,21 +329,28 @@ class SingerEngine:
         The group acts linearly, so the image of a subspace is the span of
         the images of its k basis rows; in the certified exponent model the
         map x -> t*x + c sends the row with exponent e to exptable[(t*e +
-        c) % modulus].  The images are distinct exactly when the stabilizer
-        is trivial; a short orbit meets each of its subspaces |stabilizer|
-        times.
+        c) % modulus].  Over the shifts c that is the exponent table
+        rotated to start at a = t*e % modulus: the slice twice[a : a +
+        modulus] of the table laid twice end to end.  The images are
+        distinct exactly when the stabilizer is trivial; a short orbit
+        meets each of its subspaces |stabilizer| times.
         """
-        k = len(rows)
-        exps = self.dlog[np.asarray(rows, dtype=np.uint64)]
-        slopes = np.array(self.slopes, dtype=np.int64)
-        shifts = np.arange(self.modulus, dtype=np.int64)
-        scaled = (slopes[:, None] * exps[None, :]) % self.modulus
-        images = (scaled[:, None, :] + shifts[None, :, None]) % self.modulus
-        images = images.reshape(len(slopes) * self.modulus, k)
-        rows, ranks = rref_bulk(self.exptable[images])
-        if not np.all(ranks == k):
+        m, twice = self.modulus, self._twice
+        # column j of the images is basis row j's, rotated once per slope
+        cols = np.empty((len(rows), len(self.slopes) * m), dtype=twice.dtype)
+        for j, e in enumerate(self.dlog[np.asarray(rows, dtype=np.uint64)].tolist()):
+            for i, t in enumerate(self.slopes):
+                a = t * e % m
+                cols[j, i * m : (i + 1) * m] = twice[a : a + m]
+        rows, ranks = rref_bulk(cols.T)
+        if not np.all(ranks == len(cols)):
             raise AssertionError("the image of a basis is not a basis")
         return rows
+
+    @cached_property
+    def _twice(self) -> np.ndarray:
+        """The exponent table laid twice end to end, in row_dtype(n)."""
+        return np.tile(self.exptable.astype(row_dtype(self.n)), 2)
 
     def expand_orbit_rows(self, rows: np.ndarray) -> np.ndarray:
         """All distinct subspaces in the orbit of the subspace with basis

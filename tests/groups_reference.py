@@ -9,9 +9,11 @@ in ascending order, and expand each key not yet assigned into its whole
 orbit by `walk_orbit`.  The bulk code must agree with them on member
 rows, representative rows, lengths and the lookup index.
 
-`closure_elements` runs the breadth-first search of
-`qsteiner.groups.group_closure` and keeps the elements it finds, which
-the library only counts.
+`closure_elements` is the oracle of `qsteiner.groups.group_closure`,
+and independent of it: a breadth-first search over the elements
+themselves, by right multiplication with each generator, that keeps
+every element it finds.  The closure counts cosets of a cyclic subgroup
+instead and keeps no element.
 """
 
 from __future__ import annotations

@@ -1,17 +1,23 @@
-"""The label pass of the Singer engine as one sort per candidate, kept as
-the test oracle of `SingerEngine._labels_batch`.
+"""The label pass of the Singer engine as one sort per candidate, and its
+orbit images by modular arithmetic, kept as the test oracles of
+`SingerEngine._labels_batch` and `SingerEngine.orbit_images`.
 
-For every slope t and every base point d of each exponent set D it
-builds sorted(t*(D - d)), packs it into words and keeps the running
-lexicographic minimum, counting the (t, d) pairs that reach it: |slopes|
-* |D| sorts and packings per batch.  The engine's kernel must return the
-same label words and stabilizer counts.
+For every slope t and every base point d of each exponent set D the
+label oracle builds sorted(t*(D - d)), packs it into words and keeps the
+running lexicographic minimum, counting the (t, d) pairs that reach it:
+|slopes| * |D| sorts and packings per batch.  The engine's kernel must
+return the same label words and stabilizer counts.
+
+The image oracle computes exptable[(t*e + c) % modulus] for every slope
+t, shift c and basis exponent e, where the engine slices a rotation of
+the exponent table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qsteiner.gf2 import rref_bulk
 from qsteiner.singer import SingerEngine
 
 
@@ -60,3 +66,18 @@ def labels_and_stabilizers(
                     b[lt] = w[lt]
     assert best is not None
     return np.stack(best, axis=1), stab
+
+
+def orbit_images(engine: SingerEngine, rows: np.ndarray) -> np.ndarray:
+    """The (|G|, k) RREF images of the basis rows, (k,) uint64, slope by
+    slope and shift c = 0, 1, ... within a slope."""
+    k = len(rows)
+    exps = engine.dlog[np.asarray(rows, dtype=np.uint64)]
+    slopes = np.array(engine.slopes, dtype=np.int64)
+    shifts = np.arange(engine.modulus, dtype=np.int64)
+    scaled = (slopes[:, None] * exps[None, :]) % engine.modulus
+    images = (scaled[:, None, :] + shifts[None, :, None]) % engine.modulus
+    images = images.reshape(len(slopes) * engine.modulus, k)
+    rows, ranks = rref_bulk(engine.exptable[images])
+    assert np.all(ranks == k)
+    return rows

@@ -621,6 +621,26 @@ def test_vec_mat_bulk_byte_tables_match_the_masked_xor_oracle():
     assert np.array_equal(vec_mat_bulk(m, vecs), gf2_reference.vec_mat_bulk(m, vecs))
 
 
+def test_xor_tables_match_the_masked_xor_oracle():
+    # entry [i, b, v] is v @ matrix i restricted to the rows of group b,
+    # for every width and row counts around the groups, in the rows' dtype
+    nprng = np.random.default_rng(23)
+    for dtype, ncols in ((np.uint8, 5), (np.uint16, 13), (np.uint64, 64)):
+        for nrows in (1, 4, 7, 8, 13):
+            rows = nprng.integers(0, 2**ncols, size=(3, nrows), dtype=np.uint64)
+            for width in range(1, 9):
+                tables = gf2.xor_tables(rows.astype(dtype), width)
+                parts = -(-nrows // width)
+                assert tables.dtype == dtype
+                assert tables.shape == (3, parts, 1 << width)
+                for i, matrix in enumerate(rows.tolist()):
+                    m = BitMatrix(tuple(matrix), ncols)
+                    vecs = np.arange(1 << width, dtype=np.uint64)
+                    for b in range(parts):
+                        want = gf2_reference.vec_mat_bulk(m, vecs << np.uint64(width * b))
+                        assert np.array_equal(tables[i, b], want)
+
+
 def test_span_vectors_bulk_matches_subspace_vectors():
     rng = random.Random(21)
     for k in range(6):

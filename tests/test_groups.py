@@ -18,6 +18,8 @@ from qsteiner.gf2 import (
     mat_vec,
     mat_vec_bulk,
     primitive_polynomial,
+    rank,
+    row_dtype,
     rref_bulk,
     span_vectors_bulk,
 )
@@ -66,19 +68,124 @@ def brute_closure(generators, n):
     return elems
 
 
+def gl42_generators():
+    """A 4-cycle of order 15 and a transvection, which generate GL(4, 2)."""
+    return companion_matrix(0b10011), BitMatrix((9, 2, 4, 8), 4)
+
+
+def assert_closure_matches_oracle(n, generators):
+    group = MatrixGroup(n=n, generators=generators)
+    order = group_closure(group).order
+    assert order == len(closure_elements(group))
+    return order
+
+
 def test_closure_orders_small():
-    for n, expect in ((2, 6), (3, 21), (4, 60), (5, 155), (6, 378)):
+    # the coset walk against the element-level search, with either
+    # generator listed first: H is <S> either way, the one of larger order
+    for n in range(2, 9):
         g = singer_normalizer(n)
-        closed = group_closure(MatrixGroup(n=n, generators=g.generators))
-        elements = closure_elements(g)
-        assert closed.order == expect == (2**n - 1) * n == len(elements)
-        elements = [tuple(rows) for rows in elements.tolist()]
-        assert elements == sorted(brute_closure(g.generators, n))
+        for gens in (g.generators, g.generators[::-1]):
+            order = assert_closure_matches_oracle(n, gens)
+            assert order == (2**n - 1) * n
+        if n <= 6:
+            elements = [tuple(rows) for rows in closure_elements(g).tolist()]
+            assert elements == sorted(brute_closure(g.generators, n))
 
 
-def test_closure_cap():
-    with pytest.raises(LimitError, match="cap of 100 elements"):
-        group_closure(singer_normalizer(6), cap=100)
+def test_closure_of_gl42_matches_the_element_oracle():
+    for gens in (gl42_generators(), gl42_generators()[::-1]):
+        assert assert_closure_matches_oracle(4, gens) == 20160
+
+
+def test_closure_of_redundant_identity_and_trivial_generators():
+    s, f = singer_normalizer(5).generators
+    cube = mat_mul(s, mat_mul(s, s))
+    assert assert_closure_matches_oracle(5, (s, cube)) == 31
+    assert assert_closure_matches_oracle(5, (cube, f, s)) == 155
+    assert assert_closure_matches_oracle(5, (identity(5), f, s)) == 155
+    assert assert_closure_matches_oracle(5, (f, identity(5))) == 5
+    assert assert_closure_matches_oracle(4, (identity(4),)) == 1
+    assert assert_closure_matches_oracle(1, (identity(1),)) == 1
+
+
+def elementary_transvections(n):
+    """Every I + E_ij, i != j: row i of the identity gains bit j."""
+    return tuple(
+        BitMatrix(tuple((1 << r) | ((1 << j) if r == i else 0) for r in range(n)), n)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    )
+
+
+def test_coset_keys_are_the_least_elements_of_their_cosets():
+    # brute force over the products h y; with H = <I + E_10>, both
+    # elements of H share row 0, so the key is settled on row 1
+    rng = random.Random(29)
+    cases = [(3, elementary_transvections(3)[2]), (4, gl42_generators()[0])]
+    cases += [(5, singer_normalizer(5).generators[1])]
+    for n, g in cases:
+        h = groups._powers(g, 10**6)
+        elements = [BitMatrix(tuple(rows), n) for rows in h.tolist()]
+        ys = []
+        while len(ys) < 20:
+            y = BitMatrix(tuple(rng.getrandbits(n) for _ in range(n)), n)
+            if rank(y) == n:
+                ys.append(y)
+        keys = groups._coset_keys(h, np.array([y.rows for y in ys], dtype=h.dtype))
+        assert keys.dtype == row_dtype(n)
+        for y, key in zip(ys, keys.tolist()):
+            assert tuple(key) == min(mat_mul(e, y).rows for e in elements)
+
+
+def test_closure_with_ties_on_the_first_row_matches_the_oracle():
+    # GL(3, 2) from its six transvections, each of order 2: H = <I + E_10>
+    # and the identity share row 0, so every coset key needs row 1
+    gens = elementary_transvections(3)
+    assert gens[2].rows[0] == 1 and gens[2].rows[1] == 3
+    assert assert_closure_matches_oracle(3, gens[2:] + gens[:2]) == 168
+
+
+def test_closure_cap(monkeypatch):
+    # |H| = 63 and |G| = 378: a cap below either, between them, and at |G|
+    g = singer_normalizer(6)
+    for cap in (0, 1, 40, 62, 63, 100, 377):
+        with pytest.raises(LimitError, match=f"cap of {cap} elements"):
+            group_closure(MatrixGroup(n=6, generators=g.generators), cap=cap)
+    assert group_closure(g, cap=378).order == 378
+    # doubling would list 64 powers of S; a cap of 40 stops them at 41
+    built = []
+
+    def spy(m, vecs, apply=groups.vec_mat_bulk):
+        built.append(len(vecs))
+        return apply(m, vecs)
+
+    monkeypatch.setattr(groups, "vec_mat_bulk", spy)
+    with pytest.raises(LimitError, match="cap of 40 elements"):
+        group_closure(MatrixGroup(n=6, generators=g.generators[:1]), cap=40)
+    assert 1 + sum(built) == 41
+
+
+def test_closure_of_the_paper_group_walks_13_cosets(monkeypatch):
+    # F is listed first, but H = <S> has 8191 elements and 13 right
+    # cosets: the search yields those 13 keys, never an element list, and
+    # holds them in uint16
+    yielded = []
+
+    def spy(start, maps, n, walk=groups._bfs):
+        for rows in walk(start, maps, n):
+            assert rows.dtype == row_dtype(13)
+            yielded.append(rows.shape)
+            yield rows
+
+    monkeypatch.setattr(groups, "_bfs", spy)
+    gens = fixtures.fixture_group().generators
+    assert gens[0] == fixtures.generator_f()
+    closed = group_closure(MatrixGroup(n=13, generators=gens))
+    assert closed.order == 106483
+    assert sum(rows for rows, _ in yielded) == 13
+    assert {width for _, width in yielded} == {13}
 
 
 def act(g, rows):
@@ -171,7 +278,7 @@ def test_partition_full_matches_walk_oracle():
     assert orbit_partition(transvected, 2).lengths == [35]
     # GL(4, 2): the transvection e3 -> e0 + e3 has first slope 1 on the
     # cycle's exponents, a power of two, but is not affine on them
-    cycle, transvection = companion_matrix(0b10011), BitMatrix((9, 2, 4, 8), 4)
+    cycle, transvection = gl42_generators()
     exps = singer._power_table(cycle)
     dlog = np.zeros(16, dtype=np.int64)
     dlog[exps] = np.arange(15)

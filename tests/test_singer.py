@@ -1,9 +1,11 @@
-"""The engine's label pass against the one-sort-per-candidate oracle."""
+"""The engine's label pass against the one-sort-per-candidate oracle, and
+its orbit images against the modular-arithmetic one."""
 
 import numpy as np
 import pytest
 
 import singer_reference
+from qsteiner import fixtures
 from qsteiner.gf2 import rref_bulk
 from qsteiner.groups import singer_normalizer
 from qsteiner.singer import _sorting_network
@@ -135,3 +137,37 @@ def test_labels_match_oracle_on_eight_dim_subspaces():
     # an 8-subspace has 255 exponents, the widest sets the tests sort
     engine = singer_normalizer(10).engine()
     assert_matches_oracle(engine, random_rows(np.random.default_rng(10), 40, 8, 10))
+
+
+def assert_images_match_oracle(engine, rows):
+    got = engine.orbit_images(rows)
+    want = singer_reference.orbit_images(engine, rows)
+    assert got.shape == want.shape == (engine.order, len(rows))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_orbit_images_rotate_as_the_modular_oracle_computes():
+    # k = 0 still gives one empty image per group element
+    for n in range(4, 11):
+        engine = singer_normalizer(n).engine()
+        rng = np.random.default_rng(n)
+        for k in range(4):
+            for rows in random_rows(rng, 3, k, n):
+                assert_images_match_oracle(engine, rows)
+
+
+def test_orbit_images_of_a_short_orbit_match_the_oracle():
+    # GF(4) inside GF(2^14): the exponents 0, M/3 and 2M/3 with the zero
+    # vector, fixed by 3 * 14 = 42 of the group's maps
+    engine = singer_normalizer(14).engine()
+    third = engine.modulus // 3
+    rows = engine.exptable[[0, third]]
+    assert engine.exptable[2 * third] == rows[0] ^ rows[1]
+    assert_images_match_oracle(engine, rows)
+    assert len(engine.expand_orbit_rows(rows)) == engine.order // 42
+
+
+def test_orbit_images_of_the_paper_representatives_match_the_oracle(paper_group):
+    engine = paper_group.engine()
+    for rows in fixtures.solution_representatives():
+        assert_images_match_oracle(engine, rows)
