@@ -1,11 +1,12 @@
 """Command line pipeline for subspace design construction and verification.
 
 Subcommands chain through files: `group` writes generators and a closure
-count, `orbits` writes orbit tables, `km` writes the orbit incidence
-system, `solve` writes exact-cover solutions, `expand` turns orbit
-representatives into a block list, and `verify` recounts coverage from
-the blocks alone.  `paper-check` runs the whole chain on the bundled
-13-dimensional dataset and prints a pass/fail table with timings.
+count, `orbits` writes orbit tables (reports that no command reads back),
+`km` writes the orbit incidence system, `solve` writes exact-cover
+solutions, `expand` turns orbit representatives into a block list, and
+`verify` recounts coverage from the blocks alone.  `paper-check` runs the
+whole chain on the bundled 13-dimensional dataset and prints a pass/fail
+table with timings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 input file that cannot be read or parsed: the error names the file),
@@ -38,7 +39,6 @@ from .exact_cover import (
 from .gf2 import MAX_WIDTH, FormatError, LimitError, identity
 from .groups import (
     MatrixGroup,
-    OrbitTable,
     format_group,
     group_closure,
     load_generator_file,
@@ -135,16 +135,16 @@ def resolve_group(args: argparse.Namespace) -> MatrixGroup:
 
 def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
     """(representative rows, their source file or flag) from exactly one of
-    --k-orbits FILE with ids from --ids or the first line of a --solution
-    file, --reps FILE (a block file) and --fixture-solution."""
-    table_file, reps_file = args.k_orbits, args.reps
+    --k K with ids of orbits of k-subspaces from --ids or the first line of
+    a --solution file, --reps FILE (a block file) and --fixture-solution."""
+    k, reps_file = args.k, args.reps
     use_fixture = args.fixture_solution
-    if (table_file is not None) + (reps_file is not None) + use_fixture != 1:
+    if (k is not None) + (reps_file is not None) + use_fixture != 1:
         raise UsageError(
-            "choose exactly one of --k-orbits FILE, --reps FILE or --fixture-solution"
+            "choose exactly one of --k K, --reps FILE or --fixture-solution"
         )
-    if table_file is None and (args.ids, args.solution) != (None, None):
-        raise UsageError("--ids and --solution need --k-orbits FILE")
+    if k is None and (args.ids, args.solution) != (None, None):
+        raise UsageError("--ids and --solution need --k K")
     if use_fixture:
         if group.n != fixtures.FIXTURE_N:
             raise UsageError("--fixture-solution requires the n=13 group")
@@ -156,25 +156,27 @@ def resolve_reps(args: argparse.Namespace, group: MatrixGroup):
         return reps.blocks, reps_file
     ids_text, solution_file = args.ids, args.solution
     if (ids_text is None) == (solution_file is None):
-        raise UsageError("--k-orbits needs exactly one of --ids or --solution")
+        raise UsageError("--k needs exactly one of --ids or --solution")
+    if not 1 <= k <= group.n:
+        raise UsageError(f"need 1 <= k <= n = {group.n}")
     if ids_text is not None:
-        ids = _parse_ids(ids_text, "--ids", "orbit ids")
+        ids, source = _parse_ids(ids_text, "--ids", "orbit ids"), "--ids"
         if not ids:
             raise UsageError(f"--ids names no orbit id: {ids_text!r}")
     else:
         rows, _ = load_solutions(solution_file)
         if not rows:
             raise UsageError(f"{solution_file}: contains no solutions")
-        ids = list(rows[0])
-    # after the checks of the ids: a load recomputes the partition
-    table = OrbitTable.load(table_file, group)
+        ids, source = list(rows[0]), solution_file
+    # after the checks of the ids: the partition is the slow step
+    table = orbit_partition(group, k)
     try:
         reps = [table.rep(i) for i in ids]
     except IndexError as exc:
-        raise UsageError(f"{table_file}: {exc}") from exc
+        raise UsageError(f"{source}: {exc}") from exc
     if len(set(ids)) != len(ids):
         raise UsageError(f"orbit ids repeat: {ids}")
-    return np.array(reps, dtype=np.uint64).reshape(len(ids), table.k), table_file
+    return np.array(reps, dtype=np.uint64).reshape(len(ids), k), source
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +316,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     group = resolve_group(args)
     reps, source = resolve_reps(args, group)
-    if not reps.shape[1]:
-        raise FormatError(f"{source}: blocks must have dimension k >= 1")
     t0 = time.time()
     try:
         blocks, lengths = expand_orbits(group, reps)
@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the bundled 15 representatives",
     )
     p.add_argument(
-        "--k-orbits", metavar="FILE", help="orbit table naming representatives by id"
+        "--k", type=int, metavar="K", help="dimension of the orbits the ids name"
     )
     p.add_argument("--ids", metavar="IDS", help="comma separated orbit ids to expand")
     p.add_argument(

@@ -522,7 +522,9 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r, key, diff, hit = block[:, :m], keys[:, :m], diffs[:m], hits[:m]
         r[...] = part.T
         # key x ^ (x - 1) is the bits up to the lowest set one, all 64 for
-        # a zero row, so it orders rows by pivot with zero rows last
+        # a zero row, so it orders rows by pivot with zero rows last; only
+        # the row 1 << 63 ties with a zero row, and bases of rank below k
+        # sink their zero rows at the end
         for i in range(k):
             np.subtract(r[i:], np.uint64(1), out=key[i:])
             np.bitwise_xor(key[i:], r[i:], out=key[i:])
@@ -541,8 +543,14 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     np.not_equal(diff, 0, out=hit)
                     np.multiply(a, hit, out=diff)
                     b ^= diff
+        rank = np.count_nonzero(r, axis=0)
+        low = np.flatnonzero(rank < k)  # where a zero row can precede 1 << 63
+        if low.size:
+            sub = r[:, low]
+            order = np.argsort(sub == 0, axis=0, kind="stable")
+            r[:, low] = np.take_along_axis(sub, order, axis=0)
         out[start : start + m] = r.T
-        ranks[start : start + m] = np.count_nonzero(r, axis=0)
+        ranks[start : start + m] = rank
     return out, ranks
 
 

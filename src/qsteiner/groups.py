@@ -10,15 +10,14 @@ the test oracle of the engine.  orbit() and group closure share one
 bulk breadth-first search over arrays of rows: orbit() walks the
 subspaces of an orbit, and the closure walks the right cosets of the
 cyclic subgroup of one generator, each coset keyed by its least element,
-to count the group without listing it.
+to count the group without listing it.  Orbit table files are written,
+never read: each reader recomputes the partition.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Iterator
 
 import numpy as np
@@ -278,9 +277,10 @@ class OrbitTable:
     has a Singer engine, else the key of every orbit member, taken from
     the generic partition.  A 2-dim table with a Singer engine also keeps
     the orbit id of every exponent difference (see _ensure_line_ids).
-    orbit_partition builds each table with its index, and load returns
-    the recomputed partition; the partitions make the rows reduced,
-    ascending and of positive length, so construction checks shapes only.
+    orbit_partition builds each table with its index; the partitions make
+    the rows reduced, ascending and of positive length, so construction
+    checks shapes only.  save writes the table as a report: nothing reads
+    it back, since the group's partition recomputes it.
     """
 
     n: int
@@ -376,9 +376,9 @@ class OrbitTable:
 
     # -- serialization ----------------------------------------------------
 
-    def text(self) -> str:
-        """The table as save writes it: a header, then each orbit's
-        'id length' line, its basis rows and a blank line."""
+    def save(self, path: str) -> None:
+        """Write a header, then each orbit's 'id length' line, its basis
+        rows and a blank line."""
         lines = [
             "# orbit table: n k group-hash group-order, then id length + basis rows",
             f"{self.n} {self.k} {group_hash(self.group)} {_group_order(self.group)}",
@@ -387,72 +387,8 @@ class OrbitTable:
         text = format_rows(self.rows, self.n)
         for i, (length, rows) in enumerate(zip(self.lengths, text)):
             lines += [f"{i} {length}", rows.tobytes().decode().rstrip("\n"), ""]
-        return "\n".join(lines)
-
-    def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.text())
-
-    @classmethod
-    def load(cls, path: str, group: MatrixGroup) -> "OrbitTable":
-        """The partition of group's k-subspaces, recomputed, once the table
-        at path reads exactly as its text; a fault in the file is a
-        FormatError that names it (see gf2.reading).
-
-        The header's n and group hash are checked before any partition is
-        computed.  Any other difference from the group's table names the
-        first line that differs and quotes both sides.
-        """
-        with reading(path) as text:
-            header = None
-            for lineno, line in enumerate(text.split("\n"), start=1):
-                stripped = line.split("#", 1)[0].strip()
-                if stripped:
-                    header = stripped.split()
-                    break
-            if header is None or len(header) != 4:
-                raise FormatError("missing or malformed orbit table header")
-            try:
-                n, k, _ = int(header[0]), int(header[1]), int(header[3])
-            except ValueError:
-                raise FormatError(
-                    f"line {lineno}: orbit table header needs integer n, k "
-                    f"and group order, got {' '.join(header)!r}"
-                ) from None
-            if not 0 <= k <= n or not 1 <= n <= 64:
-                raise FormatError(f"line {lineno}: no {k}-subspaces of GF(2)^{n}")
-            if group.n != n:
-                raise FormatError(
-                    f"line {lineno}: group dimension does not match the table header"
-                )
-            if group_hash(group) != header[2]:
-                raise FormatError(
-                    f"line {lineno}: group hash does not match the table header"
-                )
-            table = orbit_partition(group, k)
-            want = table.text()
-            if text != want:
-                pairs = zip_longest(_LINE.findall(text), _LINE.findall(want))
-                for i, (got, expect) in enumerate(pairs, start=1):
-                    if got != expect:
-                        raise FormatError(
-                            f"line {i}: reads {_quoted(got)}, the group's "
-                            f"partition gives {_quoted(expect)}"
-                        )
-            return table
-
-
-_LINE = re.compile(".*\n|.+")  # a line and its line end; the last may lack one
-
-
-def _quoted(line: str | None) -> str:
-    """A line of a table for an error message; None, past the last line,
-    is the end of the file."""
-    if line is None:
-        return "end of file"
-    if line.endswith("\n"):
-        return repr(line[:-1])
-    return f"{line!r} without a line end"
+            fh.write("\n".join(lines))
 
 
 def _group_order(group: MatrixGroup) -> int:

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, file outputs, determinism."""
 
+import ast
 import hashlib
 import os
 import re
@@ -16,7 +17,7 @@ from qsteiner.fixtures import FIXTURE_SHA256
 from qsteiner.gf2 import FormatError, LimitError, rref_bulk
 from qsteiner.groups import (
     MatrixGroup,
-    OrbitTable,
+    group_hash,
     load_generator_file,
     singer_normalizer,
 )
@@ -165,7 +166,10 @@ def test_full_pipeline_on_trivial_group(tmp_path, capsys):
         code, out, _ = run(capsys, "--out-dir", out_dir, "orbits", *group, "--dim", dim)
         assert code == 0
     assert (tmp_path / "orbits-n4-k1.txt").exists()
-    assert (tmp_path / "orbits-n4-k2.txt").exists()
+    # the closure counts the order: a generator file's order line is not read
+    header = (tmp_path / "orbits-n4-k2.txt").read_text().split("\n")[1]
+    trivial = load_generator_file(str(tmp_path / "group.txt"))
+    assert header == f"4 2 {group_hash(trivial)} 1"
 
     code, out, _ = run(
         capsys,
@@ -192,8 +196,7 @@ def test_full_pipeline_on_trivial_group(tmp_path, capsys):
         capsys,
         "--out-dir", out_dir,
         "expand", *group,
-        "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
-        "--solution", str(tmp_path / "solutions.txt"),
+        "--k", "2", "--solution", str(tmp_path / "solutions.txt"),
     )
     assert code == 0 and "5 distinct blocks" in out
 
@@ -226,8 +229,7 @@ def test_verify_failure_returns_1(tmp_path, capsys):
         capsys,
         "--out-dir", out_dir,
         "expand", "--trivial-group", "--n", "4",
-        "--k-orbits", str(tmp_path / "orbits-n4-k2.txt"),
-        "--solution", str(tmp_path / "solutions.txt"),
+        "--k", "2", "--solution", str(tmp_path / "solutions.txt"),
     )
     # a spread is not a 2-design: claiming t=2 must fail verification
     code, out, _ = run(
@@ -270,6 +272,8 @@ def test_unknown_flag_exits_2(capsys):
         # km always partitions: it reads no orbit table
         ["km", "--singer-normalizer", "5", "--t-orbits", "orbits-n5-k2.txt"],
         ["km", "--singer-normalizer", "5", "--k-orbits", "orbits-n5-k3.txt"],
+        # nor does expand: --k names the orbits the ids count
+        ["expand", "--singer-normalizer", "5", "--k-orbits", "FILE", "--ids", "0"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
@@ -384,9 +388,8 @@ def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
 
 def test_verify_prints_the_sampled_certificates(tmp_path, monkeypatch, capsys):
     # the one orbit of 2-subspaces of GF(2)^5: each covers itself once
-    table = saved_table(tmp_path, capsys, 5, 2)
     run(capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "5",
-        "--k-orbits", table, "--ids", "0")
+        "--k", "2", "--ids", "0")
 
     def refuse(*args):
         raise AssertionError("verify builds no group and expands no orbit")
@@ -601,13 +604,8 @@ FILE_FLAGS = {
     "solve --km": (("solve", "--km", "FILE"), "KM 6 2"),
     "expand --reps": (("expand", "--singer-normalizer", "6", "--reps", "FILE"), "012"),
     "expand --solution": (
-        ("expand", "--singer-normalizer", "6", "--k-orbits", "TABLE", "--solution",
-         "FILE"),
+        ("expand", "--singer-normalizer", "6", "--k", "3", "--solution", "FILE"),
         "0 x",
-    ),
-    "expand --k-orbits": (
-        ("expand", "--singer-normalizer", "6", "--k-orbits", "FILE", "--ids", "0"),
-        "6 two 0 378",
     ),
     "orbits --generators": (("orbits", "--generators", "FILE", "--dim", "1"), "012"),
 }
@@ -627,8 +625,7 @@ def test_input_faults_name_their_file_and_exit_2(tmp_path, capsys, flag, fault):
     else:
         path.write_text(line + "\n")
         message = f"error: {path}: line 1: "
-    table = saved_table(tmp_path, capsys, 6, 3) if "TABLE" in argv else None
-    argv = [{"FILE": str(path), "TABLE": table}.get(arg, arg) for arg in argv]
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
     out_dir = tmp_path / "out"
     code, _, err = run(capsys, "--out-dir", str(out_dir), *argv)
     assert code == 2 and err.startswith(message), err
@@ -651,7 +648,6 @@ LOADERS = {
     "import_km": import_km,
     "load_solutions": load_solutions,
     "load_generator_file": load_generator_file,
-    "OrbitTable.load": lambda path: OrbitTable.load(path, singer_normalizer(6)),
 }
 
 
@@ -665,20 +661,44 @@ def test_every_loader_names_its_file(tmp_path, loader):
         assert str(info.value).startswith(f"{path}: "), info.value
 
 
+def reader_callers() -> set[str]:
+    """The functions of the package that call gf2.reading, as 'name' or
+    'Class.name'."""
+    callers = set()
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        scopes = [(node, "") for node in ast.parse(path.read_text("utf-8")).body]
+        while scopes:
+            node, prefix = scopes.pop()
+            if isinstance(node, ast.ClassDef):
+                scopes += [(child, f"{prefix}{node.name}.") for child in node.body]
+            elif isinstance(node, ast.FunctionDef) and any(
+                getattr(call.func, "id", getattr(call.func, "attr", None)) == "reading"
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            ):
+                callers.add(prefix + node.name)
+    return callers
+
+
+def test_the_loaders_are_the_callers_of_the_reader():
+    # a function that reads a file through gf2.reading is a loader: LOADERS
+    # lists each one, so none is added or removed without its test above
+    assert set(LOADERS) == reader_callers()
+
+
 def test_orbit_ids_outside_the_table_are_usage_errors(tmp_path, capsys):
-    table = saved_table(tmp_path, capsys, 6, 3)
+    # the error names the flag or the file that holds the id
     solution = tmp_path / "solution.txt"
     expand = ("--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6")
     for bad in ("-1", "-3", "1000"):
-        code, _, err = run(capsys, *expand, "--k-orbits", table, "--ids", f"0,{bad}")
-        assert code == 2 and f"orbit id {bad} out of range" in err
+        code, _, err = run(capsys, *expand, "--k", "3", "--ids", f"0,{bad}")
+        assert code == 2 and f"error: --ids: orbit id {bad} out of range" in err
         solution.write_text(f"0 {bad}\n")
-        code, _, err = run(
-            capsys, *expand, "--k-orbits", table, "--solution", str(solution)
-        )
-        assert code == 2 and f"orbit id {bad} out of range" in err
+        code, _, err = run(capsys, *expand, "--k", "3", "--solution", str(solution))
+        assert code == 2
+        assert f"error: {solution}: orbit id {bad} out of range" in err, err
     assert not (tmp_path / "blocks.txt").exists()
-    code, out, _ = run(capsys, *expand, "--k-orbits", table, "--ids", "0,1")
+    code, out, _ = run(capsys, *expand, "--k", "3", "--ids", "0,1")
     assert code == 0 and "expanded 2 orbits" in out
 
 
@@ -715,21 +735,20 @@ def test_bad_representative_files_are_named_errors(tmp_path, capsys):
 
 
 def test_expand_refuses_conflicting_representative_sources(tmp_path, capsys):
-    table = saved_table(tmp_path, capsys, 6, 3)
     reps = tmp_path / "reps.txt"
     reps.write_text("100000\n010000\n001000\n")
     expand = ("--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6")
     for sources in (
-        ("--k-orbits", table, "--ids", "0", "--reps", str(tmp_path / "missing.txt")),
-        ("--k-orbits", table, "--ids", "0", "--fixture-solution"),
+        ("--k", "3", "--ids", "0", "--reps", str(tmp_path / "missing.txt")),
+        ("--k", "3", "--ids", "0", "--fixture-solution"),
         ("--reps", str(reps), "--fixture-solution"),
-        ("--k-orbits", table, "--ids", "0", "--reps", str(reps), "--fixture-solution"),
+        ("--k", "3", "--ids", "0", "--reps", str(reps), "--fixture-solution"),
     ):
         code, _, err = run(capsys, *expand, *sources)
         assert code == 2, sources
-        assert "choose exactly one of --k-orbits FILE, --reps FILE or " \
+        assert "choose exactly one of --k K, --reps FILE or " \
             "--fixture-solution" in err, err
-    # ids name orbits of a table: without --k-orbits they would be dropped
+    # ids name orbits of k-subspaces: without --k they would be dropped
     for sources in (
         ("--reps", str(reps), "--ids", "5,6"),
         ("--reps", str(reps), "--solution", str(tmp_path / "missing.txt")),
@@ -737,147 +756,39 @@ def test_expand_refuses_conflicting_representative_sources(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *expand, *sources)
         assert code == 2, sources
-        assert "error: --ids and --solution need --k-orbits FILE" in err, err
+        assert "error: --ids and --solution need --k K" in err, err
+    # --k with neither ids nor a solution, or with both
+    for sources in (
+        ("--k", "3"),
+        ("--k", "3", "--ids", "0", "--solution", str(tmp_path / "missing.txt")),
+    ):
+        code, _, err = run(capsys, *expand, *sources)
+        assert code == 2, sources
+        assert "error: --k needs exactly one of --ids or --solution" in err, err
     assert not (tmp_path / "blocks.txt").exists()
-    for sources in (("--k-orbits", table, "--ids", "0"), ("--reps", str(reps))):
+    for sources in (("--k", "3", "--ids", "0"), ("--reps", str(reps))):
         code, out, _ = run(capsys, *expand, *sources)
         assert code == 0 and "expanded 1 orbits" in out, sources
 
 
 def test_expand_refuses_the_zero_subspace(tmp_path, capsys):
-    # a block file holds subspaces of dimension k >= 1
-    table = saved_table(tmp_path, capsys, 5, 0)
-    code, _, err = run(
-        capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "5",
-        "--k-orbits", table, "--ids", "0",
-    )
-    assert code == 2
-    assert f"error: {table}: blocks must have dimension k >= 1" in err, err
-    assert not (tmp_path / "blocks.txt").exists()
-
-
-def test_orbit_table_order_is_checked_against_the_group(tmp_path, capsys):
-    # the header's order is compared with the group's own order, never
-    # taken as it: certified by the Singer engine, or counted by closure
-    def edited(path, old, new):
-        lines = Path(path).read_text().split("\n")
-        assert lines[1].endswith(f" {old}")
-        header = lines[1]
-        lines[1] = lines[1][: -len(old)] + new
-        Path(path).write_text("\n".join(lines))
-        return f"line 2: reads '{lines[1]}', the group's partition gives '{header}'"
-
-    def chain(sub, source, dim):
-        d = tmp_path / sub
-        run(capsys, "--out-dir", str(d), "group", *source)
-        group = ("--generators", str(d / "group.txt"))
-        run(capsys, "--out-dir", str(d), "orbits", *group, "--dim", str(dim))
-        return d, ("--out-dir", str(d), "expand", *group)
-
-    d, expand = chain("singer", ("--singer-normalizer", "5"), 2)
-    table = str(d / "orbits-n5-k2.txt")
-    runs = [(expand + ("--k-orbits", table), table, edited(table, "155", "999"))]
-    d, expand = chain("trivial", ("--trivial-group", "--n", "4"), 1)
-    table = str(d / "orbits-n4-k1.txt")
-    runs += [(expand + ("--k-orbits", table), table, edited(table, "1", "7"))]
-    for argv, table, message in runs:
-        code, _, err = run(capsys, *argv, "--ids", "0")
-        assert code == 2, err
-        assert err == f"error: {table}: {message}\n", err
-    assert not list(tmp_path.glob("*/blocks.txt"))
-
-
-def test_malformed_orbit_table_exits_2(tmp_path, capsys):
-    # the faults a table file meets, each named by the first line that
-    # differs from the table of the group's partition
-    from qsteiner.groups import _partition_full
-
-    table = saved_table(tmp_path, capsys, 6, 3)
-    text = Path(table).read_text()
-    lines = text.split("\n")  # orbit i's 'id length' line is lines[3 + 5 * i]
-
-    def edit(at, line):
-        return "\n".join(lines[:at] + [line] + lines[at + 1 :])
-
-    flipped = ("0" if lines[4][0] == "1" else "1") + lines[4][1:]
-    swapped = lines[:3] + ["1" + lines[3][1:]] + lines[4:8] + ["0" + lines[8][1:]]
-    length = lines[8].split()[1]  # orbit 1's
-    other = tmp_path / "full.txt"
-    _partition_full(singer_normalizer(6), 3).save(str(other))
-    cut = len(text) // 2
-    six = ("--singer-normalizer", "6")
-    for name, bad, group, line, tail in (
-        ("a flipped row character", edit(4, flipped), six, 5,
-         f"reads '{flipped}', the group's partition gives '{lines[4]}'"),
-        ("two swapped ids", "\n".join(swapped + lines[9:]), six, 4,
-         f"reads '1{lines[3][1:]}', the group's partition gives '{lines[3]}'"),
-        ("a length + 1", edit(8, f"1 {int(length) + 1}"), six, 9,
-         f"reads '1 {int(length) + 1}', the group's partition gives '{lines[8]}'"),
-        ("a length - 1", edit(8, f"1 {int(length) - 1}"), six, 9, ""),
-        ("a truncated file", text[:cut], six, text[:cut].count("\n") + 1, ""),
-        ("a truncated last line", text[:-3], six, len(lines) - 1,
-         f"reads '{lines[-2][:-2]}' without a line end"),
-        ("an appended line", text + "0 1\n", six, len(lines),
-         "reads '0 1', the group's partition gives end of file"),
-        ("a comment line", "\n".join(lines[:2] + ["# a comment"] + lines[2:]), six, 3,
-         "reads '# a comment', the group's partition gives ''"),
-        ("a foreign group", text, ("--trivial-group", "--n", "6"), 2,
-         "group hash does not match the table header"),
-        ("another algorithm's table", other.read_text(), six, 10,
-         "reads '100010', the group's partition gives '100000'"),
-    ):
-        path = tmp_path / "bad.txt"
-        path.write_text(bad)
-        out_dir = tmp_path / "out"
-        code, _, err = run(
-            capsys, "--out-dir", str(out_dir), "expand", *group,
-            "--k-orbits", str(path), "--ids", "0",
+    # a block file holds subspaces of dimension 1 <= k <= n
+    for k in ("0", "6", "-1"):
+        code, out, err = run(
+            capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "5",
+            "--k", k, "--ids", "0",
         )
-        assert code == 2, (name, err)
-        assert err.startswith(f"error: {path}: line {line}: {tail}"), (name, err)
-        assert "Traceback" not in err and not out_dir.exists(), name
-    # a copy with CRLF line ends loads
-    path.write_bytes(text.replace("\n", "\r\n").encode())
-    code, out, err = run(
-        capsys, "--out-dir", str(out_dir), "expand", *six, "--k-orbits", str(path),
-        "--ids", "0",
-    )
-    assert code == 0 and "expanded 1 orbits" in out, err
-
-
-def test_orbit_table_errors_name_their_file(tmp_path, capsys):
-    # a fault in either table of a km chain names the file it is in
-    t_table = saved_table(tmp_path, capsys, 5, 2)
-    k_table = saved_table(tmp_path, capsys, 5, 3)
-    lines = Path(k_table).read_text().split("\n")
-    given, lines[3] = lines[3], "0 x"
-    Path(k_table).write_text("\n".join(lines))
-    expand = ("--out-dir", str(tmp_path), "expand")
-    code, _, err = run(
-        capsys, *expand, "--singer-normalizer", "5", "--k-orbits", k_table, "--ids", "0"
-    )
-    assert code == 2
-    assert err == f"error: {k_table}: line 4: reads '0 x', the group's partition " \
-        f"gives '{given}'\n", err
-    code, _, err = run(
-        capsys, *expand, "--trivial-group", "--n", "5", "--k-orbits", t_table,
-        "--ids", "0",
-    )
-    assert code == 2
-    assert f"error: {t_table}: line 2: group hash does not match the table " \
-        "header" in err, err
+        assert code == 2 and out == "", k
+        assert err == "error: need 1 <= k <= n = 5\n", err
     assert not (tmp_path / "blocks.txt").exists()
 
 
 def test_malformed_solution_headers_are_named_errors(tmp_path, capsys):
-    table = saved_table(tmp_path, capsys, 6, 3)
     solution = tmp_path / "solution.txt"
     expand = ("--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6")
     for header in ("# problem abc", "# forced 1 x"):
         solution.write_text(f"# exact-cover solutions\n{header}\n0 1\n")
-        code, _, err = run(
-            capsys, *expand, "--k-orbits", table, "--solution", str(solution)
-        )
+        code, _, err = run(capsys, *expand, "--k", "3", "--solution", str(solution))
         assert code == 2, header
         assert f"error: {solution}: line 2: invalid literal for int()" in err, err
     assert not (tmp_path / "blocks.txt").exists()
@@ -885,9 +796,8 @@ def test_malformed_solution_headers_are_named_errors(tmp_path, capsys):
 
 def verify_refuses(tmp_path, capsys, extras):
     # verify reads a block file alone: any other source is an unknown flag
-    table = saved_table(tmp_path, capsys, 6, 3)
     run(capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
-        "--k-orbits", table, "--ids", "0")
+        "--k", "3", "--ids", "0")
     verify = ["--out-dir", str(tmp_path), "verify", "--blocks", str(tmp_path / "blocks.txt")]
     for extra in extras:
         with pytest.raises(SystemExit) as info:
@@ -918,7 +828,6 @@ def test_verify_blocks_refuses_a_group_source(tmp_path, capsys):
 
 
 def test_non_integer_ids_name_their_flag(tmp_path, capsys):
-    table = saved_table(tmp_path, capsys, 6, 3)
     for ids, message in (
         ("0,x", "error: --ids expects integer orbit ids"),
         ("", "error: --ids names no orbit id: ''"),
@@ -926,7 +835,7 @@ def test_non_integer_ids_name_their_flag(tmp_path, capsys):
     ):
         code, _, err = run(
             capsys, "--out-dir", str(tmp_path), "expand", "--singer-normalizer", "6",
-            "--k-orbits", table, "--ids", ids,
+            "--k", "3", "--ids", ids,
         )
         assert code == 2 and err.startswith(message), err
     assert not (tmp_path / "blocks.txt").exists()

@@ -555,6 +555,11 @@ def test_rref_bulk_matches_row_major_oracle_and_scalar():
     top = np.uint64(1 << 63)
     red, ranks = rref_bulk(np.array([[top, top | np.uint64(1)]], dtype=np.uint64))
     assert red.tolist() == [[1, 1 << 63]] and ranks.tolist() == [2]
+    # a zero row and the row 1 << 63 share the all-ones sort key
+    for basis in ([0, top], [0, 0, top], [top, top, 0]):
+        _check_rref_bulk(np.array([basis], dtype=np.uint64))
+    red, ranks = rref_bulk(np.array([[0, top]], dtype=np.uint64))
+    assert red.tolist() == [[1 << 63, 0]] and ranks.tolist() == [1]
 
 
 def test_rref_bulk_does_not_depend_on_the_block_size(monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 from groups_reference import closure_elements, walk_orbit, walk_partition
 from qsteiner.gf2 import (
     BitMatrix,
-    FormatError,
     LimitError,
     companion_matrix,
     frobenius_matrix,
@@ -25,7 +24,6 @@ from qsteiner.gf2 import (
 )
 from qsteiner.groups import (
     MatrixGroup,
-    OrbitTable,
     group_closure,
     group_hash,
     orbit,
@@ -365,47 +363,6 @@ def test_lookup_rows_bulk_matches_scalar(paper_group, t2_table):
             t2_table.lookup(bad)
 
 
-def test_table_save_load_round_trip(tmp_path):
-    g = singer_normalizer(6)
-    table = orbit_partition(g, 2)
-    path = tmp_path / "orbits.txt"
-    table.save(str(path))
-    loaded = OrbitTable.load(str(path), group=g)
-    assert loaded.num_orbits == table.num_orbits
-    assert np.array_equal(loaded.rows, table.rows)
-    assert list(loaded.lengths) == list(table.lengths)
-    # the loaded table resolves lookups identically
-    for rep in table.rows:
-        assert loaded.lookup(rep) == table.lookup(rep)
-
-
-def test_table_load_rejects_foreign_group(tmp_path):
-    g6 = singer_normalizer(6)
-    table = orbit_partition(g6, 2)
-    path = tmp_path / "orbits.txt"
-    table.save(str(path))
-    other = MatrixGroup(n=6, generators=(identity(6),), order=1)
-    with pytest.raises(Exception, match="hash|order"):
-        OrbitTable.load(str(path), group=other)
-
-
-def test_table_load_rejects_tampered_file(tmp_path):
-    g = singer_normalizer(4)
-    table = orbit_partition(g, 2)
-    path = tmp_path / "orbits.txt"
-    table.save(str(path))
-    text = path.read_text()
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("0 "):
-            lines[i] = "0 999"
-            break
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match="line 4: reads '0 999', the group's "
-                       "partition gives '0 30'"):
-        OrbitTable.load(str(path), group=g)
-
-
 def test_group_hash_is_generator_sensitive():
     g4 = singer_normalizer(4)
     g4b = MatrixGroup(n=4, generators=tuple(reversed(g4.generators)))
@@ -471,7 +428,9 @@ def test_partition_does_not_depend_on_batch_sizes(monkeypatch):
 
 
 # SHA-256 of OrbitTable.save bytes: for singer_normalizer(n) over the tables
-# of k = 0..n, one file after another; for the paper group at k = 2 and 3
+# of k = 0..n, one file after another; for the paper group at k = 2 and 3;
+# for frobenius_group(5), which has no engine and no recorded order (the
+# closure counts it), over the generic partitions of k = 0..5
 ORBIT_TABLE_SHA256 = {
     4: "12b99967a474bc1950cefb2666ff055afc9975d93e35203bc8188e05aa052482",
     5: "92f9daa090dad6f228fc063988e9f178042961dcf271f3c873048e454f1a98a4",
@@ -480,6 +439,7 @@ ORBIT_TABLE_SHA256 = {
     8: "4967f4a00064398118934ce2ce2547234a3365ecf4e228f7a1d4992e9d71a5e6",
     "paper-2": "da0a98c5b62be1518f4ae7227e5929fda9c256883ec0130bcc3b70f1bb4d490e",
     "paper-3": "b302a6e25a22e26f608f5be3162ce952e697dae080ef2fd5921c9a9edabf140c",
+    "frobenius-5": "4a9975f76b1ac15d07f86abe843e5c974b0208a545432e191cc304a29faed3b7",
 }
 
 
@@ -498,7 +458,13 @@ def test_orbit_table_bytes_are_pinned(t2_table, t3_table, tmp_path):
         for n in range(4, 9)
     }
     got["paper-2"], got["paper-3"] = digest([t2_table]), digest([t3_table])
+    frob = frobenius_group(5)
+    got["frobenius-5"] = digest(orbit_partition(frob, k) for k in range(6))
+    assert frob.engine() is None and frob.order == 5
     assert got == ORBIT_TABLE_SHA256
+    # the zero subspace's table: one orbit with no basis rows
+    zero = orbit_partition(singer_normalizer(4), 0)
+    assert zero.rows.shape == (1, 0) and zero.lengths == [1]
 
 
 def test_t3_lengths_match_orbit_size_on_a_sample(paper_group, t3_table):
@@ -519,94 +485,7 @@ def test_partition_and_load_do_not_call_orbit_size(monkeypatch, tmp_path):
     assert table._index is not None
     assert table._index[0]  # a label index, built by the engine
     assert sum(table.lengths) == gaussian_binomial(7, 3, 2)
-    path = tmp_path / "orbits.txt"
-    table.save(str(path))
-    assert OrbitTable.load(str(path), group=g).lengths == table.lengths
-
-
-def test_table_load_checks_every_length(tmp_path, paper_group, t3_table):
-    # the last two lengths move by -1 and +1, so their sum still matches;
-    # the first line that differs from the recomputed table is named
-    path = tmp_path / "orbits-k3.txt"
-    t3_table.save(str(path))
-    last = t3_table.num_orbits - 1
-    lines = path.read_text().split("\n")
-    for i, line in enumerate(lines):
-        parts = line.split()
-        if len(parts) == 2 and parts[0] in (str(last - 1), str(last)):
-            delta = 1 if parts[0] == str(last) else -1
-            lines[i] = f"{parts[0]} {int(parts[1]) + delta}"
-    path.write_text("\n".join(lines))
-    at = 4 + 5 * (last - 1)  # three header lines, then five per orbit
-    length = t3_table.lengths[last - 1]
-    message = (f"line {at}: reads '{last - 1} {length - 1}', the group's "
-               f"partition gives '{last - 1} {length}'")
-    with pytest.raises(FormatError, match=message):
-        OrbitTable.load(str(path), group=paper_group)
-
-
-def member_between(g, u, lo, hi):
-    """The rows of the first member of u's orbit with key strictly between lo and hi."""
-    members = orbit(g, u)
-    keys = pack_keys_bulk(members, g.n)
-    return members[np.flatnonzero((lo < keys) & (keys < hi))[0]]
-
-
-def row_text(row, n):
-    """A basis row as a table writes it: character j is bit j."""
-    return "".join(str((int(row) >> j) & 1) for j in range(n))
-
-
-def first_row_change(path, at, got, want, n):
-    """The load error of a table whose record starting on line at lists
-    the rows got where the group's partition has want."""
-    j = next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
-    return (f"{path}: line {at + 1 + j}: reads '{row_text(got[j], n)}', the "
-            f"group's partition gives '{row_text(want[j], n)}'")
-
-
-def test_table_load_rejects_representatives_sharing_an_orbit(tmp_path):
-    # swap rep 1 for a member of orbit 0 of equal length that keeps the
-    # key order; lengths and their sum stay plausible
-    g = singer_normalizer(7)
-    table = orbit_partition(g, 3)
-    assert table.lengths[0] == table.lengths[1]
-    lo, _, hi = pack_keys_bulk(table.rows[:3], 7)
-    rows = table.rows.copy()
-    rows[1] = member_between(g, table.rep(0), lo, hi)
-    forged = OrbitTable(n=7, k=3, group=g, rows=rows, lengths=list(table.lengths))
-    path = tmp_path / "orbits.txt"
-    forged.save(str(path))
-    with pytest.raises(FormatError) as info:
-        OrbitTable.load(str(path), group=g)
-    # orbit 1's 'id length' line is line 9
-    assert str(info.value) == first_row_change(path, 9, rows[1], table.rows[1], 7)
-
-
-def test_table_load_checks_tables_without_an_engine(tmp_path):
-    # <F> has 31 orbits of length 5 on the 2-subspaces of GF(2)^5 and no
-    # Singer engine; load compares the file with the generic partition
-    g = frobenius_group(5)
-    assert g.engine() is None
-    table = orbit_partition(g, 2)
-    assert table.num_orbits == 31 and set(table.lengths) == {5}
-    lo, _, hi = pack_keys_bulk(table.rows[27:30], 5)
-    shared = table.rows.copy()
-    shared[28] = member_between(g, table.rep(0), lo, hi)
-    moved = list(table.lengths)
-    moved[3], moved[30] = 4, 6
-    path = tmp_path / "orbits.txt"
-    # three header lines, then four per orbit: orbit i starts on line 4 + 4i
-    shared_message = first_row_change(path, 116, shared[28], table.rows[28], 5)
-    for rows, lengths, message in (
-        (shared, table.lengths, shared_message),
-        (table.rows, moved, f"{path}: line 16: reads '3 4', the group's "
-         "partition gives '3 5'"),
-    ):
-        OrbitTable(n=5, k=2, group=g, rows=rows, lengths=list(lengths)).save(str(path))
-        with pytest.raises(FormatError) as info:
-            OrbitTable.load(str(path), group=g)
-        assert str(info.value) == message
+    table.save(str(tmp_path / "orbits.txt"))
 
 
 def test_lookup_rows_bulk_names_every_orbit_of_the_partition():
@@ -696,21 +575,16 @@ def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
     assert len(frob_blocks.blocks) == gaussian_binomial(6, 3, 2)
     full = groups._partition_full(frob, 3)
     assert full.total_subspaces() == gaussian_binomial(6, 3, 2)
-    path = tmp_path / "frobenius.txt"
-    full.save(str(path))
-    loaded = OrbitTable.load(str(path), group=frob)
-    assert loaded.lookup_rows_bulk(full.rows).tolist() == list(range(full.num_orbits))
+    full.save(str(tmp_path / "frobenius.txt"))
+    assert full.lookup_rows_bulk(full.rows).tolist() == list(range(full.num_orbits))
     t2 = orbit_partition(g, 2)
     t3 = orbit_partition(g, 3)
-    path = tmp_path / "orbits.txt"
-    t3.save(str(path))
-    loaded = OrbitTable.load(str(path), group=g)
-    assert np.array_equal(loaded.rows, t3.rows)
-    ids = loaded.lookup_rows_bulk(t3.rows)
+    t3.save(str(tmp_path / "orbits.txt"))
+    ids = t3.lookup_rows_bulk(t3.rows)
     assert ids.tolist() == list(range(t3.num_orbits))
-    assert build_km(t2, loaded).matrix.shape == (t2.num_orbits, t3.num_orbits)
-    assert loaded.lookup(loaded.rep(5)) == 5
-    assert len(orbit(g, loaded.rep(5))) == loaded.lengths[5]
+    assert build_km(t2, t3).matrix.shape == (t2.num_orbits, t3.num_orbits)
+    assert t3.lookup(t3.rep(5)) == 5
+    assert len(orbit(g, t3.rep(5))) == t3.lengths[5]
     report = verify_design(blocks, 3, 15)
     assert report.ok and report.histogram == {15: gaussian_binomial(7, 3, 2)}
     # files and the bundled text are read as rows
@@ -719,85 +593,3 @@ def test_internal_paths_build_no_subspace(monkeypatch, tmp_path):
     blocks.save(str(path))
     assert np.array_equal(BlockSet.load(str(path)).blocks, blocks.blocks)
     assert np.array_equal(load_subspace_file(str(path)), blocks.blocks)
-
-
-def malformed_table(tmp_path, edit):
-    """A saved singer_normalizer(4) 2-orbit table with edit applied to its lines."""
-    g = singer_normalizer(4)
-    path = tmp_path / "orbits.txt"
-    orbit_partition(g, 2).save(str(path))
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
-    return str(path), g
-
-
-def test_table_load_names_malformed_lines(tmp_path):
-    def header(lines):
-        lines[1] = "4 2 abc xyz"
-
-    def entry(lines):
-        lines[3] = "0 x"
-
-    def unreduced(lines):
-        # orbit 1's basis: add its first row to its second
-        at = lines.index("1 5") + 1
-        first, second = int(lines[at][::-1], 2), int(lines[at + 1][::-1], 2)
-        lines[at + 1] = f"{first ^ second:04b}"[::-1]
-
-    def bad_character(lines):
-        lines[8] = "1020"
-
-    def short_record(lines):
-        del lines[5]  # orbit 0 keeps one of its two rows
-
-    def blank_among_rows(lines):
-        lines.insert(5, "")
-
-    def narrow_record(lines):
-        lines[4:6] = [row[:3] for row in lines[4:6]]
-
-    def ragged_row(lines):
-        lines[5] = lines[5][:3]
-
-    def negative_length(lines):
-        # the lengths still sum to the 35 lines of GF(2)^4
-        lines[3], lines[7] = "0 40", "1 -5"
-
-    def skipped_id(lines):
-        lines[lines.index("1 5")] = "2 5"
-
-    def wrong_order(lines):
-        lines[1] = lines[1].replace(" 60", " 61")
-
-    def changed(line, got, want):
-        return f"line {line}: reads '{got}', the group's partition gives '{want}'"
-
-    header_line = f"4 2 {group_hash(singer_normalizer(4))}"
-    for edit, message in (
-        (header, r"line 2: orbit table header needs integer n, k and group order"),
-        (entry, changed(4, "0 x", "0 30")),
-        (unreduced, changed(10, "1110", "0110")),
-        (bad_character, changed(9, "1020", "1000")),
-        (short_record, changed(6, "", "0100")),
-        (blank_among_rows, changed(6, "", "0100")),
-        (narrow_record, changed(5, "100", "1000")),
-        (ragged_row, changed(6, "010", "0100")),
-        (negative_length, changed(4, "0 40", "0 30")),
-        (skipped_id, changed(8, "2 5", "1 5")),
-        # the header's order is checked against the group's
-        (wrong_order, changed(2, f"{header_line} 61", f"{header_line} 60")),
-    ):
-        path, g = malformed_table(tmp_path, edit)
-        with pytest.raises(FormatError, match=message):
-            OrbitTable.load(path, group=g)
-    # a group without a recorded order keeps its own, not the header's
-    unordered = MatrixGroup(n=4, generators=g.generators)
-    with pytest.raises(FormatError, match=f"partition gives '{header_line} 60'"):
-        OrbitTable.load(path, group=unordered)
-    assert unordered.order == 60
-    # a table of the zero subspace has no basis rows
-    path = str(tmp_path / "orbits-k0.txt")
-    orbit_partition(g, 0).save(path)
-    table = OrbitTable.load(path, group=g)
-    assert table.rows.shape == (1, 0) and table.lengths == [1]
