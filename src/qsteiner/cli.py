@@ -540,13 +540,13 @@ def cmd_spread_demo(args: argparse.Namespace) -> int:
     group = MatrixGroup(n=n, generators=(identity(n),), order=1)
     table = orbit_partition(group, k)
     problem = from_km(build_km(orbit_partition(group, 1), table))
-    config = SolveConfig(max_solutions=_max_solutions(args), seed=args.seed)
+    config = SolveConfig(max_solutions=_max_solutions(args))
     t0 = time.time()
     solutions, stats = solve(problem, config)
     sizes = {len(sol.labels) for sol in solutions}
     print(
         f"{stats.solutions} spreads of {k}-subspaces in GF(2)^{n}, "
-        f"sizes {sorted(sizes)} (expected {spread_size(n, k, 2)}) "
+        f"sizes {sorted(sizes)} (expected {spread_size(n, k)}) "
         f"({time.time()-t0:.1f}s)"
     )
     if not solutions:
@@ -565,7 +565,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise UsageError("need 0 < k <= n")
     print(f"subspaces: [{n} {k}]_2 = {gaussian_binomial(n, k, 2)}")
     if n % k == 0:
-        print(f"spread size: {spread_size(n, k, 2)}")
+        print(f"spread size: {spread_size(n, k)}")
     else:
         print(f"no spreads: {k} does not divide {n}")
     if t is not None:

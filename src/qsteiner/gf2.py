@@ -469,6 +469,24 @@ def mat_vec_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
     return vec_mat_bulk(transpose(m), vecs)
 
 
+def matrix_powers(g: BitMatrix, cap: int) -> np.ndarray:
+    """g^0, g^1, ..., g^(m-1) for the order m of g, as (m, n) rows in
+    row_dtype(n).  Doubling: the powers s .. 2s - 1 are the first s powers
+    times g^s, and the first identity among them ends the list.  A LimitError
+    past cap powers, with at most cap + 1 built."""
+    ident = np.array(identity(g.ncols).rows, dtype=row_dtype(g.ncols))
+    powers, step = ident[None], g  # step is g^len(powers)
+    while len(powers) <= cap:
+        # row r of A @ B is A_r @ B
+        block = vec_mat_bulk(step, powers[: cap + 1 - len(powers)]).astype(ident.dtype)
+        back = np.flatnonzero(np.all(block == ident, axis=1))
+        if back.size:
+            return np.concatenate([powers, block[: back[0]]])
+        powers = np.concatenate([powers, block])
+        step = mat_mul(step, step)
+    raise LimitError(f"group closure exceeded the cap of {cap} elements")
+
+
 def span_vectors_bulk(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Every nonzero vector of many spans at once.
 

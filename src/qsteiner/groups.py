@@ -31,14 +31,13 @@ from .gf2 import (
     format_rows,
     frobenius_matrix,
     identity,
-    mat_mul,
     mat_vec_bulk,
+    matrix_powers,
     pack_rows,
     parse_matrix_text,
     primitive_polynomial,
     rank,
     reading,
-    row_dtype,
     rref_bulk,
     vec_mat_bulk,
     xor_tables,
@@ -128,21 +127,21 @@ def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
     """Count the elements as |H| times the number of right cosets of H.
 
     H = <g> for the generator g of largest order, listed by doubling (see
-    _powers).  A breadth-first search then walks the right cosets H x:
-    each is keyed by its least element (see _coset_keys), and a generator
-    s maps H x to H x s.  The search reaches every coset, as every element
-    is a word in the generators, so |G| = |H| * [G : H] exactly, by
-    Lagrange.  Mapping each coset by each generator costs the first rows
-    of its |H| elements and the later rows of the few that tie, so
-    O(|G| * |gens|) matrix rows in all; the elements are counted, not
-    kept, and H and the coset keys are held in row_dtype(n).
+    matrix_powers).  A breadth-first search then walks the right cosets
+    H x: each is keyed by its least element (see _coset_keys), and a
+    generator s maps H x to H x s.  The search reaches every coset, as
+    every element is a word in the generators, so |G| = |H| * [G : H]
+    exactly, by Lagrange.  Mapping each coset by each generator costs the
+    first rows of its |H| elements and the later rows of the few that
+    tie, so O(|G| * |gens|) matrix rows in all; the elements are counted,
+    not kept, and H and the coset keys are held in row_dtype(n).
 
     Returns a new MatrixGroup with the order filled.  Raises LimitError
     when more than cap elements appear, before more than cap + 1 powers
     of one generator are built.
     """
     n = group.n
-    h = max((_powers(g, cap) for g in group.generators), key=len)
+    h = max((matrix_powers(g, cap) for g in group.generators), key=len)
 
     def cosets(keys: np.ndarray) -> np.ndarray:
         # the cosets H x s of the frontier's H x, one generator s after another
@@ -158,24 +157,6 @@ def group_closure(group: MatrixGroup, cap: int = CLOSURE_CAP) -> MatrixGroup:
     if group.order is not None and group.order != order:
         raise AssertionError("closure size disagrees with the recorded group order")
     return MatrixGroup(n=n, generators=group.generators, order=order)
-
-
-def _powers(g: BitMatrix, cap: int) -> np.ndarray:
-    """g^0, g^1, ..., g^(m-1) for the order m of g, as (m, n) rows in
-    row_dtype(n).  Doubling: the powers s .. 2s - 1 are the first s powers
-    times g^s, and the first identity among them ends the list.  A LimitError
-    past cap powers, with at most cap + 1 built."""
-    ident = np.array(identity(g.ncols).rows, dtype=row_dtype(g.ncols))
-    powers, step = ident[None], g  # step is g^len(powers)
-    while len(powers) <= cap:
-        # row r of A @ B is A_r @ B
-        block = vec_mat_bulk(step, powers[: cap + 1 - len(powers)]).astype(ident.dtype)
-        back = np.flatnonzero(np.all(block == ident, axis=1))
-        if back.size:
-            return np.concatenate([powers, block[: back[0]]])
-        powers = np.concatenate([powers, block])
-        step = mat_mul(step, step)
-    raise LimitError(f"group closure exceeded the cap of {cap} elements")
 
 
 def _coset_keys(h: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ odd-even merge sort) on whole arrays, with no per-row sort.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -27,9 +28,9 @@ import numpy as np
 
 from .gf2 import (
     BitMatrix,
-    mat_mul,
-    mat_vec,
+    LimitError,
     mat_vec_bulk,
+    matrix_powers,
     row_dtype,
     rref_bulk,
     span_vectors_bulk,
@@ -43,23 +44,18 @@ LABEL_BATCH_ROWS = 1 << 12
 
 
 def _power_table(s: BitMatrix) -> np.ndarray | None:
-    """exptable[a] = S^a applied to e0, or None if S is not transitive."""
+    """exptable[a] = S^a applied to e0, column 0 of S^a, or None if S is not
+    transitive: a cycle through all 2^n - 1 nonzero vectors has exactly
+    2^n - 1 powers, and S takes the last of them back to the identity."""
     n = s.ncols
     modulus = (1 << n) - 1
-    table = np.zeros(modulus, dtype=np.uint64)
-    table[0] = 1
-    size = 1
-    power = s
-    while size < modulus:
-        take = min(size, modulus - size)
-        table[size : size + take] = mat_vec_bulk(power, table[:take])
-        size += take
-        if size < modulus:
-            power = mat_mul(power, power)
-    if np.unique(table).size != modulus or table.min() == 0:
+    try:
+        powers = matrix_powers(s, modulus)
+    except LimitError:
         return None
-    # wrap-around: S applied to the last entry must return to e0
-    if mat_vec(s, int(table[modulus - 1])) != 1:
+    bits = (powers & 1) << np.arange(n, dtype=powers.dtype)
+    table = np.bitwise_or.reduce(bits, axis=1).astype(np.uint64)
+    if np.unique(table).size != modulus or table.min() == 0:
         return None
     return table
 
@@ -81,17 +77,14 @@ class SingerEngine:
         if n > MAX_ENGINE_WIDTH or not generators:
             return None
         modulus = (1 << n) - 1
-        arange = None
         for idx, cand in enumerate(generators):
             table = _power_table(cand)
             if table is None:
                 continue
+            arange = np.arange(modulus, dtype=np.int64)
             dlog = np.zeros(1 << n, dtype=np.int64)
-            dlog[table] = np.arange(modulus, dtype=np.int64)
-            if arange is None:
-                arange = np.arange(modulus, dtype=np.int64)
+            dlog[table] = arange
             slope_gens = []
-            ok = True
             for j, other in enumerate(generators):
                 if j == idx:
                     continue
@@ -100,23 +93,20 @@ class SingerEngine:
                 t = int((imgs[1] - c) % modulus) if modulus > 1 else 1
                 # the label pass scales by bit rotation (see _labels_batch)
                 if t <= 0 or t & (t - 1):
-                    ok = False
                     break
                 if not np.array_equal(imgs, (t * arange + c) % modulus):
-                    ok = False
                     break
                 slope_gens.append(t)
-            if not ok:
-                continue
-            slopes = _slope_closure(slope_gens, modulus)
-            return cls(
-                n=n,
-                modulus=modulus,
-                exptable=table,
-                dlog=dlog,
-                slopes=slopes,
-                order=modulus * len(slopes),
-            )
+            else:  # every other generator is affine with a power-of-two slope
+                slopes = _slope_closure(slope_gens, n)
+                return cls(
+                    n=n,
+                    modulus=modulus,
+                    exptable=table,
+                    dlog=dlog,
+                    slopes=slopes,
+                    order=modulus * len(slopes),
+                )
         return None
 
     # -- conversions ------------------------------------------------------
@@ -393,15 +383,8 @@ def _sorting_network(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _slope_closure(gens: list[int], modulus: int) -> tuple[int, ...]:
-    """The group the slopes generate; powers of two, so at most n of them."""
-    group = {1}
-    frontier = [1]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = (cur * g) % modulus
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(group))
+def _slope_closure(gens: list[int], n: int) -> tuple[int, ...]:
+    """The group the slopes 2^j generate, at most n slopes: 2^j rotates n
+    exponent bits by j places, so they rotate by multiples of gcd(n, j, ...)."""
+    step = math.gcd(n, *(t.bit_length() - 1 for t in gens))
+    return tuple(1 << i for i in range(0, n, step))

@@ -79,11 +79,11 @@ def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
     return num // den
 
 
-def spread_size(n: int, k: int, q: int = 2) -> int:
-    """Number of blocks in a k-spread of GF(q)^n; requires k | n."""
+def spread_size(n: int, k: int) -> int:
+    """Number of blocks in a k-spread of GF(2)^n; requires k | n."""
     if k <= 0 or n % k:
         raise ValueError(f"a {k}-spread of a {n}-dim space requires {k} | {n}")
-    return (q**n - 1) // (q**k - 1)
+    return (2**n - 1) // (2**k - 1)
 
 
 def key_bits(n: int, k: int) -> int:

@@ -5,6 +5,9 @@ state with the construction pipeline: a block set is just an array of
 basis rows, and the verifier counts how often every t-subspace of the
 ambient space occurs inside a block.  A t-(n, k, lambda) design over
 GF(2) passes exactly when every count equals lambda.
+
+expand_orbits, a construction step, is kept here only because
+bench/workload.py imports it from qsteiner.verify (ROADMAP items 1, 19).
 """
 
 from __future__ import annotations
@@ -390,7 +393,6 @@ def verify_design(
     t: int,
     lam: int,
     max_violations: int = VIOLATION_CAP,
-    budget: int = VERIFY_BUDGET,
 ) -> DesignReport:
     """Count every t-subspace's occurrences inside blocks, from scratch.
 
@@ -405,9 +407,9 @@ def verify_design(
     if lam < 1:
         raise ValueError("need lam >= 1")
     total = gaussian_binomial(n, t, 2)
-    if total > budget:
+    if total > VERIFY_BUDGET:
         raise LimitError(
-            f"{total} t-subspaces exceed the verification budget {budget}"
+            f"{total} t-subspaces exceed the verification budget {VERIFY_BUDGET}"
         )
     ranking = _Ranking(n, t)
     counts, tally = _coverage_counts(blocks.blocks, ranking)
@@ -441,12 +443,6 @@ def verify_design(
     )
 
 
-def _point_keys(blocks: np.ndarray) -> np.ndarray:
-    """Every nonzero vector of every block, mask-major: key j belongs to
-    block j % num."""
-    return span_vectors_bulk(blocks).T.ravel()
-
-
 def format_report(report: DesignReport) -> str:
     lines = [
         f"DESIGN n={report.n} k={report.k} t={report.t} lambda={report.lam}",
@@ -469,14 +465,12 @@ def format_report(report: DesignReport) -> str:
 # certificates built on a passing report
 
 
-def packing_bound(n: int, k: int, t: int, q: int = 2) -> int:
-    """Largest possible block count: [n t]_q / [k t]_q, when integral."""
-    num = gaussian_binomial(n, t, q)
-    den = gaussian_binomial(k, t, q)
+def packing_bound(n: int, k: int, t: int) -> int:
+    """Largest possible block count: [n t]_2 / [k t]_2, when integral."""
+    num = gaussian_binomial(n, t, 2)
+    den = gaussian_binomial(k, t, 2)
     if num % den:
-        raise ValueError(
-            f"packing bound [{n} {t}]_{q} / [{k} {t}]_{q} is not an integer"
-        )
+        raise ValueError(f"packing bound [{n} {t}]_2 / [{k} {t}]_2 is not an integer")
     return num // den
 
 
@@ -561,15 +555,13 @@ def min_distance_certificate(
         done += take
     attained = min_seen == bound
     if not attained and t == 2:
-        # exhibit a pair attaining the bound: two blocks through a common point
+        # exhibit a pair attaining the bound: two blocks through a common
+        # point, among the first blocks' points; point j lies in block j % limit
         limit = min(num, 20000)
-        probe = _point_keys(rows[:limit])
-        vals = np.unique(probe)
-        counts = np.bincount(np.searchsorted(vals, probe))
-        shared = vals[counts >= 2]
-        if shared.size:
-            owners = np.nonzero(probe == shared[0])[0] % limit
-            a, b = int(owners[0]), int(owners[1])
+        points = span_vectors_bulk(rows[:limit]).T.ravel()
+        pair = first_duplicate(points[:, None], blocks.n)
+        if pair is not None:
+            a, b = pair[0] % limit, pair[1] % limit
             dist = 2 * _residue_ranks(rows[a : a + 1], rows[b : b + 1])
             attained = int(dist[0]) == bound
     if not attained:
@@ -641,14 +633,10 @@ def derived_steiner_sample_check(
             for b in bad[:5]:
                 examples.append((int(x[b]), int(y[b]), int(z[b])))
         # containment of all three difference vectors in the covering block
-        brows = blocks.blocks[owners[line]].T.astype(np.uint64, order="C")
-        pivots = brows & (np.uint64(0) - brows)
+        held = blocks.blocks[owners[line]]
         u, v = x ^ y, x ^ z
         for vec in (u, v, u ^ v):
-            red = vec.copy()
-            for row, piv in zip(brows, pivots):
-                red ^= row * ((red & piv) != 0)
-            bad = np.nonzero(found & (red != 0))[0]
+            bad = np.nonzero(found & (_residue_ranks(vec[:, None], held) > 0))[0]
             if bad.size:
                 failures += int(bad.size)
                 for b in bad[:5]:

@@ -11,6 +11,10 @@ return the same label words and stabilizer counts.
 The image oracle computes exptable[(t*e + c) % modulus] for every slope
 t, shift c and basis exponent e, where the engine slices a rotation of
 the exponent table.
+
+The slope oracle closes a set of slopes 2^j by a breadth-first search
+over the exponents j mod n their products reach, where the engine takes
+one gcd.
 """
 
 from __future__ import annotations
@@ -81,3 +85,17 @@ def orbit_images(engine: SingerEngine, rows: np.ndarray) -> np.ndarray:
     rows, ranks = rref_bulk(engine.exptable[images])
     assert np.all(ranks == k)
     return rows
+
+
+def slope_closure(gens: list[int], n: int) -> tuple[int, ...]:
+    """The group the slopes 2^j generate, ascending: 2^i for every i that
+    sums of the exponents j reach from 0, modulo n."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        cur = frontier.pop()
+        for t in gens:
+            nxt = (cur + t.bit_length() - 1) % n
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return tuple(1 << i for i in sorted(reached))

@@ -154,6 +154,19 @@ def test_group_command_writes_file(tmp_path, capsys):
         assert code == 2 and f"error: {group_file}: {message}" in err, err
 
 
+def test_orbit_table_of_two_1_dim_identities_reads_order_1(tmp_path, capsys):
+    group_file = tmp_path / "group.txt"
+    group_file.write_text("1\n\n1\n")
+    code, _, _ = run(
+        capsys, "--out-dir", str(tmp_path),
+        "orbits", "--generators", str(group_file), "--dim", "1",
+    )
+    assert code == 0
+    header = (tmp_path / "orbits-n1-k1.txt").read_text().split("\n")[1]
+    group = load_generator_file(str(group_file))
+    assert header == f"1 1 {group_hash(group)} 1"
+
+
 def test_full_pipeline_on_trivial_group(tmp_path, capsys):
     # each command reads the files the one before wrote
     out_dir = str(tmp_path)

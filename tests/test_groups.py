@@ -30,7 +30,7 @@ from qsteiner.groups import (
     orbit_partition,
     singer_normalizer,
 )
-from qsteiner import fixtures, groups, singer
+from qsteiner import fixtures, gf2, groups, singer
 from qsteiner.kramer_mesner import build_km
 from qsteiner.singer import SingerEngine
 from qsteiner.subspace import (
@@ -124,7 +124,7 @@ def test_coset_keys_are_the_least_elements_of_their_cosets():
     cases = [(3, elementary_transvections(3)[2]), (4, gl42_generators()[0])]
     cases += [(5, singer_normalizer(5).generators[1])]
     for n, g in cases:
-        h = groups._powers(g, 10**6)
+        h = gf2.matrix_powers(g, 10**6)
         elements = [BitMatrix(tuple(rows), n) for rows in h.tolist()]
         ys = []
         while len(ys) < 20:
@@ -155,11 +155,11 @@ def test_closure_cap(monkeypatch):
     # doubling would list 64 powers of S; a cap of 40 stops them at 41
     built = []
 
-    def spy(m, vecs, apply=groups.vec_mat_bulk):
+    def spy(m, vecs, apply=gf2.vec_mat_bulk):
         built.append(len(vecs))
         return apply(m, vecs)
 
-    monkeypatch.setattr(groups, "vec_mat_bulk", spy)
+    monkeypatch.setattr(gf2, "vec_mat_bulk", spy)
     with pytest.raises(LimitError, match="cap of 40 elements"):
         group_closure(MatrixGroup(n=6, generators=g.generators[:1]), cap=40)
     assert 1 + sum(built) == 41
@@ -295,6 +295,17 @@ def test_partition_full_matches_walk_oracle():
             assert np.array_equal(got.rows, want.rows), (g.n, k)
             assert got.lengths == want.lengths, (g.n, k)
             assert all(np.array_equal(a, b) for a, b in zip(got._index, want._index))
+
+
+def test_two_identities_of_dimension_1_make_a_group_of_order_1():
+    # the exponent model of GF(2)^1 has modulus 1 and the one slope 1: the
+    # engine, the closure and the partition all count one element
+    g = MatrixGroup(n=1, generators=(identity(1), identity(1)))
+    closed = group_closure(g)
+    assert closed.order == 1
+    # the partition compares the engine's order with the stored one
+    assert orbit_partition(closed, 1).lengths == [1]
+    assert g.engine().order == 1
 
 
 def test_trivial_group_orbits_are_singletons():

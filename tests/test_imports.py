@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy and itself, the
+"""The package imports only the standard library, numpy and itself, every
+name a module imports is used there, the
 per-object Subspace stays out of the array pipeline, no module reaches
 another's private names, one reader opens
 every input file, only the orbit partitions build orbit tables, every
@@ -38,6 +39,28 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
                 if name.split(".")[0] not in ALLOWED
             ]
     assert not foreign, foreign
+
+
+def test_every_imported_name_is_used():
+    # a name imported and never read is left over from a move; __init__
+    # imports to re-export, and a __future__ import sets a compiler flag
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [
+                f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read
+            ]
+    assert not unused, unused
 
 
 def test_the_package_imports_no_test_oracle():

@@ -1,5 +1,8 @@
-"""The engine's label pass against the one-sort-per-candidate oracle, and
-its orbit images against the modular-arithmetic one."""
+"""The engine's label pass against the one-sort-per-candidate oracle, its
+orbit images against the modular-arithmetic one, and its slope group
+against a breadth-first search."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import singer_reference
 from qsteiner import fixtures
 from qsteiner.gf2 import rref_bulk
 from qsteiner.groups import singer_normalizer
-from qsteiner.singer import _sorting_network
+from qsteiner.singer import _slope_closure, _sorting_network
 from qsteiner.subspace import key_chunks
 
 
@@ -130,6 +133,23 @@ def test_normalizer_slopes_are_the_powers_of_two(n):
     engine = singer_normalizer(n).engine()
     assert engine.slopes == tuple(1 << j for j in range(n))
     assert engine.order == engine.modulus * n
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_slope_closure_matches_the_search_on_every_set_of_slopes(n):
+    for size in range(n + 1):
+        for js in itertools.combinations(range(n), size):
+            gens = [1 << j for j in js]
+            want = singer_reference.slope_closure(gens, n)
+            assert _slope_closure(gens, n) == want, (n, js)
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+def test_normalizer_engines_close_their_slopes_as_the_search_does(n):
+    # the squaring map acts on the Singer cycle's exponents with slope 2;
+    # past n = 18 detection holds 2^n - 1 matrices of n rows each
+    engine = singer_normalizer(n).engine()
+    assert engine.slopes == singer_reference.slope_closure([2], n)
 
 
 

@@ -214,10 +214,10 @@ def test_subspaces_of_bulk_matches_scalar():
 
 
 def test_spread_size_and_guard():
-    assert spread_size(4, 2, 2) == 5
-    assert spread_size(6, 3, 2) == 9
+    assert spread_size(4, 2) == 5
+    assert spread_size(6, 3) == 9
     with pytest.raises(ValueError):
-        spread_size(13, 3, 2)
+        spread_size(13, 3)
     with pytest.raises(LimitError):
         enumerate_keys_bulk(30, 15)
 

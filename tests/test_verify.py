@@ -637,6 +637,25 @@ def test_deleting_one_block_uncovers_exactly_seven_pairs(paper_blocks):
     assert {rows for rows, _ in report.violations_shown} == lost
 
 
+def test_the_recount_does_not_rely_on_the_block_set_checks(paper_blocks):
+    # expand_orbits builds its BlockSet without the checks of __post_init__:
+    # the recount alone fails a dependent or repeated block, and passes a
+    # block given by another basis of its subspace
+    rows = paper_blocks.blocks.copy()
+    unchecked = BlockSet.__new__(BlockSet)
+    unchecked.n, unchecked.k, unchecked.blocks = 13, 3, rows
+    a, b, c = rows[0].tolist()
+    for block in ([a, a, b], rows[1].tolist()):
+        rows[0] = block
+        report = verify_design(unchecked, 2, 1)
+        assert not report.ok and report.histogram != {1: 11180715}, block
+    for block in ([a ^ b, b ^ c, c], [c, a, b]):
+        rows[0] = block
+        assert not gf2.in_rref(rows[:1])
+        report = verify_design(unchecked, 2, 1)
+        assert report.ok and report.histogram == {1: 11180715}, block
+
+
 def test_paper_design_certificates(paper_blocks, paper_report):
     assert min_distance_certificate(paper_blocks, paper_report, samples=20000, seed=3) == 4
     out = derived_steiner_sample_check(paper_blocks, paper_report, samples=2000, seed=3)

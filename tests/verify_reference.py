@@ -26,7 +26,7 @@ import numpy as np
 from qsteiner.gf2 import rref_bulk, rref_rows, span_vectors_bulk
 from qsteiner.subspace import Subspace, gaussian_binomial, key_chunks, key_rows, span
 from subspace_reference import enumerate_subspaces, key_per_column
-from qsteiner.verify import BlockSet, DesignReport, _point_keys
+from qsteiner.verify import BlockSet, DesignReport
 
 
 def _line_keys(
@@ -408,7 +408,7 @@ def stacked_min_distance(
     attained = min_seen == bound
     if not attained and t == 2:
         limit = min(num, 20000)
-        probe = _point_keys(blocks.blocks[:limit])
+        probe = span_vectors_bulk(blocks.blocks[:limit]).T.ravel()
         vals = np.unique(probe)
         counts = np.bincount(np.searchsorted(vals, probe))
         shared = vals[counts >= 2]
