@@ -469,17 +469,20 @@ def mat_vec_bulk(m: BitMatrix, vecs: np.ndarray) -> np.ndarray:
     return vec_mat_bulk(transpose(m), vecs)
 
 
-def matrix_powers(g: BitMatrix, cap: int) -> np.ndarray:
-    """g^0, g^1, ..., g^(m-1) for the order m of g, as (m, n) rows in
-    row_dtype(n).  Doubling: the powers s .. 2s - 1 are the first s powers
-    times g^s, and the first identity among them ends the list.  A LimitError
-    past cap powers, with at most cap + 1 built."""
-    ident = np.array(identity(g.ncols).rows, dtype=row_dtype(g.ncols))
-    powers, step = ident[None], g  # step is g^len(powers)
+def matrix_powers(g: BitMatrix, cap: int, start: tuple[int, ...] | None = None) -> np.ndarray:
+    """start @ g^a for a = 0, 1, ..., m - 1, where m is the least a > 0 with
+    start @ g^a = start, as (m, len(start)) rows in row_dtype(n).  start
+    defaults to the identity rows, for g^0 .. g^(m-1) and the order m of g.
+    Doubling: the rows for a = s .. 2s - 1 are the first s times g^s, and
+    the first return to start among them ends the list.  A LimitError past
+    cap powers, with at most cap + 1 built."""
+    rows = identity(g.ncols).rows if start is None else start
+    first = np.array(rows, dtype=row_dtype(g.ncols))
+    powers, step = first[None], g  # step is g^len(powers)
     while len(powers) <= cap:
         # row r of A @ B is A_r @ B
-        block = vec_mat_bulk(step, powers[: cap + 1 - len(powers)]).astype(ident.dtype)
-        back = np.flatnonzero(np.all(block == ident, axis=1))
+        block = vec_mat_bulk(step, powers[: cap + 1 - len(powers)]).astype(first.dtype)
+        back = np.flatnonzero(np.all(block == first, axis=1))
         if back.size:
             return np.concatenate([powers, block[: back[0]]])
         powers = np.concatenate([powers, block])

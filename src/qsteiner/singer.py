@@ -28,12 +28,12 @@ import numpy as np
 
 from .gf2 import (
     BitMatrix,
-    LimitError,
     mat_vec_bulk,
     matrix_powers,
     row_dtype,
     rref_bulk,
     span_vectors_bulk,
+    transpose,
 )
 from .subspace import Subspace, key_order
 
@@ -44,17 +44,13 @@ LABEL_BATCH_ROWS = 1 << 12
 
 
 def _power_table(s: BitMatrix) -> np.ndarray | None:
-    """exptable[a] = S^a applied to e0, column 0 of S^a, or None if S is not
-    transitive: a cycle through all 2^n - 1 nonzero vectors has exactly
-    2^n - 1 powers, and S takes the last of them back to the identity."""
-    n = s.ncols
-    modulus = (1 << n) - 1
-    try:
-        powers = matrix_powers(s, modulus)
-    except LimitError:
-        return None
-    bits = (powers & 1) << np.arange(n, dtype=powers.dtype)
-    table = np.bitwise_or.reduce(bits, axis=1).astype(np.uint64)
+    """exptable[a] = S^a applied to e0, or None if S is not transitive.
+
+    S^a e0 is row e0 @ (S^T)^a, so the table is the orbit of e0 that
+    matrix_powers lists, up to its first return to e0: it has all 2^n - 1
+    nonzero vectors exactly when S is transitive, and no orbit is longer."""
+    modulus = (1 << s.ncols) - 1
+    table = matrix_powers(transpose(s), modulus, start=(1,))[:, 0].astype(np.uint64)
     if np.unique(table).size != modulus or table.min() == 0:
         return None
     return table

@@ -1,6 +1,7 @@
 """The engine's label pass against the one-sort-per-candidate oracle, its
-orbit images against the modular-arithmetic one, and its slope group
-against a breadth-first search."""
+orbit images against the modular-arithmetic one, its exponent table
+against one matrix-vector product per step, and its slope group against
+a breadth-first search."""
 
 import itertools
 
@@ -9,9 +10,9 @@ import pytest
 
 import singer_reference
 from qsteiner import fixtures
-from qsteiner.gf2 import rref_bulk
+from qsteiner.gf2 import mat_vec, rref_bulk
 from qsteiner.groups import singer_normalizer
-from qsteiner.singer import _slope_closure, _sorting_network
+from qsteiner.singer import _power_table, _slope_closure, _sorting_network
 from qsteiner.subspace import key_chunks
 
 
@@ -128,10 +129,24 @@ def test_sorting_network_sorts_every_0_1_input(m):
     assert np.all(wires[1:] >= wires[:-1])
 
 
-@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_power_table_steps_the_cycle_from_e0(n):
+    # one matrix-vector product per exponent; the squaring map fixes e0
+    s, f = singer_normalizer(n).generators
+    want, v = [], 1
+    for _ in range(2**n - 1):
+        want.append(v)
+        v = mat_vec(s, v)
+    assert _power_table(s).tolist() == want
+    assert _power_table(f) is None
+
+
+@pytest.mark.parametrize("n", range(2, 25))
 def test_normalizer_slopes_are_the_powers_of_two(n):
+    # the squaring map acts on the Singer cycle's exponents with slope 2
     engine = singer_normalizer(n).engine()
     assert engine.slopes == tuple(1 << j for j in range(n))
+    assert engine.slopes == singer_reference.slope_closure([2], n)
     assert engine.order == engine.modulus * n
 
 
@@ -142,14 +157,6 @@ def test_slope_closure_matches_the_search_on_every_set_of_slopes(n):
             gens = [1 << j for j in js]
             want = singer_reference.slope_closure(gens, n)
             assert _slope_closure(gens, n) == want, (n, js)
-
-
-@pytest.mark.parametrize("n", range(2, 19))
-def test_normalizer_engines_close_their_slopes_as_the_search_does(n):
-    # the squaring map acts on the Singer cycle's exponents with slope 2;
-    # past n = 18 detection holds 2^n - 1 matrices of n rows each
-    engine = singer_normalizer(n).engine()
-    assert engine.slopes == singer_reference.slope_closure([2], n)
 
 
 
