@@ -522,32 +522,37 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows is (N, k) unsigned, one k-row basis per entry.  Returns (rref,
     ranks) where rref[i], uint64, holds the reduced rows sorted by pivot
     with zero rows sunk to the end, and ranks[i] counts the nonzero rows.
-    Branch-free on a (k, M) uint64 copy of each block of RREF_CHUNK_ROWS
-    bases: step i swaps the row of lowest pivot into slot i, then clears
-    that pivot from every other slot, by masked XORs on whole slots.
+    Branch-free on a (k, M) copy of each block of RREF_CHUNK_ROWS bases,
+    in the narrowest dtype that holds the widest row (row_dtype): step i
+    swaps the row of lowest pivot into slot i, then clears that pivot
+    from every other slot, by masked XORs on whole slots.
     """
     rows = np.asarray(rows)
     num, k = rows.shape
     out = np.empty((num, k), dtype=np.uint64)
     ranks = np.empty(num, dtype=np.int64)
+    # a signed array's negative entries wrap to wide rows
+    bits = 64 if rows.dtype.kind != "u" else int(rows.max(initial=0)).bit_length()
+    dtype = row_dtype(bits)
+    one = dtype.type(1)
     # one set of block buffers for every block: fresh ones per block cost
     # a third more time at k = 3
     width = min(num, RREF_CHUNK_ROWS)
-    block = np.empty((k, width), dtype=np.uint64)
-    keys = np.empty((k, width), dtype=np.uint64)
-    diffs = np.empty(width, dtype=np.uint64)
+    block = np.empty((k, width), dtype=dtype)
+    keys = np.empty((k, width), dtype=dtype)
+    diffs = np.empty(width, dtype=dtype)
     hits = np.empty(width, dtype=bool)
     for start in range(0, num, RREF_CHUNK_ROWS):
         part = rows[start : start + RREF_CHUNK_ROWS]
         m = len(part)
         r, key, diff, hit = block[:, :m], keys[:, :m], diffs[:m], hits[:m]
         r[...] = part.T
-        # key x ^ (x - 1) is the bits up to the lowest set one, all 64 for
-        # a zero row, so it orders rows by pivot with zero rows last; only
-        # the row 1 << 63 ties with a zero row, and bases of rank below k
-        # sink their zero rows at the end
+        # key x ^ (x - 1) is the bits up to the lowest set one, all of the
+        # dtype's for a zero row, so it orders rows by pivot with zero rows
+        # last; only the row of the dtype's top bit alone ties with a zero
+        # row, and bases of rank below k sink their zero rows at the end
         for i in range(k):
-            np.subtract(r[i:], np.uint64(1), out=key[i:])
+            np.subtract(r[i:], one, out=key[i:])
             np.bitwise_xor(key[i:], r[i:], out=key[i:])
             a, ka = r[i], key[i]
             for b, kb in zip(r[i + 1 :], key[i + 1 :]):
@@ -565,7 +570,7 @@ def rref_bulk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     np.multiply(a, hit, out=diff)
                     b ^= diff
         rank = np.count_nonzero(r, axis=0)
-        low = np.flatnonzero(rank < k)  # where a zero row can precede 1 << 63
+        low = np.flatnonzero(rank < k)  # where a zero row can precede the top bit
         if low.size:
             sub = r[:, low]
             order = np.argsort(sub == 0, axis=0, kind="stable")
@@ -593,9 +598,9 @@ def rref_checked(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
     basis i of rank below k, or None.
 
     rref_bulk runs only on chunks of RREF_CHUNK_ROWS bases that in_rref
-    refuses, each widened to uint64 there, so rows itself comes back when
-    every basis is in RREF, and a copy in its dtype otherwise.  After a
-    rank fault the rows are not all reduced.
+    refuses, so rows itself comes back when every basis is in RREF, and a
+    copy in its dtype otherwise.  After a rank fault the rows are not all
+    reduced.
     """
     out = rows
     for start in range(0, rows.shape[0], RREF_CHUNK_ROWS):

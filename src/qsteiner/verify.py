@@ -223,7 +223,7 @@ class _Ranking:
             self.first = np.cumsum(lines) - lines  # the rank of lo's first line
             # below 0 at lo = 1, in unsigned wrap-around; mid's squeeze adds 2^h
             self.offset = (self.first - top).astype(self.dtype)
-            self.low = np.maximum(top - 1, 0).astype(self.dtype)
+            self.low = np.maximum(top - 1, 0).astype(row_dtype(n))
         elif t > 2:  # tables by pivot mask, in ascending order
             pivots = sorted(
                 combinations(range(n), t), key=lambda ps: sum(1 << p for p in ps)
@@ -238,21 +238,22 @@ class _Ranking:
             self.places = (np.cumsum(widths, axis=1) - widths).astype(np.uint64)
 
     def line_ranks(self, x, y, z, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Ranks of the lines {0, x, y, z}, z = x ^ y, into out; x, y and z
-        have the shape and dtype of out, scratch two rows of them."""
-        mid, part = scratch
-        np.minimum(x, y, out=out)
-        np.minimum(out, z, out=out)  # lo
+        """Ranks of the lines {0, x, y, z}, z = x ^ y, into out, in dtype;
+        x, y and z are unsigned arrays of out's shape, and scratch is
+        three rows of them in row_dtype(n), which holds every point."""
+        lo, mid, part = scratch
+        np.minimum(x, y, out=lo)
+        np.minimum(lo, z, out=lo)
         np.maximum(x, y, out=mid)
         np.maximum(mid, z, out=mid)
-        mid ^= out  # lo ^ hi
+        mid ^= lo  # lo ^ hi
         # lo < 2^n indexes the tables; "clip" only skips numpy's bounds pass
-        np.take(self.low, out, out=part, mode="clip")
+        np.take(self.low, lo, out=part, mode="clip")
         part &= mid
-        mid += part
+        mid += part  # below 2^n: mid has bit h clear
         mid >>= 1
-        np.take(self.offset, out, out=part, mode="clip")
-        np.add(part, mid, out=out)
+        np.take(self.offset, lo, out=out, mode="clip")
+        out += mid
 
     def key_ranks(self, keys: np.ndarray) -> np.ndarray:
         """Ranks of t-subspaces, t > 2, from their uint64 packed keys."""
@@ -277,7 +278,7 @@ class _Ranking:
         A block's t-subspaces are the lifts of the t-subspaces of GF(2)^k,
         as in subspaces_of_bulk, so each is ranked once.  A line is ranked
         from the chunk's points, which fill the first columns of points, a
-        (2^k - 1, >= N) buffer in dtype (None for t != 2).
+        (2^k - 1, >= N) unsigned buffer that holds n bits (None for t != 2).
         """
         if self.t > 2:
             subs = subspaces_of_bulk(part, self.t).reshape(-1, self.t)
@@ -291,7 +292,7 @@ class _Ranking:
             return
         points = points[:, : part.shape[0]]
         span_vectors_bulk(part, out=points)
-        scratch = np.empty((2, part.shape[0]), dtype=self.dtype)
+        scratch = np.empty((3, part.shape[0]), dtype=row_dtype(self.n))
         lines = np.concatenate([rows for _, rows in key_chunks(part.shape[1], 2)])
         for row, (a, b) in zip(dest, lines.tolist(), strict=True):
             x, y, z = points[a - 1], points[b - 1], points[(a ^ b) - 1]
@@ -327,7 +328,7 @@ def _ranked_chunks(blocks: np.ndarray, ranking: _Ranking):
     buf = np.empty(per_block * width, dtype=ranking.dtype)
     points = None
     if ranking.t == 2:  # one buffer for the points of every chunk
-        points = np.empty(((1 << k) - 1, width), dtype=ranking.dtype)
+        points = np.empty(((1 << k) - 1, width), dtype=row_dtype(ranking.n))
     for start in range(0, num, KEY_CHUNK_BLOCKS):
         part = blocks[start : start + KEY_CHUNK_BLOCKS]
         slots = buf[: per_block * len(part)].reshape(per_block, len(part))
@@ -337,15 +338,32 @@ def _ranked_chunks(blocks: np.ndarray, ranking: _Ranking):
 
 def _coverage_counts(blocks: np.ndarray, ranking: _Ranking):
     """How many blocks hold each t-subspace, indexed by rank, and the tally
-    of those counts (tally[c] t-subspaces lie in c blocks).  The counter's
-    dtype is the least unsigned one that holds the fewer of N and
-    [n - t, k - t]_2, the most blocks one t-subspace can lie in; each chunk
-    of ranks (see _ranked_chunks) is added with a scalar of that dtype,
-    numpy's fast path."""
+    of those counts (tally[c] t-subspaces lie in c blocks).
+
+    The blocks are counted in uint8 first.  A count that reaches 256 wraps
+    and lowers the tally's mass, the sum of c tally[c], by 256 per wrap,
+    so the count is exact when that mass is N [k t]_2, the t-subspaces of
+    every block.  Otherwise they are counted again in the least unsigned
+    dtype that holds the fewer of N and [n - t, k - t]_2, the most blocks
+    one t-subspace can lie in."""
     n, t = ranking.n, ranking.t
-    limit = min(blocks.shape[0], gaussian_binomial(n - t, blocks.shape[1] - t, 2))
-    counts = np.zeros(ranking.total, dtype=np.min_scalar_type(limit))
-    one = counts.dtype.type(1)
+    num, k = blocks.shape
+    limit = min(num, gaussian_binomial(n - t, k - t, 2))
+    counts, tally = _counted(blocks, ranking, np.dtype(np.uint8))
+    wide = np.min_scalar_type(limit)
+    mass = sum(c * f for c, f in enumerate(tally.tolist()))
+    if wide.itemsize > 1 and mass != num * gaussian_binomial(k, t, 2):
+        del counts  # freed before the wide counter is made
+        counts, tally = _counted(blocks, ranking, wide)
+    return counts, tally
+
+
+def _counted(blocks: np.ndarray, ranking: _Ranking, dtype: np.dtype):
+    """The counter and tally of _coverage_counts in dtype, which wraps
+    around a count it cannot hold; each chunk of ranks (see _ranked_chunks)
+    is added with a scalar of that dtype, numpy's fast path."""
+    counts = np.zeros(ranking.total, dtype=dtype)
+    one = dtype.type(1)
     for _, slots in _ranked_chunks(blocks, ranking):
         np.add.at(counts, slots.reshape(-1), one)
     # bincount only the counts above 1: a run of equal counts is its
@@ -485,15 +503,16 @@ def _check_report_matches(blocks: BlockSet, report: DesignReport) -> None:
 
 def _residue_ranks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """rank([A; B]) - k for the RREF bases A = a[i] and B = b[i], (N, k)
-    unsigned arrays, widened to uint64 here: the rank of A's rows once
-    every pivot bit of B is cleared from them.  B is reduced, so clearing
-    one of its pivots sets no other, and what is left of A spans [A; B]
-    modulo B."""
-    res = a.T.astype(np.uint64, order="C")
+    unsigned arrays, worked on in the wider of their dtypes: the rank of
+    A's rows once every pivot bit of B is cleared from them.  B is
+    reduced, so clearing one of its pivots sets no other, and what is
+    left of A spans [A; B] modulo B."""
+    dtype = np.result_type(a, b)
+    res = a.T.astype(dtype, order="C")
     hit = np.empty(res.shape[1], dtype=bool)
-    diff = np.empty(res.shape[1], dtype=np.uint64)
-    for row in b.T.astype(np.uint64, order="C"):
-        piv = row & (np.uint64(0) - row)
+    diff = np.empty(res.shape[1], dtype=dtype)
+    for row in b.T.astype(dtype, order="C"):
+        piv = row & (dtype.type(0) - row)
         for r in res:
             np.bitwise_and(r, piv, out=diff)
             np.not_equal(diff, 0, out=hit)
@@ -591,12 +610,15 @@ def derived_steiner_sample_check(
     if not report.ok or report.t != 2 or report.lam != 1:
         raise ValueError("check requires a passing 2-(n, k, 1) report")
     _check_report_matches(blocks, report)
+    result = {"samples": samples, "tested": samples, "failures": 0, "examples": []}
+    if not samples:
+        return result
     n = blocks.n
     ranking = _Ranking(n, 2)
     rng = np.random.default_rng(seed)
     top = 1 << n
     sampled = np.empty(samples, dtype=ranking.dtype)
-    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    draws: list[tuple[np.ndarray, ...]] = []
     done = 0
     while done < samples:
         take = min(samples - done, 1 << 16)
@@ -605,10 +627,10 @@ def derived_steiner_sample_check(
         z = rng.integers(0, top, size=take, dtype=np.uint64)
         distinct = (x != y) & (x != z) & (y != z)
         x, y, z = x[distinct], y[distinct], z[distinct]
-        u, v = (x ^ y).astype(ranking.dtype), (x ^ z).astype(ranking.dtype)
+        u, v = (x ^ y).astype(row_dtype(n)), (x ^ z).astype(row_dtype(n))
         line = sampled[done : done + x.size]
-        ranking.line_ranks(u, v, u ^ v, line, np.empty((2, line.size), line.dtype))
-        draws.append((x, y, z))
+        ranking.line_ranks(u, v, u ^ v, line, np.empty((3, line.size), u.dtype))
+        draws.append((x, y, z, u, v))
         done += x.size
     ranks, holders = _marked_hits(blocks.blocks, ranking, sampled)
     wanted, where = np.unique(sampled, return_inverse=True)
@@ -623,7 +645,7 @@ def derived_steiner_sample_check(
     failures = 0
     examples: list[tuple[int, int, int]] = []
     start = 0
-    for x, y, z in draws:
+    for x, y, z, u, v in draws:
         line = where[start : start + x.size]
         start += x.size
         found = covered[line]
@@ -634,16 +656,11 @@ def derived_steiner_sample_check(
                 examples.append((int(x[b]), int(y[b]), int(z[b])))
         # containment of all three difference vectors in the covering block
         held = blocks.blocks[owners[line]]
-        u, v = x ^ y, x ^ z
         for vec in (u, v, u ^ v):
             bad = np.nonzero(found & (_residue_ranks(vec[:, None], held) > 0))[0]
             if bad.size:
                 failures += int(bad.size)
                 for b in bad[:5]:
                     examples.append((int(x[b]), int(y[b]), int(z[b])))
-    return {
-        "samples": samples,
-        "tested": samples,
-        "failures": failures,
-        "examples": examples[:10],
-    }
+    result.update(failures=failures, examples=examples[:10])
+    return result

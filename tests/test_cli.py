@@ -979,3 +979,12 @@ def test_expand_and_verify_stay_below_70_and_197_mb(tmp_path):
     assert peak_rss_mb(*out, *fixture) < 70
     verify = ["verify", "--blocks", str(tmp_path / "blocks.txt")]
     assert peak_rss_mb(*out, *verify) < 197
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_paper_check_stays_below_80_mb(tmp_path):
+    # the recount counts in uint8 and the GF(2) kernels work in the rows'
+    # own dtype: 76 MB peaks on a 2-vCPU Linux host, against 86-87 MB
+    # for a uint16 counter and kernels on uint64 copies
+    assert peak_rss_mb("--out-dir", str(tmp_path), "paper-check") < 80

@@ -541,25 +541,48 @@ def _check_rref_bulk(rows: np.ndarray) -> None:
 
 
 def test_rref_bulk_matches_row_major_oracle_and_scalar():
+    # rref_bulk works in the narrowest dtype that holds the widest row:
+    # widths on both sides of each dtype's top bit, in uint64 and in
+    # row_dtype(width)
     rng = np.random.default_rng(15)
     for k in range(9):
-        for width in (1, 2, 5, 13, 32, 63, 64):
+        for width in (1, 2, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 63, 64):
             rows = _bases(rng, 40, k, width)
             _check_rref_bulk(rows)
+            _check_rref_bulk(rows.astype(gf2.row_dtype(width)))
             _check_rref_bulk(rows[::3])  # strided rows
             _check_rref_bulk(rows[:, ::-1])  # reversed columns
             _check_rref_bulk(rows[rng.permutation(40)[:17]])  # a fancy slice
             _check_rref_bulk(np.ascontiguousarray(rows.T).T)  # a transposed view
     for shape in ((0, 3), (5, 0), (0, 0), (1, 1)):
         _check_rref_bulk(np.ones(shape, dtype=np.uint64))
-    top = np.uint64(1 << 63)
-    red, ranks = rref_bulk(np.array([[top, top | np.uint64(1)]], dtype=np.uint64))
-    assert red.tolist() == [[1, 1 << 63]] and ranks.tolist() == [2]
-    # a zero row and the row 1 << 63 share the all-ones sort key
-    for basis in ([0, top], [0, 0, top], [top, top, 0]):
-        _check_rref_bulk(np.array([basis], dtype=np.uint64))
-    red, ranks = rref_bulk(np.array([[0, top]], dtype=np.uint64))
-    assert red.tolist() == [[1 << 63, 0]] and ranks.tolist() == [1]
+    for bit in (7, 15, 31, 63):
+        top = np.uint64(1 << bit)
+        red, ranks = rref_bulk(np.array([[top, top | np.uint64(1)]], dtype=np.uint64))
+        assert red.tolist() == [[1, 1 << bit]] and ranks.tolist() == [2]
+        # a zero row and the row of the work dtype's top bit share the
+        # all-ones sort key
+        for basis in ([0, top], [0, 0, top], [top, top, 0]):
+            _check_rref_bulk(np.array([basis], dtype=np.uint64))
+            _check_rref_bulk(np.array([basis], dtype=gf2.row_dtype(bit + 1)))
+        red, ranks = rref_bulk(np.array([[0, top]], dtype=np.uint64))
+        assert red.tolist() == [[1 << bit, 0]] and ranks.tolist() == [1]
+
+
+def test_rref_bulk_works_in_the_rows_width():
+    # one block of random 7-row bases of 13 bits: the uint64 result and
+    # ranks are 1.0 MiB, and the (7, M) block and key buffers add 0.4 MiB
+    # in uint16 (1.8 MiB traced, against 3.2 MiB in uint64)
+    rng = np.random.default_rng(34)
+    rows = rng.integers(0, 1 << 13, size=(gf2.RREF_CHUNK_ROWS, 7), dtype=np.uint64)
+    for kept in (rows, rows.astype(np.uint16)):
+        tracemalloc.start()
+        try:
+            rref_bulk(kept)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5, peak
 
 
 def test_rref_bulk_does_not_depend_on_the_block_size(monkeypatch):

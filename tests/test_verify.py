@@ -734,21 +734,36 @@ def test_recount_matches_unique_oracle(paper_blocks, monkeypatch):
 
 
 def test_recount_counts_a_line_in_511_blocks(monkeypatch):
-    # every 3-subspace through the line <e0, e1> of GF(2)^11: 511 blocks,
-    # more than a uint8 counter holds
-    rest = np.arange(1, 512, dtype=np.uint64) << np.uint64(2)
-    rows = np.stack([np.ones_like(rest), np.full_like(rest, 2), rest], axis=1)
-    blocks = BlockSet(11, 3, rows)
-    counts, _ = verify._coverage_counts(blocks.blocks, verify._Ranking(11, 2))
-    assert counts.dtype == np.uint16 and counts.max() == 511
-    for lam, cap in ((1, 5), (1, verify.VIOLATION_CAP), (511, 3), (2, 1000)):
-        want = verify_reference.verify_design(blocks, 2, lam, cap)
-        assert want.histogram[511] == 1
-        assert_recount_matches(monkeypatch, blocks, 2, want, lam, cap)
-    # t = 1: each point of the line lies in all 511 blocks
-    want = verify_reference.verify_design(blocks, 1, 1, 10)
-    assert want.histogram[511] == 3
-    assert_recount_matches(monkeypatch, blocks, 1, want, 1, 10)
+    # 3-subspaces through the line <e0, e1> of GF(2)^11, up to all 511,
+    # and <e2, e3, e4>, so that more than 255 blocks may share a line: the
+    # uint8 counter wraps at 256, and only then are the blocks counted
+    # again, in uint16; a count of 256 must not read as 0
+    passes = []
+
+    def spy(blocks, ranking, chunks=verify._ranked_chunks):
+        passes.append(ranking.t)
+        return chunks(blocks, ranking)
+
+    monkeypatch.setattr(verify, "_ranked_chunks", spy)
+    for num in (255, 256, 511):
+        rest = np.arange(1, num + 1, dtype=np.uint64) << np.uint64(2)
+        rows = np.stack([np.ones_like(rest), np.full_like(rest, 2), rest], axis=1)
+        other = np.array([[4, 8, 16]], dtype=np.uint64)
+        blocks = BlockSet(11, 3, np.concatenate([rows, other]))
+        for t in (1, 2):
+            passes.clear()
+            counts, _ = verify._coverage_counts(blocks.blocks, verify._Ranking(11, t))
+            assert counts.max() == num
+            assert counts.dtype == (np.uint8 if num < 256 else np.uint16)
+            assert passes == [t] * (1 + (num >= 256))
+        for lam, cap in ((1, 5), (1, verify.VIOLATION_CAP), (num, 3), (2, 1000)):
+            want = verify_reference.verify_design(blocks, 2, lam, cap)
+            assert want.histogram[num] == 1
+            assert_recount_matches(monkeypatch, blocks, 2, want, lam, cap)
+        # t = 1: each point of the line lies in every block
+        want = verify_reference.verify_design(blocks, 1, 1, 10)
+        assert want.histogram[num] == 3
+        assert_recount_matches(monkeypatch, blocks, 1, want, 1, 10)
 
 
 def test_recount_counter_holds_at_most_the_block_count():
@@ -887,9 +902,12 @@ def test_paper_distance_certificate_matches_the_stacked_oracle(
 
 
 def test_distance_kernel_matches_the_stacked_rref(paper_blocks):
+    # the rows in every unsigned dtype that holds n bits, and in pairs of
+    # two such dtypes
+    dtypes = [np.dtype(d) for d in (np.uint8, np.uint16, np.uint32, np.uint64)]
     rng = np.random.default_rng(23)
     for k in range(1, 6):
-        for n in (k, k + 2, 9, 13):
+        for n in (k, k + 2, 8, 9, 13, 16, 17, 32, 33):
             rows = random_blocks(rng, 400, k, n)
             # random pairs, equal pairs and pairs that share k - 1 rows
             i = rng.integers(0, len(rows), size=2000)
@@ -901,7 +919,10 @@ def test_distance_kernel_matches_the_stacked_rref(paper_blocks):
             red, ranks = gf2.rref_bulk(near)
             b[500:1000][ranks == k] = red[ranks == k]
             want = verify_reference.stacked_distances(a, b)
-            assert np.array_equal(2 * verify._residue_ranks(a, b), want), (k, n)
+            fits = [d for d in dtypes if d.itemsize * 8 >= n]
+            for da, db in itertools.product(fits, fits):
+                got = verify._residue_ranks(a.astype(da), b.astype(db))
+                assert np.array_equal(2 * got, want), (k, n, da, db)
     # the pairs the paper's certificate draws first for seed 0
     draw = np.random.default_rng(0)
     i = draw.integers(0, paper_blocks.num_blocks, size=1 << 16)
@@ -1055,13 +1076,19 @@ def test_certificates_reject_a_report_of_another_block_set():
             min_distance_certificate(other, report, samples=10)
 
 
-def test_certificates_reject_negative_sample_counts():
+def test_certificates_reject_negative_sample_counts(monkeypatch):
     blocks = all_subspace_blocks(5, 2)
     report = verify_design(blocks, 2, 1)
     for check in (min_distance_certificate, derived_steiner_sample_check):
         with pytest.raises(ValueError, match="samples >= 0"):
             check(blocks, report, samples=-1)
         check(blocks, report, samples=0)
+    # 0 samples rank no block's lines
+    ranked = []
+    monkeypatch.setattr(verify, "_ranked_chunks", lambda *args: ranked.append(args))
+    got = derived_steiner_sample_check(blocks, report, samples=0)
+    assert got == {"samples": 0, "tested": 0, "failures": 0, "examples": []}
+    assert not ranked
 
 
 def traced_peak_mb(fn, *args, **kwargs):
@@ -1074,11 +1101,12 @@ def traced_peak_mb(fn, *args, **kwargs):
 
 
 def test_recount_and_derived_check_stay_below_150_mb(paper_blocks, paper_report):
-    # the recount's uint16 counter of the 11,180,715 lines is 21.3 MiB (the
-    # sorted uint32 keys it replaced were 42.7 MiB); the derived check adds
-    # a 10.7 MiB bool map of the sampled lines' ranks (sorting the keys
-    # again took 45 MiB traced; an owner-tagged uint64 index took 101)
-    assert traced_peak_mb(verify_design, paper_blocks, 2, 1) < 40
+    # the recount's uint8 counter of the 11,180,715 lines is 10.7 MiB (14.3
+    # MiB traced; 26.0 with a uint16 counter, and the sorted uint32 keys it
+    # replaced were 42.7 MiB); the derived check adds a 10.7 MiB bool map
+    # of the sampled lines' ranks (sorting the keys again took 45 MiB
+    # traced; an owner-tagged uint64 index took 101)
+    assert traced_peak_mb(verify_design, paper_blocks, 2, 1) < 20
     peak = traced_peak_mb(
         derived_steiner_sample_check, paper_blocks, paper_report, samples=10**5
     )
