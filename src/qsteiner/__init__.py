@@ -32,6 +32,7 @@ from .gf2 import (
 from .groups import (
     MatrixGroup,
     OrbitTable,
+    expand_orbits,
     group_closure,
     orbit,
     orbit_partition,
@@ -48,7 +49,6 @@ from .verify import (
     BlockSet,
     DesignReport,
     derived_steiner_sample_check,
-    expand_orbits,
     min_distance_certificate,
     packing_bound,
     verify_design,

@@ -39,6 +39,7 @@ from .exact_cover import (
 from .gf2 import MAX_WIDTH, FormatError, LimitError, identity
 from .groups import (
     MatrixGroup,
+    expand_orbits,
     format_group,
     group_closure,
     load_generator_file,
@@ -50,7 +51,6 @@ from .subspace import gaussian_binomial, key_order, spread_size
 from .verify import (
     BlockSet,
     derived_steiner_sample_check,
-    expand_orbits,
     format_report,
     min_distance_certificate,
     packing_bound,
@@ -363,6 +363,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     blocks = BlockSet.load(args.blocks)
     if not 0 < t <= blocks.k:
         raise UsageError(f"need 0 < t <= k = {blocks.k}")
+    if dist_samples and blocks.num_blocks < 2:
+        raise UsageError("--distance-samples needs at least two blocks")
     t0 = time.time()
     report = verify_design(blocks, t, lam)
     elapsed = time.time() - t0
@@ -563,14 +565,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise UsageError("--n and --k are required")
     if not 0 < k <= n:
         raise UsageError("need 0 < k <= n")
+    if t is not None and not 0 < t <= k:
+        raise UsageError("need 0 < t <= k")
     print(f"subspaces: [{n} {k}]_2 = {gaussian_binomial(n, k, 2)}")
     if n % k == 0:
         print(f"spread size: {spread_size(n, k)}")
     else:
         print(f"no spreads: {k} does not divide {n}")
     if t is not None:
-        if not 0 < t <= k:
-            raise UsageError("need 0 < t <= k")
         try:
             bound = packing_bound(n, k, t)
             print(f"packing bound for t={t}: {bound}")

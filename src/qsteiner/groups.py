@@ -11,7 +11,9 @@ bulk breadth-first search over arrays of rows: orbit() walks the
 subspaces of an orbit, and the closure walks the right cosets of the
 cyclic subgroup of one generator, each coset keyed by its least element,
 to count the group without listing it.  Orbit table files are written,
-never read: each reader recomputes the partition.
+never read: each reader recomputes the partition.  expand_orbits turns
+orbit representatives into the block list that verify recounts; the
+builder imports the checker's BlockSet, never the other way round.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .gf2 import (
     FormatError,
     LimitError,
     companion_matrix,
+    first_duplicate,
     format_matrix,
     format_rows,
     frobenius_matrix,
@@ -38,6 +41,7 @@ from .gf2 import (
     primitive_polynomial,
     rank,
     reading,
+    row_dtype,
     rref_bulk,
     vec_mat_bulk,
     xor_tables,
@@ -50,6 +54,7 @@ from .subspace import (
     key_order,
     pack_keys_bulk,
 )
+from .verify import BlockSet
 
 CLOSURE_CAP = 10**7
 TRAVERSAL_CAP = 2 * 10**7
@@ -229,6 +234,65 @@ def orbit(group: MatrixGroup, rows: np.ndarray, cap: int = TRAVERSAL_CAP) -> np.
             raise LimitError(f"orbit exceeded the traversal cap {cap}")
     rows = np.concatenate(parts)
     return rows[key_order(rows)]
+
+
+def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[int]]:
+    """Expand orbit representatives, (N, k) RREF rows, to the full block list.
+
+    Returns (blocks, per-orbit lengths): the blocks are the orbits one
+    after another, in the order of reps.  The order within an orbit is
+    not promised; `qsteiner expand` writes each orbit in ascending key
+    order.  The representatives must make a BlockSet of GF(2)^n
+    themselves, and a block shared by two orbits is an error: the
+    representatives did not come from distinct orbits.  With a Singer
+    engine their orbit labels show that, as orbits are disjoint or equal;
+    without one, a duplicate search over the expanded rows does.  The
+    rows, reduced and of rank k by construction, are not checked again.
+    """
+    reps = np.asarray(reps, dtype=np.uint64)
+    if not len(reps):
+        raise ValueError("no representatives to expand")
+    k = reps.shape[-1]
+    BlockSet(n=group.n, k=k, blocks=reps)
+    engine = group.engine()
+    if engine is None:
+        # orbit() gives each of its blocks once, reduced and of rank k, so
+        # only two orbits that meet can repeat a block
+        parts = [orbit(group, rep) for rep in reps]
+        lengths = [len(rows) for rows in parts]
+        blocks = np.concatenate(parts, axis=0)
+        pair = first_duplicate(blocks, group.n)
+        if pair is None:
+            return BlockSet.from_checked_rows(group.n, blocks), lengths
+        # a shared block means a shared orbit
+        pair = np.searchsorted(np.cumsum(lengths), pair, side="right").tolist()
+    else:
+        labels, stab = engine.labels_and_stabilizers(engine.rows_to_exps(reps))
+        pair = first_duplicate(labels, 64)
+    if pair is not None:
+        raise ValueError(f"representatives {pair[0]} and {pair[1]} share an orbit")
+    # each orbit straight into one array of room for |G| blocks each
+    blocks = np.empty((len(reps) * engine.order, k), dtype=row_dtype(group.n))
+    lengths = []
+    stop = 0
+    for rep, fixers in zip(reps, stab.tolist()):
+        # with a trivial stabilizer the |G| images are the orbit, each
+        # block once (orbit-stabilizer); only a short orbit is deduped
+        if fixers == 1:
+            rows = engine.orbit_images(rep)
+        else:
+            rows = engine.expand_orbit_rows(rep)
+        if len(rows) * fixers != engine.order:
+            raise AssertionError("orbit length times stabilizer order is not |G|")
+        blocks[stop : stop + len(rows)] = rows
+        lengths.append(len(rows))
+        stop += len(rows)
+    if stop < len(blocks):  # short orbits: free the unused room
+        blocks = blocks[:stop].copy()
+    # the rows are n-bit table entries that orbit_images reduces and checks
+    # for rank k, each orbit holds each of its blocks once, and orbits are
+    # disjoint
+    return BlockSet.from_checked_rows(group.n, blocks), lengths
 
 
 def _rowwise(words: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf2 import FormatError, reading
+from .gf2 import FormatError, LimitError, reading
 from .groups import OrbitTable, group_hash
 from .subspace import gaussian_binomial, subspaces_of_bulk
 
@@ -93,7 +93,7 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
     agree, else ValueError: the hash is of the generator list in order,
     so tables of one group built from different or reordered generators
     are refused too, as the group itself is not compared.  An entry above
-    255 does not fit the uint8 matrix and raises OverflowError.
+    255 does not fit the uint8 matrix and raises LimitError.
     """
     if t_table.n != k_table.n:
         raise ValueError("orbit tables live in different ambient spaces")
@@ -132,7 +132,7 @@ def build_km(t_table: OrbitTable, k_table: OrbitTable, lam: int = 1) -> KMInstan
     vals = num // den
     if vals.max() > 255:
         i = vals.argmax()
-        raise OverflowError(
+        raise LimitError(
             f"entry at row {rids[i]}, column {cols[i]} is {vals[i]}, "
             "above the uint8 limit 255"
         )
@@ -301,7 +301,8 @@ def parse_km(text: str) -> KMInstance:
     str.split splits; fields take ASCII digits only.  The first fault is
     named by three passes in turn, each by line: unknown or repeated tags,
     wrong field counts and bad header fields; bad fields of the R, then C,
-    E and X records; then the value checks below.  A text laid out
+    E and X records; then the value checks below, ending with lambda >= 1
+    after the checksum.  A text laid out
     exactly as format_km writes it is converted at once; any other is read
     line by line.
     """
@@ -354,6 +355,8 @@ def parse_km(text: str) -> KMInstance:
         raise FormatError(
             f"checksum mismatch: file says {xs[0, 1]}, content sums to {actual}"
         )
+    # after the sum: a single corrupted field fails the sum first
+    _reject(header, header[:, 4] < 1, "lambda {4} is below 1")
     return inst
 
 

@@ -5,9 +5,6 @@ state with the construction pipeline: a block set is just an array of
 basis rows, and the verifier counts how often every t-subspace of the
 ambient space occurs inside a block.  A t-(n, k, lambda) design over
 GF(2) passes exactly when every count equals lambda.
-
-expand_orbits, a construction step, is kept here only because
-bench/workload.py imports it from qsteiner.verify (ROADMAP items 1, 19).
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from .gf2 import (
     rref_rows,
     span_vectors_bulk,
 )
-from .groups import MatrixGroup, orbit
 from .subspace import (
     gaussian_binomial,
     key_chunks,
@@ -52,6 +48,16 @@ SAVE_BATCH_BLOCKS = 1 << 16
 KEY_CHUNK_BLOCKS = 1 << 16
 COUNT_SLICE = 1 << 16
 _BLOCK_HEADER = re.compile(r"# block set: n=(\d+) k=(\d+) blocks=(\d+)[ \t]*\r?$", re.M)
+
+
+def __getattr__(name: str):
+    # the benchmark still imports expand_orbits, a construction step, from
+    # here; ROADMAP item 1 moves that import to groups and deletes this alias
+    if name == "expand_orbits":
+        from .groups import expand_orbits
+
+        return expand_orbits
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(eq=False)
@@ -118,70 +124,18 @@ class BlockSet:
                 i, j = lines[list(pair)]
                 raise FormatError(f"lines {i} and {j}: duplicate block")
         # the reader and the duplicate search ran every check of __post_init__
+        return cls.from_checked_rows(n, rows)
+
+    @classmethod
+    def from_checked_rows(cls, n: int, rows: np.ndarray) -> "BlockSet":
+        """The BlockSet of (N, k) rows that the caller has shown to pass
+        every check of __post_init__: n bits wide, reduced, of rank k and
+        distinct.  None is run again; verify_design relies on none of them,
+        as it recounts from the rows as they are."""
         blocks = cls.__new__(cls)
-        blocks.n, blocks.k, blocks.blocks = n, rows.shape[1], rows
+        blocks.n, blocks.k = n, rows.shape[1]
+        blocks.blocks = np.ascontiguousarray(rows, dtype=row_dtype(n))
         return blocks
-
-
-def expand_orbits(group: MatrixGroup, reps: np.ndarray) -> tuple[BlockSet, list[int]]:
-    """Expand orbit representatives, (N, k) RREF rows, to the full block list.
-
-    Returns (blocks, per-orbit lengths): the blocks are the orbits one
-    after another, in the order of reps.  The order within an orbit is
-    not promised; `qsteiner expand` writes each orbit in ascending key
-    order.  The representatives must make a BlockSet of GF(2)^n
-    themselves, and a block shared by two orbits is an error: the
-    representatives did not come from distinct orbits.  With a Singer
-    engine their orbit labels show that, as orbits are disjoint or equal,
-    and the rows the engine builds are not checked again.
-    """
-    reps = np.asarray(reps, dtype=np.uint64)
-    if not len(reps):
-        raise ValueError("no representatives to expand")
-    k = reps.shape[-1]
-    BlockSet(n=group.n, k=k, blocks=reps)
-    engine = group.engine()
-    if engine is None:
-        parts = [orbit(group, rep) for rep in reps]
-        lengths = [len(rows) for rows in parts]
-        blocks = np.concatenate(parts, axis=0)
-        try:
-            return BlockSet(n=group.n, k=k, blocks=blocks), lengths
-        except ValueError:
-            pair = first_duplicate(blocks, group.n)
-            if pair is None:
-                raise
-        # a shared block means a shared orbit
-        pair = np.searchsorted(np.cumsum(lengths), pair, side="right").tolist()
-    else:
-        labels, stab = engine.labels_and_stabilizers(engine.rows_to_exps(reps))
-        pair = first_duplicate(labels, 64)
-    if pair is not None:
-        raise ValueError(f"representatives {pair[0]} and {pair[1]} share an orbit")
-    # each orbit straight into one array of room for |G| blocks each
-    blocks = np.empty((len(reps) * engine.order, k), dtype=row_dtype(group.n))
-    lengths = []
-    stop = 0
-    for rep, fixers in zip(reps, stab.tolist()):
-        # with a trivial stabilizer the |G| images are the orbit, each
-        # block once (orbit-stabilizer); only a short orbit is deduped
-        if fixers == 1:
-            rows = engine.orbit_images(rep)
-        else:
-            rows = engine.expand_orbit_rows(rep)
-        if len(rows) * fixers != engine.order:
-            raise AssertionError("orbit length times stabilizer order is not |G|")
-        blocks[stop : stop + len(rows)] = rows
-        lengths.append(len(rows))
-        stop += len(rows)
-    if stop < len(blocks):  # short orbits: free the unused room
-        blocks = blocks[:stop].copy()
-    # the checks of __post_init__ hold: the rows are n-bit table entries that
-    # orbit_images reduces and checks for rank k, each orbit holds each of
-    # its blocks once, and orbits are disjoint
-    out = BlockSet.__new__(BlockSet)
-    out.n, out.k, out.blocks = group.n, k, blocks
-    return out, lengths
 
 
 @dataclass

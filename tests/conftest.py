@@ -6,8 +6,8 @@ import pytest
 
 import qsteiner
 from qsteiner import fixtures
-from qsteiner.groups import orbit_partition
-from qsteiner.verify import expand_orbits, verify_design
+from qsteiner.groups import expand_orbits, orbit_partition
+from qsteiner.verify import verify_design
 
 # pyproject.toml puts this checkout's src on sys.path; a qsteiner found
 # first elsewhere, an older install, would be tested in its place

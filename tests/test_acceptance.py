@@ -25,6 +25,7 @@ from qsteiner.exact_cover import (
 from qsteiner.gf2 import BitMatrix, SingularMatrixError, mat_inverse, mat_vec, rref_rows
 from qsteiner.groups import (
     MatrixGroup,
+    expand_orbits,
     group_closure,
     orbit_partition,
     singer_normalizer,
@@ -34,7 +35,6 @@ from qsteiner.subspace import gaussian_binomial, span
 from subspace_reference import contains_subspace, enumerate_subspaces, vectors
 from qsteiner.verify import (
     derived_steiner_sample_check,
-    expand_orbits,
     min_distance_certificate,
     packing_bound,
     verify_design,

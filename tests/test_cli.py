@@ -14,14 +14,15 @@ import pytest
 from qsteiner import cli, fixtures
 from qsteiner.exact_cover import load_solutions
 from qsteiner.fixtures import FIXTURE_SHA256
-from qsteiner.gf2 import FormatError, LimitError, rref_bulk
+from qsteiner.gf2 import FormatError, LimitError, identity, rref_bulk
 from qsteiner.groups import (
     MatrixGroup,
     group_hash,
     load_generator_file,
+    orbit_partition,
     singer_normalizer,
 )
-from qsteiner.kramer_mesner import import_km
+from qsteiner.kramer_mesner import build_km, export_km, import_km
 from qsteiner.subspace import load_subspace_file
 from qsteiner.verify import BlockSet
 
@@ -54,6 +55,48 @@ def test_limit_error_is_a_resource_limit(monkeypatch, capsys):
     code, _, err = run(capsys, "orbits", "--trivial-group", "--n", "4", "--dim", "2")
     assert code == 3
     assert "limit: orbit exceeded the traversal cap 1" in err
+
+
+# argv, with {one} a file of one block that spans GF(2)^2 (a 1-design) and
+# {lam0} a KM file whose header reads lambda 0 under a valid checksum;
+# the exit code; the one line on stderr
+ONE_LINE_FAULTS = {
+    "km entry above 255": (
+        ["km", "--singer-normalizer", "10", "--t", "1", "--k", "9"],
+        3,
+        "limit: entry at row 0, column 0 is 511, above the uint8 limit 255",
+    ),
+    "solve a KM file of lambda 0": (
+        ["solve", "--km", "{lam0}"],
+        2,
+        "error: {lam0}: line 1: lambda 0 is below 1",
+    ),
+    "distance of one block": (
+        ["verify", "--blocks", "{one}", "--t", "1", "--distance-samples", "3"],
+        2,
+        "error: --distance-samples needs at least two blocks",
+    ),
+    "bounds with t above k": (
+        ["bounds", "--n", "3", "--k", "2", "--t", "3"],
+        2,
+        "error: need 0 < t <= k",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ONE_LINE_FAULTS)
+def test_faults_print_one_line_and_write_nothing(tmp_path, capsys, fault):
+    argv, want, line = ONE_LINE_FAULTS[fault]
+    paths = {"one": tmp_path / "one.txt", "lam0": tmp_path / "lam0.txt"}
+    BlockSet(2, 2, np.array([[1, 2]], dtype=np.uint64)).save(str(paths["one"]))
+    group = MatrixGroup(n=3, generators=(identity(3),), order=1)
+    km = build_km(orbit_partition(group, 1), orbit_partition(group, 2), lam=0)
+    export_km(km, str(paths["lam0"]))
+    out_dir = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, "--out-dir", str(out_dir), *argv)
+    assert (code, out, err) == (want, "", line.format(**paths) + "\n")
+    assert not out_dir.exists()
 
 
 def test_out_of_range_dimensions_are_usage_errors(tmp_path, capsys):

@@ -1,16 +1,17 @@
 """The package imports only the standard library, numpy and itself, every
-name a module imports is used there, the
-per-object Subspace stays out of the array pipeline, no module reaches
-another's private names, one reader opens
-every input file, only the orbit partitions build orbit tables, every
-counter increment takes numpy's fast path, the expand writer orders
-blocks by the public key_order, every public name resolves, and every
-name the benchmark imports from it exists and takes the arguments the
-benchmark passes."""
+name a module imports is used there, the trusted base imports no builder
+and the README names the kernels it shares with them, the per-object
+Subspace stays out of the array pipeline, no module reaches another's
+private names, one reader opens every input file, only the orbit
+partitions build orbit tables, every counter increment takes numpy's
+fast path, the expand writer orders blocks by the public key_order, every
+public name resolves, and every name the benchmark imports from it exists
+and takes the arguments the benchmark passes."""
 
 import ast
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -80,6 +81,79 @@ def test_the_package_imports_no_test_oracle():
                 if name.split(".")[-1].endswith("_reference")
             ]
     assert not oracles, oracles
+
+
+# the trusted base: the modules that certify a design, each with the
+# package modules it may import at module level; the builders import
+# these, never the reverse
+TRUSTED_BASE = {"gf2": set(), "subspace": {"gf2"}, "verify": {"gf2", "subspace"}}
+
+
+def package_modules(node: ast.Import | ast.ImportFrom) -> set:
+    """The package modules an import names: a relative one by its short
+    name, an absolute one by its dotted name."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return {node.module} if node.module else {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module]
+    else:
+        names = [alias.name for alias in node.names]
+    return {name for name in names if name.split(".")[0] == "qsteiner"}
+
+
+def test_the_trusted_base_imports_no_builder():
+    # verify recounts from the block list alone, so neither it nor the
+    # kernels it calls import groups, singer or any other builder; the one
+    # import inside a function is verify's alias of expand_orbits
+    local = []
+    for stem, allowed in TRUSTED_BASE.items():
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        owner = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        top = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if id(node) in owner:
+                local.append(f"{stem}.{owner[id(node)]}: {ast.unparse(node)}")
+            else:
+                top |= package_modules(node)
+        assert top <= allowed, (stem, top - allowed)
+    assert local == ["verify.__getattr__: from .groups import expand_orbits"]
+    from qsteiner import groups, verify
+
+    assert verify.expand_orbits is groups.expand_orbits
+    assert not hasattr(verify, "orbit")
+
+
+def kernel_calls(stem: str) -> set:
+    """The functions of gf2 and subspace that a module calls by name."""
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("gf2", "subspace")
+        for alias in node.names
+    }
+    return {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", "") in imported
+        and node.func.id[0].islower()  # not an error class
+    }
+
+
+def test_the_readme_names_the_kernels_verify_shares_with_the_builders():
+    # a bug in a shared kernel could make expand and verify agree wrongly
+    builders = set().union(*map(kernel_calls, ("groups", "singer", "kramer_mesner")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"lists them,\s+are:(.*?)\.\s+A bug", readme, re.S)
+    assert re.findall(r"`(\w+)`", listed[1]) == sorted(kernel_calls("verify") & builders)
 
 
 # modules that may import the per-object Subspace or span: where they are
@@ -219,7 +293,7 @@ def test_every_add_at_increment_is_a_scalar_of_the_counter_dtype(monkeypatch):
     import numpy as np
 
     from qsteiner import verify
-    from qsteiner.groups import orbit_partition, singer_normalizer
+    from qsteiner.groups import expand_orbits, orbit_partition, singer_normalizer
 
     increments = []
 
@@ -241,10 +315,10 @@ def test_every_add_at_increment_is_a_scalar_of_the_counter_dtype(monkeypatch):
 
     monkeypatch.setattr(verify, "np", Numpy())
     group = singer_normalizer(6)
-    blocks, _ = verify.expand_orbits(group, orbit_partition(group, 3).rows)
+    blocks, _ = expand_orbits(group, orbit_partition(group, 3).rows)
     for t in (1, 2, 3):
         verify.verify_design(blocks, t, 1)
-    lines, _ = verify.expand_orbits(group, orbit_partition(group, 2).rows)
+    lines, _ = expand_orbits(group, orbit_partition(group, 2).rows)
     report = verify.verify_design(lines, 2, 1)
     verify.derived_steiner_sample_check(lines, report, samples=100)
     assert len(increments) == 4

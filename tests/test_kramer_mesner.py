@@ -14,6 +14,7 @@ from qsteiner import kramer_mesner
 from qsteiner.exact_cover import from_km
 from qsteiner.gf2 import (
     FormatError,
+    LimitError,
     companion_matrix,
     identity,
     primitive_polynomial,
@@ -176,7 +177,7 @@ def test_build_rejects_corrupt_orbit_lengths():
     saved = list(k_table.lengths)
     k_table.lengths[:] = [length * 256 for length in saved]
     try:
-        with pytest.raises(OverflowError, match="above the uint8 limit 255"):
+        with pytest.raises(LimitError, match="above the uint8 limit 255"):
             build_km(t_table, k_table)
     finally:
         k_table.lengths[:] = saved

@@ -9,20 +9,19 @@ import numpy as np
 import pytest
 
 import verify_reference
-from qsteiner import cli, fixtures, gf2, singer, subspace, verify
+from qsteiner import cli, fixtures, gf2, verify
 from qsteiner.exact_cover import CoverProblem, SolveConfig, solve
 from qsteiner.gf2 import FormatError
 from qsteiner.groups import (
     MatrixGroup,
+    expand_orbits,
     group_closure,
-    orbit,
     orbit_partition,
     singer_normalizer,
 )
 from qsteiner.subspace import (
     Subspace,
     gaussian_binomial,
-    key_bits,
     key_chunks,
     key_order,
     span,
@@ -33,7 +32,6 @@ from qsteiner.verify import (
     BlockSet,
     DesignReport,
     derived_steiner_sample_check,
-    expand_orbits,
     format_report,
     min_distance_certificate,
     packing_bound,
@@ -367,166 +365,6 @@ def test_first_duplicate_packs_rows_into_words():
                 planted
             ) == (i, j), (n, k)
             assert np.array_equal(planted, before)  # the words sort, not the rows
-
-
-def test_expand_orbits_counts_and_rejects_mixed_dims():
-    group = singer_normalizer(6)
-    table = orbit_partition(group, 3)
-    reps = table.rows[:3]
-    blocks, lengths = expand_orbits(group, reps)
-    assert blocks.num_blocks == sum(lengths)
-    assert len(lengths) == len(reps)
-    seen = {tuple(rows) for rows in blocks.blocks.tolist()}
-    assert len(seen) == blocks.num_blocks
-    # with short orbits the block list holds its rows and no unused room
-    every, lengths = expand_orbits(group, table.rows)
-    assert every.num_blocks == gaussian_binomial(6, 3, 2)
-    assert min(lengths) < max(lengths) and every.blocks.base is None
-    t2 = orbit_partition(group, 2)
-    with pytest.raises(ValueError):
-        expand_orbits(group, [table.rep(0), t2.rep(0)])
-    # the representatives must make a block set of GF(2)^6 themselves
-    twin = orbit(group, table.rep(0))[1]
-    for bad, message in (
-        (table.rows[:0], "no representatives to expand"),
-        (table.rep(0), r"an \(N, k\) array"),
-        (table.rows[:1] | np.uint64(1 << 6), "fit in n bits"),
-        (table.rows[:1, ::-1], "reduced row echelon form"),
-        (table.rows[[1, 0, 1]], "blocks 0 and 2 are equal"),
-        (np.stack([table.rep(0), twin]), "representatives 0 and 1 share an orbit"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            expand_orbits(group, bad)
-
-
-def test_expand_orbits_with_keys_wider_than_64_bits():
-    # the key of a 6-subspace of GF(2)^14 takes 65 bits and that of a
-    # 7-subspace 66, so key_order sorts them by rows; in key order each
-    # orbit is the engine's deduped orbit, and the block set that
-    # expand_orbits returns accepts the rows
-    group = singer_normalizer(14)
-    engine = group.engine()
-    assert (key_bits(14, 6), key_bits(14, 7)) == (65, 66)
-    first_six = np.array([[1 << i for i in range(6)]], dtype=np.uint64)
-    # the subfield GF(2^7): 0 and the powers of a^129, a primitive element,
-    # whose first seven powers are a basis; its 129 translates a^c GF(2^7)
-    # are its orbit, as the Frobenius maps fix it
-    subfield, _ = gf2.rref_bulk(engine.exptable[129 * np.arange(7)][None])
-    for reps in (first_six, subfield):
-        _, stab = engine.labels_and_stabilizers(engine.rows_to_exps(reps))
-        blocks, lengths = expand_orbits(group, reps)
-        assert lengths == [engine.order // int(stab[0])] == [blocks.num_blocks]
-        got = blocks.blocks[key_order(blocks.blocks)]
-        assert np.array_equal(got, engine.expand_orbit_rows(reps[0]))
-    assert lengths == [129]
-
-
-def test_expanded_blocks_pass_every_block_set_check():
-    # the engine path builds its BlockSet unchecked; every check must hold
-    # on what it returns, short orbits included, and each orbit, put in key
-    # order, must be the breadth-first orbit of its representative
-    for n in (5, 6, 7):
-        group = singer_normalizer(n)
-        for k in range(4):
-            reps = orbit_partition(group, k).rows
-            blocks, lengths = expand_orbits(group, reps)
-            again = BlockSet(n, k, blocks.blocks.copy())
-            assert np.array_equal(again.blocks, blocks.blocks)
-            assert blocks.num_blocks == sum(lengths) == gaussian_binomial(n, k, 2)
-            assert blocks.blocks.flags.c_contiguous
-            stop = 0
-            for rep, length in zip(reps, lengths):
-                got = blocks.blocks[stop : stop + length]
-                stop += length
-                assert np.array_equal(got[key_order(got)], orbit(group, rep)), (n, k)
-    group = singer_normalizer(14)
-    engine = group.engine()
-    subfield, _ = gf2.rref_bulk(engine.exptable[129 * np.arange(7)][None])
-    for reps in (np.array([[1 << i for i in range(6)]], dtype=np.uint64), subfield):
-        blocks, _ = expand_orbits(group, reps)
-        again = BlockSet(14, reps.shape[1], blocks.blocks.copy())
-        assert np.array_equal(again.blocks, blocks.blocks)
-
-
-def test_expand_orbits_names_representatives_that_share_an_orbit():
-    group = singer_normalizer(6)
-    for k in (1, 2, 3):
-        table = orbit_partition(group, k)
-        for g in group.generators:
-            image, _ = gf2.rref_bulk(gf2.mat_vec_bulk(g, table.rows[:1]))
-            if np.array_equal(image, table.rows[:1]):
-                continue  # a generator may fix the representative
-            pair = np.concatenate([table.rows[:1], image])
-            with pytest.raises(ValueError, match="representatives 0 and 1 share"):
-                expand_orbits(group, pair)
-            if len(table.rows) > 1:  # one orbit of points
-                three = np.concatenate([table.rows[1:2], pair])
-                with pytest.raises(ValueError, match="representatives 1 and 2 share"):
-                    expand_orbits(group, three)
-
-
-def test_engine_expansion_checks_no_more_rows_than_representatives(monkeypatch):
-    # the expanded rows are in RREF and distinct by construction; a check of
-    # every expanded row must not come back
-    seen = []
-    for name in ("rref_checked", "first_duplicate"):
-        def spy(rows, *args, check=getattr(verify, name)):
-            seen.append(len(rows))
-            return check(rows, *args)
-
-        monkeypatch.setattr(verify, name, spy)
-    for n, k in ((6, 2), (7, 3)):
-        group = singer_normalizer(n)
-        reps = orbit_partition(group, k).rows
-        seen.clear()
-        blocks, _ = expand_orbits(group, reps)
-        assert seen and max(seen) <= len(reps) < blocks.num_blocks
-
-
-def test_paper_expansion_packs_and_sorts_no_keys(paper_group, paper_blocks, monkeypatch):
-    # the 15 bundled orbits have trivial stabilizers, so their images are
-    # already distinct: no key is packed, no row is sorted or deduped
-    calls = []
-    for module, name in (
-        (singer, "_distinct_rows"),
-        (singer, "key_order"),
-        (subspace, "key_order"),
-        (subspace, "pack_keys_bulk"),
-    ):
-        def spy(*args, name=name):
-            calls.append(name)
-            raise AssertionError(f"{name} was called")
-
-        monkeypatch.setattr(module, name, spy)
-    reps = fixtures.solution_representatives()
-    blocks, lengths = expand_orbits(paper_group, reps)
-    assert not calls and lengths == [106483] * 15
-    assert np.array_equal(blocks.blocks, paper_blocks.blocks)
-
-
-def test_short_orbits_are_still_deduped(monkeypatch):
-    # 3-subspaces of GF(2)^7 fixed by the Frobenius maps: stabilizer 7,
-    # so each of their 127 blocks is met 7 times among the 889 images
-    group = singer_normalizer(7)
-    engine = group.engine()
-    table = orbit_partition(group, 3)
-    reps = table.rows[np.array(table.lengths) == 127]
-    assert len(reps) and engine.order == 889
-    deduped = []
-
-    def spy(rows, dedupe=singer._distinct_rows):
-        deduped.append(len(rows))
-        return dedupe(rows)
-
-    monkeypatch.setattr(singer, "_distinct_rows", spy)
-    _, stab = engine.labels_and_stabilizers(engine.rows_to_exps(reps))
-    blocks, lengths = expand_orbits(group, reps)
-    assert lengths == (engine.order // stab).tolist() == [127] * len(reps)
-    assert deduped == [889] * len(reps)
-    BlockSet(7, 3, blocks.blocks.copy())  # distinct, in RREF
-    for i, rep in enumerate(reps):
-        got = blocks.blocks[127 * i : 127 * (i + 1)]
-        assert np.array_equal(got[key_order(got)], orbit(group, rep))
 
 
 def test_spread_verifies_as_1_design():
